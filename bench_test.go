@@ -1,6 +1,7 @@
 package torusnet
 
 import (
+	"context"
 	"testing"
 
 	"torusnet/internal/sweep"
@@ -204,6 +205,42 @@ func benchAnalyticK(b *testing.B, k int) {
 func BenchmarkAnalyzeAnalyticK16(b *testing.B)  { benchAnalyticK(b, 16) }
 func BenchmarkAnalyzeAnalyticK64(b *testing.B)  { benchAnalyticK(b, 64) }
 func BenchmarkAnalyzeAnalyticK256(b *testing.B) { benchAnalyticK(b, 256) }
+
+// BenchmarkBranchBoundT2_8 runs the full proven branch-and-bound search on
+// T²₈ with |P| = 8 under ODR, single-threaded. Expansions price each node
+// incrementally without allocating, so allocs/op (gated by
+// scripts/ci_bench_smoke.sh) stays a few hundred however many of the
+// ~170k expansions run.
+func BenchmarkBranchBoundT2_8(b *testing.B) {
+	t := NewTorus(8, 2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := BranchBoundPlacement(context.Background(), t, ODR{}, AnnealConfig{Size: 8, Workers: 1})
+		if err != nil || !res.Proven || res.BestEMax != 3 {
+			b.Fatalf("err %v proven %v e_max %v, want proven 3", err, res.Proven, res.BestEMax)
+		}
+	}
+}
+
+// BenchmarkAnnealT3_8 anneals |P| = 64 on T³₈ under ODR for 200 moves from
+// the Lee-sphere seed, single-threaded — the torusd anneal job. Moves
+// allocate nothing, so allocs/op counts only the seed's and the result's
+// engine runs.
+func BenchmarkAnnealT3_8(b *testing.B) {
+	t := NewTorus(8, 3)
+	seed, err := LeeSeedPlacement(t, 64, ODR{}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := AnnealConfig{Size: 64, Steps: 200, Seed: 1, Workers: 1, Start: seed.Best.Nodes()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := AnnealPlacement(t, ODR{}, cfg); res.Steps != 200 {
+			b.Fatalf("ran %d steps, want 200", res.Steps)
+		}
+	}
+}
 
 func BenchmarkSweepBisection(b *testing.B) {
 	t := NewTorus(8, 3)

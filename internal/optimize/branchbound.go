@@ -28,22 +28,13 @@ const DefaultMaxVisited = 50_000_000
 // budget checks.
 const bnbCheckEvery = 4096
 
-// bnbEps absorbs float summation-order noise between the incremental loads
-// and the load engine's totals for fractional (multi-path) algorithms;
-// single-path loads are small integers and unaffected.
-const bnbEps = 1e-9
-
-// bnb is the search state of one BranchAndBound run. Edge loads are
-// maintained incrementally with an exact undo log (first-touch snapshots
-// per expansion), so descending and backtracking never accumulate float
-// drift.
+// bnb is the search state of one BranchAndBound run. Edge loads live in a
+// loadState: every expansion checkpoints, adds its node against the chosen
+// prefix, and reverts on the way back up, so descending and backtracking
+// never accumulate float drift and never allocate.
 type bnb struct {
-	t   *torus.Torus
-	alg routing.Algorithm
-
-	loads []float64 // per-edge load of the current partial placement
-	mark  []int64   // expansion sequence that last touched each edge
-	seq   int64     // current expansion sequence number
+	t     *torus.Torus
+	state *loadState
 
 	chosen []torus.Node
 	best   []torus.Node
@@ -69,9 +60,11 @@ type bnb struct {
 // with identical E_max). The incumbent is seeded from Config.Start when
 // given, else from the Lee-sphere seed — and additionally from the linear
 // placement when cfg.Size = k^{d-1}, whose Theorem 2 E_max is the
-// construction the search is trying to beat. The search stops early when
-// the incumbent meets the Blaum floor |P|/(2d) (provably optimal), and
-// gives up with Proven=false when MaxVisited expansions are exhausted.
+// construction the search is trying to beat. A Start that is not Size
+// distinct nodes of t is an error: a wrong seed energy could prune the
+// whole tree. The search stops early when the incumbent meets the Blaum
+// floor |P|/(2d) (provably optimal), and gives up with Proven=false when
+// MaxVisited expansions are exhausted.
 //
 // On a cancelled context the incumbent found so far is returned together
 // with ctx's error.
@@ -83,19 +76,19 @@ func BranchAndBound(ctx context.Context, t *torus.Torus, alg routing.Algorithm, 
 		return nil, fmt.Errorf("optimize: torus T^%d_%d has %d nodes, exceeding the branch-and-bound limit of %d",
 			t.D(), t.K(), t.Nodes(), BranchBoundNodeLimit)
 	}
-	_, sp := obs.Start(ctx, "optimize.bnb")
+	seed := cfg.Start
+	if len(seed) == 0 {
+		seed = leeSeedNodes(t, cfg.Size)
+	} else if err := checkStart(t, seed, cfg.Size); err != nil {
+		return nil, err
+	}
+	ctx, sp := obs.Start(ctx, "optimize.bnb")
 	defer sp.End()
 	sp.SetAttrInt("size", int64(cfg.Size))
 	sp.SetAttrInt("nodes", int64(t.Nodes()))
 
 	// Seed the incumbent: the tightest starting bound prunes hardest.
-	seed := cfg.Start
-	if len(seed) == 0 {
-		seed = leeSeedNodes(t, cfg.Size)
-	} else if len(seed) != cfg.Size {
-		return nil, fmt.Errorf("optimize: Start has %d nodes, want Size = %d", len(seed), cfg.Size)
-	}
-	seedE := energy(t, seed, alg, cfg.Workers)
+	seedE := energy(ctx, t, seed, alg, cfg.Workers)
 	incumbent, incumbentE := append([]torus.Node(nil), seed...), seedE
 	if lin, err := (placement.Linear{C: 0}).Build(t); err == nil && lin.Size() == cfg.Size {
 		if e := load.ComputeCtx(ctx, lin, alg, load.Options{Workers: cfg.Workers}).Max; e < incumbentE {
@@ -113,9 +106,7 @@ func BranchAndBound(ctx context.Context, t *torus.Torus, alg routing.Algorithm, 
 	}
 	b := &bnb{
 		t:        t,
-		alg:      alg,
-		loads:    make([]float64, t.Edges()),
-		mark:     make([]int64, t.Edges()),
+		state:    newLoadState(t, alg),
 		chosen:   make([]torus.Node, 0, cfg.Size),
 		best:     incumbent,
 		bestE:    incumbentE,
@@ -126,7 +117,7 @@ func BranchAndBound(ctx context.Context, t *torus.Torus, alg routing.Algorithm, 
 	}
 
 	complete := true
-	if b.bestE <= b.floor+bnbEps {
+	if b.bestE <= b.floor+loadEps {
 		// The seed already meets the placement-independent floor; nothing
 		// to search.
 		b.done = true
@@ -146,7 +137,7 @@ func BranchAndBound(ctx context.Context, t *torus.Torus, alg routing.Algorithm, 
 		Best: placement.New(t, b.best, "branch-and-bound"),
 		// Recompute through the load engine so the reported number is
 		// bit-identical to load.Compute on Best.
-		BestEMax:  energy(t, b.best, alg, cfg.Workers),
+		BestEMax:  energy(ctx, t, b.best, alg, cfg.Workers),
 		StartEMax: seedE,
 		Strategy:  StrategyBranchBound,
 		Proven:    proven,
@@ -184,24 +175,23 @@ func (b *bnb) descend(ctx context.Context, size int, curMax float64) bool {
 		if b.progress != nil && b.visited%b.every == 0 {
 			b.progress(Progress{Strategy: StrategyBranchBound, Visited: b.visited, Pruned: b.pruned, BestEMax: b.bestE})
 		}
-		undo, newMax := b.addNode(torus.Node(v), curMax)
+		cp, newMax := b.push(torus.Node(v), curMax)
 		ok := true
 		switch {
-		case newMax >= b.bestE-bnbEps:
+		case newMax >= b.bestE-loadEps:
 			// Monotone bound: no completion of this prefix can strictly
 			// beat the incumbent.
 			b.pruned++
 		case len(b.chosen) == size:
 			b.bestE = newMax
 			copy(b.best, b.chosen)
-			if b.bestE <= b.floor+bnbEps {
+			if b.bestE <= b.floor+loadEps {
 				b.done = true
 			}
 		default:
 			ok = b.descend(ctx, size, newMax)
 		}
-		b.revert(undo)
-		b.chosen = b.chosen[:len(b.chosen)-1]
+		b.pop(cp)
 		if !ok {
 			return false
 		}
@@ -209,42 +199,18 @@ func (b *bnb) descend(ctx context.Context, size int, curMax float64) bool {
 	return true
 }
 
-// edgeVal is one undo-log entry: an edge's load before the expansion that
-// first touched it.
-type edgeVal struct {
-	e   torus.Edge
-	old float64
-}
-
-// addNode appends v to the partial placement, stamping the complete-
-// exchange load of every (v, u) pair in both directions into loads, and
-// returns the undo log plus the new maximum edge load.
-func (b *bnb) addNode(v torus.Node, curMax float64) ([]edgeVal, float64) {
-	b.seq++
-	seq := b.seq
-	var undo []edgeVal
-	newMax := curMax
-	add := func(e torus.Edge, w float64) {
-		if b.mark[e] != seq {
-			b.mark[e] = seq
-			undo = append(undo, edgeVal{e, b.loads[e]})
-		}
-		b.loads[e] += w
-		if b.loads[e] > newMax {
-			newMax = b.loads[e]
-		}
-	}
-	for _, u := range b.chosen {
-		b.alg.AccumulatePair(b.t, u, v, add)
-		b.alg.AccumulatePair(b.t, v, u, add)
-	}
+// push appends v to the partial placement, adding the complete-exchange
+// load of every (v, u) pair in both directions. It returns the checkpoint
+// that pop takes back to and the new maximum edge load.
+func (b *bnb) push(v torus.Node, curMax float64) (int, float64) {
+	cp := b.state.checkpoint()
+	newMax := max(curMax, b.state.add(v, b.chosen))
 	b.chosen = append(b.chosen, v)
-	return undo, newMax
+	return cp, newMax
 }
 
-// revert restores the loads touched by one addNode, exactly.
-func (b *bnb) revert(undo []edgeVal) {
-	for _, uv := range undo {
-		b.loads[uv.e] = uv.old
-	}
+// pop undoes the push that returned cp, exactly.
+func (b *bnb) pop(cp int) {
+	b.state.revert(cp)
+	b.chosen = b.chosen[:len(b.chosen)-1]
 }

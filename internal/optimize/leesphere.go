@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"torusnet/internal/lee"
+	"torusnet/internal/load"
 	"torusnet/internal/placement"
 	"torusnet/internal/routing"
 	"torusnet/internal/torus"
@@ -23,10 +24,10 @@ func LeeSeed(t *torus.Torus, size int, alg routing.Algorithm, workers int) (*Res
 	if size < 2 || size > t.Nodes() {
 		return nil, fmt.Errorf("optimize: placement size %d out of range [2, %d]", size, t.Nodes())
 	}
-	nodes := leeSeedNodes(t, size)
-	e := energy(t, nodes, alg, workers)
+	p := placement.New(t, leeSeedNodes(t, size), "lee-sphere")
+	e := load.Compute(p, alg, load.Options{Workers: workers}).Max
 	res := &Result{
-		Best:      placement.New(t, nodes, "lee-sphere"),
+		Best:      p,
 		BestEMax:  e,
 		StartEMax: e,
 		Strategy:  StrategyLeeSphere,

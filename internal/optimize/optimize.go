@@ -5,8 +5,9 @@
 // strategies share one Result shape:
 //
 //   - Anneal / AnnealCtx: seeded simulated annealing (Metropolis acceptance,
-//     geometric cooling) over single-processor relocations. Scales to any
-//     torus the load engine handles; E28 and E33 measure that annealed
+//     geometric cooling) over single-processor relocations, each priced
+//     incrementally in O(|P|) pair kernels. Scales to any torus the load
+//     engine handles; E28 and E33 measure that annealed
 //     placements converge to the linear construction's E_max from above.
 //   - BranchAndBound: exhaustive subset search on small tori, pruned by the
 //     monotonicity of edge loads (adding a processor never lowers any
@@ -26,6 +27,7 @@ package optimize
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -134,10 +136,31 @@ type Result struct {
 	Visited, Pruned int64
 }
 
-// energy computes E_max of a node subset under alg.
-func energy(t *torus.Torus, nodes []torus.Node, alg routing.Algorithm, workers int) float64 {
+// energy computes E_max of a node subset under alg through the load engine,
+// traced as a child of ctx's span.
+func energy(ctx context.Context, t *torus.Torus, nodes []torus.Node, alg routing.Algorithm, workers int) float64 {
 	p := placement.New(t, nodes, "search")
-	return load.Compute(p, alg, load.Options{Workers: workers}).Max
+	return load.ComputeCtx(ctx, p, alg, load.Options{Workers: workers}).Max
+}
+
+// checkStart validates a caller-supplied start placement: exactly size
+// distinct nodes of t. placement.New would silently drop duplicates, and
+// the incremental loads would count their pairs twice.
+func checkStart(t *torus.Torus, start []torus.Node, size int) error {
+	if len(start) != size {
+		return fmt.Errorf("optimize: Start has %d nodes, want Size = %d", len(start), size)
+	}
+	seen := make([]bool, t.Nodes())
+	for _, u := range start {
+		if u < 0 || int(u) >= t.Nodes() {
+			return fmt.Errorf("optimize: Start node %d outside the torus's %d nodes", u, t.Nodes())
+		}
+		if seen[u] {
+			return fmt.Errorf("optimize: Start node %d appears twice", u)
+		}
+		seen[u] = true
+	}
+	return nil
 }
 
 // finish stamps the shared provenance fields on res: the best §4 lower
@@ -175,7 +198,7 @@ func finish(res *Result) *Result {
 // under the algorithm. Moves relocate one processor to a random empty
 // node; acceptance follows Metropolis with geometric cooling. The search
 // is deterministic for a fixed seed. It is the pre-context shim for
-// AnnealCtx and keeps the original panic-on-bad-size contract.
+// AnnealCtx and keeps the original panic-on-bad-input contract.
 func Anneal(t *torus.Torus, alg routing.Algorithm, cfg Config) *Result {
 	res, err := AnnealCtx(context.Background(), t, alg, cfg)
 	if err != nil {
@@ -189,10 +212,24 @@ func Anneal(t *torus.Torus, alg routing.Algorithm, cfg Config) *Result {
 // AnnealCtx is Anneal with cancellation: the loop observes ctx between
 // moves and, when cancelled, returns the best placement found so far
 // together with ctx's error. Progress callbacks fire per Config.Progress.
-// The move sequence for a fixed seed is identical to Anneal's.
+// The move sequence for a fixed seed is identical to Anneal's. It panics
+// on a size out of range or on a Start that is not cfg.Size distinct
+// nodes of t.
+//
+// Each move is priced incrementally on one loadState: remove the moved
+// processor's pairs, add the target's, take the max — 4(|P|−1) pair
+// kernels and one scan of the edges, with no allocation. A rejected move
+// reverts the loads exactly; an accepted one commits them. Energies are
+// compared within loadEps, and Result.StartEMax and Result.BestEMax come
+// from the load engine.
 func AnnealCtx(ctx context.Context, t *torus.Torus, alg routing.Algorithm, cfg Config) (*Result, error) {
 	if cfg.Size < 2 || cfg.Size > t.Nodes() {
 		panic("optimize: placement size out of range")
+	}
+	if len(cfg.Start) > 0 {
+		if err := checkStart(t, cfg.Start, cfg.Size); err != nil {
+			panic(err.Error())
+		}
 	}
 	steps := cfg.Steps
 	if steps <= 0 {
@@ -206,7 +243,7 @@ func AnnealCtx(ctx context.Context, t *torus.Torus, alg routing.Algorithm, cfg C
 	if t1 <= 0 {
 		t1 = 0.01
 	}
-	_, sp := obs.Start(ctx, "optimize.anneal")
+	ctx, sp := obs.Start(ctx, "optimize.anneal")
 	defer sp.End()
 	sp.SetAttrInt("size", int64(cfg.Size))
 	sp.SetAttrInt("steps", int64(steps))
@@ -219,21 +256,29 @@ func AnnealCtx(ctx context.Context, t *torus.Torus, alg routing.Algorithm, cfg C
 	current := make([]torus.Node, cfg.Size)
 	occupied := make([]bool, t.Nodes())
 	if len(cfg.Start) > 0 {
-		if len(cfg.Start) != cfg.Size {
-			panic("optimize: Start length does not match Size")
-		}
 		copy(current, cfg.Start)
 	} else {
 		for i := 0; i < cfg.Size; i++ {
 			current[i] = torus.Node(perm[i])
 		}
 	}
-	for _, u := range current {
+	st := newLoadState(t, alg)
+	for i, u := range current {
 		occupied[u] = true
+		st.add(u, current[:i])
 	}
-	cur := energy(t, current, alg, cfg.Workers)
-	res := &Result{StartEMax: cur, BestEMax: cur, Steps: steps, Strategy: StrategyAnneal}
+	st.commit()
+	cur := st.max()
+	bestE := cur
+	res := &Result{StartEMax: energy(ctx, t, current, alg, cfg.Workers), Steps: steps, Strategy: StrategyAnneal}
 	best := append([]torus.Node(nil), current...)
+	stop := func() *Result {
+		res.Best = placement.New(t, best, "annealed")
+		// Recompute through the load engine so the reported number is
+		// bit-identical to load.Compute on Best.
+		res.BestEMax = energy(ctx, t, best, alg, cfg.Workers)
+		return finish(res)
+	}
 
 	every := cfg.ProgressEvery
 	if every <= 0 {
@@ -247,9 +292,8 @@ func AnnealCtx(ctx context.Context, t *torus.Torus, alg routing.Algorithm, cfg C
 	for step := 0; step < steps; step++ {
 		if err := ctx.Err(); err != nil {
 			res.Steps = step
-			res.Best = placement.New(t, best, "annealed")
 			sp.SetAttr("outcome", "cancelled")
-			return finish(res), err
+			return stop(), err
 		}
 		// Propose: move one processor to a random free node.
 		pi := rng.Intn(cfg.Size)
@@ -261,28 +305,37 @@ func AnnealCtx(ctx context.Context, t *torus.Torus, alg routing.Algorithm, cfg C
 			}
 		}
 		old := current[pi]
-		occupied[old] = false
-		occupied[target] = true
-		current[pi] = target
-		next := energy(t, current, alg, cfg.Workers)
-		accept := next <= cur || rng.Float64() < math.Exp((cur-next)/temp)
+		cp := st.checkpoint()
+		next := relocate(st, current, pi, target)
+		accept := next <= cur+loadEps || rng.Float64() < math.Exp((cur-next)/temp)
 		if accept {
+			st.commit()
+			occupied[old] = false
+			occupied[target] = true
 			cur = next
 			res.Accepted++
-			if cur < res.BestEMax {
-				res.BestEMax = cur
+			if cur < bestE-loadEps {
+				bestE = cur
 				copy(best, current)
 			}
 		} else {
-			occupied[target] = false
-			occupied[old] = true
+			st.revert(cp)
 			current[pi] = old
 		}
 		temp *= cool
 		if cfg.Progress != nil && (step+1)%every == 0 {
-			cfg.Progress(Progress{Strategy: StrategyAnneal, Step: step + 1, Steps: steps, BestEMax: res.BestEMax})
+			cfg.Progress(Progress{Strategy: StrategyAnneal, Step: step + 1, Steps: steps, BestEMax: bestE})
 		}
 	}
-	res.Best = placement.New(t, best, "annealed")
-	return finish(res), nil
+	return stop(), nil
+}
+
+// relocate moves nodes[i] to target in st — removing the old node's pairs
+// with the others, then adding the target's — and returns the new maximum
+// edge load. The caller checkpoints st first and reverts or commits after.
+func relocate(st *loadState, nodes []torus.Node, i int, target torus.Node) float64 {
+	st.remove(nodes[i], nodes)
+	nodes[i] = target
+	st.add(target, nodes)
+	return st.max()
 }

@@ -71,6 +71,23 @@ func TestAnnealPanicsOnBadSize(t *testing.T) {
 	}
 }
 
+func TestAnnealPanicsOnBadStart(t *testing.T) {
+	tr := torus.New(6, 2)
+	for _, start := range [][]torus.Node{
+		{0, 7, 7, 14, 21, 28},
+		{0, 7, 14, 21, 28, 36},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Start %v should panic", start)
+				}
+			}()
+			Anneal(tr, routing.ODR{}, Config{Size: 6, Steps: 5, Seed: 1, Start: start})
+		}()
+	}
+}
+
 func TestAnnealDefaults(t *testing.T) {
 	tr := torus.New(4, 2)
 	res := Anneal(tr, routing.ODR{}, Config{Size: 4, Seed: 2})
@@ -111,7 +128,7 @@ func TestAnnealStartSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := energy(tr, seed, routing.ODR{}, 0)
+	want := energy(context.Background(), tr, seed, routing.ODR{}, 0)
 	if res.StartEMax != want {
 		t.Errorf("StartEMax = %v, want the seed's energy %v", res.StartEMax, want)
 	}
@@ -147,7 +164,7 @@ func naiveOptimum(t *torus.Torus, size int, alg routing.Algorithm) float64 {
 	var rec func(chosen []torus.Node, next int)
 	rec = func(chosen []torus.Node, next int) {
 		if len(chosen) == size {
-			if e := energy(t, chosen, alg, 0); e < best {
+			if e := energy(context.Background(), t, chosen, alg, 0); e < best {
 				best = e
 			}
 			return
@@ -256,6 +273,17 @@ func TestBranchBoundRejectsBadInput(t *testing.T) {
 	if _, err := BranchAndBound(context.Background(), torus.New(4, 2), routing.ODR{}, Config{Size: 4, Start: []torus.Node{0}}); err == nil {
 		t.Error("Start/Size mismatch accepted")
 	}
+	// Duplicate and out-of-range Start nodes: placement.New would drop a
+	// duplicate and seed the incumbent with a smaller placement's energy.
+	for _, start := range [][]torus.Node{
+		{0, 7, 7, 14, 21, 28},
+		{0, 7, 14, 21, 28, 36},
+		{-1, 7, 14, 21, 28, 35},
+	} {
+		if _, err := BranchAndBound(context.Background(), torus.New(6, 2), routing.ODR{}, Config{Size: 6, Start: start}); err == nil {
+			t.Errorf("Start %v accepted", start)
+		}
+	}
 }
 
 func TestLeeSeedTilingSpread(t *testing.T) {
@@ -321,7 +349,7 @@ func TestResultProvenanceStamped(t *testing.T) {
 		}
 	}
 	// The proven optimum can be no worse than any other strategy's best.
-	if bb.Proven && (bb.BestEMax > anneal.BestEMax+bnbEps || bb.BestEMax > lee.BestEMax+bnbEps) {
+	if bb.Proven && (bb.BestEMax > anneal.BestEMax+loadEps || bb.BestEMax > lee.BestEMax+loadEps) {
 		t.Errorf("proven optimum %v worse than anneal %v / lee %v", bb.BestEMax, anneal.BestEMax, lee.BestEMax)
 	}
 }

@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # ci_bench_smoke.sh — CI gate against load-engine performance regressions.
 #
-# Runs the paired fast/generic BenchmarkLoadCompute* benchmarks once at a
-# short benchtime and fails on a >30% regression relative to the committed
+# Runs the paired fast/generic BenchmarkLoadCompute* benchmarks and the two
+# optimizer benchmarks (BenchmarkBranchBoundT2_8, BenchmarkAnnealT3_8) once
+# at a short benchtime and fails on a >30% regression relative to the committed
 # expectations in results/BENCH_load_baseline.json (.fastpath). Only
 # machine-independent quantities are gated so the check is stable across
 # CI hardware:
 #
 #   1. allocs/op per benchmark must not exceed the recorded value by >30%
 #      (allocation counts are deterministic, so this catches any lost
-#      scratch reuse immediately);
+#      scratch reuse immediately — in the optimizer, any allocation in the
+#      per-expansion or per-move path multiplies by ~10^5 expansions);
 #   2. the generic/fast ns-per-op ratio, measured within this single run,
 #      must not fall below the recorded speedup by >30% (both sides see the
 #      same machine and load, so the ratio cancels hardware out);
@@ -28,9 +30,9 @@ SLACK=1.3
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-echo "bench-smoke: running paired load benchmarks"
+echo "bench-smoke: running paired load benchmarks and the optimizer benchmarks"
 go test -run '^$' \
-    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkAnalyzeAnalytic(K16|K64|K256)?)$' \
+    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8)$' \
     -benchmem -benchtime=0.5s -count=1 . | tee "$RAW"
 
 # name -> ns/op and name -> allocs/op maps from this run.
