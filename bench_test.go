@@ -159,6 +159,43 @@ func BenchmarkLoadComputeFAR(b *testing.B) {
 	}
 }
 
+// BenchmarkComputePattern prices a weighted traffic pattern: matrix
+// transposition over the linear placement of T³₈ under UDR, through the
+// same in-place pair kernel and striped fan-out as the complete-exchange
+// engines.
+func BenchmarkComputePattern(b *testing.B) {
+	t := NewTorus(8, 3)
+	p, err := (Linear{C: 0}).Build(t)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := ComputePatternLoad(p, PatternTranspose{}, UDR{}, LoadOptions{}); res.Max <= 0 {
+			b.Fatal("bad result")
+		}
+	}
+}
+
+// BenchmarkComputeValiant prices Valiant two-phase routing of the same
+// transposition on the linear placement of T²₈ under ODR: two weighted
+// pair kernels per demand and intermediate node.
+func BenchmarkComputeValiant(b *testing.B) {
+	t := NewTorus(8, 2)
+	p, err := (Linear{C: 0}).Build(t)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := ComputeValiantLoad(p, PatternTranspose{}, ODR{}, LoadOptions{}); res.Max <= 0 {
+			b.Fatal("bad result")
+		}
+	}
+}
+
 // BenchmarkAnalyzeAnalytic pins the analytic tier end to end on the same
 // workload as BenchmarkLoadComputeODR/Generic: dispatch recognizes the
 // linear placement and answers from the Theorem 2 closed form, so the

@@ -24,7 +24,8 @@ type ExactResult struct {
 // serially and is intended for the moderate tori used to verify the closed
 // forms of §6.1 bit-for-bit; use Compute for large sweeps.
 //
-// For every pair, per-edge float weights from AccumulatePair are scaled by
+// Every pair deposits its per-edge float weights from AccumulatePair into
+// one dense buffer, which is scanned and cleared; each weight is scaled by
 // |C_{p→q}|; the scaled values must be integers (they are path counts), and
 // any deviation beyond rounding noise is reported as an error since it
 // would indicate a broken accumulator.
@@ -35,7 +36,8 @@ func ComputeExact(p *placement.Placement, alg routing.Algorithm) (*ExactResult, 
 		loads[i] = new(big.Rat)
 	}
 	procs := p.Nodes()
-	pairWeights := make(map[torus.Edge]float64)
+	sc := routing.NewPairScratch(t)
+	pair := make([]float64, t.Edges())
 	for _, src := range procs {
 		for _, dst := range procs {
 			if dst == src {
@@ -46,14 +48,13 @@ func ComputeExact(p *placement.Placement, alg routing.Algorithm) (*ExactResult, 
 				return nil, fmt.Errorf("load: path count %v for pair %v->%v is not a positive integer",
 					count, t.Coords(src), t.Coords(dst))
 			}
-			for e := range pairWeights {
-				delete(pairWeights, e)
-			}
-			alg.AccumulatePair(t, src, dst, func(e torus.Edge, w float64) {
-				pairWeights[e] += w
-			})
+			alg.AccumulatePair(t, src, dst, 1, pair, sc)
 			denom := new(big.Int).SetInt64(int64(count))
-			for e, w := range pairWeights {
+			for e, w := range pair {
+				if w == 0 {
+					continue
+				}
+				pair[e] = 0
 				scaled := w * count
 				numer := math.Round(scaled)
 				if math.Abs(scaled-numer) > 1e-6 {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"torusnet/internal/obs"
 	"torusnet/internal/placement"
@@ -85,36 +84,26 @@ func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Al
 	// Base vectors: one canonical source per orbit against every
 	// destination, serial with a fixed destination order so the summation
 	// order never depends on the worker count.
-	ia, hasInto := alg.(routing.InplaceAccumulator)
 	bases := make([][]nnzEntry, len(reps))
+	td2 := 2 * t.D()
 	func() {
 		_, bsp := obs.Start(ctx, "load.bases")
 		defer bsp.End()
 		bsp.SetAttrInt("orbits", int64(len(reps)))
 		bsp.SetAttrInt("stabilizer", int64(len(stab)))
 		withEngineLabel(ctx, EngineSymmetry, func() {
-			var sc *routing.PairScratch
-			if hasInto {
-				sc = routing.NewPairScratch(t)
-			}
+			sc := routing.NewPairScratch(t)
 			baseBuf := make([]float64, t.Edges())
-			addBase := func(e torus.Edge, weight float64) { baseBuf[e] += weight }
 			for oi, rep := range reps {
 				for i := range baseBuf {
 					baseBuf[i] = 0
 				}
 				for _, dst := range procs {
-					if dst == rep {
-						continue
-					}
-					if hasInto {
-						ia.AccumulatePairInto(t, rep, dst, baseBuf, sc)
-					} else {
-						alg.AccumulatePair(t, rep, dst, addBase)
+					if dst != rep {
+						alg.AccumulatePair(t, rep, dst, 1, baseBuf, sc)
 					}
 				}
 				nnz := make([]nnzEntry, 0, len(procs)*t.D()*t.K()/2)
-				td2 := 2 * t.D()
 				for e, w := range baseBuf {
 					if w != 0 {
 						nnz = append(nnz, nnzEntry{u: int32(e / td2), slot: int32(e % td2), w: w})
@@ -126,52 +115,30 @@ func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Al
 	}()
 
 	// Replication: every job translates its orbit's nonzeros through a
-	// per-worker node-translation table. Same striped partition + worker-
-	// order merge as the generic engine, so determinism semantics match.
-	if workers > len(jobs) {
-		workers = maxInt(1, len(jobs))
+	// per-worker node-translation table, striped and merged like the pair
+	// engines, so determinism semantics match.
+	workers = effectiveWorkers(workers, len(jobs))
+	partials := newPartials(workers, t.Edges())
+	tables := make([][]torus.Node, workers)
+	for w := range tables {
+		tables[w] = make([]torus.Node, t.Nodes())
 	}
-	td2 := 2 * t.D()
-	partials := make([][]float64, workers)
 	func() {
 		_, ssp := obs.Start(ctx, "load.scatter")
 		defer ssp.End()
 		ssp.SetAttrInt("jobs", int64(len(jobs)))
 		withEngineLabel(ctx, EngineSymmetry, func() {
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					local := make([]float64, t.Edges())
-					table := make([]torus.Node, t.Nodes())
-					for ji := w; ji < len(jobs); ji += workers {
-						job := jobs[ji]
-						t.TranslationTableInto(job.offset, table)
-						for _, ent := range bases[job.orbit] {
-							local[int(table[ent.u])*td2+int(ent.slot)] += ent.w
-						}
-					}
-					partials[w] = local
-				}(w)
-			}
-			wg.Wait()
+			stripe(workers, len(jobs), func(w, ji int) {
+				job, local, table := jobs[ji], partials[w], tables[w]
+				t.TranslationTableInto(job.offset, table)
+				for _, ent := range bases[job.orbit] {
+					local[int(table[ent.u])*td2+int(ent.slot)] += ent.w
+				}
+			})
 		})
 	}()
 
-	loads := make([]float64, t.Edges())
-	func() {
-		_, msp := obs.Start(ctx, "load.merge")
-		defer msp.End()
-		for _, local := range partials {
-			for e, v := range local {
-				loads[e] += v
-			}
-		}
-	}()
-	res := newResult(t, p, alg.Name(), loads)
-	res.Engine = EngineSymmetry
-	return res, true
+	return engineResult(ctx, p, alg, EngineSymmetry, partials), true
 }
 
 // crossCheckTolerance bounds the relative divergence the two engines may

@@ -101,8 +101,8 @@ func TestFastPathForceTrivialStabilizer(t *testing.T) {
 }
 
 // TestFastPathCrossCheckMode checks CrossCheck passes on sound inputs (it
-// panics on divergence, so plain completion is the assertion), for both
-// equivariant algorithms lacking an Into kernel (FAR) and those with one.
+// panics on divergence, so plain completion is the assertion), for
+// ODR-multi, FAR and a permuted ODROrder.
 func TestFastPathCrossCheckMode(t *testing.T) {
 	tr := torus.New(4, 2)
 	p := mustBuild(t, placement.Linear{C: 0}, tr)

@@ -190,66 +190,86 @@ func computeGeneric(ctx context.Context, p *placement.Placement, alg routing.Alg
 	t := p.Torus()
 	procs := p.Nodes()
 
-	ia, hasInto := alg.(routing.InplaceAccumulator)
-	partials := make([][]float64, workers)
+	partials := newPartials(workers, t.Edges())
 	func() {
 		_, psp := obs.Start(ctx, "load.pairs")
 		defer psp.End()
 		psp.SetAttrInt("sources", int64(len(procs)))
 		withEngineLabel(ctx, EngineGeneric, func() {
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					local := make([]float64, t.Edges())
-					// Static block partition over source processors keeps the
-					// floating-point summation order stable per worker count.
-					if hasInto {
-						// Allocation-free steady state: scratch reused across pairs,
-						// mass deposited straight into the worker's local slice.
-						sc := routing.NewPairScratch(t)
-						for i := w; i < len(procs); i += workers {
-							src := procs[i]
-							for _, dst := range procs {
-								if dst == src {
-									continue
-								}
-								ia.AccumulatePairInto(t, src, dst, local, sc)
-							}
-						}
-					} else {
-						add := func(e torus.Edge, weight float64) { local[e] += weight }
-						for i := w; i < len(procs); i += workers {
-							src := procs[i]
-							for _, dst := range procs {
-								if dst == src {
-									continue
-								}
-								alg.AccumulatePair(t, src, dst, add)
-							}
-						}
+			stripePairs(t, partials, len(procs), func(i int, local []float64, sc *routing.PairScratch) {
+				src := procs[i]
+				for _, dst := range procs {
+					if dst != src {
+						alg.AccumulatePair(t, src, dst, 1, local, sc)
 					}
-					partials[w] = local
-				}(w)
-			}
-			wg.Wait()
+				}
+			})
 		})
 	}()
 	fpComputeMerge.InjectHard()
+	return engineResult(ctx, p, alg, EngineGeneric, partials)
+}
 
-	loads := make([]float64, t.Edges())
-	func() {
-		_, msp := obs.Start(ctx, "load.merge")
-		defer msp.End()
-		for _, local := range partials {
-			for e, v := range local {
-				loads[e] += v
+// stripe is the one fan-out of the package: it runs workers goroutines,
+// hands worker w the items w, w+workers, w+2·workers, … of 0..n−1, and
+// waits for all of them. Each worker accumulates into state of its own,
+// indexed by w; the static stripe fixes which worker sees which item, so
+// every worker's summation order — and, merged in worker order, the whole
+// result — is a pure function of (workers, n).
+func stripe(workers, n int, item func(w, i int)) {
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				item(w, i)
 			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// newPartials returns one zeroed per-edge accumulator per worker.
+func newPartials(workers, edges int) [][]float64 {
+	partials := make([][]float64, workers)
+	for w := range partials {
+		partials[w] = make([]float64, edges)
+	}
+	return partials
+}
+
+// stripePairs stripes items 0..n−1 over one worker per accumulator in
+// partials, each worker depositing its items into its own accumulator
+// through its own pair scratch.
+func stripePairs(t *torus.Torus, partials [][]float64, n int, deposit func(i int, local []float64, sc *routing.PairScratch)) {
+	scratch := make([]*routing.PairScratch, len(partials))
+	for w := range scratch {
+		scratch[w] = routing.NewPairScratch(t)
+	}
+	stripe(len(partials), n, func(w, i int) { deposit(i, partials[w], scratch[w]) })
+}
+
+// mergePartials sums the workers' accumulators into a fresh slice in
+// worker order.
+func mergePartials(partials [][]float64) []float64 {
+	loads := make([]float64, len(partials[0]))
+	for _, local := range partials {
+		for e, v := range local {
+			loads[e] += v
 		}
-	}()
-	res := newResult(t, p, alg.Name(), loads)
-	res.Engine = EngineGeneric
+	}
+	return loads
+}
+
+// engineResult merges a ComputeCtx engine's partials under a load.merge
+// span and wraps them in a Result labelled with the engine.
+func engineResult(ctx context.Context, p *placement.Placement, alg routing.Algorithm, engine string, partials [][]float64) *Result {
+	_, msp := obs.Start(ctx, "load.merge")
+	loads := mergePartials(partials)
+	msp.End()
+	res := newResult(p.Torus(), p, alg.Name(), loads)
+	res.Engine = engine
 	return res
 }
 

@@ -2,6 +2,7 @@ package load
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"torusnet/internal/placement"
@@ -265,6 +266,24 @@ func TestMonteCarloDeterministic(t *testing.T) {
 		if a.MeanLoads[e] != b.MeanLoads[e] {
 			t.Fatalf("edge %d: %v vs %v across worker counts", e, a.MeanLoads[e], b.MeanLoads[e])
 		}
+	}
+}
+
+// TestMonteCarloPanicsOnNoRounds checks that a sample of no rounds is
+// refused rather than answered with 0/0 = NaN mean loads.
+func TestMonteCarloPanicsOnNoRounds(t *testing.T) {
+	tr := torus.New(4, 2)
+	p := build(t, placement.Linear{C: 0}, tr)
+	for _, rounds := range []int{0, -3} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "load:") {
+					t.Errorf("rounds %d: recovered %q, want a load: panic", rounds, msg)
+				}
+			}()
+			MonteCarlo(p, routing.UDR{}, rounds, 1, Options{})
+		}()
 	}
 }
 

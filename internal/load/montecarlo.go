@@ -3,7 +3,6 @@ package load
 import (
 	"math"
 	"math/rand"
-	"sync"
 
 	"torusnet/internal/placement"
 	"torusnet/internal/routing"
@@ -17,65 +16,54 @@ import (
 // converges to the exact expectation from Compute; the estimator also
 // exposes the per-edge *peak* over rounds, the quantity a capacity planner
 // would care about.
+//
+// It panics if rounds < 1: a mean over no rounds is undefined.
 func MonteCarlo(p *placement.Placement, alg routing.Algorithm, rounds int, seed int64, opts Options) *MonteCarloResult {
+	if rounds < 1 {
+		panic("load: Monte Carlo needs at least one round")
+	}
 	t := p.Torus()
 	workers := effectiveWorkers(opts.Workers, rounds)
 	procs := p.Nodes()
 
-	type partial struct {
-		sum   []float64
-		sumsq []float64
-		peak  []float64
-	}
-	partials := make([]partial, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sum := make([]float64, t.Edges())
-			sumsq := make([]float64, t.Edges())
-			peak := make([]float64, t.Edges())
-			count := make([]float64, t.Edges())
-			// Each round gets its own derived, reproducible stream.
-			for r := w; r < rounds; r += workers {
-				rng := rand.New(rand.NewSource(seed + int64(r)*1_000_003))
-				for i := range count {
-					count[i] = 0
+	sums := newPartials(workers, t.Edges())
+	sumsqs := newPartials(workers, t.Edges())
+	peaks := newPartials(workers, t.Edges())
+	counts := newPartials(workers, t.Edges())
+	stripe(workers, rounds, func(w, r int) {
+		// Each round gets its own derived, reproducible stream.
+		rng := rand.New(rand.NewSource(seed + int64(r)*1_000_003))
+		count := counts[w]
+		for i := range count {
+			count[i] = 0
+		}
+		for _, src := range procs {
+			for _, dst := range procs {
+				if dst == src {
+					continue
 				}
-				for _, src := range procs {
-					for _, dst := range procs {
-						if dst == src {
-							continue
-						}
-						path := alg.SamplePath(t, src, dst, rng)
-						for _, e := range path.Edges {
-							count[e]++
-						}
-					}
-				}
-				for e, c := range count {
-					sum[e] += c
-					sumsq[e] += c * c
-					if c > peak[e] {
-						peak[e] = c
-					}
+				path := alg.SamplePath(t, src, dst, rng)
+				for _, e := range path.Edges {
+					count[e]++
 				}
 			}
-			partials[w] = partial{sum: sum, sumsq: sumsq, peak: peak}
-		}(w)
-	}
-	wg.Wait()
+		}
+		sum, sumsq, peak := sums[w], sumsqs[w], peaks[w]
+		for e, c := range count {
+			sum[e] += c
+			sumsq[e] += c * c
+			if c > peak[e] {
+				peak[e] = c
+			}
+		}
+	})
 
-	mean := make([]float64, t.Edges())
-	sumsq := make([]float64, t.Edges())
+	mean, sumsq := mergePartials(sums), mergePartials(sumsqs)
 	peak := make([]float64, t.Edges())
-	for _, pt := range partials {
-		for e := range mean {
-			mean[e] += pt.sum[e]
-			sumsq[e] += pt.sumsq[e]
-			if pt.peak[e] > peak[e] {
-				peak[e] = pt.peak[e]
+	for _, pk := range peaks {
+		for e, c := range pk {
+			if c > peak[e] {
+				peak[e] = c
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package load
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"torusnet/internal/placement"
 	"torusnet/internal/routing"
@@ -158,32 +157,12 @@ func ComputePattern(p *placement.Placement, pat Pattern, alg routing.Algorithm, 
 	t := p.Torus()
 	demands := pat.Demands(p)
 	workers := effectiveWorkers(opts.Workers, len(demands))
-
-	partials := make([][]float64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := make([]float64, t.Edges())
-			for i := w; i < len(demands); i += workers {
-				dm := demands[i]
-				alg.AccumulatePair(t, dm.Src, dm.Dst, func(e torus.Edge, weight float64) {
-					local[e] += weight * dm.Weight
-				})
-			}
-			partials[w] = local
-		}(w)
-	}
-	wg.Wait()
-
-	loads := make([]float64, t.Edges())
-	for _, local := range partials {
-		for e, v := range local {
-			loads[e] += v
-		}
-	}
-	return newResult(t, p, alg.Name()+"/"+pat.Name(), loads)
+	partials := newPartials(workers, t.Edges())
+	stripePairs(t, partials, len(demands), func(i int, local []float64, sc *routing.PairScratch) {
+		dm := demands[i]
+		alg.AccumulatePair(t, dm.Src, dm.Dst, dm.Weight, local, sc)
+	})
+	return newResult(t, p, alg.Name()+"/"+pat.Name(), mergePartials(partials))
 }
 
 // PatternTotal returns Σ demands weight·Lee(src,dst): the conserved total

@@ -1,9 +1,6 @@
 package load
 
 import (
-	"runtime"
-	"sync"
-
 	"torusnet/internal/placement"
 	"torusnet/internal/routing"
 	"torusnet/internal/torus"
@@ -26,48 +23,23 @@ import (
 func ComputeValiant(p *placement.Placement, pat Pattern, alg routing.Algorithm, opts Options) *Result {
 	t := p.Torus()
 	demands := pat.Demands(p)
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(demands) {
-		workers = maxInt(1, len(demands))
-	}
+	workers := effectiveWorkers(opts.Workers, len(demands))
 	invN := 1.0 / float64(t.Nodes())
-
-	partials := make([][]float64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := make([]float64, t.Edges())
-			for i := w; i < len(demands); i += workers {
-				dm := demands[i]
-				weight := dm.Weight * invN
-				add := func(e torus.Edge, x float64) { local[e] += x * weight }
-				for r := 0; r < t.Nodes(); r++ {
-					mid := torus.Node(r)
-					if mid != dm.Src {
-						alg.AccumulatePair(t, dm.Src, mid, add)
-					}
-					if mid != dm.Dst {
-						alg.AccumulatePair(t, mid, dm.Dst, add)
-					}
-				}
+	partials := newPartials(workers, t.Edges())
+	stripePairs(t, partials, len(demands), func(i int, local []float64, sc *routing.PairScratch) {
+		dm := demands[i]
+		weight := dm.Weight * invN
+		for r := 0; r < t.Nodes(); r++ {
+			mid := torus.Node(r)
+			if mid != dm.Src {
+				alg.AccumulatePair(t, dm.Src, mid, weight, local, sc)
 			}
-			partials[w] = local
-		}(w)
-	}
-	wg.Wait()
-
-	loads := make([]float64, t.Edges())
-	for _, local := range partials {
-		for e, v := range local {
-			loads[e] += v
+			if mid != dm.Dst {
+				alg.AccumulatePair(t, mid, dm.Dst, weight, local, sc)
+			}
 		}
-	}
-	return newResult(t, p, alg.Name()+"+valiant/"+pat.Name(), loads)
+	})
+	return newResult(t, p, alg.Name()+"+valiant/"+pat.Name(), mergePartials(partials))
 }
 
 // ValiantExpectedTotal returns the conserved total for Valiant routing:

@@ -216,10 +216,11 @@ func Anneal(t *torus.Torus, alg routing.Algorithm, cfg Config) *Result {
 // on a size out of range or on a Start that is not cfg.Size distinct
 // nodes of t.
 //
-// Each move is priced incrementally on one loadState: remove the moved
-// processor's pairs, add the target's, take the max — 4(|P|−1) pair
-// kernels and one scan of the edges, with no allocation. A rejected move
-// reverts the loads exactly; an accepted one commits them. Energies are
+// Each move is priced incrementally on one loadState: checkpoint the loads,
+// remove the moved processor's pairs, add the target's, take the max —
+// one copy of the edge loads, 4(|P|−1) pair kernels and one scan of the
+// edges, with no allocation. A rejected move reverts the loads exactly; an
+// accepted one commits them. Energies are
 // compared within loadEps, and Result.StartEMax and Result.BestEMax come
 // from the load engine.
 func AnnealCtx(ctx context.Context, t *torus.Torus, alg routing.Algorithm, cfg Config) (*Result, error) {
@@ -336,6 +337,5 @@ func AnnealCtx(ctx context.Context, t *torus.Torus, alg routing.Algorithm, cfg C
 func relocate(st *loadState, nodes []torus.Node, i int, target torus.Node) float64 {
 	st.remove(nodes[i], nodes)
 	nodes[i] = target
-	st.add(target, nodes)
-	return st.max()
+	return st.add(target, nodes)
 }

@@ -99,7 +99,7 @@ func TestLoadStateMatchesEngine(t *testing.T) {
 				case op < 9 && len(open) > 0:
 					// Revert to any open checkpoint, dropping the ones
 					// opened after it: the range then spans several
-					// epochs, some with an edge snapshotted more than once.
+					// nested checkpoints.
 					j := rng.Intn(len(open))
 					top := open[j]
 					open = open[:j]
@@ -126,9 +126,8 @@ func TestLoadStateMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestLoadStateWriteAfterRevert pins the epoch bump in revert: a write
-// after an inner revert must be snapshotted again, or the enclosing
-// checkpoint could not undo it.
+// TestLoadStateWriteAfterRevert checks that a write after an inner revert
+// is still undone by the enclosing checkpoint.
 func TestLoadStateWriteAfterRevert(t *testing.T) {
 	tr := torus.New(5, 2)
 	st := newLoadState(tr, routing.ODR{})

@@ -56,15 +56,24 @@ func newFARProblem(t *torus.Torus, p, q torus.Node) farProblem {
 // given tie-assignment mask (bit set = Minus).
 func (pr farProblem) variantDirs(mask int) []torus.Direction {
 	dirs := make([]torus.Direction, len(pr.dims))
-	for i, del := range pr.deltas {
+	tieDirs(pr.deltas, mask, dirs)
+	return dirs
+}
+
+// tieDirs fills dirs with the direction of each delta under the
+// tie-assignment mask: the canonical direction, except that the b-th tied
+// delta turns Minus when bit b of mask is set.
+func tieDirs(deltas []torus.Delta, mask int, dirs []torus.Direction) {
+	bit := 0
+	for i, del := range deltas {
 		dirs[i] = del.Dir
-	}
-	for bit, idx := range pr.tied {
-		if mask&(1<<bit) != 0 {
-			dirs[idx] = torus.Minus
+		if del.Tie {
+			if mask&(1<<bit) != 0 {
+				dirs[i] = torus.Minus
+			}
+			bit++
 		}
 	}
-	return dirs
 }
 
 // multinomial returns (Σ parts)! / Π parts! as float64.
@@ -126,67 +135,70 @@ func (FAR) ForEachPath(t *torus.Torus, p, q torus.Node, visit func(Path) bool) {
 //
 // where ways_to and ways_from are multinomial coefficients. Tie variants
 // are equiprobable (they contain equally many paths) and their edges along
-// opposite ring arcs are disjoint, so their contributions add.
-func (FAR) AccumulatePair(t *torus.Torus, p, q torus.Node, add func(torus.Edge, float64)) {
-	pr := newFARProblem(t, p, q)
-	s := len(pr.dims)
+// opposite ring arcs are disjoint, so their contributions add. The pair
+// weight multiplies each edge's probability last.
+func (FAR) AccumulatePair(t *torus.Torus, p, q torus.Node, w float64, loads []float64, sc *PairScratch) {
+	dims, deltas := sc.differingInto(t, p, q)
+	s := len(dims)
 	if s == 0 {
 		return
 	}
-	totalPaths := multinomial(pr.dists)
-	variantProb := 1.0 / float64(int(1)<<len(pr.tied))
+	dists, progress, rest, dirs := sc.dists[:s], sc.progress[:s], sc.rest[:s], sc.dirs[:s]
+	tied := 0
+	for i, del := range deltas {
+		dists[i] = del.Dist
+		if del.Tie {
+			tied++
+		}
+	}
+	totalPaths := multinomial(dists)
+	variantProb := 1.0 / float64(int(1)<<tied)
 
-	// Enumerate lattice states once; reuse across variants. The product is
-	// at most ∏(dist+1) ≤ k^d = t.Nodes() ≤ torus.MaxNodes, so overflow is
-	// impossible for a validated torus; assert the invariant anyway.
+	// The lattice has ∏(dist+1) ≤ k^d = t.Nodes() ≤ torus.MaxNodes states,
+	// so overflow is impossible for a validated torus; assert it anyway.
 	states := 1
-	for _, dist := range pr.dists {
+	for _, dist := range dists {
 		states *= dist + 1
 		if states > torus.MaxNodes {
 			panic("routing: FAR state lattice exceeds torus.MaxNodes")
 		}
 	}
-	progress := make([]int, s)
-	coords := make([]int, t.D())
-	pCoords := t.Coords(p)
+	from, coords := sc.from, sc.coords
+	t.CoordsInto(p, from)
 
-	for mask := 0; mask < 1<<len(pr.tied); mask++ {
-		dirs := pr.variantDirs(mask)
+	for mask := 0; mask < 1<<tied; mask++ {
+		tieDirs(deltas, mask, dirs)
 		for st := 0; st < states; st++ {
-			// Decode mixed-radix state.
+			// Decode the mixed-radix state and find its node.
 			rem := st
-			done := 0
 			for i := 0; i < s; i++ {
-				progress[i] = rem % (pr.dists[i] + 1)
-				rem /= pr.dists[i] + 1
-				done += progress[i]
+				progress[i] = rem % (dists[i] + 1)
+				rem /= dists[i] + 1
 			}
 			waysTo := multinomial(progress)
-			// Node at this state.
-			copy(coords, pCoords)
+			copy(coords, from)
 			for i := 0; i < s; i++ {
-				j := pr.dims[i]
+				j := dims[i]
 				if dirs[i] == torus.Plus {
-					coords[j] = torus.Mod(pCoords[j]+progress[i], t.K())
+					coords[j] = torus.Mod(from[j]+progress[i], t.K())
 				} else {
-					coords[j] = torus.Mod(pCoords[j]-progress[i], t.K())
+					coords[j] = torus.Mod(from[j]-progress[i], t.K())
 				}
 			}
 			cur := t.NodeAt(coords)
 			for i := 0; i < s; i++ {
-				if progress[i] == pr.dists[i] {
+				if progress[i] == dists[i] {
 					continue
 				}
 				// ways_from(x + e_i): remaining distances after the step.
 				progress[i]++
-				remDist := make([]int, s)
 				for l := 0; l < s; l++ {
-					remDist[l] = pr.dists[l] - progress[l]
+					rest[l] = dists[l] - progress[l]
 				}
-				waysFrom := multinomial(remDist)
+				waysFrom := multinomial(rest)
 				progress[i]--
 				prob := variantProb * waysTo * waysFrom / totalPaths
-				add(t.EdgeFrom(cur, pr.dims[i], dirs[i]), prob)
+				loads[t.EdgeFrom(cur, dims[i], dirs[i])] += prob * w
 			}
 		}
 	}

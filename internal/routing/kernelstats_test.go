@@ -7,7 +7,7 @@ import (
 	"torusnet/internal/torus"
 )
 
-// TestKernelCountersRecordPairs checks each Into kernel ticks its own
+// TestKernelCountersRecordPairs checks each counted kernel ticks its own
 // counter exactly once per pair when the gate is on and not at all when
 // off.
 func TestKernelCountersRecordPairs(t *testing.T) {
@@ -15,7 +15,7 @@ func TestKernelCountersRecordPairs(t *testing.T) {
 	loads := make([]float64, tr.Edges())
 	sc := NewPairScratch(tr)
 	kernels := []struct {
-		alg InplaceAccumulator
+		alg Algorithm
 		c   *obs.Counter
 	}{
 		{ODR{}, statPairsODR},
@@ -25,7 +25,7 @@ func TestKernelCountersRecordPairs(t *testing.T) {
 	}
 	for _, k := range kernels {
 		before := k.c.Value()
-		k.alg.AccumulatePairInto(tr, 0, 5, loads, sc)
+		k.alg.AccumulatePair(tr, 0, 5, 1, loads, sc)
 		if k.c.Value() != before {
 			t.Errorf("%T: counter moved with the gate off", k.alg)
 		}
@@ -34,8 +34,8 @@ func TestKernelCountersRecordPairs(t *testing.T) {
 	defer obs.SetCountersEnabled(false)
 	for _, k := range kernels {
 		before := k.c.Value()
-		k.alg.AccumulatePairInto(tr, 0, 5, loads, sc)
-		k.alg.AccumulatePairInto(tr, 1, 6, loads, sc)
+		k.alg.AccumulatePair(tr, 0, 5, 1, loads, sc)
+		k.alg.AccumulatePair(tr, 1, 6, 1, loads, sc)
 		if got := k.c.Value() - before; got != 2 {
 			t.Errorf("%T: counter advanced by %d for 2 pairs", k.alg, got)
 		}
@@ -50,7 +50,7 @@ func TestKernelCounterZeroAllocs(t *testing.T) {
 	loads := make([]float64, tr.Edges())
 	sc := NewPairScratch(tr)
 	run := func() {
-		ODR{}.AccumulatePairInto(tr, 0, 27, loads, sc)
+		ODR{}.AccumulatePair(tr, 0, 27, 1, loads, sc)
 	}
 	if n := testing.AllocsPerRun(200, run); n != 0 {
 		t.Errorf("gate off: ODR kernel allocates %v/op, want 0", n)
@@ -73,7 +73,7 @@ func BenchmarkODRKernelCounterOverhead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ODR{}.AccumulatePairInto(tr, 0, 27, loads, sc)
+		ODR{}.AccumulatePair(tr, 0, 27, 1, loads, sc)
 	}
 }
 

@@ -58,11 +58,11 @@ func (MeshODR) ForEachPath(t *torus.Torus, p, q torus.Node, visit func(Path) boo
 }
 
 // AccumulatePair implements Algorithm.
-func (MeshODR) AccumulatePair(t *torus.Torus, p, q torus.Node, add func(torus.Edge, float64)) {
+func (MeshODR) AccumulatePair(t *torus.Torus, p, q torus.Node, w float64, loads []float64, sc *PairScratch) {
 	cur := p
 	for j := 0; j < t.D(); j++ {
 		dist, dir := meshDelta(t, cur, q, j)
-		cur = visitDim(t, cur, j, dir, dist, func(e torus.Edge) { add(e, 1) })
+		cur = accumulateDim(t, cur, j, dir, dist, w, loads)
 	}
 }
 

@@ -47,8 +47,7 @@ func TestMeshPathLengthIsArrayDistance(t *testing.T) {
 func TestMeshConservationIsArrayTotal(t *testing.T) {
 	tr := torus.New(5, 2)
 	for _, pair := range samplePairs(tr, 25, 71) {
-		sum := 0.0
-		MeshODR{}.AccumulatePair(tr, pair[0], pair[1], func(_ torus.Edge, w float64) { sum += w })
+		sum := pairMass(MeshODR{}, tr, pair[0], pair[1])
 		if sum != float64(ArrayDistance(tr, pair[0], pair[1])) {
 			t.Fatalf("mass %v, want array distance %d", sum, ArrayDistance(tr, pair[0], pair[1]))
 		}
@@ -62,12 +61,15 @@ func TestMeshAccumulateMatchesPath(t *testing.T) {
 		for _, e := range meshPath(tr, pair[0], pair[1]).Edges {
 			onPath[e] = true
 		}
-		MeshODR{}.AccumulatePair(tr, pair[0], pair[1], func(e torus.Edge, w float64) {
-			if w != 1 || !onPath[e] {
+		for e, w := range pairLoads(MeshODR{}, tr, pair[0], pair[1], 1) {
+			if w == 0 {
+				continue
+			}
+			if w != 1 || !onPath[torus.Edge(e)] {
 				t.Fatalf("accumulate hit edge %d weight %v not matching the path", e, w)
 			}
-			delete(onPath, e)
-		})
+			delete(onPath, torus.Edge(e))
+		}
 		if len(onPath) != 0 {
 			t.Fatal("accumulate missed path edges")
 		}

@@ -35,13 +35,14 @@ func (ODR) ForEachPath(t *torus.Torus, p, q torus.Node, visit func(Path) bool) {
 	visit(odrPath(t, p, q))
 }
 
-// AccumulatePair implements Algorithm: each edge of the unique path carries
-// the message with probability 1.
-func (ODR) AccumulatePair(t *torus.Torus, p, q torus.Node, add func(torus.Edge, float64)) {
+// AccumulatePair implements Algorithm: each edge of the unique path
+// carries the message with probability 1.
+func (ODR) AccumulatePair(t *torus.Torus, p, q torus.Node, w float64, loads []float64, sc *PairScratch) {
+	statPairsODR.Inc()
 	cur := p
 	for j := 0; j < t.D(); j++ {
 		del := torus.CoordDelta(t.Coord(cur, j), t.Coord(q, j), t.K())
-		cur = visitDim(t, cur, j, del.Dir, del.Dist, func(e torus.Edge) { add(e, 1) })
+		cur = accumulateDim(t, cur, j, del.Dir, del.Dist, w, loads)
 	}
 }
 
@@ -102,47 +103,25 @@ func (ODRMulti) ForEachPath(t *torus.Torus, p, q torus.Node, visit func(Path) bo
 	}
 }
 
-// AccumulatePair implements Algorithm. Each tied dimension splits the
-// remaining probability mass in half between its two direction segments;
-// untied segments carry the full mass. Because dimensions are corrected in
-// a fixed order, the prefix of a path up to dimension j depends only on the
-// direction choices of earlier tied dimensions, so the expected usage of an
-// edge in dimension j is the product of 1/2 over tied dimensions up to and
-// including j — but since each earlier choice leads to a *different* edge
-// (disjoint segments), the per-edge expectation factorizes per dimension.
-func (ODRMulti) AccumulatePair(t *torus.Torus, p, q torus.Node, add func(torus.Edge, float64)) {
-	// Enumerate prefixes: maintain the set of (node, probability) states at
-	// the start of each dimension correction. The number of states doubles
-	// at each tied dimension but is bounded by 2^d.
-	type state struct {
-		node torus.Node
-		prob float64
-	}
-	states := []state{{node: p, prob: 1}}
+// AccumulatePair implements Algorithm. Dimensions are corrected in a
+// fixed order and a tied dimension's two arcs converge on the same node, so
+// the path set never forks: the kernel is a single forward walk in which a
+// tied dimension splits the mass in half across its two arcs and every
+// other segment carries all of it.
+func (ODRMulti) AccumulatePair(t *torus.Torus, p, q torus.Node, w float64, loads []float64, sc *PairScratch) {
+	statPairsODRMulti.Inc()
+	cur := p
 	for j := 0; j < t.D(); j++ {
 		del := torus.CoordDelta(t.Coord(p, j), t.Coord(q, j), t.K())
 		if del.Dist == 0 {
 			continue
 		}
-		next := states[:0:0]
-		for _, st := range states {
-			if del.Tie {
-				// Both directions walk k/2 steps and converge on the same
-				// node, so the state does not fork — only the edge mass
-				// splits in half between the two disjoint segments.
-				half := st.prob / 2
-				var end torus.Node
-				for _, dir := range []torus.Direction{torus.Plus, torus.Minus} {
-					end = visitDim(t, st.node, j, dir, del.Dist, func(e torus.Edge) { add(e, half) })
-				}
-				next = append(next, state{node: end, prob: st.prob})
-			} else {
-				prob := st.prob
-				end := visitDim(t, st.node, j, del.Dir, del.Dist, func(e torus.Edge) { add(e, prob) })
-				next = append(next, state{node: end, prob: prob})
-			}
+		if del.Tie {
+			accumulateDim(t, cur, j, torus.Plus, del.Dist, 0.5*w, loads)
+			cur = accumulateDim(t, cur, j, torus.Minus, del.Dist, 0.5*w, loads)
+		} else {
+			cur = accumulateDim(t, cur, j, del.Dir, del.Dist, w, loads)
 		}
-		states = next
 	}
 }
 

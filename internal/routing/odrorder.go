@@ -21,23 +21,33 @@ type ODROrder struct {
 // Name implements Algorithm.
 func (o ODROrder) Name() string { return fmt.Sprintf("ODR%v", o.Order) }
 
+// identityOrder backs the default correction order. A torus has at most
+// 28 dimensions (k ≥ 2 and k^d ≤ torus.MaxNodes), well inside its length
+// and inside the uint64 order uses to check a permutation.
+var identityOrder = func() []int {
+	out := make([]int, 64)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}()
+
+// order returns the correction order for a d-dimensional torus, panicking
+// unless Order is nil (the identity) or a permutation of 0..d−1. It
+// allocates nothing, so the pair kernel can call it per pair.
 func (o ODROrder) order(d int) []int {
 	if o.Order == nil {
-		out := make([]int, d)
-		for i := range out {
-			out[i] = i
-		}
-		return out
+		return identityOrder[:d]
 	}
 	if len(o.Order) != d {
 		panic("routing: ODROrder permutation arity mismatch")
 	}
-	seen := make([]bool, d)
+	var seen uint64
 	for _, j := range o.Order {
-		if j < 0 || j >= d || seen[j] {
+		if j < 0 || j >= d || seen&(1<<j) != 0 {
 			panic("routing: ODROrder is not a permutation")
 		}
-		seen[j] = true
+		seen |= 1 << j
 	}
 	return o.Order
 }
@@ -61,11 +71,11 @@ func (o ODROrder) ForEachPath(t *torus.Torus, p, q torus.Node, visit func(Path) 
 }
 
 // AccumulatePair implements Algorithm.
-func (o ODROrder) AccumulatePair(t *torus.Torus, p, q torus.Node, add func(torus.Edge, float64)) {
+func (o ODROrder) AccumulatePair(t *torus.Torus, p, q torus.Node, w float64, loads []float64, sc *PairScratch) {
 	cur := p
 	for _, j := range o.order(t.D()) {
 		del := torus.CoordDelta(t.Coord(cur, j), t.Coord(q, j), t.K())
-		cur = visitDim(t, cur, j, del.Dir, del.Dist, func(e torus.Edge) { add(e, 1) })
+		cur = accumulateDim(t, cur, j, del.Dir, del.Dist, w, loads)
 	}
 }
 

@@ -49,8 +49,7 @@ func TestODROrderMinimalAndConserving(t *testing.T) {
 		if err := path.Validate(tr, pair[1]); err != nil {
 			t.Fatal(err)
 		}
-		sum := 0.0
-		alg.AccumulatePair(tr, pair[0], pair[1], func(_ torus.Edge, w float64) { sum += w })
+		sum := pairMass(alg, tr, pair[0], pair[1])
 		if sum != float64(tr.LeeDistance(pair[0], pair[1])) {
 			t.Fatalf("mass %v, want %d", sum, tr.LeeDistance(pair[0], pair[1]))
 		}

@@ -11,8 +11,9 @@
 //	E(l) = Σ_{p≠q} |C^A_{p→l→q}| / |C^A_{p→q}|   (Definition 4).
 //
 // Every Algorithm can enumerate its path set, count it, sample from it, and
-// accumulate the exact per-edge expectation for a pair without enumerating
-// (the fast path used by the load engine).
+// accumulate the exact weighted per-edge expectation for a pair in place,
+// without enumerating: the one kernel every load engine and the placement
+// optimizer run.
 package routing
 
 import (
@@ -82,10 +83,12 @@ type Algorithm interface {
 	// early if visit returns false. Intended for analysis and tests; counts
 	// can be factorial in d.
 	ForEachPath(t *torus.Torus, p, q torus.Node, visit func(Path) bool)
-	// AccumulatePair adds, for every directed edge e, the probability that
-	// a single p→q message crosses e (= |C^A_{p→e→q}| / |C^A_{p→q}|) via
-	// add. This is the exact per-pair load contribution of Definition 4.
-	AccumulatePair(t *torus.Torus, p, q torus.Node, add func(torus.Edge, float64))
+	// AccumulatePair adds w times the probability that a single p→q message
+	// crosses e (= |C^A_{p→e→q}| / |C^A_{p→q}|) into loads[e], for every
+	// directed edge e: the weighted per-pair term of Definition 4. It
+	// allocates nothing. loads must have length t.Edges(), and sc must come
+	// from NewPairScratch for a torus of t's dimension.
+	AccumulatePair(t *torus.Torus, p, q torus.Node, w float64, loads []float64, sc *PairScratch)
 	// SamplePath draws one path uniformly at random from C^A_{p→q}.
 	SamplePath(t *torus.Torus, p, q torus.Node, rng *rand.Rand) Path
 }
@@ -98,18 +101,6 @@ func walkDim(t *torus.Torus, from torus.Node, j int, dir torus.Direction, steps 
 	for s := 0; s < steps; s++ {
 		e := t.EdgeFrom(cur, j, dir)
 		*dst = append(*dst, e)
-		cur = t.EdgeTarget(e)
-	}
-	return cur
-}
-
-// visitDim calls visit for every edge of a full correction of dimension j
-// starting at 'from', returning the node reached.
-func visitDim(t *torus.Torus, from torus.Node, j int, dir torus.Direction, steps int, visit func(torus.Edge)) torus.Node {
-	cur := from
-	for s := 0; s < steps; s++ {
-		e := t.EdgeFrom(cur, j, dir)
-		visit(e)
 		cur = t.EdgeTarget(e)
 	}
 	return cur

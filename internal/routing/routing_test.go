@@ -10,6 +10,34 @@ import (
 
 var allAlgorithms = []Algorithm{ODR{}, ODRMulti{}, UDR{}, UDRMulti{}, FAR{}}
 
+// kernelAlgorithms is every Algorithm of the package on a d-dimensional
+// torus: the shortest-path ones plus ODROrder in identity and reversed
+// order and MeshODR, whose paths are minimal only in the array metric.
+func kernelAlgorithms(d int) []Algorithm {
+	rev := make([]int, d)
+	for i := range rev {
+		rev[i] = d - 1 - i
+	}
+	return append(append([]Algorithm(nil), allAlgorithms...), ODROrder{}, ODROrder{Order: rev}, MeshODR{})
+}
+
+// pairLoads runs a's kernel for one pair at weight w into a fresh dense
+// per-edge slice.
+func pairLoads(a Algorithm, t *torus.Torus, p, q torus.Node, w float64) []float64 {
+	loads := make([]float64, t.Edges())
+	a.AccumulatePair(t, p, q, w, loads, NewPairScratch(t))
+	return loads
+}
+
+// pairMass is the total unit-weight mass a's kernel deposits for one pair.
+func pairMass(a Algorithm, t *torus.Torus, p, q torus.Node) float64 {
+	sum := 0.0
+	for _, l := range pairLoads(a, t, p, q, 1) {
+		sum += l
+	}
+	return sum
+}
+
 // enumerate returns all paths of the algorithm for a pair.
 func enumerate(a Algorithm, t *torus.Torus, p, q torus.Node) []Path {
 	var out []Path
@@ -20,12 +48,12 @@ func enumerate(a Algorithm, t *torus.Torus, p, q torus.Node) []Path {
 	return out
 }
 
-// expectationByEnumeration computes per-edge crossing probabilities the slow
-// way: every enumerated path carries weight 1/N.
-func expectationByEnumeration(a Algorithm, t *torus.Torus, p, q torus.Node) map[torus.Edge]float64 {
+// expectationByEnumeration computes w times the per-edge crossing
+// probabilities the slow way: every enumerated path carries weight w/N.
+func expectationByEnumeration(a Algorithm, t *torus.Torus, p, q torus.Node, weight float64) map[torus.Edge]float64 {
 	paths := enumerate(a, t, p, q)
 	out := make(map[torus.Edge]float64)
-	w := 1.0 / float64(len(paths))
+	w := weight / float64(len(paths))
 	for _, pp := range paths {
 		for _, e := range pp.Edges {
 			out[e] += w
@@ -34,9 +62,18 @@ func expectationByEnumeration(a Algorithm, t *torus.Torus, p, q torus.Node) map[
 	return out
 }
 
-func expectationByAccumulate(a Algorithm, t *torus.Torus, p, q torus.Node) map[torus.Edge]float64 {
+// expectationByAccumulate runs a's kernel at weight w into loads through
+// sc, both reused across pairs so stale scratch state would show, and
+// returns the nonzero entries, leaving loads zeroed.
+func expectationByAccumulate(a Algorithm, t *torus.Torus, p, q torus.Node, w float64, loads []float64, sc *PairScratch) map[torus.Edge]float64 {
+	a.AccumulatePair(t, p, q, w, loads, sc)
 	out := make(map[torus.Edge]float64)
-	a.AccumulatePair(t, p, q, func(e torus.Edge, w float64) { out[e] += w })
+	for e, l := range loads {
+		if l != 0 {
+			out[torus.Edge(e)] = l
+			loads[e] = 0
+		}
+	}
 	return out
 }
 
@@ -201,15 +238,22 @@ func TestUDRPathCountIsFactorial(t *testing.T) {
 	}
 }
 
+// TestAccumulateMatchesEnumeration is the kernel oracle: for every
+// algorithm, at unit and fractional pair weight, the in-place kernel
+// deposits exactly the enumerated per-edge path mass.
 func TestAccumulateMatchesEnumeration(t *testing.T) {
-	for _, c := range []struct{ k, d int }{{3, 2}, {4, 2}, {5, 2}, {4, 3}, {5, 3}} {
+	for _, c := range []struct{ k, d int }{{3, 2}, {4, 2}, {5, 2}, {6, 2}, {4, 3}, {5, 3}} {
 		tr := torus.New(c.k, c.d)
-		for _, alg := range allAlgorithms {
+		sc := NewPairScratch(tr)
+		loads := make([]float64, tr.Edges())
+		for _, alg := range kernelAlgorithms(c.d) {
 			for _, pair := range samplePairs(tr, 15, int64(c.k+c.d)) {
 				p, q := pair[0], pair[1]
-				want := expectationByEnumeration(alg, tr, p, q)
-				got := expectationByAccumulate(alg, tr, p, q)
-				mapsClose(t, got, want, alg.Name())
+				for _, w := range []float64{1, 0.375} {
+					want := expectationByEnumeration(alg, tr, p, q, w)
+					got := expectationByAccumulate(alg, tr, p, q, w, loads, sc)
+					mapsClose(t, got, want, alg.Name())
+				}
 			}
 		}
 	}
@@ -223,8 +267,7 @@ func TestAccumulateSumsToLeeDistance(t *testing.T) {
 		for _, alg := range allAlgorithms {
 			for _, pair := range samplePairs(tr, 30, 5) {
 				p, q := pair[0], pair[1]
-				sum := 0.0
-				alg.AccumulatePair(tr, p, q, func(_ torus.Edge, w float64) { sum += w })
+				sum := pairMass(alg, tr, p, q)
 				if want := float64(tr.LeeDistance(p, q)); math.Abs(sum-want) > 1e-9 {
 					t.Fatalf("%s on %s %v->%v: total mass %v, want %v",
 						alg.Name(), tr, tr.Coords(p), tr.Coords(q), sum, want)
@@ -328,20 +371,22 @@ func TestUDRAccumulateWeightsAreMultiplesOfFactorial(t *testing.T) {
 	p := tr.NodeAt([]int{0, 0, 0})
 	q := tr.NodeAt([]int{1, 2, 2})
 	// s = 3: every weight must be a multiple of 1/3! = 1/6.
-	UDR{}.AccumulatePair(tr, p, q, func(e torus.Edge, w float64) {
+	for _, w := range pairLoads(UDR{}, tr, p, q, 1) {
 		scaled := w * 6
 		if math.Abs(scaled-math.Round(scaled)) > 1e-9 {
 			t.Fatalf("weight %v is not a multiple of 1/6", w)
 		}
-	})
+	}
 }
 
 func TestEmptyPairContributesNothing(t *testing.T) {
 	tr := torus.New(5, 2)
-	for _, alg := range allAlgorithms {
-		alg.AccumulatePair(tr, 3, 3, func(e torus.Edge, w float64) {
-			t.Fatalf("%s: self-pair touched edge %d", alg.Name(), e)
-		})
+	for _, alg := range kernelAlgorithms(tr.D()) {
+		for e, w := range pairLoads(alg, tr, 3, 3, 1) {
+			if w != 0 {
+				t.Fatalf("%s: self-pair touched edge %d", alg.Name(), e)
+			}
+		}
 	}
 }
 

@@ -73,44 +73,11 @@ func (UDR) ForEachPath(t *torus.Torus, p, q torus.Node, visit func(Path) bool) {
 	rec()
 }
 
-// AccumulatePair implements Algorithm without enumerating the s! orders.
-// A UDR path corrects dimension j after exactly the dimensions in some set
-// S ⊆ D\{j}; the number of orders with that property is |S|!·(s−1−|S|)!,
-// so each edge of the dimension-j segment "S already corrected" carries the
-// message with probability |S|!·(s−1−|S|)!/s!. Segments for distinct (j, S)
-// are edge-disjoint, which makes the accumulation a direct sum over the
-// 2^{s−1}·s segments.
-func (UDR) AccumulatePair(t *torus.Torus, p, q torus.Node, add func(torus.Edge, float64)) {
-	dims, deltas := differing(t, p, q)
-	s := len(dims)
-	if s == 0 {
-		return
-	}
-	sFact := factorial(s)
-	coords := make([]int, t.D())
-	for jIdx := 0; jIdx < s; jIdx++ {
-		others := make([]int, 0, s-1)
-		for i := 0; i < s; i++ {
-			if i != jIdx {
-				others = append(others, i)
-			}
-		}
-		for mask := 0; mask < 1<<len(others); mask++ {
-			// Start node: p with the dimensions in S corrected to q.
-			t.CoordsInto(p, coords)
-			size := 0
-			for bit, idx := range others {
-				if mask&(1<<bit) != 0 {
-					coords[dims[idx]] = t.Coord(q, dims[idx])
-					size++
-				}
-			}
-			w := factorial(size) * factorial(s-1-size) / sFact
-			start := t.NodeAt(coords)
-			visitDim(t, start, dims[jIdx], deltas[jIdx].Dir, deltas[jIdx].Dist,
-				func(e torus.Edge) { add(e, w) })
-		}
-	}
+// AccumulatePair implements Algorithm without enumerating the s! orders:
+// see accumulateSegments.
+func (UDR) AccumulatePair(t *torus.Torus, p, q torus.Node, w float64, loads []float64, sc *PairScratch) {
+	statPairsUDR.Inc()
+	accumulateSegments(t, p, q, w, loads, sc, false)
 }
 
 // SamplePath implements Algorithm: a uniformly random correction order.

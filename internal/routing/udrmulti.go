@@ -86,49 +86,12 @@ func (UDRMulti) ForEachPath(t *torus.Torus, p, q torus.Node, visit func(Path) bo
 }
 
 // AccumulatePair implements Algorithm. The order-position weights are
-// exactly UDR's (|S|!·(s−1−|S|)!/s! per "S corrected before j" segment);
-// tie expansion halves each tied dimension's segment mass between its two
-// arcs, independently of everything else, because a completed correction
-// ends at the same node either way.
-func (UDRMulti) AccumulatePair(t *torus.Torus, p, q torus.Node, add func(torus.Edge, float64)) {
-	dims, deltas := differing(t, p, q)
-	s := len(dims)
-	if s == 0 {
-		return
-	}
-	sFact := factorial(s)
-	coords := make([]int, t.D())
-	for jIdx := 0; jIdx < s; jIdx++ {
-		others := make([]int, 0, s-1)
-		for i := 0; i < s; i++ {
-			if i != jIdx {
-				others = append(others, i)
-			}
-		}
-		for mask := 0; mask < 1<<len(others); mask++ {
-			t.CoordsInto(p, coords)
-			size := 0
-			for bit, idx := range others {
-				if mask&(1<<bit) != 0 {
-					coords[dims[idx]] = t.Coord(q, dims[idx])
-					size++
-				}
-			}
-			w := factorial(size) * factorial(s-1-size) / sFact
-			start := t.NodeAt(coords)
-			del := deltas[jIdx]
-			if del.Tie {
-				half := w / 2
-				for _, dir := range []torus.Direction{torus.Plus, torus.Minus} {
-					visitDim(t, start, dims[jIdx], dir, del.Dist,
-						func(e torus.Edge) { add(e, half) })
-				}
-			} else {
-				visitDim(t, start, dims[jIdx], del.Dir, del.Dist,
-					func(e torus.Edge) { add(e, w) })
-			}
-		}
-	}
+// exactly UDR's; tie expansion halves each tied dimension's segment mass
+// between its two arcs, independently of everything else, because a
+// completed correction ends at the same node either way.
+func (UDRMulti) AccumulatePair(t *torus.Torus, p, q torus.Node, w float64, loads []float64, sc *PairScratch) {
+	statPairsUDRMulti.Inc()
+	accumulateSegments(t, p, q, w, loads, sc, true)
 }
 
 // SamplePath implements Algorithm: uniform order, uniform tie directions.

@@ -52,10 +52,12 @@ func TestUDRMultiEnumerationMatchesCountAndValidates(t *testing.T) {
 func TestUDRMultiAccumulateMatchesEnumeration(t *testing.T) {
 	for _, c := range []struct{ k, d int }{{4, 2}, {4, 3}, {6, 2}} {
 		tr := torus.New(c.k, c.d)
+		sc := NewPairScratch(tr)
+		loads := make([]float64, tr.Edges())
 		for _, pair := range samplePairs(tr, 12, 77) {
 			p, q := pair[0], pair[1]
-			want := expectationByEnumeration(UDRMulti{}, tr, p, q)
-			got := expectationByAccumulate(UDRMulti{}, tr, p, q)
+			want := expectationByEnumeration(UDRMulti{}, tr, p, q, 1)
+			got := expectationByAccumulate(UDRMulti{}, tr, p, q, 1, loads, sc)
 			mapsClose(t, got, want, "UDR-multi")
 		}
 	}
@@ -101,8 +103,7 @@ func TestUDRMultiSampleIsValid(t *testing.T) {
 func TestUDRMultiMassConservation(t *testing.T) {
 	tr := torus.New(4, 3)
 	for _, pair := range samplePairs(tr, 20, 31) {
-		sum := 0.0
-		UDRMulti{}.AccumulatePair(tr, pair[0], pair[1], func(_ torus.Edge, w float64) { sum += w })
+		sum := pairMass(UDRMulti{}, tr, pair[0], pair[1])
 		if want := float64(tr.LeeDistance(pair[0], pair[1])); math.Abs(sum-want) > 1e-9 {
 			t.Fatalf("mass %v, want %v", sum, want)
 		}

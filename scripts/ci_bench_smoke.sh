@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # ci_bench_smoke.sh — CI gate against load-engine performance regressions.
 #
-# Runs the paired fast/generic BenchmarkLoadCompute* benchmarks and the two
-# optimizer benchmarks (BenchmarkBranchBoundT2_8, BenchmarkAnnealT3_8) once
-# at a short benchtime and fails on a >30% regression relative to the committed
-# expectations in results/BENCH_load_baseline.json (.fastpath). Only
+# Runs the paired fast/generic BenchmarkLoadCompute* benchmarks,
+# BenchmarkLoadComputeFAR and the two optimizer benchmarks
+# (BenchmarkBranchBoundT2_8, BenchmarkAnnealT3_8) once at a short benchtime
+# and GOMAXPROCS 1 (-cpu 1, the setting the baseline was recorded at: the
+# engines size one accumulator per worker, so allocs/op and the fast/generic
+# ratios depend on the worker count) and fails on a >30% regression
+# relative to the committed expectations in
+# results/BENCH_load_baseline.json (.fastpath). Only
 # machine-independent quantities are gated so the check is stable across
 # CI hardware:
 #
@@ -32,8 +36,8 @@ trap 'rm -f "$RAW"' EXIT
 
 echo "bench-smoke: running paired load benchmarks and the optimizer benchmarks"
 go test -run '^$' \
-    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8)$' \
-    -benchmem -benchtime=0.5s -count=1 . | tee "$RAW"
+    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkLoadComputeFAR|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8)$' \
+    -benchmem -benchtime=0.5s -count=1 -cpu 1 . | tee "$RAW"
 
 # name -> ns/op and name -> allocs/op maps from this run.
 measured=$(awk '
