@@ -12,7 +12,7 @@ FUZZ_TARGETS := \
 	./internal/cluster:FuzzHashRing \
 	./internal/lintcheck:FuzzLintIgnoreDirective
 
-.PHONY: all build test race vet lint lint-fix fuzz-smoke serve bench bench-smoke bench-service smoke-torusd smoke-cluster chaos profile ci
+.PHONY: all build test race vet lint lint-fix fuzz-smoke serve bench bench-smoke bench-service bench-module smoke-torusd smoke-cluster chaos profile ci
 
 all: build
 
@@ -71,16 +71,25 @@ bench-smoke:
 bench-service:
 	$(GO) run ./cmd/torusd -selfbench results/BENCH_service.json
 
+# bench-module vets and tests the nested torusnet/bench module (torusbench).
+# It has its own go.mod, so the root build, vet, and test targets never
+# compile it; this target is what catches an internal API change that
+# breaks the benchmark.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # smoke-torusd builds the real binary, boots it, and drives one analyze
 # request through /healthz + /v1/analyze + /debug/vars (CI gate).
 smoke-torusd:
 	./scripts/ci_torusd_smoke.sh
 
 # smoke-cluster runs the full smoke plus the 3-node cluster leg: boot a
-# sharded cluster, assert a hot key computes once cluster-wide and
-# peer-fills everywhere else, kill its home shard mid-load, and assert the
-# survivors stay available with exact local-compute fallback. The in-process
-# multi-node suite (internal/cluster/harness) runs under -race first.
+# sharded cluster (one owner per key), assert a hot key computes once
+# cluster-wide and peer-fills everywhere else, kill its owner mid-load and
+# assert the survivors stay available, evict it, and assert a key lost
+# with it comes back exact on every survivor, computed once cluster-wide
+# by its new owner. The in-process multi-node suite
+# (internal/cluster/harness) runs under -race first.
 smoke-cluster:
 	$(GO) test -race -count=1 ./internal/cluster/...
 	TORUSD_SMOKE_CLUSTER=1 ./scripts/ci_torusd_smoke.sh
@@ -106,4 +115,4 @@ chaos:
 		./internal/service
 	$(GO) test -race -count=1 -run 'TestCluster' ./internal/cluster/harness
 
-ci: build vet test race lint chaos
+ci: build vet test race lint chaos bench-module

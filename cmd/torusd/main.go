@@ -28,22 +28,22 @@
 //	torusd -failpoints 'service.cache.get=error'    # boot with chaos faults armed
 //	torusd -cluster -self http://10.0.0.1:8080 \
 //	       -peers http://10.0.0.1:8080,http://10.0.0.2:8080,http://10.0.0.3:8080
-//	torusd -cluster -self http://10.0.0.1:8080 -peers-file /etc/torusd/peers \
-//	       -replication 2                          # SIGHUP re-reads the peers file
+//	torusd -cluster -self http://10.0.0.1:8080 \
+//	       -peers-file /etc/torusd/peers           # SIGHUP re-reads the peers file
 //
 // Cluster mode shards canonical cache keys across the -peers membership on
 // a consistent-hash ring: a local cache miss for a key homed on another
 // peer is fetched from that peer (falling back to local compute if it
 // cannot answer), so the cluster computes each answer once globally. Each
-// key has -replication owners (default 2): the primary's exact answers are
-// write-through-replicated to the backups, so a shard death loses no cached
-// work — fills fail over along the owner list. Membership is dynamic:
+// key has exactly one owner; when it dies, survivors compute its keys
+// locally until it is evicted, after which the ring's next peer owns them
+// and computes each lost key once. Membership is dynamic:
 // POST /debug/cluster/membership ({"join": url} / {"leave": url} /
 // {"peers": [...]}) on the debug sidecar swaps the ring at a new epoch, and
 // with -peers-file a SIGHUP re-reads the file and applies it the same way.
 // /readyz reports readiness (ring joined) plus the current epoch; /healthz
 // stays pure liveness. The debug sidecar gains /debug/cluster (ring status,
-// and ?key=... for a key's replicated owner list).
+// and ?key=... for a key's owner).
 //
 // Under sustained pool pressure (past -degrade-at utilization) /v1/analyze
 // answers with a Monte Carlo estimate tagged "degraded": true instead of
@@ -80,34 +80,33 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		workers     = flag.Int("workers", 0, "analysis pool goroutines (0 = GOMAXPROCS)")
-		queue       = flag.Int("queue", 0, "pending-request queue depth (0 = 2×workers)")
-		analysisW   = flag.Int("analysis-workers", 0, "load-engine workers per analysis (0 = 1)")
-		cacheSize   = flag.Int("cache", 0, "result cache capacity in entries (0 = 512)")
-		cacheTTL    = flag.Duration("ttl", 0, "result cache TTL (0 = 10m, negative = no expiry)")
-		timeout     = flag.Duration("timeout", 0, "per-request compute deadline (0 = 60s)")
-		maxNodes    = flag.Int("max-nodes", 0, "k^d ceiling per request (0 = 4096)")
-		maxJobs     = flag.Int("max-jobs", 0, "concurrent async search jobs; submissions past it answer 429 (0 = 4)")
-		jobTTL      = flag.Duration("job-ttl", 0, "how long finished job records stay pollable (0 = 15m, negative = forever)")
-		jobTimeout  = flag.Duration("job-timeout", 0, "per-job search deadline (0 = 5m)")
-		noFastPath  = flag.Bool("no-fastpath", false, "disable the translation-symmetry load fast path (generic engine only)")
-		noAnalytic  = flag.Bool("no-analytic", false, "disable the closed-form analytic fast lane for /v1/analyze")
-		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof and /debug/failpoints on this separate address (empty = disabled)")
-		selfbench   = flag.String("selfbench", "", "run the cached-vs-uncached micro-benchmark, write JSON to this file, and exit")
-		selfbenchN  = flag.Int("selfbench-n", 200, "requests per selfbench series")
-		degradeAt   = flag.Float64("degrade-at", 0, "pool-utilization watermark past which /v1/analyze answers degraded Monte Carlo estimates (0 = 0.9, negative = never)")
-		degradedN   = flag.Int("degraded-rounds", 0, "Monte Carlo rounds behind degraded answers (0 = 16)")
-		wedge       = flag.Duration("wedge-timeout", 0, "watchdog deadline before a wedged pool worker is replaced (0 = 2×timeout, negative = no watchdog)")
-		failpoints  = flag.String("failpoints", "", "semicolon-separated site=spec failpoints to arm at boot (see /debug/failpoints for sites)")
-		traceBuf    = flag.Int("trace-buf", 0, "finished request traces retained for /debug/traces (0 = 256, negative = tracing off)")
-		slowThresh  = flag.Duration("slow-threshold", 0, "warn-log requests slower than this (0 = disabled)")
-		clusterOn   = flag.Bool("cluster", false, "enable sharded cluster mode (requires -self and -peers)")
-		selfURL     = flag.String("self", "", "this node's advertised base URL in cluster mode (e.g. http://10.0.0.1:8080)")
-		peersList   = flag.String("peers", "", "comma-separated base URLs of the full cluster membership (self included)")
-		peersFile   = flag.String("peers-file", "", "file holding the cluster membership (one URL per line, # comments); SIGHUP re-reads and applies it")
-		replicas    = flag.Int("ring-replicas", 0, "virtual nodes per peer on the consistent-hash ring (0 = 64)")
-		replication = flag.Int("replication", 0, "owners per key; exact results are write-through-replicated to the backups (0 = 2)")
+		addr       = flag.String("addr", ":8080", "listen address")
+		workers    = flag.Int("workers", 0, "analysis pool goroutines (0 = GOMAXPROCS)")
+		queue      = flag.Int("queue", 0, "pending-request queue depth (0 = 2×workers)")
+		analysisW  = flag.Int("analysis-workers", 0, "load-engine workers per analysis (0 = 1)")
+		cacheSize  = flag.Int("cache", 0, "result cache capacity in entries (0 = 512)")
+		cacheTTL   = flag.Duration("ttl", 0, "result cache TTL (0 = 10m, negative = no expiry)")
+		timeout    = flag.Duration("timeout", 0, "per-request compute deadline (0 = 60s)")
+		maxNodes   = flag.Int("max-nodes", 0, "k^d ceiling per request (0 = 4096)")
+		maxJobs    = flag.Int("max-jobs", 0, "concurrent async search jobs; submissions past it answer 429 (0 = 4)")
+		jobTTL     = flag.Duration("job-ttl", 0, "how long finished job records stay pollable (0 = 15m, negative = forever)")
+		jobTimeout = flag.Duration("job-timeout", 0, "per-job search deadline (0 = 5m)")
+		noFastPath = flag.Bool("no-fastpath", false, "disable the translation-symmetry load fast path (generic engine only)")
+		noAnalytic = flag.Bool("no-analytic", false, "disable the closed-form analytic fast lane for /v1/analyze")
+		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and /debug/failpoints on this separate address (empty = disabled)")
+		selfbench  = flag.String("selfbench", "", "run the cached-vs-uncached micro-benchmark, write JSON to this file, and exit")
+		selfbenchN = flag.Int("selfbench-n", 200, "requests per selfbench series")
+		degradeAt  = flag.Float64("degrade-at", 0, "pool-utilization watermark past which /v1/analyze answers degraded Monte Carlo estimates (0 = 0.9, negative = never)")
+		degradedN  = flag.Int("degraded-rounds", 0, "Monte Carlo rounds behind degraded answers (0 = 16)")
+		wedge      = flag.Duration("wedge-timeout", 0, "watchdog deadline before a wedged pool worker is replaced (0 = 2×timeout, negative = no watchdog)")
+		failpoints = flag.String("failpoints", "", "semicolon-separated site=spec failpoints to arm at boot (see /debug/failpoints for sites)")
+		traceBuf   = flag.Int("trace-buf", 0, "finished request traces retained for /debug/traces (0 = 256, negative = tracing off)")
+		slowThresh = flag.Duration("slow-threshold", 0, "warn-log requests slower than this (0 = disabled)")
+		clusterOn  = flag.Bool("cluster", false, "enable sharded cluster mode (requires -self and -peers)")
+		selfURL    = flag.String("self", "", "this node's advertised base URL in cluster mode (e.g. http://10.0.0.1:8080)")
+		peersList  = flag.String("peers", "", "comma-separated base URLs of the full cluster membership (self included)")
+		peersFile  = flag.String("peers-file", "", "file holding the cluster membership (one URL per line, # comments); SIGHUP re-reads and applies it")
+		replicas   = flag.Int("ring-replicas", 0, "virtual nodes per peer on the consistent-hash ring (0 = 64)")
 	)
 	flag.Parse()
 
@@ -140,7 +139,7 @@ func main() {
 		SlowThreshold:    *slowThresh,
 	}
 	if *clusterOn {
-		cl, err := buildCluster(*selfURL, *peersList, *peersFile, *replicas, *replication)
+		cl, err := buildCluster(*selfURL, *peersList, *peersFile, *replicas)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "torusd:", err)
 			os.Exit(1)
@@ -183,7 +182,7 @@ func main() {
 // resilient fill client (per-peer breaker state); the fill policy retries
 // once with short backoff and no hedging, because every fill failure has a
 // cheap local fallback — computing the answer ourselves.
-func buildCluster(self, peers, peersFile string, replicas, replication int) (*cluster.Cluster, error) {
+func buildCluster(self, peers, peersFile string, replicas int) (*cluster.Cluster, error) {
 	if self == "" || (peers == "" && peersFile == "") {
 		return nil, errors.New("-cluster requires -self and -peers or -peers-file")
 	}
@@ -205,10 +204,9 @@ func buildCluster(self, peers, peersFile string, replicas, replication int) (*cl
 		MaxBackoff:  500 * time.Millisecond,
 	}
 	return cluster.New(cluster.Config{
-		Self:        strings.TrimRight(self, "/"),
-		Peers:       members,
-		Replicas:    replicas,
-		Replication: replication,
+		Self:     strings.TrimRight(self, "/"),
+		Peers:    members,
+		Replicas: replicas,
 		Dial: func(u string) cluster.PeerTransport {
 			return service.NewPeerFillClient(u, rcfg)
 		},

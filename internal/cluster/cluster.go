@@ -1,25 +1,20 @@
 // Package cluster shards the torusd analysis service across a set of
 // peers. A consistent-hash ring over the canonical cache key gives every
-// key an ordered list of homes, mirroring the paper's placement
-// discipline: assign work so no link — here, no node — carries avoidable
-// duplicate load, and the cluster computes each E_max answer once
-// globally.
+// key one home, mirroring the paper's placement discipline: assign work so
+// no link — here, no node — carries avoidable duplicate load, and the
+// cluster computes each E_max answer once globally.
 //
-// The fill path is groupcache-shaped. On a local cache miss for a key
-// homed elsewhere, the serving node fetches the answer from the key's
-// owners in ring order (each peer reached through its own resilient
-// client, so breaker state is per peer) and only computes locally when no
-// owner can answer. Fill requests carry a one-hop loop guard: a node
-// serving a fill never fills in turn, so requests traverse at most one
-// peer edge regardless of membership skew. Every failure mode — ring
-// fault, peer down, dial error, corrupt fill body — degrades to local
-// compute, trading cluster-wide dedup for availability.
-//
-// Ownership is replicated: OwnersN(key, R) lists R distinct physical
-// peers, and the flight leader write-through-replicates exact results to
-// the other R-1 homes (best effort), so killing any single shard loses no
-// cached exact answer — the next owner in ring order already holds it and
-// is exactly the peer that inherits the key.
+// The fill path is groupcache-shaped. Every key has exactly one owner,
+// its primary on the ring. On a local cache miss for a key owned
+// elsewhere, the serving node fetches the answer from that owner (reached
+// through its own resilient client, so breaker state is per peer) and
+// computes locally when the owner cannot answer. Fill requests carry a
+// one-hop loop guard: a node serving a fill never fills in turn, so
+// requests traverse at most one peer edge regardless of membership skew.
+// Every failure mode — ring fault, owner down, dial error, corrupt fill
+// body — degrades to local compute, trading cluster-wide dedup for
+// availability. Answers are deterministic functions of the key, so a lost
+// owner costs at most one recompute per key, never a wrong answer.
 //
 // Membership is dynamic: a Membership controller applies runtime
 // Join/Leave/Set operations as epoch-numbered ring swaps published
@@ -34,7 +29,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
@@ -42,17 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// DefaultReplication is the owner-list length R used when Config.
-// Replication <= 0: every key lives on its primary plus one successor, so
-// any single shard death loses no cached exact answer.
-const DefaultReplication = 2
-
-// ReplicaPath is the service endpoint replica puts are POSTed to. The
-// service package registers its replica handler here and the client stamps
-// the replica header on requests to it, so the constant is the one shared
-// name for the write-through channel.
-const ReplicaPath = "/v1/replica"
 
 // PeerTransport is the wire surface the cluster needs to one peer. The
 // service package's Client implements it (see NewPeerFillClient); the test
@@ -81,11 +64,6 @@ type Config struct {
 	// Replicas is the virtual-node count per peer; <= 0 means
 	// DefaultReplicas.
 	Replicas int
-	// Replication is the owner-list length R: each key is homed on its
-	// primary owner plus the next Replication-1 distinct peers clockwise,
-	// and exact results are write-through-replicated to all of them.
-	// <= 0 means DefaultReplication.
-	Replication int
 	// Dial builds the transport for one remote peer, called once per peer
 	// at construction and again for every peer a membership change adds.
 	// Required when the membership has (or may gain) any remote peer.
@@ -100,16 +78,6 @@ type Config struct {
 	// of the calling request's deadline, so a black-holed peer cannot
 	// wedge the fill path for the full request timeout; <= 0 means 1s.
 	ProbeTimeout time.Duration
-	// ReplicaTimeout bounds each best-effort replica put; <= 0 means 2s.
-	ReplicaTimeout time.Duration
-	// HotThreshold is how many fill-path touches within the sliding
-	// window promote a key to the hot store; <= 0 means 32.
-	HotThreshold int
-	// HotWindow is the sliding-window width for the hot-key sketch;
-	// <= 0 means 10s.
-	HotWindow time.Duration
-	// HotCapacity caps the hot store's entry count; <= 0 means 128.
-	HotCapacity int
 }
 
 // peer is the health and transport state for one remote member.
@@ -135,14 +103,12 @@ type ringState struct {
 // Cluster is one node's view of the shard ring plus per-peer health and
 // fill counters. All methods are safe for concurrent use.
 type Cluster struct {
-	self           string
-	replicas       int // vnodes per peer
-	replication    int // owner-list length R
-	threshold      int
-	cooldown       time.Duration
-	probeTimeout   time.Duration
-	replicaTimeout time.Duration
-	dial           func(string) PeerTransport
+	self         string
+	replicas     int // vnodes per peer
+	threshold    int
+	cooldown     time.Duration
+	probeTimeout time.Duration
+	dial         func(string) PeerTransport
 
 	state atomic.Pointer[ringState]
 
@@ -151,23 +117,16 @@ type Cluster struct {
 	peersMu sync.RWMutex
 	peers   map[string]*peer // remote members only, keyed by URL
 
-	hot      *hotTracker
-	hotStore *hotStore
-
 	vars *expvar.Map
 }
 
 // Counter names in the cluster expvar map (exposed under the server's
 // "cluster" key in /debug/vars).
 const (
-	vFills            = "fills"       // successful peer fills
-	vFillErrors       = "fill_errors" // fills lost to dial/decode/ring faults
-	vFillSkips        = "fill_skips"  // fills skipped because an owner is down
-	vLocalKeys        = "local_keys"  // misses whose primary home is this node
-	vFailovers        = "failovers"   // fill attempts moved to a backup owner
-	vFailoverErrors   = "failover_errors"
-	vReplicaPuts      = "replica_puts" // successful write-through replica puts
-	vReplicaPutErrors = "replica_put_errors"
+	vFills            = "fills"            // successful peer fills
+	vFillErrors       = "fill_errors"      // fills lost to dial/decode/ring faults
+	vFillSkips        = "fill_skips"       // fills skipped because the owner is down
+	vLocalKeys        = "local_keys"       // misses whose owner is this node
 	vMembershipSwaps  = "membership_swaps" // epoch-advancing ring swaps
 	vMembershipErrors = "membership_errors"
 	vReadyProbes      = "ready_probes" // /readyz probes of cooled-down peers
@@ -203,29 +162,18 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = time.Second
 	}
-	if cfg.ReplicaTimeout <= 0 {
-		cfg.ReplicaTimeout = 2 * time.Second
-	}
-	if cfg.Replication <= 0 {
-		cfg.Replication = DefaultReplication
-	}
 	c := &Cluster{
-		self:           cfg.Self,
-		replicas:       cfg.Replicas,
-		replication:    cfg.Replication,
-		threshold:      cfg.FailureThreshold,
-		cooldown:       cfg.DownCooldown,
-		probeTimeout:   cfg.ProbeTimeout,
-		replicaTimeout: cfg.ReplicaTimeout,
-		dial:           cfg.Dial,
-		peers:          make(map[string]*peer),
-		hot:            newHotTracker(cfg.HotThreshold, cfg.HotWindow),
-		hotStore:       newHotStore(cfg.HotCapacity),
-		vars:           new(expvar.Map).Init(),
+		self:         cfg.Self,
+		replicas:     cfg.Replicas,
+		threshold:    cfg.FailureThreshold,
+		cooldown:     cfg.DownCooldown,
+		probeTimeout: cfg.ProbeTimeout,
+		dial:         cfg.Dial,
+		peers:        make(map[string]*peer),
+		vars:         new(expvar.Map).Init(),
 	}
 	for _, name := range []string{
-		vFills, vFillErrors, vFillSkips, vLocalKeys, vFailovers,
-		vFailoverErrors, vReplicaPuts, vReplicaPutErrors,
+		vFills, vFillErrors, vFillSkips, vLocalKeys,
 		vMembershipSwaps, vMembershipErrors, vReadyProbes,
 		vRingLookupErrors, vWriteErrors,
 	} {
@@ -234,7 +182,6 @@ func New(cfg Config) (*Cluster, error) {
 	c.vars.Set("peers", expvar.Func(func() any { return len(c.Peers()) }))
 	c.vars.Set("peers_down", expvar.Func(func() any { return c.DownPeers() }))
 	c.vars.Set("epoch", expvar.Func(func() any { return c.Epoch() }))
-	c.vars.Set("hot_keys", expvar.Func(func() any { return c.HotKeys() }))
 
 	ring := NewRing(members, cfg.Replicas)
 	for _, u := range ring.Peers() {
@@ -259,9 +206,6 @@ func (c *Cluster) Ready() bool { return len(c.ring().Peers()) > 0 }
 // Epoch returns the current membership epoch. It starts at 1 and advances
 // by one on every successful ring swap.
 func (c *Cluster) Epoch() uint64 { return c.state.Load().epoch }
-
-// Replication returns the owner-list length R.
-func (c *Cluster) Replication() int { return c.replication }
 
 // Peers returns the current ring membership, sorted.
 func (c *Cluster) Peers() []string { return c.ring().Peers() }
@@ -293,144 +237,65 @@ func (c *Cluster) Owner(key string) (string, error) {
 	return c.ring().Owner(key), nil
 }
 
-// Owners returns the ordered owner list for key — its primary home plus
-// the next R-1 distinct peers clockwise — through the cluster.ring.lookup
-// failpoint.
+// Owners returns the owner list for key: a one-element list holding its
+// primary home, or nil on an empty ring. It reads the ring through the
+// cluster.ring.lookup failpoint, like Owner.
 func (c *Cluster) Owners(key string) ([]string, error) {
-	if err := fpRingLookup.Inject(); err != nil {
-		c.vars.Add(vRingLookupErrors, 1)
+	owner, err := c.Owner(key)
+	if err != nil || owner == "" {
 		return nil, err
 	}
-	return c.ring().OwnersN(key, c.replication), nil
+	return []string{owner}, nil
 }
 
-// Fill attempts a peer fill for key: if key's primary home is a remote
-// peer, fetch the answer by POSTing payload to path there and decode the
-// response body with decode, failing over through the key's backup owners
-// in ring order. served reports whether the returned value came from a
-// peer; when served is false the caller must compute locally (err, when
-// non-nil, says why the fill was lost — a nil err means the key is local
-// or every usable owner is down, which is not an error).
+// Fill attempts a peer fill for key: if key's owner is a remote peer,
+// fetch the answer by POSTing payload to path there and decode the
+// response body with decode. served reports whether the returned value
+// came from the owner; when served is false the caller must compute
+// locally (err, when non-nil, says why the fill was lost — a nil err
+// means the key is local or its owner is down, which is not an error).
 func (c *Cluster) Fill(ctx context.Context, key, path string, payload []byte, decode func([]byte) (any, error)) (v any, served bool, err error) {
-	owners, err := c.Owners(key)
+	owner, err := c.Owner(key)
 	if err != nil {
 		return nil, false, err
 	}
-	if len(owners) == 0 || owners[0] == c.self {
+	if owner == "" || owner == c.self {
 		c.vars.Add(vLocalKeys, 1)
 		return nil, false, nil
 	}
-	var lastErr error
-	for i, owner := range owners {
-		if i > 0 {
-			// Moving past the primary is a failover step; the armed
-			// failpoint models a broken failover path and degrades the
-			// request to local compute.
-			if ferr := fpOwnerFailover.Inject(); ferr != nil {
-				c.vars.Add(vFailoverErrors, 1)
-				return nil, false, ferr
-			}
-			c.vars.Add(vFailovers, 1)
-		}
-		if owner == c.self {
-			// The failover walk reached this node: it is a backup owner
-			// for key, so computing locally is serving from a home.
-			c.vars.Add(vLocalKeys, 1)
-			return nil, false, nil
-		}
-		p := c.peerFor(owner)
-		if p == nil {
-			// Stale owner list racing a membership swap; try the next.
-			continue
-		}
-		if !c.admit(ctx, p) {
-			c.vars.Add(vFillSkips, 1)
-			continue
-		}
-		if err := fpPeerDial.Inject(); err != nil {
-			c.fail(p)
-			lastErr = err
-			continue
-		}
-		body, err := p.tr.FillPeer(ctx, path, payload)
-		if err != nil {
-			c.fail(p)
-			lastErr = err
-			continue
-		}
-		c.ok(p)
-		if err := fpFillDecode.Inject(); err != nil {
-			c.vars.Add(vFillErrors, 1)
-			p.fillErrors.Add(1)
-			return nil, false, err
-		}
-		v, err = decode(body)
-		if err != nil {
-			c.vars.Add(vFillErrors, 1)
-			p.fillErrors.Add(1)
-			return nil, false, fmt.Errorf("cluster: decoding fill from %s: %w", owner, err)
-		}
-		c.vars.Add(vFills, 1)
-		p.fills.Add(1)
-		return v, true, nil
+	p := c.peerFor(owner)
+	if p == nil {
+		// A racing membership swap just removed the owner.
+		return nil, false, nil
 	}
-	return nil, false, lastErr
-}
-
-// ReplicaPut is the wire body of a write-through replica put: the
-// canonical request (path + payload) identifying the key, the exact
-// result body to store, and whether the key is hot. The receiver derives
-// the cache key from the canonical payload itself rather than trusting a
-// key field, so a replica put can never poison an unrelated cache entry.
-type ReplicaPut struct {
-	Path    string          `json:"path"`
-	Payload json.RawMessage `json:"payload"`
-	Result  json.RawMessage `json:"result"`
-	Hot     bool            `json:"hot,omitempty"`
-}
-
-// Replicate write-through-replicates an exact result to key's other
-// owners, best effort: down peers are skipped, failures are counted and
-// swallowed, and each put is bounded by ReplicaTimeout. The flight leader
-// calls it after computing, so killing any single shard after a warm
-// request loses no cached exact answer. It returns the number of
-// successful puts.
-func (c *Cluster) Replicate(ctx context.Context, key, path string, payload, result []byte, hot bool) int {
-	owners := c.ring().OwnersN(key, c.replication)
-	if len(owners) < 2 {
-		return 0
+	if !c.admit(ctx, p) {
+		c.vars.Add(vFillSkips, 1)
+		return nil, false, nil
 	}
-	body, err := json.Marshal(ReplicaPut{Path: path, Payload: payload, Result: result, Hot: hot})
+	if err := fpPeerDial.Inject(); err != nil {
+		c.fail(p)
+		return nil, false, err
+	}
+	body, err := p.tr.FillPeer(ctx, path, payload)
 	if err != nil {
-		c.vars.Add(vReplicaPutErrors, 1)
-		return 0
+		c.fail(p)
+		return nil, false, err
 	}
-	sent := 0
-	for _, owner := range owners {
-		if owner == c.self {
-			continue
-		}
-		p := c.peerFor(owner)
-		if p == nil || !c.admit(ctx, p) {
-			continue
-		}
-		if err := fpReplicaPut.Inject(); err != nil {
-			c.vars.Add(vReplicaPutErrors, 1)
-			continue
-		}
-		rctx, cancel := context.WithTimeout(ctx, c.replicaTimeout)
-		_, err := p.tr.FillPeer(rctx, ReplicaPath, body)
-		cancel()
-		if err != nil {
-			c.vars.Add(vReplicaPutErrors, 1)
-			c.fail(p)
-			continue
-		}
-		c.ok(p)
-		c.vars.Add(vReplicaPuts, 1)
-		sent++
+	c.ok(p)
+	if err := fpFillDecode.Inject(); err != nil {
+		c.vars.Add(vFillErrors, 1)
+		p.fillErrors.Add(1)
+		return nil, false, err
 	}
-	return sent
+	v, err = decode(body)
+	if err != nil {
+		c.vars.Add(vFillErrors, 1)
+		p.fillErrors.Add(1)
+		return nil, false, fmt.Errorf("cluster: decoding fill from %s: %w", owner, err)
+	}
+	c.vars.Add(vFills, 1)
+	p.fills.Add(1)
+	return v, true, nil
 }
 
 // admit reports whether p may be dialed right now. Healthy peers pass
@@ -513,26 +378,22 @@ type PeerStatus struct {
 // Status is a point-in-time snapshot of the ring and peer health, served
 // by the /debug/cluster handler.
 type Status struct {
-	Self        string       `json:"self"`
-	Ready       bool         `json:"ready"`
-	Epoch       uint64       `json:"epoch"`
-	Replicas    int          `json:"replicas"`
-	Replication int          `json:"replication"`
-	HotKeys     int          `json:"hot_keys"`
-	Peers       []PeerStatus `json:"peers"`
+	Self     string       `json:"self"`
+	Ready    bool         `json:"ready"`
+	Epoch    uint64       `json:"epoch"`
+	Replicas int          `json:"replicas"`
+	Peers    []PeerStatus `json:"peers"`
 }
 
 // Status snapshots the cluster: membership in ring order, per-peer health
-// and fill counters, the membership epoch, and the hot-store size.
+// and fill counters, and the membership epoch.
 func (c *Cluster) Status() Status {
 	st := c.state.Load()
 	out := Status{
-		Self:        c.self,
-		Ready:       len(st.ring.Peers()) > 0,
-		Epoch:       st.epoch,
-		Replicas:    st.ring.Replicas(),
-		Replication: c.replication,
-		HotKeys:     c.HotKeys(),
+		Self:     c.self,
+		Ready:    len(st.ring.Peers()) > 0,
+		Epoch:    st.epoch,
+		Replicas: st.ring.Replicas(),
 	}
 	for _, u := range st.ring.Peers() {
 		ps := PeerStatus{URL: u, Self: u == c.self}

@@ -109,84 +109,72 @@ func TestAdmitProbeTimeout(t *testing.T) {
 	}
 }
 
-// TestFillFailsOverToSecondary pins the tentpole fill contract: when the
-// primary owner is unreachable the fill lands on the secondary, and only
-// when every remote owner fails does the caller fall back to computing
-// locally.
-func TestFillFailsOverToSecondary(t *testing.T) {
-	trs := map[string]*fakeTransport{
-		"http://a": {fill: func(context.Context, string, []byte) ([]byte, error) { return nil, errors.New("refused") }},
-		"http://b": {fill: func(context.Context, string, []byte) ([]byte, error) { return []byte(`{"from":"b"}`), nil }},
-	}
-	c, err := New(Config{
-		Self:  "http://self",
-		Peers: []string{"http://self", "http://a", "http://b"},
-		Dial:  func(u string) PeerTransport { return trs[u] },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find a key whose owner pair is exactly [a, b].
-	key := ""
-	for i := 0; i < 4096; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		o := c.ring().OwnersN(k, 2)
-		if len(o) == 2 && o[0] == "http://a" && o[1] == "http://b" {
-			key = k
-			break
-		}
-	}
-	if key == "" {
-		t.Fatal("no key with owner pair [a, b]")
-	}
-	v, served, err := c.Fill(context.Background(), key, "/v1/analyze", []byte(`{}`), decodeAny)
-	if err != nil || !served {
-		t.Fatalf("Fill = (served=%v, err=%v), want served from secondary", served, err)
-	}
-	if m, ok := v.(map[string]any); !ok || m["from"] != "b" {
-		t.Fatalf("Fill value = %v, want the secondary's answer", v)
-	}
-	if trs["http://a"].fills.Load() != 1 || trs["http://b"].fills.Load() != 1 {
-		t.Fatalf("fills: a=%d b=%d, want one attempt each", trs["http://a"].fills.Load(), trs["http://b"].fills.Load())
-	}
-	if got := c.vars.Get(vFailovers).(*expvar.Int).Value(); got != 1 {
-		t.Fatalf("failovers = %d, want 1", got)
-	}
-}
-
-// TestFillFailoverStopsAtSelf: when this node is a key's backup owner and
-// the primary is unreachable, the walk stops at self and the caller
-// computes locally — serving from a home, not an error.
-func TestFillFailoverStopsAtSelf(t *testing.T) {
-	refused := &fakeTransport{fill: func(context.Context, string, []byte) ([]byte, error) {
-		return nil, errors.New("refused")
-	}}
-	c, err := New(Config{
-		Self:  "http://self",
-		Peers: []string{"http://self", "http://a"},
-		Dial:  func(string) PeerTransport { return refused },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := ""
-	for i := 0; i < 256; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if c.ring().Owner(k) == "http://a" {
-			key = k
-			break
-		}
-	}
-	if key == "" {
-		t.Fatal("no key homed on the remote peer")
-	}
-	// R=2 in a 2-node ring: owner pair is [a, self].
-	v, served, err := c.Fill(context.Background(), key, "/v1/analyze", []byte(`{}`), decodeAny)
-	if served || v != nil || err != nil {
-		t.Fatalf("Fill = (%v, %v, %v), want clean local-compute fallback", v, served, err)
-	}
-	if got := c.vars.Get(vLocalKeys).(*expvar.Int).Value(); got != 1 {
-		t.Fatalf("local_keys = %d, want 1 (failover reached self)", got)
+// TestFillOneOwner pins the fill contract: every key has exactly one
+// owner. A remote owner that answers serves the fill; one that fails costs
+// the fill and nothing else — no other peer is tried, and the caller
+// computes locally; a key owned by this node never dials at all.
+func TestFillOneOwner(t *testing.T) {
+	refuse := func(context.Context, string, []byte) ([]byte, error) { return nil, errors.New("refused") }
+	answer := func(context.Context, string, []byte) ([]byte, error) { return []byte(`{"from":"owner"}`), nil }
+	for _, tc := range []struct {
+		name      string
+		owner     string // "http://self" or "http://a"
+		fill      func(context.Context, string, []byte) ([]byte, error)
+		served    bool
+		wantErr   bool
+		localKeys int64
+	}{
+		{name: "remote owner answers", owner: "http://a", fill: answer, served: true},
+		{name: "remote owner refuses", owner: "http://a", fill: refuse, wantErr: true},
+		{name: "self owns", owner: "http://self", fill: answer, localKeys: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			trs := map[string]*fakeTransport{
+				"http://a": {fill: tc.fill},
+				"http://b": {fill: answer},
+			}
+			c, err := New(Config{
+				Self:  "http://self",
+				Peers: []string{"http://self", "http://a", "http://b"},
+				Dial:  func(u string) PeerTransport { return trs[u] },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := ""
+			for i := 0; i < 256; i++ {
+				k := fmt.Sprintf("key-%d", i)
+				if c.ring().Owner(k) == tc.owner {
+					key = k
+					break
+				}
+			}
+			if key == "" {
+				t.Fatalf("no key owned by %s", tc.owner)
+			}
+			if owners, err := c.Owners(key); err != nil || len(owners) != 1 || owners[0] != tc.owner {
+				t.Fatalf("Owners = (%v, %v), want [%s]", owners, err, tc.owner)
+			}
+			v, served, err := c.Fill(context.Background(), key, "/v1/analyze", []byte(`{}`), decodeAny)
+			if served != tc.served || (err != nil) != tc.wantErr {
+				t.Fatalf("Fill = (%v, served=%v, err=%v), want served=%v err=%v", v, served, err, tc.served, tc.wantErr)
+			}
+			if served {
+				if m, ok := v.(map[string]any); !ok || m["from"] != "owner" {
+					t.Fatalf("Fill value = %v, want the owner's answer", v)
+				}
+			}
+			wantA := int64(1)
+			if tc.owner == "http://self" {
+				wantA = 0
+			}
+			if a, b := trs["http://a"].fills.Load(), trs["http://b"].fills.Load(); a != wantA || b != 0 {
+				t.Fatalf("fills: a=%d b=%d, want a=%d b=0 (only the owner is ever asked)", a, b, wantA)
+			}
+			if got := c.vars.Get(vLocalKeys).(*expvar.Int).Value(); got != tc.localKeys {
+				t.Fatalf("local_keys = %d, want %d", got, tc.localKeys)
+			}
+		})
 	}
 }
 
@@ -293,154 +281,5 @@ func TestMembershipHandler(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/cluster/membership", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET status = %d, want 405", rec.Code)
-	}
-}
-
-// TestHotTracker drives the sliding-window sketch through promotion,
-// sustained heat, and decay with an injected clock.
-func TestHotTracker(t *testing.T) {
-	now := time.Unix(0, 0)
-	h := newHotTracker(3, 10*time.Second)
-	h.now = func() time.Time { return now }
-
-	if h.touch("k") || h.touch("k") {
-		t.Fatal("crossed threshold before 3 touches")
-	}
-	if !h.touch("k") {
-		t.Fatal("third touch did not cross the threshold")
-	}
-	if h.touch("k") {
-		t.Fatal("fourth touch re-crossed the threshold")
-	}
-	if !h.isHot("k") || h.isHot("other") {
-		t.Fatal("isHot disagrees with the counts")
-	}
-
-	// One window later the count straddles cur+prev and stays hot.
-	now = now.Add(11 * time.Second)
-	if !h.isHot("k") {
-		t.Fatal("key cooled after one window despite prev-bucket counts")
-	}
-	// Two quiet windows later the heat is gone — and the key can cross
-	// the threshold again.
-	now = now.Add(25 * time.Second)
-	if h.isHot("k") {
-		t.Fatal("key still hot after two quiet windows")
-	}
-	h.touch("k")
-	h.touch("k")
-	if !h.touch("k") {
-		t.Fatal("key cannot re-promote after cooling")
-	}
-
-	h.force("cold")
-	if !h.isHot("cold") {
-		t.Fatal("force did not mark the key hot")
-	}
-}
-
-// TestClusterHotStore covers the Cluster-level hot API: pin, serve, decay,
-// capacity bound, and the gauge's lazy purge.
-func TestClusterHotStore(t *testing.T) {
-	now := time.Unix(0, 0)
-	c, err := New(Config{
-		Self:         "http://self",
-		Peers:        []string{"http://self"},
-		HotThreshold: 2,
-		HotWindow:    10 * time.Second,
-		HotCapacity:  2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.hot.now = func() time.Time { return now }
-
-	c.TouchHot("k")
-	if !c.TouchHot("k") {
-		t.Fatal("second touch did not promote")
-	}
-	c.HotPut("k", "answer")
-	if v, ok := c.HotGet("k"); !ok || v != "answer" {
-		t.Fatalf("HotGet = (%v, %v), want the pinned answer", v, ok)
-	}
-	if c.HotKeys() != 1 {
-		t.Fatalf("HotKeys = %d, want 1", c.HotKeys())
-	}
-
-	// Capacity: a third pin is rejected, existing pins still update.
-	c.HotPut("k2", 1)
-	c.HotPut("k3", 1)
-	c.HotPut("k", "updated")
-	if c.HotKeys() != 2 {
-		t.Fatalf("HotKeys = %d, want capacity bound of 2", c.HotKeys())
-	}
-	if v, _ := c.HotGet("k"); v != "updated" {
-		t.Fatalf("HotGet = %v, want the updated pin", v)
-	}
-
-	// Decay: two quiet windows cool the key and the pin is dropped.
-	now = now.Add(25 * time.Second)
-	if _, ok := c.HotGet("k"); ok {
-		t.Fatal("cooled key still served from the hot store")
-	}
-	if c.HotKeys() != 0 {
-		t.Fatalf("HotKeys = %d after cooling, want 0", c.HotKeys())
-	}
-}
-
-// TestReplicateBestEffort: a replica put lands on the live secondary, is
-// counted, and a dead secondary only costs an error counter — never an
-// error return.
-func TestReplicateBestEffort(t *testing.T) {
-	var gotPath atomic.Value
-	live := &fakeTransport{fill: func(_ context.Context, path string, payload []byte) ([]byte, error) {
-		gotPath.Store(path)
-		var put ReplicaPut
-		if err := json.Unmarshal(payload, &put); err != nil {
-			return nil, err
-		}
-		if put.Path != "/v1/analyze" || string(put.Result) != `{"e":1}` {
-			return nil, fmt.Errorf("unexpected put %+v", put)
-		}
-		return []byte(`{"stored":true}`), nil
-	}}
-	dead := &fakeTransport{fill: func(context.Context, string, []byte) ([]byte, error) {
-		return nil, errors.New("refused")
-	}}
-	trs := map[string]*fakeTransport{"http://a": live, "http://b": dead}
-	c, err := New(Config{
-		Self:  "http://self",
-		Peers: []string{"http://self", "http://a", "http://b"},
-		Dial:  func(u string) PeerTransport { return trs[u] },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	find := func(primary, secondary string) string {
-		for i := 0; i < 8192; i++ {
-			k := fmt.Sprintf("key-%d", i)
-			o := c.ring().OwnersN(k, 2)
-			if len(o) == 2 && o[0] == primary && o[1] == secondary {
-				return k
-			}
-		}
-		t.Fatalf("no key with owner pair [%s, %s]", primary, secondary)
-		return ""
-	}
-
-	ctx := context.Background()
-	keyLive := find("http://self", "http://a")
-	if sent := c.Replicate(ctx, keyLive, "/v1/analyze", []byte(`{}`), []byte(`{"e":1}`), false); sent != 1 {
-		t.Fatalf("Replicate to live secondary sent %d, want 1", sent)
-	}
-	if gotPath.Load() != ReplicaPath {
-		t.Fatalf("replica put path = %v, want %s", gotPath.Load(), ReplicaPath)
-	}
-	keyDead := find("http://self", "http://b")
-	if sent := c.Replicate(ctx, keyDead, "/v1/analyze", []byte(`{}`), []byte(`{"e":1}`), false); sent != 0 {
-		t.Fatalf("Replicate to dead secondary sent %d, want 0", sent)
-	}
-	if got := c.vars.Get(vReplicaPutErrors).(*expvar.Int).Value(); got == 0 {
-		t.Fatal("dead-secondary put not counted in replica_put_errors")
 	}
 }

@@ -22,16 +22,6 @@ var (
 	// discarded and the caller computes locally; the peer's health is
 	// unaffected (the wire exchange succeeded).
 	fpFillDecode = failpoint.New("cluster.fill.decode")
-	// fpOwnerFailover fires when a fill moves past the primary owner to a
-	// backup, modeling a broken failover path: the armed fault abandons
-	// the owner walk and the caller computes locally, so even a failed
-	// failover only costs dedup.
-	fpOwnerFailover = failpoint.New("cluster.owner.failover")
-	// fpReplicaPut fires before each write-through replica put. An armed
-	// fault drops that copy (counted in replica_put_errors); replication
-	// is best effort, so the computed answer is still served and cached
-	// locally.
-	fpReplicaPut = failpoint.New("cluster.replica.put")
 	// fpMembershipSwap fires at the head of every membership ring swap,
 	// before any state is touched. An armed fault rejects the Join/Leave/
 	// Set wholesale: the epoch does not advance and the previous ring

@@ -8,7 +8,7 @@
 // node's /readyz before the test drives load.
 //
 // Nodes are real service.Servers with real cluster views, so harness
-// tests exercise the same ring lookup, replicated peer fill, loop guard,
+// tests exercise the same ring lookup, peer fill, loop guard,
 // and health tracking code paths production runs — only the wire between
 // peers is swapped for an interceptable in-process edge. Join and Leave
 // drive the same runtime membership controller production exposes, so
@@ -37,15 +37,6 @@ type Options struct {
 	// Replicas is the ring's virtual-node count per peer; 0 means
 	// cluster.DefaultReplicas.
 	Replicas int
-	// Replication is the ownership factor R (how many peers own each
-	// key); 0 means cluster.DefaultReplication.
-	Replication int
-	// HotThreshold, HotWindow, and HotCapacity tune per-node hot-key
-	// detection; zero values take the cluster defaults. Tests drop the
-	// threshold to 2-3 so a handful of requests promotes a key.
-	HotThreshold int
-	HotWindow    time.Duration
-	HotCapacity  int
 	// Service is the base per-node configuration. Cluster and OnCompute
 	// are overwritten per node; everything else applies to every node.
 	Service service.Config
@@ -198,10 +189,6 @@ func (nw *Network) newNode(index int, url string, ln net.Listener, peers []strin
 		Self:             url,
 		Peers:            peers,
 		Replicas:         nw.opts.Replicas,
-		Replication:      nw.opts.Replication,
-		HotThreshold:     nw.opts.HotThreshold,
-		HotWindow:        nw.opts.HotWindow,
-		HotCapacity:      nw.opts.HotCapacity,
 		FailureThreshold: nw.opts.FailureThreshold,
 		DownCooldown:     nw.opts.DownCooldown,
 		Dial: func(u string) cluster.PeerTransport {
@@ -274,7 +261,7 @@ func (n *Node) WaitReady(ctx context.Context) error {
 // Owner resolves the home node index for a canonical cache key, asking
 // the first live node's ring (every live view agrees by construction).
 // The returned index may name a killed node — that is exactly what
-// failover tests want to know.
+// kill tests want to know.
 func (nw *Network) Owner(key string) (int, error) {
 	for _, n := range nw.Nodes {
 		if n.Killed() {
@@ -294,39 +281,9 @@ func (nw *Network) Owner(key string) (int, error) {
 	return -1, errors.New("harness: no live nodes")
 }
 
-// Owners resolves the replicated owner set (node indexes, primary first)
-// for a canonical cache key from the first live node's ring.
-func (nw *Network) Owners(key string) ([]int, error) {
-	for _, n := range nw.Nodes {
-		if n.Killed() {
-			continue
-		}
-		owners, err := n.Cluster.Owners(key)
-		if err != nil {
-			return nil, err
-		}
-		idx := make([]int, 0, len(owners))
-		for _, o := range owners {
-			found := -1
-			for _, m := range nw.Nodes {
-				if m.URL == o {
-					found = m.Index
-					break
-				}
-			}
-			if found < 0 {
-				return nil, fmt.Errorf("harness: owner %q is not a member", o)
-			}
-			idx = append(idx, found)
-		}
-		return idx, nil
-	}
-	return nil, errors.New("harness: no live nodes")
-}
-
-// Kill stops node i — it drains and leaves the cluster, its listener
-// closes, and subsequent fills homed there fail over to the key's other
-// owners on the survivors. Idempotent.
+// Kill stops node i — it drains, its listener closes, and until the
+// survivors evict it (Leave) their fills for keys homed there fail and
+// fall back to local compute. Idempotent.
 func (nw *Network) Kill(ctx context.Context, i int) error {
 	n := nw.Nodes[i]
 	if n.killed.Swap(true) {
@@ -416,14 +373,6 @@ func (nw *Network) Heal(i, j int) {
 	nw.setBlocked(i, j, false)
 	nw.setBlocked(j, i, false)
 }
-
-// PartitionDirected blocks only the i→j direction: i's fills and probes
-// toward j fail while j can still reach i — the asymmetric-partition
-// primitive (a half-broken link, the classic gray failure).
-func (nw *Network) PartitionDirected(i, j int) { nw.setBlocked(i, j, true) }
-
-// HealDirected restores the i→j direction.
-func (nw *Network) HealDirected(i, j int) { nw.setBlocked(i, j, false) }
 
 func (nw *Network) setBlocked(i, j int, blocked bool) {
 	if e := nw.Nodes[i].edge(nw.Nodes[j].URL); e != nil {

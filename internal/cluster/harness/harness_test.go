@@ -3,13 +3,18 @@ package harness
 import (
 	"context"
 	"expvar"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"torusnet/internal/cliutil"
+	"torusnet/internal/core"
 	"torusnet/internal/failpoint"
+	"torusnet/internal/load"
 	"torusnet/internal/service"
+	"torusnet/internal/torus"
 )
 
 // testConfig is the per-node service config every harness test uses:
@@ -20,26 +25,34 @@ func testConfig() service.Config {
 	return service.Config{Workers: 4, DegradeWatermark: -1}
 }
 
-// computeCounter records every pooled computation cluster-wide.
+// computeCounter records every pooled computation cluster-wide: for each
+// key, the node index of each compute in order.
 type computeCounter struct {
-	mu     sync.Mutex
-	counts map[string]int
+	mu    sync.Mutex
+	nodes map[string][]int
 }
 
 func newComputeCounter() *computeCounter {
-	return &computeCounter{counts: make(map[string]int)}
+	return &computeCounter{nodes: make(map[string][]int)}
 }
 
 func (c *computeCounter) hook(node int, key string) {
 	c.mu.Lock()
-	c.counts[key]++
+	c.nodes[key] = append(c.nodes[key], node)
 	c.mu.Unlock()
 }
 
 func (c *computeCounter) get(key string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.counts[key]
+	return len(c.nodes[key])
+}
+
+// where returns the nodes that computed key, in compute order.
+func (c *computeCounter) where(key string) []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]int(nil), c.nodes[key]...)
 }
 
 // analyzeFixture returns a small analyze request and its canonical cache
@@ -157,9 +170,8 @@ func TestClusterSingleGlobalCompute(t *testing.T) {
 	}
 
 	// The compute happened on the home shard; every other node was served
-	// by a peer fill or by the write-through replica the home pushed (the
-	// secondary owner may receive the replica before its own fill runs,
-	// so non-owners see at most one fill), and the home saw hop requests.
+	// by exactly one peer fill (its own requests coalesce behind it), and
+	// the home saw hop requests.
 	owner, err := nw.Owner(key)
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +187,8 @@ func TestClusterSingleGlobalCompute(t *testing.T) {
 			}
 			continue
 		}
-		if fills := intVar(t, vars, "peer_fills"); fills > 1 {
-			t.Errorf("node %d peer_fills = %d, want <= 1", n.Index, fills)
+		if fills := intVar(t, vars, "peer_fills"); fills != 1 {
+			t.Errorf("node %d peer_fills = %d, want 1", n.Index, fills)
 		}
 		if ferr := intVar(t, vars, "peer_fill_errors"); ferr != 0 {
 			t.Errorf("node %d peer_fill_errors = %d, want 0", n.Index, ferr)
@@ -263,8 +275,7 @@ func TestClusterKillHomeMidLoad(t *testing.T) {
 	}
 
 	// A fresh key homed on the dead node must still be answerable: the
-	// fill walks past the dead primary to the key's backup owner — either
-	// the asked survivor itself (local compute) or the other survivor.
+	// survivor's fill toward the dead owner fails and it computes locally.
 	survivor := (owner + 1) % len(nw.Nodes)
 	freshReq, freshKey := findKeyOwnedBy(t, nw, owner, map[string]bool{key: true})
 	freshTruth := singleNodeTruth(t, ctx, freshReq)
@@ -275,8 +286,8 @@ func TestClusterKillHomeMidLoad(t *testing.T) {
 	if !sameAnswer(resp, freshTruth) {
 		t.Fatalf("survivor answer for %q diverges from single-node truth: %+v vs %+v", freshKey, resp, freshTruth)
 	}
-	if fo := clusterCounter(nw.Nodes[survivor], "failovers"); fo < 1 {
-		t.Errorf("survivor failovers = %d, want >= 1 (the walk must have stepped past the dead primary)", fo)
+	if lost := clusterCounter(nw.Nodes[survivor], "fill_errors") + clusterCounter(nw.Nodes[survivor], "fill_skips"); lost < 1 {
+		t.Errorf("survivor fill_errors+fill_skips = %d, want >= 1 (the fill toward the dead owner must fail)", lost)
 	}
 }
 
@@ -299,33 +310,14 @@ func TestClusterPartitionFallsBackLocal(t *testing.T) {
 	nw := startNetwork(t, ctx, Options{Nodes: 3, Service: testConfig(), OnCompute: counter.hook})
 
 	req, key := analyzeFixture(t, 6, 2, "odr")
-	owners, err := nw.Owners(key)
+	owner, err := nw.Owner(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := owners[0]
-	// The requester must not itself be an owner of key: otherwise the
-	// failover walk would legitimately stop at self and count no fill
-	// error. Partition it from BOTH owners so every fill attempt fails.
-	requester := -1
-	for _, n := range nw.Nodes {
-		isOwner := false
-		for _, o := range owners {
-			if n.Index == o {
-				isOwner = true
-			}
-		}
-		if !isOwner {
-			requester = n.Index
-			break
-		}
-	}
-	if requester < 0 {
-		t.Fatal("no non-owner node for the requester role")
-	}
-	for _, o := range owners {
-		nw.Partition(requester, o)
-	}
+	// The requester must not own key, or it would compute locally without
+	// trying a fill at all.
+	requester := (owner + 1) % len(nw.Nodes)
+	nw.Partition(requester, owner)
 	resp, err := nw.Nodes[requester].Client.Analyze(ctx, req)
 	if err != nil {
 		t.Fatalf("partitioned request: %v", err)
@@ -347,13 +339,10 @@ func TestClusterPartitionFallsBackLocal(t *testing.T) {
 		t.Fatalf("peer_fill_errors = %d, want >= 1", ferr)
 	}
 
-	// Heal and verify fills resume. The local fallback's write-through
-	// replica puts also failed across the partition, so the owners may be
-	// marked down; poll with fresh keys until the cooldown + readiness
-	// probe re-admits them and a fill lands.
-	for _, o := range owners {
-		nw.Heal(requester, o)
-	}
+	// Heal and verify fills resume. The owner may have been marked down;
+	// poll with fresh keys until the cooldown + readiness probe re-admits
+	// it and a fill lands.
+	nw.Heal(requester, owner)
 	exclude := map[string]bool{key: true}
 	deadline := time.NewTimer(30 * time.Second)
 	defer deadline.Stop()
@@ -458,101 +447,6 @@ func TestClusterChaosFailpointsUnderChurn(t *testing.T) {
 	}
 }
 
-// ownersAndSpare resolves a key's replicated owner set plus one node that
-// owns nothing of it, failing the test if the 3-node layout is degenerate.
-func ownersAndSpare(t *testing.T, nw *Network, key string) (primary, secondary, spare int) {
-	t.Helper()
-	owners, err := nw.Owners(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(owners) != 2 {
-		t.Fatalf("owners for %q = %v, want a pair", key, owners)
-	}
-	spare = -1
-	for _, n := range nw.Nodes {
-		if n.Index != owners[0] && n.Index != owners[1] {
-			spare = n.Index
-			break
-		}
-	}
-	if spare < 0 {
-		t.Fatalf("no non-owner node for %q in a 3-node cluster", key)
-	}
-	return owners[0], owners[1], spare
-}
-
-// TestClusterReplicaSurvivesKill is the replication acceptance test: warm
-// a key at its home, kill the home, and the very next request for it is
-// served exact from the secondary's write-through replica — zero
-// recomputes cluster-wide.
-func TestClusterReplicaSurvivesKill(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	counter := newComputeCounter()
-	req, key := analyzeFixture(t, 6, 2, "odr")
-	truth := singleNodeTruth(t, ctx, req)
-	nw := startNetwork(t, ctx, Options{Nodes: 3, Service: testConfig(), OnCompute: counter.hook})
-
-	primary, secondary, spare := ownersAndSpare(t, nw, key)
-
-	// Warm at the home only. The flight leader write-through-replicates
-	// synchronously, so by the time Analyze returns the secondary holds
-	// the exact bytes.
-	if resp, err := nw.Nodes[primary].Client.Analyze(ctx, req); err != nil {
-		t.Fatalf("warm primary: %v", err)
-	} else if !sameAnswer(resp, truth) {
-		t.Fatalf("primary warm answer diverges: %+v vs %+v", resp, truth)
-	}
-	vars, err := nw.Nodes[secondary].Client.Vars(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stores := intVar(t, vars, "replica_stores"); stores != 1 {
-		t.Fatalf("secondary replica_stores = %d after warm, want 1", stores)
-	}
-	if puts := clusterCounter(nw.Nodes[primary], "replica_puts"); puts != 1 {
-		t.Fatalf("primary replica_puts = %d after warm, want 1", puts)
-	}
-
-	if err := nw.KillAndWait(ctx, primary); err != nil {
-		t.Fatalf("kill primary: %v", err)
-	}
-
-	// The spare never saw the key; its fill walks past the dead primary
-	// to the secondary, which answers from the replicated cache.
-	resp, err := nw.Nodes[spare].Client.Analyze(ctx, req)
-	if err != nil {
-		t.Fatalf("post-kill request: %v", err)
-	}
-	if !sameAnswer(resp, truth) {
-		t.Fatalf("post-kill answer diverges from truth: %+v vs %+v", resp, truth)
-	}
-	if got := counter.get(key); got != 1 {
-		t.Fatalf("cluster-wide computes for %q = %d, want 1 (replica must serve, not recompute)", key, got)
-	}
-	if fo := clusterCounter(nw.Nodes[spare], "failovers"); fo < 1 {
-		t.Errorf("spare failovers = %d, want >= 1", fo)
-	}
-	vars, err = nw.Nodes[spare].Client.Vars(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fills := intVar(t, vars, "peer_fills"); fills != 1 {
-		t.Errorf("spare peer_fills = %d, want 1 (served by the secondary)", fills)
-	}
-
-	// The secondary itself also answers from its replica, not a compute.
-	if resp, err := nw.Nodes[secondary].Client.Analyze(ctx, req); err != nil {
-		t.Fatalf("secondary post-kill request: %v", err)
-	} else if !sameAnswer(resp, truth) {
-		t.Fatalf("secondary post-kill answer diverges: %+v vs %+v", resp, truth)
-	}
-	if got := counter.get(key); got != 1 {
-		t.Fatalf("computes for %q after secondary read = %d, want still 1", key, got)
-	}
-}
-
 // TestClusterJoinUnderLoad grows the cluster by one node while load runs
 // against every original node: availability must stay 100%, every answer
 // exact, and every surviving view's epoch must advance by exactly one.
@@ -642,124 +536,155 @@ func TestClusterJoinUnderLoad(t *testing.T) {
 	}
 }
 
-// TestClusterAsymmetricPartitionFailover blocks only the requester→primary
-// direction of one link (a half-broken wire, the classic gray failure):
-// the requester fails over to the secondary owner, which computes and —
-// because its own link to the primary is intact — write-through-replicates
-// back to the primary, converging the cluster despite the bad edge.
-func TestClusterAsymmetricPartitionFailover(t *testing.T) {
+// coreTruth computes req's answer the way a single node does — the paper
+// pipeline itself, core.AnalyzeCtx with the service's load options — and
+// fails the test unless resp carries exactly those bytes.
+func coreTruth(t *testing.T, req service.AnalyzeRequest, resp *service.AnalyzeResponse) {
+	t.Helper()
+	canon := req
+	if err := canon.Canonicalize(service.DefaultMaxNodes); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := cliutil.ParsePlacement(canon.Placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := spec.Build(torus.New(canon.K, canon.D))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg, err := cliutil.ParseRouting(canon.Routing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := core.AnalyzeCtx(context.Background(), p, alg, load.Options{Workers: 1})
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if resp.Degraded || !same(resp.EMax, rep.Load.Max) || !same(resp.TotalLoad, rep.Load.Total) ||
+		!same(resp.LoadPerProcessor, rep.LoadPerProcessor) || !same(resp.DensityC, rep.DensityC) ||
+		resp.MaxEdge != p.Torus().EdgeString(rep.Load.MaxEdge) || resp.Engine != rep.Load.Engine ||
+		resp.Exact != rep.Load.Exact {
+		t.Fatalf("%s answer %+v differs from core.AnalyzeCtx (E_max %v, total %v, edge %s, engine %s)",
+			canon.CacheKey(), resp, rep.Load.Max, rep.Load.Total, p.Torus().EdgeString(rep.Load.MaxEdge), rep.Load.Engine)
+	}
+}
+
+// TestClusterOneOwnerKillLeave is the one-owner acceptance test. Keys
+// warmed on every node are still answered exactly by the survivors once
+// their owner is killed. Keys warmed only at that owner are lost with it;
+// once the survivors evict it (a ring swap), each lost key is computed
+// exactly once cluster-wide: its new owner computes it and the other
+// survivor peer-fills it from there.
+func TestClusterOneOwnerKillLeave(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	counter := newComputeCounter()
 	nw := startNetwork(t, ctx, Options{Nodes: 3, Service: testConfig(), OnCompute: counter.hook})
 
-	req, key := analyzeFixture(t, 6, 2, "odr")
-	primary, secondary, spare := ownersAndSpare(t, nw, key)
-
-	nw.PartitionDirected(spare, primary)
-	resp, err := nw.Nodes[spare].Client.Analyze(ctx, req)
-	if err != nil {
-		t.Fatalf("request across the broken direction: %v", err)
-	}
-	if resp.Degraded {
-		t.Fatal("asymmetric-partition answer degraded")
-	}
-	if got := counter.get(key); got != 1 {
-		t.Fatalf("computes for %q = %d, want 1 (on the secondary)", key, got)
-	}
-	if fo := clusterCounter(nw.Nodes[spare], "failovers"); fo < 1 {
-		t.Errorf("requester failovers = %d, want >= 1", fo)
-	}
-	vars, err := nw.Nodes[spare].Client.Vars(ctx)
+	first, firstKey := analyzeFixture(t, 6, 2, "odr")
+	victim, err := nw.Owner(firstKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fills := intVar(t, vars, "peer_fills"); fills != 1 {
-		t.Errorf("requester peer_fills = %d, want 1 (served by the secondary)", fills)
+	taken := map[string]bool{firstKey: true}
+	pick := func() (service.AnalyzeRequest, string) {
+		req, key := findKeyOwnedBy(t, nw, victim, taken)
+		taken[key] = true
+		return req, key
 	}
-	svars, err := nw.Nodes[secondary].Client.Vars(ctx)
-	if err != nil {
-		t.Fatal(err)
+	shared := []service.AnalyzeRequest{first}
+	sharedKeys := []string{firstKey}
+	req, key := pick()
+	shared, sharedKeys = append(shared, req), append(sharedKeys, key)
+	var lost []service.AnalyzeRequest
+	var lostKeys []string
+	for i := 0; i < 2; i++ {
+		req, key := pick()
+		lost, lostKeys = append(lost, req), append(lostKeys, key)
 	}
-	if hops := intVar(t, svars, "peer_hops"); hops < 1 {
-		t.Errorf("secondary peer_hops = %d, want >= 1 (it served the failover fill)", hops)
-	}
-	// Convergence through the healthy direction: the secondary's compute
-	// was replicated to the primary over its own intact link.
-	vars, err = nw.Nodes[primary].Client.Vars(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stores := intVar(t, vars, "replica_stores"); stores != 1 {
-		t.Errorf("primary replica_stores = %d, want 1 (secondary→primary link is open)", stores)
-	}
-	// The primary answers from that replica without recomputing.
-	if resp, err := nw.Nodes[primary].Client.Analyze(ctx, req); err != nil {
-		t.Fatalf("primary request: %v", err)
-	} else if resp.Degraded {
-		t.Fatal("primary answered degraded")
-	}
-	if got := counter.get(key); got != 1 {
-		t.Errorf("computes for %q after primary read = %d, want still 1", key, got)
-	}
-	nw.HealDirected(spare, primary)
-}
 
-// TestClusterHotKeySpreading hammers one key until the frequency sketch
-// promotes it: the hot copy is pinned locally and pushed to every owner,
-// after which reads anywhere are hot-store hits and the cluster-wide
-// compute count stops at one.
-func TestClusterHotKeySpreading(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	counter := newComputeCounter()
-	nw := startNetwork(t, ctx, Options{
-		Nodes:        3,
-		HotThreshold: 2,
-		Service:      testConfig(),
-		OnCompute:    counter.hook,
-	})
-
-	req, key := analyzeFixture(t, 6, 2, "odr")
-	primary, secondary, spare := ownersAndSpare(t, nw, key)
-
-	// Drive the spare past the threshold: first request fills from the
-	// home, the second is the cache hit that crosses and spreads heat.
-	for i := 0; i < 4; i++ {
-		resp, err := nw.Nodes[spare].Client.Analyze(ctx, req)
-		if err != nil {
-			t.Fatalf("request %d: %v", i+1, err)
-		}
-		if resp.Degraded {
-			t.Fatalf("request %d answered degraded", i+1)
-		}
-	}
-	if got := counter.get(key); got != 1 {
-		t.Fatalf("computes for %q = %d, want 1", key, got)
-	}
-	if hot := nw.Nodes[spare].Cluster.HotKeys(); hot != 1 {
-		t.Fatalf("spare hot keys = %d after promotion, want 1", hot)
-	}
-	vars, err := nw.Nodes[spare].Client.Vars(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits := intVar(t, vars, "hot_hits"); hits < 1 {
-		t.Errorf("spare hot_hits = %d, want >= 1", hits)
-	}
-	// The promotion pushed pinned hot copies to both owners.
-	for _, idx := range []int{primary, secondary} {
-		if hot := nw.Nodes[idx].Cluster.HotKeys(); hot != 1 {
-			t.Errorf("owner node %d hot keys = %d, want 1", idx, hot)
-		}
-	}
-	// Hot reads never recompute, on any node.
 	for _, n := range nw.Nodes {
-		if _, err := n.Client.Analyze(ctx, req); err != nil {
-			t.Fatalf("hot read on node %d: %v", n.Index, err)
+		for _, req := range shared {
+			if _, err := n.Client.Analyze(ctx, req); err != nil {
+				t.Fatalf("warm node %d: %v", n.Index, err)
+			}
 		}
 	}
-	if got := counter.get(key); got != 1 {
-		t.Errorf("computes for %q after hot reads = %d, want still 1", key, got)
+	for _, req := range lost {
+		if _, err := nw.Nodes[victim].Client.Analyze(ctx, req); err != nil {
+			t.Fatalf("warm owner: %v", err)
+		}
+	}
+	for _, key := range append(append([]string(nil), sharedKeys...), lostKeys...) {
+		if got := counter.where(key); len(got) != 1 || got[0] != victim {
+			t.Fatalf("warm-up computes for %q = %v, want once on the owner %d", key, got, victim)
+		}
+	}
+
+	if err := nw.KillAndWait(ctx, victim); err != nil {
+		t.Fatalf("kill owner %d: %v", victim, err)
+	}
+	var survivors []*Node
+	for _, n := range nw.Nodes {
+		if n.Index != victim {
+			survivors = append(survivors, n)
+		}
+	}
+	answer := func(n *Node, req service.AnalyzeRequest) {
+		t.Helper()
+		resp, err := n.Client.Analyze(ctx, req)
+		if err != nil {
+			t.Fatalf("node %d: %v", n.Index, err)
+		}
+		coreTruth(t, req, resp)
+	}
+	// Warm keys live in every survivor's LRU: exact, and never recomputed.
+	for _, n := range survivors {
+		for _, req := range shared {
+			answer(n, req)
+		}
+	}
+	for _, key := range sharedKeys {
+		if got := counter.get(key); got != 1 {
+			t.Fatalf("computes for warm key %q after the kill = %d, want still 1", key, got)
+		}
+	}
+
+	if err := nw.Leave(ctx, victim); err != nil {
+		t.Fatalf("leave %d: %v", victim, err)
+	}
+	fills := func(n *Node) int64 {
+		t.Helper()
+		vars, err := n.Client.Vars(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return intVar(t, vars, "peer_fills")
+	}
+	for i, req := range lost {
+		owner, err := nw.Owner(lostKeys[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owner == victim {
+			t.Fatalf("%q still owned by the evicted node %d", lostKeys[i], victim)
+		}
+		other := survivors[0]
+		if other.Index == owner {
+			other = survivors[1]
+		}
+		before := fills(other)
+		answer(other, req)
+		answer(nw.Nodes[owner], req)
+		if got := counter.where(lostKeys[i]); len(got) != 2 || got[1] != owner {
+			t.Fatalf("computes for lost key %q = %v, want the evicted owner's plus one on the new owner %d", lostKeys[i], got, owner)
+		}
+		if got := fills(other) - before; got != 1 {
+			t.Fatalf("node %d peer fills for lost key %q = %d, want 1 (from the new owner)", other.Index, lostKeys[i], got)
+		}
+	}
+	for _, n := range survivors {
+		for _, req := range append(append([]service.AnalyzeRequest(nil), shared...), lost...) {
+			answer(n, req)
+		}
 	}
 }

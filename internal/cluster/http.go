@@ -7,27 +7,22 @@ import (
 
 // Handler returns the /debug/cluster handler for the torusd debug sidecar:
 // GET serves the Status snapshot as JSON, and ?key=<canonical cache key>
-// additionally reports the key's ordered owner list (the smoke script uses
-// this to find — and then kill — the home shard of a hot key, and to know
-// which surviving replica must answer for it).
+// additionally reports the key's owner (the smoke script uses this to
+// find — and then kill — the home shard of a hot key).
 func (c *Cluster) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		resp := struct {
 			Status
-			Key    string   `json:"key,omitempty"`
-			Owner  string   `json:"owner,omitempty"`
-			Owners []string `json:"owners,omitempty"`
+			Key   string `json:"key,omitempty"`
+			Owner string `json:"owner,omitempty"`
 		}{Status: c.Status()}
 		if key := r.URL.Query().Get("key"); key != "" {
-			owners, err := c.Owners(key)
+			owner, err := c.Owner(key)
 			if err != nil {
 				http.Error(w, "cluster: ring lookup failed: "+err.Error(), http.StatusInternalServerError)
 				return
 			}
-			resp.Key, resp.Owners = key, owners
-			if len(owners) > 0 {
-				resp.Owner = owners[0]
-			}
+			resp.Key, resp.Owner = key, owner
 		}
 		w.Header().Set("Content-Type", "application/json")
 		if err := json.NewEncoder(w).Encode(resp); err != nil {

@@ -17,9 +17,10 @@ import (
 // applies whatever it is told, and the deployment is responsible for
 // telling every node the same thing (the smoke script POSTs the same
 // change to every live node's admin endpoint). During the window where
-// views disagree, R-replication keeps answers reachable: a key's old
-// primary remains in its new owner list after any single join, and its
-// old secondary becomes the new primary after the primary leaves.
+// views disagree, answers stay available and exact: a node whose fill
+// fails (the owner it names is gone, down, or unreachable) computes
+// locally, and the peer-hop guard means a node serving a fill never fills
+// in turn, so disagreeing views cannot send a request around a loop.
 type Membership struct {
 	c *Cluster
 }

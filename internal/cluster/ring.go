@@ -96,43 +96,6 @@ func (r *Ring) Owner(key string) string {
 	return r.owners[i]
 }
 
-// OwnersN returns the ordered owner list for key: up to n distinct
-// physical peers, collected by walking the ring clockwise from
-// fnv64a(key). The first element is Owner(key); each later element is the
-// next distinct peer encountered, which is exactly the peer that inherits
-// the key if every earlier owner leaves — so replicating a value on
-// OwnersN(key, R) guarantees that after any single departure the key's new
-// primary already holds it. n is clamped to the peer count; an empty ring
-// returns nil.
-func (r *Ring) OwnersN(key string, n int) []string {
-	if len(r.hashes) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(r.peers) {
-		n = len(r.peers)
-	}
-	h := hash64(key)
-	start := sort.Search(len(r.hashes), func(j int) bool { return r.hashes[j] >= h })
-	if start == len(r.hashes) {
-		start = 0
-	}
-	out := make([]string, 0, n)
-	for step := 0; step < len(r.hashes) && len(out) < n; step++ {
-		owner := r.owners[(start+step)%len(r.hashes)]
-		dup := false
-		for _, o := range out {
-			if o == owner {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, owner)
-		}
-	}
-	return out
-}
-
 // Peers returns the ring membership, sorted. The slice is shared; callers
 // must not mutate it.
 func (r *Ring) Peers() []string { return r.peers }

@@ -10,13 +10,10 @@ var (
 	fpRingLookup     = failpoint.New("cluster.ring.lookup")
 	fpPeerDial       = failpoint.New("cluster.peer.dial")
 	fpFillDecode     = failpoint.New("cluster.fill.decode")
-	fpOwnerFailover  = failpoint.New("cluster.owner.failover")
-	fpReplicaPut     = failpoint.New("cluster.replica.put")
 	fpMembershipSwap = failpoint.New("cluster.membership.swap")
 )
 
 // Touch keeps the site variables referenced.
 func Touch() {
-	_, _, _ = fpRingLookup, fpPeerDial, fpFillDecode
-	_, _, _ = fpOwnerFailover, fpReplicaPut, fpMembershipSwap
+	_, _, _, _ = fpRingLookup, fpPeerDial, fpFillDecode, fpMembershipSwap
 }

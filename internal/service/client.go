@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"torusnet/internal/cluster"
 	"torusnet/internal/obs"
 )
 
@@ -102,11 +101,6 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, payload []b
 	}
 	if c.peerHop {
 		req.Header.Set(PeerHopHeader, "1")
-		if path == cluster.ReplicaPath {
-			// A peer-to-peer POST to the replica endpoint is a write-through
-			// put; the header tells the receiver to store without re-filling.
-			req.Header.Set(ReplicaHeader, "1")
-		}
 	}
 	if traceID := obs.TraceIDFromContext(ctx); traceID != "" {
 		// Propagate the caller's trace downstream: the trace ID rides the

@@ -7,18 +7,12 @@ package service
 // internal/cluster/harness.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"torusnet/internal/cluster"
 )
 
 // TestReadyzSingleNode pins the split: /healthz is liveness, /readyz is
@@ -129,6 +123,33 @@ func TestClusterDisabledPathAllocFree(t *testing.T) {
 	}
 }
 
+// TestExecuteCacheHitAllocFree gates the one cache-lookup site at the head
+// of execute: on the single-node path a cache hit allocates nothing,
+// whether or not the request is being load-shed.
+func TestExecuteCacheHitAllocFree(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ctx := context.Background()
+	const key = "analyze|warm"
+	compute := func(context.Context) (any, error) { return AnalyzeResponse{EMax: 1}, nil }
+	shed := func(context.Context) (any, error) { return nil, errors.New("shed on a cache hit") }
+	if _, _, err := s.execute(ctx, key, nil, compute, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		shed func(context.Context) (any, error)
+	}{{"exact", nil}, {"shed", shed}} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, cached, err := s.execute(ctx, key, nil, compute, tc.shed); err != nil || !cached {
+				t.Fatalf("%s: execute on a warm key = (cached %v, %v), want a cache hit", tc.name, cached, err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: cache-hit execute allocates %.0f times per run, want 0", tc.name, n)
+		}
+	}
+}
+
 // BenchmarkFillForDisabled is the bench face of the same contract; run with
 // -benchmem to see the 0 B/op, 0 allocs/op gate the test enforces.
 func BenchmarkFillForDisabled(b *testing.B) {
@@ -142,182 +163,6 @@ func BenchmarkFillForDisabled(b *testing.B) {
 		if f := s.fillFor(httpReq, "/v1/analyze", &req, decodeAnalyzeFill); f != nil {
 			b.Fatal("unexpected fill plan")
 		}
-	}
-}
-
-// newSoloClusterServer boots a server in cluster mode with a single-member
-// ring (self only) — enough to exercise the replica endpoint and hot store
-// without listeners or peers.
-func newSoloClusterServer(t *testing.T, ccfg cluster.Config, scfg Config) (*Server, *Client, *cluster.Cluster, func()) {
-	t.Helper()
-	if ccfg.Self == "" {
-		ccfg.Self = "http://solo"
-	}
-	cl, err := cluster.New(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scfg.Cluster = cl
-	s, c, stop := newTestServer(t, scfg)
-	return s, c, cl, stop
-}
-
-// TestReplicaEndpointStoresExactResult drives POST /v1/replica directly: a
-// valid put lands in the cache under the server-derived key, and the next
-// request for that key serves it without any compute.
-func TestReplicaEndpointStoresExactResult(t *testing.T) {
-	var computes atomic.Int64
-	_, c, _, stop := newSoloClusterServer(t, cluster.Config{}, Config{
-		Workers: 1, DegradeWatermark: -1,
-		OnCompute: func(string) { computes.Add(1) },
-	})
-	defer stop()
-	ctx := context.Background()
-
-	req := AnalyzeRequest{K: 6, D: 2, Placement: "linear", Routing: "ODR"}
-	canon := req
-	if err := canon.Canonicalize(DefaultMaxNodes); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := json.Marshal(&canon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A sentinel result no local compute would produce proves the served
-	// answer came from the replica put, not a recompute.
-	result, err := json.Marshal(AnalyzeResponse{K: 6, D: 2, EMax: 42.5, Exact: true, Engine: "generic"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	put, err := json.Marshal(cluster.ReplicaPut{Path: "/v1/analyze", Payload: payload, Result: result})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	post := func(body []byte, withHeader bool) int {
-		t.Helper()
-		httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+cluster.ReplicaPath, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		httpReq.Header.Set("Content-Type", "application/json")
-		if withHeader {
-			httpReq.Header.Set(ReplicaHeader, "1")
-		}
-		resp, err := http.DefaultClient.Do(httpReq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode
-	}
-
-	if st := post(put, false); st != http.StatusBadRequest {
-		t.Errorf("replica put without header: status = %d, want 400", st)
-	}
-	if st := post(put, true); st != http.StatusOK {
-		t.Fatalf("replica put: status = %d, want 200", st)
-	}
-	resp, err := c.Analyze(ctx, req)
-	if err != nil {
-		t.Fatalf("analyze after replica put: %v", err)
-	}
-	if !resp.Cached || resp.EMax != 42.5 {
-		t.Errorf("analyze after put: cached=%v EMax=%v, want the planted replica (42.5, cached)", resp.Cached, resp.EMax)
-	}
-	if n := computes.Load(); n != 0 {
-		t.Errorf("replica-served key computed %d times, want 0", n)
-	}
-}
-
-// TestReplicaEndpointRejectsBadPuts covers the validation wall: degraded
-// results, unknown paths, and invalid payloads are all 400s that store
-// nothing.
-func TestReplicaEndpointRejectsBadPuts(t *testing.T) {
-	s, c, _, stop := newSoloClusterServer(t, cluster.Config{}, Config{Workers: 1, DegradeWatermark: -1})
-	defer stop()
-	ctx := context.Background()
-
-	canon := AnalyzeRequest{K: 7, D: 2, Placement: "linear", Routing: "ODR"}
-	if err := canon.Canonicalize(DefaultMaxNodes); err != nil {
-		t.Fatal(err)
-	}
-	payload, _ := json.Marshal(&canon)
-	degraded, _ := json.Marshal(AnalyzeResponse{EMax: 1, Degraded: true})
-	good, _ := json.Marshal(AnalyzeResponse{EMax: 1, Exact: true})
-
-	post := func(put cluster.ReplicaPut) int {
-		t.Helper()
-		body, err := json.Marshal(put)
-		if err != nil {
-			t.Fatal(err)
-		}
-		httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+cluster.ReplicaPath, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		httpReq.Header.Set(ReplicaHeader, "1")
-		resp, err := http.DefaultClient.Do(httpReq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode
-	}
-
-	cases := []struct {
-		name string
-		put  cluster.ReplicaPut
-	}{
-		{"degraded result", cluster.ReplicaPut{Path: "/v1/analyze", Payload: payload, Result: degraded}},
-		{"unknown path", cluster.ReplicaPut{Path: "/v1/unknown", Payload: payload, Result: good}},
-		{"invalid payload", cluster.ReplicaPut{Path: "/v1/analyze", Payload: []byte(`{"k":-1}`), Result: good}},
-		{"unknown experiment", cluster.ReplicaPut{Path: "/v1/experiments/nope", Payload: []byte(`{}`), Result: good}},
-	}
-	for _, tc := range cases {
-		if st := post(tc.put); st != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", tc.name, st)
-		}
-	}
-	if n := s.metrics.get(mReplicaStores); n != 0 {
-		t.Errorf("replica_stores = %d after only invalid puts, want 0", n)
-	}
-}
-
-// TestHotKeyPromotionServesFromHotStore drives one key past the hot
-// threshold and asserts later requests are served from the pinned hot
-// store (counted in hot_hits), bypassing cache and pool entirely.
-func TestHotKeyPromotionServesFromHotStore(t *testing.T) {
-	var computes atomic.Int64
-	_, c, cl, stop := newSoloClusterServer(t,
-		cluster.Config{HotThreshold: 2},
-		Config{Workers: 1, DegradeWatermark: -1, OnCompute: func(string) { computes.Add(1) }})
-	defer stop()
-	ctx := context.Background()
-
-	req := AnalyzeRequest{K: 6, D: 2, Placement: "linear", Routing: "ODR"}
-	// 1st request: compute; 2nd: cache hit that crosses the threshold and
-	// pins; 3rd+: hot-store hits.
-	first, err := c.Analyze(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		resp, err := c.Analyze(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resp.Cached || resp.EMax != first.EMax {
-			t.Fatalf("request %d: cached=%v EMax=%v, want cached exact %v", i+2, resp.Cached, resp.EMax, first.EMax)
-		}
-	}
-	if n := computes.Load(); n != 1 {
-		t.Errorf("hot key computed %d times, want 1", n)
-	}
-	if cl.HotKeys() != 1 {
-		t.Errorf("HotKeys = %d after promotion, want 1", cl.HotKeys())
 	}
 }
 

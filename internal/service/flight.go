@@ -1,6 +1,9 @@
 package service
 
-import "sync"
+import (
+	"runtime/debug"
+	"sync"
+)
 
 // flightGroup coalesces concurrent calls with the same key: the first
 // caller (leader) runs fn, later callers block until the leader finishes
@@ -24,7 +27,9 @@ func newFlightGroup() *flightGroup {
 // do executes fn once per key among concurrent callers. shared reports
 // whether this caller received another caller's result. Followers inherit
 // the leader's error; the leader's per-request deadline therefore bounds
-// every waiter.
+// every waiter. A panic in fn becomes a *panicError for the leader and
+// every follower, and the key is released either way, so one poisoned
+// call can never wedge later requests for its key.
 func (g *flightGroup) do(key string, fn func() (any, error)) (val any, err error, shared bool) {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
@@ -36,11 +41,16 @@ func (g *flightGroup) do(key string, fn func() (any, error)) (val any, err error
 	g.calls[key] = c
 	g.mu.Unlock()
 
+	defer func() {
+		if r := recover(); r != nil {
+			c.val, c.err = nil, &panicError{value: r, stack: debug.Stack()}
+		}
+		g.mu.Lock()
+		delete(g.calls, key)
+		g.mu.Unlock()
+		close(c.done)
+		val, err = c.val, c.err
+	}()
 	c.val, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
 	return c.val, c.err, false
 }

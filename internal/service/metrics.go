@@ -65,8 +65,6 @@ const (
 	mPeerFillErrors = "peer_fill_errors"
 	mPeerHops       = "peer_hops"
 	mAnalyticHits   = "analytic_hits"
-	mHotHits        = "hot_hits"
-	mReplicaStores  = "replica_stores"
 	mJobsSubmitted  = "jobs_submitted"
 	mJobsDone       = "jobs_done"
 	mJobsFailed     = "jobs_failed"
@@ -91,7 +89,6 @@ func newMetrics() *metrics {
 		mCacheHits, mCacheMisses, mCoalesced, mInFlight,
 		mWriteErrors, mLatencyMSTotal, mDegraded, mSlow,
 		mPeerFills, mPeerFillErrors, mPeerHops, mAnalyticHits,
-		mHotHits, mReplicaStores,
 		mJobsSubmitted, mJobsDone, mJobsFailed,
 		mJobsCancelled, mJobsRejected, mJobsExpired,
 	} {
@@ -155,8 +152,6 @@ var promSchema = []struct {
 	{mPeerFillErrors, "torusd_peer_fill_errors_total", "peer fills lost to ring, dial, or decode failures", false},
 	{mPeerHops, "torusd_peer_hops_total", "fill requests served on behalf of cluster peers", false},
 	{mAnalyticHits, "torusd_analytic_hits_total", "analyze requests answered by the closed-form fast lane", false},
-	{mHotHits, "torusd_hot_hits_total", "requests served from the pinned hot-key store", false},
-	{mReplicaStores, "torusd_replica_stores_total", "write-through replica puts accepted from peers", false},
 	{mJobsSubmitted, "torusd_jobs_submitted_total", "async search jobs accepted by /v1/optimize", false},
 	{mJobsDone, "torusd_jobs_done_total", "async search jobs that completed successfully", false},
 	{mJobsFailed, "torusd_jobs_failed_total", "async search jobs that failed or timed out", false},
@@ -212,8 +207,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			float64(cl.DownPeers()))
 		obs.PromGauge(&buf, "torusd_cluster_epoch", "current membership epoch (advances on every ring swap)",
 			float64(cl.Epoch()))
-		obs.PromGauge(&buf, "torusd_hotkeys", "keys currently pinned in the hot store",
-			float64(cl.HotKeys()))
 		obs.PromHistogram(&buf, "torusd_peer_fill_seconds",
 			"latency of successful cluster peer fills", s.metrics.peerFill)
 	}

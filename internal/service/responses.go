@@ -143,13 +143,12 @@ type HealthResponse struct {
 // or "cluster" (ready reflects ring join state); the peer fields are
 // cluster-mode only.
 type ReadyResponse struct {
-	Ready       bool   `json:"ready"`
-	Mode        string `json:"mode"`
-	Self        string `json:"self,omitempty"`
-	Epoch       uint64 `json:"epoch,omitempty"`
-	Replication int    `json:"replication,omitempty"`
-	Peers       int    `json:"peers,omitempty"`
-	PeersDown   int    `json:"peers_down"`
+	Ready     bool   `json:"ready"`
+	Mode      string `json:"mode"`
+	Self      string `json:"self,omitempty"`
+	Epoch     uint64 `json:"epoch,omitempty"`
+	Peers     int    `json:"peers,omitempty"`
+	PeersDown int    `json:"peers_down"`
 }
 
 // ErrorResponse is the uniform error body of every non-200 response.

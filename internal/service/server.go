@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -230,9 +229,6 @@ func New(cfg Config) *Server {
 	if cfg.AccessLog != nil {
 		s.logger = slog.New(slog.NewJSONHandler(cfg.AccessLog, nil))
 	}
-	if cfg.Cluster != nil {
-		s.mux.HandleFunc("POST "+cluster.ReplicaPath, s.handleReplica)
-	}
 	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
 	s.mux.HandleFunc("POST /v1/bounds", s.handleBounds)
 	s.mux.HandleFunc("POST /v1/bisect", s.handleBisect)
@@ -271,14 +267,6 @@ const degradedHeader = "X-Torusd-Degraded"
 // views disagree during membership skew. NewPeerFillClient sets it on
 // every request.
 const PeerHopHeader = "X-Torusd-Peer-Hop"
-
-// ReplicaHeader marks a write-through replica put from a peer's flight
-// leader: the body is a cluster.ReplicaPut whose exact result the receiver
-// stores without re-filling or recomputing. NewPeerFillClient sets it on
-// requests to cluster.ReplicaPath; the replica handler rejects puts
-// without it so the endpoint cannot be driven by ordinary clients by
-// accident.
-const ReplicaHeader = "X-Torusd-Replica"
 
 // Handler returns the full middleware-wrapped handler, suitable for
 // httptest servers and embedding. The middleware owns request identity and
@@ -426,40 +414,36 @@ func (s *Server) cachePut(key string, v any) {
 }
 
 // peerFill is the cluster fill stage's per-request plan, built by fillFor
-// only when clustering is enabled (single-node requests carry nil and pay
-// nothing). hop means the request is itself a fill from a peer, so the
-// loop guard forbids filling again.
+// only when the request may fill from a peer (single-node requests and
+// fill hops carry nil and pay nothing).
 type peerFill struct {
 	path    string
 	payload []byte
 	decode  func([]byte) (any, error)
-	hop     bool
 }
 
 // fillFor plans the peer-fill stage for one request: nil outside cluster
-// mode, a hop-marked plan for requests arriving from peers (each counted
-// in peer_hops; the loop guard forbids filling again, but the path and
-// payload still ride along so the flight leader can write-through-
-// replicate its result), and otherwise the path + canonical payload +
-// decoder the flight leader needs to fetch the key from its owners.
-// req must be a pointer to the canonicalized request (a pointer converts
-// to any without allocating; the canonical form keeps peer cache keys
-// byte-identical to local ones).
+// mode and for requests arriving from peers (each counted in peer_hops;
+// the loop guard forbids filling again), and otherwise the path +
+// canonical payload + decoder the flight leader needs to fetch the key
+// from its owner. req must be a pointer to the canonicalized request (a
+// pointer converts to any without allocating; the canonical form keeps
+// peer cache keys byte-identical to local ones).
 func (s *Server) fillFor(r *http.Request, path string, req any, decode func([]byte) (any, error)) *peerFill {
 	if s.cfg.Cluster == nil {
 		return nil
 	}
-	hop := r.Header.Get(PeerHopHeader) != ""
-	if hop {
+	if r.Header.Get(PeerHopHeader) != "" {
 		s.metrics.add(mPeerHops, 1)
+		return nil
 	}
 	payload, err := json.Marshal(req)
 	if err != nil {
-		// A canonical request that fails to marshal cannot be forwarded or
-		// replicated; serve it locally.
-		return &peerFill{hop: true}
+		// A canonical request that fails to marshal cannot be forwarded;
+		// serve it locally.
+		return nil
 	}
-	return &peerFill{path: path, payload: payload, decode: decode, hop: hop}
+	return &peerFill{path: path, payload: payload, decode: decode}
 }
 
 // runPeerFill executes the fill plan inside the flight leader under the
@@ -485,66 +469,39 @@ func (s *Server) runPeerFill(ctx context.Context, key string, f *peerFill) (any,
 	return v, true
 }
 
-// replicate write-through-replicates a flight leader's exact result to
-// key's other owners (best effort, under the cluster.replicate span) and,
-// when the request crossed the hot threshold, pins the value in the local
-// hot store so this node serves the key without cache or pool involvement.
-// No-op outside cluster mode or when the plan carries no canonical payload.
-func (s *Server) replicate(ctx context.Context, key string, fill *peerFill, v any, hot bool) {
-	cl := s.cfg.Cluster
-	if cl == nil || fill == nil || fill.path == "" {
-		return
-	}
-	if hot {
-		cl.HotPut(key, v)
-	}
-	result, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	rctx, sp := obs.Start(ctx, "cluster.replicate")
-	defer sp.End()
-	sent := cl.Replicate(rctx, key, fill.path, fill.payload, result, hot)
-	sp.SetAttrInt("sent", int64(sent))
-	sp.SetAttrBool("hot", hot)
-}
-
-// execute is the shared hot store → cache → coalesce → [peer fill] → pool
-// path of every POST endpoint, with one span per pipeline stage
-// (cache.get, flight.do, cluster.peer_fill, pool.submit, pool.run,
-// cluster.replicate) recorded under any active trace. fill is the
-// peer-fill plan from fillFor (nil in single-node mode); placing the fill
-// inside the flight leader threads the singleflight through the cluster,
-// so N nodes asking for one key still yield one computation cluster-wide,
-// and the leader write-through-replicates its exact result to the key's
-// other owners. compute receives the trace-carrying context and must
-// return an immutable value; cached reports whether this caller was served
-// from the hot store or result cache.
-func (s *Server) execute(ctx context.Context, key string, fill *peerFill, compute func(context.Context) (any, error)) (val any, cached bool, err error) {
-	hotCrossed := false
-	if cl := s.cfg.Cluster; cl != nil {
-		if v, ok := cl.HotGet(key); ok {
-			s.metrics.add(mHotHits, 1)
-			cl.TouchHot(key)
-			return v, true, nil
-		}
-		hotCrossed = cl.TouchHot(key)
-	}
+// execute is the shared cache → coalesce → [peer fill] → pool path of
+// every POST endpoint, with one span per pipeline stage (cache.get,
+// flight.do, cluster.peer_fill, pool.submit, pool.run) recorded under any
+// active trace. fill is the peer-fill plan from fillFor (nil in
+// single-node mode); placing the fill inside the flight leader threads the
+// singleflight through the cluster, so N nodes asking for one key still
+// yield one computation cluster-wide. compute receives the trace-carrying
+// context and must return an immutable value; cached reports whether this
+// caller was served from the result cache.
+//
+// shed, when non-nil, marks a load-shed request: a cached exact answer is
+// still served (it is free), but a miss — or a failed cache read — runs
+// shed inline on the caller's goroutine, bypassing the flight, the fill,
+// and the saturated pool, and its answer is never cached.
+func (s *Server) execute(ctx context.Context, key string, fill *peerFill, compute, shed func(context.Context) (any, error)) (val any, cached bool, err error) {
 	_, csp := obs.Start(ctx, "cache.get")
 	v, ok, err := s.cacheGet(key)
 	csp.SetAttrBool("hit", ok)
 	csp.End()
-	if err != nil {
+	if err != nil && shed == nil {
 		return nil, false, err
 	}
 	if ok {
 		s.metrics.add(mCacheHits, 1)
-		if hotCrossed {
-			s.replicate(ctx, key, fill, v, true)
-		}
 		return v, true, nil
 	}
+	// A shed miss counts like any other so hit-rate math stays honest
+	// under pressure.
 	s.metrics.add(mCacheMisses, 1)
+	if shed != nil {
+		v, err := shed(ctx)
+		return v, false, err
+	}
 	fctx, fsp := obs.Start(ctx, "flight.do")
 	defer fsp.End()
 	v, err, shared := s.flight.do(key, func() (any, error) {
@@ -560,11 +517,8 @@ func (s *Server) execute(ctx context.Context, key string, fill *peerFill, comput
 			s.metrics.add(mCacheHits, 1)
 			return v, nil
 		}
-		if fill != nil && !fill.hop {
+		if fill != nil {
 			if v, ok := s.runPeerFill(fctx, key, fill); ok {
-				if hotCrossed {
-					s.replicate(fctx, key, fill, v, true)
-				}
 				return v, nil
 			}
 		}
@@ -580,7 +534,6 @@ func (s *Server) execute(ctx context.Context, key string, fill *peerFill, comput
 		})
 		if err == nil {
 			s.cachePut(key, v)
-			s.replicate(fctx, key, fill, v, hotCrossed)
 		}
 		return v, err
 	})
@@ -678,53 +631,43 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	key := req.CacheKey()
+	var fill *peerFill
+	var shed func(context.Context) (any, error)
 	if s.shouldDegrade() {
-		// Cached exact answers are free — serve them even under pressure.
-		_, csp := obs.Start(ctx, "cache.get")
-		v, ok, cerr := s.cacheGet(key)
-		csp.SetAttrBool("hit", cerr == nil && ok)
-		csp.End()
-		if cerr == nil && ok {
-			s.metrics.add(mCacheHits, 1)
-			resp := v.(AnalyzeResponse)
-			resp.Cached = true
-			s.writeJSON(w, http.StatusOK, resp)
-			return
+		// Shed: a miss answers inline with a Monte Carlo estimate. The
+		// inline gauge (not the pool gauges — no pool job exists)
+		// accounts for the work; the next uncontended request computes
+		// and caches the exact result.
+		shed = func(cctx context.Context) (any, error) {
+			s.metrics.add(mDegraded, 1)
+			s.inlineRunning.Add(1)
+			defer s.inlineRunning.Add(-1)
+			resp, err := computeDegradedAnalyze(cctx, req, s.cfg.loadOptions(), s.cfg.DegradedRounds)
+			if err != nil {
+				return nil, err
+			}
+			s.metrics.degradedErr.Observe(resp.ErrorBound)
+			return resp, nil
 		}
-		// Shed: answer inline with a Monte Carlo estimate, bypassing the
-		// saturated pool. Degraded answers are never cached — the next
-		// uncontended request computes and caches the exact result. The
-		// cache miss counts like any other so hit-rate math stays honest
-		// under pressure, and the inline gauge (not the pool gauges —
-		// no pool job exists) accounts for the work.
-		s.metrics.add(mCacheMisses, 1)
-		s.metrics.add(mDegraded, 1)
-		s.inlineRunning.Add(1)
-		resp, derr := computeDegradedAnalyze(ctx, req, s.cfg.loadOptions(), s.cfg.DegradedRounds)
-		s.inlineRunning.Add(-1)
-		if derr != nil {
-			s.failCompute(w, derr)
-			return
-		}
-		s.metrics.degradedErr.Observe(resp.ErrorBound)
-		w.Header().Set(degradedHeader, "true")
-		s.writeJSON(w, http.StatusOK, resp)
-		return
+	} else {
+		fill = s.fillFor(r, "/v1/analyze", &req, decodeAnalyzeFill)
 	}
-	v, cached, err := s.execute(ctx, key, s.fillFor(r, "/v1/analyze", &req, decodeAnalyzeFill), func(cctx context.Context) (any, error) {
+	v, cached, err := s.execute(ctx, req.CacheKey(), fill, func(cctx context.Context) (any, error) {
 		resp, err := computeAnalyze(cctx, req, s.cfg.loadOptions())
 		if err != nil {
 			return nil, err
 		}
 		return resp, nil
-	})
+	}, shed)
 	if err != nil {
 		s.failCompute(w, err)
 		return
 	}
 	resp := v.(AnalyzeResponse) // value copy; safe to stamp per-caller fields
 	resp.Cached = cached
+	if resp.Degraded {
+		w.Header().Set(degradedHeader, "true")
+	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -745,7 +688,7 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		return resp, nil
-	})
+	}, nil)
 	if err != nil {
 		s.failCompute(w, err)
 		return
@@ -772,7 +715,7 @@ func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		return resp, nil
-	})
+	}, nil)
 	if err != nil {
 		s.failCompute(w, err)
 		return
@@ -825,7 +768,7 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		return resp, nil
-	})
+	}, nil)
 	if err != nil {
 		s.failCompute(w, err)
 		return
@@ -833,107 +776,6 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	resp := v.(ExperimentRunResponse)
 	resp.Cached = cached
 	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// handleReplica accepts a write-through replica put from a peer's flight
-// leader: it derives the cache key from the put's own canonical payload —
-// never trusting a client-supplied key, so a put can only fill the entry
-// its payload hashes to — validates the exact result body with the same
-// decoder the fill path uses (degraded bodies are rejected), and stores
-// it. Hot puts are additionally pinned in the hot store, spreading a hot
-// key across all its owners.
-func (s *Server) handleReplica(w http.ResponseWriter, r *http.Request) {
-	if r.Header.Get(ReplicaHeader) == "" {
-		s.writeError(w, http.StatusBadRequest,
-			errors.New("service: replica puts require the "+ReplicaHeader+" header"))
-		return
-	}
-	var put cluster.ReplicaPut
-	if !s.readRequest(w, r, &put) {
-		return
-	}
-	key, v, err := s.decodeReplica(put)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.cachePut(key, v)
-	if put.Hot {
-		s.cfg.Cluster.HotPut(key, v)
-	}
-	s.metrics.add(mReplicaStores, 1)
-	s.writeJSON(w, http.StatusOK, struct {
-		Stored bool   `json:"stored"`
-		Key    string `json:"key"`
-	}{true, key})
-}
-
-// decodeReplica maps a replica put to its server-derived cache key and
-// typed value, mirroring each endpoint's canonicalization so replica keys
-// are byte-identical to locally computed ones.
-func (s *Server) decodeReplica(put cluster.ReplicaPut) (string, any, error) {
-	switch {
-	case put.Path == "/v1/analyze":
-		var req AnalyzeRequest
-		if err := decodeStrict(bytes.NewReader(put.Payload), &req); err != nil {
-			return "", nil, err
-		}
-		if err := req.Canonicalize(s.cfg.MaxNodes); err != nil {
-			return "", nil, err
-		}
-		v, err := decodeAnalyzeFill(put.Result)
-		if err != nil {
-			return "", nil, err
-		}
-		return req.CacheKey(), v, nil
-	case put.Path == "/v1/bounds":
-		var req BoundsRequest
-		if err := decodeStrict(bytes.NewReader(put.Payload), &req); err != nil {
-			return "", nil, err
-		}
-		if err := req.Canonicalize(s.cfg.MaxNodes); err != nil {
-			return "", nil, err
-		}
-		v, err := decodeBoundsFill(put.Result)
-		if err != nil {
-			return "", nil, err
-		}
-		return req.CacheKey(), v, nil
-	case put.Path == "/v1/bisect":
-		var req BisectRequest
-		if err := decodeStrict(bytes.NewReader(put.Payload), &req); err != nil {
-			return "", nil, err
-		}
-		if err := req.Canonicalize(s.cfg.MaxNodes); err != nil {
-			return "", nil, err
-		}
-		v, err := decodeBisectFill(put.Result)
-		if err != nil {
-			return "", nil, err
-		}
-		return req.CacheKey(), v, nil
-	case strings.HasPrefix(put.Path, "/v1/experiments/"):
-		id := strings.TrimPrefix(put.Path, "/v1/experiments/")
-		e, ok := sweep.ByID(id)
-		if !ok {
-			return "", nil, fmt.Errorf("service: replica put for unknown experiment %q", id)
-		}
-		var req ExperimentRequest
-		if len(bytes.TrimSpace(put.Payload)) > 0 {
-			if err := decodeStrict(bytes.NewReader(put.Payload), &req); err != nil {
-				return "", nil, err
-			}
-		}
-		if err := req.Canonicalize(); err != nil {
-			return "", nil, err
-		}
-		v, err := decodeExperimentFill(put.Result)
-		if err != nil {
-			return "", nil, err
-		}
-		return fmt.Sprintf("experiment|%s|%s", e.ID, req.Scale), v, nil
-	}
-	return "", nil, fmt.Errorf("service: replica put for unknown path %q", put.Path)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -957,7 +799,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		resp.Ready = cl.Ready()
 		resp.Self = cl.Self()
 		resp.Epoch = cl.Epoch()
-		resp.Replication = cl.Replication()
 		resp.Peers = len(cl.Status().Peers)
 		resp.PeersDown = cl.DownPeers()
 	}

@@ -293,13 +293,12 @@ echo "smoke: OK"
 
 # ---------------------------------------------------------------------------
 # Cluster leg (TORUSD_SMOKE_CLUSTER=1, run via `make smoke-cluster`): boot a
-# 3-node cluster with replicated ownership (R=2), verify a hot key is
-# computed exactly once cluster-wide — write-through-replicated to its
-# secondary and peer-filled by the spare — then kill the home shard and
-# prove the replica serves its warm keys with zero recompute. Finally walk
-# the dynamic-membership path: evict the dead node (epoch 2), restart it,
-# re-admit it through /debug/cluster/membership (epoch 3), and assert it
-# serves again.
+# 3-node cluster (one owner per key), verify a hot key is computed exactly
+# once cluster-wide — peer-filled by both other nodes — then kill its owner
+# mid-load and evict it (epoch 2). A second key warmed only at the dead
+# owner must then come back exact on every survivor, computed once
+# cluster-wide by its new owner. Finally restart the dead node, re-admit it
+# through /debug/cluster/membership (epoch 3), and assert it serves again.
 # ---------------------------------------------------------------------------
 if [ "${TORUSD_SMOKE_CLUSTER:-0}" != "1" ]; then
     exit 0
@@ -342,29 +341,23 @@ done
 hot_body='{"k":8,"d":2,"placement":"linear","routing":"odr"}'
 hot_key='analyze|k=8|d=2|p=linear:0|a=odr'
 
-echo "smoke-cluster: resolving the hot key's replicated owner pair via /debug/cluster"
-owners_json=$(curl -fsS --get --data-urlencode "key=${hot_key}" \
-    "http://127.0.0.1:${CDEBUG[0]}/debug/cluster")
-owner_url=$(printf '%s' "$owners_json" | jq -r '.owners[0]')
-second_url=$(printf '%s' "$owners_json" | jq -r '.owners[1]')
+echo "smoke-cluster: resolving the hot key's owner via /debug/cluster"
+owner_url=$(curl -fsS --get --data-urlencode "key=${hot_key}" \
+    "http://127.0.0.1:${CDEBUG[0]}/debug/cluster" | jq -r '.owner')
 owner_idx=""
-second_idx=""
-spare_idx=""
+others=()
 for i in 0 1 2; do
-    u="http://127.0.0.1:${CPORTS[$i]}"
-    if [ "$owner_url" = "$u" ]; then
+    if [ "$owner_url" = "http://127.0.0.1:${CPORTS[$i]}" ]; then
         owner_idx=$i
-    elif [ "$second_url" = "$u" ]; then
-        second_idx=$i
     else
-        spare_idx=$i
+        others+=("$i")
     fi
 done
-if [ -z "$owner_idx" ] || [ -z "$second_idx" ] || [ -z "$spare_idx" ]; then
-    echo "smoke-cluster: FAIL — owner pair '${owner_url}','${second_url}' does not map to distinct members" >&2
+if [ -z "$owner_idx" ]; then
+    echo "smoke-cluster: FAIL — owner '${owner_url}' is not a member" >&2
     exit 1
 fi
-echo "smoke-cluster: hot key owners: primary node ${owner_idx}, secondary node ${second_idx}, spare node ${spare_idx}"
+echo "smoke-cluster: hot key owner: node ${owner_idx}"
 
 echo "smoke-cluster: driving the hot key through every node"
 emaxes=()
@@ -382,51 +375,41 @@ if [ "${emaxes[0]}" != "${emaxes[1]}" ] || [ "${emaxes[0]}" != "${emaxes[2]}" ];
     exit 1
 fi
 
-echo "smoke-cluster: asserting one compute cluster-wide (replica + fill everywhere else)"
-# The owner computed the key once and write-through-replicated it to the
-# secondary before answering; the secondary therefore serves from its
-# replicated cache with zero fills, while the spare answers via one fill.
+echo "smoke-cluster: asserting one compute cluster-wide (one peer fill on every other node)"
+# The owner computed the key once; each other node missed, filled it from
+# the owner with one peer fill, and cached it.
 curl -fsS "http://127.0.0.1:${CPORTS[$owner_idx]}/debug/vars" \
-    | jq -e '.torusd.cache_misses == 1 and .torusd.peer_hops >= 1 and .torusd.cluster.replica_puts >= 1' >/dev/null || {
-    echo "smoke-cluster: FAIL — owner counters do not show one compute plus a replica put" >&2
+    | jq -e '.torusd.cache_misses == 1 and .torusd.peer_hops >= 1' >/dev/null || {
+    echo "smoke-cluster: FAIL — owner counters do not show exactly one compute" >&2
     curl -fsS "http://127.0.0.1:${CPORTS[$owner_idx]}/debug/vars" | jq '.torusd' >&2
     exit 1
 }
-curl -fsS "http://127.0.0.1:${CPORTS[$second_idx]}/debug/vars" \
-    | jq -e '.torusd.peer_fills == 0 and .torusd.replica_stores >= 1 and .torusd.cache_hits >= 1' >/dev/null || {
-    echo "smoke-cluster: FAIL — secondary did not serve the hot key from its write-through replica" >&2
-    curl -fsS "http://127.0.0.1:${CPORTS[$second_idx]}/debug/vars" | jq '.torusd' >&2
-    exit 1
-}
-curl -fsS "http://127.0.0.1:${CPORTS[$spare_idx]}/debug/vars" \
-    | jq -e '.torusd.peer_fills == 1 and .torusd.cluster.fills == 1 and .torusd.cluster.fill_errors == 0' >/dev/null || {
-    echo "smoke-cluster: FAIL — spare did not answer the hot key via one peer fill" >&2
-    curl -fsS "http://127.0.0.1:${CPORTS[$spare_idx]}/debug/vars" | jq '.torusd' >&2
-    exit 1
-}
+for i in "${others[@]}"; do
+    curl -fsS "http://127.0.0.1:${CPORTS[$i]}/debug/vars" \
+        | jq -e '.torusd.peer_fills == 1 and .torusd.cluster.fills == 1 and .torusd.cluster.fill_errors == 0' >/dev/null || {
+        echo "smoke-cluster: FAIL — node $i did not answer the hot key via one peer fill" >&2
+        curl -fsS "http://127.0.0.1:${CPORTS[$i]}/debug/vars" | jq '.torusd' >&2
+        exit 1
+    }
+done
 
-echo "smoke-cluster: warming a second key at its home only (replica must receive it)"
-# K2 is homed on the same (about-to-die) primary; warmed only through the
-# primary, so after the kill the ONLY warm copies are the write-through
-# replicas — serving it then proves zero cache loss.
+echo "smoke-cluster: warming a second key at its owner only"
+# K2 is homed on the same (about-to-die) owner and warmed only there, so
+# the kill loses its only cached copy.
 k2_body=""
-k2_second_idx=""
+k2_key=""
 for k in $(seq 4 20); do
     [ "$k" = "8" ] && continue
     key="analyze|k=${k}|d=2|p=linear:0|a=odr"
-    oj=$(curl -fsS --get --data-urlencode "key=${key}" \
-        "http://127.0.0.1:${CDEBUG[0]}/debug/cluster")
-    o=$(printf '%s' "$oj" | jq -r '.owners[0]')
-    s2=$(printf '%s' "$oj" | jq -r '.owners[1]')
+    o=$(curl -fsS --get --data-urlencode "key=${key}" \
+        "http://127.0.0.1:${CDEBUG[0]}/debug/cluster" | jq -r '.owner')
     if [ "$o" = "$owner_url" ]; then
         k2_body="{\"k\":${k},\"d\":2,\"placement\":\"linear\",\"routing\":\"odr\"}"
-        for i in 0 1 2; do
-            [ "$s2" = "http://127.0.0.1:${CPORTS[$i]}" ] && k2_second_idx=$i
-        done
+        k2_key=$key
         break
     fi
 done
-if [ -z "$k2_body" ] || [ -z "$k2_second_idx" ]; then
+if [ -z "$k2_body" ]; then
     echo "smoke-cluster: FAIL — no second key homed on node ${owner_idx} among k=4..20" >&2
     exit 1
 fi
@@ -437,10 +420,6 @@ if [ "$status" != "200" ]; then
     exit 1
 fi
 k2_emax=$(jq -r '.e_max' /tmp/torusd_smoke_cluster.json)
-# Snapshot the K2-secondary's cache counters: the post-kill request must
-# not move cache_misses (zero recompute), only cache_hits.
-s2_misses=$(curl -fsS "http://127.0.0.1:${CPORTS[$k2_second_idx]}/debug/vars" | jq -r '.torusd.cache_misses')
-s2_hits=$(curl -fsS "http://127.0.0.1:${CPORTS[$k2_second_idx]}/debug/vars" | jq -r '.torusd.cache_hits')
 
 echo "smoke-cluster: killing the home shard (node ${owner_idx}) mid-load"
 kill -TERM "${CPIDS[$owner_idx]}"
@@ -459,44 +438,6 @@ if [ "$failures" != "0" ]; then
     exit 1
 fi
 
-echo "smoke-cluster: K2 must be served exact from its replica — zero recompute"
-# Ask whichever survivor is NOT the K2 secondary: its fill walks past the
-# dead primary to the replica. (If the layout made the same node both the
-# hot-key spare and the K2 secondary, ask the other survivor.)
-requester=""
-for i in 0 1 2; do
-    [ "$i" = "$owner_idx" ] && continue
-    [ "$i" = "$k2_second_idx" ] && continue
-    requester=$i
-done
-[ -z "$requester" ] && requester=$k2_second_idx
-status=$(curl -sS -o /tmp/torusd_smoke_cluster.json -w '%{http_code}' \
-    -H 'Content-Type: application/json' -d "$k2_body" "http://127.0.0.1:${CPORTS[$requester]}/v1/analyze")
-if [ "$status" != "200" ]; then
-    echo "smoke-cluster: FAIL — post-kill K2 request returned ${status}" >&2
-    exit 1
-fi
-jq -e --argjson want "$k2_emax" '.e_max == $want and (.degraded // false) == false' \
-    /tmp/torusd_smoke_cluster.json >/dev/null || {
-    echo "smoke-cluster: FAIL — post-kill K2 answer diverges from the warm value ${k2_emax}:" >&2
-    cat /tmp/torusd_smoke_cluster.json >&2
-    exit 1
-}
-curl -fsS "http://127.0.0.1:${CPORTS[$k2_second_idx]}/debug/vars" > /tmp/torusd_smoke_s2.json
-jq -e --argjson m "$s2_misses" --argjson h "$s2_hits" \
-    '.torusd.cache_misses == $m and .torusd.cache_hits > $h' /tmp/torusd_smoke_s2.json >/dev/null || {
-    echo "smoke-cluster: FAIL — K2 secondary recomputed instead of serving its replica" >&2
-    jq '.torusd' /tmp/torusd_smoke_s2.json >&2
-    exit 1
-}
-if [ "$requester" != "$k2_second_idx" ]; then
-    curl -fsS "http://127.0.0.1:${CPORTS[$requester]}/debug/vars" \
-        | jq -e '.torusd.cluster.failovers >= 1' >/dev/null || {
-        echo "smoke-cluster: FAIL — requester never failed over past the dead primary" >&2
-        exit 1
-    }
-fi
-
 echo "smoke-cluster: evicting the dead node via /debug/cluster/membership"
 for i in 0 1 2; do
     [ "$i" = "$owner_idx" ] && continue
@@ -508,6 +449,50 @@ for i in 0 1 2; do
         exit 1
     fi
 done
+
+echo "smoke-cluster: K2 must come back exact on every survivor, computed once cluster-wide"
+# After the evict K2 has a new owner among the survivors. Ask the new owner
+# first (it computes), then the other survivor (it peer-fills from the new
+# owner). A node's computes are its cache misses minus its peer fills.
+k2_owner_url=$(curl -fsS --get --data-urlencode "key=${k2_key}" \
+    "http://127.0.0.1:${CDEBUG[${others[0]}]}/debug/cluster" | jq -r '.owner')
+k2_order=()
+for i in "${others[@]}"; do
+    [ "$k2_owner_url" = "http://127.0.0.1:${CPORTS[$i]}" ] && k2_order=("$i" "${k2_order[@]}") || k2_order+=("$i")
+done
+if [ "$k2_owner_url" != "http://127.0.0.1:${CPORTS[${k2_order[0]}]}" ]; then
+    echo "smoke-cluster: FAIL — K2's new owner '${k2_owner_url}' is not a survivor" >&2
+    exit 1
+fi
+node_computes() {
+    curl -fsS "http://127.0.0.1:${CPORTS[$1]}/debug/vars" | jq -r '.torusd.cache_misses - .torusd.peer_fills'
+}
+computes_before=0
+for i in "${others[@]}"; do
+    computes_before=$((computes_before + $(node_computes "$i")))
+done
+for i in "${k2_order[@]}"; do
+    status=$(curl -sS -o /tmp/torusd_smoke_cluster.json -w '%{http_code}' \
+        -H 'Content-Type: application/json' -d "$k2_body" "http://127.0.0.1:${CPORTS[$i]}/v1/analyze")
+    if [ "$status" != "200" ]; then
+        echo "smoke-cluster: FAIL — post-kill K2 request on node $i returned ${status}" >&2
+        exit 1
+    fi
+    jq -e --argjson want "$k2_emax" '.e_max == $want and (.degraded // false) == false' \
+        /tmp/torusd_smoke_cluster.json >/dev/null || {
+        echo "smoke-cluster: FAIL — node $i K2 answer diverges from the pre-kill value ${k2_emax}:" >&2
+        cat /tmp/torusd_smoke_cluster.json >&2
+        exit 1
+    }
+done
+computes_after=0
+for i in "${others[@]}"; do
+    computes_after=$((computes_after + $(node_computes "$i")))
+done
+if [ $((computes_after - computes_before)) != "1" ]; then
+    echo "smoke-cluster: FAIL — K2 computed $((computes_after - computes_before)) times cluster-wide after the evict, want 1" >&2
+    exit 1
+fi
 
 echo "smoke-cluster: restarting node ${owner_idx} and re-admitting it"
 "$BIN" -addr "127.0.0.1:${CPORTS[$owner_idx]}" -debug-addr "127.0.0.1:${CDEBUG[$owner_idx]}" \

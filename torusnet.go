@@ -611,32 +611,15 @@ type (
 	// ClusterMembership is a Cluster's runtime membership controller:
 	// Join/Leave/Set swap the ring at a new epoch without a restart.
 	ClusterMembership = cluster.Membership
-	// ClusterReplicaPut is the wire body of a write-through replica put
-	// (canonical request plus the exact result bytes to store).
-	ClusterReplicaPut = cluster.ReplicaPut
 )
 
 // DefaultRingReplicas is the virtual-node count per peer used when a ring
 // is built with replicas <= 0.
 const DefaultRingReplicas = cluster.DefaultReplicas
 
-// DefaultClusterReplication is the owners-per-key factor used when a
-// cluster is built with Replication <= 0: each key has a primary plus one
-// backup that receives write-through replicas of exact results.
-const DefaultClusterReplication = cluster.DefaultReplication
-
-// ClusterReplicaPath is the peer-to-peer endpoint replica puts are POSTed
-// to; torusd mounts it only in cluster mode.
-const ClusterReplicaPath = cluster.ReplicaPath
-
 // PeerHopHeader marks a request as a peer fill hop; a torusd serving a
 // request that carries it never fills onward (the cluster loop guard).
 const PeerHopHeader = service.PeerHopHeader
-
-// ReplicaHeader marks a POST to ClusterReplicaPath as a peer's
-// write-through replica put; the receiver stores the result under the
-// server-derived key without re-filling.
-const ReplicaHeader = service.ReplicaHeader
 
 // NewCluster builds one node's cluster view; pass it to
 // ServiceConfig.Cluster to enable sharded peer fill on that server.
