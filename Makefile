@@ -7,6 +7,7 @@ FUZZ_TARGETS := \
 	./internal/torus:FuzzLeeDistance \
 	./internal/torus:FuzzWrapCoord \
 	./internal/torus:FuzzTranslateEdge \
+	./internal/bisect:FuzzCuts \
 	./internal/service:FuzzDecodeAnalyzeRequest \
 	./internal/placement:FuzzRecognizeLinear \
 	./internal/cluster:FuzzHashRing \

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"torusnet/internal/core"
 	"torusnet/internal/sweep"
 )
 
@@ -293,6 +294,43 @@ func BenchmarkSweepBisection(b *testing.B) {
 			b.Fatal("unbalanced")
 		}
 	}
+}
+
+// BenchmarkAnalyzeRandomT3_8 runs the whole analysis of one cold-compute
+// request: UDR over random:64 on T³₈, one load worker. The bounds half
+// reads the shape's cached sweep table and the closed-form dimension cut,
+// so allocs/op (gated by scripts/ci_bench_smoke.sh) do not grow with k^d.
+func BenchmarkAnalyzeRandomT3_8(b *testing.B) {
+	p := benchRandomT3_8(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep := core.AnalyzeCtx(context.Background(), p, UDR{}, LoadOptions{Workers: 1}); rep.Load.Max <= 0 {
+			b.Fatal("bad result")
+		}
+	}
+}
+
+// BenchmarkBestSweepT3_8 scans the balanced window of the sweep for
+// random:64 on T³₈ over the cached table.
+func BenchmarkBestSweepT3_8(b *testing.B) {
+	p := benchRandomT3_8(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if cut := BestSweepBisect(p); !cut.Balanced() {
+			b.Fatal("unbalanced")
+		}
+	}
+}
+
+// benchRandomT3_8 is torusd's random:64 placement on T³₈.
+func benchRandomT3_8(b *testing.B) *Placement {
+	p, err := (Random{Count: 64, Seed: 1}).Build(NewTorus(8, 3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p
 }
 
 func BenchmarkSimulateExchange(b *testing.B) {

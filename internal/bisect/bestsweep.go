@@ -2,77 +2,29 @@ package bisect
 
 import (
 	"torusnet/internal/placement"
-	"torusnet/internal/torus"
 )
 
 // BestSweep refines Sweep: among all hyperplane positions that balance the
 // placement (the threshold can sit anywhere between the ⌊|P|/2⌋-th
 // processor and the next one in sweep order), it returns the cut with the
-// fewest crossing edges. The width is maintained incrementally as the
-// threshold advances node by node, so the scan costs O(n·d) after sorting.
+// fewest crossing edges, the first one on ties. The prefix widths come
+// from the shape's cached Table, so the scan costs O(|P|) to find the
+// window plus the window's length.
 func BestSweep(p *placement.Placement) *Cut {
-	t := p.Torus()
-	order := bisectSweepOrder(t)
-	target := p.Size() / 2
-
-	inA := make([]bool, t.Nodes())
-	width := 0
-	procs := 0
-
-	// advance moves one node to side A and updates the crossing count:
-	// every directed edge between u and an A-neighbor becomes internal
-	// (−2 per adjacency), every edge to a B-neighbor becomes crossing (+2).
-	advance := func(u torus.Node) {
-		for j := 0; j < t.D(); j++ {
-			for _, dir := range []torus.Direction{torus.Plus, torus.Minus} {
-				v := t.Step(u, j, dir)
-				if v == u {
-					continue // k=1 cannot occur; defensive
-				}
-				if inA[v] {
-					width -= 2
-				} else {
-					width += 2
-				}
-			}
-		}
-		inA[u] = true
-		if p.Contains(u) {
-			procs++
+	tb := TableFor(p.Torus())
+	lo, hi := tb.window(p.Nodes())
+	best := lo
+	for n := lo + 1; n <= hi; n++ {
+		if tb.Width(n) < tb.Width(best) {
+			best = n
 		}
 	}
-
-	// Phase 1: advance until the target processor count is on side A.
-	idx := 0
-	for ; idx < len(order) && procs < target; idx++ {
-		advance(order[idx])
-	}
-	// Phase 2: the balanced window extends until the next processor would
-	// enter side A; track the minimum width and where it occurs.
-	bestWidth := width
-	bestIdx := idx
-	for j := idx; j < len(order) && !p.Contains(order[j]); j++ {
-		advance(order[j])
-		if width < bestWidth {
-			bestWidth = width
-			bestIdx = j + 1
-		}
-	}
-
 	// Keep both sides nonempty even for degenerate placements.
-	if bestIdx == 0 {
-		bestIdx = 1
+	if best == 0 {
+		best = 1
 	}
-	if bestIdx == len(order) {
-		bestIdx = len(order) - 1
+	if best == tb.Len() {
+		best = tb.Len() - 1
 	}
-
-	sideA := make([]bool, t.Nodes())
-	for i := 0; i < bestIdx; i++ {
-		sideA[order[i]] = true
-	}
-	return finalize(t, p, sideA, "best-sweep")
+	return sweepCut(p, tb, best, "best-sweep")
 }
-
-// bisectSweepOrder is a tiny indirection so BestSweep shares SweepOrder.
-func bisectSweepOrder(t *torus.Torus) []torus.Node { return SweepOrder(t) }

@@ -14,29 +14,76 @@
 //     processor for *any* placement.
 //   - BruteForce: the true optimum by exhaustive search, feasible only for
 //     tiny tori; it anchors the other two in tests.
+//
+// The first two never walk the torus per call: the dimension cut's width
+// is Theorem 1's closed form and its balance a count over the processors,
+// and the sweep reads a per-(k, d) Table built once and cached.
 package bisect
 
 import (
 	"fmt"
+	"strconv"
 
 	"torusnet/internal/placement"
 	"torusnet/internal/torus"
 )
 
-// Cut is a partition of the torus node set together with its crossing
-// edges. SideA[u] is true when node u lies on the A side.
+// Cut is a partition of the torus node set together with its width, the
+// number of directed edges crossing it. The node sides and the crossing
+// edges are derived on demand by SideA and Edges.
 type Cut struct {
 	Torus *torus.Torus
-	SideA []bool
-	// Edges are the directed edges with endpoints on different sides.
-	Edges []torus.Edge
 	// ProcsA and ProcsB count placement processors on each side.
 	ProcsA, ProcsB int
 	Method         string
+
+	width int
+	// Side A is the first prefix nodes of the sweep table tab when tab is
+	// set, the explicit mask side when that is set, and otherwise the
+	// layers 1 .. k/2 along dimension dim.
+	tab    *Table
+	prefix int
+	side   []bool
+	dim    int
 }
 
 // Width returns the number of directed crossing edges.
-func (c *Cut) Width() int { return len(c.Edges) }
+func (c *Cut) Width() int { return c.width }
+
+// inA reports whether node u lies on the A side.
+func (c *Cut) inA(u torus.Node) bool {
+	switch {
+	case c.tab != nil:
+		return c.tab.Rank(u) < c.prefix
+	case c.side != nil:
+		return c.side[u]
+	default:
+		v := c.Torus.Coord(u, c.dim)
+		return v >= 1 && v <= c.Torus.K()/2
+	}
+}
+
+// SideA returns a fresh mask that is true for the nodes on the A side.
+func (c *Cut) SideA() []bool {
+	side := make([]bool, c.Torus.Nodes())
+	for u := range side {
+		side[u] = c.inA(torus.Node(u))
+	}
+	return side
+}
+
+// Edges returns the directed edges with endpoints on different sides, in
+// increasing edge order. It walks every edge of the torus.
+func (c *Cut) Edges() []torus.Edge {
+	t := c.Torus
+	edges := make([]torus.Edge, 0, c.width)
+	t.ForEachEdge(func(e torus.Edge) {
+		if c.inA(t.EdgeSource(e)) != c.inA(t.EdgeTarget(e)) {
+			edges = append(edges, e)
+		}
+	})
+	return edges
+}
 
 // Balanced reports whether the processor counts differ by at most one.
 func (c *Cut) Balanced() bool {
@@ -52,12 +99,13 @@ func (c *Cut) String() string {
 	return fmt.Sprintf("%s cut: width=%d, processors %d|%d", c.Method, c.Width(), c.ProcsA, c.ProcsB)
 }
 
-// finalize recomputes crossing edges and processor counts from SideA.
+// finalize counts the crossing edges and the processors on each side of an
+// explicit side mask.
 func finalize(t *torus.Torus, p *placement.Placement, sideA []bool, method string) *Cut {
-	cut := &Cut{Torus: t, SideA: sideA, Method: method}
+	cut := &Cut{Torus: t, side: sideA, Method: method}
 	t.ForEachEdge(func(e torus.Edge) {
 		if sideA[t.EdgeSource(e)] != sideA[t.EdgeTarget(e)] {
-			cut.Edges = append(cut.Edges, e)
+			cut.width++
 		}
 	})
 	for _, u := range p.Nodes() {
@@ -70,19 +118,21 @@ func finalize(t *torus.Torus, p *placement.Placement, sideA []bool, method strin
 	return cut
 }
 
-// Verify checks the structural invariants of a cut: the recorded crossing
-// edges and processor counts match SideA, and both sides are nonempty.
+// Verify checks the structural invariants of a cut: its width and
+// processor counts match a full recount over its sides, and both sides
+// are nonempty.
 func (c *Cut) Verify(p *placement.Placement) error {
-	re := finalize(c.Torus, p, c.SideA, c.Method)
-	if len(re.Edges) != len(c.Edges) {
-		return fmt.Errorf("bisect: recorded %d crossing edges, recomputed %d", len(c.Edges), len(re.Edges))
+	side := c.SideA()
+	re := finalize(c.Torus, p, side, c.Method)
+	if re.width != c.width {
+		return fmt.Errorf("bisect: recorded %d crossing edges, recomputed %d", c.width, re.width)
 	}
 	if re.ProcsA != c.ProcsA || re.ProcsB != c.ProcsB {
 		return fmt.Errorf("bisect: recorded processor split %d|%d, recomputed %d|%d",
 			c.ProcsA, c.ProcsB, re.ProcsA, re.ProcsB)
 	}
 	a, b := false, false
-	for _, s := range c.SideA {
+	for _, s := range side {
 		if s {
 			a = true
 		} else {
@@ -98,44 +148,54 @@ func (c *Cut) Verify(p *placement.Placement) error {
 // DimensionCut realizes the Theorem 1 bisection: along the chosen
 // dimension, side A consists of the subtori with values 1 .. k/2, so the
 // removed links are the two crossings (0|1) and (k/2 | k/2+1), exactly
-// 4·k^{d−1} directed edges. For a placement uniform along the dimension the
-// split is exactly even when k is even; for odd k side A holds ⌊k/2⌋ of the
-// k subtorus layers.
+// 4·k^{d−1} directed edges (at k = 2 and 3 the two crossings share links,
+// which the parallel directed edges make up for). For a placement uniform
+// along the dimension the split is exactly even when k is even; for odd k
+// side A holds ⌊k/2⌋ of the k subtorus layers. It costs O(|P|).
 func DimensionCut(p *placement.Placement, dim int) *Cut {
 	t := p.Torus()
 	if dim < 0 || dim >= t.D() {
 		panic("bisect: dimension out of range")
 	}
-	sideA := make([]bool, t.Nodes())
-	half := t.K() / 2
-	for v := 1; v <= half; v++ {
-		t.ForEachSubtorusNode(torus.Subtorus{Dim: dim, Value: v}, func(u torus.Node) {
-			sideA[u] = true
-		})
-	}
-	return finalize(t, p, sideA, fmt.Sprintf("dimension(%d)", dim))
+	return dimensionCut(p, dim, layerProcs(p, dim))
 }
 
 // BestDimensionCut tries every dimension and returns the most balanced cut
-// (ties broken by smaller width, then lower dimension).
+// (ties broken by the lower dimension; every dimension cut has the same
+// width). It costs O(d·|P|).
 func BestDimensionCut(p *placement.Placement) *Cut {
-	var best *Cut
+	bestDim, bestA := 0, 0
 	for dim := 0; dim < p.Torus().D(); dim++ {
-		c := DimensionCut(p, dim)
-		if best == nil || betterBalance(c, best) {
-			best = c
+		a := layerProcs(p, dim)
+		if dim == 0 || abs(2*a-p.Size()) < abs(2*bestA-p.Size()) {
+			bestDim, bestA = dim, a
 		}
 	}
-	return best
+	return dimensionCut(p, bestDim, bestA)
 }
 
-func betterBalance(a, b *Cut) bool {
-	da := abs(a.ProcsA - a.ProcsB)
-	db := abs(b.ProcsA - b.ProcsB)
-	if da != db {
-		return da < db
+// layerProcs counts the processors in layers 1 .. k/2 along dim.
+func layerProcs(p *placement.Placement, dim int) int {
+	t := p.Torus()
+	a := 0
+	for _, u := range p.Nodes() {
+		if v := t.Coord(u, dim); v >= 1 && v <= t.K()/2 {
+			a++
+		}
 	}
-	return a.Width() < b.Width()
+	return a
+}
+
+func dimensionCut(p *placement.Placement, dim, procsA int) *Cut {
+	t := p.Torus()
+	return &Cut{
+		Torus:  t,
+		ProcsA: procsA,
+		ProcsB: p.Size() - procsA,
+		Method: "dimension(" + strconv.Itoa(dim) + ")",
+		width:  4 * (t.Nodes() / t.K()),
+		dim:    dim,
+	}
 }
 
 func abs(x int) int {

@@ -72,13 +72,14 @@ func TestDimensionCutDisconnectsSides(t *testing.T) {
 	tr := torus.New(4, 2)
 	p := build(t, placement.Linear{C: 0}, tr)
 	cut := DimensionCut(p, 0)
-	removed := make(map[torus.Edge]bool, len(cut.Edges))
-	for _, e := range cut.Edges {
+	sideA := cut.SideA()
+	removed := make(map[torus.Edge]bool, cut.Width())
+	for _, e := range cut.Edges() {
 		removed[e] = true
 	}
 	// BFS from a side-A node without crossing removed edges.
 	var start torus.Node = -1
-	for u, inA := range cut.SideA {
+	for u, inA := range sideA {
 		if inA {
 			start = torus.Node(u)
 			break
@@ -105,7 +106,7 @@ func TestDimensionCutDisconnectsSides(t *testing.T) {
 		}
 	}
 	for u, vis := range visited {
-		if vis && !cut.SideA[u] {
+		if vis && !sideA[u] {
 			t.Fatalf("node %d on side B reachable from side A after cut", u)
 		}
 	}
@@ -327,7 +328,7 @@ func TestBestSweepWidthMatchesRecomputation(t *testing.T) {
 	tr := torus.New(4, 2)
 	p := build(t, placement.Random{Count: 6, Seed: 33}, tr)
 	best := BestSweep(p)
-	order := SweepOrder(tr)
+	order := sortedBySweepKey(tr)
 	target := p.Size() / 2
 	minWidth := -1
 	procs := 0
@@ -338,7 +339,7 @@ func TestBestSweepWidthMatchesRecomputation(t *testing.T) {
 		if procs != target {
 			continue
 		}
-		cut := CutFromPrefix(p, order, n)
+		cut := prefixCutOracle(p, order, n, "sweep-prefix")
 		if minWidth < 0 || cut.Width() < minWidth {
 			minWidth = cut.Width()
 		}

@@ -1,9 +1,6 @@
 package bisect
 
 import (
-	"math/big"
-	"sort"
-
 	"torusnet/internal/placement"
 	"torusnet/internal/torus"
 )
@@ -27,94 +24,34 @@ import (
 // crosses at most 2·d·k^{d−1} undirected array edges plus the d·k^{d−1}
 // undirected wrap edges — i.e. at most 6·d·k^{d−1} directed torus edges,
 // the Corollary 1 ceiling.
+//
+// The sweep order depends only on (k, d), so it comes from the shape's
+// cached Table: the cut stops right after the ⌊|P|/2⌋-th processor in
+// sweep order (the proof's t0), found by one O(|P|) selection over the
+// processors' ranks, and its width is the table's prefix width.
 func Sweep(p *placement.Placement) *Cut {
-	t := p.Torus()
-	order := SweepOrder(t)
+	tb := TableFor(p.Torus())
+	lo, _ := tb.window(p.Nodes())
+	return sweepCut(p, tb, lo, "sweep")
+}
 
-	// Walk the sweep order until half the processors are on side A.
-	sideA := make([]bool, t.Nodes())
-	target := p.Size() / 2
-	got := 0
-	idx := 0
-	for ; idx < len(order) && got < target; idx++ {
-		u := order[idx]
-		sideA[u] = true
-		if p.Contains(u) {
-			got++
+// sweepCut is the cut whose A side is prefix n of tb.
+func sweepCut(p *placement.Placement, tb *Table, n int, method string) *Cut {
+	procsA := 0
+	for _, u := range p.Nodes() {
+		if tb.Rank(u) < n {
+			procsA++
 		}
 	}
-	// Non-processor nodes between the last captured processor and the next
-	// processor may go to either side; putting them on side A changes
-	// nothing for balance and only the crossing count. We stop right after
-	// the target processor, matching the proof's t0.
-	return finalize(t, p, sideA, "sweep")
-}
-
-// SweepOrder returns all torus nodes sorted by their exact hyperplane
-// projection Σ_j a_j γ^j (ties impossible by the choice of γ; see Sweep).
-// Prefixes of this order are exactly the origin-side slabs the appendix
-// proof sweeps through.
-func SweepOrder(t *torus.Torus) []torus.Node {
-	keys := sweepKeys(t)
-	order := make([]torus.Node, t.Nodes())
-	for i := range order {
-		order[i] = torus.Node(i)
+	return &Cut{
+		Torus:  p.Torus(),
+		ProcsA: procsA,
+		ProcsB: p.Size() - procsA,
+		Method: method,
+		width:  tb.Width(n),
+		tab:    tb,
+		prefix: n,
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return keys[order[a]].Cmp(keys[order[b]]) < 0
-	})
-	return order
-}
-
-// CutFromPrefix builds the cut whose A side is the first n nodes of a sweep
-// order — the partition induced by a hyperplane position between the n-th
-// and (n+1)-th node. Used by the E14 slab-count experiment.
-func CutFromPrefix(p *placement.Placement, order []torus.Node, n int) *Cut {
-	t := p.Torus()
-	sideA := make([]bool, t.Nodes())
-	for i := 0; i < n && i < len(order); i++ {
-		sideA[order[i]] = true
-	}
-	return finalize(t, p, sideA, "sweep-prefix")
-}
-
-// sweepKeys returns, for every node a, the exact integer
-// Σ_j a_j · (M+1)^j · M^{d−1−j}, which orders nodes identically to the
-// real-valued projection Σ_j a_j γ^j for γ = (M+1)/M.
-func sweepKeys(t *torus.Torus) []*big.Int {
-	d, k := t.D(), t.K()
-	m := k
-	if d > m {
-		m = d
-	}
-	if m < 16 {
-		m = 16
-	}
-	mBig := big.NewInt(int64(m))
-	m1Big := big.NewInt(int64(m + 1))
-
-	// weights[j] = (M+1)^j · M^{d−1−j}
-	weights := make([]*big.Int, d)
-	for j := 0; j < d; j++ {
-		w := new(big.Int).Exp(m1Big, big.NewInt(int64(j)), nil)
-		w.Mul(w, new(big.Int).Exp(mBig, big.NewInt(int64(d-1-j)), nil))
-		weights[j] = w
-	}
-
-	keys := make([]*big.Int, t.Nodes())
-	coords := make([]int, d)
-	t.ForEachNode(func(u torus.Node) {
-		t.CoordsInto(u, coords)
-		key := new(big.Int)
-		tmp := new(big.Int)
-		for j, a := range coords {
-			tmp.SetInt64(int64(a))
-			tmp.Mul(tmp, weights[j])
-			key.Add(key, tmp)
-		}
-		keys[u] = key
-	})
-	return keys
 }
 
 // SweepCeiling returns the Corollary 1 ceiling 6·d·k^{d−1} on the directed
@@ -125,17 +62,20 @@ func SweepCeiling(t *torus.Torus) int {
 	return 6 * t.D() * (t.Nodes() / t.K())
 }
 
-// ArraySlabCrossings counts, for a sweep threshold placed immediately after
-// the node at sweep position pos, how many *array* (non-wrap) directed
-// edges cross the partition and how many wrap edges do. It decomposes a
-// sweep cut's width for the E14 experiment.
+// WrapEdge reports whether e is a wrap link of the array embedding: it
+// joins coordinates 0 and k−1 of its dimension.
+func WrapEdge(t *torus.Torus, e torus.Edge) bool {
+	j := t.EdgeDim(e)
+	cs, cd := t.Coord(t.EdgeSource(e), j), t.Coord(t.EdgeTarget(e), j)
+	return (cs == 0 && cd == t.K()-1) || (cs == t.K()-1 && cd == 0)
+}
+
+// ArraySlabCrossings splits a cut's directed crossing edges into *array*
+// (non-wrap) edges and wrap edges. It decomposes a sweep cut's width for
+// the appendix argument, which bounds the two kinds separately.
 func ArraySlabCrossings(t *torus.Torus, cut *Cut) (arrayEdges, wrapEdges int) {
-	for _, e := range cut.Edges {
-		src, dst := t.EdgeSource(e), t.EdgeTarget(e)
-		j := t.EdgeDim(e)
-		cs, cd := t.Coord(src, j), t.Coord(dst, j)
-		// A wrap edge joins coordinates 0 and k−1.
-		if (cs == 0 && cd == t.K()-1) || (cs == t.K()-1 && cd == 0) {
+	for _, e := range cut.Edges() {
+		if WrapEdge(t, e) {
 			wrapEdges++
 		} else {
 			arrayEdges++

@@ -29,9 +29,23 @@ type Report struct {
 	// Load results (Definition 4).
 	Load *load.Result
 
-	// Lower bounds on E_max.
+	// Lower bounds on E_max and the bisections behind them.
+	Bounds
+
+	// OptimalityRatio is E_max divided by the best available lower bound;
+	// a bounded ratio as k grows certifies the placement optimal in the
+	// paper's sense.
+	OptimalityRatio float64
+	// LoadPerProcessor is E_max / |P|, the linearity constant c1.
+	LoadPerProcessor float64
+}
+
+// Bounds is the half of an analysis that needs no load run: the paper's
+// lower bounds on E_max for one placement and the two bisections they
+// come from.
+type Bounds struct {
 	BlaumBound     float64 // Eq. 1: (|P|−1)/2d
-	BisectionBound float64 // Eq. 8 using the sweep cut width
+	BisectionBound float64 // Eq. 8 using the sweep cut width, or a balanced dimension cut's
 	ImprovedBound  float64 // §4: c²k^{d−1}/8 (uniform placements only, else 0)
 
 	// Bisection data.
@@ -42,13 +56,31 @@ type Report struct {
 	DensityC float64
 	// Uniform reports placement uniformity (premise of Theorem 1 and §4).
 	Uniform bool
+}
 
-	// OptimalityRatio is E_max divided by the best available lower bound;
-	// a bounded ratio as k grows certifies the placement optimal in the
-	// paper's sense.
-	OptimalityRatio float64
-	// LoadPerProcessor is E_max / |P|, the linearity constant c1.
-	LoadPerProcessor float64
+// EvaluateBounds computes every lower bound the paper gives for p. The
+// sweep cut reads the torus shape's cached sweep table and the dimension
+// cut is Theorem 1's closed form, so the cost is O(d·|P|) plus the
+// uniformity check.
+func EvaluateBounds(p *placement.Placement) Bounds {
+	t := p.Torus()
+	b := Bounds{
+		BlaumBound:   bounds.Blaum(p.Size(), t.D()),
+		Uniform:      p.IsUniform(),
+		DensityC:     float64(p.Size()) / float64(t.Nodes()/t.K()),
+		SweepCut:     bisect.Sweep(p),
+		DimensionCut: bisect.BestDimensionCut(p),
+	}
+	b.BisectionBound = bounds.Bisection(p.Size(), b.SweepCut.Width())
+	if b.DimensionCut.Balanced() {
+		if w := bounds.Bisection(p.Size(), b.DimensionCut.Width()); w > b.BisectionBound {
+			b.BisectionBound = w
+		}
+	}
+	if b.Uniform {
+		b.ImprovedBound = bounds.Improved(b.DensityC, t.K(), t.D())
+	}
+	return b
 }
 
 // Analyze runs the full pipeline. Workers configures the load engine; the
@@ -72,42 +104,16 @@ func AnalyzeCtx(ctx context.Context, p *placement.Placement, alg routing.Algorit
 	ctx, sp := obs.Start(ctx, "core.analyze")
 	defer sp.End()
 	sp.SetAttr("algorithm", alg.Name())
-	t := p.Torus()
 	rep := &Report{
 		Placement: p,
 		Algorithm: alg.Name(),
 		Load:      load.ComputeCtx(ctx, p, alg, opts),
 	}
 	_, bsp := obs.Start(ctx, "core.bounds")
-	defer bsp.End()
-	rep.BlaumBound = bounds.Blaum(p.Size(), t.D())
-	rep.Uniform = p.IsUniform()
+	rep.Bounds = EvaluateBounds(p)
+	bsp.End()
 
-	kd1 := 1.0
-	for i := 0; i < t.D()-1; i++ {
-		kd1 *= float64(t.K())
-	}
-	rep.DensityC = float64(p.Size()) / kd1
-
-	rep.SweepCut = bisect.Sweep(p)
-	rep.DimensionCut = bisect.BestDimensionCut(p)
-	rep.BisectionBound = bounds.Bisection(p.Size(), rep.SweepCut.Width())
-	if rep.DimensionCut.Balanced() {
-		if b := bounds.Bisection(p.Size(), rep.DimensionCut.Width()); b > rep.BisectionBound {
-			rep.BisectionBound = b
-		}
-	}
-	if rep.Uniform {
-		rep.ImprovedBound = bounds.Improved(rep.DensityC, t.K(), t.D())
-	}
-
-	best := rep.BlaumBound
-	if rep.BisectionBound > best {
-		best = rep.BisectionBound
-	}
-	if rep.ImprovedBound > best {
-		best = rep.ImprovedBound
-	}
+	best := rep.BestLowerBound()
 	if best > 0 {
 		rep.OptimalityRatio = rep.Load.Max / best
 	}
@@ -118,13 +124,13 @@ func AnalyzeCtx(ctx context.Context, p *placement.Placement, alg routing.Algorit
 }
 
 // BestLowerBound returns the strongest of the evaluated lower bounds.
-func (r *Report) BestLowerBound() float64 {
-	best := r.BlaumBound
-	if r.BisectionBound > best {
-		best = r.BisectionBound
+func (b Bounds) BestLowerBound() float64 {
+	best := b.BlaumBound
+	if b.BisectionBound > best {
+		best = b.BisectionBound
 	}
-	if r.ImprovedBound > best {
-		best = r.ImprovedBound
+	if b.ImprovedBound > best {
+		best = b.ImprovedBound
 	}
 	return best
 }

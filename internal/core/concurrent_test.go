@@ -76,3 +76,51 @@ func TestAnalyzeConcurrentDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeConcurrentAcrossShapes runs Analyze from many goroutines over
+// torus shapes totalling 2^17 nodes, twice what the bisection package's
+// sweep-table cache keeps, so tables are built, shared and evicted while
+// other goroutines read them. Every answer must equal the sequential one.
+func TestAnalyzeConcurrentAcrossShapes(t *testing.T) {
+	var places []*placement.Placement
+	for k, nodes := 2, 0; nodes <= 1<<17; k++ {
+		for _, d := range []int{1, 2} {
+			tor := torus.New(k, d)
+			p, err := placement.Random{Count: min(8, tor.Nodes()), Seed: int64(k)}.Build(tor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			places = append(places, p)
+			nodes += tor.Nodes()
+		}
+	}
+	want := make([]*Report, len(places))
+	for i, p := range places {
+		want[i] = Analyze(p, routing.UDR{}, 1)
+	}
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines*len(places))
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := range places {
+				i := (j*(g+1) + g) % len(places)
+				got, seq := Analyze(places[i], routing.UDR{}, 1), want[i]
+				if got.BestLowerBound() != seq.BestLowerBound() ||
+					got.SweepCut.String() != seq.SweepCut.String() ||
+					got.DimensionCut.String() != seq.DimensionCut.String() ||
+					got.OptimalityRatio != seq.OptimalityRatio {
+					errs <- places[i].String()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Errorf("%s: concurrent analysis differs from the sequential one", e)
+	}
+}

@@ -31,8 +31,7 @@ import (
 	"math"
 	"math/rand"
 
-	"torusnet/internal/bisect"
-	"torusnet/internal/bounds"
+	"torusnet/internal/core"
 	"torusnet/internal/load"
 	"torusnet/internal/obs"
 	"torusnet/internal/placement"
@@ -166,31 +165,8 @@ func checkStart(t *torus.Torus, start []torus.Node, size int) error {
 // finish stamps the shared provenance fields on res: the best §4 lower
 // bound certified for res.Best and the gap above it. Returns res.
 func finish(res *Result) *Result {
-	p := res.Best
-	t := p.Torus()
-	lb := bounds.Blaum(p.Size(), t.D())
-	cut := bisect.Sweep(p)
-	if b := bounds.Bisection(p.Size(), cut.Width()); b > lb {
-		lb = b
-	}
-	if dim := bisect.BestDimensionCut(p); dim.Balanced() {
-		if b := bounds.Bisection(p.Size(), dim.Width()); b > lb {
-			lb = b
-		}
-	}
-	if p.IsUniform() {
-		kd1 := 1.0
-		for i := 0; i < t.D()-1; i++ {
-			kd1 *= float64(t.K())
-		}
-		if kd1 > 0 {
-			if b := bounds.Improved(float64(p.Size())/kd1, t.K(), t.D()); b > lb {
-				lb = b
-			}
-		}
-	}
-	res.LowerBound = lb
-	res.Gap = res.BestEMax - lb
+	res.LowerBound = core.EvaluateBounds(res.Best).BestLowerBound()
+	res.Gap = res.BestEMax - res.LowerBound
 	return res
 }
 

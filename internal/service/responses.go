@@ -291,32 +291,11 @@ func computeDegradedAnalyze(ctx context.Context, req AnalyzeRequest, opts load.O
 	seed := int64(h.Sum64())
 	mc := load.MonteCarlo(p, alg, rounds, seed, opts)
 
-	// The cheap exact half: density, bounds, cuts (same math as
-	// computeBounds, assembled into the analyze shape).
+	// The cheap exact half: density, bounds, cuts (the bounds
+	// computeBounds serves, assembled into the analyze shape).
 	t := p.Torus()
-	uniform := p.IsUniform()
-	kd1 := 1.0
-	for i := 0; i < t.D()-1; i++ {
-		kd1 *= float64(t.K())
-	}
-	densityC := 0.0
-	if kd1 > 0 {
-		densityC = float64(p.Size()) / kd1
-	}
-	blaum := bounds.Blaum(p.Size(), t.D())
-	sweepCut := bisect.Sweep(p)
-	dimCut := bisect.BestDimensionCut(p)
-	bisection := bounds.Bisection(p.Size(), sweepCut.Width())
-	if dimCut.Balanced() {
-		if b := bounds.Bisection(p.Size(), dimCut.Width()); b > bisection {
-			bisection = b
-		}
-	}
-	improved := 0.0
-	if uniform {
-		improved = bounds.Improved(densityC, t.K(), t.D())
-	}
-	best := math.Max(blaum, math.Max(bisection, improved))
+	b := core.EvaluateBounds(p)
+	best := b.BestLowerBound()
 
 	total := 0.0
 	for _, v := range mc.MeanLoads {
@@ -337,19 +316,19 @@ func computeDegradedAnalyze(ctx context.Context, req AnalyzeRequest, opts load.O
 		Routing:          req.Routing,
 		PlacementName:    p.Name(),
 		Processors:       p.Size(),
-		Uniform:          uniform,
-		DensityC:         densityC,
+		Uniform:          b.Uniform,
+		DensityC:         b.DensityC,
 		EMax:             mc.MaxMean,
 		MaxEdge:          t.EdgeString(mc.MaxMeanEdge),
 		LoadPerProcessor: perProc,
 		TotalLoad:        total,
-		BlaumBound:       jsonSafe(blaum),
-		BisectionBound:   jsonSafe(bisection),
-		ImprovedBound:    jsonSafe(improved),
+		BlaumBound:       jsonSafe(b.BlaumBound),
+		BisectionBound:   jsonSafe(b.BisectionBound),
+		ImprovedBound:    jsonSafe(b.ImprovedBound),
 		BestLowerBound:   jsonSafe(best),
 		OptimalityRatio:  jsonSafe(ratio),
-		SweepCut:         cutSummary(sweepCut),
-		DimensionCut:     cutSummary(dimCut),
+		SweepCut:         cutSummary(b.SweepCut),
+		DimensionCut:     cutSummary(b.DimensionCut),
 		Engine:           load.EngineMonteCarlo,
 		Degraded:         true,
 		ErrorBound:       jsonSafe(3 * mc.MaxMeanStdErr),
@@ -366,41 +345,19 @@ func computeBounds(ctx context.Context, req BoundsRequest) (BoundsResponse, erro
 		return BoundsResponse{}, err
 	}
 	t := p.Torus()
-	uniform := p.IsUniform()
-	kd1 := 1.0
-	for i := 0; i < t.D()-1; i++ {
-		kd1 *= float64(t.K())
-	}
-	densityC := 0.0
-	if kd1 > 0 {
-		densityC = float64(p.Size()) / kd1
-	}
-	blaum := bounds.Blaum(p.Size(), t.D())
-	sweepCut := bisect.Sweep(p)
-	dimCut := bisect.BestDimensionCut(p)
-	bisection := bounds.Bisection(p.Size(), sweepCut.Width())
-	if dimCut.Balanced() {
-		if b := bounds.Bisection(p.Size(), dimCut.Width()); b > bisection {
-			bisection = b
-		}
-	}
-	improved := 0.0
-	if uniform {
-		improved = bounds.Improved(densityC, t.K(), t.D())
-	}
-	best := math.Max(blaum, math.Max(bisection, improved))
+	b := core.EvaluateBounds(p)
 	return BoundsResponse{
 		K:                req.K,
 		D:                req.D,
 		Placement:        req.Placement,
 		PlacementName:    p.Name(),
 		Processors:       p.Size(),
-		Uniform:          uniform,
-		DensityC:         densityC,
-		BlaumBound:       jsonSafe(blaum),
-		BisectionBound:   jsonSafe(bisection),
-		ImprovedBound:    jsonSafe(improved),
-		BestLowerBound:   jsonSafe(best),
+		Uniform:          b.Uniform,
+		DensityC:         b.DensityC,
+		BlaumBound:       jsonSafe(b.BlaumBound),
+		BisectionBound:   jsonSafe(b.BisectionBound),
+		ImprovedBound:    jsonSafe(b.ImprovedBound),
+		BestLowerBound:   jsonSafe(b.BestLowerBound()),
 		Theorem1Width:    bounds.Theorem1Width(t.K(), t.D()),
 		CorollaryCeiling: bounds.CorollaryBisectionCeiling(t.K(), t.D()),
 	}, nil

@@ -98,8 +98,23 @@ func runE14(scale Scale) *Table {
 	}
 	for _, c := range cases {
 		t := torus.New(c.k, c.d)
-		p := mustPlacement(placement.Full{}, t)
-		order := bisect.SweepOrder(t)
+		sw := bisect.TableFor(t)
+		// A wrap edge crosses exactly the prefixes holding one of its two
+		// ends, n in (lower rank, higher rank]: difference-count them once.
+		wrap := make([]int, t.Nodes()+2)
+		t.ForEachEdge(func(e torus.Edge) {
+			if bisect.WrapEdge(t, e) {
+				a, b := sw.Rank(t.EdgeSource(e)), sw.Rank(t.EdgeTarget(e))
+				if a > b {
+					a, b = b, a
+				}
+				wrap[a+1]++
+				wrap[b+1]--
+			}
+		})
+		for n := 1; n <= t.Nodes(); n++ {
+			wrap[n] += wrap[n-1]
+		}
 		maxArray, maxTotal := 0, 0
 		positions := 0
 		step := 1
@@ -107,13 +122,12 @@ func runE14(scale Scale) *Table {
 			step = t.Nodes() / 256
 		}
 		for n := 1; n < t.Nodes(); n += step {
-			cut := bisect.CutFromPrefix(p, order, n)
-			arrayE, _ := bisect.ArraySlabCrossings(t, cut)
-			if arrayE > maxArray {
+			total := sw.Width(n)
+			if arrayE := total - wrap[n]; arrayE > maxArray {
 				maxArray = arrayE
 			}
-			if cut.Width() > maxTotal {
-				maxTotal = cut.Width()
+			if total > maxTotal {
+				maxTotal = total
 			}
 			positions++
 		}

@@ -2,8 +2,10 @@
 # ci_bench_smoke.sh — CI gate against load-engine performance regressions.
 #
 # Runs the paired fast/generic BenchmarkLoadCompute* benchmarks,
-# BenchmarkLoadComputeFAR and the two optimizer benchmarks
-# (BenchmarkBranchBoundT2_8, BenchmarkAnnealT3_8) once at a short benchtime
+# BenchmarkLoadComputeFAR, the two optimizer benchmarks
+# (BenchmarkBranchBoundT2_8, BenchmarkAnnealT3_8) and the three bisection
+# benchmarks (BenchmarkSweepBisection, BenchmarkBestSweepT3_8,
+# BenchmarkAnalyzeRandomT3_8) once at a short benchtime
 # and GOMAXPROCS 1 (-cpu 1, the setting the baseline was recorded at: the
 # engines size one accumulator per worker, so allocs/op and the fast/generic
 # ratios depend on the worker count) and fails on a >30% regression
@@ -15,7 +17,8 @@
 #   1. allocs/op per benchmark must not exceed the recorded value by >30%
 #      (allocation counts are deterministic, so this catches any lost
 #      scratch reuse immediately — in the optimizer, any allocation in the
-#      per-expansion or per-move path multiplies by ~10^5 expansions);
+#      per-expansion or per-move path multiplies by ~10^5 expansions, and
+#      a sweep that walks the torus again allocates per node);
 #   2. the generic/fast ns-per-op ratio, measured within this single run,
 #      must not fall below the recorded speedup by >30% (both sides see the
 #      same machine and load, so the ratio cancels hardware out);
@@ -34,9 +37,9 @@ SLACK=1.3
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-echo "bench-smoke: running paired load benchmarks and the optimizer benchmarks"
+echo "bench-smoke: running paired load benchmarks, the optimizer and the bisection benchmarks"
 go test -run '^$' \
-    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkLoadComputeFAR|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8)$' \
+    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkLoadComputeFAR|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8|BenchmarkSweepBisection|BenchmarkBestSweepT3_8|BenchmarkAnalyzeRandomT3_8)$' \
     -benchmem -benchtime=0.5s -count=1 -cpu 1 . | tee "$RAW"
 
 # name -> ns/op and name -> allocs/op maps from this run.
