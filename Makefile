@@ -13,7 +13,7 @@ FUZZ_TARGETS := \
 	./internal/cluster:FuzzHashRing \
 	./internal/lintcheck:FuzzLintIgnoreDirective
 
-.PHONY: all build test race vet lint lint-fix fuzz-smoke serve bench bench-smoke bench-service bench-module smoke-torusd smoke-cluster chaos profile ci
+.PHONY: all build test race vet fmt-check lint lint-fix fuzz-smoke serve bench bench-smoke bench-service bench-module smoke-torusd smoke-cluster chaos profile ci
 
 all: build
 
@@ -28,6 +28,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails if any tracked Go file outside the nested bench/ module
+# is not gofmt-formatted.
+fmt-check:
+	@out="$$(gofmt -l $$(git ls-files '*.go' ':!bench'))"; \
+		test -z "$$out" || { echo "fmt-check: gofmt would reformat:" >&2; echo "$$out" >&2; exit 1; }
 
 # lint runs the repository's own static-analysis suite (cmd/toruslint);
 # it exits nonzero on any finding.
@@ -116,4 +122,4 @@ chaos:
 		./internal/service
 	$(GO) test -race -count=1 -run 'TestCluster' ./internal/cluster/harness
 
-ci: build vet test race lint chaos bench-module
+ci: build vet fmt-check test race lint chaos bench-module

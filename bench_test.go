@@ -25,25 +25,25 @@ func benchExperiment(b *testing.B, id string) {
 	}
 }
 
-func BenchmarkE1BlaumBound(b *testing.B)      { benchExperiment(b, "E1") }
-func BenchmarkE2FullTorus(b *testing.B)       { benchExperiment(b, "E2") }
-func BenchmarkE3SweepSeparator(b *testing.B)  { benchExperiment(b, "E3") }
-func BenchmarkE4DimCut(b *testing.B)          { benchExperiment(b, "E4") }
-func BenchmarkE5ImprovedBound(b *testing.B)   { benchExperiment(b, "E5") }
-func BenchmarkE6ODRExact(b *testing.B)        { benchExperiment(b, "E6") }
-func BenchmarkE7MultiODR(b *testing.B)        { benchExperiment(b, "E7") }
-func BenchmarkE8UDR(b *testing.B)             { benchExperiment(b, "E8") }
-func BenchmarkE9MultiUDR(b *testing.B)        { benchExperiment(b, "E9") }
-func BenchmarkE10Figure1(b *testing.B)        { benchExperiment(b, "E10") }
-func BenchmarkE11Faults(b *testing.B)         { benchExperiment(b, "E11") }
-func BenchmarkE12SimNet(b *testing.B)         { benchExperiment(b, "E12") }
-func BenchmarkE13Optimality(b *testing.B)     { benchExperiment(b, "E13") }
-func BenchmarkE14SlabCount(b *testing.B)      { benchExperiment(b, "E14") }
-func BenchmarkE15RoutingMatrix(b *testing.B)  { benchExperiment(b, "E15") }
-func BenchmarkE16TieBreaking(b *testing.B)    { benchExperiment(b, "E16") }
-func BenchmarkE17Uniformity(b *testing.B)     { benchExperiment(b, "E17") }
-func BenchmarkE18Coefficients(b *testing.B)   { benchExperiment(b, "E18") }
-func BenchmarkE19FlowControl(b *testing.B)    { benchExperiment(b, "E19") }
+func BenchmarkE1BlaumBound(b *testing.B)     { benchExperiment(b, "E1") }
+func BenchmarkE2FullTorus(b *testing.B)      { benchExperiment(b, "E2") }
+func BenchmarkE3SweepSeparator(b *testing.B) { benchExperiment(b, "E3") }
+func BenchmarkE4DimCut(b *testing.B)         { benchExperiment(b, "E4") }
+func BenchmarkE5ImprovedBound(b *testing.B)  { benchExperiment(b, "E5") }
+func BenchmarkE6ODRExact(b *testing.B)       { benchExperiment(b, "E6") }
+func BenchmarkE7MultiODR(b *testing.B)       { benchExperiment(b, "E7") }
+func BenchmarkE8UDR(b *testing.B)            { benchExperiment(b, "E8") }
+func BenchmarkE9MultiUDR(b *testing.B)       { benchExperiment(b, "E9") }
+func BenchmarkE10Figure1(b *testing.B)       { benchExperiment(b, "E10") }
+func BenchmarkE11Faults(b *testing.B)        { benchExperiment(b, "E11") }
+func BenchmarkE12SimNet(b *testing.B)        { benchExperiment(b, "E12") }
+func BenchmarkE13Optimality(b *testing.B)    { benchExperiment(b, "E13") }
+func BenchmarkE14SlabCount(b *testing.B)     { benchExperiment(b, "E14") }
+func BenchmarkE15RoutingMatrix(b *testing.B) { benchExperiment(b, "E15") }
+func BenchmarkE16TieBreaking(b *testing.B)   { benchExperiment(b, "E16") }
+func BenchmarkE17Uniformity(b *testing.B)    { benchExperiment(b, "E17") }
+func BenchmarkE18Coefficients(b *testing.B)  { benchExperiment(b, "E18") }
+func BenchmarkE19FlowControl(b *testing.B)   { benchExperiment(b, "E19") }
 
 // Micro-benchmarks of the hot engines, for performance tracking.
 
@@ -362,8 +362,8 @@ func BenchmarkMonteCarloLoad(b *testing.B) {
 	}
 }
 
-func BenchmarkE20Wormhole(b *testing.B)  { benchExperiment(b, "E20") }
-func BenchmarkE21Schedule(b *testing.B)  { benchExperiment(b, "E21") }
+func BenchmarkE20Wormhole(b *testing.B) { benchExperiment(b, "E20") }
+func BenchmarkE21Schedule(b *testing.B) { benchExperiment(b, "E21") }
 
 func BenchmarkWormholeExchange(b *testing.B) {
 	t := NewTorus(6, 2)
@@ -397,11 +397,11 @@ func BenchmarkScheduleExchange(b *testing.B) {
 	}
 }
 
-func BenchmarkE22Patterns(b *testing.B) { benchExperiment(b, "E22") }
-func BenchmarkE23Coverage(b *testing.B) { benchExperiment(b, "E23") }
-func BenchmarkE24Degraded(b *testing.B) { benchExperiment(b, "E24") }
-func BenchmarkE25BSPGap(b *testing.B)   { benchExperiment(b, "E25") }
-func BenchmarkE26Valiant(b *testing.B)  { benchExperiment(b, "E26") }
+func BenchmarkE22Patterns(b *testing.B)    { benchExperiment(b, "E22") }
+func BenchmarkE23Coverage(b *testing.B)    { benchExperiment(b, "E23") }
+func BenchmarkE24Degraded(b *testing.B)    { benchExperiment(b, "E24") }
+func BenchmarkE25BSPGap(b *testing.B)      { benchExperiment(b, "E25") }
+func BenchmarkE26Valiant(b *testing.B)     { benchExperiment(b, "E26") }
 func BenchmarkE27MeshVsTorus(b *testing.B) { benchExperiment(b, "E27") }
 func BenchmarkE28Annealing(b *testing.B)   { benchExperiment(b, "E28") }
 func BenchmarkE29Adaptive(b *testing.B)    { benchExperiment(b, "E29") }

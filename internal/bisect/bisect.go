@@ -151,7 +151,8 @@ func (c *Cut) Verify(p *placement.Placement) error {
 // 4·k^{d−1} directed edges (at k = 2 and 3 the two crossings share links,
 // which the parallel directed edges make up for). For a placement uniform
 // along the dimension the split is exactly even when k is even; for odd k
-// side A holds ⌊k/2⌋ of the k subtorus layers. It costs O(|P|).
+// side A holds ⌊k/2⌋ of the k subtorus layers. It costs O(k) over the
+// placement's layer counts, which take one O(d·|P|) pass, once.
 func DimensionCut(p *placement.Placement, dim int) *Cut {
 	t := p.Torus()
 	if dim < 0 || dim >= t.D() {
@@ -162,7 +163,8 @@ func DimensionCut(p *placement.Placement, dim int) *Cut {
 
 // BestDimensionCut tries every dimension and returns the most balanced cut
 // (ties broken by the lower dimension; every dimension cut has the same
-// width). It costs O(d·|P|).
+// width). It costs O(d·|P|) the first time the placement's layer counts
+// are needed, O(d·k) after.
 func BestDimensionCut(p *placement.Placement) *Cut {
 	bestDim, bestA := 0, 0
 	for dim := 0; dim < p.Torus().D(); dim++ {
@@ -174,14 +176,12 @@ func BestDimensionCut(p *placement.Placement) *Cut {
 	return dimensionCut(p, bestDim, bestA)
 }
 
-// layerProcs counts the processors in layers 1 .. k/2 along dim.
+// layerProcs counts the processors in layers 1 .. k/2 along dim from the
+// placement's cached layer counts.
 func layerProcs(p *placement.Placement, dim int) int {
-	t := p.Torus()
 	a := 0
-	for _, u := range p.Nodes() {
-		if v := t.Coord(u, dim); v >= 1 && v <= t.K()/2 {
-			a++
-		}
+	for v := 1; v <= p.Torus().K()/2; v++ {
+		a += p.CountInSubtorus(torus.Subtorus{Dim: dim, Value: v})
 	}
 	return a
 }

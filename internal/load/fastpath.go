@@ -8,7 +8,6 @@ import (
 	"torusnet/internal/obs"
 	"torusnet/internal/placement"
 	"torusnet/internal/routing"
-	"torusnet/internal/torus"
 )
 
 // The translation-symmetry fast path (Theorem 2's mechanism, generalized).
@@ -40,8 +39,8 @@ type nnzEntry struct {
 
 // scatterJob replicates one orbit's base pattern to one source.
 type scatterJob struct {
-	orbit  int   // index into bases
-	offset []int // stabilizer offset with src = rep ⊕ offset
+	orbit  int // index of the orbit's representative
+	offset int // index into the stabilizer, with src = rep ⊕ offset
 }
 
 // computeSymmetry runs the fast path, reporting ok=false when it does not
@@ -60,69 +59,66 @@ func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Al
 	if len(stab) == 1 && !force {
 		return nil, false
 	}
+	ws := getWorkspace()
 
 	// Orbit partition. Translations act freely on nodes, so each orbit has
 	// exactly |stab| distinct members, all inside P by closure; iterating
 	// processors in index order and stabilizers in their fixed order makes
 	// reps and jobs deterministic.
-	seen := make([]bool, t.Nodes())
-	reps := make([]torus.Node, 0, len(procs)/len(stab)+1)
-	jobs := make([]scatterJob, 0, len(procs))
+	seen := zeroed(ws.seen, t.Nodes())
+	reps, jobs := ws.reps[:0], ws.jobs[:0]
 	for _, src := range procs {
 		if seen[src] {
 			continue
 		}
 		orbit := len(reps)
 		reps = append(reps, src)
-		for _, off := range stab {
-			img := t.Translate(src, off)
-			seen[img] = true
-			jobs = append(jobs, scatterJob{orbit: orbit, offset: off})
+		for oi, off := range stab {
+			seen[t.Translate(src, off)] = true
+			jobs = append(jobs, scatterJob{orbit: orbit, offset: oi})
 		}
 	}
+	ws.seen, ws.reps, ws.jobs = seen, reps, jobs
 
 	// Base vectors: one canonical source per orbit against every
 	// destination, serial with a fixed destination order so the summation
-	// order never depends on the worker count.
-	bases := make([][]nnzEntry, len(reps))
+	// order never depends on the worker count. Every orbit's nonzeros land
+	// in one flat list; extracting them also clears the base buffer for
+	// the next orbit.
 	td2 := 2 * t.D()
+	baseBuf := zeroed(ws.baseBuf, t.Edges())
+	nnz, starts := ws.nnz[:0], append(ws.starts[:0], 0)
 	func() {
 		_, bsp := obs.Start(ctx, "load.bases")
 		defer bsp.End()
 		bsp.SetAttrInt("orbits", int64(len(reps)))
 		bsp.SetAttrInt("stabilizer", int64(len(stab)))
 		withEngineLabel(ctx, EngineSymmetry, func() {
-			sc := routing.NewPairScratch(t)
-			baseBuf := make([]float64, t.Edges())
-			for oi, rep := range reps {
-				for i := range baseBuf {
-					baseBuf[i] = 0
-				}
+			sc := ws.pairScratch(t, 1)[0]
+			for _, rep := range reps {
 				for _, dst := range procs {
 					if dst != rep {
 						alg.AccumulatePair(t, rep, dst, 1, baseBuf, sc)
 					}
 				}
-				nnz := make([]nnzEntry, 0, len(procs)*t.D()*t.K()/2)
 				for e, w := range baseBuf {
 					if w != 0 {
 						nnz = append(nnz, nnzEntry{u: int32(e / td2), slot: int32(e % td2), w: w})
+						baseBuf[e] = 0
 					}
 				}
-				bases[oi] = nnz
+				starts = append(starts, len(nnz))
 			}
 		})
 	}()
+	ws.baseBuf, ws.nnz, ws.starts = baseBuf, nnz, starts
 
 	// Replication: every job translates its orbit's nonzeros through a
 	// per-worker node-translation table, striped and merged like the pair
 	// engines, so determinism semantics match.
 	workers = effectiveWorkers(workers, len(jobs))
-	partials := newPartials(workers, t.Edges())
-	tables := make([][]torus.Node, workers)
-	for w := range tables {
-		tables[w] = make([]torus.Node, t.Nodes())
-	}
+	partials := ws.accumulators(workers, t.Edges())
+	tables := ws.translationTables(t, workers)
 	func() {
 		_, ssp := obs.Start(ctx, "load.scatter")
 		defer ssp.End()
@@ -130,15 +126,17 @@ func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Al
 		withEngineLabel(ctx, EngineSymmetry, func() {
 			stripe(workers, len(jobs), func(w, ji int) {
 				job, local, table := jobs[ji], partials[w], tables[w]
-				t.TranslationTableInto(job.offset, table)
-				for _, ent := range bases[job.orbit] {
+				t.TranslationTableInto(stab[job.offset], table)
+				for _, ent := range nnz[starts[job.orbit]:starts[job.orbit+1]] {
 					local[int(table[ent.u])*td2+int(ent.slot)] += ent.w
 				}
 			})
 		})
 	}()
 
-	return engineResult(ctx, p, alg, EngineSymmetry, partials), true
+	res := engineResult(ctx, p, alg, EngineSymmetry, partials)
+	ws.release()
+	return res, true
 }
 
 // crossCheckTolerance bounds the relative divergence the two engines may

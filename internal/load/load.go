@@ -190,13 +190,14 @@ func computeGeneric(ctx context.Context, p *placement.Placement, alg routing.Alg
 	t := p.Torus()
 	procs := p.Nodes()
 
-	partials := newPartials(workers, t.Edges())
+	ws := getWorkspace()
+	partials := ws.accumulators(workers, t.Edges())
 	func() {
 		_, psp := obs.Start(ctx, "load.pairs")
 		defer psp.End()
 		psp.SetAttrInt("sources", int64(len(procs)))
 		withEngineLabel(ctx, EngineGeneric, func() {
-			stripePairs(t, partials, len(procs), func(i int, local []float64, sc *routing.PairScratch) {
+			stripePairs(t, ws, partials, len(procs), func(i int, local []float64, sc *routing.PairScratch) {
 				src := procs[i]
 				for _, dst := range procs {
 					if dst != src {
@@ -207,7 +208,9 @@ func computeGeneric(ctx context.Context, p *placement.Placement, alg routing.Alg
 		})
 	}()
 	fpComputeMerge.InjectHard()
-	return engineResult(ctx, p, alg, EngineGeneric, partials)
+	res := engineResult(ctx, p, alg, EngineGeneric, partials)
+	ws.release()
+	return res
 }
 
 // stripe is the one fan-out of the package: it runs workers goroutines,
@@ -230,31 +233,21 @@ func stripe(workers, n int, item func(w, i int)) {
 	wg.Wait()
 }
 
-// newPartials returns one zeroed per-edge accumulator per worker.
-func newPartials(workers, edges int) [][]float64 {
-	partials := make([][]float64, workers)
-	for w := range partials {
-		partials[w] = make([]float64, edges)
-	}
-	return partials
-}
-
 // stripePairs stripes items 0..n−1 over one worker per accumulator in
 // partials, each worker depositing its items into its own accumulator
-// through its own pair scratch.
-func stripePairs(t *torus.Torus, partials [][]float64, n int, deposit func(i int, local []float64, sc *routing.PairScratch)) {
-	scratch := make([]*routing.PairScratch, len(partials))
-	for w := range scratch {
-		scratch[w] = routing.NewPairScratch(t)
-	}
+// through its own pair scratch from ws.
+func stripePairs(t *torus.Torus, ws *workspace, partials [][]float64, n int, deposit func(i int, local []float64, sc *routing.PairScratch)) {
+	scratch := ws.pairScratch(t, len(partials))
 	stripe(len(partials), n, func(w, i int) { deposit(i, partials[w], scratch[w]) })
 }
 
-// mergePartials sums the workers' accumulators into a fresh slice in
-// worker order.
+// mergePartials folds workers 1..W−1's accumulators into worker 0's in
+// worker order and returns it. That is bit-identical to summing them all
+// into a zeroed vector: 0 + x = x exactly for every x but −0, and an
+// accumulator that starts at +0 never becomes −0 under addition.
 func mergePartials(partials [][]float64) []float64 {
-	loads := make([]float64, len(partials[0]))
-	for _, local := range partials {
+	loads := partials[0]
+	for _, local := range partials[1:] {
 		for e, v := range local {
 			loads[e] += v
 		}

@@ -82,6 +82,17 @@ func MonteCarlo(p *placement.Placement, alg routing.Algorithm, rounds int, seed 
 	return res
 }
 
+// newPartials returns one zeroed per-edge accumulator per worker. The
+// sampler keeps four such sets for the whole run, so it allocates them
+// plainly rather than from the engine workspace.
+func newPartials(workers, edges int) [][]float64 {
+	partials := make([][]float64, workers)
+	for w := range partials {
+		partials[w] = make([]float64, edges)
+	}
+	return partials
+}
+
 // stderrOfMean computes the standard error of the per-round mean at one
 // edge from its running Σc and Σc² (sample variance over rounds, then
 // ÷√rounds). Fewer than two rounds have no measurable spread, so the

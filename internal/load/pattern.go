@@ -157,12 +157,15 @@ func ComputePattern(p *placement.Placement, pat Pattern, alg routing.Algorithm, 
 	t := p.Torus()
 	demands := pat.Demands(p)
 	workers := effectiveWorkers(opts.Workers, len(demands))
-	partials := newPartials(workers, t.Edges())
-	stripePairs(t, partials, len(demands), func(i int, local []float64, sc *routing.PairScratch) {
+	ws := getWorkspace()
+	partials := ws.accumulators(workers, t.Edges())
+	stripePairs(t, ws, partials, len(demands), func(i int, local []float64, sc *routing.PairScratch) {
 		dm := demands[i]
 		alg.AccumulatePair(t, dm.Src, dm.Dst, dm.Weight, local, sc)
 	})
-	return newResult(t, p, alg.Name()+"/"+pat.Name(), mergePartials(partials))
+	res := newResult(t, p, alg.Name()+"/"+pat.Name(), mergePartials(partials))
+	ws.release()
+	return res
 }
 
 // PatternTotal returns Σ demands weight·Lee(src,dst): the conserved total

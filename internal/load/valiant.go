@@ -25,8 +25,9 @@ func ComputeValiant(p *placement.Placement, pat Pattern, alg routing.Algorithm, 
 	demands := pat.Demands(p)
 	workers := effectiveWorkers(opts.Workers, len(demands))
 	invN := 1.0 / float64(t.Nodes())
-	partials := newPartials(workers, t.Edges())
-	stripePairs(t, partials, len(demands), func(i int, local []float64, sc *routing.PairScratch) {
+	ws := getWorkspace()
+	partials := ws.accumulators(workers, t.Edges())
+	stripePairs(t, ws, partials, len(demands), func(i int, local []float64, sc *routing.PairScratch) {
 		dm := demands[i]
 		weight := dm.Weight * invN
 		for r := 0; r < t.Nodes(); r++ {
@@ -39,7 +40,9 @@ func ComputeValiant(p *placement.Placement, pat Pattern, alg routing.Algorithm, 
 			}
 		}
 	})
-	return newResult(t, p, alg.Name()+"+valiant/"+pat.Name(), mergePartials(partials))
+	res := newResult(t, p, alg.Name()+"+valiant/"+pat.Name(), mergePartials(partials))
+	ws.release()
+	return res
 }
 
 // ValiantExpectedTotal returns the conserved total for Valiant routing:

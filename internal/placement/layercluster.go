@@ -41,6 +41,5 @@ func (s LayerCluster) Build(t *torus.Torus) (*Placement, error) {
 			}
 		})
 	}
-	sortNodes(nodes)
 	return New(t, nodes, s.Name()), nil
 }

@@ -8,7 +8,6 @@ package placement
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"torusnet/internal/torus"
@@ -26,6 +25,9 @@ type Placement struct {
 
 	linOnce sync.Once // guards the lazily computed linear classification
 	lin     LinearClass
+
+	layerOnce sync.Once // guards the lazily computed layer counts
+	layers    []int     // layers[dim·k + v]: processors in subtorus (dim, v)
 }
 
 // New builds a placement from an arbitrary node set. Duplicate nodes are
@@ -71,28 +73,35 @@ func (p *Placement) String() string {
 // CountInSubtorus returns the number of processors in the given principal
 // subtorus.
 func (p *Placement) CountInSubtorus(s torus.Subtorus) int {
-	count := 0
-	p.t.ForEachSubtorusNode(s, func(u torus.Node) {
-		if p.has[u] {
-			count++
+	return p.layerRow(s.Dim)[p.t.WrapCoord(s.Value)]
+}
+
+// layerRow returns the processor counts of the k principal subtori along
+// dim. Every layer count is computed once, in one O(d·|P|) pass over the
+// processors' coordinates.
+func (p *Placement) layerRow(dim int) []int {
+	d, k := p.t.D(), p.t.K()
+	if dim < 0 || dim >= d {
+		panic("placement: subtorus dimension out of range")
+	}
+	p.layerOnce.Do(func() {
+		p.layers = make([]int, d*k)
+		for _, u := range p.nodes {
+			for j := 0; j < d; j++ {
+				p.layers[j*k+p.t.Coord(u, j)]++
+			}
 		}
 	})
-	return count
+	return p.layers[dim*k : (dim+1)*k]
 }
 
 // IsUniform reports whether every principal subtorus along every dimension
 // contains the same number of processors (the paper's uniformity condition
 // behind Theorem 1).
 func (p *Placement) IsUniform() bool {
-	if len(p.nodes)%p.t.K() != 0 {
-		return false
-	}
-	want := len(p.nodes) / p.t.K()
 	for dim := 0; dim < p.t.D(); dim++ {
-		for v := 0; v < p.t.K(); v++ {
-			if p.CountInSubtorus(torus.Subtorus{Dim: dim, Value: v}) != want {
-				return false
-			}
+		if !p.UniformAlong(dim) {
+			return false
 		}
 	}
 	return true
@@ -106,8 +115,8 @@ func (p *Placement) UniformAlong(dim int) bool {
 		return false
 	}
 	want := len(p.nodes) / p.t.K()
-	for v := 0; v < p.t.K(); v++ {
-		if p.CountInSubtorus(torus.Subtorus{Dim: dim, Value: v}) != want {
+	for _, count := range p.layerRow(dim) {
+		if count != want {
 			return false
 		}
 	}
@@ -142,11 +151,6 @@ type Spec interface {
 	Name() string
 }
 
-// sortNodes is a helper for deterministic construction order.
-func sortNodes(nodes []torus.Node) {
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-}
-
 // UniformityDeviation quantifies how far the placement is from uniform:
 // the maximum over dimensions and layers of |count(layer) − |P|/k|,
 // normalized by |P|/k. Zero means uniform; the paper's conclusion asks how
@@ -160,8 +164,8 @@ func (p *Placement) UniformityDeviation() float64 {
 	mean := float64(p.Size()) / float64(p.t.K())
 	worst := 0.0
 	for dim := 0; dim < p.t.D(); dim++ {
-		for v := 0; v < p.t.K(); v++ {
-			dev := float64(p.CountInSubtorus(torus.Subtorus{Dim: dim, Value: v})) - mean
+		for _, count := range p.layerRow(dim) {
+			dev := float64(count) - mean
 			if dev < 0 {
 				dev = -dev
 			}

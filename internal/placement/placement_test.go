@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -302,11 +303,11 @@ func TestCountInSubtorusLinear(t *testing.T) {
 
 func TestSpecNames(t *testing.T) {
 	names := map[string]Spec{
-		"linear(c=3)":             Linear{C: 3},
+		"linear(c=3)":              Linear{C: 3},
 		"multilinear(t=2,start=1)": MultipleLinear{Start: 1, T: 2},
-		"full":                    Full{},
-		"random(n=5,seed=9)":      Random{Count: 5, Seed: 9},
-		"shifted-diagonal(1)":     ShiftedDiagonal{Shift: 1},
+		"full":                     Full{},
+		"random(n=5,seed=9)":       Random{Count: 5, Seed: 9},
+		"shifted-diagonal(1)":      ShiftedDiagonal{Shift: 1},
 	}
 	for want, spec := range names {
 		if got := spec.Name(); got != want {
@@ -368,5 +369,74 @@ func TestUniformityDeviation(t *testing.T) {
 	empty := New(tr, nil, "empty")
 	if empty.UniformityDeviation() != 0 {
 		t.Error("empty deviation should be 0")
+	}
+}
+
+// TestLayerCountsMatchSubtorusWalk checks the cached layer counts behind
+// CountInSubtorus, UniformAlong, IsUniform and UniformityDeviation against
+// their definition: a walk over every node of every principal subtorus.
+func TestLayerCountsMatchSubtorusWalk(t *testing.T) {
+	for _, c := range []struct{ k, d int }{{2, 1}, {5, 1}, {4, 2}, {6, 2}, {3, 3}, {4, 3}, {3, 4}} {
+		tr := torus.New(c.k, c.d)
+		specs := []Spec{Linear{C: 1}, MultipleLinear{T: 2}, Full{}, LayerCluster{Dim: c.d - 1}, ShiftedDiagonal{Shift: 1}}
+		for seed := int64(0); seed < 4; seed++ {
+			specs = append(specs, Random{Count: int(seed) * tr.Nodes() / 4, Seed: seed}, Random{Count: tr.Nodes() / c.k, Seed: seed})
+		}
+		for _, spec := range specs {
+			p, err := spec.Build(tr)
+			if err != nil {
+				continue // e.g. a multiple-linear spacing the torus does not admit
+			}
+			mean := float64(p.Size()) / float64(c.k)
+			uniform, worst := p.Size()%c.k == 0, 0.0
+			for dim := 0; dim < c.d; dim++ {
+				along := p.Size()%c.k == 0
+				for v := 0; v < c.k; v++ {
+					s := torus.Subtorus{Dim: dim, Value: v}
+					walk := 0
+					tr.ForEachSubtorusNode(s, func(u torus.Node) {
+						if p.Contains(u) {
+							walk++
+						}
+					})
+					if got := p.CountInSubtorus(s); got != walk {
+						t.Fatalf("%s on %s: subtorus %+v holds %d, walk counts %d", p.Name(), tr, s, got, walk)
+					}
+					if got := p.CountInSubtorus(torus.Subtorus{Dim: dim, Value: v - c.k}); got != walk {
+						t.Fatalf("%s on %s: unwrapped value %d counts %d, want %d", p.Name(), tr, v-c.k, got, walk)
+					}
+					along = along && float64(walk) == mean
+					if dev := math.Abs(float64(walk) - mean); dev > worst {
+						worst = dev
+					}
+				}
+				if got := p.UniformAlong(dim); got != along {
+					t.Fatalf("%s on %s: UniformAlong(%d) = %v, want %v", p.Name(), tr, dim, got, along)
+				}
+				uniform = uniform && along
+			}
+			if got := p.IsUniform(); got != uniform {
+				t.Fatalf("%s on %s: IsUniform() = %v, want %v", p.Name(), tr, got, uniform)
+			}
+			if p.Size() > 0 {
+				if got := p.UniformityDeviation(); got != worst/mean {
+					t.Fatalf("%s on %s: UniformityDeviation() = %v, want %v", p.Name(), tr, got, worst/mean)
+				}
+			}
+		}
+	}
+}
+
+func TestCountInSubtorusPanicsOnBadDim(t *testing.T) {
+	p := mustBuild(t, Linear{C: 0}, torus.New(4, 2))
+	for _, dim := range []int{-1, 2} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("dimension %d: want a panic", dim)
+				}
+			}()
+			p.CountInSubtorus(torus.Subtorus{Dim: dim})
+		}()
 	}
 }

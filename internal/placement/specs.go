@@ -3,6 +3,7 @@ package placement
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"torusnet/internal/torus"
 )
@@ -135,15 +136,34 @@ func (s Random) Build(t *torus.Torus) (*Placement, error) {
 	if s.Count < 0 || s.Count > t.Nodes() {
 		return nil, fmt.Errorf("placement: random count %d out of range [0,%d]", s.Count, t.Nodes())
 	}
-	rng := rand.New(rand.NewSource(s.Seed))
-	perm := rng.Perm(t.Nodes())
-	nodes := make([]torus.Node, s.Count)
-	for i := 0; i < s.Count; i++ {
-		nodes[i] = torus.Node(perm[i])
+	// math/rand's own Perm loop on a re-seeded pooled generator, into a
+	// pooled buffer: the permutation rand.New(rand.NewSource(s.Seed)).Perm
+	// returns, without allocating a source or the permutation. New copies
+	// the first Count entries out in node order.
+	sc := randScratches.Get().(*randScratch)
+	sc.rng.Seed(s.Seed)
+	if cap(sc.perm) < t.Nodes() {
+		sc.perm = make([]torus.Node, t.Nodes())
 	}
-	sortNodes(nodes)
-	return New(t, nodes, s.Name()), nil
+	perm := sc.perm[:t.Nodes()]
+	for i := range perm {
+		j := sc.rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = torus.Node(i)
+	}
+	p := New(t, perm[:s.Count], s.Name())
+	randScratches.Put(sc)
+	return p, nil
 }
+
+// randScratch is the generator and permutation buffer Random.Build
+// borrows from randScratches.
+type randScratch struct {
+	rng  *rand.Rand
+	perm []torus.Node
+}
+
+var randScratches = sync.Pool{New: func() any { return &randScratch{rng: rand.New(rand.NewSource(0))} }}
 
 // Explicit wraps a fixed node list, e.g. the three-processor placement of
 // the paper's Fig. 1. Coordinates are given per processor.

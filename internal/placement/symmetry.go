@@ -29,37 +29,46 @@ func (p *Placement) computeStabilizer() [][]int {
 		return [][]int{make([]int, d)}
 	}
 	// Row-major strides of the torus node encoding; the product was already
-	// validated against torus.MaxNodes when the torus was constructed.
-	strides := make([]int, d)
+	// validated against torus.MaxNodes when the torus was constructed. The
+	// strides, the candidate offset and the flattened coordinates share one
+	// allocation.
+	ints := make([]int, (n+2)*d)
+	strides, cand, coords := ints[:d], ints[d:2*d], ints[2*d:]
 	strides[0] = 1
 	for j := 1; j < d; j++ {
 		strides[j] = strides[j-1] * k
 	}
-	coords := make([]int, n*d)
 	for i, u := range p.nodes {
 		p.t.CoordsInto(u, coords[i*d:(i+1)*d])
 	}
-	// backing never outgrows its capacity, so offsets already handed out
-	// stay valid as more are appended.
-	backing := make([]int, 0, n*d)
-	out := make([][]int, 0, 1)
+	// Test every candidate first, then give the stabilizing offsets one
+	// backing array of exactly their size: most placements only have the
+	// identity.
+	var hits []int
 	for i := 0; i < n; i++ {
-		start := len(backing)
-		for j := 0; j < d; j++ {
-			c := coords[i*d+j] - coords[j]
-			if c < 0 {
-				c += k
-			}
-			backing = append(backing, c)
-		}
-		cand := backing[start : start+d : start+d]
+		diffInto(cand, coords[i*d:(i+1)*d], coords[:d], k)
 		if stabilizedByCoords(p.has, coords, cand, strides, k) {
-			out = append(out, cand)
-		} else {
-			backing = backing[:start]
+			hits = append(hits, i)
 		}
 	}
+	backing := make([]int, len(hits)*d)
+	out := make([][]int, len(hits))
+	for h, i := range hits {
+		out[h] = backing[h*d : (h+1)*d : (h+1)*d]
+		diffInto(out[h], coords[i*d:(i+1)*d], coords[:d], k)
+	}
 	return out
+}
+
+// diffInto writes the coordinate difference q ⊖ p, wrapped into [0, k).
+func diffInto(dst, q, p []int, k int) {
+	for j := range dst {
+		c := q[j] - p[j]
+		if c < 0 {
+			c += k
+		}
+		dst[j] = c
+	}
 }
 
 // stabilizedByCoords reports whether translating every processor (given as

@@ -1,7 +1,9 @@
 package placement
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
 
 	"torusnet/internal/torus"
 )
@@ -120,6 +122,46 @@ func TestTranslationStabilizerClosure(t *testing.T) {
 			}
 			if !members[key(sum)] {
 				t.Fatalf("stabilizer not closed: %v + %v = %v missing", a, b, sum)
+			}
+		}
+	}
+}
+
+// TestTranslationStabilizerMatchesBruteForce checks the stabilizer against
+// every offset of the torus: the same offsets, ordered by the node index
+// of the first processor's image, packed back to back in one array.
+func TestTranslationStabilizerMatchesBruteForce(t *testing.T) {
+	for _, c := range []struct{ k, d int }{{4, 1}, {4, 2}, {6, 2}, {3, 3}, {4, 3}} {
+		tr := torus.New(c.k, c.d)
+		specs := []Spec{Linear{C: 1}, MultipleLinear{T: 2}, Full{}, LayerCluster{Dim: 0}, Random{Count: tr.Nodes() / 2, Seed: 5}}
+		for _, spec := range specs {
+			p, err := spec.Build(tr)
+			if err != nil {
+				continue
+			}
+			var want [][]int
+			for img := 0; img < tr.Nodes(); img++ {
+				// The offset taking the first processor to img.
+				off := tr.Coords(torus.Node(img))
+				first := tr.Coords(p.Nodes()[0])
+				for j := range off {
+					off[j] = (off[j] - first[j] + c.k) % c.k
+				}
+				if p.StabilizedBy(off) {
+					want = append(want, off)
+				}
+			}
+			got := p.TranslationStabilizer()
+			if len(got) != len(want) {
+				t.Fatalf("%s on %s: %d offsets, want %d", p.Name(), tr, len(got), len(want))
+			}
+			for i := range want {
+				if !slices.Equal(got[i], want[i]) {
+					t.Fatalf("%s on %s: offset %d is %v, want %v", p.Name(), tr, i, got[i], want[i])
+				}
+				if i > 0 && unsafe.Pointer(&got[i][0]) != unsafe.Add(unsafe.Pointer(&got[i-1][0]), c.d*int(unsafe.Sizeof(0))) {
+					t.Fatalf("%s on %s: offset %d does not follow offset %d in one backing array", p.Name(), tr, i, i-1)
+				}
 			}
 		}
 	}

@@ -332,4 +332,3 @@ func filled(n int, v int8) []int8 {
 	}
 	return out
 }
-

@@ -2,7 +2,8 @@
 # ci_bench_smoke.sh — CI gate against load-engine performance regressions.
 #
 # Runs the paired fast/generic BenchmarkLoadCompute* benchmarks,
-# BenchmarkLoadComputeFAR, the two optimizer benchmarks
+# BenchmarkLoadComputeFAR, BenchmarkComputePattern, BenchmarkComputeValiant,
+# the two optimizer benchmarks
 # (BenchmarkBranchBoundT2_8, BenchmarkAnnealT3_8) and the three bisection
 # benchmarks (BenchmarkSweepBisection, BenchmarkBestSweepT3_8,
 # BenchmarkAnalyzeRandomT3_8) once at a short benchtime
@@ -14,11 +15,14 @@
 # machine-independent quantities are gated so the check is stable across
 # CI hardware:
 #
-#   1. allocs/op per benchmark must not exceed the recorded value by >30%
-#      (allocation counts are deterministic, so this catches any lost
-#      scratch reuse immediately — in the optimizer, any allocation in the
-#      per-expansion or per-move path multiplies by ~10^5 expansions, and
-#      a sweep that walks the torus again allocates per node);
+#   1. allocs/op and bytes/op per benchmark must not exceed the recorded
+#      values by >30% (allocation counts are deterministic, so this catches
+#      any lost scratch reuse immediately — in the optimizer, any
+#      allocation in the per-expansion or per-move path multiplies by ~10^5
+#      expansions, and a sweep that walks the torus again allocates per
+#      node; the load engines allocate only their answer vector from a
+#      warmed workspace, so bytes/op catches a per-compute buffer that
+#      stops being pooled even when the allocation count barely moves);
 #   2. the generic/fast ns-per-op ratio, measured within this single run,
 #      must not fall below the recorded speedup by >30% (both sides see the
 #      same machine and load, so the ratio cancels hardware out);
@@ -39,33 +43,40 @@ trap 'rm -f "$RAW"' EXIT
 
 echo "bench-smoke: running paired load benchmarks, the optimizer and the bisection benchmarks"
 go test -run '^$' \
-    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkLoadComputeFAR|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8|BenchmarkSweepBisection|BenchmarkBestSweepT3_8|BenchmarkAnalyzeRandomT3_8)$' \
+    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkLoadComputeFAR|BenchmarkComputePattern|BenchmarkComputeValiant|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8|BenchmarkSweepBisection|BenchmarkBestSweepT3_8|BenchmarkAnalyzeRandomT3_8)$' \
     -benchmem -benchtime=0.5s -count=1 -cpu 1 . | tee "$RAW"
 
-# name -> ns/op and name -> allocs/op maps from this run.
+# name -> ns/op, bytes/op and allocs/op maps from this run.
 measured=$(awk '
     /^Benchmark/ {
         name = $1; sub(/-[0-9]+$/, "", name)
-        printf "{\"name\":\"%s\",\"ns\":%s,\"allocs\":%s}\n", name, $3, $7
-    }' "$RAW" | jq -s 'map({(.name): {ns: .ns, allocs: .allocs}}) | add')
+        printf "{\"name\":\"%s\",\"ns\":%s,\"bytes\":%s,\"allocs\":%s}\n", name, $3, $5, $7
+    }' "$RAW" | jq -s 'map({(.name): {ns: .ns, bytes: .bytes, allocs: .allocs}}) | add')
 
 fail=0
 
-echo "bench-smoke: checking allocs/op (limit = recorded x ${SLACK})"
-while read -r name want got limit; do
-    if [ "$got" = "null" ]; then
-        echo "bench-smoke: FAIL — $name did not run" >&2
-        fail=1
-    elif [ "$(jq -n --argjson g "$got" --argjson l "$limit" '$g > $l')" = "true" ]; then
-        echo "bench-smoke: FAIL — $name allocs/op $got > limit $limit (recorded $want)" >&2
-        fail=1
-    else
-        echo "  ok $name allocs/op $got <= $limit"
-    fi
-done < <(jq -r --argjson m "$measured" --argjson s "$SLACK" '
-    .fastpath.benches | to_entries[] |
-    "\(.key) \(.value.allocs_per_op) \($m[.key].allocs // null) \(.value.allocs_per_op * $s | ceil)"' \
-    "$BASELINE")
+# check_per_op <measured key> <baseline field> <unit>: every recorded bench
+# must have run and stay within recorded x SLACK.
+check_per_op() {
+    local key=$1 field=$2 unit=$3 name want got limit
+    echo "bench-smoke: checking ${unit} (limit = recorded x ${SLACK})"
+    while read -r name want got limit; do
+        if [ "$got" = "null" ]; then
+            echo "bench-smoke: FAIL — $name did not run" >&2
+            fail=1
+        elif [ "$(jq -n --argjson g "$got" --argjson l "$limit" '$g > $l')" = "true" ]; then
+            echo "bench-smoke: FAIL — $name ${unit} $got > limit $limit (recorded $want)" >&2
+            fail=1
+        else
+            echo "  ok $name ${unit} $got <= $limit"
+        fi
+    done < <(jq -r --argjson m "$measured" --argjson s "$SLACK" --arg k "$key" --arg f "$field" '
+        .fastpath.benches | to_entries[] |
+        "\(.key) \(.value[$f]) \($m[.key][$k] // null) \(.value[$f] * $s | ceil)"' \
+        "$BASELINE")
+}
+check_per_op allocs allocs_per_op allocs/op
+check_per_op bytes bytes_per_op bytes/op
 
 echo "bench-smoke: checking generic/fast speed ratios (floor = recorded / ${SLACK})"
 while read -r key fast generic want; do
