@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"torusnet/internal/core"
+	"torusnet/internal/load"
 	"torusnet/internal/sweep"
 )
 
@@ -57,6 +58,26 @@ func BenchmarkLoadComputeODR(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := ComputeLoad(p, ODR{}, LoadOptions{})
+		if res.Max <= 0 {
+			b.Fatal("bad result")
+		}
+	}
+}
+
+// BenchmarkLoadEMaxODR is BenchmarkLoadComputeODR through load.EMaxCtx,
+// the path of every caller that reads only E_max: worker 0's accumulator
+// comes from the pooled workspace too, so bytes/op (gated by
+// scripts/ci_bench_smoke.sh) stay far below the 196 608-byte edge vector.
+func BenchmarkLoadEMaxODR(b *testing.B) {
+	t := NewTorus(16, 3)
+	p, err := (Linear{C: 0}).Build(t)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := load.EMaxCtx(context.Background(), p, ODR{}, LoadOptions{})
 		if res.Max <= 0 {
 			b.Fatal("bad result")
 		}

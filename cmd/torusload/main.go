@@ -7,6 +7,10 @@
 //	torusload -k 8 -d 3 -placement linear -routing odr
 //	torusload -k 6 -d 2 -placement multi:2 -routing udr -dist
 //	torusload -k 4 -d 3 -placement full -routing odr -mc 100
+//
+// The report carries E_max and its busiest edge but no per-edge loads, so
+// -dist runs the load engine once more, keeping every edge's load, for
+// its histogram, nonzero-edge count and per-dimension maxima.
 package main
 
 import (
@@ -28,7 +32,7 @@ func main() {
 		placeSpec = flag.String("placement", "linear", "placement: linear[:C]|multi:T[:S]|diagonal[:S]|full|random:N[:SEED]")
 		routeSpec = flag.String("routing", "odr", "routing: odr|odr-multi|udr|far")
 		workers   = flag.Int("workers", 0, "load-engine workers (0 = GOMAXPROCS)")
-		dist      = flag.Bool("dist", false, "print the load distribution histogram")
+		dist      = flag.Bool("dist", false, "also compute every edge's load and print its distribution histogram")
 		mcRounds  = flag.Int("mc", 0, "also run a Monte-Carlo estimate with this many rounds")
 		seed      = flag.Int64("seed", 1, "Monte-Carlo seed")
 		full      = flag.Bool("full", false, "run the full pipeline: faults, coverage, scheduling")
@@ -68,13 +72,15 @@ func run(k, d int, placeSpec, routeSpec string, workers int, dist bool, mcRounds
 	fmt.Print(rep)
 
 	if dist {
-		h := stats.NewHistogram(rep.Load.Loads, 12)
+		// The report carries only E_max; the histogram needs every edge.
+		res := load.Compute(p, alg, load.Options{Workers: workers})
+		h := stats.NewHistogram(res.Loads, 12)
 		fmt.Println("\nload distribution over directed edges:")
 		fmt.Print(h.Render(48))
 		fmt.Printf("nonzero edges: %d of %d, mean load %.4f (nonzero mean %.4f)\n",
-			rep.Load.NonzeroEdges(), t.Edges(), rep.Load.Mean(), rep.Load.MeanNonzero())
+			res.NonzeroEdges(), t.Edges(), res.Mean(), res.MeanNonzero())
 		fmt.Printf("per-dimension max:")
-		for j, v := range rep.Load.PerDimensionMax() {
+		for j, v := range res.PerDimensionMax() {
 			fmt.Printf(" dim%d=%.4f", j, v)
 		}
 		fmt.Println()

@@ -127,7 +127,7 @@ func run(d, kmin, kmax, kstep int, placeSpec, routeSpec string, workers int) err
 		if err != nil {
 			return err
 		}
-		res := load.Compute(p, alg, load.Options{Workers: workers})
+		res := load.EMaxCtx(context.Background(), p, alg, load.Options{Workers: workers})
 		kd1 := 1.0
 		for i := 0; i < d-1; i++ {
 			kd1 *= float64(k)

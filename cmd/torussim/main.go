@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -115,7 +116,7 @@ func run(k, d int, placeSpec, routeSpec string, seed int64, workers, maxCycles i
 	fmt.Printf("cycles per processor: %.3f\n", float64(st.Cycles)/float64(p.Size()))
 
 	if compare {
-		res := load.Compute(p, alg, load.Options{Workers: workers})
+		res := load.EMaxCtx(context.Background(), p, alg, load.Options{Workers: workers})
 		fmt.Printf("\nexact expected E_max: %.4f (simulated peak traffic %d)\n", res.Max, st.MaxLinkTraffic)
 	}
 	return nil

@@ -26,7 +26,8 @@ type Report struct {
 	Placement *placement.Placement
 	Algorithm string
 
-	// Load results (Definition 4).
+	// Load results (Definition 4): E_max, its busiest edge and Σ E(l).
+	// Load.Loads is nil; per-edge loads come from load.Compute.
 	Load *load.Result
 
 	// Lower bounds on E_max and the bisections behind them.
@@ -107,7 +108,7 @@ func AnalyzeCtx(ctx context.Context, p *placement.Placement, alg routing.Algorit
 	rep := &Report{
 		Placement: p,
 		Algorithm: alg.Name(),
-		Load:      load.ComputeCtx(ctx, p, alg, opts),
+		Load:      load.EMaxCtx(ctx, p, alg, opts),
 	}
 	_, bsp := obs.Start(ctx, "core.bounds")
 	rep.Bounds = EvaluateBounds(p)

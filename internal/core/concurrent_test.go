@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
+	"math"
 	"sync"
 	"testing"
 
+	"torusnet/internal/load"
 	"torusnet/internal/placement"
 	"torusnet/internal/routing"
 	"torusnet/internal/torus"
@@ -12,8 +15,10 @@ import (
 // TestAnalyzeConcurrentDeterministic guards the worker-pool path torusd
 // relies on: many goroutines running Analyze concurrently — sharing one
 // placement, as the service's cache/coalescing layer does — must produce
-// results bit-identical to a sequential run. Run under -race in CI, this
-// also proves the pipeline touches no shared mutable state.
+// results bit-identical to a sequential run. A Report carries only the
+// load summary, so the same goroutines also run load.ComputeCtx and check
+// its per-edge vector against the sequential one. Run under -race in CI,
+// this also proves the pipeline touches no shared mutable state.
 func TestAnalyzeConcurrentDeterministic(t *testing.T) {
 	tor := torus.New(8, 2)
 	shared, err := placement.Linear{C: 0}.Build(tor)
@@ -25,23 +30,31 @@ func TestAnalyzeConcurrentDeterministic(t *testing.T) {
 	const loadWorkers = 3
 	algs := []routing.Algorithm{routing.ODR{}, routing.UDR{}, routing.FAR{}}
 
+	computeLoads := func(alg routing.Algorithm) *load.Result {
+		return load.ComputeCtx(context.Background(), shared, alg, load.Options{Workers: loadWorkers})
+	}
 	want := make([]*Report, len(algs))
+	wantLoads := make([]*load.Result, len(algs))
 	for i, alg := range algs {
 		want[i] = Analyze(shared, alg, loadWorkers)
+		wantLoads[i] = computeLoads(alg)
 	}
 
 	const goroutines = 8
 	got := make([][]*Report, goroutines)
+	gotLoads := make([][]*load.Result, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			reports := make([]*Report, len(algs))
+			loads := make([]*load.Result, len(algs))
 			for i, alg := range algs {
 				reports[i] = Analyze(shared, alg, loadWorkers)
+				loads[i] = computeLoads(alg)
 			}
-			got[g] = reports
+			got[g], gotLoads[g] = reports, loads
 		}(g)
 	}
 	wg.Wait()
@@ -49,18 +62,22 @@ func TestAnalyzeConcurrentDeterministic(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		for i := range algs {
 			seq, par := want[i], got[g][i]
-			if par.Load.Max != seq.Load.Max || par.Load.Total != seq.Load.Total {
-				t.Errorf("goroutine %d, %s: E_max/total %v/%v, want %v/%v",
-					g, algs[i].Name(), par.Load.Max, par.Load.Total, seq.Load.Max, seq.Load.Total)
+			if math.Float64bits(par.Load.Max) != math.Float64bits(seq.Load.Max) ||
+				par.Load.MaxEdge != seq.Load.MaxEdge ||
+				math.Float64bits(par.Load.Total) != math.Float64bits(seq.Load.Total) {
+				t.Errorf("goroutine %d, %s: E_max/edge/total %v/%d/%v, want %v/%d/%v",
+					g, algs[i].Name(), par.Load.Max, par.Load.MaxEdge, par.Load.Total,
+					seq.Load.Max, seq.Load.MaxEdge, seq.Load.Total)
 			}
-			if len(par.Load.Loads) != len(seq.Load.Loads) {
+			seqLoads, parLoads := wantLoads[i].Loads, gotLoads[g][i].Loads
+			if len(parLoads) != len(seqLoads) || len(seqLoads) != tor.Edges() {
 				t.Fatalf("goroutine %d, %s: %d loads, want %d",
-					g, algs[i].Name(), len(par.Load.Loads), len(seq.Load.Loads))
+					g, algs[i].Name(), len(parLoads), len(seqLoads))
 			}
-			for e := range seq.Load.Loads {
-				if par.Load.Loads[e] != seq.Load.Loads[e] {
+			for e := range seqLoads {
+				if math.Float64bits(parLoads[e]) != math.Float64bits(seqLoads[e]) {
 					t.Fatalf("goroutine %d, %s: edge %d load %v, want %v (not bit-identical)",
-						g, algs[i].Name(), e, par.Load.Loads[e], seq.Load.Loads[e])
+						g, algs[i].Name(), e, parLoads[e], seqLoads[e])
 				}
 			}
 			if par.BlaumBound != seq.BlaumBound ||

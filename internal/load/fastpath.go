@@ -46,7 +46,8 @@ type scatterJob struct {
 // computeSymmetry runs the fast path, reporting ok=false when it does not
 // apply: non-equivariant algorithm, fewer than two processors, or (unless
 // force) a trivial stabilizer that would make it a slower generic engine.
-func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Algorithm, workers int, force bool) (*Result, bool) {
+// Without keep the Result carries no Loads vector.
+func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Algorithm, workers int, force, keep bool) (*Result, bool) {
 	if !routing.IsTranslationEquivariant(alg) {
 		return nil, false
 	}
@@ -117,7 +118,7 @@ func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Al
 	// per-worker node-translation table, striped and merged like the pair
 	// engines, so determinism semantics match.
 	workers = effectiveWorkers(workers, len(jobs))
-	partials := ws.accumulators(workers, t.Edges())
+	partials := ws.accumulators(workers, t.Edges(), keep)
 	tables := ws.translationTables(t, workers)
 	func() {
 		_, ssp := obs.Start(ctx, "load.scatter")
@@ -134,7 +135,7 @@ func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Al
 		})
 	}()
 
-	res := engineResult(ctx, p, alg, EngineSymmetry, partials)
+	res := engineResult(ctx, p, alg, EngineSymmetry, partials, keep)
 	ws.release()
 	return res, true
 }

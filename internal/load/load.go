@@ -34,6 +34,8 @@ type Result struct {
 	// results wrapped via NewResultFromLoads.
 	Engine string
 	// Loads[e] is the expected number of messages crossing directed edge e.
+	// It is nil for analytic results and for every EMaxCtx result; the
+	// other fields are filled either way.
 	Loads []float64
 	// Max is the maximum load E_max and MaxEdge attains it.
 	Max     float64
@@ -145,6 +147,23 @@ func Compute(p *placement.Placement, alg routing.Algorithm, opts Options) *Resul
 // no active trace the instrumentation collapses to nil-span no-ops, so the
 // background-context Compute path stays allocation-identical to before.
 func ComputeCtx(ctx context.Context, p *placement.Placement, alg routing.Algorithm, opts Options) *Result {
+	return compute(ctx, p, alg, opts, true)
+}
+
+// EMaxCtx is ComputeCtx for callers that read only the summary: it runs
+// the same dispatch and engines and returns the same Max, MaxEdge, Total,
+// Engine, Exact and Theorem bit for bit, but its Result has no Loads
+// vector, so a warm computed engine allocates no per-edge vector at all.
+// Per-edge consumers must use ComputeCtx.
+func EMaxCtx(ctx context.Context, p *placement.Placement, alg routing.Algorithm, opts Options) *Result {
+	return compute(ctx, p, alg, opts, false)
+}
+
+// compute is the one dispatch behind ComputeCtx and EMaxCtx: analytic,
+// then the symmetry fast path, then the generic pair loop. keep says
+// whether the Result owns a Loads vector; a cross-checked fast path keeps
+// it for the comparison either way and drops it afterwards.
+func compute(ctx context.Context, p *placement.Placement, alg routing.Algorithm, opts Options, keep bool) *Result {
 	fpComputeDispatch.InjectHard()
 	workers := effectiveWorkers(opts.Workers, p.Size())
 	ctx, sp := obs.Start(ctx, "load.compute")
@@ -155,21 +174,24 @@ func ComputeCtx(ctx context.Context, p *placement.Placement, alg routing.Algorit
 	if res, ok := computeAnalytic(ctx, p, alg, opts.Analytic); ok {
 		sp.SetAttr("engine", EngineAnalytic)
 		if opts.CrossCheck {
-			crossCheckAnalytic(res, computeGeneric(ctx, p, alg, workers))
+			crossCheckAnalytic(res, computeGeneric(ctx, p, alg, workers, false))
 		}
 		return res
 	}
 	if opts.FastPath != FastPathOff {
-		if res, ok := computeSymmetry(ctx, p, alg, workers, opts.FastPath == FastPathForce); ok {
+		if res, ok := computeSymmetry(ctx, p, alg, workers, opts.FastPath == FastPathForce, keep || opts.CrossCheck); ok {
 			sp.SetAttr("engine", EngineSymmetry)
 			if opts.CrossCheck {
-				crossCheck(res, computeGeneric(ctx, p, alg, workers))
+				crossCheck(res, computeGeneric(ctx, p, alg, workers, true))
+				if !keep {
+					res.Loads = nil
+				}
 			}
 			return res
 		}
 	}
 	sp.SetAttr("engine", EngineGeneric)
-	return computeGeneric(ctx, p, alg, workers)
+	return computeGeneric(ctx, p, alg, workers, keep)
 }
 
 // withEngineLabel runs fn under a pprof "engine" label so CPU profiles
@@ -185,13 +207,14 @@ func withEngineLabel(ctx context.Context, engine string, fn func()) {
 }
 
 // computeGeneric is the O(|P|²) ordered-pair loop. Workers must already be
-// the effective count from effectiveWorkers.
-func computeGeneric(ctx context.Context, p *placement.Placement, alg routing.Algorithm, workers int) *Result {
+// the effective count from effectiveWorkers. Without keep the Result
+// carries no Loads vector.
+func computeGeneric(ctx context.Context, p *placement.Placement, alg routing.Algorithm, workers int, keep bool) *Result {
 	t := p.Torus()
 	procs := p.Nodes()
 
 	ws := getWorkspace()
-	partials := ws.accumulators(workers, t.Edges())
+	partials := ws.accumulators(workers, t.Edges(), keep)
 	func() {
 		_, psp := obs.Start(ctx, "load.pairs")
 		defer psp.End()
@@ -208,7 +231,7 @@ func computeGeneric(ctx context.Context, p *placement.Placement, alg routing.Alg
 		})
 	}()
 	fpComputeMerge.InjectHard()
-	res := engineResult(ctx, p, alg, EngineGeneric, partials)
+	res := engineResult(ctx, p, alg, EngineGeneric, partials, keep)
 	ws.release()
 	return res
 }
@@ -256,13 +279,18 @@ func mergePartials(partials [][]float64) []float64 {
 }
 
 // engineResult merges a ComputeCtx engine's partials under a load.merge
-// span and wraps them in a Result labelled with the engine.
-func engineResult(ctx context.Context, p *placement.Placement, alg routing.Algorithm, engine string, partials [][]float64) *Result {
+// span and wraps them in a Result labelled with the engine. Without keep
+// the merged vector is the workspace's: the Result reads its summary from
+// it here, before the caller releases the workspace, and drops it.
+func engineResult(ctx context.Context, p *placement.Placement, alg routing.Algorithm, engine string, partials [][]float64, keep bool) *Result {
 	_, msp := obs.Start(ctx, "load.merge")
 	loads := mergePartials(partials)
 	msp.End()
 	res := newResult(p.Torus(), p, alg.Name(), loads)
 	res.Engine = engine
+	if !keep {
+		res.Loads = nil
+	}
 	return res
 }
 
@@ -285,16 +313,15 @@ func newResult(t *torus.Torus, p *placement.Placement, algName string, loads []f
 	return res
 }
 
-// Mean returns the average load over all directed edges; 0 for analytic
-// results, which carry no per-edge vector.
+// Mean returns the average load over all directed edges, Total / |E|. It
+// needs no per-edge vector; analytic results, which leave Total at 0,
+// report 0.
 func (r *Result) Mean() float64 {
-	if len(r.Loads) == 0 {
-		return 0
-	}
-	return r.Total / float64(len(r.Loads))
+	return r.Total / float64(r.Torus.Edges())
 }
 
-// MeanNonzero returns the average load over edges with nonzero load.
+// MeanNonzero returns the average load over edges with nonzero load. It
+// needs the Loads vector of a ComputeCtx result.
 func (r *Result) MeanNonzero() float64 {
 	sum, n := 0.0, 0
 	for _, v := range r.Loads {
@@ -309,7 +336,8 @@ func (r *Result) MeanNonzero() float64 {
 	return sum / float64(n)
 }
 
-// NonzeroEdges returns the number of edges carrying any load.
+// NonzeroEdges returns the number of edges carrying any load. It needs the
+// Loads vector of a ComputeCtx result.
 func (r *Result) NonzeroEdges() int {
 	n := 0
 	for _, v := range r.Loads {
@@ -320,7 +348,8 @@ func (r *Result) NonzeroEdges() int {
 	return n
 }
 
-// PerDimensionMax returns E_max restricted to edges of each dimension.
+// PerDimensionMax returns E_max restricted to edges of each dimension. It
+// needs the Loads vector of a ComputeCtx result.
 func (r *Result) PerDimensionMax() []float64 {
 	out := make([]float64, r.Torus.D())
 	for e, v := range r.Loads {
@@ -333,9 +362,10 @@ func (r *Result) PerDimensionMax() []float64 {
 }
 
 // String summarizes the result. Analytic results have no busiest edge to
-// report and print the bound relation instead.
+// report and print the bound relation instead; every computed result,
+// with or without its Loads vector, names its busiest edge.
 func (r *Result) String() string {
-	if len(r.Loads) == 0 {
+	if r.Engine == EngineAnalytic {
 		rel := "≤"
 		if r.Exact {
 			rel = "="

@@ -158,7 +158,7 @@ func ComputePattern(p *placement.Placement, pat Pattern, alg routing.Algorithm, 
 	demands := pat.Demands(p)
 	workers := effectiveWorkers(opts.Workers, len(demands))
 	ws := getWorkspace()
-	partials := ws.accumulators(workers, t.Edges())
+	partials := ws.accumulators(workers, t.Edges(), true)
 	stripePairs(t, ws, partials, len(demands), func(i int, local []float64, sc *routing.PairScratch) {
 		dm := demands[i]
 		alg.AccumulatePair(t, dm.Src, dm.Dst, dm.Weight, local, sc)

@@ -14,7 +14,7 @@ type EdgeLoad struct {
 
 // TopEdges returns the n most loaded edges in decreasing load order (ties
 // broken by edge index for determinism). n larger than the edge count
-// returns all edges.
+// returns all edges. It needs the Loads vector of a ComputeCtx result.
 func (r *Result) TopEdges(n int) []EdgeLoad {
 	all := make([]EdgeLoad, len(r.Loads))
 	for e, v := range r.Loads {

@@ -26,7 +26,7 @@ func ComputeValiant(p *placement.Placement, pat Pattern, alg routing.Algorithm, 
 	workers := effectiveWorkers(opts.Workers, len(demands))
 	invN := 1.0 / float64(t.Nodes())
 	ws := getWorkspace()
-	partials := ws.accumulators(workers, t.Edges())
+	partials := ws.accumulators(workers, t.Edges(), true)
 	stripePairs(t, ws, partials, len(demands), func(i int, local []float64, sc *routing.PairScratch) {
 		dm := demands[i]
 		weight := dm.Weight * invN

@@ -14,13 +14,15 @@ import (
 // handed out, so a workspace last used on a larger torus, another
 // dimension or more workers carries nothing into the next compute. The one
 // vector a compute returns, worker 0's accumulator, is allocated fresh and
-// never enters the workspace; a compute that panics never returns its
-// workspace at all.
+// never enters the workspace; a compute that keeps no vector (EMaxCtx)
+// takes worker 0's accumulator from the workspace too. A compute that
+// panics never returns its workspace at all.
 type workspace struct {
 	// parts is the accumulator list handed to the stripe: parts[0] is the
-	// compute's fresh answer vector, parts[1:] alias spare.
-	parts [][]float64
-	spare [][]float64 // accumulators of workers 1..W−1
+	// compute's fresh answer vector when it keeps one, and every other
+	// entry aliases pooled.
+	parts  [][]float64
+	pooled [][]float64 // pooled[w] is worker w's accumulator
 
 	scratch  []*routing.PairScratch // one per worker, made for scratchD
 	scratchD int
@@ -46,15 +48,20 @@ func (ws *workspace) release() {
 	workspaces.Put(ws)
 }
 
-// accumulators returns one zeroed per-edge accumulator per worker. The
-// first is freshly allocated, and mergePartials folds the others into it,
-// so it becomes the Result's Loads; the others are the workspace's.
-func (ws *workspace) accumulators(workers, edges int) [][]float64 {
-	ws.spare = grown(ws.spare, workers-1)
-	ws.parts = append(ws.parts[:0], make([]float64, edges))
-	for w := range ws.spare {
-		ws.spare[w] = zeroed(ws.spare[w], edges)
-		ws.parts = append(ws.parts, ws.spare[w])
+// accumulators returns one zeroed per-edge accumulator per worker, and
+// mergePartials folds them all into the first. With keep, the first is
+// freshly allocated and becomes the Result's Loads; without, it is the
+// workspace's like the others, and must be read before release.
+func (ws *workspace) accumulators(workers, edges int, keep bool) [][]float64 {
+	ws.pooled = grown(ws.pooled, workers)
+	ws.parts = ws.parts[:0]
+	for w := range ws.pooled {
+		if w == 0 && keep {
+			ws.parts = append(ws.parts, make([]float64, edges))
+			continue
+		}
+		ws.pooled[w] = zeroed(ws.pooled[w], edges)
+		ws.parts = append(ws.parts, ws.pooled[w])
 	}
 	return ws.parts
 }

@@ -91,7 +91,7 @@ func BranchAndBound(ctx context.Context, t *torus.Torus, alg routing.Algorithm, 
 	seedE := energy(ctx, t, seed, alg, cfg.Workers)
 	incumbent, incumbentE := append([]torus.Node(nil), seed...), seedE
 	if lin, err := (placement.Linear{C: 0}).Build(t); err == nil && lin.Size() == cfg.Size {
-		if e := load.ComputeCtx(ctx, lin, alg, load.Options{Workers: cfg.Workers}).Max; e < incumbentE {
+		if e := load.EMaxCtx(ctx, lin, alg, load.Options{Workers: cfg.Workers}).Max; e < incumbentE {
 			incumbent, incumbentE = append([]torus.Node(nil), lin.Nodes()...), e
 		}
 	}

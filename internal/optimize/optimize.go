@@ -139,7 +139,7 @@ type Result struct {
 // traced as a child of ctx's span.
 func energy(ctx context.Context, t *torus.Torus, nodes []torus.Node, alg routing.Algorithm, workers int) float64 {
 	p := placement.New(t, nodes, "search")
-	return load.ComputeCtx(ctx, p, alg, load.Options{Workers: workers}).Max
+	return load.EMaxCtx(ctx, p, alg, load.Options{Workers: workers}).Max
 }
 
 // checkStart validates a caller-supplied start placement: exactly size

@@ -2,8 +2,8 @@
 # ci_bench_smoke.sh — CI gate against load-engine performance regressions.
 #
 # Runs the paired fast/generic BenchmarkLoadCompute* benchmarks,
-# BenchmarkLoadComputeFAR, BenchmarkComputePattern, BenchmarkComputeValiant,
-# the two optimizer benchmarks
+# BenchmarkLoadComputeFAR, BenchmarkLoadEMaxODR, BenchmarkComputePattern,
+# BenchmarkComputeValiant, the two optimizer benchmarks
 # (BenchmarkBranchBoundT2_8, BenchmarkAnnealT3_8) and the three bisection
 # benchmarks (BenchmarkSweepBisection, BenchmarkBestSweepT3_8,
 # BenchmarkAnalyzeRandomT3_8) once at a short benchtime
@@ -21,8 +21,9 @@
 #      allocation in the per-expansion or per-move path multiplies by ~10^5
 #      expansions, and a sweep that walks the torus again allocates per
 #      node; the load engines allocate only their answer vector from a
-#      warmed workspace, so bytes/op catches a per-compute buffer that
-#      stops being pooled even when the allocation count barely moves);
+#      warmed workspace, and BenchmarkLoadEMaxODR not even that, so
+#      bytes/op catches a per-compute buffer that stops being pooled even
+#      when the allocation count barely moves);
 #   2. the generic/fast ns-per-op ratio, measured within this single run,
 #      must not fall below the recorded speedup by >30% (both sides see the
 #      same machine and load, so the ratio cancels hardware out);
@@ -43,7 +44,7 @@ trap 'rm -f "$RAW"' EXIT
 
 echo "bench-smoke: running paired load benchmarks, the optimizer and the bisection benchmarks"
 go test -run '^$' \
-    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkLoadComputeFAR|BenchmarkComputePattern|BenchmarkComputeValiant|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8|BenchmarkSweepBisection|BenchmarkBestSweepT3_8|BenchmarkAnalyzeRandomT3_8)$' \
+    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkLoadComputeFAR|BenchmarkLoadEMaxODR|BenchmarkComputePattern|BenchmarkComputeValiant|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8|BenchmarkSweepBisection|BenchmarkBestSweepT3_8|BenchmarkAnalyzeRandomT3_8)$' \
     -benchmem -benchtime=0.5s -count=1 -cpu 1 . | tee "$RAW"
 
 # name -> ns/op, bytes/op and allocs/op maps from this run.

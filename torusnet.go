@@ -305,6 +305,9 @@ type (
 )
 
 // Analyze runs loads, bounds, bisections, and optimality ratios in one call.
+// The report's Load carries E_max, its busiest edge and the total but no
+// per-edge vector (Load.Loads is nil); per-edge loads come from
+// ComputeLoad.
 func Analyze(p *Placement, a RoutingAlgorithm, workers int) *Report {
 	return core.Analyze(p, a, workers)
 }
