@@ -13,7 +13,7 @@ FUZZ_TARGETS := \
 	./internal/cluster:FuzzHashRing \
 	./internal/lintcheck:FuzzLintIgnoreDirective
 
-.PHONY: all build test race vet fmt-check lint lint-fix fuzz-smoke serve bench bench-smoke bench-service bench-module smoke-torusd smoke-cluster chaos profile ci
+.PHONY: all build test race vet fmt-check lint lint-fix fuzz-smoke serve bench bench-smoke bench-module smoke-torusd smoke-cluster chaos profile ci
 
 all: build
 
@@ -73,11 +73,6 @@ bench:
 bench-smoke:
 	./scripts/ci_bench_smoke.sh
 
-# bench-service regenerates results/BENCH_service.json (cached vs uncached
-# /v1/analyze latency and throughput on T^2_8).
-bench-service:
-	$(GO) run ./cmd/torusd -selfbench results/BENCH_service.json
-
 # bench-module vets and tests the nested torusnet/bench module (torusbench).
 # It has its own go.mod, so the root build, vet, and test targets never
 # compile it; this target is what catches an internal API change that
@@ -112,13 +107,15 @@ profile:
 # chaos runs the fault-injection suite under the race detector: every
 # registered failpoint (including the cluster.* sites) fires against a live
 # server, pool workers are crashed and wedged, degraded answers are
-# replayed against the exact engine, a multi-node cluster is churned with
-# kills, partitions, and armed cluster faults, and each test asserts a
+# replayed against the exact engine, the client drains bodies for
+# connection reuse, a peer fill against an overloaded (429) owner fails
+# fast to local compute, a multi-node cluster is churned with kills,
+# partitions, and armed cluster faults, and each test asserts a
 # goroutine-leak-free recovery.
 chaos:
 	$(GO) test -race -count=1 ./internal/failpoint
 	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestDegraded|TestRetry|TestBreaker|TestHedged|TestClientDrains|TestNonRetryable' \
+		-run 'TestChaos|TestDegraded|TestClientDrains|TestPeerFillFailsFast' \
 		./internal/service
 	$(GO) test -race -count=1 -run 'TestCluster' ./internal/cluster/harness
 

@@ -6,6 +6,9 @@ import (
 
 	"torusnet/internal/core"
 	"torusnet/internal/load"
+	"torusnet/internal/optimize"
+	"torusnet/internal/routing"
+	"torusnet/internal/schedule"
 	"torusnet/internal/sweep"
 )
 
@@ -109,7 +112,7 @@ func BenchmarkLoadComputeODRGeneric(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := ComputeLoad(p, ODR{}, LoadOptions{FastPath: FastPathOff})
+		res := ComputeLoad(p, ODR{}, LoadOptions{FastPath: load.FastPathOff})
 		if res.Max <= 0 {
 			b.Fatal("bad result")
 		}
@@ -125,7 +128,7 @@ func BenchmarkLoadComputeODRMulti(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ComputeLoad(p, ODRMulti{}, LoadOptions{})
+		ComputeLoad(p, routing.ODRMulti{}, LoadOptions{})
 	}
 }
 
@@ -138,7 +141,7 @@ func BenchmarkLoadComputeODRMultiGeneric(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ComputeLoad(p, ODRMulti{}, LoadOptions{FastPath: FastPathOff})
+		ComputeLoad(p, routing.ODRMulti{}, LoadOptions{FastPath: load.FastPathOff})
 	}
 }
 
@@ -164,7 +167,7 @@ func BenchmarkLoadComputeUDRGeneric(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ComputeLoad(p, UDR{}, LoadOptions{FastPath: FastPathOff})
+		ComputeLoad(p, UDR{}, LoadOptions{FastPath: load.FastPathOff})
 	}
 }
 
@@ -177,7 +180,7 @@ func BenchmarkLoadComputeFAR(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ComputeLoad(p, FAR{}, LoadOptions{})
+		ComputeLoad(p, routing.FAR{}, LoadOptions{})
 	}
 }
 
@@ -212,7 +215,7 @@ func BenchmarkComputeValiant(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := ComputeValiantLoad(p, PatternTranspose{}, ODR{}, LoadOptions{}); res.Max <= 0 {
+		if res := load.ComputeValiant(p, PatternTranspose{}, ODR{}, LoadOptions{}); res.Max <= 0 {
 			b.Fatal("bad result")
 		}
 	}
@@ -231,8 +234,8 @@ func BenchmarkAnalyzeAnalytic(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := ComputeLoad(p, ODR{}, LoadOptions{Analytic: AnalyticAuto})
-		if res.Engine != EngineAnalytic || res.Max <= 0 {
+		res := ComputeLoad(p, ODR{}, LoadOptions{Analytic: load.AnalyticAuto})
+		if res.Engine != load.EngineAnalytic || res.Max <= 0 {
 			b.Fatalf("engine %q max %g", res.Engine, res.Max)
 		}
 	}
@@ -254,7 +257,7 @@ func benchAnalyticK(b *testing.B, k int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cls := p.LinearClass()
-		ev, ok := AnalyticEMax(k, 3, cls.T, "ODR", true)
+		ev, ok := load.AnalyticEMax(k, 3, cls.T, "ODR", true)
 		if !ok || ev.EMax <= 0 {
 			b.Fatalf("no analytic answer for k=%d", k)
 		}
@@ -295,7 +298,7 @@ func BenchmarkAnnealT3_8(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := AnnealPlacement(t, ODR{}, cfg); res.Steps != 200 {
+		if res := optimize.Anneal(t, ODR{}, cfg); res.Steps != 200 {
 			b.Fatalf("ran %d steps, want 200", res.Steps)
 		}
 	}
@@ -379,7 +382,7 @@ func BenchmarkMonteCarloLoad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MonteCarloLoad(p, UDR{}, 10, int64(i), LoadOptions{})
+		load.MonteCarlo(p, UDR{}, 10, int64(i), LoadOptions{})
 	}
 }
 
@@ -411,7 +414,7 @@ func BenchmarkScheduleExchange(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := ScheduleExchange(p, ODR{}, 1, ScheduleLongestFirst)
+		res := schedule.CompleteExchange(p, ODR{}, 1, schedule.LongestFirst)
 		if res.Length < res.LowerBound() {
 			b.Fatal("impossible schedule")
 		}

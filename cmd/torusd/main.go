@@ -24,7 +24,6 @@
 //	torusd -addr :8080 -no-fastpath                 # force the generic load engine
 //	torusd -addr :8080 -no-analytic                 # disable the closed-form fast lane
 //	torusd -addr :8080 -slow-threshold 250ms        # warn-log slow requests
-//	torusd -selfbench results/BENCH_service.json    # micro-benchmark, then exit
 //	torusd -failpoints 'service.cache.get=error'    # boot with chaos faults armed
 //	torusd -cluster -self http://10.0.0.1:8080 \
 //	       -peers http://10.0.0.1:8080,http://10.0.0.2:8080,http://10.0.0.3:8080
@@ -94,8 +93,6 @@ func main() {
 		noFastPath = flag.Bool("no-fastpath", false, "disable the translation-symmetry load fast path (generic engine only)")
 		noAnalytic = flag.Bool("no-analytic", false, "disable the closed-form analytic fast lane for /v1/analyze")
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and /debug/failpoints on this separate address (empty = disabled)")
-		selfbench  = flag.String("selfbench", "", "run the cached-vs-uncached micro-benchmark, write JSON to this file, and exit")
-		selfbenchN = flag.Int("selfbench-n", 200, "requests per selfbench series")
 		degradeAt  = flag.Float64("degrade-at", 0, "pool-utilization watermark past which /v1/analyze answers degraded Monte Carlo estimates (0 = 0.9, negative = never)")
 		degradedN  = flag.Int("degraded-rounds", 0, "Monte Carlo rounds behind degraded answers (0 = 16)")
 		wedge      = flag.Duration("wedge-timeout", 0, "watchdog deadline before a wedged pool worker is replaced (0 = 2×timeout, negative = no watchdog)")
@@ -165,13 +162,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "torusd: %d failpoint(s) armed from -failpoints\n", n)
 	}
 
-	var err error
-	if *selfbench != "" {
-		err = runSelfBench(cfg, *selfbench, *selfbenchN)
-	} else {
-		err = run(cfg, *addr, *debugAddr)
-	}
-	if err != nil {
+	if err := run(cfg, *addr, *debugAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "torusd:", err)
 		os.Exit(1)
 	}
@@ -179,9 +170,9 @@ func main() {
 
 // buildCluster assembles this node's shard-ring view from the
 // -self/-peers (or -peers-file) flags. Each remote peer gets its own
-// resilient fill client (per-peer breaker state); the fill policy retries
-// once with short backoff and no hedging, because every fill failure has a
-// cheap local fallback — computing the answer ourselves.
+// single-attempt fill client: the cluster's per-peer health is the only
+// failure policy, because every fill failure has a cheap local fallback —
+// computing the answer ourselves.
 func buildCluster(self, peers, peersFile string, replicas int) (*cluster.Cluster, error) {
 	if self == "" || (peers == "" && peersFile == "") {
 		return nil, errors.New("-cluster requires -self and -peers or -peers-file")
@@ -198,17 +189,12 @@ func buildCluster(self, peers, peersFile string, replicas int) (*cluster.Cluster
 	} else {
 		members = parsePeers(peers)
 	}
-	rcfg := service.ResilienceConfig{
-		MaxAttempts: 2,
-		BaseBackoff: 50 * time.Millisecond,
-		MaxBackoff:  500 * time.Millisecond,
-	}
 	return cluster.New(cluster.Config{
 		Self:     strings.TrimRight(self, "/"),
 		Peers:    members,
 		Replicas: replicas,
 		Dial: func(u string) cluster.PeerTransport {
-			return service.NewPeerFillClient(u, rcfg)
+			return service.NewPeerFillClient(u)
 		},
 	})
 }

@@ -6,7 +6,7 @@
 //	go run ./cmd/toruslint -format=github ./...   # CI workflow annotations
 //	go run ./cmd/toruslint -fix ./...             # apply mechanical fixes
 //	go run ./cmd/toruslint -list                  # describe the analyzer suite
-//	go run ./cmd/toruslint -disable=facade-complete ./internal/torus
+//	go run ./cmd/toruslint -disable=doccomment ./internal/torus
 //
 // -fix applies every finding's attached mechanical edit, then reloads and
 // re-runs the suite; the exit code reflects what remains unfixed. -json is

@@ -18,7 +18,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("run(-list) = %d, stderr %q", code, errb.String())
 	}
-	for _, name := range []string{"modmath", "overflowvol", "errcheck-lite", "syncmisuse", "facade-complete"} {
+	for _, name := range []string{"modmath", "overflowvol", "errcheck-lite", "syncmisuse", "doccomment"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out.String())
 		}
@@ -50,7 +50,7 @@ func TestDisableSilencesAnalyzer(t *testing.T) {
 
 func TestJSONOutputOnCleanTree(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"-root", fixture("facade-good"), "-json"}, &out, &errb)
+	code := run([]string{"-root", fixture(filepath.Join("modmath", "good")), "-json"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("run on clean fixture = %d, stderr %q", code, errb.String())
 	}

@@ -63,7 +63,7 @@ func main() {
 }
 
 // serve boots the shared HTTP service — same handlers, cache, job manager,
-// and metrics as torusd, minus torusd's cluster/debug/selfbench trimmings —
+// and metrics as torusd, minus torusd's cluster and debug trimmings —
 // and drains gracefully on SIGINT/SIGTERM.
 func serve(addr string, workers int) error {
 	ln, err := net.Listen("tcp", addr)

@@ -178,4 +178,7 @@ func TestImprovedBoundScalesWithC(t *testing.T) {
 	if got := Improved(3, 6, 3); math.Abs(got-9*base) > 1e-12 {
 		t.Errorf("Improved(3)=%v, want 9×Improved(1)=%v", got, 9*base)
 	}
+	if got := Improved(2, 4, 3); got != 4.0*16/8 {
+		t.Errorf("Improved(2,4,3) = %v, want c²k^{d−1}/8 = 8", got)
+	}
 }

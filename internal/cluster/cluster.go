@@ -6,9 +6,10 @@
 //
 // The fill path is groupcache-shaped. Every key has exactly one owner,
 // its primary on the ring. On a local cache miss for a key owned
-// elsewhere, the serving node fetches the answer from that owner (reached
-// through its own resilient client, so breaker state is per peer) and
-// computes locally when the owner cannot answer. Fill requests carry a
+// elsewhere, the serving node fetches the answer from that owner in one
+// attempt and computes locally when the owner cannot answer. The per-peer
+// health below is the only failure policy on the fill path; the transport
+// never retries or waits out a Retry-After. Fill requests carry a
 // one-hop loop guard: a node serving a fill never fills in turn, so
 // requests traverse at most one peer edge regardless of membership skew.
 // Every failure mode — ring fault, owner down, dial error, corrupt fill

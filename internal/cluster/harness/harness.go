@@ -111,7 +111,6 @@ type Network struct {
 	Nodes []*Node
 
 	opts Options
-	rcfg service.ResilienceConfig
 	wg   sync.WaitGroup
 }
 
@@ -151,17 +150,7 @@ func Start(opts Options) (*Network, error) {
 		urls = append(urls, "http://"+ln.Addr().String())
 	}
 
-	nw := &Network{
-		opts: opts,
-		// Peer fills retry once with short backoff; every failure has a
-		// local fallback, so a patient policy only hides partitions from
-		// tests.
-		rcfg: service.ResilienceConfig{
-			MaxAttempts: 2,
-			BaseBackoff: 2 * time.Millisecond,
-			MaxBackoff:  10 * time.Millisecond,
-		},
-	}
+	nw := &Network{opts: opts}
 	for i := 0; i < count; i++ {
 		node, err := nw.newNode(i, urls[i], listeners[i], urls)
 		if err != nil {
@@ -192,7 +181,7 @@ func (nw *Network) newNode(index int, url string, ln net.Listener, peers []strin
 		FailureThreshold: nw.opts.FailureThreshold,
 		DownCooldown:     nw.opts.DownCooldown,
 		Dial: func(u string) cluster.PeerTransport {
-			e := &edge{inner: service.NewPeerFillClient(u, nw.rcfg)}
+			e := &edge{inner: service.NewPeerFillClient(u)}
 			node.edgeMu.Lock()
 			node.edges[u] = e
 			node.edgeMu.Unlock()

@@ -21,7 +21,7 @@ import (
 //
 // Reference side (raw scan of *_test.go, *.sh, and *.md files, which the
 // type-checked loader never sees): every site string used in an explicit
-// failpoint context — Enable/FailpointEnable calls, PUT/DELETE paths under
+// failpoint context — Enable calls, PUT/DELETE paths under
 // debug/failpoints/, -failpoints flag or TORUSNET_FAILPOINTS env specs, and
 // failpoint.New examples in docs — must resolve to a registered site, so
 // chaos tests, the smoke script, and the operator docs cannot drift from
@@ -156,7 +156,6 @@ var sitePatterns = []struct {
 	failpointPkgOnly bool
 }{
 	{re: regexp.MustCompile(`failpoint\.Enable\(\s*"([^"]+)"`)},
-	{re: regexp.MustCompile(`\bFailpointEnable\(\s*"([^"]+)"`)},
 	{re: regexp.MustCompile(`(?:^|[^.\w])Enable\(\s*"([^"]+)"`), failpointPkgOnly: true, testOnly: true},
 	{re: regexp.MustCompile(`debug/failpoints/([a-z][a-z0-9]*(?:\.[a-z][a-z0-9]*)+)`)},
 	{re: regexp.MustCompile(`failpoint\.New\(\s*"([^"]+)"`), testOnly: false},

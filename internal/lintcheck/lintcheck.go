@@ -3,9 +3,8 @@
 // every package of the module and runs analyzers that enforce invariants the
 // paper reproduction depends on: normalized modular arithmetic on wrap
 // paths, overflow-guarded volume computations, no silently discarded errors,
-// sound sync primitive usage, package doc comments everywhere (with
-// documented facade re-exports), and a facade that re-exports (or explicitly
-// allowlists) every exported internal symbol. On top of the syntactic
+// sound sync primitive usage, and package doc comments everywhere (with
+// documented facade re-exports). On top of the syntactic
 // checks, the dataflow suite polices the serving stack's lifecycle
 // disciplines: contexts must flow (ctxflow), spans must end on every path
 // (spanend), metrics must match the promSchema table (metricschema),
@@ -14,17 +13,16 @@
 //
 // Findings can be silenced per line with a //lint:ignore <analyzer> <reason>
 // directive — the reason is mandatory, and a directive without one is
-// itself a finding and suppresses nothing. The facade analyzer additionally
-// honors the allowlist file facade_allowlist.txt, and ctxflow honors
-// ctxflow_allowlist.txt (see those files for format).
+// itself a finding and suppresses nothing. ctxflow additionally honors
+// ctxflow_allowlist.txt (see that file for format).
 //
 // # Writing a new analyzer
 //
 // An analyzer is one run<Name> function returning []Finding plus an entry
 // in All(). Set the entry's Package field for per-package checks (it runs
 // once per loaded package, with the shared Unit for position/suppression
-// helpers) or Unitwide for cross-package checks (facade-complete,
-// metricschema, and failpointsite are the models — they see every package,
+// helpers) or Unitwide for cross-package checks (metricschema and
+// failpointsite are the models — they see every package,
 // and failpointsite shows how to fold in raw non-Go files like scripts and
 // docs). Build findings with u.finding(name, pos, message, suggestion);
 // when the repair is purely mechanical, attach TextEdit byte-range edits so
@@ -82,7 +80,7 @@ func (f Finding) String() string {
 
 // Analyzer is one registered check. Exactly one of Package or Unitwide is
 // set: Package runs once per loaded package, Unitwide once per unit (used by
-// cross-package checks like facade-complete).
+// cross-package checks like metricschema).
 type Analyzer struct {
 	Name     string
 	Doc      string
@@ -122,11 +120,6 @@ func All() []*Analyzer {
 			Name:    "doccomment",
 			Doc:     "flags packages without a package doc comment and undocumented exported declarations in the module-root facade package",
 			Package: runDoccomment,
-		},
-		{
-			Name:     "facade-complete",
-			Doc:      "cross-checks that every exported internal symbol is re-exported by the facade package or allowlisted; stale or unsorted allowlist entries are findings",
-			Unitwide: runFacade,
 		},
 		{
 			Name:    "ctxflow",

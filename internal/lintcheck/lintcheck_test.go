@@ -13,9 +13,8 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
 
 // fixtureTrees pairs each testdata/src tree with the analyzer it exercises.
-// The four per-package trees hold a bad package (every finding marked with a
-// want comment) and a good package (no findings); the facade trees exercise
-// the unitwide analyzer with and without an allowlist.
+// Each tree holds a bad package (every finding marked with a want comment)
+// and a good package (no findings).
 var fixtureTrees = []struct {
 	tree     string
 	analyzer string
@@ -26,8 +25,6 @@ var fixtureTrees = []struct {
 	{"syncmisuse", "syncmisuse"},
 	{"retrymisuse", "retrymisuse"},
 	{"doccomment", "doccomment"},
-	{"facade-bad", "facade-complete"},
-	{"facade-good", "facade-complete"},
 	{"ctxflow", "ctxflow"},
 	{"spanend", "spanend"},
 	{"metricschema", "metricschema"},
@@ -58,9 +55,8 @@ func analyzerByName(t *testing.T, name string) *Analyzer {
 var wantRe = regexp.MustCompile(`// want "([^"]*)"`)
 
 // wantSuffixes are the file kinds that may carry want comments: Go sources,
-// plus the raw files the failpointsite scanner and the facade allowlist
-// checks produce findings in.
-var wantSuffixes = []string{".go", ".md", ".sh", ".txt"}
+// plus the raw files the failpointsite scanner produces findings in.
+var wantSuffixes = []string{".go", ".md", ".sh"}
 
 // collectWants scans every fixture file under dir for // want "frag"
 // comments and returns file -> line -> expected message fragment.
@@ -386,12 +382,12 @@ func TestSelect(t *testing.T) {
 	if err != nil || len(picked) != 2 {
 		t.Fatalf("Select enable: got %d analyzers, err %v; want 2, nil", len(picked), err)
 	}
-	rest, err := Select("", "facade-complete")
+	rest, err := Select("", "doccomment")
 	if err != nil || len(rest) != len(All())-1 {
 		t.Fatalf("Select disable: got %d analyzers, err %v; want %d, nil", len(rest), err, len(All())-1)
 	}
 	for _, a := range rest {
-		if a.Name == "facade-complete" {
+		if a.Name == "doccomment" {
 			t.Error("disabled analyzer still selected")
 		}
 	}

@@ -6,17 +6,16 @@ import (
 	"go/types"
 )
 
-// runRetrymisuse flags retry loops that cannot be cancelled. The serving
-// path retries against torusd with context-aware backoff (see
-// service.ResilienceConfig); a loop that sleeps with bare time.Sleep or
-// blocks on <-time.After without a cancellation escape keeps goroutines
-// (and their connections) alive long after the caller has given up.
+// runRetrymisuse flags retry and polling loops that cannot be cancelled.
+// A loop that sleeps with bare time.Sleep or blocks on <-time.After
+// without a cancellation escape keeps goroutines (and their connections)
+// alive long after the caller has given up.
 //
 // Two hazard classes:
 //
 //  1. time.Sleep anywhere inside a for/range body: the sleep ignores every
-//     context. Retry delays must come from a select over a timer and a
-//     cancellation channel (the pattern in service.realClock.Sleep).
+//     context. Delays must come from a select over a timer and a
+//     cancellation channel (the pattern in service's (*Client).WaitJob).
 //  2. <-time.After inside a for/range body with no cancellation case: a
 //     bare receive, or a select whose cases include the After receive but
 //     no ctx.Done() (or other struct{}-channel) escape. Besides being

@@ -13,7 +13,7 @@ var errUnavailable = errors.New("unavailable")
 func call() error { return errUnavailable }
 
 // sleepCtx is the canonical cancellable delay: a timer raced against
-// ctx.Done(), mirrored from the service client's realClock.Sleep.
+// ctx.Done(), mirrored from the service client's WaitJob poll loop.
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()

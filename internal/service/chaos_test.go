@@ -96,14 +96,13 @@ func newChaosClusterPair(t *testing.T) (clients [2]*Client, views [2]*cluster.Cl
 		lns[i] = ln
 		urls = append(urls, "http://"+ln.Addr().String())
 	}
-	rcfg := ResilienceConfig{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond}
 	var servers [2]*Server
 	var wg sync.WaitGroup
 	for i := range lns {
 		cl, err := cluster.New(cluster.Config{
 			Self:  urls[i],
 			Peers: urls,
-			Dial:  func(u string) cluster.PeerTransport { return NewPeerFillClient(u, rcfg) },
+			Dial:  func(u string) cluster.PeerTransport { return NewPeerFillClient(u) },
 		})
 		if err != nil {
 			t.Fatalf("pair cluster view %d: %v", i, err)

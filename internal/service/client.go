@@ -20,8 +20,8 @@ type APIError struct {
 	Status  int
 	Message string
 	// RetryAfter is the parsed Retry-After header (0 when absent): how
-	// long the server asked us to back off on a 429/503. The resilient
-	// client honors it as a backoff floor.
+	// long the server asked callers to back off on a 429/503. The client
+	// never waits on it; a caller that retries may.
 	RetryAfter time.Duration
 }
 
@@ -32,21 +32,16 @@ func (e *APIError) Error() string {
 // clientMaxBody caps how much of a response body the client will read.
 const clientMaxBody = 32 << 20
 
-// Client is a typed HTTP client for a torusd server. The zero HTTP client
-// has no overall timeout; per-call deadlines come from the caller's
-// context.
+// Client is a typed HTTP client for a torusd server. Per-call deadlines
+// come from the caller's context.
 //
-// NewClient builds a single-attempt client: every error — transport or
-// HTTP — surfaces immediately, which is what tests asserting raw 429/504
-// behavior and callers with their own retry policies want. NewResilientClient
-// layers retries, hedging, and a circuit breaker on the same call surface;
-// see ResilienceConfig.
+// Every call is a single attempt: every error — transport or HTTP —
+// surfaces immediately, which is what tests asserting raw 429/504
+// behavior and callers with their own retry policies want.
 type Client struct {
 	base    string
 	hc      *http.Client
 	maxBody int64
-	// res enables the resilience policy; nil means single-attempt.
-	res *resilience
 	// peerHop marks every request with PeerHopHeader — the cluster fill
 	// loop guard. Only NewPeerFillClient sets it.
 	peerHop bool
@@ -62,22 +57,15 @@ func NewClient(baseURL string) *Client {
 	}
 }
 
-// NewResilientClient builds a client with the retry/hedge/breaker policy
-// of cfg (zero value → defaults; see ResilienceConfig).
-func NewResilientClient(baseURL string, cfg ResilienceConfig) *Client {
-	c := NewClient(baseURL)
-	c.res = newResilience(cfg, realClock{})
-	return c
-}
-
 // NewPeerFillClient builds the client a cluster node uses to fetch answers
-// from a key's home peer: a resilient client (each peer gets its own
-// Client, so breaker state is per peer) whose every request carries the
-// PeerHopHeader loop guard — the home peer answers from its own cache or
-// compute and never fills onward. It satisfies cluster.PeerTransport via
-// FillPeer and Ready.
-func NewPeerFillClient(baseURL string, cfg ResilienceConfig) *Client {
-	c := NewResilientClient(baseURL, cfg)
+// from a key's home peer: a single-attempt client whose every request
+// carries the PeerHopHeader loop guard — the home peer answers from its
+// own cache or compute and never fills onward. It satisfies
+// cluster.PeerTransport via FillPeer and Ready. Failures surface at once:
+// the cluster's per-peer health is the only failure policy, and every
+// failed fill falls back to local compute.
+func NewPeerFillClient(baseURL string) *Client {
+	c := NewClient(baseURL)
 	c.peerHop = true
 	return c
 }
@@ -104,8 +92,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, payload []b
 	}
 	if traceID := obs.TraceIDFromContext(ctx); traceID != "" {
 		// Propagate the caller's trace downstream: the trace ID rides the
-		// context, so retries and hedges of one logical call share it, while
-		// each attempt gets a fresh span ID.
+		// context, and the outgoing request gets a fresh span ID.
 		req.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(traceID, obs.NewSpanID()))
 	}
 	resp, err := c.hc.Do(req)
@@ -169,9 +156,8 @@ func interpret(status int, data []byte, retryAfter time.Duration, out any) error
 	return nil
 }
 
-// do runs one JSON call. in == nil sends no body; out == nil discards the
-// response body. With a resilience policy attached, the call is retried,
-// hedged, and breaker-guarded per that policy.
+// do runs one JSON call as a single attempt. in == nil sends no body;
+// out == nil discards the response body.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var payload []byte
 	if in != nil {
@@ -181,14 +167,11 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		payload = data
 	}
-	if c.res == nil {
-		status, data, retryAfter, err := c.roundTrip(ctx, method, path, payload)
-		if err != nil {
-			return err
-		}
-		return interpret(status, data, retryAfter, out)
+	status, data, retryAfter, err := c.roundTrip(ctx, method, path, payload)
+	if err != nil {
+		return err
 	}
-	return c.res.do(ctx, c, method, path, payload, out)
+	return interpret(status, data, retryAfter, out)
 }
 
 // Analyze runs POST /v1/analyze.
@@ -304,9 +287,7 @@ func (c *Client) RunExperiment(ctx context.Context, id string, req ExperimentReq
 
 // Ready probes GET /readyz, returning nil only when the server reports
 // itself ready to serve (a not-ready node answers 503, which surfaces as
-// *APIError). The cluster layer uses it to re-admit cooled-down peers, and
-// resilient clients honor a not-ready backend the same way as any 503:
-// retry with backoff, eventually tripping the breaker.
+// *APIError). The cluster layer uses it to re-admit cooled-down peers.
 func (c *Client) Ready(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/readyz", nil, nil)
 }
@@ -323,9 +304,9 @@ func (c *Client) Readyz(ctx context.Context) (*ReadyResponse, error) {
 
 // FillPeer POSTs a raw canonical request body to path on the peer and
 // returns the raw 200 response body, satisfying cluster.PeerTransport.
-// The bytes ride the ordinary do path — resilience policy, trace
-// propagation, body drain/close — as json.RawMessage in both directions,
-// so nothing is re-encoded.
+// The bytes ride the ordinary do path — trace propagation, body
+// drain/close — as json.RawMessage in both directions, so nothing is
+// re-encoded.
 func (c *Client) FillPeer(ctx context.Context, path string, payload []byte) ([]byte, error) {
 	var out json.RawMessage
 	if err := c.do(ctx, http.MethodPost, path, json.RawMessage(payload), &out); err != nil {

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 // TestReadyzSingleNode pins the split: /healthz is liveness, /readyz is
@@ -63,7 +62,7 @@ func TestPeerHopLoopGuard(t *testing.T) {
 	// A peer-fill client marks every request as a hop; aim it at node 0
 	// with a key homed on node 1.
 	req := remoteHomedRequest(t, views[0], views[1].Self())
-	hopC := NewPeerFillClient(clients[0].base, ResilienceConfig{MaxAttempts: 1})
+	hopC := NewPeerFillClient(clients[0].base)
 	resp, err := hopC.Analyze(ctx, req)
 	if err != nil {
 		t.Fatalf("hop-marked analyze: %v", err)
@@ -166,17 +165,15 @@ func BenchmarkFillForDisabled(b *testing.B) {
 	}
 }
 
-// TestPeerFillClientReadyHonorsNotReady pins the resilient-client /readyz
-// contract: a not-ready backend surfaces as *APIError 503 from Ready, which
-// is what the cluster layer's re-admission probe keys on.
+// TestPeerFillClientReadyHonorsNotReady pins the peer-fill client's
+// /readyz contract: a not-ready backend surfaces as *APIError 503 from
+// Ready, which is what the cluster layer's re-admission probe keys on.
 func TestPeerFillClientReadyHonorsNotReady(t *testing.T) {
 	notReady := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}))
 	defer notReady.Close()
-	c := NewPeerFillClient(notReady.URL, ResilienceConfig{
-		MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
-	})
+	c := NewPeerFillClient(notReady.URL)
 	err := c.Ready(context.Background())
 	if err == nil {
 		t.Fatal("Ready against a 503 backend returned nil")

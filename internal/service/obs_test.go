@@ -197,22 +197,15 @@ func TestTraceparentEchoAndSeeding(t *testing.T) {
 }
 
 // TestClientPropagatesTraceparent asserts the typed client forwards the
-// context's trace ID, and that the resilient client keeps the trace ID
-// stable across retries while rotating span IDs per attempt.
+// context's trace ID in one request whose parent span ID is freshly
+// minted, not the caller's own span.
 func TestClientPropagatesTraceparent(t *testing.T) {
 	var mu sync.Mutex
 	var seen []string
-	attempts := 0
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		seen = append(seen, r.Header.Get(obs.TraceparentHeader))
-		n := attempts
-		attempts++
 		mu.Unlock()
-		if n == 0 {
-			http.Error(w, `{"error":"transient"}`, http.StatusServiceUnavailable)
-			return
-		}
 		w.Header().Set("Content-Type", "application/json")
 		if err := json.NewEncoder(w).Encode(HealthResponse{Status: "ok"}); err != nil {
 			t.Errorf("encode: %v", err)
@@ -225,29 +218,22 @@ func TestClientPropagatesTraceparent(t *testing.T) {
 	defer root.End()
 	traceID := obs.TraceIDFromContext(ctx)
 
-	c := NewResilientClient(ts.URL, ResilienceConfig{
-		MaxAttempts: 2, BaseBackoff: time.Millisecond, JitterSeed: 1,
-	})
+	c := NewClient(ts.URL)
 	if _, err := c.Health(ctx); err != nil {
 		t.Fatalf("health: %v", err)
 	}
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(seen) != 2 {
-		t.Fatalf("server saw %d attempts, want 2", len(seen))
+	if len(seen) != 1 {
+		t.Fatalf("server saw %d requests, want 1", len(seen))
 	}
-	spans := map[string]bool{}
-	for i, h := range seen {
-		id, ok := obs.ParseTraceparent(h)
-		if !ok || id != traceID {
-			t.Errorf("attempt %d traceparent = %q, want trace ID %s", i, h, traceID)
-			continue
-		}
-		spans[strings.Split(h, "-")[2]] = true
+	id, ok := obs.ParseTraceparent(seen[0])
+	if !ok || id != traceID {
+		t.Fatalf("traceparent = %q, want trace ID %s", seen[0], traceID)
 	}
-	if len(spans) != 2 {
-		t.Errorf("attempts shared a span ID: %v", seen)
+	if seen[0] == obs.FormatTraceparent(traceID, root.SpanID()) {
+		t.Errorf("traceparent %q reuses the caller's span ID instead of a fresh one", seen[0])
 	}
 }
 
