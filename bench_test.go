@@ -1,7 +1,10 @@
 package torusnet
 
 import (
+	"bytes"
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"torusnet/internal/core"
@@ -9,6 +12,7 @@ import (
 	"torusnet/internal/optimize"
 	"torusnet/internal/routing"
 	"torusnet/internal/schedule"
+	"torusnet/internal/service"
 	"torusnet/internal/sweep"
 )
 
@@ -432,3 +436,30 @@ func BenchmarkE29Adaptive(b *testing.B)    { benchExperiment(b, "E29") }
 func BenchmarkE30OpenLoop(b *testing.B)    { benchExperiment(b, "E30") }
 func BenchmarkE31FastPath(b *testing.B)    { benchExperiment(b, "E31") }
 func BenchmarkE32Analytic(b *testing.B)    { benchExperiment(b, "E32") }
+
+// BenchmarkServeAnalyzeCacheHit serves one warm /v1/analyze key (UDR on
+// T^3_8 random:64) through torusd's full middleware-wrapped handler into a
+// recorder: the cache-hit path, with no network. bench-smoke holds its
+// allocs/op to the recorded count with no slack, so work re-added ahead of
+// the cache lookup — a placement build or a request timer — fails CI.
+func BenchmarkServeAnalyzeCacheHit(b *testing.B) {
+	s := service.New(service.Config{Workers: 1})
+	defer s.Close()
+	h := s.Handler()
+	body := []byte(`{"k":8,"d":3,"placement":"random:64","routing":"udr"}`)
+	serve := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body)))
+		return rec
+	}
+	if rec := serve(); rec.Code != http.StatusOK {
+		b.Fatalf("warm-up analyze: status %d: %s", rec.Code, rec.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := serve(); rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"cached":true`)) {
+			b.Fatalf("analyze on a warm key: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}

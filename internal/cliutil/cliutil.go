@@ -27,14 +27,21 @@ import (
 //	full              fully populated torus
 //	random:N[:SEED]   N processors placed uniformly at random
 func ParsePlacement(spec string) (placement.Spec, error) {
-	parts := strings.Split(spec, ":")
+	name, rest, more := strings.Cut(spec, ":")
+	// args holds the colon-separated fields after the name; fields past
+	// the second are ignored.
+	var args [2]string
+	nargs := 0
+	for ; more && nargs < len(args); nargs++ {
+		args[nargs], rest, more = strings.Cut(rest, ":")
+	}
 	argInt := func(idx, def int) (int, error) {
-		if len(parts) <= idx {
+		if nargs < idx {
 			return def, nil
 		}
-		return strconv.Atoi(parts[idx])
+		return strconv.Atoi(args[idx-1])
 	}
-	switch parts[0] {
+	switch name {
 	case "linear":
 		c, err := argInt(1, 0)
 		if err != nil {
@@ -42,10 +49,10 @@ func ParsePlacement(spec string) (placement.Spec, error) {
 		}
 		return placement.Linear{C: c}, nil
 	case "multi":
-		if len(parts) < 2 {
+		if nargs < 1 {
 			return nil, fmt.Errorf("cliutil: multi needs a count, e.g. multi:2")
 		}
-		t, err := strconv.Atoi(parts[1])
+		t, err := strconv.Atoi(args[0])
 		if err != nil {
 			return nil, fmt.Errorf("cliutil: bad multi count in %q: %v", spec, err)
 		}
@@ -63,10 +70,10 @@ func ParsePlacement(spec string) (placement.Spec, error) {
 	case "full":
 		return placement.Full{}, nil
 	case "random":
-		if len(parts) < 2 {
+		if nargs < 1 {
 			return nil, fmt.Errorf("cliutil: random needs a count, e.g. random:12")
 		}
-		n, err := strconv.Atoi(parts[1])
+		n, err := strconv.Atoi(args[0])
 		if err != nil {
 			return nil, fmt.Errorf("cliutil: bad random count in %q: %v", spec, err)
 		}
@@ -76,7 +83,7 @@ func ParsePlacement(spec string) (placement.Spec, error) {
 		}
 		return placement.Random{Count: n, Seed: int64(seed)}, nil
 	default:
-		return nil, fmt.Errorf("cliutil: unknown placement %q (want linear|multi|diagonal|full|random)", parts[0])
+		return nil, fmt.Errorf("cliutil: unknown placement %q (want linear|multi|diagonal|full|random)", name)
 	}
 }
 

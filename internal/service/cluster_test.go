@@ -130,9 +130,10 @@ func TestExecuteCacheHitAllocFree(t *testing.T) {
 	defer s.Close()
 	ctx := context.Background()
 	const key = "analyze|warm"
+	miss := func() (*peerFill, error) { return nil, nil }
 	compute := func(context.Context) (any, error) { return AnalyzeResponse{EMax: 1}, nil }
 	shed := func(context.Context) (any, error) { return nil, errors.New("shed on a cache hit") }
-	if _, _, err := s.execute(ctx, key, nil, compute, nil); err != nil {
+	if _, _, err := s.execute(ctx, key, miss, compute, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -140,7 +141,7 @@ func TestExecuteCacheHitAllocFree(t *testing.T) {
 		shed func(context.Context) (any, error)
 	}{{"exact", nil}, {"shed", shed}} {
 		if n := testing.AllocsPerRun(100, func() {
-			if _, cached, err := s.execute(ctx, key, nil, compute, tc.shed); err != nil || !cached {
+			if _, cached, err := s.execute(ctx, key, miss, compute, tc.shed); err != nil || !cached {
 				t.Fatalf("%s: execute on a warm key = (cached %v, %v), want a cache hit", tc.name, cached, err)
 			}
 		}); n != 0 {

@@ -402,3 +402,64 @@ func (b *syncBuffer) String() string {
 	defer b.mu.Unlock()
 	return b.buf.String()
 }
+
+// TestEndpointCounterCardinality pins requests_by_endpoint to route
+// patterns: polled job IDs and unknown paths must not each mint a
+// permanent expvar key and /metrics series.
+func TestEndpointCounterCardinality(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	h := s.Handler()
+	serve := func(method, path, body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Code
+	}
+	if st := serve(http.MethodPost, "/v1/bounds", `{"k":4,"d":2,"placement":"linear"}`); st != http.StatusOK {
+		t.Fatalf("bounds: status %d", st)
+	}
+	for i := 0; i < 50; i++ {
+		if st := serve(http.MethodGet, fmt.Sprintf("/v1/jobs/j%d", i), ""); st != http.StatusNotFound {
+			t.Fatalf("poll of an unknown job: status %d, want 404", st)
+		}
+		if st := serve(http.MethodGet, fmt.Sprintf("/no/such/path/%d", i), ""); st != http.StatusNotFound {
+			t.Fatalf("unknown path: status %d, want 404", st)
+		}
+	}
+	if st := serve(http.MethodGet, "/v1/analyze", ""); st != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /v1/analyze: status %d, want 405", st)
+	}
+
+	keys, counts := s.metrics.endpointCounts()
+	const routes = 13 // the patterns New registers
+	if len(keys) > routes+1 {
+		t.Errorf("requests_by_endpoint has %d keys after ID-bearing and unknown paths, want <= %d: %v", len(keys), routes+1, keys)
+	}
+	for key, want := range map[string]int64{
+		"POST /v1/bounds":   1,
+		"GET /v1/jobs/{id}": 50,
+		unmatchedEndpoint:   51,
+	} {
+		if counts[key] != want {
+			t.Errorf("requests_by_endpoint[%q] = %d, want %d", key, counts[key], want)
+		}
+	}
+}
+
+// TestUntracedTraceparent checks the request ID minted with tracing off:
+// the echoed traceparent is valid W3C and its trace ID is the access log's.
+func TestUntracedTraceparent(t *testing.T) {
+	var accessLog syncBuffer
+	s := New(Config{Workers: 1, AccessLog: &accessLog})
+	defer s.Close()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	tp := rec.Header().Get(obs.TraceparentHeader)
+	id, ok := obs.ParseTraceparent(tp)
+	if !ok {
+		t.Fatalf("untraced response traceparent %q does not parse", tp)
+	}
+	if want := `"trace":"` + id + `"`; !strings.Contains(accessLog.String(), want) {
+		t.Errorf("access log %q lacks the response's trace ID %s", accessLog.String(), id)
+	}
+}

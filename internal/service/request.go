@@ -6,12 +6,15 @@
 //
 // The serving pipeline is, per request:
 //
-//	decode (strict JSON) → validate + canonicalize → cache key
-//	  → LRU/TTL result cache
+//	decode (strict JSON) → canonicalize (spelling only) → cache key
+//	  → LRU/TTL result cache (a hit is answered from the cache alone)
+//	  → on a miss: build the placement once (the spec-vs-torus check;
+//	    a failure is a 400 that nothing caches) → per-request deadline
 //	  → singleflight coalescing (identical concurrent requests share one run)
-//	  → bounded worker pool (queue backpressure → 429, per-request
-//	    deadline → 504, panic isolation → 500)
-//	  → compute → cache fill → JSON response
+//	  → [cluster peer fill from the key's home peer]
+//	  → bounded worker pool (queue backpressure → 429, deadline → 504,
+//	    panic isolation → 500) → compute on the built placement
+//	  → cache fill → JSON response
 //
 // Requests are canonicalized before hashing so that syntactic variants of
 // the same analysis — "linear" vs "linear:0" vs "linear:-8" on k=8, "ODR"
@@ -29,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"torusnet/internal/cliutil"
@@ -57,25 +61,38 @@ type AnalyzeRequest struct {
 // Canonicalize validates the request and rewrites Placement and Routing to
 // their canonical spellings, so equal analyses produce equal cache keys.
 // It is idempotent: canonicalizing an already-canonical request is a no-op.
+// It checks the spelling only; whether the placement fits the torus
+// (multi:T with T > k, random counts past k^d, …) is checked when the
+// placement is built, on a cache miss.
 func (r *AnalyzeRequest) Canonicalize(maxNodes int) error {
+	_, err := r.canonicalize(maxNodes)
+	return err
+}
+
+// canonicalize is Canonicalize returning the canonical placement spec, so
+// the miss path builds it without re-parsing the spelling.
+func (r *AnalyzeRequest) canonicalize(maxNodes int) (placement.Spec, error) {
 	if err := checkTorus(r.K, r.D, maxNodes); err != nil {
-		return err
+		return nil, err
 	}
-	p, err := canonicalPlacement(r.Placement, r.K, r.D)
+	p, spec, err := canonicalPlacement(r.Placement, r.K)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	a, err := canonicalRouting(r.Routing)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	r.Placement, r.Routing = p, a
-	return nil
+	return spec, nil
 }
 
 // CacheKey returns the stable cache identity of the canonicalized request.
 func (r *AnalyzeRequest) CacheKey() string {
-	return fmt.Sprintf("analyze|k=%d|d=%d|p=%s|a=%s", r.K, r.D, r.Placement, r.Routing)
+	var buf [96]byte
+	b := appendTorusKey(append(buf[:0], "analyze"...), r.K, r.D, r.Placement)
+	b = append(append(b, "|a="...), r.Routing...)
+	return string(b)
 }
 
 // BoundsRequest asks for every lower bound of the paper on one placement
@@ -86,22 +103,29 @@ type BoundsRequest struct {
 	Placement string `json:"placement"`
 }
 
-// Canonicalize validates and canonicalizes in place (idempotent).
+// Canonicalize validates and canonicalizes in place (idempotent). Like
+// AnalyzeRequest.Canonicalize it checks the spelling only.
 func (r *BoundsRequest) Canonicalize(maxNodes int) error {
+	_, err := r.canonicalize(maxNodes)
+	return err
+}
+
+func (r *BoundsRequest) canonicalize(maxNodes int) (placement.Spec, error) {
 	if err := checkTorus(r.K, r.D, maxNodes); err != nil {
-		return err
+		return nil, err
 	}
-	p, err := canonicalPlacement(r.Placement, r.K, r.D)
+	p, spec, err := canonicalPlacement(r.Placement, r.K)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	r.Placement = p
-	return nil
+	return spec, nil
 }
 
 // CacheKey returns the stable cache identity of the canonicalized request.
 func (r *BoundsRequest) CacheKey() string {
-	return fmt.Sprintf("bounds|k=%d|d=%d|p=%s", r.K, r.D, r.Placement)
+	var buf [96]byte
+	return string(appendTorusKey(append(buf[:0], "bounds"...), r.K, r.D, r.Placement))
 }
 
 // BisectRequest asks for one bisection construction with respect to a
@@ -113,14 +137,20 @@ type BisectRequest struct {
 	Method    string `json:"method,omitempty"`
 }
 
-// Canonicalize validates and canonicalizes in place (idempotent).
+// Canonicalize validates and canonicalizes in place (idempotent). Like
+// AnalyzeRequest.Canonicalize it checks the spelling only.
 func (r *BisectRequest) Canonicalize(maxNodes int) error {
+	_, err := r.canonicalize(maxNodes)
+	return err
+}
+
+func (r *BisectRequest) canonicalize(maxNodes int) (placement.Spec, error) {
 	if err := checkTorus(r.K, r.D, maxNodes); err != nil {
-		return err
+		return nil, err
 	}
-	p, err := canonicalPlacement(r.Placement, r.K, r.D)
+	p, spec, err := canonicalPlacement(r.Placement, r.K)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	switch m := strings.ToLower(strings.TrimSpace(r.Method)); m {
 	case "":
@@ -128,15 +158,27 @@ func (r *BisectRequest) Canonicalize(maxNodes int) error {
 	case "sweep", "best-sweep", "dimension":
 		r.Method = m
 	default:
-		return fmt.Errorf("service: unknown bisection method %q (want sweep|best-sweep|dimension)", r.Method)
+		return nil, fmt.Errorf("service: unknown bisection method %q (want sweep|best-sweep|dimension)", r.Method)
 	}
 	r.Placement = p
-	return nil
+	return spec, nil
 }
 
 // CacheKey returns the stable cache identity of the canonicalized request.
 func (r *BisectRequest) CacheKey() string {
-	return fmt.Sprintf("bisect|k=%d|d=%d|p=%s|m=%s", r.K, r.D, r.Placement, r.Method)
+	var buf [96]byte
+	b := appendTorusKey(append(buf[:0], "bisect"...), r.K, r.D, r.Placement)
+	b = append(append(b, "|m="...), r.Method...)
+	return string(b)
+}
+
+// appendTorusKey appends the "|k=K|d=D|p=PLACEMENT" part every placement
+// cache key shares. Keys are hashed onto the cluster ring, so their bytes
+// must not change: TestCacheKeysMatchSprintf pins them to the fmt form.
+func appendTorusKey(b []byte, k, d int, spec string) []byte {
+	b = strconv.AppendInt(append(b, "|k="...), int64(k), 10)
+	b = strconv.AppendInt(append(b, "|d="...), int64(d), 10)
+	return append(append(b, "|p="...), spec...)
 }
 
 // ExperimentRequest selects the scale of one registered experiment run.
@@ -159,14 +201,20 @@ func (r *ExperimentRequest) Canonicalize() error {
 }
 
 // DecodeAnalyzeRequest decodes and canonicalizes one /v1/analyze body under
-// the default node ceiling. It is the entry point fuzzed by
-// FuzzDecodeAnalyzeRequest; the HTTP handler uses the same strict decoding.
+// the default node ceiling, and builds the placement, so an accepted
+// request is one the service can analyze. It is the entry point fuzzed by
+// FuzzDecodeAnalyzeRequest; the HTTP handler uses the same strict decoding
+// and builds only on a cache miss.
 func DecodeAnalyzeRequest(data []byte) (*AnalyzeRequest, error) {
 	var req AnalyzeRequest
 	if err := decodeStrict(bytes.NewReader(data), &req); err != nil {
 		return nil, err
 	}
-	if err := req.Canonicalize(DefaultMaxNodes); err != nil {
+	spec, err := req.canonicalize(DefaultMaxNodes)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := spec.Build(torus.New(req.K, req.D)); err != nil {
 		return nil, err
 	}
 	return &req, nil
@@ -205,37 +253,47 @@ func checkTorus(k, d, maxNodes int) error {
 	return nil
 }
 
-// canonicalPlacement parses a placement spec, verifies it builds on T^d_k,
-// and returns its canonical spelling: residues reduced with torus.Mod,
-// defaulted fields made explicit (multi:T → multi:T:0, random:N →
-// random:N:1). Canonical spellings re-parse to themselves.
-func canonicalPlacement(spec string, k, d int) (string, error) {
+// canonicalPlacement parses a placement spec and returns its canonical
+// spelling together with the spec that spelling parses to: residues
+// reduced with torus.Mod, defaulted fields made explicit (multi:T →
+// multi:T:0, random:N → random:N:1). Canonical spellings re-parse to
+// themselves. It does not build the placement; see buildPlacement.
+func canonicalPlacement(spec string, k int) (string, placement.Spec, error) {
 	s, err := cliutil.ParsePlacement(strings.TrimSpace(spec))
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
-	var canon string
+	var buf [48]byte
+	var b []byte
 	switch v := s.(type) {
 	case placement.Linear:
-		canon = fmt.Sprintf("linear:%d", torus.Mod(v.C, k))
+		c := torus.Mod(v.C, k)
+		if c != v.C {
+			s = placement.Linear{C: c}
+		}
+		b = strconv.AppendInt(append(buf[:0], "linear:"...), int64(c), 10)
 	case placement.MultipleLinear:
-		canon = fmt.Sprintf("multi:%d:%d", v.T, torus.Mod(v.Start, k))
+		start := torus.Mod(v.Start, k)
+		if start != v.Start {
+			s = placement.MultipleLinear{T: v.T, Start: start}
+		}
+		b = strconv.AppendInt(append(buf[:0], "multi:"...), int64(v.T), 10)
+		b = strconv.AppendInt(append(b, ':'), int64(start), 10)
 	case placement.ShiftedDiagonal:
-		canon = fmt.Sprintf("diagonal:%d", torus.Mod(v.Shift, k))
+		shift := torus.Mod(v.Shift, k)
+		if shift != v.Shift {
+			s = placement.ShiftedDiagonal{Shift: shift}
+		}
+		b = strconv.AppendInt(append(buf[:0], "diagonal:"...), int64(shift), 10)
 	case placement.Full:
-		canon = "full"
+		return "full", s, nil
 	case placement.Random:
-		canon = fmt.Sprintf("random:%d:%d", v.Count, v.Seed)
+		b = strconv.AppendInt(append(buf[:0], "random:"...), int64(v.Count), 10)
+		b = strconv.AppendInt(append(b, ':'), v.Seed, 10)
 	default:
-		return "", fmt.Errorf("service: placement spec %q has no canonical form", spec)
+		return "", nil, fmt.Errorf("service: placement spec %q has no canonical form", spec)
 	}
-	// Building validates spec-vs-torus constraints (multi:T with T > k,
-	// random counts past k^d, …). checkTorus has already capped k^d, so
-	// this is cheap.
-	if _, err := s.Build(torus.New(k, d)); err != nil {
-		return "", err
-	}
-	return canon, nil
+	return string(b), s, nil
 }
 
 // canonicalRouting maps any accepted routing spelling to its canonical

@@ -218,24 +218,29 @@ func jsonSafe(v float64) float64 {
 	return v
 }
 
-// buildPlacement instantiates the canonical placement spec on T^d_k. The
-// request was canonicalized, so failures here are internal errors, not
-// user errors.
-func buildPlacement(spec string, k, d int) (*placement.Placement, error) {
-	s, err := cliutil.ParsePlacement(spec)
+// specError is a placement spec that does not fit its torus (multi:T with
+// T > k, random counts past k^d, …): the client's fault, answered with 400
+// and the builder's message. It surfaces from execute's miss stage, so it
+// never reaches the flight, a peer or the pool, and nothing caches it.
+type specError struct{ err error }
+
+func (e *specError) Error() string { return e.err.Error() }
+func (e *specError) Unwrap() error { return e.err }
+
+// buildPlacement instantiates a canonical spec on T^d_k. It is the one
+// spec-vs-torus check of the request path, run once per cache miss.
+func buildPlacement(spec placement.Spec, k, d int) (*placement.Placement, error) {
+	p, err := spec.Build(torus.New(k, d))
 	if err != nil {
-		return nil, fmt.Errorf("service: canonical placement failed to re-parse: %w", err)
+		return nil, &specError{err}
 	}
-	return s.Build(torus.New(k, d))
+	return p, nil
 }
 
-// computeAnalyze runs the full core pipeline for a canonical request,
-// recording the core/load span tree under any trace carried by ctx.
-func computeAnalyze(ctx context.Context, req AnalyzeRequest, opts load.Options) (AnalyzeResponse, error) {
-	p, err := buildPlacement(req.Placement, req.K, req.D)
-	if err != nil {
-		return AnalyzeResponse{}, err
-	}
+// computeAnalyze runs the full core pipeline for a canonical request on
+// its built placement p, recording the core/load span tree under any trace
+// carried by ctx.
+func computeAnalyze(ctx context.Context, req AnalyzeRequest, p *placement.Placement, opts load.Options) (AnalyzeResponse, error) {
 	alg, err := cliutil.ParseRouting(req.Routing)
 	if err != nil {
 		return AnalyzeResponse{}, err
@@ -273,14 +278,10 @@ func computeAnalyze(ctx context.Context, req AnalyzeRequest, opts load.Options) 
 // 3-standard-error bound on the estimate. The sampling seed derives from
 // the cache key, so degraded answers for one canonical request are
 // deterministic and replayable.
-func computeDegradedAnalyze(ctx context.Context, req AnalyzeRequest, opts load.Options, rounds int) (AnalyzeResponse, error) {
+func computeDegradedAnalyze(ctx context.Context, req AnalyzeRequest, p *placement.Placement, opts load.Options, rounds int) (AnalyzeResponse, error) {
 	_, sp := obs.Start(ctx, "compute.degraded")
 	defer sp.End()
 	sp.SetAttrInt("rounds", int64(rounds))
-	p, err := buildPlacement(req.Placement, req.K, req.D)
-	if err != nil {
-		return AnalyzeResponse{}, err
-	}
 	alg, err := cliutil.ParseRouting(req.Routing)
 	if err != nil {
 		return AnalyzeResponse{}, err
@@ -335,15 +336,11 @@ func computeDegradedAnalyze(ctx context.Context, req AnalyzeRequest, opts load.O
 	}, nil
 }
 
-// computeBounds evaluates the bound suite without the O(|P|²) load run —
-// the cheap half of core.Analyze.
-func computeBounds(ctx context.Context, req BoundsRequest) (BoundsResponse, error) {
+// computeBounds evaluates the bound suite on the built placement p without
+// the O(|P|²) load run — the cheap half of core.Analyze.
+func computeBounds(ctx context.Context, req BoundsRequest, p *placement.Placement) BoundsResponse {
 	_, sp := obs.Start(ctx, "compute.bounds")
 	defer sp.End()
-	p, err := buildPlacement(req.Placement, req.K, req.D)
-	if err != nil {
-		return BoundsResponse{}, err
-	}
 	t := p.Torus()
 	b := core.EvaluateBounds(p)
 	return BoundsResponse{
@@ -360,18 +357,15 @@ func computeBounds(ctx context.Context, req BoundsRequest) (BoundsResponse, erro
 		BestLowerBound:   jsonSafe(b.BestLowerBound()),
 		Theorem1Width:    bounds.Theorem1Width(t.K(), t.D()),
 		CorollaryCeiling: bounds.CorollaryBisectionCeiling(t.K(), t.D()),
-	}, nil
+	}
 }
 
-// computeBisect runs the requested bisection construction.
-func computeBisect(ctx context.Context, req BisectRequest) (BisectResponse, error) {
+// computeBisect runs the requested bisection construction on the built
+// placement p.
+func computeBisect(ctx context.Context, req BisectRequest, p *placement.Placement) (BisectResponse, error) {
 	_, sp := obs.Start(ctx, "compute.bisect")
 	defer sp.End()
 	sp.SetAttr("method", req.Method)
-	p, err := buildPlacement(req.Placement, req.K, req.D)
-	if err != nil {
-		return BisectResponse{}, err
-	}
 	var cut *bisect.Cut
 	switch req.Method {
 	case "sweep":

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	crand "crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -13,6 +15,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/pprof"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,6 +23,7 @@ import (
 	"torusnet/internal/failpoint"
 	"torusnet/internal/load"
 	"torusnet/internal/obs"
+	"torusnet/internal/placement"
 	"torusnet/internal/sweep"
 )
 
@@ -229,22 +233,40 @@ func New(cfg Config) *Server {
 	if cfg.AccessLog != nil {
 		s.logger = slog.New(slog.NewJSONHandler(cfg.AccessLog, nil))
 	}
-	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
-	s.mux.HandleFunc("POST /v1/bounds", s.handleBounds)
-	s.mux.HandleFunc("POST /v1/bisect", s.handleBisect)
-	s.mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
-	s.mux.HandleFunc("GET /v1/jobs", s.handleJobList)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	s.mux.HandleFunc("GET /v1/experiments", s.handleExperimentList)
-	s.mux.HandleFunc("POST /v1/experiments/{id}", s.handleExperimentRun)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /debug/vars", s.handleDebugVars)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.route("POST /v1/analyze", s.handleAnalyze)
+	s.route("POST /v1/bounds", s.handleBounds)
+	s.route("POST /v1/bisect", s.handleBisect)
+	s.route("POST /v1/optimize", s.handleOptimize)
+	s.route("GET /v1/jobs", s.handleJobList)
+	s.route("GET /v1/jobs/{id}", s.handleJobGet)
+	s.route("DELETE /v1/jobs/{id}", s.handleJobCancel)
+	s.route("GET /v1/experiments", s.handleExperimentList)
+	s.route("POST /v1/experiments/{id}", s.handleExperimentRun)
+	s.route("GET /healthz", s.handleHealthz)
+	s.route("GET /readyz", s.handleReadyz)
+	s.route("GET /debug/vars", s.handleDebugVars)
+	s.route("GET /metrics", s.handleMetrics)
 	s.httpSrv = &http.Server{Handler: s.Handler()}
 	return s
 }
+
+// route registers h under pattern. The wrapper stamps the pattern on the
+// middleware's recorder, which counts the request under it once the mux
+// has routed it — per route, so job IDs, experiment IDs and unknown paths
+// add no requests_by_endpoint keys. (Request.Pattern carries the same
+// string but needs a go1.23 go.mod line.)
+func (s *Server) route(pattern string, h http.HandlerFunc) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		if rec, ok := w.(*statusRecorder); ok {
+			rec.pattern = pattern
+		}
+		h(w, r)
+	})
+}
+
+// unmatchedEndpoint is the requests_by_endpoint key of every request no
+// route matched (404s and 405s).
+const unmatchedEndpoint = "unmatched"
 
 // tracer returns the configured tracer, falling back to the process
 // default. Nil (the common test state) leaves span instrumentation inert.
@@ -279,10 +301,9 @@ func (s *Server) Handler() http.Handler {
 		s.metrics.add(mRequests, 1)
 		s.metrics.add(mInFlight, 1)
 		defer s.metrics.add(mInFlight, -1)
-		s.metrics.endpoint(r.Method + " " + r.URL.Path)
 
 		ctx := r.Context()
-		traceID, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
+		traceID, _ := obs.ParseTraceparent(r.Header.Get(traceparentKey))
 		tr := s.tracer()
 		if tr != nil || obs.CountersEnabled() {
 			// Label the request context so CPU samples anywhere downstream
@@ -297,19 +318,31 @@ func (s *Server) Handler() http.Handler {
 		if id := obs.TraceIDFromContext(ctx); id != "" {
 			traceID = id
 		}
+		var traceparent string
 		if traceID == "" {
-			// Tracing is off; still mint a request ID so responses and logs
-			// correlate.
-			traceID = obs.NewTraceID()
+			// Tracing is off and the caller sent no trace; still mint a
+			// request ID so responses and logs correlate.
+			traceparent = mintTraceparent()
+			traceID = traceparent[3:35]
+		} else {
+			respSpan := sp.SpanID()
+			if respSpan == 0 {
+				respSpan = obs.NewSpanID()
+			}
+			traceparent = obs.FormatTraceparent(traceID, respSpan)
 		}
-		respSpan := sp.SpanID()
-		if respSpan == 0 {
-			respSpan = obs.NewSpanID()
-		}
-		w.Header().Set(obs.TraceparentHeader, obs.FormatTraceparent(traceID, respSpan))
+		w.Header().Set(traceparentKey, traceparent)
 
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		s.mux.ServeHTTP(rec, r.WithContext(ctx))
+		served := r
+		if ctx != r.Context() {
+			served = r.WithContext(ctx)
+		}
+		s.mux.ServeHTTP(rec, served)
+		if rec.pattern == "" {
+			rec.pattern = unmatchedEndpoint
+		}
+		s.metrics.endpoint(rec.pattern)
 
 		elapsed := time.Since(start)
 		s.metrics.add(mLatencyMSTotal, elapsed.Milliseconds())
@@ -367,12 +400,41 @@ func (s *Server) Close() {
 	s.jobs.close()
 }
 
+// traceparentKey is obs.TraceparentHeader in canonical MIME form, so
+// Header.Get and Header.Set use it without allocating a canonical copy.
+const traceparentKey = "Traceparent"
+
+// mintTraceparent returns a fresh sampled traceparent, "00-<trace-id>-
+// <span-id>-01", formatted in one pass; bytes [3:35] are its trace ID.
+func mintTraceparent() string {
+	var ids [24]byte // 16-byte trace ID, then 8-byte span ID
+	for {
+		if _, err := crand.Read(ids[:]); err != nil {
+			// crypto/rand never fails on supported platforms; a broken
+			// entropy source is unrecoverable for the process anyway.
+			panic("service: crypto/rand failed: " + err.Error())
+		}
+		// The all-zero IDs are invalid (W3C Trace Context).
+		if [16]byte(ids[:16]) != [16]byte{} && [8]byte(ids[16:]) != [8]byte{} {
+			break
+		}
+	}
+	var tp [55]byte
+	copy(tp[:], "00-")
+	hex.Encode(tp[3:35], ids[:16])
+	tp[35] = '-'
+	hex.Encode(tp[36:52], ids[16:])
+	copy(tp[52:], "-01")
+	return string(tp[:])
+}
+
 // statusRecorder captures the status code and body size for metrics and
-// access logs.
+// access logs, and the route pattern that served the request.
 type statusRecorder struct {
 	http.ResponseWriter
-	status int
-	bytes  int
+	status  int
+	bytes   int
+	pattern string
 }
 
 func (w *statusRecorder) WriteHeader(code int) {
@@ -414,27 +476,32 @@ func (s *Server) cachePut(key string, v any) {
 }
 
 // peerFill is the cluster fill stage's per-request plan, built by fillFor
-// only when the request may fill from a peer (single-node requests and
-// fill hops carry nil and pay nothing).
+// on a cache miss only when the request may fill from a peer (single-node
+// requests and fill hops carry nil and pay nothing).
 type peerFill struct {
 	path    string
 	payload []byte
 	decode  func([]byte) (any, error)
 }
 
-// fillFor plans the peer-fill stage for one request: nil outside cluster
-// mode and for requests arriving from peers (each counted in peer_hops;
-// the loop guard forbids filling again), and otherwise the path +
-// canonical payload + decoder the flight leader needs to fetch the key
-// from its owner. req must be a pointer to the canonicalized request (a
-// pointer converts to any without allocating; the canonical form keeps
-// peer cache keys byte-identical to local ones).
-func (s *Server) fillFor(r *http.Request, path string, req any, decode func([]byte) (any, error)) *peerFill {
-	if s.cfg.Cluster == nil {
-		return nil
-	}
-	if r.Header.Get(PeerHopHeader) != "" {
+// countPeerHop counts a request arriving from a peer in peer_hops, whether
+// the cache answers it or not.
+func (s *Server) countPeerHop(r *http.Request) {
+	if s.cfg.Cluster != nil && r.Header.Get(PeerHopHeader) != "" {
 		s.metrics.add(mPeerHops, 1)
+	}
+}
+
+// fillFor plans the peer-fill stage for one request: nil outside cluster
+// mode and for requests arriving from peers (the loop guard forbids
+// filling again), and otherwise the path + canonical payload + decoder the
+// flight leader needs to fetch the key from its owner. req must be a
+// pointer to the canonicalized request (a pointer converts to any without
+// allocating; the canonical form keeps peer cache keys byte-identical to
+// local ones). Handlers call it from execute's miss stage, so a cache hit
+// never marshals the payload.
+func (s *Server) fillFor(r *http.Request, path string, req any, decode func([]byte) (any, error)) *peerFill {
+	if s.cfg.Cluster == nil || r.Header.Get(PeerHopHeader) != "" {
 		return nil
 	}
 	payload, err := json.Marshal(req)
@@ -469,21 +536,27 @@ func (s *Server) runPeerFill(ctx context.Context, key string, f *peerFill) (any,
 	return v, true
 }
 
-// execute is the shared cache → coalesce → [peer fill] → pool path of
-// every POST endpoint, with one span per pipeline stage (cache.get,
-// flight.do, cluster.peer_fill, pool.submit, pool.run) recorded under any
-// active trace. fill is the peer-fill plan from fillFor (nil in
-// single-node mode); placing the fill inside the flight leader threads the
-// singleflight through the cluster, so N nodes asking for one key still
-// yield one computation cluster-wide. compute receives the trace-carrying
-// context and must return an immutable value; cached reports whether this
-// caller was served from the result cache.
+// execute is the shared cache → [miss] → deadline → coalesce → [peer
+// fill] → pool path of every POST endpoint, with one span per pipeline
+// stage (cache.get, flight.do, cluster.peer_fill, pool.submit, pool.run)
+// recorded under any active trace. A cache hit does nothing else: no
+// placement build, no timer, no fill payload.
+//
+// miss runs once the lookup misses, before anything is counted or
+// started. It builds the request's placement (the spec-vs-torus check; a
+// *specError fails the request right there) and returns the peer-fill plan
+// from fillFor (nil in single-node mode). Then execute applies the
+// per-request deadline. Placing the fill inside the flight leader threads
+// the singleflight through the cluster, so N nodes asking for one key
+// still yield one computation cluster-wide. compute receives the
+// trace-carrying context and must return an immutable value; cached
+// reports whether this caller was served from the result cache.
 //
 // shed, when non-nil, marks a load-shed request: a cached exact answer is
 // still served (it is free), but a miss — or a failed cache read — runs
 // shed inline on the caller's goroutine, bypassing the flight, the fill,
 // and the saturated pool, and its answer is never cached.
-func (s *Server) execute(ctx context.Context, key string, fill *peerFill, compute, shed func(context.Context) (any, error)) (val any, cached bool, err error) {
+func (s *Server) execute(ctx context.Context, key string, miss func() (*peerFill, error), compute, shed func(context.Context) (any, error)) (val any, cached bool, err error) {
 	_, csp := obs.Start(ctx, "cache.get")
 	v, ok, err := s.cacheGet(key)
 	csp.SetAttrBool("hit", ok)
@@ -495,9 +568,15 @@ func (s *Server) execute(ctx context.Context, key string, fill *peerFill, comput
 		s.metrics.add(mCacheHits, 1)
 		return v, true, nil
 	}
+	fill, err := miss()
+	if err != nil {
+		return nil, false, err
+	}
 	// A shed miss counts like any other so hit-rate math stays honest
 	// under pressure.
 	s.metrics.add(mCacheMisses, 1)
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
+	defer cancel()
 	if shed != nil {
 		v, err := shed(ctx)
 		return v, false, err
@@ -568,7 +647,10 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, v any) bool
 // failCompute maps a compute-path error to its HTTP status and writes it.
 func (s *Server) failCompute(w http.ResponseWriter, err error) {
 	var pe *panicError
+	var se *specError
 	switch {
+	case errors.As(err, &se):
+		s.writeError(w, http.StatusBadRequest, se)
 	case errors.Is(err, errQueueFull):
 		s.metrics.add(mQueueFull, 1)
 		w.Header().Set("Retry-After", "1")
@@ -587,12 +669,34 @@ func (s *Server) failCompute(w http.ResponseWriter, err error) {
 	}
 }
 
+// encodeBuf is a pooled response encoder with its output buffer.
+type encodeBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// encodeBufs recycles writeJSON's encoders. Buffers grown past
+// maxPooledEncodeBuf (experiment tables) are dropped, not pooled, so the
+// pool never pins them.
+var encodeBufs = sync.Pool{New: func() any {
+	e := new(encodeBuf)
+	e.enc = json.NewEncoder(&e.buf)
+	return e
+}}
+
+const maxPooledEncodeBuf = 64 << 10
+
 // writeJSON writes v with the given status; marshal failures degrade to a
 // plain 500.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	err := enc.Encode(v)
+	e := encodeBufs.Get().(*encodeBuf)
+	defer func() {
+		if e.buf.Cap() <= maxPooledEncodeBuf {
+			e.buf.Reset()
+			encodeBufs.Put(e)
+		}
+	}()
+	err := e.enc.Encode(v)
 	if err == nil {
 		err = fpEncode.Inject()
 	}
@@ -602,18 +706,13 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(e.buf.Bytes()); err != nil {
 		s.metrics.add(mWriteErrors, 1)
 	}
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	s.writeJSON(w, status, ErrorResponse{Error: err.Error()})
-}
-
-// requestContext attaches the per-request compute deadline.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -625,35 +724,43 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	if err := req.Canonicalize(s.cfg.MaxNodes); err != nil {
+	spec, err := req.canonicalize(s.cfg.MaxNodes)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	var fill *peerFill
+	s.countPeerHop(r)
+	degrade := s.shouldDegrade()
+	var p *placement.Placement
+	miss := func() (fill *peerFill, err error) {
+		if p, err = buildPlacement(spec, req.K, req.D); err != nil {
+			return nil, err
+		}
+		if degrade {
+			return nil, nil // a shed miss answers inline, never from a peer
+		}
+		return s.fillFor(r, "/v1/analyze", &req, decodeAnalyzeFill), nil
+	}
 	var shed func(context.Context) (any, error)
-	if s.shouldDegrade() {
+	if degrade {
 		// Shed: a miss answers inline with a Monte Carlo estimate. The
 		// inline gauge (not the pool gauges — no pool job exists)
 		// accounts for the work; the next uncontended request computes
 		// and caches the exact result.
-		shed = func(cctx context.Context) (any, error) {
+		shed = func(ctx context.Context) (any, error) {
 			s.metrics.add(mDegraded, 1)
 			s.inlineRunning.Add(1)
 			defer s.inlineRunning.Add(-1)
-			resp, err := computeDegradedAnalyze(cctx, req, s.cfg.loadOptions(), s.cfg.DegradedRounds)
+			resp, err := computeDegradedAnalyze(ctx, req, p, s.cfg.loadOptions(), s.cfg.DegradedRounds)
 			if err != nil {
 				return nil, err
 			}
 			s.metrics.degradedErr.Observe(resp.ErrorBound)
 			return resp, nil
 		}
-	} else {
-		fill = s.fillFor(r, "/v1/analyze", &req, decodeAnalyzeFill)
 	}
-	v, cached, err := s.execute(ctx, req.CacheKey(), fill, func(cctx context.Context) (any, error) {
-		resp, err := computeAnalyze(cctx, req, s.cfg.loadOptions())
+	v, cached, err := s.execute(r.Context(), req.CacheKey(), miss, func(ctx context.Context) (any, error) {
+		resp, err := computeAnalyze(ctx, req, p, s.cfg.loadOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -676,18 +783,21 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 	if !s.readRequest(w, r, &req) {
 		return
 	}
-	if err := req.Canonicalize(s.cfg.MaxNodes); err != nil {
+	spec, err := req.canonicalize(s.cfg.MaxNodes)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	v, cached, err := s.execute(ctx, req.CacheKey(), s.fillFor(r, "/v1/bounds", &req, decodeBoundsFill), func(cctx context.Context) (any, error) {
-		resp, err := computeBounds(cctx, req)
-		if err != nil {
+	s.countPeerHop(r)
+	var p *placement.Placement
+	miss := func() (fill *peerFill, err error) {
+		if p, err = buildPlacement(spec, req.K, req.D); err != nil {
 			return nil, err
 		}
-		return resp, nil
+		return s.fillFor(r, "/v1/bounds", &req, decodeBoundsFill), nil
+	}
+	v, cached, err := s.execute(r.Context(), req.CacheKey(), miss, func(ctx context.Context) (any, error) {
+		return computeBounds(ctx, req, p), nil
 	}, nil)
 	if err != nil {
 		s.failCompute(w, err)
@@ -703,14 +813,21 @@ func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
 	if !s.readRequest(w, r, &req) {
 		return
 	}
-	if err := req.Canonicalize(s.cfg.MaxNodes); err != nil {
+	spec, err := req.canonicalize(s.cfg.MaxNodes)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	v, cached, err := s.execute(ctx, req.CacheKey(), s.fillFor(r, "/v1/bisect", &req, decodeBisectFill), func(cctx context.Context) (any, error) {
-		resp, err := computeBisect(cctx, req)
+	s.countPeerHop(r)
+	var p *placement.Placement
+	miss := func() (fill *peerFill, err error) {
+		if p, err = buildPlacement(spec, req.K, req.D); err != nil {
+			return nil, err
+		}
+		return s.fillFor(r, "/v1/bisect", &req, decodeBisectFill), nil
+	}
+	v, cached, err := s.execute(r.Context(), req.CacheKey(), miss, func(ctx context.Context) (any, error) {
+		resp, err := computeBisect(ctx, req, p)
 		if err != nil {
 			return nil, err
 		}
@@ -759,11 +876,13 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	key := fmt.Sprintf("experiment|%s|%s", e.ID, req.Scale)
-	v, cached, err := s.execute(ctx, key, s.fillFor(r, "/v1/experiments/"+id, &req, decodeExperimentFill), func(cctx context.Context) (any, error) {
-		resp, err := computeExperiment(cctx, e, req.Scale)
+	s.countPeerHop(r)
+	key := "experiment|" + e.ID + "|" + req.Scale
+	miss := func() (*peerFill, error) {
+		return s.fillFor(r, "/v1/experiments/"+id, &req, decodeExperimentFill), nil
+	}
+	v, cached, err := s.execute(r.Context(), key, miss, func(ctx context.Context) (any, error) {
+		resp, err := computeExperiment(ctx, e, req.Scale)
 		if err != nil {
 			return nil, err
 		}

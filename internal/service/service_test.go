@@ -4,14 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"torusnet/internal/cliutil"
+	"torusnet/internal/placement"
+	"torusnet/internal/torus"
 )
 
 // newTestServer boots a Server behind httptest with small, deterministic
@@ -557,6 +564,198 @@ func TestDecodeAnalyzeRequest(t *testing.T) {
 		}
 		if again.CacheKey() != got.CacheKey() {
 			t.Errorf("cache key drifted: %q vs %q", again.CacheKey(), got.CacheKey())
+		}
+	}
+}
+
+// TestCacheHitCostIndependentOfTorus pins the cache-hit contract: a hit
+// answers from the cache without building the placement or arming a
+// timer, so it allocates the same on T^4_8 random:2048 as on T^2_8
+// random:8 — no O(k^d) work happens on a hit.
+func TestCacheHitCostIndependentOfTorus(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	h := s.Handler()
+	hitCost := func(req AnalyzeRequest) (allocs, bytesPerHit float64) {
+		canon := req
+		if err := canon.Canonicalize(DefaultMaxNodes); err != nil {
+			t.Fatal(err)
+		}
+		// Warm the key directly: computing T^4_8 random:2048 would take
+		// minutes, and only the hit path is under test.
+		s.cache.put(canon.CacheKey(), AnalyzeResponse{K: canon.K, D: canon.D, Placement: canon.Placement, Routing: canon.Routing})
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit := func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"cached":true`) {
+				t.Fatalf("%+v: status %d, body %s, want a cache hit", req, rec.Code, rec.Body)
+			}
+		}
+		const runs = 200
+		allocs = testing.AllocsPerRun(runs, hit)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			hit()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := hitCost(AnalyzeRequest{K: 8, D: 2, Placement: "random:8", Routing: "udr"})
+	bigAllocs, bigBytes := hitCost(AnalyzeRequest{K: 8, D: 4, Placement: "random:2048", Routing: "udr"})
+	// Under -race, sync.Pool drops a random quarter of its Puts, so the
+	// encode buffer's allocations stop being an exact count.
+	if bigAllocs != smallAllocs && !raceBuild() {
+		t.Errorf("a cache hit allocates %.0f times on T^4_8 and %.0f on T^2_8, want equal", bigAllocs, smallAllocs)
+	}
+	// The count alone cannot tell: a build makes as many allocations on
+	// either torus, but about 20 KiB more on T^4_8 random:2048.
+	if bigBytes > smallBytes+1024 {
+		t.Errorf("a cache hit allocates %.0f B on T^4_8 and %.0f B on T^2_8, want within 1 KiB", bigBytes, smallBytes)
+	}
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, st := range bi.Settings {
+		if st.Key == "-race" {
+			return st.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestInvalidPlacementRejectedOnMiss checks that a spec which does not fit
+// its torus fails on the miss path with the builder's message, before the
+// flight, the pool and any peer: nothing computes, nothing is cached, and
+// the miss is not counted.
+func TestInvalidPlacementRejectedOnMiss(t *testing.T) {
+	var computes atomic.Int64
+	s, c, stop := newTestServer(t, Config{Workers: 1, OnCompute: func(string) { computes.Add(1) }})
+	defer stop()
+	ctx := context.Background()
+	misses := s.metrics.get(mCacheMisses)
+	for _, tc := range []struct {
+		req  AnalyzeRequest
+		want string
+	}{
+		{AnalyzeRequest{K: 8, D: 2, Placement: "multi:9", Routing: "odr"}, "placement: t=9 exceeds k=8 (placement would wrap onto itself)"},
+		{AnalyzeRequest{K: 8, D: 2, Placement: "random:70", Routing: "odr"}, "placement: random count 70 out of range [0,64]"},
+	} {
+		for i := 0; i < 2; i++ { // the second ask proves nothing was cached
+			_, err := c.Analyze(ctx, tc.req)
+			var apiErr *APIError
+			if !asAPIError(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Message != tc.want {
+				t.Fatalf("%s ask %d: err %v, want 400 %q", tc.req.Placement, i+1, err, tc.want)
+			}
+		}
+	}
+	if n := computes.Load(); n != 0 {
+		t.Errorf("invalid specs reached the pool %d times, want 0", n)
+	}
+	if got := s.metrics.get(mCacheMisses); got != misses {
+		t.Errorf("cache_misses moved %d -> %d on invalid specs", misses, got)
+	}
+
+	// In a cluster, a node rejects the spec itself: the key's owner never
+	// sees a fill hop.
+	clients, views, stopPair := newChaosClusterPair(t)
+	defer stopPair()
+	owner := views[1].Self()
+	var req AnalyzeRequest
+	for k := 4; k <= 8 && req.K == 0; k++ {
+		for _, routing := range []string{"odr", "odr-multi", "udr", "udr-multi", "far"} {
+			cand := AnalyzeRequest{K: k, D: 2, Placement: "multi:9", Routing: routing}
+			canon := cand
+			if err := canon.Canonicalize(DefaultMaxNodes); err != nil {
+				t.Fatal(err)
+			}
+			if o, err := views[0].Owner(canon.CacheKey()); err == nil && o == owner {
+				req = cand
+				break
+			}
+		}
+	}
+	if req.K == 0 {
+		t.Fatal("no invalid multi:9 key homed on node 1")
+	}
+	for i := 0; i < 2; i++ {
+		_, err := clients[0].Analyze(ctx, req)
+		var apiErr *APIError
+		if !asAPIError(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+			t.Fatalf("cluster ask %d: err %v, want 400", i+1, err)
+		}
+	}
+	vars, err := clients[1].Vars(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hops, _ := vars["peer_hops"].(float64); hops != 0 {
+		t.Errorf("owner served %.0f fill hops for an invalid spec, want 0", hops)
+	}
+	if fills := clusterVar(views[0].Vars(), "fills"); fills != 0 {
+		t.Errorf("node 0 attempted %d peer fills for an invalid spec, want 0", fills)
+	}
+}
+
+// TestCacheKeysMatchSprintf pins cache keys and canonical spellings to
+// the fmt.Sprintf forms they replaced, byte for byte: keys are hashed onto
+// the cluster ring, so a drift would re-home every key.
+func TestCacheKeysMatchSprintf(t *testing.T) {
+	for _, spec := range []string{
+		"linear", "linear:-1", "linear:123456", "multi:2", "multi:3:-7", "multi:9",
+		"diagonal:9", "diagonal", "full", "random:4", "random:70:-3", "random:5:9223372036854775807",
+	} {
+		for _, k := range []int{3, 8, 200} {
+			a := AnalyzeRequest{K: k, D: 2, Placement: spec, Routing: "UDRmulti"}
+			if err := a.Canonicalize(1 << 20); err != nil {
+				t.Fatalf("%s k=%d: %v", spec, k, err)
+			}
+			parsed, err := cliutil.ParsePlacement(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want string
+			switch v := parsed.(type) {
+			case placement.Linear:
+				want = fmt.Sprintf("linear:%d", torus.Mod(v.C, k))
+			case placement.MultipleLinear:
+				want = fmt.Sprintf("multi:%d:%d", v.T, torus.Mod(v.Start, k))
+			case placement.ShiftedDiagonal:
+				want = fmt.Sprintf("diagonal:%d", torus.Mod(v.Shift, k))
+			case placement.Full:
+				want = "full"
+			case placement.Random:
+				want = fmt.Sprintf("random:%d:%d", v.Count, v.Seed)
+			}
+			if a.Placement != want {
+				t.Errorf("%s k=%d: canonical spelling %q, want %q", spec, k, a.Placement, want)
+			}
+			if got, want := a.CacheKey(), fmt.Sprintf("analyze|k=%d|d=%d|p=%s|a=%s", a.K, a.D, a.Placement, a.Routing); got != want {
+				t.Errorf("analyze key %q, want %q", got, want)
+			}
+			b := BoundsRequest{K: k, D: 2, Placement: spec}
+			if err := b.Canonicalize(1 << 20); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := b.CacheKey(), fmt.Sprintf("bounds|k=%d|d=%d|p=%s", b.K, b.D, b.Placement); got != want {
+				t.Errorf("bounds key %q, want %q", got, want)
+			}
+			bi := BisectRequest{K: k, D: 2, Placement: spec, Method: "Best-Sweep"}
+			if err := bi.Canonicalize(1 << 20); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := bi.CacheKey(), fmt.Sprintf("bisect|k=%d|d=%d|p=%s|m=%s", bi.K, bi.D, bi.Placement, bi.Method); got != want {
+				t.Errorf("bisect key %q, want %q", got, want)
+			}
 		}
 	}
 }

@@ -6,7 +6,8 @@
 # BenchmarkComputeValiant, the two optimizer benchmarks
 # (BenchmarkBranchBoundT2_8, BenchmarkAnnealT3_8) and the three bisection
 # benchmarks (BenchmarkSweepBisection, BenchmarkBestSweepT3_8,
-# BenchmarkAnalyzeRandomT3_8) once at a short benchtime
+# BenchmarkAnalyzeRandomT3_8) and torusd's cache-hit path
+# (BenchmarkServeAnalyzeCacheHit) once at a short benchtime
 # and GOMAXPROCS 1 (-cpu 1, the setting the baseline was recorded at: the
 # engines size one accumulator per worker, so allocs/op and the fast/generic
 # ratios depend on the worker count) and fails on a >30% regression
@@ -31,7 +32,12 @@
 #      0 allocs/op at every k, its K256/K16 latency ratio must stay below
 #      3x (the closed forms are O(1) in torus size), and the end-to-end
 #      analytic dispatch must stay >=100x faster than the fast-path engine
-#      within this same run.
+#      within this same run;
+#   4. the cache-hit path: BenchmarkServeAnalyzeCacheHit must make no more
+#      allocs/op than recorded, with no slack. A hit answers from the cache
+#      and nothing else, so its count is exact, while the work a change
+#      could put back ahead of the lookup is under check 1's 30% slack: a
+#      request timer adds 4 allocs/op, a placement build 6.
 #
 # Absolute ns/op is deliberately NOT gated. Run from the repository root;
 # CI runs it via `make bench-smoke`.
@@ -42,9 +48,9 @@ SLACK=1.3
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-echo "bench-smoke: running paired load benchmarks, the optimizer and the bisection benchmarks"
+echo "bench-smoke: running paired load benchmarks, the optimizer, the bisection benchmarks and the cache-hit path"
 go test -run '^$' \
-    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkLoadComputeFAR|BenchmarkLoadEMaxODR|BenchmarkComputePattern|BenchmarkComputeValiant|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8|BenchmarkSweepBisection|BenchmarkBestSweepT3_8|BenchmarkAnalyzeRandomT3_8)$' \
+    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkLoadComputeFAR|BenchmarkLoadEMaxODR|BenchmarkComputePattern|BenchmarkComputeValiant|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8|BenchmarkSweepBisection|BenchmarkBestSweepT3_8|BenchmarkAnalyzeRandomT3_8|BenchmarkServeAnalyzeCacheHit)$' \
     -benchmem -benchtime=0.5s -count=1 -cpu 1 . | tee "$RAW"
 
 # name -> ns/op, bytes/op and allocs/op maps from this run.
@@ -134,6 +140,20 @@ elif [ "$(jq -n --argjson a "$adv" '$a < 100')" = "true" ]; then
     fail=1
 else
     echo "  ok analytic dispatch ${adv}x over fast path (floor 100x)"
+fi
+
+echo "bench-smoke: checking the cache-hit path (no slack)"
+hit=BenchmarkServeAnalyzeCacheHit
+read -r got want < <(jq -rn --argjson m "$measured" --arg n "$hit" --slurpfile b "$BASELINE" \
+    '"\($m[$n].allocs // null) \($b[0].fastpath.benches[$n].allocs_per_op)"')
+if [ "$got" = "null" ]; then
+    echo "bench-smoke: FAIL — $hit did not run" >&2
+    fail=1
+elif [ "$got" -gt "$want" ]; then
+    echo "bench-smoke: FAIL — $hit allocs/op $got > recorded $want: work was added to the cache-hit path" >&2
+    fail=1
+else
+    echo "  ok $hit allocs/op $got <= $want"
 fi
 
 if [ "$fail" -ne 0 ]; then
