@@ -8,6 +8,7 @@ FUZZ_TARGETS := \
 	./internal/torus:FuzzWrapCoord \
 	./internal/torus:FuzzTranslateEdge \
 	./internal/bisect:FuzzCuts \
+	./internal/load:FuzzRingFlow \
 	./internal/service:FuzzDecodeAnalyzeRequest \
 	./internal/placement:FuzzRecognizeLinear \
 	./internal/cluster:FuzzHashRing \

@@ -91,6 +91,27 @@ func BenchmarkLoadEMaxODR(b *testing.B) {
 	}
 }
 
+// BenchmarkLoadEMaxUDRRandom is the kernel under a cold-compute UDR
+// analysis: E_max over random:64 on T³₈, one worker. A random placement
+// has no translation symmetry, so the ring-flow engine answers it.
+func BenchmarkLoadEMaxUDRRandom(b *testing.B) { benchEMaxUDRRandom(b, load.FastPathAuto) }
+
+// BenchmarkLoadEMaxUDRRandomGeneric is BenchmarkLoadEMaxUDRRandom through
+// the generic pair loop, the other half of the gate's UDRRandom ratio.
+func BenchmarkLoadEMaxUDRRandomGeneric(b *testing.B) { benchEMaxUDRRandom(b, load.FastPathOff) }
+
+func benchEMaxUDRRandom(b *testing.B, mode load.FastPathMode) {
+	p := benchRandomT3_8(b)
+	opts := LoadOptions{Workers: 1, FastPath: mode}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := load.EMaxCtx(context.Background(), p, UDR{}, opts); res.Max <= 0 {
+			b.Fatal("bad result")
+		}
+	}
+}
+
 func BenchmarkLoadComputeODRSerial(b *testing.B) {
 	t := NewTorus(8, 3)
 	p, err := (Linear{C: 0}).Build(t)

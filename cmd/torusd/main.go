@@ -90,7 +90,7 @@ func main() {
 		maxJobs    = flag.Int("max-jobs", 0, "concurrent async search jobs; submissions past it answer 429 (0 = 4)")
 		jobTTL     = flag.Duration("job-ttl", 0, "how long finished job records stay pollable (0 = 15m, negative = forever)")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-job search deadline (0 = 5m)")
-		noFastPath = flag.Bool("no-fastpath", false, "disable the translation-symmetry load fast path (generic engine only)")
+		noFastPath = flag.Bool("no-fastpath", false, "disable the translation-symmetry and ring-flow load fast paths (generic engine only)")
 		noAnalytic = flag.Bool("no-analytic", false, "disable the closed-form analytic fast lane for /v1/analyze")
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and /debug/failpoints on this separate address (empty = disabled)")
 		degradeAt  = flag.Float64("degrade-at", 0, "pool-utilization watermark past which /v1/analyze answers degraded Monte Carlo estimates (0 = 0.9, negative = never)")

@@ -223,6 +223,25 @@ func (c *Cluster) peerFor(url string) *peer {
 	return p
 }
 
+// CloseIdleConnections closes the idle connections of every peer
+// transport that keeps any (service.NewPeerFillClient's does). A node
+// calls it once it has drained, so no peer's graceful shutdown waits on a
+// connection this node dialed and never used.
+func (c *Cluster) CloseIdleConnections() {
+	c.peersMu.RLock()
+	defer c.peersMu.RUnlock()
+	for _, p := range c.peers {
+		closeIdle(p.tr)
+	}
+}
+
+// closeIdle closes tr's idle connections if it keeps a pool of its own.
+func closeIdle(tr PeerTransport) {
+	if ic, ok := tr.(interface{ CloseIdleConnections() }); ok {
+		ic.CloseIdleConnections()
+	}
+}
+
 // Vars returns the cluster's expvar map for embedding in a server's
 // /debug/vars output.
 func (c *Cluster) Vars() *expvar.Map { return c.vars }

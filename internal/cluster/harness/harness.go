@@ -77,6 +77,13 @@ func (e *edge) Ready(ctx context.Context) error {
 	return e.inner.Ready(ctx)
 }
 
+// CloseIdleConnections closes the wrapped fill client's idle connections.
+func (e *edge) CloseIdleConnections() {
+	if ic, ok := e.inner.(interface{ CloseIdleConnections() }); ok {
+		ic.CloseIdleConnections()
+	}
+}
+
 // Node is one in-process torusd instance: its server, cluster view, a
 // plain client pointed at it, and the outgoing transport edges the
 // harness can block.
@@ -278,7 +285,23 @@ func (nw *Network) Kill(ctx context.Context, i int) error {
 	if n.killed.Swap(true) {
 		return nil
 	}
+	nw.closeIdleConnections()
 	return n.Server.Shutdown(ctx)
+}
+
+// closeIdleConnections closes every idle connection the harness's clients
+// and the nodes' peer-fill clients hold. net/http's Server.Shutdown waits
+// up to 5 s on a connection that was dialed and never sent a request, so
+// a node's drain must not find one from any client in the network.
+func (nw *Network) closeIdleConnections() {
+	for _, n := range nw.Nodes {
+		n.Client.CloseIdleConnections()
+		n.edgeMu.Lock()
+		for _, e := range n.edges {
+			e.CloseIdleConnections()
+		}
+		n.edgeMu.Unlock()
+	}
 }
 
 // KillAndWait stops node i and blocks until its serve goroutine has

@@ -142,8 +142,9 @@ func (c *Cluster) swapLocked(members []string) (uint64, error) {
 	for _, u := range ring.Peers() {
 		inRing[u] = true
 	}
-	for u := range c.peers {
+	for u, p := range c.peers {
 		if !inRing[u] {
+			closeIdle(p.tr)
 			delete(c.peers, u)
 		}
 	}

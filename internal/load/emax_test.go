@@ -91,23 +91,34 @@ func TestEMaxMatchesCompute(t *testing.T) {
 }
 
 // TestWarmEMaxAllocatesNoVector checks that on a warmed pool an EMaxCtx
-// through either computed engine allocates only small headers: worker 0's
-// accumulator comes from the workspace like the others.
+// through any computed engine allocates only small headers: worker 0's
+// accumulator, or the ring-flow answer, comes from the workspace like the
+// rest of its buffers. The ring-flow pairs alternate T²₁₂ and T³₈, so a
+// workspace sized for one shape must serve the other without regrowing.
 func TestWarmEMaxAllocatesNoVector(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const headers = 1024 // bytes of Result, closures and goroutine frames
 	tr := torus.New(8, 3)
 	lin := mustBuild(t, placement.Linear{}, tr)
 	rnd := mustBuild(t, placement.Random{Count: 64, Seed: 1}, tr)
+	rnd2 := mustBuild(t, placement.Random{Count: 12, Seed: 1}, torus.New(12, 2))
 	for _, workers := range []int{1, 2, 3} {
+		opts := Options{Workers: workers}
 		for _, c := range []emaxCase{
-			{p: lin, alg: routing.ODR{}, opts: Options{Workers: workers}},
-			{p: rnd, alg: routing.UDR{}, opts: Options{Workers: workers}},
+			{p: lin, alg: routing.ODR{}, opts: opts},
+			{p: rnd, alg: routing.UDR{}, opts: opts},
 			{p: lin, alg: routing.UDR{}, opts: Options{Workers: workers, FastPath: FastPathOff}},
 		} {
 			if got := leastAlloc(func() { c.emax() }); got >= headers {
 				t.Errorf("%v: a warm EMaxCtx allocates %d bytes, want < %d (the vector is %d)",
 					c, got, headers, 8*tr.Edges())
+			}
+		}
+		for _, alg := range []routing.Algorithm{routing.ODRMulti{}, routing.UDRMulti{}} {
+			small, big := emaxCase{p: rnd2, alg: alg, opts: opts}, emaxCase{p: rnd, alg: alg, opts: opts}
+			if got := leastAlloc(func() { small.emax(); big.emax() }); got >= 2*headers {
+				t.Errorf("%v then %v: two warm EMaxCtx calls allocate %d bytes, want < %d",
+					small, big, got, 2*headers)
 			}
 		}
 	}

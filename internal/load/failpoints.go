@@ -13,8 +13,10 @@ var (
 	// stalling (sleep spec) before any work is done.
 	fpComputeDispatch = failpoint.New("load.compute.dispatch")
 	// fpComputeMerge fires in the generic engine between the workers'
-	// wg.Wait and the partial-accumulator merge — a fault here models a
-	// crash after the fan-out completed but before results are combined.
+	// wg.Wait and the partial-accumulator merge, and in the ring-flow
+	// engine between its ring sweeps and its summary pass — a fault here
+	// models a crash after the fan-out completed but before results are
+	// combined.
 	fpComputeMerge = failpoint.New("load.compute.merge")
 	// fpAnalyticDispatch fires before the closed-form tier recognizes a
 	// placement. Unlike the sites above it is soft: an armed error makes

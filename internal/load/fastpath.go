@@ -144,18 +144,18 @@ func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Al
 // accumulate from their different floating-point summation orders.
 const crossCheckTolerance = 1e-9
 
-// crossCheck panics if the fast-path result diverges from the generic
-// reference beyond summation-order tolerance. A failure means a soundness
-// bug (a placement or algorithm wrongly admitted to the fast path), which
-// must never be papered over.
+// crossCheck panics if a symmetry or ring-flow result diverges from the
+// generic reference beyond summation-order tolerance. A failure means a
+// soundness bug (a placement or algorithm wrongly admitted to a fast
+// path), which must never be papered over.
 func crossCheck(fast, generic *Result) {
 	for e := range fast.Loads {
 		a, b := fast.Loads[e], generic.Loads[e]
 		scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 		if math.Abs(a-b) > crossCheckTolerance*scale {
 			panic(fmt.Sprintf(
-				"load: symmetry fast path diverges from generic engine on %s with %s: edge %d has %g vs %g",
-				fast.Placement, fast.Algorithm, e, a, b))
+				"load: %s engine diverges from generic engine on %s with %s: edge %d has %g vs %g",
+				fast.Engine, fast.Placement, fast.Algorithm, e, a, b))
 		}
 	}
 }

@@ -62,8 +62,10 @@ func TestFastPathMatchesGenericAndExact(t *testing.T) {
 }
 
 // TestFastPathAutoDispatch checks the dispatcher's decisions: symmetric
-// placements with equivariant algorithms take the fast path, everything
-// else falls back to the generic engine.
+// placements with equivariant algorithms take the symmetry engine, other
+// placements under the four dimension-ordered routings the ring-flow
+// engine, and everything else, or anything with FastPathOff, the generic
+// pair loop.
 func TestFastPathAutoDispatch(t *testing.T) {
 	tr := torus.New(4, 2)
 	linear := mustBuild(t, placement.Linear{C: 0}, tr)
@@ -72,9 +74,16 @@ func TestFastPathAutoDispatch(t *testing.T) {
 	if res := Compute(linear, routing.ODR{}, Options{}); res.Engine != EngineSymmetry {
 		t.Fatalf("linear/ODR auto: engine %q, want symmetry", res.Engine)
 	}
-	// Random placements have a trivial stabilizer: auto must fall back.
-	if res := Compute(random, routing.ODR{}, Options{}); res.Engine != EngineGeneric {
-		t.Fatalf("random/ODR auto: engine %q, want generic", res.Engine)
+	// Random placements have a trivial stabilizer: auto skips symmetry.
+	if res := Compute(random, routing.ODR{}, Options{}); res.Engine != EngineRingFlow {
+		t.Fatalf("random/ODR auto: engine %q, want ring-flow", res.Engine)
+	}
+	// FAR's paths interleave dimensions: no ring flow models it.
+	if res := Compute(random, routing.FAR{}, Options{}); res.Engine != EngineGeneric {
+		t.Fatalf("random/FAR auto: engine %q, want generic", res.Engine)
+	}
+	if res := Compute(random, routing.ODR{}, Options{FastPath: FastPathOff}); res.Engine != EngineGeneric {
+		t.Fatalf("random/ODR off: engine %q, want generic", res.Engine)
 	}
 	// MeshODR is not translation-equivariant: even Force must stay generic.
 	if res := Compute(linear, routing.MeshODR{}, Options{FastPath: FastPathForce}); res.Engine != EngineGeneric {
@@ -102,7 +111,8 @@ func TestFastPathForceTrivialStabilizer(t *testing.T) {
 
 // TestFastPathCrossCheckMode checks CrossCheck passes on sound inputs (it
 // panics on divergence, so plain completion is the assertion), for
-// ODR-multi, FAR and a permuted ODROrder.
+// ODR-multi, FAR and a permuted ODROrder through the symmetry engine, and
+// for the four routings the ring-flow engine serves.
 func TestFastPathCrossCheckMode(t *testing.T) {
 	tr := torus.New(4, 2)
 	p := mustBuild(t, placement.Linear{C: 0}, tr)
@@ -110,6 +120,13 @@ func TestFastPathCrossCheckMode(t *testing.T) {
 		res := Compute(p, alg, Options{CrossCheck: true})
 		if res.Engine != EngineSymmetry {
 			t.Fatalf("%s: engine %q, want symmetry", alg.Name(), res.Engine)
+		}
+	}
+	random := mustBuild(t, placement.Random{Count: 7, Seed: 2}, tr)
+	for _, alg := range ringAlgs {
+		res := Compute(random, alg, Options{CrossCheck: true})
+		if res.Engine != EngineRingFlow {
+			t.Fatalf("random/%s: engine %q, want ring-flow", alg.Name(), res.Engine)
 		}
 	}
 }

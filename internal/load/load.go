@@ -4,11 +4,13 @@
 // exchange (every processor sends one message to every other processor,
 // each message picking a path uniformly from C^A_{p→q}).
 //
-// The engine fans the |P|·(|P|−1) ordered pairs across workers, each with a
-// private per-edge accumulator that is merged once at the end, so there is
-// no shared-write contention and results are deterministic for a fixed
-// worker count. An exact big.Rat engine and a Monte-Carlo estimator provide
-// independent cross-checks.
+// The generic engine fans the |P|·(|P|−1) ordered pairs across workers,
+// each with a private per-edge accumulator that is merged once at the end,
+// so there is no shared-write contention and results are deterministic for
+// a fixed worker count. Faster engines answer the common cases without
+// walking pairs: closed forms, translation symmetry, and per-ring
+// marginal sweeps (ringflow.go). An exact big.Rat engine and a Monte-Carlo
+// estimator provide independent cross-checks.
 package load
 
 import (
@@ -30,8 +32,9 @@ type Result struct {
 	Placement *placement.Placement
 	Algorithm string
 	// Engine records which engine produced the loads: EngineGeneric for the
-	// pair loop, EngineSymmetry for the translation fast path. Empty for
-	// results wrapped via NewResultFromLoads.
+	// pair loop, EngineSymmetry for the translation fast path,
+	// EngineRingFlow for the per-ring marginal sweep, EngineAnalytic for a
+	// closed form. Empty for results wrapped via NewResultFromLoads.
 	Engine string
 	// Loads[e] is the expected number of messages crossing directed edge e.
 	// It is nil for analytic results and for every EMaxCtx result; the
@@ -58,6 +61,9 @@ type Result struct {
 const (
 	EngineGeneric  = "generic"
 	EngineSymmetry = "symmetry"
+	// EngineRingFlow labels exact ODR, ODR-multi, UDR and UDR-multi loads
+	// swept ring by ring from per-ring processor marginals (ringflow.go).
+	EngineRingFlow = "ring-flow"
 	// EngineMonteCarlo labels estimates produced by the MonteCarlo sampler
 	// (degraded service answers); MonteCarloResult has no Engine field, so
 	// the name exists for consumers that mix exact and sampled loads.
@@ -69,20 +75,24 @@ const (
 	EngineAnalytic = "analytic"
 )
 
-// FastPathMode selects how Compute uses the translation-symmetry engine.
+// FastPathMode selects how Compute uses the engines that avoid the
+// generic pair loop: the translation-symmetry engine and the ring-flow
+// engine.
 type FastPathMode int
 
 const (
 	// FastPathAuto (the zero value) uses the symmetry engine whenever it is
 	// sound (translation-equivariant algorithm) and profitable (non-trivial
-	// placement stabilizer), falling back to the generic pair loop otherwise.
+	// placement stabilizer); otherwise the ring-flow engine for ODR,
+	// ODR-multi, UDR and UDR-multi unless the placement is so sparse that
+	// the pair loop is less work; and the generic pair loop for the rest.
 	FastPathAuto FastPathMode = iota
 	// FastPathOff always uses the generic pair loop.
 	FastPathOff
 	// FastPathForce uses the symmetry engine whenever it is sound, even for
-	// a trivial (identity-only) stabilizer where it has no speed advantage.
-	// Unsound combinations still fall back to the generic engine: soundness
-	// is never negotiable.
+	// a trivial (identity-only) stabilizer where it has no speed advantage,
+	// so the ring-flow engine never runs. Unsound combinations still fall
+	// back to the generic engine: soundness is never negotiable.
 	FastPathForce
 )
 
@@ -104,15 +114,16 @@ func (m FastPathMode) String() string {
 type Options struct {
 	// Workers is the number of goroutines; 0 means GOMAXPROCS.
 	Workers int
-	// FastPath selects the translation-symmetry fast path; the zero value
-	// auto-detects. Both engines compute the same expectations, so results
-	// agree up to floating-point summation order (~1e-12 relative).
+	// FastPath selects the symmetry and ring-flow fast paths; the zero
+	// value auto-detects. Every engine computes the same expectations, so
+	// results agree up to floating-point summation order (~1e-12
+	// relative).
 	FastPath FastPathMode
-	// CrossCheck recomputes every fast-path result with the generic engine
-	// and panics on divergence beyond floating-point tolerance. Debugging
-	// and experiment aid; no-op when the generic engine was used anyway.
-	// For analytic results it gates Max instead: equality for exact cells,
-	// the bound direction for Theorem 3–5 cells.
+	// CrossCheck recomputes every symmetry or ring-flow result with the
+	// generic engine and panics on divergence beyond floating-point
+	// tolerance. Debugging and experiment aid; no-op when the generic
+	// engine was used anyway. For analytic results it gates Max instead:
+	// equality for exact cells, the bound direction for Theorem 3–5 cells.
 	CrossCheck bool
 	// Analytic selects the closed-form O(1) tier, tried ahead of the fast
 	// path. Off by default: see AnalyticMode.
@@ -143,9 +154,11 @@ func Compute(p *placement.Placement, alg routing.Algorithm, opts Options) *Resul
 // ComputeCtx is Compute with observability threaded through ctx: when the
 // context carries an active trace, the dispatch, engine stages, and merge
 // record spans (load.compute → load.pairs / load.bases / load.scatter →
-// load.merge) and the engine goroutines carry a pprof "engine" label. With
-// no active trace the instrumentation collapses to nil-span no-ops, so the
-// background-context Compute path stays allocation-identical to before.
+// load.merge; the ring-flow engine's marginals and sweeps record as
+// load.pairs and its summary pass as load.merge) and the engine
+// goroutines carry a pprof "engine" label. With no active trace the
+// instrumentation collapses to nil-span no-ops, so the background-context
+// Compute path stays allocation-identical to before.
 func ComputeCtx(ctx context.Context, p *placement.Placement, alg routing.Algorithm, opts Options) *Result {
 	return compute(ctx, p, alg, opts, true)
 }
@@ -160,9 +173,10 @@ func EMaxCtx(ctx context.Context, p *placement.Placement, alg routing.Algorithm,
 }
 
 // compute is the one dispatch behind ComputeCtx and EMaxCtx: analytic,
-// then the symmetry fast path, then the generic pair loop. keep says
-// whether the Result owns a Loads vector; a cross-checked fast path keeps
-// it for the comparison either way and drops it afterwards.
+// then the symmetry fast path, then the ring-flow engine, then the generic
+// pair loop. keep says whether the Result owns a Loads vector; a
+// cross-checked fast path keeps it for the comparison either way and drops
+// it afterwards.
 func compute(ctx context.Context, p *placement.Placement, alg routing.Algorithm, opts Options, keep bool) *Result {
 	fpComputeDispatch.InjectHard()
 	workers := effectiveWorkers(opts.Workers, p.Size())
@@ -179,8 +193,12 @@ func compute(ctx context.Context, p *placement.Placement, alg routing.Algorithm,
 		return res
 	}
 	if opts.FastPath != FastPathOff {
-		if res, ok := computeSymmetry(ctx, p, alg, workers, opts.FastPath == FastPathForce, keep || opts.CrossCheck); ok {
-			sp.SetAttr("engine", EngineSymmetry)
+		res, ok := computeSymmetry(ctx, p, alg, workers, opts.FastPath == FastPathForce, keep || opts.CrossCheck)
+		if !ok {
+			res, ok = computeRingFlow(ctx, p, alg, workers, keep || opts.CrossCheck)
+		}
+		if ok {
+			sp.SetAttr("engine", res.Engine)
 			if opts.CrossCheck {
 				crossCheck(res, computeGeneric(ctx, p, alg, workers, true))
 				if !keep {
@@ -238,11 +256,17 @@ func computeGeneric(ctx context.Context, p *placement.Placement, alg routing.Alg
 
 // stripe is the one fan-out of the package: it runs workers goroutines,
 // hands worker w the items w, w+workers, w+2·workers, … of 0..n−1, and
-// waits for all of them. Each worker accumulates into state of its own,
+// waits for all of them. A single worker runs inline, in item order. Each worker accumulates into state of its own,
 // indexed by w; the static stripe fixes which worker sees which item, so
 // every worker's summation order — and, merged in worker order, the whole
 // result — is a pure function of (workers, n).
 func stripe(workers, n int, item func(w, i int)) {
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			item(0, i)
+		}
+		return
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

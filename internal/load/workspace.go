@@ -9,7 +9,8 @@ import (
 
 // workspace is the scratch one engine compute borrows from workspaces and
 // returns after its merge: the generic pair loop, the symmetry engine's
-// bases and scatter, ComputePattern and ComputeValiant all draw from it.
+// bases and scatter, the ring-flow engine's marginals and sweeps,
+// ComputePattern and ComputeValiant all draw from it.
 // Every buffer only grows, and every one is resized and cleared when it is
 // handed out, so a workspace last used on a larger torus, another
 // dimension or more workers carries nothing into the next compute. The one
@@ -35,6 +36,8 @@ type workspace struct {
 	nnz     []nnzEntry // every orbit's nonzeros, orbit after orbit
 	starts  []int      // orbit o's nonzeros are nnz[starts[o]:starts[o+1]]
 	tables  [][]torus.Node
+
+	rf ringFlow // the ring-flow engine's marginals and per-worker sweeps
 }
 
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}

@@ -184,11 +184,13 @@ var answerSink []float64
 
 // leastAlloc returns the fewest heap bytes one of several calls of fn
 // allocates, which discounts a collection that empties the pool between
-// calls.
+// calls and, under the race detector, sync.Pool dropping one Put in four
+// on purpose: a call after a drop regrows a workspace, and a call of two
+// computes meets a drop almost every other time.
 func leastAlloc(fn func()) uint64 {
 	least := uint64(math.MaxUint64)
 	var ms runtime.MemStats
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 32; i++ {
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
 		fn()

@@ -64,10 +64,23 @@ func NewClient(baseURL string) *Client {
 // cluster.PeerTransport via FillPeer and Ready. Failures surface at once:
 // the cluster's per-peer health is the only failure policy, and every
 // failed fill falls back to local compute.
+//
+// The client owns its connection pool, so CloseIdleConnections closes this
+// peer's connections and no one else's. A node closes them when it shuts
+// down: net/http's Server.Shutdown waits up to 5 s on a connection that
+// was dialed but never sent a request, and the shared default transport
+// leaves such connections behind.
 func NewPeerFillClient(baseURL string) *Client {
 	c := NewClient(baseURL)
+	c.hc.Transport = http.DefaultTransport.(*http.Transport).Clone()
 	c.peerHop = true
 	return c
+}
+
+// CloseIdleConnections closes the client's connections that carry no
+// request, including any dialed and never used.
+func (c *Client) CloseIdleConnections() {
+	c.hc.CloseIdleConnections()
 }
 
 // roundTrip performs one HTTP exchange and fully consumes the response:

@@ -61,8 +61,10 @@ type AnalyzeResponse struct {
 	SweepCut         CutSummary `json:"sweep_cut"`
 	DimensionCut     CutSummary `json:"dimension_cut"`
 	// Engine reports which load engine produced E_max ("symmetry" for the
-	// translation fast path, "generic" for the pair loop, "montecarlo" for
-	// degraded answers, "analytic" for closed-form fast-lane answers).
+	// translation fast path, "ring-flow" for the per-ring marginal sweep
+	// that answers other ODR and UDR placements, "generic" for the pair
+	// loop, "montecarlo" for degraded answers, "analytic" for closed-form
+	// fast-lane answers).
 	// Engine choice never changes exact results beyond float summation
 	// order, so it is not part of the cache key.
 	Engine string `json:"engine"`

@@ -54,9 +54,10 @@ type Config struct {
 	// MaxBodyBytes caps request bodies; 0 means 1 MiB.
 	MaxBodyBytes int64
 	// DisableFastPath forces the generic pair-loop load engine, disabling
-	// the translation-symmetry fast path. Engine choice never changes
-	// results beyond float summation order, so it is not part of cache
-	// keys; the toggle exists for debugging and A/B measurement.
+	// the translation-symmetry and ring-flow fast paths. Engine choice
+	// never changes results beyond float summation order, so it is not
+	// part of cache keys; the toggle exists for debugging and A/B
+	// measurement.
 	DisableFastPath bool
 	// EnableAnalytic turns on the closed-form admission fast lane for
 	// /v1/analyze: requests whose spec proves a single linear placement
@@ -384,10 +385,14 @@ func (s *Server) Serve(ln net.Listener) error {
 	return s.httpSrv.Serve(ln)
 }
 
-// Shutdown gracefully drains in-flight requests (bounded by ctx), then
-// stops the worker pool and cancels every async search job.
+// Shutdown gracefully drains in-flight requests (bounded by ctx), closes
+// the idle connections of a cluster node's peer-fill clients, then stops
+// the worker pool and cancels every async search job.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.httpSrv.Shutdown(ctx)
+	if s.cfg.Cluster != nil {
+		s.cfg.Cluster.CloseIdleConnections()
+	}
 	s.pool.close()
 	s.jobs.close()
 	return err

@@ -20,7 +20,8 @@ func init() {
 // placement/algorithm matrix: for symmetric placements it reports the
 // stabilizer size, the orbit count, and the maximum per-edge divergence
 // between the symmetry and generic engines; unstructured placements must
-// show the automatic fallback. Workers is pinned to 1 so the float
+// show the automatic fallback, to the ring-flow engine under the
+// dimension-ordered routings and to the generic engine otherwise. Workers is pinned to 1 so the float
 // summation order — and with it the divergence column — is machine-
 // independent.
 func runE31(scale Scale) *Table {
@@ -71,6 +72,6 @@ func runE31(scale Scale) *Table {
 		tb.AddRow(c.d, c.k, p.Name(), c.alg.Name(), p.Size(), len(stab), orbits,
 			fast.Engine, div, agree)
 	}
-	tb.AddNote("Linear placements are closed under the k^{d−1} translations with zero coordinate sum, so one orbit covers every source and routing walks drop from |P|² to |P| pairs. Random placements (trivial stabilizer) and MeshODR (not translation-equivariant: the array metric distinguishes wrap links) dispatch to the generic engine automatically; divergence beyond float summation order is a soundness failure.")
+	tb.AddNote("Linear placements are closed under the k^{d−1} translations with zero coordinate sum, so one orbit covers every source and routing walks drop from |P|² to |P| pairs. Random placements (trivial stabilizer) fall through to the ring-flow engine, which sweeps per-ring processor marginals instead of pairs; MeshODR (not translation-equivariant: the array metric distinguishes wrap links) dispatches to the generic engine. Divergence beyond float summation order is a soundness failure.")
 	return tb
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # ci_bench_smoke.sh — CI gate against load-engine performance regressions.
 #
-# Runs the paired fast/generic BenchmarkLoadCompute* benchmarks,
+# Runs the paired fast/generic BenchmarkLoadCompute* benchmarks, the
+# paired ring-flow/generic BenchmarkLoadEMaxUDRRandom benchmarks,
 # BenchmarkLoadComputeFAR, BenchmarkLoadEMaxODR, BenchmarkComputePattern,
 # BenchmarkComputeValiant, the two optimizer benchmarks
 # (BenchmarkBranchBoundT2_8, BenchmarkAnnealT3_8) and the three bisection
@@ -50,7 +51,7 @@ trap 'rm -f "$RAW"' EXIT
 
 echo "bench-smoke: running paired load benchmarks, the optimizer, the bisection benchmarks and the cache-hit path"
 go test -run '^$' \
-    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkLoadComputeFAR|BenchmarkLoadEMaxODR|BenchmarkComputePattern|BenchmarkComputeValiant|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8|BenchmarkSweepBisection|BenchmarkBestSweepT3_8|BenchmarkAnalyzeRandomT3_8|BenchmarkServeAnalyzeCacheHit)$' \
+    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkLoadComputeFAR|BenchmarkLoadEMaxODR|BenchmarkLoadEMaxUDRRandom(Generic)?|BenchmarkComputePattern|BenchmarkComputeValiant|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8|BenchmarkSweepBisection|BenchmarkBestSweepT3_8|BenchmarkAnalyzeRandomT3_8|BenchmarkServeAnalyzeCacheHit)$' \
     -benchmem -benchtime=0.5s -count=1 -cpu 1 . | tee "$RAW"
 
 # name -> ns/op, bytes/op and allocs/op maps from this run.
