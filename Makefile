@@ -14,7 +14,7 @@ FUZZ_TARGETS := \
 	./internal/cluster:FuzzHashRing \
 	./internal/lintcheck:FuzzLintIgnoreDirective
 
-.PHONY: all build test race vet fmt-check lint lint-fix fuzz-smoke serve bench bench-smoke bench-module smoke-torusd smoke-cluster chaos profile ci
+.PHONY: all build test race vet fmt-check lint lint-fix fuzz-smoke serve bench-smoke bench-module smoke-torusd smoke-cluster chaos profile ci
 
 all: build
 
@@ -62,15 +62,10 @@ fuzz-smoke:
 serve:
 	$(GO) run ./cmd/torusd -addr :8080
 
-# bench regenerates results/BENCH_load.json: load-engine micro-benchmarks
-# (best of BENCH_COUNT runs) compared against the committed pre-fast-path
-# baseline in results/BENCH_load_baseline.json.
-bench:
-	./scripts/bench_load.sh
-
 # bench-smoke is the CI performance gate: fails on a >30% regression in
-# allocs/op or in the generic/fast speed ratio (machine-independent checks
-# only; see scripts/ci_bench_smoke.sh).
+# allocs/op or in the generic/fast speed ratio against the committed
+# expectations in results/BENCH_load_baseline.json (machine-independent
+# checks only; see scripts/ci_bench_smoke.sh).
 bench-smoke:
 	./scripts/ci_bench_smoke.sh
 
@@ -107,16 +102,15 @@ profile:
 
 # chaos runs the fault-injection suite under the race detector: every
 # registered failpoint (including the cluster.* sites) fires against a live
-# server, pool workers are crashed and wedged, degraded answers are
-# replayed against the exact engine, the client drains bodies for
-# connection reuse, a peer fill against an overloaded (429) owner fails
-# fast to local compute, a multi-node cluster is churned with kills,
-# partitions, and armed cluster faults, and each test asserts a
-# goroutine-leak-free recovery.
+# server and the server converges back to exact answers, pool workers are
+# crashed and wedged, the client drains bodies for connection reuse, a
+# peer fill against an overloaded (429) owner fails fast to local compute,
+# a multi-node cluster is churned with kills, partitions, and armed
+# cluster faults, and each test asserts a goroutine-leak-free recovery.
 chaos:
 	$(GO) test -race -count=1 ./internal/failpoint
 	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestDegraded|TestClientDrains|TestPeerFillFailsFast' \
+		-run 'TestChaos|TestClientDrains|TestPeerFillFailsFast' \
 		./internal/service
 	$(GO) test -race -count=1 -run 'TestCluster' ./internal/cluster/harness
 

@@ -44,9 +44,10 @@
 // stays pure liveness. The debug sidecar gains /debug/cluster (ring status,
 // and ?key=... for a key's owner).
 //
-// Under sustained pool pressure (past -degrade-at utilization) /v1/analyze
-// answers with a Monte Carlo estimate tagged "degraded": true instead of
-// queueing; a watchdog replaces pool workers wedged past -wedge-timeout.
+// Every computed /v1/analyze answer is exact and runs in the bounded pool:
+// under sustained pressure a cache miss queues, and once the -queue is full
+// it answers 429 with Retry-After (cached answers are still served). A
+// watchdog replaces pool workers wedged past -wedge-timeout.
 // Fault-injection sites (see internal/failpoint) are armed via the
 // -failpoints flag, the TORUSNET_FAILPOINTS environment variable, or at
 // runtime through /debug/failpoints on the debug sidecar — never on the
@@ -93,8 +94,6 @@ func main() {
 		noFastPath = flag.Bool("no-fastpath", false, "disable the translation-symmetry and ring-flow load fast paths (generic engine only)")
 		noAnalytic = flag.Bool("no-analytic", false, "disable the closed-form analytic fast lane for /v1/analyze")
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and /debug/failpoints on this separate address (empty = disabled)")
-		degradeAt  = flag.Float64("degrade-at", 0, "pool-utilization watermark past which /v1/analyze answers degraded Monte Carlo estimates (0 = 0.9, negative = never)")
-		degradedN  = flag.Int("degraded-rounds", 0, "Monte Carlo rounds behind degraded answers (0 = 16)")
 		wedge      = flag.Duration("wedge-timeout", 0, "watchdog deadline before a wedged pool worker is replaced (0 = 2×timeout, negative = no watchdog)")
 		failpoints = flag.String("failpoints", "", "semicolon-separated site=spec failpoints to arm at boot (see /debug/failpoints for sites)")
 		traceBuf   = flag.Int("trace-buf", 0, "finished request traces retained for /debug/traces (0 = 256, negative = tracing off)")
@@ -116,24 +115,22 @@ func main() {
 	}
 
 	cfg := service.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		AnalysisWorkers:  *analysisW,
-		CacheSize:        *cacheSize,
-		CacheTTL:         *cacheTTL,
-		RequestTimeout:   *timeout,
-		MaxNodes:         *maxNodes,
-		MaxJobs:          *maxJobs,
-		JobTTL:           *jobTTL,
-		JobTimeout:       *jobTimeout,
-		DisableFastPath:  *noFastPath,
-		EnableAnalytic:   !*noAnalytic,
-		DegradeWatermark: *degradeAt,
-		DegradedRounds:   *degradedN,
-		WedgeTimeout:     *wedge,
-		AccessLog:        os.Stderr,
-		Tracer:           tracer,
-		SlowThreshold:    *slowThresh,
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		AnalysisWorkers: *analysisW,
+		CacheSize:       *cacheSize,
+		CacheTTL:        *cacheTTL,
+		RequestTimeout:  *timeout,
+		MaxNodes:        *maxNodes,
+		MaxJobs:         *maxJobs,
+		JobTTL:          *jobTTL,
+		JobTimeout:      *jobTimeout,
+		DisableFastPath: *noFastPath,
+		EnableAnalytic:  !*noAnalytic,
+		WedgeTimeout:    *wedge,
+		AccessLog:       os.Stderr,
+		Tracer:          tracer,
+		SlowThreshold:   *slowThresh,
 	}
 	if *clusterOn {
 		cl, err := buildCluster(*selfURL, *peersList, *peersFile, *replicas)

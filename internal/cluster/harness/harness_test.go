@@ -17,12 +17,10 @@ import (
 	"torusnet/internal/torus"
 )
 
-// testConfig is the per-node service config every harness test uses:
-// degradation disabled so fills are always exact (a degraded fill would be
-// rejected and recomputed, breaking exactly-one-compute counts), and a
+// testConfig is the per-node service config every harness test uses: a
 // small pool to keep -race runs light.
 func testConfig() service.Config {
-	return service.Config{Workers: 4, DegradeWatermark: -1}
+	return service.Config{Workers: 4}
 }
 
 // computeCounter records every pooled computation cluster-wide: for each
@@ -158,8 +156,8 @@ func TestClusterSingleGlobalCompute(t *testing.T) {
 		}
 	}
 	for i, r := range results {
-		if r.Degraded {
-			t.Fatalf("request %d answered degraded", i)
+		if !r.Exact {
+			t.Fatalf("request %d answered inexact", i)
 		}
 		if !sameAnswer(r, results[0]) {
 			t.Fatalf("request %d disagrees: %+v vs %+v", i, r, results[0])
@@ -322,8 +320,8 @@ func TestClusterPartitionFallsBackLocal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partitioned request: %v", err)
 	}
-	if resp.Degraded {
-		t.Fatal("partitioned request answered degraded")
+	if !resp.Exact {
+		t.Fatal("partitioned request answered inexact")
 	}
 	if got := counter.get(key); got != 1 {
 		t.Fatalf("computes for %q under partition = %d, want 1 (local fallback)", key, got)
@@ -398,8 +396,8 @@ func TestClusterChaosFailpointsUnderChurn(t *testing.T) {
 			if err != nil {
 				t.Fatalf("site %s armed: node %d failed: %v", site, n.Index, err)
 			}
-			if resp.Degraded {
-				t.Fatalf("site %s armed: node %d answered degraded", site, n.Index)
+			if !resp.Exact {
+				t.Fatalf("site %s armed: node %d answered inexact", site, n.Index)
 			}
 		}
 		if failpoint.Hits(site) == 0 {
@@ -482,7 +480,7 @@ func TestClusterJoinUnderLoad(t *testing.T) {
 				default:
 				}
 				resp, err := cl.Analyze(ctx, reqs[i%len(reqs)])
-				if err != nil || resp.Degraded {
+				if err != nil || !resp.Exact {
 					failures.Add(1)
 					return
 				}
@@ -497,7 +495,7 @@ func TestClusterJoinUnderLoad(t *testing.T) {
 		t.Fatalf("join: %v", err)
 	}
 	if n := failures.Load(); n != 0 {
-		t.Fatalf("%d requests failed or degraded during the join", n)
+		t.Fatalf("%d requests failed or inexact during the join", n)
 	}
 	for _, n := range nw.Nodes[:3] {
 		if got := n.Cluster.Epoch(); got != 2 {
@@ -514,8 +512,8 @@ func TestClusterJoinUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("request on joined node: %v", err)
 	}
-	if resp.Degraded {
-		t.Fatal("joined node answered degraded")
+	if !resp.Exact {
+		t.Fatal("joined node answered inexact")
 	}
 	if got := counter.get(key); got != 1 {
 		t.Errorf("computes for %q via joined node = %d, want 1", key, got)
@@ -559,7 +557,7 @@ func coreTruth(t *testing.T, req service.AnalyzeRequest, resp *service.AnalyzeRe
 	}
 	rep := core.AnalyzeCtx(context.Background(), p, alg, load.Options{Workers: 1})
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	if resp.Degraded || !same(resp.EMax, rep.Load.Max) || !same(resp.TotalLoad, rep.Load.Total) ||
+	if !same(resp.EMax, rep.Load.Max) || !same(resp.TotalLoad, rep.Load.Total) ||
 		!same(resp.LoadPerProcessor, rep.LoadPerProcessor) || !same(resp.DensityC, rep.DensityC) ||
 		resp.MaxEdge != p.Torus().EdgeString(rep.Load.MaxEdge) || resp.Engine != rep.Load.Engine ||
 		resp.Exact != rep.Load.Exact {

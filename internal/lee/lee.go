@@ -22,13 +22,6 @@ func RingMeanDistance(k int) float64 {
 	return float64(RingDistanceSum(k)) / float64(k)
 }
 
-// TorusMeanDistance returns the mean Lee distance between two independent
-// uniform nodes of T^d_k: d · RingMeanDistance(k) (coordinates are
-// independent).
-func TorusMeanDistance(k, d int) float64 {
-	return float64(d) * RingMeanDistance(k)
-}
-
 // Diameter returns the Lee diameter of T^d_k: d·⌊k/2⌋.
 func Diameter(k, d int) int {
 	return d * (k / 2)

@@ -33,6 +33,8 @@ func TestRingDistanceSumAgainstEnumeration(t *testing.T) {
 	}
 }
 
+// TestTorusMeanDistanceAgainstBFS checks the torus mean Lee distance
+// d · RingMeanDistance(k) (coordinates are independent) by enumeration.
 func TestTorusMeanDistanceAgainstBFS(t *testing.T) {
 	for _, c := range []struct{ k, d int }{{3, 2}, {4, 2}, {5, 2}, {4, 3}} {
 		tr := torus.New(c.k, c.d)
@@ -40,7 +42,7 @@ func TestTorusMeanDistanceAgainstBFS(t *testing.T) {
 		tr.ForEachNode(func(v torus.Node) {
 			sum += tr.LeeDistance(0, v)
 		})
-		got := TorusMeanDistance(c.k, c.d)
+		got := float64(c.d) * RingMeanDistance(c.k)
 		want := float64(sum) / float64(tr.Nodes())
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("T^%d_%d: mean distance %v, enumeration %v", c.d, c.k, got, want)

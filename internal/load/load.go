@@ -64,10 +64,6 @@ const (
 	// EngineRingFlow labels exact ODR, ODR-multi, UDR and UDR-multi loads
 	// swept ring by ring from per-ring processor marginals (ringflow.go).
 	EngineRingFlow = "ring-flow"
-	// EngineMonteCarlo labels estimates produced by the MonteCarlo sampler
-	// (degraded service answers); MonteCarloResult has no Engine field, so
-	// the name exists for consumers that mix exact and sampled loads.
-	EngineMonteCarlo = "montecarlo"
 	// EngineAnalytic labels O(1) closed-form answers from the Theorem 2–5
 	// expressions. Analytic results carry no per-edge Loads vector (only
 	// Max, plus Exact/Theorem); consumers that need edge detail must use a

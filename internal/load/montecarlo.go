@@ -1,7 +1,6 @@
 package load
 
 import (
-	"math"
 	"math/rand"
 
 	"torusnet/internal/placement"
@@ -27,7 +26,6 @@ func MonteCarlo(p *placement.Placement, alg routing.Algorithm, rounds int, seed 
 	procs := p.Nodes()
 
 	sums := newPartials(workers, t.Edges())
-	sumsqs := newPartials(workers, t.Edges())
 	peaks := newPartials(workers, t.Edges())
 	counts := newPartials(workers, t.Edges())
 	stripe(workers, rounds, func(w, r int) {
@@ -48,17 +46,16 @@ func MonteCarlo(p *placement.Placement, alg routing.Algorithm, rounds int, seed 
 				}
 			}
 		}
-		sum, sumsq, peak := sums[w], sumsqs[w], peaks[w]
+		sum, peak := sums[w], peaks[w]
 		for e, c := range count {
 			sum[e] += c
-			sumsq[e] += c * c
 			if c > peak[e] {
 				peak[e] = c
 			}
 		}
 	})
 
-	mean, sumsq := mergePartials(sums), mergePartials(sumsqs)
+	mean := mergePartials(sums)
 	peak := make([]float64, t.Edges())
 	for _, pk := range peaks {
 		for e, c := range pk {
@@ -72,8 +69,6 @@ func MonteCarlo(p *placement.Placement, alg routing.Algorithm, rounds int, seed 
 		mean[e] /= float64(rounds)
 		if mean[e] > res.MaxMean {
 			res.MaxMean = mean[e]
-			res.MaxMeanEdge = torus.Edge(e)
-			res.MaxMeanStdErr = stderrOfMean(mean[e], sumsq[e], rounds)
 		}
 		if peak[e] > res.MaxPeak {
 			res.MaxPeak = peak[e]
@@ -83,7 +78,7 @@ func MonteCarlo(p *placement.Placement, alg routing.Algorithm, rounds int, seed 
 }
 
 // newPartials returns one zeroed per-edge accumulator per worker. The
-// sampler keeps four such sets for the whole run, so it allocates them
+// sampler keeps three such sets for the whole run, so it allocates them
 // plainly rather than from the engine workspace.
 func newPartials(workers, edges int) [][]float64 {
 	partials := make([][]float64, workers)
@@ -91,25 +86,6 @@ func newPartials(workers, edges int) [][]float64 {
 		partials[w] = make([]float64, edges)
 	}
 	return partials
-}
-
-// stderrOfMean computes the standard error of the per-round mean at one
-// edge from its running Σc and Σc² (sample variance over rounds, then
-// ÷√rounds). Fewer than two rounds have no measurable spread, so the
-// estimate degrades to 0 — callers report the bound as "unknown tightness"
-// rather than inventing one.
-func stderrOfMean(mean, sumsq float64, rounds int) float64 {
-	if rounds < 2 {
-		return 0
-	}
-	r := float64(rounds)
-	variance := (sumsq - r*mean*mean) / (r - 1)
-	if variance <= 0 {
-		// Zero (single-path algorithms like ODR have no per-round spread)
-		// or slightly negative from float cancellation.
-		return 0
-	}
-	return math.Sqrt(variance / r)
 }
 
 // MonteCarloResult holds empirical load estimates.
@@ -122,11 +98,4 @@ type MonteCarloResult struct {
 	PeakLoads []float64
 	MaxMean   float64
 	MaxPeak   float64
-	// MaxMeanEdge is the edge attaining MaxMean, and MaxMeanStdErr is the
-	// standard error of the per-round mean at that edge (0 when rounds < 2
-	// or the algorithm is single-path, e.g. ODR, whose per-round loads are
-	// deterministic). The service's degraded /v1/analyze answers report
-	// 3×MaxMeanStdErr as the error bound on E_max.
-	MaxMeanEdge   torus.Edge
-	MaxMeanStdErr float64
 }

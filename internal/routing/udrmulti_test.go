@@ -110,49 +110,6 @@ func TestUDRMultiMassConservation(t *testing.T) {
 	}
 }
 
-func TestEdgeDisjointRoutesUDR(t *testing.T) {
-	tr := torus.New(5, 3)
-	p := tr.NodeAt([]int{0, 0, 0})
-	// s = 3 pair: at least 2 disjoint routes must exist (forward orders
-	// starting with different dimensions diverge immediately and meet only
-	// at q's in-edges, which also differ).
-	q := tr.NodeAt([]int{1, 1, 1})
-	routes := EdgeDisjointRoutes(UDR{}, tr, p, q, 0)
-	if len(routes) < 2 {
-		t.Fatalf("only %d disjoint routes for an s=3 pair", len(routes))
-	}
-	used := make(map[torus.Edge]bool)
-	for _, r := range routes {
-		for _, e := range r.Edges {
-			if used[e] {
-				t.Fatal("selected routes are not edge-disjoint")
-			}
-			used[e] = true
-		}
-	}
-}
-
-func TestEdgeDisjointRoutesODRSingle(t *testing.T) {
-	tr := torus.New(5, 2)
-	routes := EdgeDisjointRoutes(ODR{}, tr, 0, 7, 0)
-	if len(routes) != 1 {
-		t.Errorf("ODR should yield exactly 1 route, got %d", len(routes))
-	}
-	if DisjointRouteCount(ODR{}, tr, 0, 7, 0) != 1 {
-		t.Error("count wrapper mismatch")
-	}
-}
-
-func TestEdgeDisjointRoutesCap(t *testing.T) {
-	tr := torus.New(5, 4)
-	p := tr.NodeAt([]int{0, 0, 0, 0})
-	q := tr.NodeAt([]int{1, 1, 1, 1}) // 24 UDR paths
-	capped := EdgeDisjointRoutes(UDR{}, tr, p, q, 2)
-	if len(capped) < 1 || len(capped) > 2 {
-		t.Errorf("capped selection returned %d routes", len(capped))
-	}
-}
-
 func TestUDRMultiName(t *testing.T) {
 	if (UDRMulti{}).Name() != "UDR-multi" {
 		t.Error("name mismatch")

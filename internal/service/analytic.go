@@ -20,9 +20,8 @@ import (
 // and the routing has a Theorem 2 equality (ODR always, ODR-multi on odd k
 // where unique shortest ring paths make it coincide with ODR), the answer
 // is the closed form — O(1) arithmetic, evaluated before canonicalization,
-// admission control, caching, and the worker pool, so analytic answers are
-// never degraded to Monte Carlo, never 429'd, and independent of torus
-// size. The lane therefore checks (k, d) against the package representation
+// caching, and the worker pool, so analytic answers never queue, are never
+// 429'd, and are independent of torus size. The lane therefore checks (k, d) against the package representation
 // limit only, not Config.MaxNodes: that cap exists to keep O(k^d) work off
 // the pool, and the lane does no such work — T³₂₅₆-class requests answer in
 // microseconds.

@@ -54,8 +54,8 @@ func TestAnalyticLaneAnswers(t *testing.T) {
 	if resp.BestLowerBound <= 0 || resp.OptimalityRatio <= 0 {
 		t.Errorf("bound suite missing: best=%g ratio=%g", resp.BestLowerBound, resp.OptimalityRatio)
 	}
-	if resp.TotalLoad != 0 || resp.Cached || resp.Degraded {
-		t.Errorf("lane answers carry no vector and never cache/degrade: %+v", resp)
+	if resp.TotalLoad != 0 || resp.Cached {
+		t.Errorf("lane answers carry no vector and never cache: %+v", resp)
 	}
 	if got := s.metrics.get(mAnalyticHits); got != 1 {
 		t.Errorf("analytic_hits = %d, want 1", got)

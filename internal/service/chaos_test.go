@@ -11,7 +11,6 @@ import (
 	"expvar"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -108,7 +107,7 @@ func newChaosClusterPair(t *testing.T) (clients [2]*Client, views [2]*cluster.Cl
 			t.Fatalf("pair cluster view %d: %v", i, err)
 		}
 		views[i] = cl
-		servers[i] = New(Config{Workers: 2, DegradeWatermark: -1, Cluster: cl})
+		servers[i] = New(Config{Workers: 2, Cluster: cl})
 		clients[i] = NewClient(urls[i])
 		wg.Add(1)
 		go func(s *Server, ln net.Listener) {
@@ -175,7 +174,7 @@ func TestChaosAllSites(t *testing.T) {
 	// separately) cannot mask a scenario's assertions.
 	s, c, stop := newTestServer(t, Config{
 		Workers: 2, QueueDepth: 4, DisableFastPath: true,
-		DegradeWatermark: -1, WedgeTimeout: -1 * time.Second,
+		WedgeTimeout: -1 * time.Second,
 	})
 	defer stop()
 	defer failpoint.DisableAll()
@@ -232,19 +231,6 @@ func TestChaosAllSites(t *testing.T) {
 				t.Errorf("response.encode error: status %d err %v, want 500 encoding failed", st, err)
 			}
 		}},
-		"service.admission": {spec: "error", drive: func(t *testing.T, s *Server, c *Client) {
-			resp, err := c.Analyze(context.Background(), AnalyzeRequest{K: 10, D: 2, Placement: "linear", Routing: "ODR"})
-			if err != nil {
-				t.Fatalf("degraded analyze: %v", err)
-			}
-			if !resp.Degraded || resp.Engine != "montecarlo" {
-				t.Errorf("forced admission: degraded=%v engine=%q, want degraded montecarlo", resp.Degraded, resp.Engine)
-			}
-			if resp.ErrorBound != 0 {
-				// ODR is single-path: zero variance, zero bound.
-				t.Errorf("ODR degraded error bound = %v, want 0", resp.ErrorBound)
-			}
-		}},
 		"load.compute.dispatch": {spec: "error", drive: func(t *testing.T, s *Server, c *Client) {
 			st, _, err := analyzeStatus(t, c, AnalyzeRequest{K: 11, D: 2, Placement: "linear", Routing: "ODR"})
 			if st != http.StatusInternalServerError || !strings.Contains(err.Error(), "panicked") {
@@ -263,9 +249,7 @@ func TestChaosAllSites(t *testing.T) {
 			// pipeline — still 200, still exact, just not closed-form. The
 			// main chaos server runs with the lane off, so this scenario
 			// boots its own lane-enabled server.
-			_, ac, astop := newTestServer(t, Config{
-				Workers: 2, DegradeWatermark: -1, EnableAnalytic: true,
-			})
+			_, ac, astop := newTestServer(t, Config{Workers: 2, EnableAnalytic: true})
 			defer astop()
 			resp, err := ac.Analyze(context.Background(), AnalyzeRequest{K: 13, D: 2, Placement: "linear", Routing: "ODR"})
 			if err != nil {
@@ -287,8 +271,8 @@ func TestChaosAllSites(t *testing.T) {
 			if err != nil {
 				t.Fatalf("analyze with ring fault: %v", err)
 			}
-			if resp.Degraded || resp.EMax != baseline.EMax {
-				t.Errorf("ring-fault answer: EMax=%v degraded=%v, want exact %v", resp.EMax, resp.Degraded, baseline.EMax)
+			if resp.EMax != baseline.EMax {
+				t.Errorf("ring-fault answer: EMax=%v, want exact %v", resp.EMax, baseline.EMax)
 			}
 			if n := clusterVar(views[0].Vars(), "ring_lookup_errors"); n == 0 {
 				t.Error("ring_lookup_errors = 0, want the fault counted")
@@ -305,8 +289,8 @@ func TestChaosAllSites(t *testing.T) {
 			if err != nil {
 				t.Fatalf("analyze with dial fault: %v", err)
 			}
-			if resp.Degraded || resp.Cached {
-				t.Errorf("dial-fault answer degraded=%v cached=%v, want a fresh exact local compute", resp.Degraded, resp.Cached)
+			if resp.Cached {
+				t.Error("dial-fault answer cached, want a fresh local compute")
 			}
 			// The dial fault counts against the peer's health: its
 			// persistent per-peer error counter records the failure.
@@ -331,8 +315,8 @@ func TestChaosAllSites(t *testing.T) {
 			if err != nil {
 				t.Fatalf("analyze with decode fault: %v", err)
 			}
-			if resp.Degraded || resp.Cached {
-				t.Errorf("decode-fault answer degraded=%v cached=%v, want a fresh exact local compute", resp.Degraded, resp.Cached)
+			if resp.Cached {
+				t.Error("decode-fault answer cached, want a fresh local compute")
 			}
 			if n := clusterVar(views[0].Vars(), "fill_errors"); n == 0 {
 				t.Error("fill_errors = 0, want the discarded fill counted")
@@ -419,7 +403,7 @@ func TestChaosAllSites(t *testing.T) {
 			// finished record outlives its TTL and stays pollable. The main
 			// chaos server's janitor ticks too slowly to reach the site, so
 			// this scenario boots its own tiny-TTL server.
-			_, jc, jstop := newTestServer(t, Config{Workers: 2, DegradeWatermark: -1, JobTTL: 20 * time.Millisecond})
+			_, jc, jstop := newTestServer(t, Config{Workers: 2, JobTTL: 20 * time.Millisecond})
 			defer jstop()
 			acc, err := jc.Optimize(context.Background(), OptimizeRequest{K: 4, D: 2, Routing: "ODR", Strategy: "leesphere"})
 			if err != nil {
@@ -479,8 +463,8 @@ func TestChaosAllSites(t *testing.T) {
 				if err != nil {
 					t.Fatalf("convergence analyze after %s: %v", site, err)
 				}
-				if resp.EMax != baseline.EMax || resp.Degraded {
-					t.Errorf("after %s: EMax=%v degraded=%v, want %v exact", site, resp.EMax, resp.Degraded, baseline.EMax)
+				if resp.EMax != baseline.EMax {
+					t.Errorf("after %s: EMax=%v, want %v exact", site, resp.EMax, baseline.EMax)
 				}
 			}()
 			sc.drive(t, s, c)
@@ -499,8 +483,7 @@ func TestChaosPoolPanicStorm(t *testing.T) {
 	defer leaks()
 
 	s, c, stop := newTestServer(t, Config{
-		Workers: 4, QueueDepth: 16,
-		DegradeWatermark: -1, WedgeTimeout: -1 * time.Second,
+		Workers: 4, QueueDepth: 16, WedgeTimeout: -1 * time.Second,
 	})
 	defer stop()
 	defer failpoint.DisableAll()
@@ -566,7 +549,7 @@ func TestChaosPoolPanicStorm(t *testing.T) {
 // forever. Now the panic answers 500 and the very next request for the
 // key computes normally.
 func TestChaosFlightLeaderPanicReleasesKey(t *testing.T) {
-	s, c, stop := newTestServer(t, Config{Workers: 2, DegradeWatermark: -1})
+	s, c, stop := newTestServer(t, Config{Workers: 2})
 	released := false
 	defer func() {
 		// A wedged key leaves its handler blocked, and closing the test
@@ -599,8 +582,8 @@ func TestChaosFlightLeaderPanicReleasesKey(t *testing.T) {
 		t.Fatalf("request after the leader panic: %v, want 200 (the key must be released)", err)
 	}
 	released = true
-	if resp.Degraded || !resp.Exact {
-		t.Errorf("answer after the panic degraded=%v exact=%v, want an exact compute", resp.Degraded, resp.Exact)
+	if !resp.Exact {
+		t.Error("answer after the panic not exact, want an exact compute")
 	}
 }
 
@@ -612,8 +595,7 @@ func TestChaosWatchdogRecoversWedgedWorker(t *testing.T) {
 	defer leaks()
 
 	s, c, stop := newTestServer(t, Config{
-		Workers: 1, QueueDepth: 4,
-		DegradeWatermark: -1, WedgeTimeout: 40 * time.Millisecond,
+		Workers: 1, QueueDepth: 4, WedgeTimeout: 40 * time.Millisecond,
 	})
 	defer stop()
 	defer failpoint.DisableAll()
@@ -655,144 +637,9 @@ func TestChaosWatchdogRecoversWedgedWorker(t *testing.T) {
 	}
 }
 
-// TestDegradedConsistency replays degraded Monte Carlo answers against the
-// exact engine: ODR (single-path, zero variance) must match exactly with a
-// zero error bound; FAR (randomized multi-path) must land within the
-// reported bound of the exact expectation. Seeds derive from the canonical
-// cache key, so both sides are deterministic.
-func TestDegradedConsistency(t *testing.T) {
-	leaks := checkGoroutineLeaks(t)
-	defer leaks()
-
-	_, exactC, stopExact := newTestServer(t, Config{Workers: 2})
-	defer stopExact()
-	_, degC, stopDeg := newTestServer(t, Config{Workers: 2, DegradedRounds: 400})
-	defer stopDeg()
-	defer failpoint.DisableAll()
-	ctx := context.Background()
-
-	odrReq := AnalyzeRequest{K: 6, D: 2, Placement: "linear", Routing: "ODR"}
-	farReq := AnalyzeRequest{K: 5, D: 2, Placement: "linear", Routing: "FAR"}
-
-	exactODR, err := exactC.Analyze(ctx, odrReq)
-	if err != nil {
-		t.Fatalf("exact ODR: %v", err)
-	}
-	exactFAR, err := exactC.Analyze(ctx, farReq)
-	if err != nil {
-		t.Fatalf("exact FAR: %v", err)
-	}
-
-	if err := failpoint.Enable("service.admission", "error"); err != nil {
-		t.Fatal(err)
-	}
-
-	degODR, err := degC.Analyze(ctx, odrReq)
-	if err != nil {
-		t.Fatalf("degraded ODR: %v", err)
-	}
-	if !degODR.Degraded || degODR.Engine != "montecarlo" {
-		t.Fatalf("ODR response not degraded: %+v", degODR)
-	}
-	if degODR.EMax != exactODR.EMax {
-		t.Errorf("ODR degraded EMax = %v, want exact %v (single-path routing must match bit-for-bit)", degODR.EMax, exactODR.EMax)
-	}
-	if degODR.ErrorBound != 0 {
-		t.Errorf("ODR degraded error bound = %v, want 0", degODR.ErrorBound)
-	}
-
-	degFAR, err := degC.Analyze(ctx, farReq)
-	if err != nil {
-		t.Fatalf("degraded FAR: %v", err)
-	}
-	if !degFAR.Degraded {
-		t.Fatal("FAR response not degraded")
-	}
-	if degFAR.ErrorBound <= 0 {
-		t.Errorf("FAR degraded error bound = %v, want > 0", degFAR.ErrorBound)
-	}
-	if diff := degFAR.EMax - exactFAR.EMax; diff < -degFAR.ErrorBound || diff > degFAR.ErrorBound {
-		t.Errorf("FAR degraded EMax = %v, exact %v: |diff| %v exceeds reported bound %v",
-			degFAR.EMax, exactFAR.EMax, diff, degFAR.ErrorBound)
-	}
-
-	// Degraded answers are never cached: once admission recovers, the same
-	// request computes (not serves) the exact result.
-	if err := failpoint.Disable("service.admission"); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := degC.Analyze(ctx, odrReq)
-	if err != nil {
-		t.Fatalf("post-degrade ODR: %v", err)
-	}
-	if fresh.Cached || fresh.Degraded {
-		t.Errorf("post-degrade response cached=%v degraded=%v, want a fresh exact compute", fresh.Cached, fresh.Degraded)
-	}
-	if fresh.EMax != exactODR.EMax {
-		t.Errorf("post-degrade EMax = %v, want %v", fresh.EMax, exactODR.EMax)
-	}
-
-	// Cached exact answers are free: a shed request serves them as they are.
-	if err := failpoint.Enable("service.admission", "error"); err != nil {
-		t.Fatal(err)
-	}
-	hit, err := degC.Analyze(ctx, odrReq)
-	if err != nil {
-		t.Fatalf("shed ODR after the exact compute: %v", err)
-	}
-	if !hit.Cached || hit.Degraded || hit.EMax != exactODR.EMax {
-		t.Errorf("shed request for a cached key: cached=%v degraded=%v EMax=%v, want the cached exact %v",
-			hit.Cached, hit.Degraded, hit.EMax, exactODR.EMax)
-	}
-}
-
-// TestDegradedUnderRealPressure drives the watermark path (no failpoint):
-// with a tiny pool wedged by slow computes, /v1/analyze must shed to
-// degraded answers instead of queueing or erroring.
-func TestDegradedUnderRealPressure(t *testing.T) {
-	leaks := checkGoroutineLeaks(t)
-	defer leaks()
-
-	block := make(chan struct{})
-	s := New(Config{Workers: 1, QueueDepth: 1, DegradeWatermark: 0.5, WedgeTimeout: -1 * time.Second})
-	s.onCompute = func(string) { <-block }
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.Close()
-	c := NewClient(ts.URL)
-	ctx := context.Background()
-
-	// Saturate: the worker parks in onCompute, the queue fills behind it.
-	done := make(chan struct{}, 2)
-	for i := 0; i < 2; i++ {
-		go func(k int) {
-			defer func() { done <- struct{}{} }()
-			cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-			defer cancel()
-			_, _ = c.Analyze(cctx, AnalyzeRequest{K: k, D: 2, Placement: "linear", Routing: "ODR"})
-		}(6 + i)
-	}
-	// Wait until the pool reports saturation.
-	for i := 0; s.pool.utilization() < 0.5 && i < 200; i++ {
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	resp, err := c.Analyze(ctx, AnalyzeRequest{K: 9, D: 2, Placement: "linear", Routing: "ODR"})
-	if err != nil {
-		t.Fatalf("analyze under pressure: %v", err)
-	}
-	if !resp.Degraded {
-		t.Errorf("response under pressure not degraded: %+v", resp)
-	}
-
-	close(block)
-	<-done
-	<-done
-}
-
 // TestChaosTracesWellFormed fires faults at every pipeline depth — cache
 // read, flight leadership, pool dispatch, engine dispatch and merge,
-// response encoding, forced degradation — and asserts every trace the
+// response encoding — and asserts every trace the
 // tracer exported stays structurally well-formed: aborted requests must
 // never leave half-recorded span trees behind.
 func TestChaosTracesWellFormed(t *testing.T) {
@@ -802,22 +649,22 @@ func TestChaosTracesWellFormed(t *testing.T) {
 	tracer := obs.NewTracer(64)
 	s, c, stop := newTestServer(t, Config{
 		Workers: 2, QueueDepth: 4, DisableFastPath: true,
-		DegradeWatermark: -1, WedgeTimeout: -1 * time.Second,
-		Tracer: tracer,
+		WedgeTimeout: -1 * time.Second,
+		Tracer:       tracer,
 	})
 	defer stop()
 	defer failpoint.DisableAll()
 
-	k := 4
-	for _, fp := range []struct{ site, spec string }{
+	faults := []struct{ site, spec string }{
 		{"service.cache.get", "error"},
 		{"service.flight.leader", "error"},
 		{"service.pool.dispatch", "1*panic"},
 		{"load.compute.dispatch", "error"},
 		{"load.compute.merge", "error"},
 		{"service.response.encode", "error"},
-		{"service.admission", "error"},
-	} {
+	}
+	k := 4
+	for _, fp := range faults {
 		if err := failpoint.Enable(fp.site, fp.spec); err != nil {
 			t.Fatalf("arming %s: %v", fp.site, err)
 		}
@@ -833,8 +680,8 @@ func TestChaosTracesWellFormed(t *testing.T) {
 	_ = s
 
 	traces := tracer.Snapshot(0)
-	if len(traces) < 7 {
-		t.Fatalf("exported %d traces, want >= 7 (one per faulted request)", len(traces))
+	if len(traces) < len(faults) {
+		t.Fatalf("exported %d traces, want >= %d (one per faulted request)", len(traces), len(faults))
 	}
 	for _, tr := range traces {
 		if err := tr.Wellformed(); err != nil {

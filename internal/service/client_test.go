@@ -154,7 +154,7 @@ func TestPeerFillFailsFastOn429(t *testing.T) {
 		t.Fatal(err)
 	}
 	var computes atomic.Int64
-	s := New(Config{Workers: 1, DegradeWatermark: -1, Cluster: view,
+	s := New(Config{Workers: 1, Cluster: view,
 		OnCompute: func(string) { computes.Add(1) }})
 	served := make(chan error, 1)
 	go func() { served <- s.Serve(ln) }()
@@ -177,7 +177,7 @@ func TestPeerFillFailsFastOn429(t *testing.T) {
 	if err != nil {
 		t.Fatalf("analyze with an overloaded owner: %v", err)
 	}
-	if resp.Degraded || resp.EMax <= 0 {
+	if !resp.Exact || resp.EMax <= 0 {
 		t.Errorf("analyze = %+v, want an exact local answer", resp)
 	}
 	if n := hits.Load(); n != 1 {

@@ -25,11 +25,6 @@ var (
 	// fpEncode fires during response encoding; any armed fault degrades
 	// the response to the plain encode-failure 500.
 	fpEncode = failpoint.New("service.response.encode")
-	// fpAdmission forces the admission controller's degraded mode for
-	// /v1/analyze regardless of pool utilization (any armed spec except
-	// sleep, which just delays the check). Deterministic lever for chaos
-	// tests and the smoke script.
-	fpAdmission = failpoint.New("service.admission")
 	// fpJobSubmit fires in job admission, before the capacity check.
 	// error → the submission fails (HTTP 500); partial → the submission is
 	// shed as if the manager were at capacity (HTTP 429).

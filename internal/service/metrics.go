@@ -24,17 +24,13 @@ type metrics struct {
 	// past that is already in timeout territory and lands in +Inf.
 	reqSeconds *obs.Histogram
 	// queueWait observes how long pooled jobs sat queued before a worker
-	// picked them up — the backpressure signal behind the degrade
-	// watermark. Sub-millisecond when healthy, so buckets start at 10µs.
+	// picked them up — the backpressure signal ahead of 429s.
+	// Sub-millisecond when healthy, so buckets start at 10µs.
 	queueWait *obs.Histogram
 	// cacheAge observes the age of served result-cache hits; the top
 	// finite bucket sits above the 10-minute default TTL so hits close
 	// to expiry are still resolvable.
 	cacheAge *obs.Histogram
-	// degradedErr observes the 3σ error bound reported on degraded Monte
-	// Carlo answers. Mass drifting into the large buckets means load
-	// shedding is costing answer quality.
-	degradedErr *obs.Histogram
 	// peerFill observes the latency of successful cluster peer fills — one
 	// intra-cluster HTTP round trip, so buckets span the same range as
 	// reqSeconds minus the timeout tail.
@@ -59,7 +55,6 @@ const (
 	mInFlight       = "in_flight"
 	mWriteErrors    = "write_errors"
 	mLatencyMSTotal = "latency_ms_total"
-	mDegraded       = "degraded"
 	mSlow           = "slow_requests"
 	mPeerFills      = "peer_fills"
 	mPeerFillErrors = "peer_fill_errors"
@@ -75,19 +70,18 @@ const (
 
 func newMetrics() *metrics {
 	m := &metrics{
-		vars:        new(expvar.Map).Init(),
-		byEndpoint:  new(expvar.Map).Init(),
-		reqSeconds:  obs.NewHistogram(0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10),
-		queueWait:   obs.NewHistogram(0.00001, 0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5),
-		cacheAge:    obs.NewHistogram(1, 5, 15, 60, 120, 300, 600, 900),
-		degradedErr: obs.NewHistogram(0.001, 0.01, 0.05, 0.1, 0.5, 1, 5, 25),
-		peerFill:    obs.NewHistogram(0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5),
-		jobSeconds:  obs.NewHistogram(0.001, 0.005, 0.025, 0.1, 0.5, 1, 5, 15, 60, 300),
+		vars:       new(expvar.Map).Init(),
+		byEndpoint: new(expvar.Map).Init(),
+		reqSeconds: obs.NewHistogram(0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10),
+		queueWait:  obs.NewHistogram(0.00001, 0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5),
+		cacheAge:   obs.NewHistogram(1, 5, 15, 60, 120, 300, 600, 900),
+		peerFill:   obs.NewHistogram(0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5),
+		jobSeconds: obs.NewHistogram(0.001, 0.005, 0.025, 0.1, 0.5, 1, 5, 15, 60, 300),
 	}
 	for _, name := range []string{
 		mRequests, mErrors, mPanics, mQueueFull, mTimeouts,
 		mCacheHits, mCacheMisses, mCoalesced, mInFlight,
-		mWriteErrors, mLatencyMSTotal, mDegraded, mSlow,
+		mWriteErrors, mLatencyMSTotal, mSlow,
 		mPeerFills, mPeerFillErrors, mPeerHops, mAnalyticHits,
 		mJobsSubmitted, mJobsDone, mJobsFailed,
 		mJobsCancelled, mJobsRejected, mJobsExpired,
@@ -146,7 +140,6 @@ var promSchema = []struct {
 	{mCoalesced, "torusd_coalesced_total", "requests served by another caller's in-flight computation", false},
 	{mWriteErrors, "torusd_write_errors_total", "response writes that failed mid-stream", false},
 	{mLatencyMSTotal, "torusd_latency_ms_total", "summed request latency in milliseconds", false},
-	{mDegraded, "torusd_degraded_total", "load-shed Monte Carlo answers served by /v1/analyze", false},
 	{mSlow, "torusd_slow_requests_total", "requests slower than the configured slow threshold", false},
 	{mPeerFills, "torusd_peer_fills_total", "cache misses served by the key's home cluster peer", false},
 	{mPeerFillErrors, "torusd_peer_fill_errors_total", "peer fills lost to ring, dial, or decode failures", false},
@@ -162,8 +155,8 @@ var promSchema = []struct {
 }
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition
-// format: the expvar counters as torusd_* families, the pool and degraded
-// gauges, the four histograms, every process-global gated obs.Counter
+// format: the expvar counters as torusd_* families, the pool and job
+// gauges, the histograms, every process-global gated obs.Counter
 // (e.g. the routing-kernel pair counters), and the tracer's ring stats.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
@@ -181,13 +174,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.PromGauge(&buf, "torusd_pool_running", "pooled jobs currently executing", float64(s.pool.running.Load()))
 	obs.PromGauge(&buf, "torusd_pool_queued", "pooled jobs waiting for a worker", float64(s.pool.queued.Load()))
 	obs.PromGauge(&buf, "torusd_pool_utilization",
-		"(running+queued)/(workers+queue capacity), the admission controller's signal", s.pool.utilization())
+		"(running+queued)/(workers+queue capacity); at 1 the next cache miss gets 429", s.pool.utilization())
 	obs.PromCounter(&buf, "torusd_pool_worker_restarts_total",
 		"workers respawned after a crash", float64(s.pool.restarts.Load()))
 	obs.PromCounter(&buf, "torusd_pool_worker_replacements_total",
 		"workers replaced by the wedge watchdog", float64(s.pool.replacements.Load()))
-	obs.PromGauge(&buf, "torusd_degraded_inline_running",
-		"degraded Monte Carlo answers computing inline right now", float64(s.inlineRunning.Load()))
 	obs.PromGauge(&buf, "torusd_jobs_running", "async search jobs currently executing", float64(s.jobs.runningCount()))
 	obs.PromGauge(&buf, "torusd_jobs_tracked", "job records currently tracked (running + finished, pre-TTL)", float64(s.jobs.tracked()))
 	obs.PromHistogram(&buf, "torusd_request_duration_seconds",
@@ -196,8 +187,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"time pooled jobs spent queued before a worker picked them up", s.metrics.queueWait)
 	obs.PromHistogram(&buf, "torusd_cache_age_seconds",
 		"age of served result-cache hits", s.metrics.cacheAge)
-	obs.PromHistogram(&buf, "torusd_degraded_error_bound",
-		"3-sigma error bound reported on degraded Monte Carlo answers", s.metrics.degradedErr)
 	obs.PromHistogram(&buf, "torusd_job_duration_seconds",
 		"async search job duration, submit to terminal state", s.metrics.jobSeconds)
 	if cl := s.cfg.Cluster; cl != nil {

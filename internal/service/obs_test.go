@@ -2,8 +2,7 @@ package service
 
 // Tests for the observability layer at the service boundary: the /metrics
 // Prometheus page, per-request trace trees on /debug/traces, W3C
-// traceparent echo and client propagation, slow-request logging, and the
-// unified accounting between access logs and counters on degraded answers.
+// traceparent echo and client propagation, and slow-request logging.
 
 import (
 	"bytes"
@@ -19,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"torusnet/internal/failpoint"
 	"torusnet/internal/obs"
 )
 
@@ -69,9 +67,9 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 
 	for _, want := range []string{
 		"torusd_requests_total", "torusd_cache_misses_total", "torusd_in_flight",
-		"torusd_pool_running", "torusd_pool_queued", "torusd_degraded_inline_running",
+		"torusd_pool_running", "torusd_pool_queued",
 		"torusd_request_duration_seconds_count", "torusd_pool_queue_wait_seconds_count",
-		"torusd_cache_age_seconds_count", "torusd_degraded_error_bound_count",
+		"torusd_cache_age_seconds_count",
 		"torusd_uptime_seconds",
 	} {
 		if _, ok := samples[want]; !ok {
@@ -257,86 +255,6 @@ func TestSlowRequestLogging(t *testing.T) {
 	}
 	if got := s.metrics.get(mSlow); got < 1 {
 		t.Errorf("slow counter = %d, want >= 1", got)
-	}
-}
-
-// TestDegradedAccountingUnified is the regression test for the accounting
-// bug: degraded answers are computed inline on the handler goroutine, so
-// they must count as cache misses like any other compute, be visible to
-// logs and headers as degraded, and never move the pool gauges (no pool
-// job exists).
-func TestDegradedAccountingUnified(t *testing.T) {
-	var logBuf syncBuffer
-	tracer := obs.NewTracer(8)
-	s, _, stop := newTestServer(t, Config{
-		Workers: 2, DegradeWatermark: -1, AccessLog: &logBuf, Tracer: tracer,
-	})
-	defer stop()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	if err := failpoint.Enable("service.admission", "error"); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := failpoint.Disable("service.admission"); err != nil {
-			t.Fatal(err)
-		}
-	}()
-
-	misses, hits := s.metrics.get(mCacheMisses), s.metrics.get(mCacheHits)
-	body := `{"k":6,"d":2,"placement":"linear","routing":"ODR"}`
-	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("analyze: %v", err)
-	}
-	var ar AnalyzeResponse
-	if derr := json.NewDecoder(resp.Body).Decode(&ar); derr != nil {
-		t.Fatalf("decode: %v", derr)
-	}
-	if cerr := resp.Body.Close(); cerr != nil {
-		t.Fatal(cerr)
-	}
-	if !ar.Degraded {
-		t.Fatalf("response not degraded: %+v", ar)
-	}
-	if got := resp.Header.Get(degradedHeader); got != "true" {
-		t.Errorf("%s header = %q, want true", degradedHeader, got)
-	}
-	if got := s.metrics.get(mCacheMisses); got != misses+1 {
-		t.Errorf("cache_misses moved %d→%d, want +1 on a degraded miss", misses, got)
-	}
-	if got := s.metrics.get(mCacheHits); got != hits {
-		t.Errorf("cache_hits moved %d→%d on a degraded miss", hits, got)
-	}
-	if got := s.metrics.get(mDegraded); got != 1 {
-		t.Errorf("degraded counter = %d, want 1", got)
-	}
-	if r, q := s.pool.running.Load(), s.pool.queued.Load(); r != 0 || q != 0 {
-		t.Errorf("pool gauges running=%d queued=%d after inline degraded answer, want 0/0", r, q)
-	}
-	if got := s.inlineRunning.Load(); got != 0 {
-		t.Errorf("inline gauge = %d after response, want 0", got)
-	}
-	if snap := s.metrics.degradedErr.Snapshot(); snap.Count != 1 {
-		t.Errorf("degraded error-bound histogram count = %d, want 1", snap.Count)
-	}
-	if line := logBuf.String(); !strings.Contains(line, `"degraded":true`) {
-		t.Errorf("access log lacks degraded:true: %s", line)
-	}
-	found := false
-	for _, tr := range tracer.Snapshot(0) {
-		for _, sp := range tr.Spans {
-			if sp.Name == "compute.degraded" {
-				found = true
-			}
-		}
-		if err := tr.Wellformed(); err != nil {
-			t.Errorf("degraded trace: %v", err)
-		}
-	}
-	if !found {
-		t.Error("no exported trace records compute.degraded")
 	}
 }
 

@@ -296,9 +296,10 @@ func (p *workerPool) submit(ctx context.Context, fn func() (any, error)) (any, e
 }
 
 // utilization reports pool fullness as (running+queued)/(workers+queue
-// capacity) — the admission controller's load signal. A wedged-and-replaced
-// worker's job still counts as running, so sustained wedging pushes the
-// pool toward degraded mode, which is exactly the intended signal.
+// capacity), the saturation gauge operators watch: at 1 every worker is
+// busy and the queue is full, so the next cache miss gets 429. A
+// wedged-and-replaced worker's job still counts as running, so sustained
+// wedging pushes the gauge toward 1, which is exactly the intended signal.
 func (p *workerPool) utilization() float64 {
 	capacity := p.workers + cap(p.jobs)
 	if capacity <= 0 {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"torusnet/internal/bisect"
@@ -63,14 +62,13 @@ type AnalyzeResponse struct {
 	// Engine reports which load engine produced E_max ("symmetry" for the
 	// translation fast path, "ring-flow" for the per-ring marginal sweep
 	// that answers other ODR and UDR placements, "generic" for the pair
-	// loop, "montecarlo" for degraded answers, "analytic" for closed-form
-	// fast-lane answers).
+	// loop, "analytic" for closed-form fast-lane answers).
 	// Engine choice never changes exact results beyond float summation
 	// order, so it is not part of the cache key.
 	Engine string `json:"engine"`
 	// Exact reports whether EMax is the exact expectation rather than an
-	// upper bound (analytic Theorem 3–5 cells) or an estimate (degraded
-	// answers). Every computed-engine answer is exact.
+	// upper bound (analytic Theorem 3–5 cells). Every computed-engine
+	// answer is exact.
 	Exact bool `json:"exact"`
 	// Theorem names the paper closed form behind an analytic answer
 	// ("theorem2" … "theorem5"); empty for computed engines. Analytic
@@ -78,14 +76,13 @@ type AnalyzeResponse struct {
 	// summaries are zero.
 	Theorem string `json:"theorem,omitempty"`
 	Cached  bool   `json:"cached"`
-	// Degraded marks a load-shed answer: EMax is a Monte Carlo estimate
-	// over DegradedRounds exchanges rather than the exact expectation, and
-	// ErrorBound is 3× the standard error of that estimate at the maximal
-	// edge (0 when the routing is single-path, e.g. ODR, whose samples
-	// have no spread — the estimate is then exact). Degraded answers are
-	// never cached.
-	Degraded   bool    `json:"degraded,omitempty"`
-	ErrorBound float64 `json:"error_bound,omitempty"`
+	// Degraded is never set by this server: every answer comes from an
+	// exact engine or a closed form, and past saturation a miss queues or
+	// gets 429. The field stays for two readers. decodeAnalyzeFill rejects a fill body that
+	// sets it, which an older peer still serving Monte Carlo estimates may
+	// send during a rolling upgrade. The benchmark's answer check
+	// (bench/check.go) counts a body that sets it as wrong.
+	Degraded bool `json:"degraded,omitempty"`
 }
 
 // BoundsResponse reports every lower bound of the paper for a placement.
@@ -164,10 +161,10 @@ type ErrorResponse struct {
 // handler stamps per-caller fields (Cached) after the cache read, exactly
 // as for local values.
 
-// decodeAnalyzeFill decodes a peer /v1/analyze fill. A degraded body is
-// rejected: degraded answers are never cached locally on the home peer and
-// must not become cached-exact anywhere else — the filler falls back to
-// computing the exact answer itself.
+// decodeAnalyzeFill decodes a peer /v1/analyze fill. A degraded body (a
+// Monte Carlo estimate from an older peer, see AnalyzeResponse.Degraded) is
+// rejected so it never becomes a cached exact answer: the filler falls
+// back to computing the exact answer itself.
 func decodeAnalyzeFill(data []byte) (any, error) {
 	var r AnalyzeResponse
 	if err := json.Unmarshal(data, &r); err != nil {
@@ -271,70 +268,6 @@ func computeAnalyze(ctx context.Context, req AnalyzeRequest, p *placement.Placem
 		Engine:           rep.Load.Engine,
 		Exact:            rep.Load.Exact,
 		Theorem:          rep.Load.Theorem,
-	}, nil
-}
-
-// computeDegradedAnalyze is the load-shed answer for /v1/analyze: the
-// bound suite is still exact (it is cheap), but E_max comes from a
-// fixed-round Monte Carlo sample instead of the exact engine, with a
-// 3-standard-error bound on the estimate. The sampling seed derives from
-// the cache key, so degraded answers for one canonical request are
-// deterministic and replayable.
-func computeDegradedAnalyze(ctx context.Context, req AnalyzeRequest, p *placement.Placement, opts load.Options, rounds int) (AnalyzeResponse, error) {
-	_, sp := obs.Start(ctx, "compute.degraded")
-	defer sp.End()
-	sp.SetAttrInt("rounds", int64(rounds))
-	alg, err := cliutil.ParseRouting(req.Routing)
-	if err != nil {
-		return AnalyzeResponse{}, err
-	}
-	h := fnv.New64a()
-	//lint:ignore errcheck-lite fnv.Write is documented to never return an error
-	h.Write([]byte(req.CacheKey()))
-	seed := int64(h.Sum64())
-	mc := load.MonteCarlo(p, alg, rounds, seed, opts)
-
-	// The cheap exact half: density, bounds, cuts (the bounds
-	// computeBounds serves, assembled into the analyze shape).
-	t := p.Torus()
-	b := core.EvaluateBounds(p)
-	best := b.BestLowerBound()
-
-	total := 0.0
-	for _, v := range mc.MeanLoads {
-		total += v
-	}
-	ratio := 0.0
-	if best > 0 {
-		ratio = mc.MaxMean / best
-	}
-	perProc := 0.0
-	if p.Size() > 0 {
-		perProc = mc.MaxMean / float64(p.Size())
-	}
-	return AnalyzeResponse{
-		K:                req.K,
-		D:                req.D,
-		Placement:        req.Placement,
-		Routing:          req.Routing,
-		PlacementName:    p.Name(),
-		Processors:       p.Size(),
-		Uniform:          b.Uniform,
-		DensityC:         b.DensityC,
-		EMax:             mc.MaxMean,
-		MaxEdge:          t.EdgeString(mc.MaxMeanEdge),
-		LoadPerProcessor: perProc,
-		TotalLoad:        total,
-		BlaumBound:       jsonSafe(b.BlaumBound),
-		BisectionBound:   jsonSafe(b.BisectionBound),
-		ImprovedBound:    jsonSafe(b.ImprovedBound),
-		BestLowerBound:   jsonSafe(best),
-		OptimalityRatio:  jsonSafe(ratio),
-		SweepCut:         cutSummary(b.SweepCut),
-		DimensionCut:     cutSummary(b.DimensionCut),
-		Engine:           load.EngineMonteCarlo,
-		Degraded:         true,
-		ErrorBound:       jsonSafe(3 * mc.MaxMeanStdErr),
 	}, nil
 }
 

@@ -16,7 +16,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"torusnet/internal/cluster"
@@ -59,28 +58,17 @@ type Config struct {
 	// part of cache keys; the toggle exists for debugging and A/B
 	// measurement.
 	DisableFastPath bool
-	// EnableAnalytic turns on the closed-form admission fast lane for
-	// /v1/analyze: requests whose spec proves a single linear placement
-	// under ODR (or ODR-multi on odd k) are answered from the Theorem 2
-	// equality in O(1), ahead of canonicalization, admission control,
-	// caching, and the worker pool — so they are never degraded or 429'd,
-	// and they bypass MaxNodes (only the package torus limit applies,
-	// since the lane does no per-node work). Opt-in rather than default
-	// because lane answers have a different shape: no per-edge fields
-	// (MaxEdge, TotalLoad, and the cuts are zero). cmd/torusd enables the
-	// lane by default; -no-analytic disables it.
+	// EnableAnalytic turns on the closed-form fast lane for /v1/analyze:
+	// requests whose spec proves a single linear placement under ODR (or
+	// ODR-multi on odd k) are answered from the Theorem 2 equality in
+	// O(1), ahead of canonicalization, caching, and the worker pool — so
+	// they are never queued or 429'd, and they bypass MaxNodes (only the
+	// package torus limit applies, since the lane does no per-node work).
+	// Opt-in rather than default because lane answers have a different
+	// shape: no per-edge fields (MaxEdge, TotalLoad, and the cuts are
+	// zero). cmd/torusd enables the lane by default; -no-analytic disables
+	// it.
 	EnableAnalytic bool
-	// DegradeWatermark is the pool-utilization fraction
-	// ((running+queued)/(workers+queue)) past which /v1/analyze sheds load
-	// by answering with a Monte Carlo estimate ("degraded": true) instead
-	// of queueing an exact analysis. 0 means 0.9; negative disables
-	// watermark-driven degradation (the service.admission failpoint can
-	// still force it). Cached exact answers are served either way.
-	DegradeWatermark float64
-	// DegradedRounds is the Monte Carlo round count behind degraded
-	// answers; 0 means 16. More rounds tighten the reported error bound at
-	// proportional inline cost.
-	DegradedRounds int
 	// WedgeTimeout is how long one pooled job may execute before the
 	// watchdog declares its worker wedged and spawns a replacement to
 	// restore pool capacity. 0 means 2×RequestTimeout; negative disables
@@ -153,12 +141,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.DegradeWatermark == 0 {
-		c.DegradeWatermark = 0.9
-	}
-	if c.DegradedRounds <= 0 {
-		c.DegradedRounds = 16
-	}
 	if c.WedgeTimeout == 0 {
 		c.WedgeTimeout = 2 * c.RequestTimeout
 	}
@@ -188,11 +170,6 @@ type Server struct {
 	logger  *slog.Logger
 	httpSrv *http.Server
 	started time.Time
-
-	// inlineRunning counts degraded Monte Carlo answers currently computing
-	// inline on handler goroutines — work the pool gauges cannot see, kept
-	// separate so operators can tell shed load from pooled load.
-	inlineRunning atomic.Int64
 
 	// onCompute, when set, is invoked inside the pooled computation before
 	// any work runs. It exists for tests (coalescing and panic-isolation
@@ -224,7 +201,6 @@ func New(cfg Config) *Server {
 	s.metrics.vars.Set("pool_utilization", expvar.Func(func() any { return s.pool.utilization() }))
 	s.metrics.vars.Set("pool_running", expvar.Func(func() any { return s.pool.running.Load() }))
 	s.metrics.vars.Set("pool_queued", expvar.Func(func() any { return s.pool.queued.Load() }))
-	s.metrics.vars.Set("degraded_inline_running", expvar.Func(func() any { return s.inlineRunning.Load() }))
 	s.metrics.vars.Set("jobs_running", expvar.Func(func() any { return s.jobs.runningCount() }))
 	s.metrics.vars.Set("jobs_tracked", expvar.Func(func() any { return s.jobs.tracked() }))
 	if cfg.Cluster != nil {
@@ -277,11 +253,6 @@ func (s *Server) tracer() *obs.Tracer {
 	}
 	return obs.Default()
 }
-
-// degradedHeader marks load-shed responses so the outermost middleware —
-// which cannot see response bodies — can log and trace degradation without
-// re-parsing JSON. Clients may also read it.
-const degradedHeader = "X-Torusd-Degraded"
 
 // PeerHopHeader marks a request as a cluster fill hop: it was sent by a
 // peer filling its own cache, not by an end client. A server receiving it
@@ -351,13 +322,11 @@ func (s *Server) Handler() http.Handler {
 		if rec.status >= 400 {
 			s.metrics.add(mErrors, 1)
 		}
-		degraded := rec.Header().Get(degradedHeader) != ""
 		slow := s.cfg.SlowThreshold > 0 && elapsed >= s.cfg.SlowThreshold
 		if slow {
 			s.metrics.add(mSlow, 1)
 		}
 		sp.SetAttrInt("status", int64(rec.status))
-		sp.SetAttrBool("degraded", degraded)
 		sp.End()
 		if s.logger != nil {
 			level := slog.LevelInfo
@@ -372,7 +341,6 @@ func (s *Server) Handler() http.Handler {
 				slog.Int("bytes", rec.bytes),
 				slog.String("remote", r.RemoteAddr),
 				slog.String("trace", traceID),
-				slog.Bool("degraded", degraded),
 				slog.Bool("slow", slow),
 			)
 		}
@@ -556,17 +524,12 @@ func (s *Server) runPeerFill(ctx context.Context, key string, f *peerFill) (any,
 // still yield one computation cluster-wide. compute receives the
 // trace-carrying context and must return an immutable value; cached
 // reports whether this caller was served from the result cache.
-//
-// shed, when non-nil, marks a load-shed request: a cached exact answer is
-// still served (it is free), but a miss — or a failed cache read — runs
-// shed inline on the caller's goroutine, bypassing the flight, the fill,
-// and the saturated pool, and its answer is never cached.
-func (s *Server) execute(ctx context.Context, key string, miss func() (*peerFill, error), compute, shed func(context.Context) (any, error)) (val any, cached bool, err error) {
+func (s *Server) execute(ctx context.Context, key string, miss func() (*peerFill, error), compute func(context.Context) (any, error)) (val any, cached bool, err error) {
 	_, csp := obs.Start(ctx, "cache.get")
 	v, ok, err := s.cacheGet(key)
 	csp.SetAttrBool("hit", ok)
 	csp.End()
-	if err != nil && shed == nil {
+	if err != nil {
 		return nil, false, err
 	}
 	if ok {
@@ -577,15 +540,9 @@ func (s *Server) execute(ctx context.Context, key string, miss func() (*peerFill
 	if err != nil {
 		return nil, false, err
 	}
-	// A shed miss counts like any other so hit-rate math stays honest
-	// under pressure.
 	s.metrics.add(mCacheMisses, 1)
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
-	if shed != nil {
-		v, err := shed(ctx)
-		return v, false, err
-	}
 	fctx, fsp := obs.Start(ctx, "flight.do")
 	defer fsp.End()
 	v, err, shared := s.flight.do(key, func() (any, error) {
@@ -626,16 +583,6 @@ func (s *Server) execute(ctx context.Context, key string, miss func() (*peerFill
 		s.metrics.add(mCoalesced, 1)
 	}
 	return v, false, err
-}
-
-// shouldDegrade is the admission controller: /v1/analyze sheds to a Monte
-// Carlo answer when the pool is past the configured watermark, or when the
-// service.admission failpoint forces it.
-func (s *Server) shouldDegrade() bool {
-	if err := fpAdmission.Inject(); err != nil {
-		return true
-	}
-	return s.cfg.DegradeWatermark > 0 && s.pool.utilization() >= s.cfg.DegradeWatermark
 }
 
 // readRequest enforces the body cap and strict JSON decoding; on failure
@@ -735,34 +682,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.countPeerHop(r)
-	degrade := s.shouldDegrade()
 	var p *placement.Placement
 	miss := func() (fill *peerFill, err error) {
 		if p, err = buildPlacement(spec, req.K, req.D); err != nil {
 			return nil, err
 		}
-		if degrade {
-			return nil, nil // a shed miss answers inline, never from a peer
-		}
 		return s.fillFor(r, "/v1/analyze", &req, decodeAnalyzeFill), nil
-	}
-	var shed func(context.Context) (any, error)
-	if degrade {
-		// Shed: a miss answers inline with a Monte Carlo estimate. The
-		// inline gauge (not the pool gauges — no pool job exists)
-		// accounts for the work; the next uncontended request computes
-		// and caches the exact result.
-		shed = func(ctx context.Context) (any, error) {
-			s.metrics.add(mDegraded, 1)
-			s.inlineRunning.Add(1)
-			defer s.inlineRunning.Add(-1)
-			resp, err := computeDegradedAnalyze(ctx, req, p, s.cfg.loadOptions(), s.cfg.DegradedRounds)
-			if err != nil {
-				return nil, err
-			}
-			s.metrics.degradedErr.Observe(resp.ErrorBound)
-			return resp, nil
-		}
 	}
 	v, cached, err := s.execute(r.Context(), req.CacheKey(), miss, func(ctx context.Context) (any, error) {
 		resp, err := computeAnalyze(ctx, req, p, s.cfg.loadOptions())
@@ -770,16 +695,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		return resp, nil
-	}, shed)
+	})
 	if err != nil {
 		s.failCompute(w, err)
 		return
 	}
 	resp := v.(AnalyzeResponse) // value copy; safe to stamp per-caller fields
 	resp.Cached = cached
-	if resp.Degraded {
-		w.Header().Set(degradedHeader, "true")
-	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -803,7 +725,7 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 	}
 	v, cached, err := s.execute(r.Context(), req.CacheKey(), miss, func(ctx context.Context) (any, error) {
 		return computeBounds(ctx, req, p), nil
-	}, nil)
+	})
 	if err != nil {
 		s.failCompute(w, err)
 		return
@@ -837,7 +759,7 @@ func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		return resp, nil
-	}, nil)
+	})
 	if err != nil {
 		s.failCompute(w, err)
 		return
@@ -892,7 +814,7 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		return resp, nil
-	}, nil)
+	})
 	if err != nil {
 		s.failCompute(w, err)
 		return

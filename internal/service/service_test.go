@@ -293,15 +293,15 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
-// TestBackpressure fills the single worker and the one queue slot, then
-// asserts the next request is shed with 429 + Retry-After. Degradation is
-// disabled so the raw queue-full path stays reachable (with the default
-// watermark, a saturated pool answers degraded 200s instead — covered by
-// the chaos suite).
+// TestBackpressure pins the overload contract on the default Config: it
+// fills the single worker and the one queue slot, then asserts the next
+// cache miss is shed with 429 + Retry-After. A saturated pool never answers
+// a miss with a 200: every /v1/analyze answer is exact and computed in the
+// pool.
 func TestBackpressure(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan string, 4)
-	s := New(Config{Workers: 1, QueueDepth: 1, DegradeWatermark: -1})
+	s := New(Config{Workers: 1, QueueDepth: 1})
 	s.onCompute = func(key string) {
 		started <- key
 		<-release
@@ -336,7 +336,7 @@ func TestBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("status %d, want 429", resp.StatusCode)
+		t.Errorf("status %d on a saturated pool, want 429", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After header")
