@@ -9,6 +9,7 @@ FUZZ_TARGETS := \
 	./internal/torus:FuzzTranslateEdge \
 	./internal/bisect:FuzzCuts \
 	./internal/load:FuzzRingFlow \
+	./internal/routing:FuzzFARKernel \
 	./internal/service:FuzzDecodeAnalyzeRequest \
 	./internal/placement:FuzzRecognizeLinear \
 	./internal/cluster:FuzzHashRing \

@@ -112,6 +112,26 @@ func benchEMaxUDRRandom(b *testing.B, mode load.FastPathMode) {
 	}
 }
 
+// BenchmarkLoadEMaxFARRandom is FAR E_max over random:16 on T²₁₆, one
+// worker: a trivial stabilizer, so the generic pair loop runs FAR's
+// Pascal-lattice kernel for all 240 pairs. The lattice lives in the pooled
+// pair scratch, so allocs/op and bytes/op (gated by
+// scripts/ci_bench_smoke.sh) stay flat in the pair count.
+func BenchmarkLoadEMaxFARRandom(b *testing.B) {
+	p, err := (Random{Count: 16, Seed: 1}).Build(NewTorus(16, 2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := LoadOptions{Workers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := load.EMaxCtx(context.Background(), p, routing.FAR{}, opts); res.Max <= 0 {
+			b.Fatal("bad result")
+		}
+	}
+}
+
 func BenchmarkLoadComputeODRSerial(b *testing.B) {
 	t := NewTorus(8, 3)
 	p, err := (Linear{C: 0}).Build(t)

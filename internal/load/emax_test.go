@@ -93,7 +93,8 @@ func TestEMaxMatchesCompute(t *testing.T) {
 // TestWarmEMaxAllocatesNoVector checks that on a warmed pool an EMaxCtx
 // through any computed engine allocates only small headers: worker 0's
 // accumulator, or the ring-flow answer, comes from the workspace like the
-// rest of its buffers. The ring-flow pairs alternate T²₁₂ and T³₈, so a
+// rest of its buffers. Each single case pins the engine it exercises. The
+// ring-flow pairs alternate T²₁₂ and T³₈, so a
 // workspace sized for one shape must serve the other without regrowing.
 func TestWarmEMaxAllocatesNoVector(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -104,11 +105,19 @@ func TestWarmEMaxAllocatesNoVector(t *testing.T) {
 	rnd2 := mustBuild(t, placement.Random{Count: 12, Seed: 1}, torus.New(12, 2))
 	for _, workers := range []int{1, 2, 3} {
 		opts := Options{Workers: workers}
-		for _, c := range []emaxCase{
-			{p: lin, alg: routing.ODR{}, opts: opts},
-			{p: rnd, alg: routing.UDR{}, opts: opts},
-			{p: lin, alg: routing.UDR{}, opts: Options{Workers: workers, FastPath: FastPathOff}},
+		for _, c := range []struct {
+			emaxCase
+			engine string
+		}{
+			{emaxCase{p: lin, alg: routing.ODR{}, opts: opts}, EngineRingFlow},
+			{emaxCase{p: rnd, alg: routing.UDR{}, opts: opts}, EngineRingFlow},
+			{emaxCase{p: lin, alg: routing.FAR{}, opts: opts}, EngineSymmetry},
+			{emaxCase{p: lin, alg: routing.UDR{}, opts: Options{Workers: workers, FastPath: FastPathForce}}, EngineSymmetry},
+			{emaxCase{p: lin, alg: routing.UDR{}, opts: Options{Workers: workers, FastPath: FastPathOff}}, EngineGeneric},
 		} {
+			if res := c.emax(); res.Engine != c.engine {
+				t.Fatalf("%v: engine %q, want %q", c.emaxCase, res.Engine, c.engine)
+			}
 			if got := leastAlloc(func() { c.emax() }); got >= headers {
 				t.Errorf("%v: a warm EMaxCtx allocates %d bytes, want < %d (the vector is %d)",
 					c, got, headers, 8*tr.Edges())

@@ -43,23 +43,13 @@ type scatterJob struct {
 	offset int // index into the stabilizer, with src = rep ⊕ offset
 }
 
-// computeSymmetry runs the fast path, reporting ok=false when it does not
-// apply: non-equivariant algorithm, fewer than two processors, or (unless
-// force) a trivial stabilizer that would make it a slower generic engine.
-// Without keep the Result carries no Loads vector.
-func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Algorithm, workers int, force, keep bool) (*Result, bool) {
-	if !routing.IsTranslationEquivariant(alg) {
-		return nil, false
-	}
+// computeSymmetry runs the fast path over the orbits of stab, the
+// placement's translation stabilizer, for a translation-equivariant
+// algorithm and at least two processors. Without keep the Result carries
+// no Loads vector.
+func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Algorithm, stab [][]int, workers int, keep bool) *Result {
 	t := p.Torus()
 	procs := p.Nodes()
-	if len(procs) < 2 {
-		return nil, false
-	}
-	stab := p.TranslationStabilizer()
-	if len(stab) == 1 && !force {
-		return nil, false
-	}
 	ws := getWorkspace()
 
 	// Orbit partition. Translations act freely on nodes, so each orbit has
@@ -137,7 +127,7 @@ func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Al
 
 	res := engineResult(ctx, p, alg, EngineSymmetry, partials, keep)
 	ws.release()
-	return res, true
+	return res
 }
 
 // crossCheckTolerance bounds the relative divergence the two engines may

@@ -61,36 +61,35 @@ func TestFastPathMatchesGenericAndExact(t *testing.T) {
 	}
 }
 
-// TestFastPathAutoDispatch checks the dispatcher's decisions: symmetric
-// placements with equivariant algorithms take the symmetry engine, other
-// placements under the four dimension-ordered routings the ring-flow
-// engine, and everything else, or anything with FastPathOff, the generic
-// pair loop.
+// TestFastPathAutoDispatch pins the cost model's choice on named cells:
+// symmetry keeps single-orbit UDR on a small torus, ring-flow takes
+// multi-orbit UDR and ODR on any placement, symmetric or not, FAR takes
+// symmetry whenever the stabilizer is non-trivial and the pair loop
+// otherwise, and FastPathOff, or an algorithm that is not translation
+// equivariant even under Force, runs the pair loop.
 func TestFastPathAutoDispatch(t *testing.T) {
-	tr := torus.New(4, 2)
-	linear := mustBuild(t, placement.Linear{C: 0}, tr)
-	random := mustBuild(t, placement.Random{Count: 5, Seed: 1}, tr)
-
-	if res := Compute(linear, routing.ODR{}, Options{}); res.Engine != EngineSymmetry {
-		t.Fatalf("linear/ODR auto: engine %q, want symmetry", res.Engine)
-	}
-	// Random placements have a trivial stabilizer: auto skips symmetry.
-	if res := Compute(random, routing.ODR{}, Options{}); res.Engine != EngineRingFlow {
-		t.Fatalf("random/ODR auto: engine %q, want ring-flow", res.Engine)
-	}
-	// FAR's paths interleave dimensions: no ring flow models it.
-	if res := Compute(random, routing.FAR{}, Options{}); res.Engine != EngineGeneric {
-		t.Fatalf("random/FAR auto: engine %q, want generic", res.Engine)
-	}
-	if res := Compute(random, routing.ODR{}, Options{FastPath: FastPathOff}); res.Engine != EngineGeneric {
-		t.Fatalf("random/ODR off: engine %q, want generic", res.Engine)
-	}
-	// MeshODR is not translation-equivariant: even Force must stay generic.
-	if res := Compute(linear, routing.MeshODR{}, Options{FastPath: FastPathForce}); res.Engine != EngineGeneric {
-		t.Fatalf("linear/MeshODR forced: engine %q, want generic (unsound)", res.Engine)
-	}
-	if res := Compute(linear, routing.ODR{}, Options{FastPath: FastPathOff}); res.Engine != EngineGeneric {
-		t.Fatalf("linear/ODR off: engine %q, want generic", res.Engine)
+	for _, c := range []struct {
+		k, d int
+		spec placement.Spec
+		alg  routing.Algorithm
+		mode FastPathMode
+		want string
+	}{
+		{6, 3, placement.Linear{}, routing.UDR{}, FastPathAuto, EngineSymmetry},
+		{8, 3, placement.MultipleLinear{T: 2}, routing.UDR{}, FastPathAuto, EngineRingFlow},
+		{16, 3, placement.Linear{}, routing.ODR{}, FastPathAuto, EngineRingFlow},
+		{16, 2, placement.Random{Count: 16, Seed: 1}, routing.ODR{}, FastPathAuto, EngineRingFlow},
+		{16, 2, placement.MultipleLinear{T: 3}, routing.FAR{}, FastPathAuto, EngineSymmetry},
+		{4, 2, placement.Random{Count: 5, Seed: 1}, routing.FAR{}, FastPathAuto, EngineGeneric},
+		{4, 2, placement.Linear{}, routing.MeshODR{}, FastPathForce, EngineGeneric},
+		{4, 2, placement.Linear{}, routing.ODR{}, FastPathOff, EngineGeneric},
+		{4, 2, placement.Random{Count: 5, Seed: 1}, routing.ODR{}, FastPathOff, EngineGeneric},
+	} {
+		tr := torus.New(c.k, c.d)
+		p := mustBuild(t, c.spec, tr)
+		if res := Compute(p, c.alg, Options{Workers: 1, FastPath: c.mode}); res.Engine != c.want {
+			t.Errorf("%s/%s on %s (%v): engine %q, want %q", p.Name(), c.alg.Name(), tr, c.mode, res.Engine, c.want)
+		}
 	}
 }
 
@@ -110,19 +109,27 @@ func TestFastPathForceTrivialStabilizer(t *testing.T) {
 }
 
 // TestFastPathCrossCheckMode checks CrossCheck passes on sound inputs (it
-// panics on divergence, so plain completion is the assertion), for
-// ODR-multi, FAR and a permuted ODROrder through the symmetry engine, and
-// for the four routings the ring-flow engine serves.
+// panics on divergence, so plain completion is the assertion), for FAR and
+// a permuted ODROrder through the symmetry engine the dispatcher picks,
+// ODR-multi through the symmetry engine forced, and the four routings the
+// ring-flow engine serves.
 func TestFastPathCrossCheckMode(t *testing.T) {
 	tr := torus.New(4, 2)
 	p := mustBuild(t, placement.Linear{C: 0}, tr)
-	for _, alg := range []routing.Algorithm{routing.ODRMulti{}, routing.FAR{}, routing.ODROrder{Order: []int{1, 0}}} {
-		res := Compute(p, alg, Options{CrossCheck: true})
+	for _, c := range []struct {
+		alg  routing.Algorithm
+		mode FastPathMode
+	}{
+		{routing.FAR{}, FastPathAuto},
+		{routing.ODROrder{Order: []int{1, 0}}, FastPathAuto},
+		{routing.ODRMulti{}, FastPathForce},
+	} {
+		res := Compute(p, c.alg, Options{CrossCheck: true, FastPath: c.mode})
 		if res.Engine != EngineSymmetry {
-			t.Fatalf("%s: engine %q, want symmetry", alg.Name(), res.Engine)
+			t.Fatalf("%s: engine %q, want symmetry", c.alg.Name(), res.Engine)
 		}
 	}
-	random := mustBuild(t, placement.Random{Count: 7, Seed: 2}, tr)
+	random := mustBuild(t, placement.Random{Count: 12, Seed: 2}, torus.New(6, 2))
 	for _, alg := range ringAlgs {
 		res := Compute(random, alg, Options{CrossCheck: true})
 		if res.Engine != EngineRingFlow {

@@ -16,6 +16,7 @@ package load
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/pprof"
 	"sync"
@@ -77,11 +78,12 @@ const (
 type FastPathMode int
 
 const (
-	// FastPathAuto (the zero value) uses the symmetry engine whenever it is
-	// sound (translation-equivariant algorithm) and profitable (non-trivial
-	// placement stabilizer); otherwise the ring-flow engine for ODR,
-	// ODR-multi, UDR and UDR-multi unless the placement is so sparse that
-	// the pair loop is less work; and the generic pair loop for the rest.
+	// FastPathAuto (the zero value) runs whichever computed engine the
+	// cost model predicts cheapest among those it weighs: the ring-flow
+	// engine for ODR, ODR-multi, UDR and UDR-multi, the symmetry engine
+	// for any other translation-equivariant algorithm and for UDR and
+	// UDR-multi on a placement with a non-trivial stabilizer, and the
+	// generic pair loop always (dispatch.go).
 	FastPathAuto FastPathMode = iota
 	// FastPathOff always uses the generic pair loop.
 	FastPathOff
@@ -168,11 +170,10 @@ func EMaxCtx(ctx context.Context, p *placement.Placement, alg routing.Algorithm,
 	return compute(ctx, p, alg, opts, false)
 }
 
-// compute is the one dispatch behind ComputeCtx and EMaxCtx: analytic,
-// then the symmetry fast path, then the ring-flow engine, then the generic
-// pair loop. keep says whether the Result owns a Loads vector; a
-// cross-checked fast path keeps it for the comparison either way and drops
-// it afterwards.
+// compute is the one dispatch behind ComputeCtx and EMaxCtx: the analytic
+// tier when it answers, else the computed engine choose predicts cheapest.
+// keep says whether the Result owns a Loads vector; a cross-checked fast
+// path keeps it for the comparison either way and drops it afterwards.
 func compute(ctx context.Context, p *placement.Placement, alg routing.Algorithm, opts Options, keep bool) *Result {
 	fpComputeDispatch.InjectHard()
 	workers := effectiveWorkers(opts.Workers, p.Size())
@@ -188,24 +189,26 @@ func compute(ctx context.Context, p *placement.Placement, alg routing.Algorithm,
 		}
 		return res
 	}
-	if opts.FastPath != FastPathOff {
-		res, ok := computeSymmetry(ctx, p, alg, workers, opts.FastPath == FastPathForce, keep || opts.CrossCheck)
-		if !ok {
-			res, ok = computeRingFlow(ctx, p, alg, workers, keep || opts.CrossCheck)
-		}
-		if ok {
-			sp.SetAttr("engine", res.Engine)
-			if opts.CrossCheck {
-				crossCheck(res, computeGeneric(ctx, p, alg, workers, true))
-				if !keep {
-					res.Loads = nil
-				}
-			}
-			return res
+	pl := choose(p, alg, opts.FastPath)
+	sp.SetAttr("engine", pl.engine)
+	sp.SetAttrInt("predicted_us", int64(math.Ceil(pl.ns/1e3)))
+	keepLoads := keep || opts.CrossCheck
+	var res *Result
+	switch pl.engine {
+	case EngineSymmetry:
+		res = computeSymmetry(ctx, p, alg, pl.stab, workers, keepLoads)
+	case EngineRingFlow:
+		res = ringFlowResult(ctx, p, alg, pl.fam, workers, keepLoads)
+	default:
+		return computeGeneric(ctx, p, alg, workers, keep)
+	}
+	if opts.CrossCheck {
+		crossCheck(res, computeGeneric(ctx, p, alg, workers, true))
+		if !keep {
+			res.Loads = nil
 		}
 	}
-	sp.SetAttr("engine", EngineGeneric)
-	return computeGeneric(ctx, p, alg, workers, keep)
+	return res
 }
 
 // withEngineLabel runs fn under a pprof "engine" label so CPU profiles

@@ -71,24 +71,10 @@ func (f ringFamily) unit(d int) float64 {
 	return u
 }
 
-// serves reports whether the ring-flow engine answers for n processors on
-// t: exactly, because every scaled load stays below 2⁵³, and for no more
-// work than the pair loop. A ring sweep visits kᵈ cells per class (one
-// class for ODR, 3^{d−1} for UDR); the pair loop walks about k/2 hops per
-// segment (one for ODR, 2^{d−1} for UDR) of each of the n² pairs.
-func (f ringFamily) serves(t *torus.Torus, n int) bool {
-	pairs := float64(n) * float64(n)
-	if pairs*f.unit(t.D()) >= 1<<53 {
-		return false
-	}
-	cells, walk := float64(t.Nodes()), pairs*float64(t.K())/2
-	if !f.ordered {
-		for i := 1; i < t.D(); i++ {
-			cells *= 3
-			walk *= 2
-		}
-	}
-	return cells <= walk
+// exact reports whether the ring-flow engine's integer sums stay exact for
+// n processors on t: every scaled load stays below 2⁵³.
+func (f ringFamily) exact(t *torus.Torus, n int) bool {
+	return float64(n)*float64(n)*f.unit(t.D()) < 1<<53
 }
 
 // factorial returns n! as a float64, exact for n ≤ 18.
@@ -98,17 +84,6 @@ func factorial(n int) float64 {
 		out *= float64(i)
 	}
 	return out
-}
-
-// computeRingFlow runs the ring-flow engine, reporting ok=false when it
-// does not serve the routing or the input (see ringFamily.serves). Without
-// keep the Result carries no Loads vector.
-func computeRingFlow(ctx context.Context, p *placement.Placement, alg routing.Algorithm, workers int, keep bool) (*Result, bool) {
-	fam, ok := ringFamilyOf(alg)
-	if !ok || !fam.serves(p.Torus(), p.Size()) {
-		return nil, false
-	}
-	return ringFlowResult(ctx, p, alg, fam, workers, keep), true
 }
 
 // ringFlowResult is the ring-flow engine itself, for a routing of family

@@ -166,9 +166,10 @@ func TestRingFlowEvenRings(t *testing.T) {
 	}
 }
 
-// TestRingFlowServes checks the dispatcher's guard: ring-flow answers a
-// random placement with a trivial stabilizer, but not one so sparse that
-// the pair loop is less work, nor a routing it does not model.
+// TestRingFlowServes checks the cost model on T³₈, on cells at least twice
+// as cheap for the winner as for the loser: ring-flow answers a dense
+// random placement, but not one so sparse that the pair loop is less work,
+// nor a routing it does not model.
 func TestRingFlowServes(t *testing.T) {
 	tr := torus.New(8, 3)
 	for _, c := range []struct {
@@ -180,7 +181,7 @@ func TestRingFlowServes(t *testing.T) {
 		{64, routing.ODRMulti{}, EngineRingFlow},
 		{64, routing.FAR{}, EngineGeneric},
 		{64, routing.ODROrder{Order: []int{2, 1, 0}}, EngineGeneric},
-		{16, routing.ODR{}, EngineRingFlow},
+		{64, routing.ODR{}, EngineRingFlow},
 		{4, routing.ODR{}, EngineGeneric},
 		{2, routing.UDR{}, EngineGeneric},
 	} {

@@ -156,25 +156,37 @@ func TestResultNotAliasedByLaterCompute(t *testing.T) {
 }
 
 // TestWarmComputeAllocatesOnlyItsAnswer checks the workspace's promise: on
-// a warmed pool, a generic or symmetry compute at any worker count
-// allocates its t.Edges() answer vector plus a constant number of small
-// headers, whatever |P|, the orbit count and k^d.
+// a warmed pool, a generic, symmetry or ring-flow compute at any worker
+// count allocates its t.Edges() answer vector plus a constant number of
+// small headers, whatever |P|, the orbit count and k^d. Each case pins the
+// engine it exercises, so a change of dispatch cannot quietly drop one.
 func TestWarmComputeAllocatesOnlyItsAnswer(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const headers = 1024 // bytes of Result, closures and goroutine frames
-	for _, c := range []engineCase{
-		{p: mustBuild(t, placement.Linear{}, torus.New(4, 2)), alg: routing.ODR{}},
-		{p: mustBuild(t, placement.Linear{}, torus.New(12, 3)), alg: routing.ODR{}},
-		{p: mustBuild(t, placement.MultipleLinear{T: 2}, torus.New(8, 3)), alg: routing.UDR{}},
-		{p: mustBuild(t, placement.Random{Count: 64, Seed: 1}, torus.New(8, 3)), alg: routing.UDR{}},
-		{p: mustBuild(t, placement.Random{Count: 40, Seed: 1}, torus.New(6, 4)), alg: routing.ODRMulti{}},
+	for _, c := range []struct {
+		engineCase
+		mode   FastPathMode
+		engine string
+	}{
+		{engineCase{p: mustBuild(t, placement.Linear{}, torus.New(4, 2)), alg: routing.ODR{}}, FastPathAuto, EngineGeneric},
+		{engineCase{p: mustBuild(t, placement.Random{Count: 12, Seed: 1}, torus.New(12, 2)), alg: routing.FAR{}}, FastPathAuto, EngineGeneric},
+		{engineCase{p: mustBuild(t, placement.MultipleLinear{T: 3}, torus.New(16, 2)), alg: routing.FAR{}}, FastPathAuto, EngineSymmetry},
+		{engineCase{p: mustBuild(t, placement.Linear{}, torus.New(12, 3)), alg: routing.ODR{}}, FastPathForce, EngineSymmetry},
+		{engineCase{p: mustBuild(t, placement.MultipleLinear{T: 2}, torus.New(8, 3)), alg: routing.UDR{}}, FastPathForce, EngineSymmetry},
+		{engineCase{p: mustBuild(t, placement.Linear{}, torus.New(12, 3)), alg: routing.ODR{}}, FastPathAuto, EngineRingFlow},
+		{engineCase{p: mustBuild(t, placement.MultipleLinear{T: 2}, torus.New(8, 3)), alg: routing.UDR{}}, FastPathAuto, EngineRingFlow},
+		{engineCase{p: mustBuild(t, placement.Random{Count: 64, Seed: 1}, torus.New(8, 3)), alg: routing.UDR{}}, FastPathAuto, EngineRingFlow},
+		{engineCase{p: mustBuild(t, placement.Random{Count: 40, Seed: 1}, torus.New(6, 4)), alg: routing.ODRMulti{}}, FastPathAuto, EngineRingFlow},
 	} {
 		answer := leastAlloc(func() { answerSink = make([]float64, c.p.Torus().Edges()) })
 		for _, workers := range []int{1, 2, 3} {
-			c.opts, c.kind = Options{Workers: workers}, "exchange"
+			c.opts, c.kind = Options{Workers: workers, FastPath: c.mode}, "exchange"
+			if res := c.run(); res.Engine != c.engine {
+				t.Fatalf("%v: engine %q, want %q", c.engineCase, res.Engine, c.engine)
+			}
 			if got := leastAlloc(func() { c.run() }); got > answer+headers {
 				t.Errorf("%v: a warm compute allocates %d bytes, want its %d-byte answer plus at most %d",
-					c, got, answer, headers)
+					c.engineCase, got, answer, headers)
 			}
 		}
 	}

@@ -76,19 +76,6 @@ func tieDirs(deltas []torus.Delta, mask int, dirs []torus.Direction) {
 	}
 }
 
-// multinomial returns (Σ parts)! / Π parts! as float64.
-func multinomial(parts []int) float64 {
-	total := 0
-	out := 1.0
-	for _, p := range parts {
-		for i := 1; i <= p; i++ {
-			total++
-			out = out * float64(total) / float64(i)
-		}
-	}
-	return out
-}
-
 // ForEachPath implements Algorithm. Paths are enumerated variant by variant
 // (tie masks in increasing order), and within a variant by always extending
 // with the lowest eligible dimension first.
@@ -133,75 +120,124 @@ func (FAR) ForEachPath(t *torus.Torus, p, q torus.Node, visit func(Path) bool) {
 //
 //	ways_to(x) · ways_from(x + e_i) / totalPaths ,
 //
-// where ways_to and ways_from are multinomial coefficients. Tie variants
-// are equiprobable (they contain equally many paths) and their edges along
-// opposite ring arcs are disjoint, so their contributions add. The pair
-// weight multiplies each edge's probability last.
+// where ways_to(x) = f(x) counts the monotone lattice paths from 0 to x and
+// ways_from(x + e_i) = f(δ − x − e_i) those from x + e_i to the far corner
+// δ, so totalPaths = f(δ). One Pascal recurrence f(x) = Σᵢ f(x − eᵢ) fills
+// f over the whole lattice once per pair; its values are the exact
+// multinomial coefficients while they stay below 2⁵³. Tie variants are
+// equiprobable (they contain equally many paths), share the lattice, and
+// their edges along opposite ring arcs are disjoint, so their
+// contributions add. The pair weight multiplies each edge's probability
+// last.
 func (FAR) AccumulatePair(t *torus.Torus, p, q torus.Node, w float64, loads []float64, sc *PairScratch) {
 	dims, deltas := sc.differingInto(t, p, q)
 	s := len(dims)
 	if s == 0 {
 		return
 	}
-	dists, progress, rest, dirs := sc.dists[:s], sc.progress[:s], sc.rest[:s], sc.dirs[:s]
-	tied := 0
+	dists, stride, progress, dirs := sc.dists[:s], sc.stride[:s], sc.progress[:s], sc.dirs[:s]
+	// The lattice has ∏(dist+1) ≤ k^d = t.Nodes() ≤ torus.MaxNodes states,
+	// so overflow is impossible for a validated torus; assert it anyway.
+	// State x has the mixed-radix index Σ xᵢ·strideᵢ.
+	tied, states := 0, 1
 	for i, del := range deltas {
-		dists[i] = del.Dist
+		dists[i], stride[i] = del.Dist, states
+		states *= del.Dist + 1
+		if states > torus.MaxNodes {
+			panic("routing: FAR state lattice exceeds torus.MaxNodes")
+		}
 		if del.Tie {
 			tied++
 		}
 	}
-	totalPaths := multinomial(dists)
+	f := sc.pathCounts(states)
+	f[0] = 1
+	clear(progress)
+	for st := 1; st < states; st++ {
+		advance(progress, dists)
+		ways := 0.0
+		for i, x := range progress {
+			if x > 0 {
+				ways += f[st-stride[i]]
+			}
+		}
+		f[st] = ways
+	}
+	last := states - 1
+	totalPaths := f[last]
 	variantProb := 1.0 / float64(int(1)<<tied)
 
-	// The lattice has ∏(dist+1) ≤ k^d = t.Nodes() ≤ torus.MaxNodes states,
-	// so overflow is impossible for a validated torus; assert it anyway.
-	states := 1
-	for _, dist := range dists {
-		states *= dist + 1
-		if states > torus.MaxNodes {
-			panic("routing: FAR state lattice exceeds torus.MaxNodes")
+	// Walk the lattice in index order for each variant, stepping the node
+	// along with the odometer: nodeStep[i] is the node-index change of one
+	// hop along dimension i, and coords[i] the coordinate it has reached.
+	k := t.K()
+	from, coords, nodeStep := sc.from[:s], sc.coords[:s], sc.nodeStep[:s]
+	for i, j := range dims {
+		from[i], nodeStep[i] = t.Coord(p, j), 1
+		for ; j > 0; j-- {
+			nodeStep[i] *= k
 		}
 	}
-	from, coords := sc.from, sc.coords
-	t.CoordsInto(p, from)
-
 	for mask := 0; mask < 1<<tied; mask++ {
 		tieDirs(deltas, mask, dirs)
+		clear(progress)
+		copy(coords, from)
+		cur := int(p)
 		for st := 0; st < states; st++ {
-			// Decode the mixed-radix state and find its node.
-			rem := st
-			for i := 0; i < s; i++ {
-				progress[i] = rem % (dists[i] + 1)
-				rem /= dists[i] + 1
+			if st > 0 {
+				cur = stepOdometer(cur, progress, dists, from, coords, nodeStep, dirs, k)
 			}
-			waysTo := multinomial(progress)
-			copy(coords, from)
-			for i := 0; i < s; i++ {
-				j := dims[i]
-				if dirs[i] == torus.Plus {
-					coords[j] = torus.Mod(from[j]+progress[i], t.K())
-				} else {
-					coords[j] = torus.Mod(from[j]-progress[i], t.K())
-				}
-			}
-			cur := t.NodeAt(coords)
-			for i := 0; i < s; i++ {
-				if progress[i] == dists[i] {
+			waysTo := f[st]
+			for i, x := range progress {
+				if x == dists[i] {
 					continue
 				}
-				// ways_from(x + e_i): remaining distances after the step.
-				progress[i]++
-				for l := 0; l < s; l++ {
-					rest[l] = dists[l] - progress[l]
-				}
-				waysFrom := multinomial(rest)
-				progress[i]--
+				waysFrom := f[last-st-stride[i]]
 				prob := variantProb * waysTo * waysFrom / totalPaths
-				loads[t.EdgeFrom(cur, dims[i], dirs[i])] += prob * w
+				loads[t.EdgeFrom(torus.Node(cur), dims[i], dirs[i])] += prob * w
 			}
 		}
 	}
+}
+
+// advance steps the mixed-radix odometer progress (digit i runs 0..dists[i],
+// digit 0 fastest) to the next lattice state.
+func advance(progress, dists []int) {
+	for i := range progress {
+		if progress[i] < dists[i] {
+			progress[i]++
+			return
+		}
+		progress[i] = 0
+	}
+}
+
+// stepOdometer advances progress like advance and moves node cur with it:
+// a digit that steps moves one hop along its dimension in its direction,
+// and a digit that wraps to 0 moves back to the source's coordinate
+// from[i]. coords[i] tracks the coordinate digit i has reached; the new
+// node is returned.
+func stepOdometer(cur int, progress, dists, from, coords, nodeStep []int, dirs []torus.Direction, k int) int {
+	for i, c := range coords {
+		next := from[i]
+		if progress[i] < dists[i] {
+			progress[i]++
+			next = c + 1
+			if dirs[i] == torus.Minus {
+				next = c - 1
+			}
+			if next == k {
+				next = 0
+			} else if next < 0 {
+				next = k - 1
+			}
+			coords[i] = next
+			return cur + (next-c)*nodeStep[i]
+		}
+		progress[i], coords[i] = 0, next
+		cur += (next - c) * nodeStep[i]
+	}
+	return cur
 }
 
 // SamplePath implements Algorithm: pick a tie variant uniformly, then grow

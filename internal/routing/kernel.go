@@ -39,28 +39,42 @@ type PairScratch struct {
 	dims   []int
 	deltas []torus.Delta
 	coords []int
-	// FAR's progress lattice: p's coordinates, the per-dimension distances,
-	// the progress state, the distances left after a step, and the
+	// FAR's progress lattice: the per-dimension distances, their
+	// mixed-radix strides, the progress state, the source's coordinates on
+	// the differing dimensions, the node-index step of each, and the
 	// directions of the current tie variant.
-	from, dists, progress, rest []int
-	dirs                        []torus.Direction
+	dists, stride, progress, from, nodeStep []int
+	dirs                                    []torus.Direction
+	// paths[x] counts the monotone lattice paths from 0 to state x. It only
+	// grows, so a pair allocates only when its lattice is the largest yet.
+	paths []float64
 }
 
 // NewPairScratch returns a scratch sized for t. It is valid for any torus
 // with the same dimension.
 func NewPairScratch(t *torus.Torus) *PairScratch {
 	d := t.D()
-	ints := make([]int, 6*d)
+	ints := make([]int, 7*d)
 	return &PairScratch{
 		dims:     ints[0:0:d],
 		coords:   ints[d : 2*d : 2*d],
-		from:     ints[2*d : 3*d : 3*d],
-		dists:    ints[3*d : 4*d : 4*d],
+		dists:    ints[2*d : 3*d : 3*d],
+		stride:   ints[3*d : 4*d : 4*d],
 		progress: ints[4*d : 5*d : 5*d],
-		rest:     ints[5*d : 6*d : 6*d],
+		from:     ints[5*d : 6*d : 6*d],
+		nodeStep: ints[6*d : 7*d : 7*d],
 		deltas:   make([]torus.Delta, 0, d),
 		dirs:     make([]torus.Direction, d),
 	}
+}
+
+// pathCounts returns sc.paths resized to n, growing it only when its
+// capacity falls short. Callers overwrite every entry they read.
+func (sc *PairScratch) pathCounts(n int) []float64 {
+	if cap(sc.paths) < n {
+		sc.paths = make([]float64, n)
+	}
+	return sc.paths[:n]
 }
 
 // differingInto fills sc.dims and sc.deltas with the dimensions where p and

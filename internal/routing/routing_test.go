@@ -477,3 +477,49 @@ func TestFactorial(t *testing.T) {
 		}
 	}
 }
+
+// TestFARLatticeIsMultinomial checks FAR's Pascal lattice against the
+// closed form: after AccumulatePair, every state x of the pair's lattice
+// holds multinomial(x) exactly, and 2^ties·multinomial(δ) is the pair's
+// PathCount. It covers every destination from node 0 on tori with odd and
+// even k, where even k adds tied dimensions.
+func TestFARLatticeIsMultinomial(t *testing.T) {
+	for _, tr := range []*torus.Torus{torus.New(8, 2), torus.New(5, 3), torus.New(6, 3), torus.New(4, 4)} {
+		sc := NewPairScratch(tr)
+		loads := make([]float64, tr.Edges())
+		for q := 1; q < tr.Nodes(); q++ {
+			pr := newFARProblem(tr, 0, torus.Node(q))
+			FAR{}.AccumulatePair(tr, 0, torus.Node(q), 1, loads, sc)
+			states := 1
+			for _, d := range pr.dists {
+				states *= d + 1
+			}
+			x := make([]int, len(pr.dists))
+			for st := 0; st < states; st++ {
+				if st > 0 {
+					advance(x, pr.dists)
+				}
+				if got, want := sc.paths[st], multinomial(x); got != want {
+					t.Fatalf("%s 0→%d: lattice state %v holds %v, want %v", tr, q, x, got, want)
+				}
+			}
+			if got, want := (FAR{}).PathCount(tr, 0, torus.Node(q)), math.Ldexp(multinomial(pr.dists), len(pr.tied)); got != want {
+				t.Fatalf("%s 0→%d: PathCount %v, want %v", tr, q, got, want)
+			}
+		}
+	}
+}
+
+// multinomial returns (Σ parts)! / Π parts! as float64, the closed form
+// of the FAR kernel's Pascal lattice entries.
+func multinomial(parts []int) float64 {
+	total := 0
+	out := 1.0
+	for _, p := range parts {
+		for i := 1; i <= p; i++ {
+			total++
+			out = out * float64(total) / float64(i)
+		}
+	}
+	return out
+}

@@ -3,7 +3,7 @@
 #
 # Runs the paired fast/generic BenchmarkLoadCompute* benchmarks, the
 # paired ring-flow/generic BenchmarkLoadEMaxUDRRandom benchmarks,
-# BenchmarkLoadComputeFAR, BenchmarkLoadEMaxODR, BenchmarkComputePattern,
+# BenchmarkLoadComputeFAR, BenchmarkLoadEMaxFARRandom, BenchmarkLoadEMaxODR, BenchmarkComputePattern,
 # BenchmarkComputeValiant, the two optimizer benchmarks
 # (BenchmarkBranchBoundT2_8, BenchmarkAnnealT3_8) and the three bisection
 # benchmarks (BenchmarkSweepBisection, BenchmarkBestSweepT3_8,
@@ -51,7 +51,7 @@ trap 'rm -f "$RAW"' EXIT
 
 echo "bench-smoke: running paired load benchmarks, the optimizer, the bisection benchmarks and the cache-hit path"
 go test -run '^$' \
-    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkLoadComputeFAR|BenchmarkLoadEMaxODR|BenchmarkLoadEMaxUDRRandom(Generic)?|BenchmarkComputePattern|BenchmarkComputeValiant|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8|BenchmarkSweepBisection|BenchmarkBestSweepT3_8|BenchmarkAnalyzeRandomT3_8|BenchmarkServeAnalyzeCacheHit)$' \
+    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkLoadComputeFAR|BenchmarkLoadEMaxFARRandom|BenchmarkLoadEMaxODR|BenchmarkLoadEMaxUDRRandom(Generic)?|BenchmarkComputePattern|BenchmarkComputeValiant|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8|BenchmarkSweepBisection|BenchmarkBestSweepT3_8|BenchmarkAnalyzeRandomT3_8|BenchmarkServeAnalyzeCacheHit)$' \
     -benchmem -benchtime=0.5s -count=1 -cpu 1 . | tee "$RAW"
 
 # name -> ns/op, bytes/op and allocs/op maps from this run.
