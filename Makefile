@@ -11,6 +11,7 @@ FUZZ_TARGETS := \
 	./internal/load:FuzzRingFlow \
 	./internal/routing:FuzzFARKernel \
 	./internal/service:FuzzDecodeAnalyzeRequest \
+	./internal/service:FuzzDecodeStrict \
 	./internal/placement:FuzzRecognizeLinear \
 	./internal/cluster:FuzzHashRing \
 	./internal/lintcheck:FuzzLintIgnoreDirective

@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"torusnet/internal/core"
@@ -501,6 +502,39 @@ func BenchmarkServeAnalyzeCacheHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if rec := serve(); rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"cached":true`)) {
 			b.Fatalf("analyze on a warm key: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
+// BenchmarkServeAnalyzeMiss serves a fresh /v1/analyze key per op (UDR on
+// T^3_8 random:64:SEED, a new SEED each time) through torusd's full
+// middleware-wrapped handler into a recorder: the cache-miss path of
+// decode, placement build, flight, pool and report assembly, with no
+// network. bench-smoke holds its allocs/op to the recorded count with no
+// slack, so a per-miss allocation added anywhere on that path fails CI.
+func BenchmarkServeAnalyzeMiss(b *testing.B) {
+	s := service.New(service.Config{Workers: 1, CacheSize: 1})
+	defer s.Close()
+	h := s.Handler()
+	prefix := []byte(`{"k":8,"d":3,"placement":"random:64:`)
+	body := make([]byte, 0, 96)
+	seed := int64(1)
+	serve := func() *httptest.ResponseRecorder {
+		body = strconv.AppendInt(append(body[:0], prefix...), seed, 10)
+		body = append(body, `","routing":"udr"}`...)
+		seed++
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body)))
+		return rec
+	}
+	if rec := serve(); rec.Code != http.StatusOK {
+		b.Fatalf("warm-up analyze: status %d: %s", rec.Code, rec.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := serve(); rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"cached":false`)) {
+			b.Fatalf("analyze on a fresh key: status %d: %s", rec.Code, rec.Body)
 		}
 	}
 }

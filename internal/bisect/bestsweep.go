@@ -11,6 +11,11 @@ import (
 // from the shape's cached Table, so the scan costs O(|P|) to find the
 // window plus the window's length.
 func BestSweep(p *placement.Placement) *Cut {
+	c := bestSweep(p)
+	return &c
+}
+
+func bestSweep(p *placement.Placement) Cut {
 	tb := TableFor(p.Torus())
 	lo, hi := tb.window(p.Nodes())
 	best := lo

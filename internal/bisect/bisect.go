@@ -158,7 +158,8 @@ func DimensionCut(p *placement.Placement, dim int) *Cut {
 	if dim < 0 || dim >= t.D() {
 		panic("bisect: dimension out of range")
 	}
-	return dimensionCut(p, dim, layerProcs(p, dim))
+	c := dimensionCut(p, dim, layerProcs(p, dim))
+	return &c
 }
 
 // BestDimensionCut tries every dimension and returns the most balanced cut
@@ -166,6 +167,11 @@ func DimensionCut(p *placement.Placement, dim int) *Cut {
 // width). It costs O(d·|P|) the first time the placement's layer counts
 // are needed, O(d·k) after.
 func BestDimensionCut(p *placement.Placement) *Cut {
+	c := bestDimensionCut(p)
+	return &c
+}
+
+func bestDimensionCut(p *placement.Placement) Cut {
 	bestDim, bestA := 0, 0
 	for dim := 0; dim < p.Torus().D(); dim++ {
 		a := layerProcs(p, dim)
@@ -186,13 +192,13 @@ func layerProcs(p *placement.Placement, dim int) int {
 	return a
 }
 
-func dimensionCut(p *placement.Placement, dim, procsA int) *Cut {
+func dimensionCut(p *placement.Placement, dim, procsA int) Cut {
 	t := p.Torus()
-	return &Cut{
+	return Cut{
 		Torus:  t,
 		ProcsA: procsA,
 		ProcsB: p.Size() - procsA,
-		Method: "dimension(" + strconv.Itoa(dim) + ")",
+		Method: dimensionMethods[dim],
 		width:  4 * (t.Nodes() / t.K()),
 		dim:    dim,
 	}
@@ -204,3 +210,13 @@ func abs(x int) int {
 	}
 	return x
 }
+
+// dimensionMethods are the Method names of the dimension cuts along the
+// dimensions a torus can have (k ≥ 2 and k^d ≤ torus.MaxNodes bound d by
+// 28), spelled once so a cut costs no string.
+var dimensionMethods = func() (m [29]string) {
+	for dim := range m {
+		m[dim] = "dimension(" + strconv.Itoa(dim) + ")"
+	}
+	return m
+}()

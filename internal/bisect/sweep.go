@@ -29,21 +29,30 @@ import (
 // cached Table: the cut stops right after the ⌊|P|/2⌋-th processor in
 // sweep order (the proof's t0), found by one O(|P|) selection over the
 // processors' ranks, and its width is the table's prefix width.
+//
+// Sweep and the other constructors are inlinable wrappers around a
+// function returning the Cut by value, so a caller that only reads the
+// cut, or copies it into a value of its own, keeps it off the heap.
 func Sweep(p *placement.Placement) *Cut {
+	c := sweep(p)
+	return &c
+}
+
+func sweep(p *placement.Placement) Cut {
 	tb := TableFor(p.Torus())
 	lo, _ := tb.window(p.Nodes())
 	return sweepCut(p, tb, lo, "sweep")
 }
 
 // sweepCut is the cut whose A side is prefix n of tb.
-func sweepCut(p *placement.Placement, tb *Table, n int, method string) *Cut {
+func sweepCut(p *placement.Placement, tb *Table, n int, method string) Cut {
 	procsA := 0
 	for _, u := range p.Nodes() {
 		if tb.Rank(u) < n {
 			procsA++
 		}
 	}
-	return &Cut{
+	return Cut{
 		Torus:  p.Torus(),
 		ProcsA: procsA,
 		ProcsB: p.Size() - procsA,

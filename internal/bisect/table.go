@@ -172,9 +172,15 @@ func sweepKeys(t *torus.Torus) []*big.Int {
 // longest, the rank of the next processor (N when there is none). It
 // costs O(|P|): one selection over the processors' ranks.
 func (tb *Table) window(nodes []torus.Node) (lo, hi int) {
-	ranks := make([]int32, len(nodes))
-	for i, u := range nodes {
-		ranks[i] = tb.rank[u]
+	// The ranks of up to 512 processors (T³₈ fully populated) fit a stack
+	// buffer; only larger placements allocate the selection's scratch.
+	var buf [512]int32
+	ranks := buf[:0]
+	if len(nodes) > len(buf) {
+		ranks = make([]int32, 0, len(nodes))
+	}
+	for _, u := range nodes {
+		ranks = append(ranks, tb.rank[u])
 	}
 	target := len(ranks) / 2
 	if target > 0 {

@@ -28,7 +28,7 @@ type Report struct {
 
 	// Load results (Definition 4): E_max, its busiest edge and Σ E(l).
 	// Load.Loads is nil; per-edge loads come from load.Compute.
-	Load *load.Result
+	Load load.Result
 
 	// Lower bounds on E_max and the bisections behind them.
 	Bounds
@@ -50,8 +50,8 @@ type Bounds struct {
 	ImprovedBound  float64 // §4: c²k^{d−1}/8 (uniform placements only, else 0)
 
 	// Bisection data.
-	SweepCut     *bisect.Cut
-	DimensionCut *bisect.Cut
+	SweepCut     bisect.Cut
+	DimensionCut bisect.Cut
 
 	// Density constant c with |P| = c·k^{d−1}.
 	DensityC float64
@@ -69,8 +69,8 @@ func EvaluateBounds(p *placement.Placement) Bounds {
 		BlaumBound:   bounds.Blaum(p.Size(), t.D()),
 		Uniform:      p.IsUniform(),
 		DensityC:     float64(p.Size()) / float64(t.Nodes()/t.K()),
-		SweepCut:     bisect.Sweep(p),
-		DimensionCut: bisect.BestDimensionCut(p),
+		SweepCut:     *bisect.Sweep(p),
+		DimensionCut: *bisect.BestDimensionCut(p),
 	}
 	b.BisectionBound = bounds.Bisection(p.Size(), b.SweepCut.Width())
 	if b.DimensionCut.Balanced() {
@@ -101,14 +101,24 @@ func AnalyzeWithLoadOptions(p *placement.Placement, alg routing.Algorithm, opts 
 // ctx: the load engine records its engine-stage spans under any active
 // trace, and the bound/bisection evaluation gets its own span. With no
 // active trace the instrumentation is inert.
+//
+// AnalyzeCtx is an inlinable wrapper around a pipeline that returns the
+// Report by value, so a caller that reads the report and drops it (the
+// analysis service, which keeps only its wire answer) keeps it off the
+// heap.
 func AnalyzeCtx(ctx context.Context, p *placement.Placement, alg routing.Algorithm, opts load.Options) *Report {
+	rep := analyze(ctx, p, alg, opts)
+	return &rep
+}
+
+func analyze(ctx context.Context, p *placement.Placement, alg routing.Algorithm, opts load.Options) Report {
 	ctx, sp := obs.Start(ctx, "core.analyze")
 	defer sp.End()
 	sp.SetAttr("algorithm", alg.Name())
-	rep := &Report{
+	rep := Report{
 		Placement: p,
 		Algorithm: alg.Name(),
-		Load:      load.EMaxCtx(ctx, p, alg, opts),
+		Load:      *load.EMaxCtx(ctx, p, alg, opts),
 	}
 	_, bsp := obs.Start(ctx, "core.bounds")
 	rep.Bounds = EvaluateBounds(p)

@@ -120,29 +120,29 @@ func AnalyticAnswer(k, d, t int, algName string, exactOnly bool) (AnalyticEval, 
 // down the computed path. The failpoint is soft by design: an injected
 // fault makes recognition "fail", exercising exactly the fallback a
 // recognizer bug would take.
-func computeAnalytic(ctx context.Context, p *placement.Placement, alg routing.Algorithm, mode AnalyticMode) (*Result, bool) {
+func computeAnalytic(ctx context.Context, p *placement.Placement, alg routing.Algorithm, mode AnalyticMode) (Result, bool) {
 	if mode == AnalyticOff {
-		return nil, false
+		return Result{}, false
 	}
 	if err := fpAnalyticDispatch.Inject(); err != nil {
-		return nil, false
+		return Result{}, false
 	}
 	t := p.Torus()
 	cls := p.LinearClass()
 	if !cls.Recognized || !cls.Consecutive {
-		return nil, false
+		return Result{}, false
 	}
 	ev, ok := AnalyticEMax(t.K(), t.D(), cls.T, alg.Name(), mode != AnalyticForce)
 	if !ok {
-		return nil, false
+		return Result{}, false
 	}
 	_, sp := obs.Start(ctx, "load.analytic")
 	defer sp.End()
 	sp.SetAttr("theorem", ev.Theorem)
 	sp.SetAttrInt("classes", int64(cls.T))
-	var res *Result
+	var res Result
 	withEngineLabel(ctx, EngineAnalytic, func() {
-		res = &Result{
+		res = Result{
 			Torus:     t,
 			Placement: p,
 			Algorithm: alg.Name(),

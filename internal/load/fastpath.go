@@ -47,7 +47,7 @@ type scatterJob struct {
 // placement's translation stabilizer, for a translation-equivariant
 // algorithm and at least two processors. Without keep the Result carries
 // no Loads vector.
-func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Algorithm, stab [][]int, workers int, keep bool) *Result {
+func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Algorithm, stab [][]int, workers int, keep bool) Result {
 	t := p.Torus()
 	procs := p.Nodes()
 	ws := getWorkspace()

@@ -158,7 +158,8 @@ func Compute(p *placement.Placement, alg routing.Algorithm, opts Options) *Resul
 // instrumentation collapses to nil-span no-ops, so the background-context
 // Compute path stays allocation-identical to before.
 func ComputeCtx(ctx context.Context, p *placement.Placement, alg routing.Algorithm, opts Options) *Result {
-	return compute(ctx, p, alg, opts, true)
+	res := compute(ctx, p, alg, opts, true)
+	return &res
 }
 
 // EMaxCtx is ComputeCtx for callers that read only the summary: it runs
@@ -166,15 +167,20 @@ func ComputeCtx(ctx context.Context, p *placement.Placement, alg routing.Algorit
 // Engine, Exact and Theorem bit for bit, but its Result has no Loads
 // vector, so a warm computed engine allocates no per-edge vector at all.
 // Per-edge consumers must use ComputeCtx.
+//
+// EMaxCtx is an inlinable wrapper around a dispatch that returns the
+// Result by value, so a caller that copies the summary into a value of
+// its own (core.AnalyzeCtx's Report) keeps the Result off the heap.
 func EMaxCtx(ctx context.Context, p *placement.Placement, alg routing.Algorithm, opts Options) *Result {
-	return compute(ctx, p, alg, opts, false)
+	res := compute(ctx, p, alg, opts, false)
+	return &res
 }
 
 // compute is the one dispatch behind ComputeCtx and EMaxCtx: the analytic
 // tier when it answers, else the computed engine choose predicts cheapest.
 // keep says whether the Result owns a Loads vector; a cross-checked fast
 // path keeps it for the comparison either way and drops it afterwards.
-func compute(ctx context.Context, p *placement.Placement, alg routing.Algorithm, opts Options, keep bool) *Result {
+func compute(ctx context.Context, p *placement.Placement, alg routing.Algorithm, opts Options, keep bool) Result {
 	fpComputeDispatch.InjectHard()
 	workers := effectiveWorkers(opts.Workers, p.Size())
 	ctx, sp := obs.Start(ctx, "load.compute")
@@ -185,7 +191,8 @@ func compute(ctx context.Context, p *placement.Placement, alg routing.Algorithm,
 	if res, ok := computeAnalytic(ctx, p, alg, opts.Analytic); ok {
 		sp.SetAttr("engine", EngineAnalytic)
 		if opts.CrossCheck {
-			crossCheckAnalytic(res, computeGeneric(ctx, p, alg, workers, false))
+			generic := computeGeneric(ctx, p, alg, workers, false)
+			crossCheckAnalytic(&res, &generic)
 		}
 		return res
 	}
@@ -193,7 +200,7 @@ func compute(ctx context.Context, p *placement.Placement, alg routing.Algorithm,
 	sp.SetAttr("engine", pl.engine)
 	sp.SetAttrInt("predicted_us", int64(math.Ceil(pl.ns/1e3)))
 	keepLoads := keep || opts.CrossCheck
-	var res *Result
+	var res Result
 	switch pl.engine {
 	case EngineSymmetry:
 		res = computeSymmetry(ctx, p, alg, pl.stab, workers, keepLoads)
@@ -203,7 +210,8 @@ func compute(ctx context.Context, p *placement.Placement, alg routing.Algorithm,
 		return computeGeneric(ctx, p, alg, workers, keep)
 	}
 	if opts.CrossCheck {
-		crossCheck(res, computeGeneric(ctx, p, alg, workers, true))
+		generic := computeGeneric(ctx, p, alg, workers, true)
+		crossCheck(&res, &generic)
 		if !keep {
 			res.Loads = nil
 		}
@@ -226,7 +234,7 @@ func withEngineLabel(ctx context.Context, engine string, fn func()) {
 // computeGeneric is the O(|P|²) ordered-pair loop. Workers must already be
 // the effective count from effectiveWorkers. Without keep the Result
 // carries no Loads vector.
-func computeGeneric(ctx context.Context, p *placement.Placement, alg routing.Algorithm, workers int, keep bool) *Result {
+func computeGeneric(ctx context.Context, p *placement.Placement, alg routing.Algorithm, workers int, keep bool) Result {
 	t := p.Torus()
 	procs := p.Nodes()
 
@@ -305,7 +313,7 @@ func mergePartials(partials [][]float64) []float64 {
 // span and wraps them in a Result labelled with the engine. Without keep
 // the merged vector is the workspace's: the Result reads its summary from
 // it here, before the caller releases the workspace, and drops it.
-func engineResult(ctx context.Context, p *placement.Placement, alg routing.Algorithm, engine string, partials [][]float64, keep bool) *Result {
+func engineResult(ctx context.Context, p *placement.Placement, alg routing.Algorithm, engine string, partials [][]float64, keep bool) Result {
 	_, msp := obs.Start(ctx, "load.merge")
 	loads := mergePartials(partials)
 	msp.End()
@@ -321,11 +329,12 @@ func engineResult(ctx context.Context, p *placement.Placement, alg routing.Algor
 // a Result (used by the fault-rerouting engine, which redistributes loads
 // itself). The slice is owned by the Result afterwards.
 func NewResultFromLoads(t *torus.Torus, p *placement.Placement, algName string, loads []float64) *Result {
-	return newResult(t, p, algName, loads)
+	res := newResult(t, p, algName, loads)
+	return &res
 }
 
-func newResult(t *torus.Torus, p *placement.Placement, algName string, loads []float64) *Result {
-	res := &Result{Torus: t, Placement: p, Algorithm: algName, Loads: loads, Exact: true}
+func newResult(t *torus.Torus, p *placement.Placement, algName string, loads []float64) Result {
+	res := Result{Torus: t, Placement: p, Algorithm: algName, Loads: loads, Exact: true}
 	for e, v := range loads {
 		res.Total += v
 		if v > res.Max {

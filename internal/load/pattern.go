@@ -165,7 +165,7 @@ func ComputePattern(p *placement.Placement, pat Pattern, alg routing.Algorithm, 
 	})
 	res := newResult(t, p, alg.Name()+"/"+pat.Name(), mergePartials(partials))
 	ws.release()
-	return res
+	return &res
 }
 
 // PatternTotal returns Σ demands weight·Lee(src,dst): the conserved total

@@ -90,7 +90,7 @@ func factorial(n int) float64 {
 // fam whose scaled loads stay below 2⁵³. Rings write disjoint edges, so
 // the workers stripe them straight into the one answer vector, and the
 // result does not depend on the worker count.
-func ringFlowResult(ctx context.Context, p *placement.Placement, alg routing.Algorithm, fam ringFamily, workers int, keep bool) *Result {
+func ringFlowResult(ctx context.Context, p *placement.Placement, alg routing.Algorithm, fam ringFamily, workers int, keep bool) Result {
 	t := p.Torus()
 	rings := t.D() * t.Nodes() / t.K()
 	workers = effectiveWorkers(workers, rings)

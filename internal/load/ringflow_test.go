@@ -20,7 +20,8 @@ func runRingFlow(t *testing.T, p *placement.Placement, alg routing.Algorithm, wo
 	if !ok {
 		t.Fatalf("%s: not a ring-flow routing", alg.Name())
 	}
-	return ringFlowResult(context.Background(), p, alg, fam, workers, true)
+	res := ringFlowResult(context.Background(), p, alg, fam, workers, true)
+	return &res
 }
 
 // fuzzPlacement builds placement kind on tr: random, linear, multiple

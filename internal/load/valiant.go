@@ -42,7 +42,7 @@ func ComputeValiant(p *placement.Placement, pat Pattern, alg routing.Algorithm, 
 	})
 	res := newResult(t, p, alg.Name()+"+valiant/"+pat.Name(), mergePartials(partials))
 	ws.release()
-	return res
+	return &res
 }
 
 // ValiantExpectedTotal returns the conserved total for Valiant routing:

@@ -53,18 +53,29 @@ func FormatTraceparent(traceID string, spanID uint64) string {
 // header value. It reports ok=false for malformed values, unknown versions,
 // and the all-zero (invalid) trace ID.
 func ParseTraceparent(h string) (traceID string, ok bool) {
-	parts := strings.Split(strings.TrimSpace(h), "-")
-	if len(parts) != 4 || parts[0] != "00" ||
-		len(parts[1]) != 32 || len(parts[2]) != 16 || len(parts[3]) != 2 {
+	// "00-" 32 hex "-" 16 hex "-" 2 hex, read in place: a request without
+	// the header (most of them) costs no allocation.
+	h = strings.TrimSpace(h)
+	if len(h) != 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' || h[:2] != "00" {
 		return "", false
 	}
-	if !isLowerHex(parts[1]) || !isLowerHex(parts[2]) || !isLowerHex(parts[3]) {
+	trace, span, flags := h[3:35], h[36:52], h[53:]
+	if !isLowerHex(trace) || !isLowerHex(span) || !isLowerHex(flags) {
 		return "", false
 	}
-	if parts[1] == strings.Repeat("0", 32) || parts[2] == strings.Repeat("0", 16) {
+	if allZeros(trace) || allZeros(span) {
 		return "", false
 	}
-	return parts[1], true
+	return trace, true
+}
+
+func allZeros(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] != '0' {
+			return false
+		}
+	}
+	return true
 }
 
 func isLowerHex(s string) bool {

@@ -20,10 +20,18 @@ type LayerCluster struct {
 // Name implements Spec.
 func (s LayerCluster) Name() string { return fmt.Sprintf("layercluster(dim=%d)", s.Dim) }
 
+// Fit implements Spec.
+func (s LayerCluster) Fit(t *torus.Torus) error {
+	if s.Dim < 0 || s.Dim >= t.D() {
+		return fmt.Errorf("placement: layer cluster dimension %d out of range [0,%d)", s.Dim, t.D())
+	}
+	return nil
+}
+
 // Build implements Spec.
 func (s LayerCluster) Build(t *torus.Torus) (*Placement, error) {
-	if s.Dim < 0 || s.Dim >= t.D() {
-		return nil, fmt.Errorf("placement: layer cluster dimension %d out of range [0,%d)", s.Dim, t.D())
+	if err := s.Fit(t); err != nil {
+		return nil, err
 	}
 	// k^{d-2} processors per layer, read off the validated node count
 	// (k^d / k^2) rather than re-multiplied without an overflow guard.

@@ -8,6 +8,7 @@ package placement
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"torusnet/internal/torus"
@@ -15,10 +16,10 @@ import (
 
 // Placement is a concrete set of processor nodes on one torus.
 type Placement struct {
-	t     *torus.Torus
-	nodes []torus.Node // sorted, unique
-	has   []bool       // indexed by node
-	name  string
+	t      *torus.Torus
+	nodes  []torus.Node // sorted, unique
+	member []uint64     // bit u%64 of word u/64 is set for every processor u
+	name   string
 
 	stabOnce sync.Once // guards the lazily computed translation stabilizer
 	stab     [][]int
@@ -27,26 +28,48 @@ type Placement struct {
 	lin     LinearClass
 
 	layerOnce sync.Once // guards the lazily computed layer counts
-	layers    []int     // layers[dim·k + v]: processors in subtorus (dim, v)
+	layers    []uint64  // layers[dim·k + v]: processors in subtorus (dim, v)
 }
 
 // New builds a placement from an arbitrary node set. Duplicate nodes are
 // collapsed; node indices must be valid for the torus.
 func New(t *torus.Torus, nodes []torus.Node, name string) *Placement {
-	has := make([]bool, t.Nodes())
+	member := newMembers(t)
 	for _, u := range nodes {
 		if !t.InRange(u) {
 			panic(fmt.Sprintf("placement: node %d out of range for %s", u, t))
 		}
-		has[u] = true
+		member[u>>6] |= 1 << (u & 63)
 	}
-	uniq := make([]torus.Node, 0, len(nodes))
-	for u, ok := range has {
-		if ok {
-			uniq = append(uniq, torus.Node(u))
+	return fromMembers(t, member, name)
+}
+
+// newMembers returns an empty membership bitset for t's nodes, with room
+// past its length for the placement's d·k layer counts, so the two share
+// one allocation.
+func newMembers(t *torus.Torus) []uint64 {
+	words := (t.Nodes() + 63) / 64
+	return make([]uint64, words, words+t.D()*t.K())
+}
+
+// fromMembers builds the placement whose processors are the set bits of
+// member, a bitset from newMembers, which it takes over: the processor
+// list is read off the words in increasing node order, so it comes out
+// sorted and unique with no intermediate node list, and the layer counts
+// go in member's spare capacity.
+func fromMembers(t *torus.Torus, member []uint64, name string) *Placement {
+	n := 0
+	for _, w := range member {
+		n += bits.OnesCount64(w)
+	}
+	nodes := make([]torus.Node, 0, n)
+	for i, w := range member {
+		for w != 0 {
+			nodes = append(nodes, torus.Node(i<<6+bits.TrailingZeros64(w)))
+			w &= w - 1
 		}
 	}
-	return &Placement{t: t, nodes: uniq, has: has, name: name}
+	return &Placement{t: t, nodes: nodes, member: member, name: name, layers: member[len(member):cap(member)]}
 }
 
 // Torus returns the torus the placement lives on.
@@ -63,7 +86,7 @@ func (p *Placement) Size() int { return len(p.nodes) }
 func (p *Placement) Nodes() []torus.Node { return p.nodes }
 
 // Contains reports whether node u carries a processor.
-func (p *Placement) Contains(u torus.Node) bool { return p.has[u] }
+func (p *Placement) Contains(u torus.Node) bool { return p.member[u>>6]&(1<<(u&63)) != 0 }
 
 // String describes the placement.
 func (p *Placement) String() string {
@@ -73,19 +96,19 @@ func (p *Placement) String() string {
 // CountInSubtorus returns the number of processors in the given principal
 // subtorus.
 func (p *Placement) CountInSubtorus(s torus.Subtorus) int {
-	return p.layerRow(s.Dim)[p.t.WrapCoord(s.Value)]
+	return int(p.layerRow(s.Dim)[p.t.WrapCoord(s.Value)])
 }
 
 // layerRow returns the processor counts of the k principal subtori along
 // dim. Every layer count is computed once, in one O(d·|P|) pass over the
-// processors' coordinates.
-func (p *Placement) layerRow(dim int) []int {
+// processors' coordinates, into the room fromMembers left for them.
+func (p *Placement) layerRow(dim int) []uint64 {
 	d, k := p.t.D(), p.t.K()
 	if dim < 0 || dim >= d {
 		panic("placement: subtorus dimension out of range")
 	}
 	p.layerOnce.Do(func() {
-		p.layers = make([]int, d*k)
+		p.layers = p.layers[:d*k]
 		for _, u := range p.nodes {
 			for j := 0; j < d; j++ {
 				p.layers[j*k+p.t.Coord(u, j)]++
@@ -116,7 +139,7 @@ func (p *Placement) UniformAlong(dim int) bool {
 	}
 	want := len(p.nodes) / p.t.K()
 	for _, count := range p.layerRow(dim) {
-		if count != want {
+		if int(count) != want {
 			return false
 		}
 	}
@@ -128,7 +151,7 @@ func (p *Placement) UniformAlong(dim int) bool {
 // offset whose weighted coordinate sum is 0 mod k.
 func (p *Placement) StabilizedBy(offset []int) bool {
 	for _, u := range p.nodes {
-		if !p.has[p.t.Translate(u, offset)] {
+		if !p.Contains(p.t.Translate(u, offset)) {
 			return false
 		}
 	}
@@ -145,6 +168,10 @@ func (p *Placement) Pairs() int {
 // Spec generates the placement P_{d,k} for any torus; it is the paper's
 // "placement description (algorithm)".
 type Spec interface {
+	// Fit reports, in O(d) and without building anything, whether the
+	// spec describes a placement on t: it is the error Build returns, and
+	// Build succeeds exactly when Fit returns nil.
+	Fit(t *torus.Torus) error
 	// Build instantiates the placement on a concrete torus.
 	Build(t *torus.Torus) (*Placement, error)
 	// Name is a stable identifier such as "linear(c=0)".

@@ -3,6 +3,7 @@ package placement
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 
 	"torusnet/internal/torus"
@@ -23,25 +24,24 @@ type Linear struct {
 // Name implements Spec.
 func (s Linear) Name() string {
 	if s.Coeffs == nil {
-		return fmt.Sprintf("linear(c=%d)", s.C)
+		var buf [32]byte
+		b := strconv.AppendInt(append(buf[:0], "linear(c="...), int64(s.C), 10)
+		return string(append(b, ')'))
 	}
 	return fmt.Sprintf("linear(c=%d,coeffs=%v)", s.C, s.Coeffs)
 }
 
+// Fit implements Spec.
+func (s Linear) Fit(t *torus.Torus) error {
+	return fitCoeffs(s.Coeffs, t)
+}
+
 // Build implements Spec.
 func (s Linear) Build(t *torus.Torus) (*Placement, error) {
-	coeffs := s.Coeffs
-	if coeffs == nil {
-		coeffs = ones(t.D())
+	if err := s.Fit(t); err != nil {
+		return nil, err
 	}
-	if len(coeffs) != t.D() {
-		return nil, fmt.Errorf("placement: %d coefficients for %d dimensions", len(coeffs), t.D())
-	}
-	if !hasUnit(coeffs, t.K()) {
-		return nil, fmt.Errorf("placement: no coefficient of %v is a unit mod %d", coeffs, t.K())
-	}
-	nodes := selectByResidue(t, coeffs, func(r int) bool { return r == torus.Mod(s.C, t.K()) })
-	return New(t, nodes, s.Name()), nil
+	return fromMembers(t, selectResidues(t, s.Coeffs, torus.Mod(s.C, t.K()), 1), s.Name()), nil
 }
 
 // MultipleLinear is the union P_1 ∪ ... ∪ P_t of t consecutive linear
@@ -55,34 +55,29 @@ type MultipleLinear struct {
 
 // Name implements Spec.
 func (s MultipleLinear) Name() string {
-	return fmt.Sprintf("multilinear(t=%d,start=%d)", s.T, s.Start)
+	var buf [48]byte
+	b := strconv.AppendInt(append(buf[:0], "multilinear(t="...), int64(s.T), 10)
+	b = strconv.AppendInt(append(b, ",start="...), int64(s.Start), 10)
+	return string(append(b, ')'))
+}
+
+// Fit implements Spec.
+func (s MultipleLinear) Fit(t *torus.Torus) error {
+	if s.T < 1 {
+		return fmt.Errorf("placement: multiple linear needs t >= 1, got %d", s.T)
+	}
+	if s.T > t.K() {
+		return fmt.Errorf("placement: t=%d exceeds k=%d (placement would wrap onto itself)", s.T, t.K())
+	}
+	return fitCoeffs(s.Coeffs, t)
 }
 
 // Build implements Spec.
 func (s MultipleLinear) Build(t *torus.Torus) (*Placement, error) {
-	if s.T < 1 {
-		return nil, fmt.Errorf("placement: multiple linear needs t >= 1, got %d", s.T)
+	if err := s.Fit(t); err != nil {
+		return nil, err
 	}
-	if s.T > t.K() {
-		return nil, fmt.Errorf("placement: t=%d exceeds k=%d (placement would wrap onto itself)", s.T, t.K())
-	}
-	coeffs := s.Coeffs
-	if coeffs == nil {
-		coeffs = ones(t.D())
-	}
-	if len(coeffs) != t.D() {
-		return nil, fmt.Errorf("placement: %d coefficients for %d dimensions", len(coeffs), t.D())
-	}
-	if !hasUnit(coeffs, t.K()) {
-		return nil, fmt.Errorf("placement: no coefficient of %v is a unit mod %d", coeffs, t.K())
-	}
-	start := torus.Mod(s.Start, t.K())
-	in := make([]bool, t.K())
-	for i := 0; i < s.T; i++ {
-		in[(start+i)%t.K()] = true
-	}
-	nodes := selectByResidue(t, coeffs, func(r int) bool { return in[r] })
-	return New(t, nodes, s.Name()), nil
+	return fromMembers(t, selectResidues(t, s.Coeffs, torus.Mod(s.Start, t.K()), s.T), s.Name()), nil
 }
 
 // ShiftedDiagonal is the special case of a linear placement used by Blaum
@@ -93,15 +88,21 @@ type ShiftedDiagonal struct {
 }
 
 // Name implements Spec.
-func (s ShiftedDiagonal) Name() string { return fmt.Sprintf("shifted-diagonal(%d)", s.Shift) }
+func (s ShiftedDiagonal) Name() string {
+	var buf [40]byte
+	b := strconv.AppendInt(append(buf[:0], "shifted-diagonal("...), int64(s.Shift), 10)
+	return string(append(b, ')'))
+}
+
+// Fit implements Spec: Linear{C: Shift} fits every torus.
+func (s ShiftedDiagonal) Fit(t *torus.Torus) error { return Linear{C: s.Shift}.Fit(t) }
 
 // Build implements Spec.
 func (s ShiftedDiagonal) Build(t *torus.Torus) (*Placement, error) {
-	p, err := Linear{C: s.Shift}.Build(t)
-	if err != nil {
+	if err := s.Fit(t); err != nil {
 		return nil, err
 	}
-	return New(t, p.Nodes(), s.Name()), nil
+	return fromMembers(t, selectResidues(t, nil, torus.Mod(s.Shift, t.K()), 1), s.Name()), nil
 }
 
 // Full populates every node: the classical fully populated torus whose
@@ -111,13 +112,19 @@ type Full struct{}
 // Name implements Spec.
 func (Full) Name() string { return "full" }
 
+// Fit implements Spec: every torus can be fully populated.
+func (Full) Fit(*torus.Torus) error { return nil }
+
 // Build implements Spec.
 func (Full) Build(t *torus.Torus) (*Placement, error) {
-	nodes := make([]torus.Node, t.Nodes())
-	for i := range nodes {
-		nodes[i] = torus.Node(i)
+	member := newMembers(t)
+	for i := range member {
+		member[i] = ^uint64(0)
 	}
-	return New(t, nodes, "full"), nil
+	if r := t.Nodes() % 64; r != 0 {
+		member[len(member)-1] = ^uint64(0) >> (64 - r)
+	}
+	return fromMembers(t, member, "full"), nil
 }
 
 // Random places Count processors uniformly at random (without replacement)
@@ -129,17 +136,30 @@ type Random struct {
 }
 
 // Name implements Spec.
-func (s Random) Name() string { return fmt.Sprintf("random(n=%d,seed=%d)", s.Count, s.Seed) }
+func (s Random) Name() string {
+	var buf [48]byte
+	b := strconv.AppendInt(append(buf[:0], "random(n="...), int64(s.Count), 10)
+	b = strconv.AppendInt(append(b, ",seed="...), s.Seed, 10)
+	return string(append(b, ')'))
+}
+
+// Fit implements Spec.
+func (s Random) Fit(t *torus.Torus) error {
+	if s.Count < 0 || s.Count > t.Nodes() {
+		return fmt.Errorf("placement: random count %d out of range [0,%d]", s.Count, t.Nodes())
+	}
+	return nil
+}
 
 // Build implements Spec.
 func (s Random) Build(t *torus.Torus) (*Placement, error) {
-	if s.Count < 0 || s.Count > t.Nodes() {
-		return nil, fmt.Errorf("placement: random count %d out of range [0,%d]", s.Count, t.Nodes())
+	if err := s.Fit(t); err != nil {
+		return nil, err
 	}
 	// math/rand's own Perm loop on a re-seeded pooled generator, into a
 	// pooled buffer: the permutation rand.New(rand.NewSource(s.Seed)).Perm
-	// returns, without allocating a source or the permutation. New copies
-	// the first Count entries out in node order.
+	// returns, without allocating a source or the permutation. Its first
+	// Count entries become the membership bits.
 	sc := randScratches.Get().(*randScratch)
 	sc.rng.Seed(s.Seed)
 	if cap(sc.perm) < t.Nodes() {
@@ -151,9 +171,12 @@ func (s Random) Build(t *torus.Torus) (*Placement, error) {
 		perm[i] = perm[j]
 		perm[j] = torus.Node(i)
 	}
-	p := New(t, perm[:s.Count], s.Name())
+	member := newMembers(t)
+	for _, u := range perm[:s.Count] {
+		member[u>>6] |= 1 << (u & 63)
+	}
 	randScratches.Put(sc)
-	return p, nil
+	return fromMembers(t, member, s.Name()), nil
 }
 
 // randScratch is the generator and permutation buffer Random.Build
@@ -175,24 +198,42 @@ type Explicit struct {
 // Name implements Spec.
 func (s Explicit) Name() string { return s.Label }
 
-// Build implements Spec.
-func (s Explicit) Build(t *torus.Torus) (*Placement, error) {
-	nodes := make([]torus.Node, 0, len(s.Coords))
+// Fit implements Spec.
+func (s Explicit) Fit(t *torus.Torus) error {
 	for _, c := range s.Coords {
 		if len(c) != t.D() {
-			return nil, fmt.Errorf("placement: coordinate %v has arity %d, want %d", c, len(c), t.D())
+			return fmt.Errorf("placement: coordinate %v has arity %d, want %d", c, len(c), t.D())
 		}
+	}
+	return nil
+}
+
+// Build implements Spec.
+func (s Explicit) Build(t *torus.Torus) (*Placement, error) {
+	if err := s.Fit(t); err != nil {
+		return nil, err
+	}
+	nodes := make([]torus.Node, 0, len(s.Coords))
+	for _, c := range s.Coords {
 		nodes = append(nodes, t.NodeAt(c))
 	}
 	return New(t, nodes, s.Label), nil
 }
 
-func ones(d int) []int {
-	out := make([]int, d)
-	for i := range out {
-		out[i] = 1
+// fitCoeffs checks a linear coefficient vector against t: one coefficient
+// per dimension, at least one of them a unit mod k. Nil (all ones) fits
+// every torus.
+func fitCoeffs(coeffs []int, t *torus.Torus) error {
+	if coeffs == nil {
+		return nil
 	}
-	return out
+	if len(coeffs) != t.D() {
+		return fmt.Errorf("placement: %d coefficients for %d dimensions", len(coeffs), t.D())
+	}
+	if !hasUnit(coeffs, t.K()) {
+		return fmt.Errorf("placement: no coefficient of %v is a unit mod %d", coeffs, t.K())
+	}
+	return nil
 }
 
 func hasUnit(coeffs []int, k int) bool {
@@ -211,25 +252,40 @@ func gcd(a, b int) int {
 	return a
 }
 
-// selectByResidue gathers all nodes whose weighted coordinate sum modulo k
-// satisfies the predicate.
-func selectByResidue(t *torus.Torus, coeffs []int, accept func(int) bool) []torus.Node {
-	k := t.K()
-	cs := make([]int, len(coeffs))
-	for i, c := range coeffs {
-		cs[i] = torus.Mod(c, k)
+// selectResidues returns the membership bitset of the nodes whose
+// weighted coordinate sum Σ c_j·p_j mod k lies in the window start,
+// start+1, …, start+count−1 (mod k), for start in [0, k); nil coeffs
+// means all ones. It walks the nodes in index order with an odometer over
+// their coordinates and keeps the sum mod k as it goes: a step that
+// increments coordinate j adds c_j, and so does one that wraps it from
+// k−1 to 0, since −(k−1)·c_j ≡ c_j (mod k).
+func selectResidues(t *torus.Torus, coeffs []int, start, count int) []uint64 {
+	k, d := t.K(), t.D()
+	var csBuf, coordBuf [8]int
+	cs, coords := csBuf[:0], coordBuf[:0]
+	for j := 0; j < d; j++ {
+		c := 1
+		if coeffs != nil {
+			c = torus.Mod(coeffs[j], k)
+		}
+		cs = append(cs, c)
+		coords = append(coords, 0)
 	}
-	nodes := make([]torus.Node, 0, t.Nodes()/k)
-	coords := make([]int, t.D())
-	t.ForEachNode(func(u torus.Node) {
-		t.CoordsInto(u, coords)
-		sum := 0
-		for j, c := range coords {
-			sum += cs[j] * c
+	member := newMembers(t)
+	r := 0
+	for u := 0; u < t.Nodes(); u++ {
+		if off := r - start; off >= 0 && off < count || off < 0 && off+k < count {
+			member[u>>6] |= 1 << (u & 63)
 		}
-		if accept(sum % k) {
-			nodes = append(nodes, u)
+		for j := 0; j < d; j++ {
+			if r += cs[j]; r >= k {
+				r -= k
+			}
+			if coords[j]++; coords[j] < k {
+				break
+			}
+			coords[j] = 0
 		}
-	})
-	return nodes
+	}
+	return member
 }

@@ -49,3 +49,106 @@ func TestRandomBuildMatchesMathRand(t *testing.T) {
 		}
 	}
 }
+
+// TestResidueSpecsMatchCoordinateSums pins the linear family's odometer
+// walk (selectResidues) to its definition: a node is a processor exactly
+// when its weighted coordinate sum mod k lies in the spec's residue
+// window. It also checks that every construction's bitset, processor list
+// and Contains agree, and that Fit errs exactly when Build does.
+func TestResidueSpecsMatchCoordinateSums(t *testing.T) {
+	for k := 2; k <= 7; k++ {
+		for d := 1; d <= 4; d++ {
+			tr := torus.New(k, d)
+			var specs []Spec
+			for c := -k; c <= k; c++ {
+				specs = append(specs, Linear{C: c}, ShiftedDiagonal{Shift: c},
+					Linear{C: c, Coeffs: coeffVector(d, c, k)})
+				for tt := -1; tt <= k+1; tt++ {
+					specs = append(specs, MultipleLinear{T: tt, Start: c}, MultipleLinear{T: tt, Start: c, Coeffs: coeffVector(d, c+tt, k)})
+				}
+			}
+			specs = append(specs, Full{}, Linear{Coeffs: make([]int, d+1)}, Linear{Coeffs: make([]int, d)})
+			n := tr.Nodes()
+			for _, spec := range []Spec{
+				Random{Count: -1}, Random{Count: n}, Random{Count: n + 1, Seed: 3},
+				Explicit{Label: "ok", Coords: [][]int{make([]int, d)}}, Explicit{Label: "arity", Coords: [][]int{make([]int, d+1)}},
+				LayerCluster{Dim: -1}, LayerCluster{Dim: d - 1}, LayerCluster{Dim: d},
+			} {
+				if _, err := spec.Build(tr); (spec.Fit(tr) == nil) != (err == nil) {
+					t.Fatalf("%s on %s: Fit %v, Build %v", spec.Name(), tr, spec.Fit(tr), err)
+				}
+			}
+			for _, spec := range specs {
+				p, err := spec.Build(tr)
+				if fitErr := spec.Fit(tr); (fitErr == nil) != (err == nil) || fitErr != nil && fitErr.Error() != err.Error() {
+					t.Fatalf("%s on %s: Fit %v, Build %v", spec.Name(), tr, fitErr, err)
+				}
+				if err != nil {
+					continue
+				}
+				want := residueMembers(tr, spec)
+				if p.Name() != spec.Name() {
+					t.Fatalf("%s on %s: built placement named %q", spec.Name(), tr, p.Name())
+				}
+				var nodes []torus.Node
+				for u := 0; u < tr.Nodes(); u++ {
+					if got := p.Contains(torus.Node(u)); got != want[u] {
+						t.Fatalf("%s on %s: Contains(%v) = %v, want %v", spec.Name(), tr, tr.Coords(torus.Node(u)), got, want[u])
+					}
+					if want[u] {
+						nodes = append(nodes, torus.Node(u))
+					}
+				}
+				if len(nodes) != p.Size() {
+					t.Fatalf("%s on %s: %d processors, want %d", spec.Name(), tr, p.Size(), len(nodes))
+				}
+				for i, u := range p.Nodes() {
+					if u != nodes[i] {
+						t.Fatalf("%s on %s: Nodes() = %v, want %v", spec.Name(), tr, p.Nodes(), nodes)
+					}
+				}
+			}
+		}
+	}
+}
+
+// coeffVector is a coefficient vector of length d with mixed signs and
+// some non-units, varied by salt.
+func coeffVector(d, salt, k int) []int {
+	out := make([]int, d)
+	for j := range out {
+		out[j] = (salt+3*j)%(k+2) - 2
+	}
+	return out
+}
+
+// residueMembers evaluates a linear-family spec's membership from its
+// definition, node by node.
+func residueMembers(tr *torus.Torus, spec Spec) []bool {
+	k := tr.K()
+	var coeffs []int
+	start, count := 0, 1
+	switch s := spec.(type) {
+	case Linear:
+		coeffs, start = s.Coeffs, s.C
+	case ShiftedDiagonal:
+		start = s.Shift
+	case MultipleLinear:
+		coeffs, start, count = s.Coeffs, s.Start, s.T
+	case Full:
+		count = k
+	}
+	in := make([]bool, tr.Nodes())
+	for u := range in {
+		sum := 0
+		for j, c := range tr.Coords(torus.Node(u)) {
+			w := 1
+			if coeffs != nil {
+				w = coeffs[j]
+			}
+			sum += w * c
+		}
+		in[u] = torus.Mod(sum-start, k) < count
+	}
+	return in
+}

@@ -47,7 +47,7 @@ func (p *Placement) computeStabilizer() [][]int {
 	var hits []int
 	for i := 0; i < n; i++ {
 		diffInto(cand, coords[i*d:(i+1)*d], coords[:d], k)
-		if stabilizedByCoords(p.has, coords, cand, strides, k) {
+		if stabilizedByCoords(p.member, coords, cand, strides, k) {
 			hits = append(hits, i)
 		}
 	}
@@ -75,7 +75,7 @@ func diffInto(dst, q, p []int, k int) {
 // flattened canonical coordinates) by offset lands inside the placement.
 // Both coordinates and offset entries are already in [0, k), so wrapping is
 // one conditional subtraction.
-func stabilizedByCoords(has []bool, coords, offset, strides []int, k int) bool {
+func stabilizedByCoords(member []uint64, coords, offset, strides []int, k int) bool {
 	d := len(offset)
 	for i := 0; i < len(coords); i += d {
 		img := 0
@@ -86,7 +86,7 @@ func stabilizedByCoords(has []bool, coords, offset, strides []int, k int) bool {
 			}
 			img += c * strides[j]
 		}
-		if !has[img] {
+		if member[img>>6]&(1<<(img&63)) == 0 {
 			return false
 		}
 	}

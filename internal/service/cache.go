@@ -75,10 +75,16 @@ func (c *lruCache) put(key string, val any) {
 		c.ll.MoveToFront(el)
 		return
 	}
-	for c.ll.Len() >= c.capacity {
+	if c.ll.Len() >= c.capacity {
+		// A full cache recycles its least recently used entry for the new
+		// key, so a steady stream of misses fills it without allocating.
 		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*cacheEntry).key)
+		ent := back.Value.(*cacheEntry)
+		delete(c.items, ent.key)
+		*ent = cacheEntry{key: key, val: val, expires: expires, stored: now}
+		c.ll.MoveToFront(back)
+		c.items[key] = back
+		return
 	}
 	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val, expires: expires, stored: now})
 }

@@ -160,18 +160,24 @@ func TestExecuteCacheHitAllocFree(t *testing.T) {
 	ctx := context.Background()
 	const key = "analyze|warm"
 	miss := func() (*peerFill, error) { return nil, nil }
-	compute := func(context.Context) (any, error) { return AnalyzeResponse{EMax: 1}, nil }
-	if _, _, err := s.execute(ctx, key, miss, compute); err != nil {
+	compute := funcWork(func(context.Context) (any, error) { return AnalyzeResponse{EMax: 1}, nil })
+	if _, _, err := execute(s, ctx, key, miss, compute); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if _, cached, err := s.execute(ctx, key, miss, compute); err != nil || !cached {
+		if _, cached, err := execute(s, ctx, key, miss, compute); err != nil || !cached {
 			t.Fatalf("execute on a warm key = (cached %v, %v), want a cache hit", cached, err)
 		}
 	}); n != 0 {
 		t.Errorf("cache-hit execute allocates %.0f times per run, want 0", n)
 	}
 }
+
+// funcWork is a work computed by a function, for tests that drive execute
+// directly.
+type funcWork func(context.Context) (any, error)
+
+func (f funcWork) compute(ctx context.Context, _ *Server) (any, error) { return f(ctx) }
 
 // BenchmarkFillForDisabled is the bench face of the same contract; run with
 // -benchmem to see the 0 B/op, 0 allocs/op gate the test enforces.

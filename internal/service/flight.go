@@ -14,8 +14,10 @@ type flightGroup struct {
 	calls map[string]*flightCall
 }
 
+// flightCall is one key's entry. The leader allocates it as part of a
+// larger value (missCall), so an entry costs no allocation of its own.
 type flightCall struct {
-	done chan struct{}
+	done sync.WaitGroup // followers wait here for the leader to finish
 	val  any
 	err  error
 }
@@ -24,20 +26,23 @@ func newFlightGroup() *flightGroup {
 	return &flightGroup{calls: make(map[string]*flightCall)}
 }
 
-// do executes fn once per key among concurrent callers. shared reports
-// whether this caller received another caller's result. Followers inherit
-// the leader's error; the leader's per-request deadline therefore bounds
-// every waiter. A panic in fn becomes a *panicError for the leader and
-// every follower, and the key is released either way, so one poisoned
-// call can never wedge later requests for its key.
-func (g *flightGroup) do(key string, fn func() (any, error)) (val any, err error, shared bool) {
+// do executes fn once per key among concurrent callers. Only the leader
+// calls lead, under the group's lock, for the entry followers will wait
+// on; followers allocate nothing. shared reports whether this caller
+// received another caller's result. Followers inherit the leader's error;
+// the leader's per-request deadline therefore bounds every waiter. A panic
+// in fn becomes a *panicError for the leader and every follower, and the
+// key is released either way, so one poisoned call can never wedge later
+// requests for its key.
+func (g *flightGroup) do(key string, lead func() *flightCall, fn func() (any, error)) (val any, err error, shared bool) {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()
-		<-c.done
+		c.done.Wait()
 		return c.val, c.err, true
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := lead()
+	c.done.Add(1)
 	g.calls[key] = c
 	g.mu.Unlock()
 
@@ -48,7 +53,7 @@ func (g *flightGroup) do(key string, fn func() (any, error)) (val any, err error
 		g.mu.Lock()
 		delete(g.calls, key)
 		g.mu.Unlock()
-		close(c.done)
+		c.done.Done()
 		val, err = c.val, c.err
 	}()
 	c.val, c.err = fn()

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -25,6 +27,8 @@ func FuzzDecodeAnalyzeRequest(f *testing.F) {
 		`{"k":1000000,"d":9,"placement":"linear","routing":"odr"}`,
 		`{"k":8,"d":2,"placement":"linear","routing":"odr","x":1}`,
 		`{"k":8,"d":2,"placement":"linear","routing":"odr"}{}`,
+		`{"k":8,"d":2,"placement":"linear","routing":"odr"}}`,
+		`{"k":8,"d":2,"placement":"linear","routing":"odr"}]`,
 		`null`, `[]`, `{`, ``, `{"k":-8,"d":-2,"placement":"linear","routing":"odr"}`,
 	}
 	for _, s := range seeds {
@@ -45,6 +49,8 @@ func FuzzDecodeAnalyzeRequest(f *testing.F) {
 		}
 
 		// Accepted ⇒ the canonical placement builds and routing parses.
+		// DecodeAnalyzeRequest accepts on the placement's Fit, so this is
+		// also the check that Fit agrees with Build.
 		spec, perr := cliutil.ParsePlacement(req.Placement)
 		if perr != nil {
 			t.Fatalf("canonical placement %q does not re-parse: %v", req.Placement, perr)
@@ -83,4 +89,61 @@ func FuzzDecodeAnalyzeRequest(f *testing.F) {
 			t.Fatalf("cache key drifted: %q vs %q", roundTrip.CacheKey(), req.CacheKey())
 		}
 	})
+}
+
+// decodeStrictReference is the json.Decoder form of decodeStrict, kept as
+// its differential reference: one value, unknown fields rejected, and
+// nothing but whitespace after the value. (Decoder.More alone is false at
+// a trailing '}' or ']', so it would accept those.)
+func decodeStrictReference(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("service: bad request body: %w", err)
+	}
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
+		return errTrailingData
+	}
+	return nil
+}
+
+// FuzzDecodeStrict checks decodeStrict against decodeStrictReference on
+// the analyze, bounds, bisect and optimize request bodies: both must
+// accept the same bodies and decode them to the same value.
+func FuzzDecodeStrict(f *testing.F) {
+	for _, s := range []string{
+		`{"k":8,"d":2,"placement":"linear","routing":"odr"}`,
+		`{"k":8,"d":2,"placement":"linear","routing":"odr"}}`,
+		`{"k":8,"d":2,"placement":"linear","routing":"odr"}]`,
+		`{"k":8,"d":2,"placement":"linear","routing":"odr"} {}`,
+		` {"K":8,"D":3,"PLACEMENT":"random:64","Routing":"udr"} ` + "\n",
+		`{"\u006b":8,"d":2,"placement":"multi:2","method":"best-sweep"}`,
+		`{"k":8,"d":2,"placement":"linear","method":"sweep","zzz":{"a":[1,"}"]}}`,
+		`{"k":6,"d":2,"routing":"udr","strategy":"anneal","steps":100,"seed":-3,"max_visited":9}`,
+		`{"k":6,"d":2,"size":4,"routing":"odr","k":7}`,
+		`{"k":"8"}`, `{"k":8.5}`, `{"k":1e1}`, `{"placement":null}`, `null`, `[]`, `"x"`, `{`, ``, `{}`, `{"\u212a":3}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		differential[AnalyzeRequest](t, data)
+		differential[BoundsRequest](t, data)
+		differential[BisectRequest](t, data)
+		differential[OptimizeRequest](t, data)
+	})
+}
+
+// differential decodes data into an R with both decoders and fails on any
+// disagreement.
+func differential[R comparable](t *testing.T, data []byte) {
+	t.Helper()
+	var got, want R
+	gotErr := decodeStrict(data, &got)
+	wantErr := decodeStrictReference(data, &want)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%T from %q: decodeStrict error %v, reference error %v", got, data, gotErr, wantErr)
+	}
+	if gotErr == nil && got != want {
+		t.Fatalf("%T from %q: decodeStrict %+v, reference %+v", got, data, got, want)
+	}
 }

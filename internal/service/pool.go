@@ -35,7 +35,7 @@ func (e *panicError) Error() string {
 
 // workerPool runs computations on a fixed set of goroutines with a bounded
 // pending queue — the service's backpressure point. Each job's result
-// travels over a per-job buffered channel so a worker never blocks on a
+// travels over a buffered channel of its own so a worker never blocks on a
 // caller that has already timed out.
 //
 // The pool self-heals two worker failure modes:
@@ -77,15 +77,29 @@ type workerPool struct {
 	onQueueWait func(time.Duration)
 }
 
+// poolJob is one submitted computation. The caller owns it, usually as
+// part of a larger value (missCall), so a job costs no allocation of its
+// own; its result channel comes from resultChans.
 type poolJob struct {
 	ctx      context.Context
-	fn       func() (any, error)
-	res      chan poolResult // buffered, capacity 1
+	task     task
+	res      chan poolResult // buffered, capacity 1; set by submit
 	enqueued time.Time       // when submit accepted the job
 	// abandoned is set by the watchdog when it replaces the worker running
 	// this job; the wedged worker checks it on completion to retire.
 	abandoned atomic.Bool
 }
+
+// task is the computation a pool job runs on a worker.
+type task interface {
+	run() (any, error)
+}
+
+// resultChans recycles job result channels. Every job gets exactly one
+// result sent on its channel, so a channel whose result submit received
+// is empty again and goes back; one whose caller gave up first is left to
+// the garbage collector, since its worker may still send on it.
+var resultChans = sync.Pool{New: func() any { return make(chan poolResult, 1) }}
 
 type poolResult struct {
 	val any
@@ -202,10 +216,10 @@ func (p *workerPool) runJob(j *poolJob) (outcome jobOutcome) {
 		// its request. Skipped when observability is off: pprof.Do
 		// allocates its label set.
 		pprof.Do(j.ctx, pprof.Labels(), func(context.Context) {
-			res = runShielded(j.fn)
+			res = runShielded(j.task)
 		})
 	} else {
-		res = runShielded(j.fn)
+		res = runShielded(j.task)
 	}
 	j.res <- res
 	if j.abandoned.Load() {
@@ -214,14 +228,14 @@ func (p *workerPool) runJob(j *poolJob) (outcome jobOutcome) {
 	return jobOK
 }
 
-// runShielded executes fn, converting a panic into a *panicError.
-func runShielded(fn func() (any, error)) (res poolResult) {
+// runShielded runs t, converting a panic into a *panicError.
+func runShielded(t task) (res poolResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = poolResult{err: &panicError{value: r, stack: debug.Stack()}}
 		}
 	}()
-	v, err := fn()
+	v, err := t.run()
 	return poolResult{val: v, err: err}
 }
 
@@ -269,14 +283,17 @@ func (p *workerPool) recoverWedged() {
 	}
 }
 
-// submit enqueues fn and waits for its result or the context. It never
-// blocks on a full queue: callers get errQueueFull immediately so the HTTP
-// layer can shed load.
-func (p *workerPool) submit(ctx context.Context, fn func() (any, error)) (any, error) {
-	j := &poolJob{ctx: ctx, fn: fn, res: make(chan poolResult, 1), enqueued: time.Now()}
+// submit enqueues j, whose ctx and task the caller has set, and waits for
+// its result or j.ctx. It never blocks on a full queue: callers get
+// errQueueFull immediately so the HTTP layer can shed load. A job is
+// submitted at most once.
+func (p *workerPool) submit(j *poolJob) (any, error) {
+	j.res = resultChans.Get().(chan poolResult)
+	j.enqueued = time.Now()
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
+		resultChans.Put(j.res)
 		return nil, errPoolClosed
 	}
 	select {
@@ -285,13 +302,15 @@ func (p *workerPool) submit(ctx context.Context, fn func() (any, error)) (any, e
 		p.mu.Unlock()
 	default:
 		p.mu.Unlock()
+		resultChans.Put(j.res)
 		return nil, errQueueFull
 	}
 	select {
 	case r := <-j.res:
+		resultChans.Put(j.res)
 		return r.val, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	case <-j.ctx.Done():
+		return nil, j.ctx.Err()
 	}
 }
 

@@ -8,12 +8,12 @@
 //
 //	decode (strict JSON) → canonicalize (spelling only) → cache key
 //	  → LRU/TTL result cache (a hit is answered from the cache alone)
-//	  → on a miss: build the placement once (the spec-vs-torus check;
-//	    a failure is a 400 that nothing caches) → per-request deadline
+//	  → on a miss: check that the placement fits the torus (O(d); a
+//	    failure is a 400 that nothing caches) → per-request deadline
 //	  → singleflight coalescing (identical concurrent requests share one run)
 //	  → [cluster peer fill from the key's home peer]
 //	  → bounded worker pool (queue backpressure → 429, deadline → 504,
-//	    panic isolation → 500) → compute on the built placement
+//	    panic isolation → 500) → build the placement once and compute
 //	  → cache fill → JSON response
 //
 // Requests are canonicalized before hashing so that syntactic variants of
@@ -31,9 +31,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 
 	"torusnet/internal/cliutil"
 	"torusnet/internal/placement"
@@ -201,37 +202,158 @@ func (r *ExperimentRequest) Canonicalize() error {
 }
 
 // DecodeAnalyzeRequest decodes and canonicalizes one /v1/analyze body under
-// the default node ceiling, and builds the placement, so an accepted
-// request is one the service can analyze. It is the entry point fuzzed by
-// FuzzDecodeAnalyzeRequest; the HTTP handler uses the same strict decoding
-// and builds only on a cache miss.
+// the default node ceiling, and checks that the placement fits the torus,
+// so an accepted request is one the service can analyze. It is the entry
+// point fuzzed by FuzzDecodeAnalyzeRequest, which builds every accepted
+// placement; the HTTP handler runs the same decode and fit check, the fit
+// check only on a cache miss.
 func DecodeAnalyzeRequest(data []byte) (*AnalyzeRequest, error) {
 	var req AnalyzeRequest
-	if err := decodeStrict(bytes.NewReader(data), &req); err != nil {
+	if err := decodeStrict(data, &req); err != nil {
 		return nil, err
 	}
 	spec, err := req.canonicalize(DefaultMaxNodes)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := spec.Build(torus.New(req.K, req.D)); err != nil {
+	if err := spec.Fit(torus.New(req.K, req.D)); err != nil {
 		return nil, err
 	}
 	return &req, nil
 }
 
-// decodeStrict decodes exactly one JSON value, rejecting unknown fields and
-// trailing data — the wire discipline of every POST endpoint.
-func decodeStrict(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+// decodeStrict decodes data, one JSON value, into v, a pointer to one of
+// the flat request structs: it rejects unknown fields and anything but
+// whitespace after the value — the wire discipline of every POST
+// endpoint. json.Unmarshal already rejects trailing data (reported as
+// errTrailingData) and decodes the known fields as a json.Decoder would;
+// unknownField adds the one rule it lacks. (A json.Decoder costs about
+// 0.75 KB per body, and its More reports false at a trailing '}' or ']'.)
+func decodeStrict(data []byte, v any) error {
+	if err := json.Unmarshal(data, v); err != nil {
+		var se *json.SyntaxError
+		if errors.As(err, &se) && strings.HasSuffix(se.Error(), "after top-level value") {
+			return errTrailingData
+		}
 		return fmt.Errorf("service: bad request body: %w", err)
 	}
-	if dec.More() {
-		return errors.New("service: trailing data after JSON body")
+	if key, ok := unknownField(data, fieldNames(v)); ok {
+		return fmt.Errorf("service: bad request body: json: unknown field %q", key)
 	}
 	return nil
+}
+
+// errTrailingData rejects a body with more than whitespace after its value.
+var errTrailingData = errors.New("service: trailing data after JSON body")
+
+// fieldNames returns the JSON names of the fields of the request struct v
+// points to, computed once per type. Every request field carries a json
+// tag.
+func fieldNames(v any) [][]byte {
+	rt := reflect.TypeOf(v)
+	if names, ok := fieldNameCache.Load(rt); ok {
+		return names.([][]byte)
+	}
+	st := rt.Elem()
+	names := make([][]byte, st.NumField())
+	for i := range names {
+		name, _, _ := strings.Cut(st.Field(i).Tag.Get("json"), ",")
+		names[i] = []byte(name)
+	}
+	fieldNameCache.Store(rt, names)
+	return names
+}
+
+// fieldNameCache maps a request pointer type to its fieldNames.
+var fieldNameCache sync.Map
+
+// unknownField scans the top-level keys of data, a JSON value that
+// json.Unmarshal has already decoded into a flat request struct, and
+// returns the first key that names none of fields. It matches as
+// encoding/json does: a key names a field when it equals the field's name
+// under Unicode case folding, after its escapes are decoded. A value that
+// is not an object (null) has no keys. The scan stops at the first
+// unknown key, so every value it steps over belongs to a known field: a
+// string, a number or null, since anything else fails to decode.
+func unknownField(data []byte, fields [][]byte) (string, bool) {
+	i := skipSpace(data, 0)
+	if i == len(data) || data[i] != '{' {
+		return "", false
+	}
+	i = skipSpace(data, i+1)
+	for i < len(data) && data[i] == '"' {
+		end := skipString(data, i)
+		key := data[i+1 : end-1]
+		if bytes.IndexByte(key, '\\') >= 0 {
+			var s string
+			if err := json.Unmarshal(data[i:end], &s); err != nil {
+				return string(key), true
+			}
+			key = []byte(s)
+		}
+		if !namesField(key, fields) {
+			return string(key), true
+		}
+		i = skipSpace(data, end) // at ':'
+		i = skipSpace(data, skipScalar(data, skipSpace(data, i+1)))
+		if i < len(data) && data[i] == ',' {
+			i = skipSpace(data, i+1)
+		}
+	}
+	return "", false
+}
+
+// namesField reports whether key names one of fields.
+func namesField(key []byte, fields [][]byte) bool {
+	for _, f := range fields {
+		if bytes.EqualFold(key, f) {
+			return true
+		}
+	}
+	return false
+}
+
+// skipSpace returns the index of the first non-whitespace byte of data at
+// or after i.
+func skipSpace(data []byte, i int) int {
+	for i < len(data) {
+		switch data[i] {
+		case ' ', '\t', '\n', '\r':
+			i++
+		default:
+			return i
+		}
+	}
+	return i
+}
+
+// skipString returns the index just past the JSON string starting at i.
+func skipString(data []byte, i int) int {
+	for i++; i < len(data); i++ {
+		switch data[i] {
+		case '\\':
+			i++
+		case '"':
+			return i + 1
+		}
+	}
+	return i
+}
+
+// skipScalar returns the index just past the JSON string, number or
+// literal starting at i.
+func skipScalar(data []byte, i int) int {
+	if i < len(data) && data[i] == '"' {
+		return skipString(data, i)
+	}
+	for i < len(data) {
+		switch data[i] {
+		case ',', '}', ' ', '\t', '\n', '\r':
+			return i
+		}
+		i++
+	}
+	return i
 }
 
 // checkTorus validates torus parameters against both the package-level

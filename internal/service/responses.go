@@ -226,14 +226,84 @@ type specError struct{ err error }
 func (e *specError) Error() string { return e.err.Error() }
 func (e *specError) Unwrap() error { return e.err }
 
-// buildPlacement instantiates a canonical spec on T^d_k. It is the one
-// spec-vs-torus check of the request path, run once per cache miss.
+// fitPlacement is the one spec-vs-torus check of the request path, run
+// once per cache miss in execute's miss stage: O(d), building nothing.
+func fitPlacement(spec placement.Spec, k, d int) error {
+	if err := spec.Fit(torus.New(k, d)); err != nil {
+		return &specError{err}
+	}
+	return nil
+}
+
+// buildPlacement instantiates a canonical spec on T^d_k, inside the pooled
+// computation of the flight leader, after fitPlacement accepted it.
 func buildPlacement(spec placement.Spec, k, d int) (*placement.Placement, error) {
 	p, err := spec.Build(torus.New(k, d))
 	if err != nil {
 		return nil, &specError{err}
 	}
 	return p, nil
+}
+
+// analyzeWork, boundsWork, bisectWork and experimentWork are the work of
+// a cache miss on each endpoint (see missCall).
+type (
+	analyzeWork struct {
+		req  AnalyzeRequest
+		spec placement.Spec
+	}
+	boundsWork struct {
+		req  BoundsRequest
+		spec placement.Spec
+	}
+	bisectWork struct {
+		req  BisectRequest
+		spec placement.Spec
+	}
+	experimentWork struct {
+		e     sweep.Experiment
+		scale string
+	}
+)
+
+func (w analyzeWork) compute(ctx context.Context, s *Server) (any, error) {
+	p, err := buildPlacement(w.spec, w.req.K, w.req.D)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := computeAnalyze(ctx, w.req, p, s.cfg.loadOptions())
+	if err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+func (w boundsWork) compute(ctx context.Context, _ *Server) (any, error) {
+	p, err := buildPlacement(w.spec, w.req.K, w.req.D)
+	if err != nil {
+		return nil, err
+	}
+	return computeBounds(ctx, w.req, p), nil
+}
+
+func (w bisectWork) compute(ctx context.Context, _ *Server) (any, error) {
+	p, err := buildPlacement(w.spec, w.req.K, w.req.D)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := computeBisect(ctx, w.req, p)
+	if err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+func (w experimentWork) compute(ctx context.Context, _ *Server) (any, error) {
+	resp, err := computeExperiment(ctx, w.e, w.scale)
+	if err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
 // computeAnalyze runs the full core pipeline for a canonical request on
@@ -263,8 +333,8 @@ func computeAnalyze(ctx context.Context, req AnalyzeRequest, p *placement.Placem
 		ImprovedBound:    jsonSafe(rep.ImprovedBound),
 		BestLowerBound:   jsonSafe(rep.BestLowerBound()),
 		OptimalityRatio:  jsonSafe(rep.OptimalityRatio),
-		SweepCut:         cutSummary(rep.SweepCut),
-		DimensionCut:     cutSummary(rep.DimensionCut),
+		SweepCut:         cutSummary(&rep.SweepCut),
+		DimensionCut:     cutSummary(&rep.DimensionCut),
 		Engine:           rep.Load.Engine,
 		Exact:            rep.Load.Exact,
 		Theorem:          rep.Load.Theorem,

@@ -474,7 +474,7 @@ func (s *Server) countPeerHop(r *http.Request) {
 // local ones). Handlers call it from execute's miss stage, so a cache hit
 // never marshals the payload.
 func (s *Server) fillFor(r *http.Request, path string, req any, decode func([]byte) (any, error)) *peerFill {
-	if s.cfg.Cluster == nil || r.Header.Get(PeerHopHeader) != "" {
+	if !s.wantsFill(r) {
 		return nil
 	}
 	payload, err := json.Marshal(req)
@@ -509,22 +509,54 @@ func (s *Server) runPeerFill(ctx context.Context, key string, f *peerFill) (any,
 	return v, true
 }
 
+// work is what a cache miss computes in the pool: the canonical request,
+// and for the placement endpoints the spec whose fit the miss stage
+// checked. Only the flight leader's job computes it, so a placement is
+// built once per computation, on the worker, and never by a caller that a
+// coalesced flight, a peer fill or the cache answers instead.
+type work interface {
+	compute(ctx context.Context, s *Server) (any, error)
+}
+
+// missCall is one cache miss in flight, in the single allocation only the
+// flight leader makes: the singleflight entry followers wait on, the pool
+// job a worker runs, and the work that job computes.
+type missCall[W work] struct {
+	flightCall
+	poolJob
+	s   *Server
+	key string
+	w   W
+}
+
+// run is the pool job's body: the pool.run span under the pool.submit
+// span the job carries, the compute hook, then the work.
+func (m *missCall[W]) run() (any, error) {
+	rctx, rsp := obs.Start(m.ctx, "pool.run")
+	defer rsp.End()
+	if m.s.onCompute != nil {
+		m.s.onCompute(m.key)
+	}
+	return m.w.compute(rctx, m.s)
+}
+
 // execute is the shared cache → [miss] → deadline → coalesce → [peer
 // fill] → pool path of every POST endpoint, with one span per pipeline
 // stage (cache.get, flight.do, cluster.peer_fill, pool.submit, pool.run)
-// recorded under any active trace. A cache hit does nothing else: no
-// placement build, no timer, no fill payload.
+// recorded under any active trace. A cache hit does nothing else: no fit
+// check, no timer, no fill payload.
 //
 // miss runs once the lookup misses, before anything is counted or
-// started. It builds the request's placement (the spec-vs-torus check; a
+// started. It checks that the request's placement fits its torus (a
 // *specError fails the request right there) and returns the peer-fill plan
 // from fillFor (nil in single-node mode). Then execute applies the
 // per-request deadline. Placing the fill inside the flight leader threads
 // the singleflight through the cluster, so N nodes asking for one key
-// still yield one computation cluster-wide. compute receives the
-// trace-carrying context and must return an immutable value; cached
-// reports whether this caller was served from the result cache.
-func (s *Server) execute(ctx context.Context, key string, miss func() (*peerFill, error), compute func(context.Context) (any, error)) (val any, cached bool, err error) {
+// still yield one computation cluster-wide. w is copied into the leader's
+// missCall and computed in the pool with the trace-carrying context; it
+// must return an immutable value. cached reports whether this caller was
+// served from the result cache.
+func execute[W work](s *Server, ctx context.Context, key string, miss func() (*peerFill, error), w W) (val any, cached bool, err error) {
 	_, csp := obs.Start(ctx, "cache.get")
 	v, ok, err := s.cacheGet(key)
 	csp.SetAttrBool("hit", ok)
@@ -545,7 +577,13 @@ func (s *Server) execute(ctx context.Context, key string, miss func() (*peerFill
 	defer cancel()
 	fctx, fsp := obs.Start(ctx, "flight.do")
 	defer fsp.End()
-	v, err, shared := s.flight.do(key, func() (any, error) {
+	var m *missCall[W]
+	lead := func() *flightCall {
+		m = &missCall[W]{s: s, key: key, w: w}
+		m.task = m
+		return &m.flightCall
+	}
+	v, err, shared := s.flight.do(key, lead, func() (any, error) {
 		if err := fpFlightLeader.Inject(); err != nil && !failpoint.IsPartial(err) {
 			return nil, err
 		}
@@ -565,14 +603,8 @@ func (s *Server) execute(ctx context.Context, key string, miss func() (*peerFill
 		}
 		pctx, psp := obs.Start(fctx, "pool.submit")
 		defer psp.End()
-		v, err := s.pool.submit(fctx, func() (any, error) {
-			rctx, rsp := obs.Start(pctx, "pool.run")
-			defer rsp.End()
-			if s.onCompute != nil {
-				s.onCompute(key)
-			}
-			return compute(rctx)
-		})
+		m.ctx = pctx
+		v, err := s.pool.submit(&m.poolJob)
 		if err == nil {
 			s.cachePut(key, v)
 		}
@@ -585,15 +617,61 @@ func (s *Server) execute(ctx context.Context, key string, miss func() (*peerFill
 	return v, false, err
 }
 
-// readRequest enforces the body cap and strict JSON decoding; on failure
-// it writes the 400 and reports false.
+// readRequest reads the body, capped at MaxBodyBytes, into a pooled buffer
+// and decodes it strictly into v; on failure it writes the 400 and reports
+// false.
 func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := decodeStrict(body, v); err != nil {
+	buf := bodyBufs.Get().(*[]byte)
+	data, err := readBody((*buf)[:0], r.Body, s.cfg.MaxBodyBytes)
+	if err == nil {
+		err = decodeStrict(data, v)
+	} else {
+		err = fmt.Errorf("service: bad request body: %w", err)
+	}
+	if cap(data) <= maxPooledBodyBuf {
+		*buf = data[:0]
+		bodyBufs.Put(buf)
+	}
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return false
 	}
 	return true
+}
+
+// bodyBufs recycles readRequest's body buffers; one grown past
+// maxPooledBodyBuf is dropped, not pooled.
+var bodyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 512)
+	return &b
+}}
+
+const maxPooledBodyBuf = 64 << 10
+
+// readBody appends r's bytes to dst and returns it, failing with an
+// *http.MaxBytesError once the body passes max bytes: it never reads more
+// than max+1.
+func readBody(dst []byte, r io.Reader, max int64) ([]byte, error) {
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		room := dst[len(dst):cap(dst)]
+		if left := max - int64(len(dst)); int64(len(room)) > left {
+			room = room[:left+1]
+		}
+		n, err := r.Read(room)
+		dst = dst[:len(dst)+n]
+		if int64(len(dst)) > max {
+			return dst, &http.MaxBytesError{Limit: max}
+		}
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
 }
 
 // failCompute maps a compute-path error to its HTTP status and writes it.
@@ -621,10 +699,16 @@ func (s *Server) failCompute(w http.ResponseWriter, err error) {
 	}
 }
 
-// encodeBuf is a pooled response encoder with its output buffer.
+// encodeBuf is a pooled response encoder with its output buffer, and a
+// scratch answer of each cached type: a handler copies its answer into the
+// scratch, stamps the per-caller fields there, and encodes a pointer to
+// it, so no per-caller copy of the answer escapes to the heap.
 type encodeBuf struct {
-	buf bytes.Buffer
-	enc *json.Encoder
+	buf     bytes.Buffer
+	enc     *json.Encoder
+	analyze AnalyzeResponse
+	bounds  BoundsResponse
+	bisect  BisectResponse
 }
 
 // encodeBufs recycles writeJSON's encoders. Buffers grown past
@@ -641,30 +725,69 @@ const maxPooledEncodeBuf = 64 << 10
 // writeJSON writes v with the given status; marshal failures degrade to a
 // plain 500.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	e := encodeBufs.Get().(*encodeBuf)
-	defer func() {
-		if e.buf.Cap() <= maxPooledEncodeBuf {
-			e.buf.Reset()
-			encodeBufs.Put(e)
-		}
-	}()
+	s.send(w, status, encodeBufs.Get().(*encodeBuf), v)
+}
+
+// send encodes v, usually a pointer to e's scratch answer, with e, writes
+// it with the given status, and returns e to the pool.
+func (s *Server) send(w http.ResponseWriter, status int, e *encodeBuf, v any) {
 	err := e.enc.Encode(v)
 	if err == nil {
 		err = fpEncode.Inject()
 	}
 	if err != nil {
 		http.Error(w, `{"error":"service: response encoding failed"}`, http.StatusInternalServerError)
-		return
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		if _, err := w.Write(e.buf.Bytes()); err != nil {
+			s.metrics.add(mWriteErrors, 1)
+		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if _, err := w.Write(e.buf.Bytes()); err != nil {
-		s.metrics.add(mWriteErrors, 1)
+	if e.buf.Cap() <= maxPooledEncodeBuf {
+		e.buf.Reset()
+		// Drop the scratch answers' strings, which belong to cache
+		// entries the pool must not pin.
+		e.analyze, e.bounds, e.bisect = AnalyzeResponse{}, BoundsResponse{}, BisectResponse{}
+		encodeBufs.Put(e)
 	}
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	s.writeJSON(w, status, ErrorResponse{Error: err.Error()})
+}
+
+// sendAnalyze writes one /v1/analyze answer through the encoder's scratch.
+func (s *Server) sendAnalyze(w http.ResponseWriter, resp *AnalyzeResponse, cached bool) {
+	e := encodeBufs.Get().(*encodeBuf)
+	e.analyze = *resp
+	e.analyze.Cached = cached
+	s.send(w, http.StatusOK, e, &e.analyze)
+}
+
+// wantsFill reports whether a miss of r may fill from a peer: in cluster
+// mode, for a request that did not itself come from a peer (the loop
+// guard forbids filling again).
+func (s *Server) wantsFill(r *http.Request) bool {
+	return s.cfg.Cluster != nil && r.Header.Get(PeerHopHeader) == ""
+}
+
+// placementMiss is the miss stage of the placement endpoints: the fit
+// check, then the peer-fill plan of the canonical request req.
+func placementMiss[R any](s *Server, r *http.Request, spec placement.Spec, k, d int, path string, req R, decode func([]byte) (any, error)) (*peerFill, error) {
+	if err := fitPlacement(spec, k, d); err != nil {
+		return nil, err
+	}
+	if !s.wantsFill(r) {
+		return nil, nil
+	}
+	return fillOf(s, r, path, req, decode), nil
+}
+
+// fillOf is fillFor on a copy of req, which only a request that fills
+// from a peer moves to the heap.
+func fillOf[R any](s *Server, r *http.Request, path string, req R, decode func([]byte) (any, error)) *peerFill {
+	return s.fillFor(r, path, &req, decode)
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -673,7 +796,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if resp, ok := s.tryAnalytic(r.Context(), req); ok {
-		s.writeJSON(w, http.StatusOK, resp)
+		s.sendAnalyze(w, &resp, false)
 		return
 	}
 	spec, err := req.canonicalize(s.cfg.MaxNodes)
@@ -682,27 +805,16 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.countPeerHop(r)
-	var p *placement.Placement
-	miss := func() (fill *peerFill, err error) {
-		if p, err = buildPlacement(spec, req.K, req.D); err != nil {
-			return nil, err
-		}
-		return s.fillFor(r, "/v1/analyze", &req, decodeAnalyzeFill), nil
+	miss := func() (*peerFill, error) {
+		return placementMiss(s, r, spec, req.K, req.D, "/v1/analyze", req, decodeAnalyzeFill)
 	}
-	v, cached, err := s.execute(r.Context(), req.CacheKey(), miss, func(ctx context.Context) (any, error) {
-		resp, err := computeAnalyze(ctx, req, p, s.cfg.loadOptions())
-		if err != nil {
-			return nil, err
-		}
-		return resp, nil
-	})
+	v, cached, err := execute(s, r.Context(), req.CacheKey(), miss, analyzeWork{req: req, spec: spec})
 	if err != nil {
 		s.failCompute(w, err)
 		return
 	}
-	resp := v.(AnalyzeResponse) // value copy; safe to stamp per-caller fields
-	resp.Cached = cached
-	s.writeJSON(w, http.StatusOK, resp)
+	resp := v.(AnalyzeResponse)
+	s.sendAnalyze(w, &resp, cached)
 }
 
 func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
@@ -716,23 +828,18 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.countPeerHop(r)
-	var p *placement.Placement
-	miss := func() (fill *peerFill, err error) {
-		if p, err = buildPlacement(spec, req.K, req.D); err != nil {
-			return nil, err
-		}
-		return s.fillFor(r, "/v1/bounds", &req, decodeBoundsFill), nil
+	miss := func() (*peerFill, error) {
+		return placementMiss(s, r, spec, req.K, req.D, "/v1/bounds", req, decodeBoundsFill)
 	}
-	v, cached, err := s.execute(r.Context(), req.CacheKey(), miss, func(ctx context.Context) (any, error) {
-		return computeBounds(ctx, req, p), nil
-	})
+	v, cached, err := execute(s, r.Context(), req.CacheKey(), miss, boundsWork{req: req, spec: spec})
 	if err != nil {
 		s.failCompute(w, err)
 		return
 	}
-	resp := v.(BoundsResponse)
-	resp.Cached = cached
-	s.writeJSON(w, http.StatusOK, resp)
+	e := encodeBufs.Get().(*encodeBuf)
+	e.bounds = v.(BoundsResponse)
+	e.bounds.Cached = cached
+	s.send(w, http.StatusOK, e, &e.bounds)
 }
 
 func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
@@ -746,27 +853,18 @@ func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.countPeerHop(r)
-	var p *placement.Placement
-	miss := func() (fill *peerFill, err error) {
-		if p, err = buildPlacement(spec, req.K, req.D); err != nil {
-			return nil, err
-		}
-		return s.fillFor(r, "/v1/bisect", &req, decodeBisectFill), nil
+	miss := func() (*peerFill, error) {
+		return placementMiss(s, r, spec, req.K, req.D, "/v1/bisect", req, decodeBisectFill)
 	}
-	v, cached, err := s.execute(r.Context(), req.CacheKey(), miss, func(ctx context.Context) (any, error) {
-		resp, err := computeBisect(ctx, req, p)
-		if err != nil {
-			return nil, err
-		}
-		return resp, nil
-	})
+	v, cached, err := execute(s, r.Context(), req.CacheKey(), miss, bisectWork{req: req, spec: spec})
 	if err != nil {
 		s.failCompute(w, err)
 		return
 	}
-	resp := v.(BisectResponse)
-	resp.Cached = cached
-	s.writeJSON(w, http.StatusOK, resp)
+	e := encodeBufs.Get().(*encodeBuf)
+	e.bisect = v.(BisectResponse)
+	e.bisect.Cached = cached
+	s.send(w, http.StatusOK, e, &e.bisect)
 }
 
 func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
@@ -794,7 +892,7 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(bytes.TrimSpace(data)) > 0 {
-		if err := decodeStrict(bytes.NewReader(data), &req); err != nil {
+		if err := decodeStrict(data, &req); err != nil {
 			s.writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -808,13 +906,7 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	miss := func() (*peerFill, error) {
 		return s.fillFor(r, "/v1/experiments/"+id, &req, decodeExperimentFill), nil
 	}
-	v, cached, err := s.execute(r.Context(), key, miss, func(ctx context.Context) (any, error) {
-		resp, err := computeExperiment(ctx, e, req.Scale)
-		if err != nil {
-			return nil, err
-		}
-		return resp, nil
-	})
+	v, cached, err := execute(s, r.Context(), key, miss, experimentWork{e: e, scale: req.Scale})
 	if err != nil {
 		s.failCompute(w, err)
 		return

@@ -199,6 +199,8 @@ func TestErrorStatuses(t *testing.T) {
 		{"malformed JSON", http.MethodPost, "/v1/analyze", "{", http.StatusBadRequest},
 		{"unknown field", http.MethodPost, "/v1/analyze", `{"k":6,"d":2,"placement":"linear","routing":"odr","zzz":1}`, http.StatusBadRequest},
 		{"trailing data", http.MethodPost, "/v1/analyze", `{"k":6,"d":2,"placement":"linear","routing":"odr"} {}`, http.StatusBadRequest},
+		{"trailing brace", http.MethodPost, "/v1/analyze", `{"k":8,"d":2,"placement":"linear","routing":"odr"}}`, http.StatusBadRequest},
+		{"trailing bracket", http.MethodPost, "/v1/analyze", `{"k":8,"d":2,"placement":"linear","routing":"odr"}]`, http.StatusBadRequest},
 		{"not found", http.MethodGet, "/v1/nothing", "", http.StatusNotFound},
 	} {
 		req, err := http.NewRequest(tc.method, base+tc.path, strings.NewReader(tc.body))
@@ -757,5 +759,100 @@ func TestCacheKeysMatchSprintf(t *testing.T) {
 				t.Errorf("bisect key %q, want %q", got, want)
 			}
 		}
+	}
+}
+
+// TestWrittenBodyIsMarshal pins the wire bytes of every cached answer
+// type: the body written for a miss, a hit and an analytic answer is
+// json.Marshal of the answer with its Cached stamp, plus a newline — the
+// bytes writeJSON wrote when each caller encoded a copy of its own, before
+// handlers encoded through the pooled encoder's scratch answer.
+func TestWrittenBodyIsMarshal(t *testing.T) {
+	s := New(Config{Workers: 1, EnableAnalytic: true})
+	defer s.Close()
+	h := s.Handler()
+	ctx := context.Background()
+	post := func(path, body string) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", path, body, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	build := func(k, d int, spec string) *placement.Placement {
+		ps, err := cliutil.ParsePlacement(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ps.Build(torus.New(k, d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	check := func(name string, got []byte, answer any) {
+		want, err := json.Marshal(answer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(got, want) {
+			t.Errorf("%s: wrote\n%s\nwant\n%s", name, got, want)
+		}
+	}
+
+	areq := AnalyzeRequest{K: 8, D: 3, Placement: "random:64:5", Routing: "udr"}
+	analyze, err := computeAnalyze(ctx, areq, build(8, 3, areq.Placement), s.cfg.loadOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"k":8,"d":3,"placement":"random:64:5","routing":"udr"}`
+	check("analyze miss", post("/v1/analyze", body), analyze)
+	analyze.Cached = true
+	check("analyze hit", post("/v1/analyze", body), analyze)
+	lane, ok := s.tryAnalytic(ctx, AnalyzeRequest{K: 8, D: 2, Placement: "linear:3", Routing: "odr"})
+	if !ok {
+		t.Fatal("linear:3 ODR on T^2_8 missed the analytic lane")
+	}
+	check("analyze analytic", post("/v1/analyze", `{"k":8,"d":2,"placement":"linear:3","routing":"odr"}`), lane)
+
+	breq := BoundsRequest{K: 8, D: 2, Placement: "random:16:3"}
+	bounds := computeBounds(ctx, breq, build(8, 2, breq.Placement))
+	body = `{"k":8,"d":2,"placement":"random:16:3"}`
+	check("bounds miss", post("/v1/bounds", body), bounds)
+	bounds.Cached = true
+	check("bounds hit", post("/v1/bounds", body), bounds)
+
+	sreq := BisectRequest{K: 8, D: 2, Placement: "random:16:3", Method: "best-sweep"}
+	bisect, err := computeBisect(ctx, sreq, build(8, 2, sreq.Placement))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = `{"k":8,"d":2,"placement":"random:16:3","method":"best-sweep"}`
+	check("bisect miss", post("/v1/bisect", body), bisect)
+	bisect.Cached = true
+	check("bisect hit", post("/v1/bisect", body), bisect)
+}
+
+// TestBodyCap checks readRequest's cap: a body of exactly MaxBodyBytes
+// decodes, one byte more is a 400 naming the limit, and a body past the
+// pooled buffer's first size grows it.
+func TestBodyCap(t *testing.T) {
+	const limit = 1024
+	s := New(Config{Workers: 1, MaxBodyBytes: limit})
+	defer s.Close()
+	h := s.Handler()
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/bounds", strings.NewReader(body)))
+		return rec
+	}
+	req := `{"k":8,"d":2,"placement":"linear"}`
+	if rec := post(req + strings.Repeat(" ", limit-len(req))); rec.Code != http.StatusOK {
+		t.Errorf("body of exactly the cap: status %d: %s", rec.Code, rec.Body)
+	}
+	rec := post(req + strings.Repeat(" ", limit-len(req)+1))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "http: request body too large") {
+		t.Errorf("body one byte past the cap: status %d: %s", rec.Code, rec.Body)
 	}
 }

@@ -8,7 +8,11 @@
 // n = k^d nodes there are exactly 2·d·n directed edges.
 package torus
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"sync"
+)
 
 // Direction of travel along a dimension.
 type Direction int
@@ -62,7 +66,19 @@ const MaxNodes = 1 << 28
 // New constructs the d-dimensional k-torus. It panics if k < 2, d < 1, or
 // the torus would exceed MaxNodes nodes; use Check to validate parameters
 // without panicking.
+//
+// A Torus is immutable, so New hands every caller asking for the same
+// shape the same one: a shape built before costs a map read, not two
+// allocations. The first maxShapes shapes are kept for the process's
+// life (a few KiB); later ones are built fresh on every call.
 func New(k, d int) *Torus {
+	s := [2]int{k, d}
+	shapes.RLock()
+	t := shapes.byShape[s]
+	shapes.RUnlock()
+	if t != nil {
+		return t
+	}
 	if err := Check(k, d); err != nil {
 		panic(err)
 	}
@@ -71,8 +87,25 @@ func New(k, d int) *Torus {
 	for j := 1; j <= d; j++ {
 		strides[j] = strides[j-1] * k
 	}
-	return &Torus{k: k, d: d, nodes: strides[d], strides: strides}
+	t = &Torus{k: k, d: d, nodes: strides[d], strides: strides}
+	shapes.Lock()
+	if old := shapes.byShape[s]; old != nil {
+		t = old
+	} else if len(shapes.byShape) < maxShapes {
+		shapes.byShape[s] = t
+	}
+	shapes.Unlock()
+	return t
 }
+
+// maxShapes bounds the shapes New keeps.
+const maxShapes = 1024
+
+// shapes holds the tori New has built, by (k, d).
+var shapes = struct {
+	sync.RWMutex
+	byShape map[[2]int]*Torus
+}{byShape: make(map[[2]int]*Torus)}
 
 // Check reports whether (k, d) describe a torus this package can represent.
 func Check(k, d int) error {
@@ -193,9 +226,29 @@ func (t *Torus) Reverse(e Edge) Edge {
 	return t.EdgeFrom(t.EdgeTarget(e), t.EdgeDim(e), t.EdgeDir(e).Opposite())
 }
 
-// EdgeString renders an edge as "(a,b,..) -> (c,d,..)" for diagnostics.
+// EdgeString renders an edge as "[a b ..] -> [c d ..]" for diagnostics,
+// the text fmt's %v gives two coordinate slices, built with one
+// allocation: the string.
 func (t *Torus) EdgeString(e Edge) string {
-	return fmt.Sprintf("%v -> %v", t.Coords(t.EdgeSource(e)), t.Coords(t.EdgeTarget(e)))
+	var buf [64]byte
+	b := t.appendCoords(buf[:0], t.EdgeSource(e))
+	b = append(b, " -> "...)
+	return string(t.appendCoords(b, t.EdgeTarget(e)))
+}
+
+// appendCoords appends u's coordinate vector to b as fmt's %v prints an
+// []int: "[a b ..]".
+func (t *Torus) appendCoords(b []byte, u Node) []byte {
+	b = append(b, '[')
+	idx := int(u)
+	for j := 0; j < t.d; j++ {
+		if j > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(idx%t.k), 10)
+		idx /= t.k
+	}
+	return append(b, ']')
 }
 
 // ForEachNode invokes fn for every node in increasing index order.

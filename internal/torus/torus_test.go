@@ -1,6 +1,7 @@
 package torus
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -437,5 +438,38 @@ func TestDirectionString(t *testing.T) {
 func TestTorusString(t *testing.T) {
 	if got := New(8, 3).String(); got != "T^3_8 (512 nodes)" {
 		t.Errorf("String() = %q", got)
+	}
+}
+
+// TestEdgeStringMatchesFmt pins EdgeString's append-built text to the
+// fmt.Sprintf("%v -> %v") of the two coordinate vectors it replaced, and
+// checks it allocates only the string.
+func TestEdgeStringMatchesFmt(t *testing.T) {
+	for _, tr := range []*Torus{New(2, 1), New(8, 2), New(12, 3), New(3, 5), New(2, 9)} {
+		for e := Edge(0); int(e) < tr.Edges(); e++ {
+			want := fmt.Sprintf("%v -> %v", tr.Coords(tr.EdgeSource(e)), tr.Coords(tr.EdgeTarget(e)))
+			if got := tr.EdgeString(e); got != want {
+				t.Fatalf("%s edge %d: EdgeString %q, want %q", tr, e, got, want)
+			}
+		}
+	}
+	tr := New(16, 3)
+	if n := testing.AllocsPerRun(100, func() { _ = tr.EdgeString(Edge(tr.Edges() - 1)) }); n != 1 {
+		t.Errorf("EdgeString allocates %.0f times, want 1", n)
+	}
+}
+
+// TestNewSharesShapes checks that New hands every caller of a shape the
+// same immutable Torus, without allocating once the shape is built.
+func TestNewSharesShapes(t *testing.T) {
+	a := New(7, 3)
+	if b := New(7, 3); a != b {
+		t.Error("two New(7, 3) calls built two tori")
+	}
+	if c := New(3, 7); c == a || c.K() != 3 || c.D() != 7 {
+		t.Errorf("New(3, 7) = %s", c)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = New(7, 3) }); n != 0 {
+		t.Errorf("New of a built shape allocates %.0f times, want 0", n)
 	}
 }

@@ -7,8 +7,9 @@
 # BenchmarkComputeValiant, the two optimizer benchmarks
 # (BenchmarkBranchBoundT2_8, BenchmarkAnnealT3_8) and the three bisection
 # benchmarks (BenchmarkSweepBisection, BenchmarkBestSweepT3_8,
-# BenchmarkAnalyzeRandomT3_8) and torusd's cache-hit path
-# (BenchmarkServeAnalyzeCacheHit) once at a short benchtime
+# BenchmarkAnalyzeRandomT3_8) and torusd's cache-hit and cache-miss paths
+# (BenchmarkServeAnalyzeCacheHit, BenchmarkServeAnalyzeMiss) once at a
+# short benchtime
 # and GOMAXPROCS 1 (-cpu 1, the setting the baseline was recorded at: the
 # engines size one accumulator per worker, so allocs/op and the fast/generic
 # ratios depend on the worker count) and fails on a >30% regression
@@ -38,7 +39,14 @@
 #      allocs/op than recorded, with no slack. A hit answers from the cache
 #      and nothing else, so its count is exact, while the work a change
 #      could put back ahead of the lookup is under check 1's 30% slack: a
-#      request timer adds 4 allocs/op, a placement build 6.
+#      request timer adds 4 allocs/op, a placement build 4 (a random
+#      one: its bitset, node list, struct and name);
+#   5. the cache-miss path: BenchmarkServeAnalyzeMiss must make no more
+#      allocs/op than recorded, with no slack. A miss allocates little
+#      beyond its answer (the placement, the response, one flight/pool
+#      record), so one boxed copy, closure or scratch buffer put back on
+#      the path is a few percent of its count and would hide in check 1's
+#      slack.
 #
 # Absolute ns/op is deliberately NOT gated. Run from the repository root;
 # CI runs it via `make bench-smoke`.
@@ -49,9 +57,9 @@ SLACK=1.3
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-echo "bench-smoke: running paired load benchmarks, the optimizer, the bisection benchmarks and the cache-hit path"
+echo "bench-smoke: running paired load benchmarks, the optimizer, the bisection benchmarks and the cache-hit and cache-miss paths"
 go test -run '^$' \
-    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkLoadComputeFAR|BenchmarkLoadEMaxFARRandom|BenchmarkLoadEMaxODR|BenchmarkLoadEMaxUDRRandom(Generic)?|BenchmarkComputePattern|BenchmarkComputeValiant|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8|BenchmarkSweepBisection|BenchmarkBestSweepT3_8|BenchmarkAnalyzeRandomT3_8|BenchmarkServeAnalyzeCacheHit)$' \
+    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkLoadComputeFAR|BenchmarkLoadEMaxFARRandom|BenchmarkLoadEMaxODR|BenchmarkLoadEMaxUDRRandom(Generic)?|BenchmarkComputePattern|BenchmarkComputeValiant|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8|BenchmarkSweepBisection|BenchmarkBestSweepT3_8|BenchmarkAnalyzeRandomT3_8|BenchmarkServeAnalyzeCacheHit|BenchmarkServeAnalyzeMiss)$' \
     -benchmem -benchtime=0.5s -count=1 -cpu 1 . | tee "$RAW"
 
 # name -> ns/op, bytes/op and allocs/op maps from this run.
@@ -143,19 +151,20 @@ else
     echo "  ok analytic dispatch ${adv}x over fast path (floor 100x)"
 fi
 
-echo "bench-smoke: checking the cache-hit path (no slack)"
-hit=BenchmarkServeAnalyzeCacheHit
-read -r got want < <(jq -rn --argjson m "$measured" --arg n "$hit" --slurpfile b "$BASELINE" \
-    '"\($m[$n].allocs // null) \($b[0].fastpath.benches[$n].allocs_per_op)"')
-if [ "$got" = "null" ]; then
-    echo "bench-smoke: FAIL — $hit did not run" >&2
-    fail=1
-elif [ "$got" -gt "$want" ]; then
-    echo "bench-smoke: FAIL — $hit allocs/op $got > recorded $want: work was added to the cache-hit path" >&2
-    fail=1
-else
-    echo "  ok $hit allocs/op $got <= $want"
-fi
+echo "bench-smoke: checking the cache-hit and cache-miss paths (no slack)"
+for name in BenchmarkServeAnalyzeCacheHit BenchmarkServeAnalyzeMiss; do
+    read -r got want < <(jq -rn --argjson m "$measured" --arg n "$name" --slurpfile b "$BASELINE" \
+        '"\($m[$n].allocs // null) \($b[0].fastpath.benches[$n].allocs_per_op)"')
+    if [ "$got" = "null" ]; then
+        echo "bench-smoke: FAIL — $name did not run" >&2
+        fail=1
+    elif [ "$got" -gt "$want" ]; then
+        echo "bench-smoke: FAIL — $name allocs/op $got > recorded $want: work was added to the request path" >&2
+        fail=1
+    else
+        echo "  ok $name allocs/op $got <= $want"
+    fi
+done
 
 if [ "$fail" -ne 0 ]; then
     echo "bench-smoke: FAIL" >&2
