@@ -2,7 +2,9 @@
 // peers. A consistent-hash ring over the canonical cache key gives every
 // key one home, mirroring the paper's placement discipline: assign work so
 // no link — here, no node — carries avoidable duplicate load, and the
-// cluster computes each E_max answer once globally.
+// cluster computes each E_max answer dearer than a peer fill once
+// globally. A fill is load too: the service computes an analysis priced
+// below one fill on the node that received it, without asking the ring.
 //
 // The fill path is groupcache-shaped. Every key has exactly one owner,
 // its primary on the ring. On a local cache miss for a key owned

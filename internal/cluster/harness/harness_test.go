@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"expvar"
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -61,6 +62,21 @@ func analyzeFixture(t *testing.T, k, d int, routing string) (service.AnalyzeRequ
 	canon := req
 	if err := canon.Canonicalize(service.DefaultMaxNodes); err != nil {
 		t.Fatalf("canonicalize k=%d d=%d: %v", k, d, err)
+	}
+	return req, canon.CacheKey()
+}
+
+// dearFixture returns an analyze request far dearer than a peer fill, and
+// its canonical cache key: FAR on T³₈ over random:64:seed, which the cost
+// model prices at milliseconds. Tests that expect a miss to fill from its
+// owner use it, so they keep proving what they claim whatever a fill is
+// priced at; a cheap key is computed where it was asked.
+func dearFixture(t *testing.T, seed int) (service.AnalyzeRequest, string) {
+	t.Helper()
+	req := service.AnalyzeRequest{K: 8, D: 3, Placement: fmt.Sprintf("random:64:%d", seed), Routing: "far"}
+	canon := req
+	if err := canon.Canonicalize(service.DefaultMaxNodes); err != nil {
+		t.Fatalf("canonicalize %+v: %v", req, err)
 	}
 	return req, canon.CacheKey()
 }
@@ -133,7 +149,7 @@ func TestClusterSingleGlobalCompute(t *testing.T) {
 	counter := newComputeCounter()
 	nw := startNetwork(t, ctx, Options{Nodes: 3, Service: testConfig(), OnCompute: counter.hook})
 
-	req, key := analyzeFixture(t, 6, 2, "odr")
+	req, key := dearFixture(t, 1)
 	const perNode = 4
 	results := make([]*service.AnalyzeResponse, 3*perNode)
 	errs := make([]error, 3*perNode)
@@ -163,6 +179,7 @@ func TestClusterSingleGlobalCompute(t *testing.T) {
 			t.Fatalf("request %d disagrees: %+v vs %+v", i, r, results[0])
 		}
 	}
+	coreTruth(t, req, results[0])
 	if got := counter.get(key); got != 1 {
 		t.Fatalf("cluster-wide computations for %q = %d, want exactly 1", key, got)
 	}
@@ -194,28 +211,86 @@ func TestClusterSingleGlobalCompute(t *testing.T) {
 	}
 }
 
-// findKeyOwnedBy scans small analyze fixtures for one homed on the given
+// TestCheapMissComputesLocally sends a key the cost model prices below one
+// peer fill (linear ODR on T²₆, a few microseconds) to every node at once.
+// No node fills it from its owner or serves a hop: each receiving node
+// computes it once, its own callers coalescing behind that compute, and
+// each node that does not own the key counts the fill it priced out. Every
+// answer is still byte-identical to the single-node pipeline's.
+func TestCheapMissComputesLocally(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	counter := newComputeCounter()
+	nw := startNetwork(t, ctx, Options{Nodes: 3, Service: testConfig(), OnCompute: counter.hook})
+
+	req, key := analyzeFixture(t, 6, 2, "odr")
+	owner, err := nw.Owner(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perNode = 4
+	results := make([]*service.AnalyzeResponse, 3*perNode)
+	errs := make([]error, 3*perNode)
+	var wg sync.WaitGroup
+	for ni, n := range nw.Nodes {
+		for j := 0; j < perNode; j++ {
+			idx := ni*perNode + j
+			cl := n.Client
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[idx], errs[idx] = cl.Analyze(ctx, req)
+			}()
+		}
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d failed: %v", i, err)
+		}
+		coreTruth(t, req, results[i])
+	}
+	if got := counter.where(key); len(got) != 3 || got[0] == got[1] || got[1] == got[2] || got[0] == got[2] {
+		t.Fatalf("computes for %q on nodes %v, want one on each of the 3 nodes", key, got)
+	}
+	for _, n := range nw.Nodes {
+		vars, err := n.Client.Vars(ctx)
+		if err != nil {
+			t.Fatalf("vars node %d: %v", n.Index, err)
+		}
+		for _, name := range []string{"peer_fills", "peer_fill_errors", "peer_hops"} {
+			if got := intVar(t, vars, name); got != 0 {
+				t.Errorf("node %d %s = %d, want 0", n.Index, name, got)
+			}
+		}
+		want := int64(1)
+		if n.Index == owner {
+			want = 0
+		}
+		if got := intVar(t, vars, "peer_fill_priced_out"); got != want {
+			t.Errorf("node %d peer_fill_priced_out = %d, want %d (owner %d)", n.Index, got, want, owner)
+		}
+	}
+}
+
+// findKeyOwnedBy scans dear analyze fixtures for one homed on the given
 // node, excluding keys already in exclude.
 func findKeyOwnedBy(t *testing.T, nw *Network, owner int, exclude map[string]bool) (service.AnalyzeRequest, string) {
 	t.Helper()
-	for _, d := range []int{2, 3} {
-		for _, routing := range []string{"odr", "udr"} {
-			for k := 4; k <= 14; k++ {
-				req, key := analyzeFixture(t, k, d, routing)
-				if exclude[key] {
-					continue
-				}
-				idx, err := nw.Owner(key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if idx == owner {
-					return req, key
-				}
-			}
+	for seed := 0; seed < 200; seed++ {
+		req, key := dearFixture(t, seed)
+		if exclude[key] {
+			continue
+		}
+		idx, err := nw.Owner(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx == owner {
+			return req, key
 		}
 	}
-	t.Fatalf("no small fixture is homed on node %d", owner)
+	t.Fatalf("no dear fixture is homed on node %d", owner)
 	return service.AnalyzeRequest{}, ""
 }
 
@@ -225,7 +300,7 @@ func findKeyOwnedBy(t *testing.T, nw *Network, owner int, exclude map[string]boo
 func TestClusterKillHomeMidLoad(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	req, key := analyzeFixture(t, 6, 2, "odr")
+	req, key := dearFixture(t, 1)
 	truth := singleNodeTruth(t, ctx, req)
 	nw := startNetwork(t, ctx, Options{Nodes: 3, Service: testConfig()})
 
@@ -307,7 +382,7 @@ func TestClusterPartitionFallsBackLocal(t *testing.T) {
 	counter := newComputeCounter()
 	nw := startNetwork(t, ctx, Options{Nodes: 3, Service: testConfig(), OnCompute: counter.hook})
 
-	req, key := analyzeFixture(t, 6, 2, "odr")
+	req, key := dearFixture(t, 1)
 	owner, err := nw.Owner(key)
 	if err != nil {
 		t.Fatal(err)
@@ -382,15 +457,15 @@ func TestClusterChaosFailpointsUnderChurn(t *testing.T) {
 	nw := startNetwork(t, ctx, Options{Nodes: 3, Service: testConfig(), OnCompute: counter.hook})
 
 	sites := []string{"cluster.ring.lookup", "cluster.peer.dial", "cluster.fill.decode"}
-	k := 4
+	seed := 1
 	for _, site := range sites {
 		if err := failpoint.Enable(site, "error"); err != nil {
 			t.Fatalf("arm %s: %v", site, err)
 		}
 		// With the site armed, every node must still answer every request
 		// (distinct keys per site so nothing is pre-cached).
-		req, key := analyzeFixture(t, k, 2, "odr")
-		k++
+		req, key := dearFixture(t, seed)
+		seed++
 		for _, n := range nw.Nodes {
 			resp, err := n.Client.Analyze(ctx, req)
 			if err != nil {
@@ -425,8 +500,8 @@ func TestClusterChaosFailpointsUnderChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 		fillsBefore := intVar(t, vars, "peer_fills")
-		req, _ := analyzeFixture(t, k, 2, "udr")
-		k++
+		req, _ := dearFixture(t, seed)
+		seed++
 		if _, err := requester.Client.Analyze(ctx, req); err != nil {
 			t.Fatalf("recovery request: %v", err)
 		}
@@ -578,7 +653,7 @@ func TestClusterOneOwnerKillLeave(t *testing.T) {
 	counter := newComputeCounter()
 	nw := startNetwork(t, ctx, Options{Nodes: 3, Service: testConfig(), OnCompute: counter.hook})
 
-	first, firstKey := analyzeFixture(t, 6, 2, "odr")
+	first, firstKey := dearFixture(t, 1)
 	victim, err := nw.Owner(firstKey)
 	if err != nil {
 		t.Fatal(err)

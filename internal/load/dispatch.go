@@ -76,27 +76,50 @@ type plan struct {
 // candidates appends to dst, and returns, every engine compute may run for
 // p under alg in mode with its price, in the order generic, ring-flow,
 // symmetry. FastPathOff offers only the pair loop; FastPathForce offers
-// the symmetry engine whenever it is sound and never ring-flow. This is
-// the one place that knows which engine applies to which input.
+// the symmetry engine whenever it is sound and never ring-flow. Together
+// with priced it is the one place that knows which engine applies to
+// which input.
 func candidates(dst []plan, p *placement.Placement, alg routing.Algorithm, mode FastPathMode) []plan {
 	t, n := p.Torus(), p.Size()
-	out := append(dst, plan{engine: EngineGeneric, ns: genericCost(alg, t, n)})
-	if mode == FastPathOff || n < 2 {
+	out := priced(dst, alg, t, n, mode)
+	if mode == FastPathOff || n < 2 || !routing.IsTranslationEquivariant(alg) {
 		return out
 	}
-	symmetric := routing.IsTranslationEquivariant(alg)
 	fam, costed := ringFamilyOf(alg)
 	if mode == FastPathForce {
 		costed = false
-	} else if costed && fam.exact(t, n) {
-		out = append(out, plan{engine: EngineRingFlow, ns: ringFlowCost(fam, t, n), fam: fam})
 	}
-	if symmetric && (!costed || !fam.ordered && symmetryCost(alg, t, n, 1) < slices.MinFunc(out, cheaper).ns) {
+	if !costed || !fam.ordered && symmetryCost(alg, t, n, 1) < slices.MinFunc(out, cheaper).ns {
 		if stab := p.TranslationStabilizer(); len(stab) > 1 || mode == FastPathForce {
 			out = append(out, plan{engine: EngineSymmetry, ns: symmetryCost(alg, t, n, n/len(stab)), stab: stab})
 		}
 	}
 	return out
+}
+
+// priced appends to dst, and returns, the engines whose price needs only
+// (alg, t, n), not the placement itself: the pair loop always, and
+// ring-flow under FastPathAuto wherever its integer sums stay exact.
+func priced(dst []plan, alg routing.Algorithm, t *torus.Torus, n int, mode FastPathMode) []plan {
+	out := append(dst, plan{engine: EngineGeneric, ns: genericCost(alg, t, n)})
+	if mode != FastPathAuto || n < 2 {
+		return out
+	}
+	if fam, ok := ringFamilyOf(alg); ok && fam.exact(t, n) {
+		out = append(out, plan{engine: EngineRingFlow, ns: ringFlowCost(fam, t, n), fam: fam})
+	}
+	return out
+}
+
+// Cost is the cost model's price, in nanoseconds, of computing the loads
+// of n processors on t under alg in mode, known before any placement is
+// built: the cheaper of the pair loop and ring-flow where it applies.
+// Compute runs the symmetry engine instead only where its price is lower,
+// or for FAR and ODROrder at most its setup higher, so outside
+// FastPathForce the engine compute runs is priced at most about this.
+func Cost(alg routing.Algorithm, t *torus.Torus, n int, mode FastPathMode) float64 {
+	var buf [2]plan
+	return slices.MinFunc(priced(buf[:0], alg, t, n, mode), cheaper).ns
 }
 
 // choose picks the engine compute runs for p under alg in mode. The

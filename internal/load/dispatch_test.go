@@ -171,3 +171,34 @@ func mustBuildB(b *testing.B, s placement.Spec, tr *torus.Torus) *placement.Plac
 	}
 	return p
 }
+
+// TestCostBoundsChosenEngine pins Cost as the price of what compute runs,
+// known without the placement: where compute chooses the pair loop or
+// ring-flow, Cost is that engine's price, and where it chooses symmetry it
+// is priced no higher, but for the symmetry engine's setup where FAR keeps
+// it at about the pair loop's price. Random placements have no
+// stabilizer; linear and multi-linear ones give symmetry its chances.
+func TestCostBoundsChosenEngine(t *testing.T) {
+	cells := dispatchGrid()
+	for _, kd := range [][2]int{{3, 2}, {4, 2}, {8, 2}, {16, 2}, {4, 3}, {8, 3}, {12, 3}, {4, 4}} {
+		tr := torus.New(kd[0], kd[1])
+		for _, n := range []int{0, 1, 2, tr.Nodes() / 8, tr.Nodes() / 2, tr.Nodes()} {
+			for _, alg := range append([]routing.Algorithm{routing.FAR{}}, ringAlgs...) {
+				cells = append(cells, dispatchCell{tr, placement.Random{Count: n, Seed: int64(n)}, alg})
+			}
+		}
+	}
+	for _, c := range cells {
+		p, err := c.spec.Build(c.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []FastPathMode{FastPathAuto, FastPathOff} {
+			cost := Cost(c.alg, c.t, p.Size(), mode)
+			chosen := choose(p, c.alg, mode)
+			if chosen.engine != EngineSymmetry && chosen.ns != cost || chosen.ns > cost+nsSymmetrySetup {
+				t.Errorf("%s %s %s mode %d: compute runs %s at %.0f ns, Cost %.0f ns", c.t, p.Name(), c.alg.Name(), mode, chosen.engine, chosen.ns, cost)
+			}
+		}
+	}
+}

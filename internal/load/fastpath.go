@@ -8,6 +8,7 @@ import (
 	"torusnet/internal/obs"
 	"torusnet/internal/placement"
 	"torusnet/internal/routing"
+	"torusnet/internal/torus"
 )
 
 // The translation-symmetry fast path (Theorem 2's mechanism, generalized).
@@ -41,6 +42,19 @@ type nnzEntry struct {
 type scatterJob struct {
 	orbit  int // index of the orbit's representative
 	offset int // index into the stabilizer, with src = rep ⊕ offset
+}
+
+// scatter is what the symmetry engine's scatter workers read: job ji
+// translates its orbit's nonzeros by its stabilizer offset through the
+// worker's table into the worker's accumulator.
+type scatter struct {
+	t        *torus.Torus
+	stab     [][]int
+	jobs     []scatterJob
+	nnz      []nnzEntry
+	starts   []int
+	partials [][]float64
+	tables   [][]torus.Node
 }
 
 // computeSymmetry runs the fast path over the orbits of stab, the
@@ -115,10 +129,12 @@ func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Al
 		defer ssp.End()
 		ssp.SetAttrInt("jobs", int64(len(jobs)))
 		withEngineLabel(ctx, EngineSymmetry, func() {
-			stripe(workers, len(jobs), func(w, ji int) {
-				job, local, table := jobs[ji], partials[w], tables[w]
-				t.TranslationTableInto(stab[job.offset], table)
-				for _, ent := range nnz[starts[job.orbit]:starts[job.orbit+1]] {
+			sc := scatter{t, stab, jobs, nnz, starts, partials, tables}
+			stripe(workers, len(jobs), sc, func(s scatter, w, ji int) {
+				job, local, table := s.jobs[ji], s.partials[w], s.tables[w]
+				s.t.TranslationTableInto(s.stab[job.offset], table)
+				td2 := 2 * s.t.D()
+				for _, ent := range s.nnz[s.starts[job.orbit]:s.starts[job.orbit+1]] {
 					local[int(table[ent.u])*td2+int(ent.slot)] += ent.w
 				}
 			})

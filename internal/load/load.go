@@ -231,6 +231,17 @@ func withEngineLabel(ctx context.Context, engine string, fn func()) {
 	pprof.Do(ctx, pprof.Labels("engine", engine), func(context.Context) { fn() })
 }
 
+// pairLoop is what the pair loop's workers read: source i sends to every
+// other processor of procs, and worker w deposits into its own
+// accumulator through its own pair scratch.
+type pairLoop struct {
+	t        *torus.Torus
+	alg      routing.Algorithm
+	procs    []torus.Node
+	partials [][]float64
+	scratch  []*routing.PairScratch
+}
+
 // computeGeneric is the O(|P|²) ordered-pair loop. Workers must already be
 // the effective count from effectiveWorkers. Without keep the Result
 // carries no Loads vector.
@@ -245,11 +256,12 @@ func computeGeneric(ctx context.Context, p *placement.Placement, alg routing.Alg
 		defer psp.End()
 		psp.SetAttrInt("sources", int64(len(procs)))
 		withEngineLabel(ctx, EngineGeneric, func() {
-			stripePairs(t, ws, partials, len(procs), func(i int, local []float64, sc *routing.PairScratch) {
-				src := procs[i]
-				for _, dst := range procs {
+			pl := pairLoop{t, alg, procs, partials, ws.pairScratch(t, workers)}
+			stripe(workers, len(procs), pl, func(s pairLoop, w, i int) {
+				src, local, sc := s.procs[i], s.partials[w], s.scratch[w]
+				for _, dst := range s.procs {
 					if dst != src {
-						alg.AccumulatePair(t, src, dst, 1, local, sc)
+						s.alg.AccumulatePair(s.t, src, dst, 1, local, sc)
 					}
 				}
 			})
@@ -263,36 +275,38 @@ func computeGeneric(ctx context.Context, p *placement.Placement, alg routing.Alg
 
 // stripe is the one fan-out of the package: it runs workers goroutines,
 // hands worker w the items w, w+workers, w+2·workers, … of 0..n−1, and
-// waits for all of them. A single worker runs inline, in item order. Each worker accumulates into state of its own,
-// indexed by w; the static stripe fixes which worker sees which item, so
-// every worker's summation order — and, merged in worker order, the whole
-// result — is a pure function of (workers, n).
-func stripe(workers, n int, item func(w, i int)) {
+// waits for all of them. A single worker runs inline, in item order. Each
+// worker accumulates into state of its own, indexed by w; the static
+// stripe fixes which worker sees which item, so every worker's summation
+// order — and, merged in worker order, the whole result — is a pure
+// function of (workers, n).
+//
+// item receives everything it reads through s and captures nothing, so it
+// is a static function value: only the multi-worker branch hands s to
+// other goroutines, and a one-worker compute allocates nothing here.
+// Callers pass in s only values that already live on the heap (workspace
+// buffers, the placement, zero-size routings).
+func stripe[S any](workers, n int, s S, item func(s S, w, i int)) {
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			item(0, i)
+			item(s, 0, i)
 		}
 		return
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				item(w, i)
-			}
-		}(w)
+		go stripeWorker(&wg, w, workers, n, s, item)
 	}
 	wg.Wait()
 }
 
-// stripePairs stripes items 0..n−1 over one worker per accumulator in
-// partials, each worker depositing its items into its own accumulator
-// through its own pair scratch from ws.
-func stripePairs(t *torus.Torus, ws *workspace, partials [][]float64, n int, deposit func(i int, local []float64, sc *routing.PairScratch)) {
-	scratch := ws.pairScratch(t, len(partials))
-	stripe(len(partials), n, func(w, i int) { deposit(i, partials[w], scratch[w]) })
+// stripeWorker runs worker w's items of stripe.
+func stripeWorker[S any](wg *sync.WaitGroup, w, workers, n int, s S, item func(s S, w, i int)) {
+	defer wg.Done()
+	for i := w; i < n; i += workers {
+		item(s, w, i)
+	}
 }
 
 // mergePartials folds workers 1..W−1's accumulators into worker 0's in

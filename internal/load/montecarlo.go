@@ -28,7 +28,9 @@ func MonteCarlo(p *placement.Placement, alg routing.Algorithm, rounds int, seed 
 	sums := newPartials(workers, t.Edges())
 	peaks := newPartials(workers, t.Edges())
 	counts := newPartials(workers, t.Edges())
-	stripe(workers, rounds, func(w, r int) {
+	// Every round allocates its generator and paths anyway, so the state
+	// stripe hands each round is simply the round's closure.
+	round := func(w, r int) {
 		// Each round gets its own derived, reproducible stream.
 		rng := rand.New(rand.NewSource(seed + int64(r)*1_000_003))
 		count := counts[w]
@@ -53,7 +55,8 @@ func MonteCarlo(p *placement.Placement, alg routing.Algorithm, rounds int, seed 
 				peak[e] = c
 			}
 		}
-	})
+	}
+	stripe(workers, rounds, round, func(round func(w, r int), w, r int) { round(w, r) })
 
 	mean := mergePartials(sums)
 	peak := make([]float64, t.Edges())

@@ -149,6 +149,17 @@ func (r RandomPairs) Demands(p *placement.Placement) []Demand {
 	return out
 }
 
+// demandLoop is what a pattern engine's workers read: demand i routed
+// under alg on t, worker w depositing into its own accumulator through its
+// own pair scratch.
+type demandLoop struct {
+	t        *torus.Torus
+	alg      routing.Algorithm
+	demands  []Demand
+	partials [][]float64
+	scratch  []*routing.PairScratch
+}
+
 // ComputePattern evaluates the exact expected per-edge load of an arbitrary
 // traffic pattern under the routing algorithm — the Definition 4 engine
 // generalized beyond complete exchange. Compute(p, alg, opts) is exactly
@@ -159,9 +170,10 @@ func ComputePattern(p *placement.Placement, pat Pattern, alg routing.Algorithm, 
 	workers := effectiveWorkers(opts.Workers, len(demands))
 	ws := getWorkspace()
 	partials := ws.accumulators(workers, t.Edges(), true)
-	stripePairs(t, ws, partials, len(demands), func(i int, local []float64, sc *routing.PairScratch) {
-		dm := demands[i]
-		alg.AccumulatePair(t, dm.Src, dm.Dst, dm.Weight, local, sc)
+	dl := demandLoop{t, alg, demands, partials, ws.pairScratch(t, workers)}
+	stripe(workers, len(demands), dl, func(s demandLoop, w, i int) {
+		dm := s.demands[i]
+		s.alg.AccumulatePair(s.t, dm.Src, dm.Dst, dm.Weight, s.partials[w], s.scratch[w])
 	})
 	res := newResult(t, p, alg.Name()+"/"+pat.Name(), mergePartials(partials))
 	ws.release()

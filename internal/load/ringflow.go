@@ -86,6 +86,13 @@ func factorial(n int) float64 {
 	return out
 }
 
+// ringPass is what ring-flow's workers read: the engine state and the
+// answer vector its rings write.
+type ringPass struct {
+	rf    *ringFlow
+	loads []float64
+}
+
 // ringFlowResult is the ring-flow engine itself, for a routing of family
 // fam whose scaled loads stay below 2⁵³. Rings write disjoint edges, so
 // the workers stripe them straight into the one answer vector, and the
@@ -104,7 +111,7 @@ func ringFlowResult(ctx context.Context, p *placement.Placement, alg routing.Alg
 		psp.SetAttrInt("classes", int64(fam.classes(t.D())))
 		withEngineLabel(ctx, EngineRingFlow, func() {
 			rf.marginals(p.Nodes())
-			stripe(workers, rings, func(w, i int) { rf.ring(i, loads, &rf.scratch[w]) })
+			stripe(workers, rings, ringPass{rf, loads}, func(s ringPass, w, i int) { s.rf.ring(i, s.loads, &s.rf.scratch[w]) })
 		})
 	}()
 	fpComputeMerge.InjectHard()

@@ -24,19 +24,19 @@ func ComputeValiant(p *placement.Placement, pat Pattern, alg routing.Algorithm, 
 	t := p.Torus()
 	demands := pat.Demands(p)
 	workers := effectiveWorkers(opts.Workers, len(demands))
-	invN := 1.0 / float64(t.Nodes())
 	ws := getWorkspace()
 	partials := ws.accumulators(workers, t.Edges(), true)
-	stripePairs(t, ws, partials, len(demands), func(i int, local []float64, sc *routing.PairScratch) {
-		dm := demands[i]
-		weight := dm.Weight * invN
-		for r := 0; r < t.Nodes(); r++ {
+	dl := demandLoop{t, alg, demands, partials, ws.pairScratch(t, workers)}
+	stripe(workers, len(demands), dl, func(s demandLoop, w, i int) {
+		dm, local, sc := s.demands[i], s.partials[w], s.scratch[w]
+		weight := dm.Weight * (1.0 / float64(s.t.Nodes()))
+		for r := 0; r < s.t.Nodes(); r++ {
 			mid := torus.Node(r)
 			if mid != dm.Src {
-				alg.AccumulatePair(t, dm.Src, mid, weight, local, sc)
+				s.alg.AccumulatePair(s.t, dm.Src, mid, weight, local, sc)
 			}
 			if mid != dm.Dst {
-				alg.AccumulatePair(t, mid, dm.Dst, weight, local, sc)
+				s.alg.AccumulatePair(s.t, mid, dm.Dst, weight, local, sc)
 			}
 		}
 	})

@@ -28,6 +28,18 @@ func (s LayerCluster) Fit(t *torus.Torus) error {
 	return nil
 }
 
+// Size implements Spec: k layers of k^{d−2} processors, or one node per
+// layer on a ring.
+func (s LayerCluster) Size(t *torus.Torus) (int, error) {
+	if err := s.Fit(t); err != nil {
+		return 0, err
+	}
+	if t.D() == 1 {
+		return t.K(), nil
+	}
+	return t.Nodes() / t.K(), nil
+}
+
 // Build implements Spec.
 func (s LayerCluster) Build(t *torus.Torus) (*Placement, error) {
 	if err := s.Fit(t); err != nil {

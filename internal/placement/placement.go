@@ -172,6 +172,10 @@ type Spec interface {
 	// spec describes a placement on t: it is the error Build returns, and
 	// Build succeeds exactly when Fit returns nil.
 	Fit(t *torus.Torus) error
+	// Size reports, without building anything, how many processors Build
+	// places on t, or the error Build returns: O(1) after Fit, and
+	// O(|Coords|·d) for Explicit, whose coordinates may repeat a node.
+	Size(t *torus.Torus) (int, error)
 	// Build instantiates the placement on a concrete torus.
 	Build(t *torus.Torus) (*Placement, error)
 	// Name is a stable identifier such as "linear(c=0)".

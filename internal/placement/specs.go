@@ -3,6 +3,7 @@ package placement
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -34,6 +35,15 @@ func (s Linear) Name() string {
 // Fit implements Spec.
 func (s Linear) Fit(t *torus.Torus) error {
 	return fitCoeffs(s.Coeffs, t)
+}
+
+// Size implements Spec: a unit coefficient fixes its coordinate once the
+// other d−1 are chosen, so k^{d−1} nodes solve the equation.
+func (s Linear) Size(t *torus.Torus) (int, error) {
+	if err := s.Fit(t); err != nil {
+		return 0, err
+	}
+	return t.Nodes() / t.K(), nil
 }
 
 // Build implements Spec.
@@ -72,6 +82,14 @@ func (s MultipleLinear) Fit(t *torus.Torus) error {
 	return fitCoeffs(s.Coeffs, t)
 }
 
+// Size implements Spec: t ≤ k distinct residues of k^{d−1} nodes each.
+func (s MultipleLinear) Size(t *torus.Torus) (int, error) {
+	if err := s.Fit(t); err != nil {
+		return 0, err
+	}
+	return s.T * (t.Nodes() / t.K()), nil
+}
+
 // Build implements Spec.
 func (s MultipleLinear) Build(t *torus.Torus) (*Placement, error) {
 	if err := s.Fit(t); err != nil {
@@ -105,6 +123,9 @@ func (s ShiftedDiagonal) Build(t *torus.Torus) (*Placement, error) {
 	return fromMembers(t, selectResidues(t, nil, torus.Mod(s.Shift, t.K()), 1), s.Name()), nil
 }
 
+// Size implements Spec: the count of Linear{C: Shift}.
+func (s ShiftedDiagonal) Size(t *torus.Torus) (int, error) { return Linear{C: s.Shift}.Size(t) }
+
 // Full populates every node: the classical fully populated torus whose
 // maximum load grows superlinearly (§1 of the paper).
 type Full struct{}
@@ -126,6 +147,9 @@ func (Full) Build(t *torus.Torus) (*Placement, error) {
 	}
 	return fromMembers(t, member, "full"), nil
 }
+
+// Size implements Spec.
+func (Full) Size(t *torus.Torus) (int, error) { return t.Nodes(), nil }
 
 // Random places Count processors uniformly at random (without replacement)
 // using the given seed. It is the unstructured adversary used to exercise
@@ -149,6 +173,14 @@ func (s Random) Fit(t *torus.Torus) error {
 		return fmt.Errorf("placement: random count %d out of range [0,%d]", s.Count, t.Nodes())
 	}
 	return nil
+}
+
+// Size implements Spec.
+func (s Random) Size(t *torus.Torus) (int, error) {
+	if err := s.Fit(t); err != nil {
+		return 0, err
+	}
+	return s.Count, nil
 }
 
 // Build implements Spec.
@@ -206,6 +238,19 @@ func (s Explicit) Fit(t *torus.Torus) error {
 		}
 	}
 	return nil
+}
+
+// Size implements Spec: the distinct nodes the coordinates name.
+func (s Explicit) Size(t *torus.Torus) (int, error) {
+	if err := s.Fit(t); err != nil {
+		return 0, err
+	}
+	nodes := make([]torus.Node, 0, len(s.Coords))
+	for _, c := range s.Coords {
+		nodes = append(nodes, t.NodeAt(c))
+	}
+	slices.Sort(nodes)
+	return len(slices.Compact(nodes)), nil
 }
 
 // Build implements Spec.

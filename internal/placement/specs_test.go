@@ -152,3 +152,40 @@ func residueMembers(tr *torus.Torus, spec Spec) []bool {
 	}
 	return in
 }
+
+// TestSpecCount pins Size against Build for every spec over a grid of
+// tori: the same count where Build succeeds, and the same error where Fit
+// rejects (wrong coefficient arity, no unit coefficient, t past k, random
+// counts out of range, coordinates of the wrong arity, a layer dimension
+// past d).
+func TestSpecCount(t *testing.T) {
+	for k := 2; k <= 9; k++ {
+		for d := 1; d <= 4; d++ {
+			tr := torus.New(k, d)
+			specs := []Spec{
+				Linear{}, Linear{C: 3}, Linear{C: -1, Coeffs: []int{2, 3}}, Linear{C: 1, Coeffs: []int{1, k, 2 * k}},
+				Linear{Coeffs: []int{k, 2 * k}},
+				MultipleLinear{T: 1}, MultipleLinear{Start: 2, T: 2}, MultipleLinear{T: k}, MultipleLinear{T: k + 1},
+				MultipleLinear{T: 0}, MultipleLinear{T: 2, Coeffs: []int{3, 1, 1}},
+				ShiftedDiagonal{Shift: 5},
+				Full{},
+				Random{}, Random{Count: tr.Nodes() / 3, Seed: 7}, Random{Count: tr.Nodes()}, Random{Count: -1},
+				Random{Count: tr.Nodes() + 1},
+				Explicit{Label: "fig1", Coords: [][]int{{0, 1}, {1, 0}, {k, 1}, {-1, 0}}},
+				Explicit{Label: "cube", Coords: [][]int{{0, 0, 0}, {1, 1, 1}, {0, 0, 0}, {k + 1, 1, 1}}},
+				Explicit{Label: "empty"},
+				LayerCluster{}, LayerCluster{Dim: d - 1}, LayerCluster{Dim: d}, LayerCluster{Dim: -1},
+			}
+			for _, s := range specs {
+				n, err := s.Size(tr)
+				p, berr := s.Build(tr)
+				switch {
+				case (err == nil) != (berr == nil) || err != nil && err.Error() != berr.Error():
+					t.Fatalf("%s on %s: Size error %v, Build error %v", s.Name(), tr, err, berr)
+				case err == nil && n != p.Size():
+					t.Fatalf("%s on %s: Size %d, Build placed %d", s.Name(), tr, n, p.Size())
+				}
+			}
+		}
+	}
+}

@@ -9,9 +9,11 @@ import (
 	"context"
 	"errors"
 	"expvar"
+	"fmt"
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -129,26 +131,29 @@ func newChaosClusterPair(t *testing.T) (clients [2]*Client, views [2]*cluster.Cl
 	}
 }
 
-// remoteHomedRequest finds an analyze request whose canonical cache key is
-// homed on owner according to view — the precondition for the peer dial and
-// fill decode faults to be reachable from the other node.
-func remoteHomedRequest(t *testing.T, view *cluster.Cluster, owner string) AnalyzeRequest {
+// remoteHomedRequest finds an analyze request other than exclude whose
+// canonical cache key is homed on owner according to view — the
+// precondition for the peer dial and fill decode faults to be reachable
+// from the other node. Its compute is far dearer than a fill (FAR on T³₈
+// over random:64, priced at milliseconds), so the other node does fill it
+// from owner whatever a fill is priced at.
+func remoteHomedRequest(t *testing.T, view *cluster.Cluster, owner string, exclude ...AnalyzeRequest) AnalyzeRequest {
 	t.Helper()
-	for k := 4; k <= 40; k++ {
-		req := AnalyzeRequest{K: k, D: 2, Placement: "linear", Routing: "ODR"}
+	for seed := 0; seed < 200; seed++ {
+		req := AnalyzeRequest{K: 8, D: 3, Placement: fmt.Sprintf("random:64:%d", seed), Routing: "far"}
 		canon := req
 		if err := canon.Canonicalize(DefaultMaxNodes); err != nil {
-			continue
+			t.Fatalf("canonicalize %+v: %v", req, err)
 		}
 		o, err := view.Owner(canon.CacheKey())
 		if err != nil {
 			t.Fatalf("owner lookup: %v", err)
 		}
-		if o == owner {
+		if o == owner && !slices.Contains(exclude, req) {
 			return req
 		}
 	}
-	t.Fatalf("no analyze key homed on %s among K=4..40", owner)
+	t.Fatalf("no dear analyze key homed on %s", owner)
 	return AnalyzeRequest{}
 }
 
@@ -262,17 +267,24 @@ func TestChaosAllSites(t *testing.T) {
 				t.Errorf("fallback answer exact=%v total=%v, want an exact computed result", resp.Exact, resp.TotalLoad)
 			}
 		}},
-		"cluster.ring.lookup": {spec: "error", drive: func(t *testing.T, _ *Server, _ *Client) {
+		"cluster.ring.lookup": {spec: "error", drive: func(t *testing.T, _ *Server, c *Client) {
 			// With the ring unreadable, a cluster node cannot place any key —
-			// every request must still answer exactly, computed locally.
+			// every request must still answer exactly, computed locally. The
+			// key is dearer than a fill, so its miss asks the ring for an
+			// owner; the single-node server never reads the ring.
 			clients, views, stop := newChaosClusterPair(t)
 			defer stop()
-			resp, err := clients[0].Analyze(context.Background(), baselineReq)
+			req := AnalyzeRequest{K: 8, D: 3, Placement: "random:64:1", Routing: "far"}
+			want, err := c.Analyze(context.Background(), req)
+			if err != nil {
+				t.Fatalf("single-node analyze: %v", err)
+			}
+			resp, err := clients[0].Analyze(context.Background(), req)
 			if err != nil {
 				t.Fatalf("analyze with ring fault: %v", err)
 			}
-			if resp.EMax != baseline.EMax {
-				t.Errorf("ring-fault answer: EMax=%v, want exact %v", resp.EMax, baseline.EMax)
+			if resp.EMax != want.EMax || !resp.Exact {
+				t.Errorf("ring-fault answer: EMax=%v exact=%v, want exact %v", resp.EMax, resp.Exact, want.EMax)
 			}
 			if n := clusterVar(views[0].Vars(), "ring_lookup_errors"); n == 0 {
 				t.Error("ring_lookup_errors = 0, want the fault counted")

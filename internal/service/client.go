@@ -112,7 +112,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, payload []b
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	data, readErr := io.ReadAll(io.LimitReader(resp.Body, c.maxBody))
+	data, readErr := readResponseBody(resp, c.maxBody)
 	// Drain whatever the limit left behind: a connection with unread body
 	// bytes cannot go back into the keep-alive pool.
 	if _, derr := io.Copy(io.Discard, resp.Body); derr != nil && readErr == nil {
@@ -125,6 +125,18 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, payload []b
 		return resp.StatusCode, nil, 0, readErr
 	}
 	return resp.StatusCode, data, parseRetryAfter(resp.Header.Get("Retry-After")), nil
+}
+
+// readResponseBody reads up to max bytes of resp's body: into one buffer
+// of the declared Content-Length when the server sent one, else by
+// io.ReadAll growth.
+func readResponseBody(resp *http.Response, max int64) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 {
+		data := make([]byte, min(n, max))
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, max))
 }
 
 // parseRetryAfter handles both forms of the header: delay seconds and an
@@ -317,15 +329,18 @@ func (c *Client) Readyz(ctx context.Context) (*ReadyResponse, error) {
 
 // FillPeer POSTs a raw canonical request body to path on the peer and
 // returns the raw 200 response body, satisfying cluster.PeerTransport.
-// The bytes ride the ordinary do path — trace propagation, body
-// drain/close — as json.RawMessage in both directions, so nothing is
-// re-encoded.
+// Both ride roundTrip as they are — trace propagation, body drain/close —
+// with no JSON pass over either: the caller's decoder is the one scan of
+// the answer.
 func (c *Client) FillPeer(ctx context.Context, path string, payload []byte) ([]byte, error) {
-	var out json.RawMessage
-	if err := c.do(ctx, http.MethodPost, path, json.RawMessage(payload), &out); err != nil {
+	status, data, retryAfter, err := c.roundTrip(ctx, http.MethodPost, path, payload)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	if err := interpret(status, data, retryAfter, nil); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // Health runs GET /healthz.

@@ -1,13 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -76,6 +79,40 @@ func TestClientDrainsBodiesForConnectionReuse(t *testing.T) {
 	for i, r := range reused[1:] {
 		if !r {
 			t.Errorf("request %d did not reuse the connection (body not drained)", i+2)
+		}
+	}
+}
+
+// TestFillPeerExchangesBytesAsIs pins the lean fill exchange: FillPeer
+// sends the canonical payload byte for byte and returns the 200 body as
+// read, whether the owner declared its Content-Length (read into one
+// buffer of that size, capped at maxBody) or streamed it chunked.
+func TestFillPeerExchangesBytesAsIs(t *testing.T) {
+	const payload = `{"k": 8, "d": 3}`
+	body := []byte(`{"e_max": 2.5,  "cached": true}`)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got, err := io.ReadAll(r.Body)
+		if err != nil || string(got) != payload || r.Header.Get(PeerHopHeader) == "" {
+			t.Errorf("owner got payload %q (err %v, hop %q), want %q as sent", got, err, r.Header.Get(PeerHopHeader), payload)
+		}
+		if r.URL.Path == "/sized" {
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		} else {
+			w.(http.Flusher).Flush() // no Content-Length: chunked
+		}
+		w.Write(body)
+	}))
+	defer ts.Close()
+	c := NewPeerFillClient(ts.URL)
+	defer c.CloseIdleConnections()
+	for _, path := range []string{"/sized", "/chunked"} {
+		for _, max := range []int64{clientMaxBody, 10} {
+			c.maxBody = max
+			got, err := c.FillPeer(context.Background(), path, []byte(payload))
+			want := body[:min(int64(len(body)), max)]
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s maxBody %d: FillPeer = %q, %v; want %q", path, max, got, err, want)
+			}
 		}
 	}
 }

@@ -74,21 +74,7 @@ func TestPeerHopLoopGuard(t *testing.T) {
 	// The same key asked plainly does fill: the guard is per-request, not a
 	// switch. Node 0 has the answer cached from the hop request, so use a
 	// second remote-homed key.
-	var fresh AnalyzeRequest
-	for k := 4; k <= 40; k++ {
-		cand := AnalyzeRequest{K: k, D: 2, Placement: "linear", Routing: "ODR"}
-		canon := cand
-		if err := canon.Canonicalize(DefaultMaxNodes); err != nil {
-			continue
-		}
-		if o, _ := views[0].Owner(canon.CacheKey()); o == views[1].Self() && cand != req {
-			fresh = cand
-			break
-		}
-	}
-	if fresh.K == 0 {
-		t.Fatal("no second remote-homed key found")
-	}
+	fresh := remoteHomedRequest(t, views[0], views[1].Self(), req)
 	if _, err := clients[0].Analyze(ctx, fresh); err != nil {
 		t.Fatalf("plain analyze: %v", err)
 	}

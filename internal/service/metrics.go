@@ -58,6 +58,7 @@ const (
 	mSlow           = "slow_requests"
 	mPeerFills      = "peer_fills"
 	mPeerFillErrors = "peer_fill_errors"
+	mPricedOut      = "peer_fill_priced_out"
 	mPeerHops       = "peer_hops"
 	mAnalyticHits   = "analytic_hits"
 	mJobsSubmitted  = "jobs_submitted"
@@ -82,7 +83,7 @@ func newMetrics() *metrics {
 		mRequests, mErrors, mPanics, mQueueFull, mTimeouts,
 		mCacheHits, mCacheMisses, mCoalesced, mInFlight,
 		mWriteErrors, mLatencyMSTotal, mSlow,
-		mPeerFills, mPeerFillErrors, mPeerHops, mAnalyticHits,
+		mPeerFills, mPeerFillErrors, mPricedOut, mPeerHops, mAnalyticHits,
 		mJobsSubmitted, mJobsDone, mJobsFailed,
 		mJobsCancelled, mJobsRejected, mJobsExpired,
 	} {
@@ -143,6 +144,7 @@ var promSchema = []struct {
 	{mSlow, "torusd_slow_requests_total", "requests slower than the configured slow threshold", false},
 	{mPeerFills, "torusd_peer_fills_total", "cache misses served by the key's home cluster peer", false},
 	{mPeerFillErrors, "torusd_peer_fill_errors_total", "peer fills lost to ring, dial, or decode failures", false},
+	{mPricedOut, "torusd_peer_fill_priced_out_total", "misses of keys homed on another peer computed locally because they cost less than a fill", false},
 	{mPeerHops, "torusd_peer_hops_total", "fill requests served on behalf of cluster peers", false},
 	{mAnalyticHits, "torusd_analytic_hits_total", "analyze requests answered by the closed-form fast lane", false},
 	{mJobsSubmitted, "torusd_jobs_submitted_total", "async search jobs accepted by /v1/optimize", false},

@@ -18,12 +18,14 @@ import (
 	"sync"
 	"time"
 
+	"torusnet/internal/cliutil"
 	"torusnet/internal/cluster"
 	"torusnet/internal/failpoint"
 	"torusnet/internal/load"
 	"torusnet/internal/obs"
 	"torusnet/internal/placement"
 	"torusnet/internal/sweep"
+	"torusnet/internal/torus"
 )
 
 // Config parameterizes a Server. The zero value is serviceable: every
@@ -97,8 +99,9 @@ type Config struct {
 	// Cluster, when non-nil, enables the sharded peer-fill stage: on a
 	// local cache miss for a key homed on another peer, the flight leader
 	// fetches the answer from that peer before falling back to local
-	// compute. Nil (the default) is single-node mode, which adds zero
-	// allocations to the request path. See internal/cluster.
+	// compute, unless the miss is an analysis priced below one fill. Nil
+	// (the default) is single-node mode, which adds zero allocations to
+	// the request path. See internal/cluster.
 	Cluster *cluster.Cluster
 	// OnCompute, when set, is invoked inside the pooled computation with
 	// the cache key before any work runs. It exists for tests and the
@@ -457,6 +460,19 @@ type peerFill struct {
 	decode  func([]byte) (any, error)
 }
 
+// pricedOut is the plan of a miss the cost model prices below one fill:
+// the flight leader computes it here instead of asking its owner.
+var pricedOut = &peerFill{}
+
+// countPricedOut counts a priced-out miss in peer_fill_priced_out when its
+// key is homed on another peer, where a fill would otherwise have gone.
+func (s *Server) countPricedOut(key string) {
+	c := s.cfg.Cluster
+	if owner, err := c.Owner(key); err == nil && owner != "" && owner != c.Self() {
+		s.metrics.add(mPricedOut, 1)
+	}
+}
+
 // countPeerHop counts a request arriving from a peer in peer_hops, whether
 // the cache answers it or not.
 func (s *Server) countPeerHop(r *http.Request) {
@@ -549,10 +565,11 @@ func (m *missCall[W]) run() (any, error) {
 // miss runs once the lookup misses, before anything is counted or
 // started. It checks that the request's placement fits its torus (a
 // *specError fails the request right there) and returns the peer-fill plan
-// from fillFor (nil in single-node mode). Then execute applies the
-// per-request deadline. Placing the fill inside the flight leader threads
-// the singleflight through the cluster, so N nodes asking for one key
-// still yield one computation cluster-wide. w is copied into the leader's
+// from fillFor (nil in single-node mode, pricedOut for an analysis cheaper
+// than a fill). Then execute applies the per-request deadline. Placing the
+// fill inside the flight leader threads the singleflight through the
+// cluster, so N nodes asking for one key dearer than a fill still yield
+// one computation cluster-wide. w is copied into the leader's
 // missCall and computed in the pool with the trace-carrying context; it
 // must return an immutable value. cached reports whether this caller was
 // served from the result cache.
@@ -596,7 +613,9 @@ func execute[W work](s *Server, ctx context.Context, key string, miss func() (*p
 			s.metrics.add(mCacheHits, 1)
 			return v, nil
 		}
-		if fill != nil {
+		if fill == pricedOut {
+			s.countPricedOut(key)
+		} else if fill != nil {
 			if v, ok := s.runPeerFill(fctx, key, fill); ok {
 				return v, nil
 			}
@@ -772,16 +791,50 @@ func (s *Server) wantsFill(r *http.Request) bool {
 	return s.cfg.Cluster != nil && r.Header.Get(PeerHopHeader) == ""
 }
 
+// nsPerFill is what one peer fill costs in nanoseconds: the HTTP round
+// trip to the key's owner and back, the owner answering from its cache,
+// and the decode of its answer. It is BenchmarkPeerFill's time
+// (internal/cluster/harness: a cached key filled serially over loopback),
+// the median of 11 runs (55–109 µs), rounded, on a 2-CPU Intel Xeon with
+// go1.24 (the kind of host the load package's cost-model constants were
+// fitted on) at GOMAXPROCS 2, as torusd runs there. Against it the cost model sends FAR on T³₈,
+// UDR on T³₈ random:64 (≈135 µs) and anything on a big torus to the
+// owner, and computes ODR on T³₈ random:64 (≈46 µs) where it was asked.
+const nsPerFill = 75_000
+
 // placementMiss is the miss stage of the placement endpoints: the fit
-// check, then the peer-fill plan of the canonical request req.
-func placementMiss[R any](s *Server, r *http.Request, spec placement.Spec, k, d int, path string, req R, decode func([]byte) (any, error)) (*peerFill, error) {
+// check, then the peer-fill plan of the canonical request req. An analysis
+// (routing names its routing; bounds and bisect pass "") plans a fill only
+// when the cost model prices its compute at least one fill: a cheaper one
+// is computed where it was asked and cached there, the plan pricedOut.
+func placementMiss[R any](s *Server, r *http.Request, spec placement.Spec, k, d int, path string, req R, decode func([]byte) (any, error), routing string) (*peerFill, error) {
 	if err := fitPlacement(spec, k, d); err != nil {
 		return nil, err
 	}
 	if !s.wantsFill(r) {
 		return nil, nil
 	}
+	if routing != "" && s.cheaperThanFill(spec, k, d, routing) {
+		return pricedOut, nil
+	}
 	return fillOf(s, r, path, req, decode), nil
+}
+
+// cheaperThanFill reports whether the cost model prices the analysis of
+// spec on T^d_k under routing below one peer fill: load.Cost of its
+// cheapest engine for the processor count spec places, under the engines
+// this server runs.
+func (s *Server) cheaperThanFill(spec placement.Spec, k, d int, routing string) bool {
+	alg, err := cliutil.ParseRouting(routing)
+	if err != nil {
+		return false
+	}
+	t := torus.New(k, d)
+	n, err := spec.Size(t)
+	if err != nil {
+		return false
+	}
+	return load.Cost(alg, t, n, s.cfg.loadOptions().FastPath) < nsPerFill
 }
 
 // fillOf is fillFor on a copy of req, which only a request that fills
@@ -806,7 +859,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	s.countPeerHop(r)
 	miss := func() (*peerFill, error) {
-		return placementMiss(s, r, spec, req.K, req.D, "/v1/analyze", req, decodeAnalyzeFill)
+		return placementMiss(s, r, spec, req.K, req.D, "/v1/analyze", req, decodeAnalyzeFill, req.Routing)
 	}
 	v, cached, err := execute(s, r.Context(), req.CacheKey(), miss, analyzeWork{req: req, spec: spec})
 	if err != nil {
@@ -829,7 +882,7 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 	}
 	s.countPeerHop(r)
 	miss := func() (*peerFill, error) {
-		return placementMiss(s, r, spec, req.K, req.D, "/v1/bounds", req, decodeBoundsFill)
+		return placementMiss(s, r, spec, req.K, req.D, "/v1/bounds", req, decodeBoundsFill, "")
 	}
 	v, cached, err := execute(s, r.Context(), req.CacheKey(), miss, boundsWork{req: req, spec: spec})
 	if err != nil {
@@ -854,7 +907,7 @@ func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
 	}
 	s.countPeerHop(r)
 	miss := func() (*peerFill, error) {
-		return placementMiss(s, r, spec, req.K, req.D, "/v1/bisect", req, decodeBisectFill)
+		return placementMiss(s, r, spec, req.K, req.D, "/v1/bisect", req, decodeBisectFill, "")
 	}
 	v, cached, err := execute(s, r.Context(), req.CacheKey(), miss, bisectWork{req: req, spec: spec})
 	if err != nil {

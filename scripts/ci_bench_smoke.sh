@@ -7,8 +7,9 @@
 # BenchmarkComputeValiant, the two optimizer benchmarks
 # (BenchmarkBranchBoundT2_8, BenchmarkAnnealT3_8) and the three bisection
 # benchmarks (BenchmarkSweepBisection, BenchmarkBestSweepT3_8,
-# BenchmarkAnalyzeRandomT3_8) and torusd's cache-hit and cache-miss paths
-# (BenchmarkServeAnalyzeCacheHit, BenchmarkServeAnalyzeMiss) once at a
+# BenchmarkAnalyzeRandomT3_8), torusd's cache-hit and cache-miss paths
+# (BenchmarkServeAnalyzeCacheHit, BenchmarkServeAnalyzeMiss) and one
+# cluster peer fill (BenchmarkPeerFill, internal/cluster/harness) once at a
 # short benchtime
 # and GOMAXPROCS 1 (-cpu 1, the setting the baseline was recorded at: the
 # engines size one accumulator per worker, so allocs/op and the fast/generic
@@ -48,6 +49,10 @@
 #      the path is a few percent of its count and would hide in check 1's
 #      slack.
 #
+# BenchmarkPeerFill runs a requester and its owner in one process, so its
+# allocs/op and bytes/op under check 1 are both sides of one fill: what a
+# cluster miss pays when it fills instead of computing.
+#
 # Absolute ns/op is deliberately NOT gated. Run from the repository root;
 # CI runs it via `make bench-smoke`.
 set -euo pipefail
@@ -57,10 +62,12 @@ SLACK=1.3
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-echo "bench-smoke: running paired load benchmarks, the optimizer, the bisection benchmarks and the cache-hit and cache-miss paths"
+echo "bench-smoke: running paired load benchmarks, the optimizer, the bisection benchmarks, the cache-hit and cache-miss paths and a peer fill"
 go test -run '^$' \
     -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkLoadComputeFAR|BenchmarkLoadEMaxFARRandom|BenchmarkLoadEMaxODR|BenchmarkLoadEMaxUDRRandom(Generic)?|BenchmarkComputePattern|BenchmarkComputeValiant|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8|BenchmarkSweepBisection|BenchmarkBestSweepT3_8|BenchmarkAnalyzeRandomT3_8|BenchmarkServeAnalyzeCacheHit|BenchmarkServeAnalyzeMiss)$' \
     -benchmem -benchtime=0.5s -count=1 -cpu 1 . | tee "$RAW"
+go test -run '^$' -bench '^BenchmarkPeerFill$' -benchmem -benchtime=0.5s -count=1 -cpu 1 \
+    ./internal/cluster/harness | tee -a "$RAW"
 
 # name -> ns/op, bytes/op and allocs/op maps from this run.
 measured=$(awk '

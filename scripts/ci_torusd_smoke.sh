@@ -261,8 +261,9 @@ echo "smoke: OK"
 
 # ---------------------------------------------------------------------------
 # Cluster leg (TORUSD_SMOKE_CLUSTER=1, run via `make smoke-cluster`): boot a
-# 3-node cluster (one owner per key), verify a hot key is computed exactly
-# once cluster-wide — peer-filled by both other nodes — then kill its owner
+# 3-node cluster (one owner per key), verify a hot key dearer than a peer
+# fill is computed exactly once cluster-wide — peer-filled by both other
+# nodes — then kill its owner
 # mid-load and evict it (epoch 2). A second key warmed only at the dead
 # owner must then come back exact on every survivor, computed once
 # cluster-wide by its new owner. Finally restart the dead node, re-admit it
@@ -278,13 +279,9 @@ PEERS="http://127.0.0.1:${CPORTS[0]},http://127.0.0.1:${CPORTS[1]},http://127.0.
 CPIDS=()
 
 echo "smoke-cluster: booting 3 nodes"
-# -no-analytic: the hot key below is a linear placement, and this leg asserts
-# the compute/peer-fill accounting (one miss cluster-wide, fills elsewhere).
-# With the lane on, every node would answer it locally in closed form and
-# none of those counters would move.
 for i in 0 1 2; do
     "$BIN" -addr "127.0.0.1:${CPORTS[$i]}" -debug-addr "127.0.0.1:${CDEBUG[$i]}" \
-        -no-analytic -cluster -self "http://127.0.0.1:${CPORTS[$i]}" -peers "$PEERS" &
+        -cluster -self "http://127.0.0.1:${CPORTS[$i]}" -peers "$PEERS" &
     CPIDS[$i]=$!
 done
 trap 'for p in "${CPIDS[@]}"; do kill "$p" 2>/dev/null || true; done; wait 2>/dev/null || true; rm -rf "$(dirname "$BIN")"' EXIT
@@ -305,9 +302,12 @@ for i in 0 1 2; do
     fi
 done
 
-# The hot key: {"k":8,...,"routing":"odr"} canonicalizes to this cache key.
-hot_body='{"k":8,"d":2,"placement":"linear","routing":"odr"}'
-hot_key='analyze|k=8|d=2|p=linear:0|a=odr'
+# The hot key canonicalizes to this cache key. A node fills a miss from its
+# owner only when the cost model prices the compute above one fill (about
+# 75 µs), so the hot key and K2 below are FAR on T^3_8 over 64 random
+# processors, priced at milliseconds; no analytic lane answers them.
+hot_body='{"k":8,"d":3,"placement":"random:64:1","routing":"far"}'
+hot_key='analyze|k=8|d=3|p=random:64:1|a=far'
 
 echo "smoke-cluster: resolving the hot key's owner via /debug/cluster"
 owner_url=$(curl -fsS --get --data-urlencode "key=${hot_key}" \
@@ -366,19 +366,18 @@ echo "smoke-cluster: warming a second key at its owner only"
 # the kill loses its only cached copy.
 k2_body=""
 k2_key=""
-for k in $(seq 4 20); do
-    [ "$k" = "8" ] && continue
-    key="analyze|k=${k}|d=2|p=linear:0|a=odr"
+for seed in $(seq 2 40); do
+    key="analyze|k=8|d=3|p=random:64:${seed}|a=far"
     o=$(curl -fsS --get --data-urlencode "key=${key}" \
         "http://127.0.0.1:${CDEBUG[0]}/debug/cluster" | jq -r '.owner')
     if [ "$o" = "$owner_url" ]; then
-        k2_body="{\"k\":${k},\"d\":2,\"placement\":\"linear\",\"routing\":\"odr\"}"
+        k2_body="{\"k\":8,\"d\":3,\"placement\":\"random:64:${seed}\",\"routing\":\"far\"}"
         k2_key=$key
         break
     fi
 done
 if [ -z "$k2_body" ]; then
-    echo "smoke-cluster: FAIL — no second key homed on node ${owner_idx} among k=4..20" >&2
+    echo "smoke-cluster: FAIL — no second key homed on node ${owner_idx} among seeds 2..40" >&2
     exit 1
 fi
 status=$(curl -sS -o /tmp/torusd_smoke_cluster.json -w '%{http_code}' \
@@ -464,7 +463,7 @@ fi
 
 echo "smoke-cluster: restarting node ${owner_idx} and re-admitting it"
 "$BIN" -addr "127.0.0.1:${CPORTS[$owner_idx]}" -debug-addr "127.0.0.1:${CDEBUG[$owner_idx]}" \
-    -no-analytic -cluster -self "$owner_url" -peers "$PEERS" &
+    -cluster -self "$owner_url" -peers "$PEERS" &
 CPIDS[$owner_idx]=$!
 ready=""
 for _ in $(seq 1 60); do
