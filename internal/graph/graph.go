@@ -1,9 +1,8 @@
 // Package graph provides a small generic digraph substrate: adjacency
 // construction, breadth-first search, shortest-path counting, and
-// connectivity. It is deliberately independent of the torus package so that
-// torus-specific distance and routing code can be cross-validated against a
-// structure-agnostic implementation, and so that fault analysis can operate
-// on mutilated copies of the network.
+// connectivity. Nothing imports it: the breadth-first cross-checks of torus
+// Lee distances and minimal path counts it was written for live in the
+// torus package's tests, with a test-local oracle.
 package graph
 
 // Digraph is a directed graph over nodes 0..N-1 with parallel edges

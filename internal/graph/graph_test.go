@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"testing"
-
-	"torusnet/internal/torus"
-)
+import "testing"
 
 func TestBFSOnPath(t *testing.T) {
 	g := New(4)
@@ -23,37 +19,6 @@ func TestBFSOnPath(t *testing.T) {
 	}
 }
 
-func TestBFSMatchesTorusLeeDistance(t *testing.T) {
-	for _, c := range []struct{ k, d int }{{3, 2}, {4, 2}, {5, 2}, {4, 3}} {
-		tr := torus.New(c.k, c.d)
-		g := FromTorus(tr)
-		if g.N() != tr.Nodes() || g.Edges() != tr.Edges() {
-			t.Fatalf("T^%d_%d: graph shape mismatch", c.d, c.k)
-		}
-		dist := g.BFS(0)
-		tr.ForEachNode(func(v torus.Node) {
-			if dist[v] != tr.LeeDistance(0, v) {
-				t.Fatalf("T^%d_%d: BFS %d vs Lee %d at node %d", c.d, c.k, dist[v], tr.LeeDistance(0, v), v)
-			}
-		})
-	}
-}
-
-func TestShortestPathCountsMatchTorus(t *testing.T) {
-	tr := torus.New(5, 2)
-	g := FromTorus(tr)
-	dist, count := g.ShortestPathCounts(0)
-	tr.ForEachNode(func(v torus.Node) {
-		if dist[v] != tr.LeeDistance(0, v) {
-			t.Fatalf("distance mismatch at %d", v)
-		}
-		if want := tr.MinimalPathCount(0, v); count[v] != want {
-			t.Fatalf("node %v: graph counts %v shortest paths, torus counts %v",
-				tr.Coords(v), count[v], want)
-		}
-	})
-}
-
 func TestShortestPathCountsParallelEdges(t *testing.T) {
 	// Two parallel edges 0 -> 1 count as two shortest paths.
 	g := New(2)
@@ -62,32 +27,6 @@ func TestShortestPathCountsParallelEdges(t *testing.T) {
 	_, count := g.ShortestPathCounts(0)
 	if count[1] != 2 {
 		t.Errorf("parallel-edge count = %v, want 2", count[1])
-	}
-}
-
-func TestTorusIsStronglyConnected(t *testing.T) {
-	tr := torus.New(4, 2)
-	if !FromTorus(tr).StronglyConnected() {
-		t.Error("torus should be strongly connected")
-	}
-}
-
-func TestFromTorusWithout(t *testing.T) {
-	tr := torus.New(3, 1) // ring 0-1-2
-	// Remove both edges leaving node 0 in the + and - directions.
-	failed := map[torus.Edge]bool{
-		tr.EdgeFrom(0, 0, torus.Plus):  true,
-		tr.EdgeFrom(0, 0, torus.Minus): true,
-	}
-	g := FromTorusWithout(tr, failed)
-	if g.Edges() != tr.Edges()-2 {
-		t.Fatalf("edges = %d, want %d", g.Edges(), tr.Edges()-2)
-	}
-	if g.Reachable(0, 1) {
-		t.Error("node 0 should be cut off outbound")
-	}
-	if !g.Reachable(1, 0) {
-		t.Error("inbound edges to 0 remain")
 	}
 }
 

@@ -31,24 +31,18 @@ import (
 // prediction) on a 2-CPU Intel Xeon with go1.24; the two setup terms come
 // from T²₃…T³₄, where they dominate.
 //
-// Under ODR, ODR-multi, UDR and UDR-multi, compute runs the engine with
-// the smallest prediction among its candidates. The symmetry engine is a
-// candidate only under UDR and UDR-multi: under ODR and ODR-multi
-// ring-flow beats it on every placement measured, or trails it by under a
-// microsecond (single-orbit T²₈ and T²₁₂), so those go straight to
-// ring-flow without a stabilizer search. Under
-// UDR its price falls with its orbit count, and the stabilizer that yields
-// the count is a search of its own (cached with the placement, and not
-// priced here), so it is searched only when even a single orbit would beat
-// the cheaper of ring-flow and the pair loop. Over BenchmarkDispatchTable's
-// grid that happens only for the linear placements the model then gives to
-// symmetry, UDR on T²₈…T²₂₄, T³₆ and T⁴₄: translating |P| node tables
-// alone costs more than sweeping every ring once anywhere else.
-// FAR and ODROrder, which ring-flow does not model, keep the symmetry
-// engine whenever the stabilizer is non-trivial: it walks orbits·|P|
-// pairs against the pair loop's |P|², and the two differ by its setup of
-// about a microsecond only where both take a few. Their predictions are
-// still made, and reported.
+// Each input has one rule: compute runs the candidate with the smallest
+// prediction. The pair loop is always a candidate. Ring-flow is one for
+// the five dimension-ordered routings (ODR, ODR-multi, ODROrder, UDR and
+// UDR-multi) wherever its integer sums stay exact. The symmetry engine is
+// one only for the translation-equivariant routings ring-flow does not
+// model, which today is FAR alone, and only on a placement with a
+// non-trivial stabilizer: it walks orbits·|P| pairs against the pair
+// loop's |P|². Its stabilizer is a search of its own (cached with the
+// placement, and not priced here), so it runs only where symmetry may
+// serve. Under UDR a single orbit on a small torus (T²₈, T²₁₂, T⁴₄) would
+// beat ring-flow by up to about 1.25×, a microsecond or two; ring-flow
+// serves it anyway, so that no UDR input pays the search.
 const (
 	nsPerODRStep    = 17   // ODR family pair kernel: one hop, or one dimension's setup
 	nsPerUDRStep    = 13   // UDR pair kernel: one hop of a segment, or one coordinate of its start
@@ -75,24 +69,19 @@ type plan struct {
 
 // candidates appends to dst, and returns, every engine compute may run for
 // p under alg in mode with its price, in the order generic, ring-flow,
-// symmetry. FastPathOff offers only the pair loop; FastPathForce offers
-// the symmetry engine whenever it is sound and never ring-flow. Together
-// with priced it is the one place that knows which engine applies to
-// which input.
+// symmetry. FastPathOff offers only the pair loop. Together with priced
+// it is the one place that knows which engine applies to which input.
 func candidates(dst []plan, p *placement.Placement, alg routing.Algorithm, mode FastPathMode) []plan {
 	t, n := p.Torus(), p.Size()
 	out := priced(dst, alg, t, n, mode)
-	if mode == FastPathOff || n < 2 || !routing.IsTranslationEquivariant(alg) {
+	// The symmetry engine serves only the translation-equivariant routings
+	// ring-flow does not model.
+	_, modelled := ringFamilyOf(alg, t.D())
+	if mode != FastPathAuto || n < 2 || modelled || !routing.IsTranslationEquivariant(alg) {
 		return out
 	}
-	fam, costed := ringFamilyOf(alg)
-	if mode == FastPathForce {
-		costed = false
-	}
-	if !costed || !fam.ordered && symmetryCost(alg, t, n, 1) < slices.MinFunc(out, cheaper).ns {
-		if stab := p.TranslationStabilizer(); len(stab) > 1 || mode == FastPathForce {
-			out = append(out, plan{engine: EngineSymmetry, ns: symmetryCost(alg, t, n, n/len(stab)), stab: stab})
-		}
+	if stab := p.TranslationStabilizer(); len(stab) > 1 {
+		out = append(out, plan{engine: EngineSymmetry, ns: symmetryCost(alg, t, n, n/len(stab)), stab: stab})
 	}
 	return out
 }
@@ -105,7 +94,7 @@ func priced(dst []plan, alg routing.Algorithm, t *torus.Torus, n int, mode FastP
 	if mode != FastPathAuto || n < 2 {
 		return out
 	}
-	if fam, ok := ringFamilyOf(alg); ok && fam.exact(t, n) {
+	if fam, ok := ringFamilyOf(alg, t.D()); ok && fam.exact(t, n) {
 		out = append(out, plan{engine: EngineRingFlow, ns: ringFlowCost(fam, t, n), fam: fam})
 	}
 	return out
@@ -114,29 +103,19 @@ func priced(dst []plan, alg routing.Algorithm, t *torus.Torus, n int, mode FastP
 // Cost is the cost model's price, in nanoseconds, of computing the loads
 // of n processors on t under alg in mode, known before any placement is
 // built: the cheaper of the pair loop and ring-flow where it applies.
-// Compute runs the symmetry engine instead only where its price is lower,
-// or for FAR and ODROrder at most its setup higher, so outside
-// FastPathForce the engine compute runs is priced at most about this.
+// Compute runs the symmetry engine instead only where its price is lower
+// still, so the engine compute runs is priced at most this.
 func Cost(alg routing.Algorithm, t *torus.Torus, n int, mode FastPathMode) float64 {
 	var buf [2]plan
 	return slices.MinFunc(priced(buf[:0], alg, t, n, mode), cheaper).ns
 }
 
-// choose picks the engine compute runs for p under alg in mode. The
-// candidates live in an array on its stack, so a choice allocates nothing.
+// choose picks the engine compute runs for p under alg in mode: the
+// cheapest candidate. The candidates live in an array on its stack, so a
+// choice allocates nothing.
 func choose(p *placement.Placement, alg routing.Algorithm, mode FastPathMode) plan {
 	var buf [3]plan
-	return pick(alg, mode, candidates(buf[:0], p, alg, mode))
-}
-
-// pick chooses among cands: under FastPathAuto and a routing ring-flow
-// models, the cheapest; otherwise the last, which is the symmetry engine
-// wherever it is a candidate and the pair loop elsewhere.
-func pick(alg routing.Algorithm, mode FastPathMode, cands []plan) plan {
-	if _, costed := ringFamilyOf(alg); costed && mode == FastPathAuto {
-		return slices.MinFunc(cands, cheaper)
-	}
-	return cands[len(cands)-1]
+	return slices.MinFunc(candidates(buf[:0], p, alg, mode), cheaper)
 }
 
 // cheaper orders plans by predicted cost.
@@ -239,11 +218,11 @@ type Prediction struct {
 
 // Predict prices every engine compute considers for p under alg with
 // FastPathAuto (see candidates) and names the one it runs when the
-// analytic tier does not answer.
+// analytic tier does not answer: the cheapest.
 func Predict(p *placement.Placement, alg routing.Algorithm) (chosen string, preds []Prediction) {
 	cands := candidates(nil, p, alg, FastPathAuto)
 	for _, c := range cands {
 		preds = append(preds, Prediction{c.engine, c.ns / 1e3})
 	}
-	return pick(alg, FastPathAuto, cands).engine, preds
+	return slices.MinFunc(cands, cheaper).engine, preds
 }

@@ -53,15 +53,18 @@ type engineRun struct {
 
 // applicableEngines lists every engine that can answer p under alg: the
 // candidates compute weighs, and the symmetry engine wherever it is sound
-// even if compute never weighs it there (ODR, or a UDR cell where a single
-// orbit cannot win). Each runs the way EMaxCtx runs it with one worker.
+// even though compute no longer weighs it there (ODR and UDR, which
+// ring-flow serves), so the table shows what that gives up. Each runs the
+// way EMaxCtx runs it with one worker.
 func applicableEngines(p *placement.Placement, alg routing.Algorithm) []*engineRun {
 	ctx := context.Background()
+	cands := candidates(nil, p, alg, FastPathAuto)
+	if routing.IsTranslationEquivariant(alg) && !slices.ContainsFunc(cands, func(c plan) bool { return c.engine == EngineSymmetry }) {
+		stab := p.TranslationStabilizer()
+		cands = append(cands, plan{engine: EngineSymmetry, ns: symmetryCost(alg, p.Torus(), p.Size(), p.Size()/len(stab)), stab: stab})
+	}
 	var engines []*engineRun
-	for _, c := range candidates(candidates(nil, p, alg, FastPathAuto), p, alg, FastPathForce) {
-		if slices.ContainsFunc(engines, func(e *engineRun) bool { return e.name == c.engine }) {
-			continue
-		}
+	for _, c := range cands {
 		e := &engineRun{name: c.engine, ns: c.ns}
 		switch c.engine {
 		case EngineGeneric:
@@ -85,7 +88,7 @@ func applicableEngines(p *placement.Placement, alg routing.Algorithm) []*engineR
 // rounds are seconds apart and a burst of load from elsewhere on the host
 // spoils at most one of them; an engine over 10× its cell's fastest after
 // the first round is not run again. It reports the worst ratio of the
-// chosen engine's time to the fastest over the ODR and UDR cells as
+// chosen engine's time to the fastest over every cell as
 // worst-chosen/fastest, and each engine's median measured/predicted ratio.
 // Run it with
 //
@@ -131,9 +134,7 @@ func BenchmarkDispatchTable(b *testing.B) {
 				detail = append(detail, fmt.Sprintf("%s %.1f/%.1f", e.name, float64(e.best.Nanoseconds())/1e3, e.ns/1e3))
 			}
 			ratio := float64(chosenBest) / float64(fastest.best)
-			if _, far := c.alg.(routing.FAR); !far {
-				worst = math.Max(worst, ratio)
-			}
+			worst = math.Max(worst, ratio)
 			fmt.Fprintf(&out, "T^%d_%-2d %-26s %-9s %-9s %-9s %6.2f  %s\n", c.t.D(), c.t.K(), p.Name(), c.alg.Name(),
 				chosen, fastest.name, ratio, strings.Join(detail, ", "))
 		}
@@ -174,10 +175,10 @@ func mustBuildB(b *testing.B, s placement.Spec, tr *torus.Torus) *placement.Plac
 
 // TestCostBoundsChosenEngine pins Cost as the price of what compute runs,
 // known without the placement: where compute chooses the pair loop or
-// ring-flow, Cost is that engine's price, and where it chooses symmetry it
-// is priced no higher, but for the symmetry engine's setup where FAR keeps
-// it at about the pair loop's price. Random placements have no
-// stabilizer; linear and multi-linear ones give symmetry its chances.
+// ring-flow, Cost is that engine's price, and where it chooses symmetry
+// (FAR on a non-trivial stabilizer) it is priced lower still. Random
+// placements have no stabilizer; linear and multi-linear ones give
+// symmetry its chances.
 func TestCostBoundsChosenEngine(t *testing.T) {
 	cells := dispatchGrid()
 	for _, kd := range [][2]int{{3, 2}, {4, 2}, {8, 2}, {16, 2}, {4, 3}, {8, 3}, {12, 3}, {4, 4}} {
@@ -196,7 +197,7 @@ func TestCostBoundsChosenEngine(t *testing.T) {
 		for _, mode := range []FastPathMode{FastPathAuto, FastPathOff} {
 			cost := Cost(c.alg, c.t, p.Size(), mode)
 			chosen := choose(p, c.alg, mode)
-			if chosen.engine != EngineSymmetry && chosen.ns != cost || chosen.ns > cost+nsSymmetrySetup {
+			if chosen.engine != EngineSymmetry && chosen.ns != cost || chosen.ns > cost {
 				t.Errorf("%s %s %s mode %d: compute runs %s at %.0f ns, Cost %.0f ns", c.t, p.Name(), c.alg.Name(), mode, chosen.engine, chosen.ns, cost)
 			}
 		}

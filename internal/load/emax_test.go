@@ -47,14 +47,14 @@ func sameSummary(t *testing.T, c emaxCase, got, want *Result) {
 	}
 }
 
-// emaxCases spans every routing, the generic, forced-symmetry, cross-checked
+// emaxCases spans every routing, the generic, cost-model, cross-checked
 // and analytic dispatches and workers 1–3 over random, linear and multiple
 // linear placements on T²₈, T²₁₂, T³₈ and T³₄.
 func emaxCases(t *testing.T) []emaxCase {
 	modes := []Options{
 		{FastPath: FastPathOff},
-		{FastPath: FastPathForce},
-		{FastPath: FastPathForce, CrossCheck: true},
+		{},
+		{CrossCheck: true},
 		{Analytic: AnalyticAuto},
 		{Analytic: AnalyticForce},
 	}
@@ -103,6 +103,7 @@ func TestWarmEMaxAllocatesNoVector(t *testing.T) {
 	lin := mustBuild(t, placement.Linear{}, tr)
 	rnd := mustBuild(t, placement.Random{Count: 64, Seed: 1}, tr)
 	rnd2 := mustBuild(t, placement.Random{Count: 12, Seed: 1}, torus.New(12, 2))
+	multi := mustBuild(t, placement.MultipleLinear{T: 3}, torus.New(16, 2))
 	for _, workers := range []int{1, 2, 3} {
 		opts := Options{Workers: workers}
 		for _, c := range []struct {
@@ -112,7 +113,8 @@ func TestWarmEMaxAllocatesNoVector(t *testing.T) {
 			{emaxCase{p: lin, alg: routing.ODR{}, opts: opts}, EngineRingFlow},
 			{emaxCase{p: rnd, alg: routing.UDR{}, opts: opts}, EngineRingFlow},
 			{emaxCase{p: lin, alg: routing.FAR{}, opts: opts}, EngineSymmetry},
-			{emaxCase{p: lin, alg: routing.UDR{}, opts: Options{Workers: workers, FastPath: FastPathForce}}, EngineSymmetry},
+			{emaxCase{p: multi, alg: routing.FAR{}, opts: opts}, EngineSymmetry},
+			{emaxCase{p: rnd, alg: routing.ODROrder{Order: []int{2, 0, 1}}, opts: opts}, EngineRingFlow},
 			{emaxCase{p: lin, alg: routing.UDR{}, opts: Options{Workers: workers, FastPath: FastPathOff}}, EngineGeneric},
 		} {
 			if res := c.emax(); res.Engine != c.engine {
@@ -140,7 +142,7 @@ func TestWarmEMaxAllocatesNoVector(t *testing.T) {
 // writes, changes some answer: every one must equal a fresh ComputeCtx.
 func TestEMaxConcurrentNoAlias(t *testing.T) {
 	shapes := []struct{ k, d int }{{6, 3}, {3, 2}, {5, 3}, {4, 1}, {4, 3}, {6, 2}, {3, 3}, {5, 2}}
-	modes := []FastPathMode{FastPathAuto, FastPathOff, FastPathForce}
+	modes := []FastPathMode{FastPathAuto, FastPathOff}
 	rng := rand.New(rand.NewSource(18))
 	var cases []emaxCase
 	for i := 0; i < 32; i++ {

@@ -27,7 +27,8 @@ import (
 //     table (O(|P|·|E|) index arithmetic, no routing).
 //
 // For a linear placement |G| = k^{d−1} = |P|, so step 2 collapses to a
-// single source: a ~k^{d−1}× reduction in routing walks.
+// single source: a ~k^{d−1}× reduction in routing walks. Dispatch weighs
+// it only for the routings ring-flow does not model, which is FAR.
 
 // nnzEntry is one nonzero of an orbit's base load vector with the edge
 // index pre-split into source node and (dimension, direction) slot, so the

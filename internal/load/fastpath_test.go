@@ -18,55 +18,79 @@ func mustBuild(t *testing.T, s placement.Spec, tr *torus.Torus) *placement.Place
 	return p
 }
 
-// TestFastPathMatchesGenericAndExact is the property test of the PR: for
-// translation-symmetric placements across even/odd k and d ∈ {2,3}, and all
-// four dimension-ordered routing algorithms, the symmetry engine, the
-// generic engine, and the big.Rat exact engine agree per edge.
+// TestFastPathMatchesGenericAndExact is the property test of the fast
+// paths: for translation-symmetric placements across even and odd k and
+// d ∈ {2, 3}, and every routing a fast path serves, the engine the cost
+// model picks, the generic engine and the big.Rat exact engine agree per
+// edge. The grid sends the five dimension-ordered routings to ring-flow
+// and FAR to symmetry at least once each, and the three FAR cells below
+// are ones the cost model gives to symmetry.
 func TestFastPathMatchesGenericAndExact(t *testing.T) {
-	algs := []routing.Algorithm{routing.ODR{}, routing.ODRMulti{}, routing.UDR{}, routing.UDRMulti{}}
-	specs := []placement.Spec{
-		placement.Linear{C: 0},
-		placement.Linear{C: 1},
-		placement.MultipleLinear{T: 2},
+	type cell struct {
+		k, d int
+		spec placement.Spec
+		alg  routing.Algorithm
+		want string // the engine Auto must pick, or "" for any
 	}
+	var cells []cell
 	for _, dims := range []struct{ k, d int }{{4, 2}, {5, 2}, {6, 2}, {4, 3}, {3, 3}} {
-		tr := torus.New(dims.k, dims.d)
-		for _, spec := range specs {
-			p := mustBuild(t, spec, tr)
+		rev := []int{1, 0}
+		if dims.d == 3 {
+			rev = []int{2, 1, 0}
+		}
+		algs := append(append([]routing.Algorithm(nil), ringAlgs...), routing.ODROrder{Order: rev}, routing.FAR{})
+		for _, spec := range []placement.Spec{placement.Linear{C: 0}, placement.Linear{C: 1}, placement.MultipleLinear{T: 2}} {
 			for _, alg := range algs {
-				fast := Compute(p, alg, Options{FastPath: FastPathForce})
-				if fast.Engine != EngineSymmetry {
-					t.Fatalf("%s/%s on %s: forced fast path used engine %q", spec.Name(), alg.Name(), tr, fast.Engine)
-				}
-				generic := Compute(p, alg, Options{FastPath: FastPathOff})
-				if generic.Engine != EngineGeneric {
-					t.Fatalf("%s/%s on %s: FastPathOff used engine %q", spec.Name(), alg.Name(), tr, generic.Engine)
-				}
-				if div := MaxEngineDivergence(fast, generic); div > 1e-9 {
-					t.Fatalf("%s/%s on %s: fast vs generic diverge by %g", spec.Name(), alg.Name(), tr, div)
-				}
-				exact, err := ComputeExact(p, alg)
-				if err != nil {
-					t.Fatalf("%s/%s on %s: exact engine: %v", spec.Name(), alg.Name(), tr, err)
-				}
-				for e := range fast.Loads {
-					want, _ := exact.Loads[e].Float64()
-					if math.Abs(fast.Loads[e]-want) > 1e-9*math.Max(1, want) {
-						t.Fatalf("%s/%s on %s: edge %d fast %g, exact %g",
-							spec.Name(), alg.Name(), tr, e, fast.Loads[e], want)
-					}
-				}
+				cells = append(cells, cell{dims.k, dims.d, spec, alg, ""})
 			}
+		}
+	}
+	cells = append(cells,
+		cell{6, 2, placement.MultipleLinear{T: 3}, routing.FAR{}, EngineSymmetry},
+		cell{6, 3, placement.Linear{}, routing.FAR{}, EngineSymmetry},
+		cell{16, 2, placement.MultipleLinear{T: 3}, routing.FAR{}, EngineSymmetry},
+	)
+	seen := map[string]bool{}
+	for _, c := range cells {
+		tr := torus.New(c.k, c.d)
+		p := mustBuild(t, c.spec, tr)
+		name := p.Name() + "/" + c.alg.Name() + " on " + tr.String()
+		fast := Compute(p, c.alg, Options{})
+		if c.want != "" && fast.Engine != c.want {
+			t.Fatalf("%s: engine %q, want %q", name, fast.Engine, c.want)
+		}
+		seen[c.alg.Name()+" "+fast.Engine] = true
+		generic := Compute(p, c.alg, Options{FastPath: FastPathOff})
+		if generic.Engine != EngineGeneric {
+			t.Fatalf("%s: FastPathOff used engine %q", name, generic.Engine)
+		}
+		if div := MaxEngineDivergence(fast, generic); div > 1e-9 {
+			t.Fatalf("%s: %s vs generic diverge by %g", name, fast.Engine, div)
+		}
+		exact, err := ComputeExact(p, c.alg)
+		if err != nil {
+			t.Fatalf("%s: exact engine: %v", name, err)
+		}
+		for e := range fast.Loads {
+			want, _ := exact.Loads[e].Float64()
+			if math.Abs(fast.Loads[e]-want) > 1e-9*math.Max(1, want) {
+				t.Fatalf("%s: edge %d %s %g, exact %g", name, e, fast.Engine, fast.Loads[e], want)
+			}
+		}
+	}
+	for _, want := range []string{"ODR ring-flow", "ODR-multi ring-flow", "ODR[2 1 0] ring-flow", "UDR ring-flow", "UDR-multi ring-flow", "FAR symmetry"} {
+		if !seen[want] {
+			t.Errorf("no cell ran %s", want)
 		}
 	}
 }
 
 // TestFastPathAutoDispatch pins the cost model's choice on named cells:
-// symmetry keeps single-orbit UDR on a small torus, ring-flow takes
-// multi-orbit UDR and ODR on any placement, symmetric or not, FAR takes
-// symmetry whenever the stabilizer is non-trivial and the pair loop
-// otherwise, and FastPathOff, or an algorithm that is not translation
-// equivariant even under Force, runs the pair loop.
+// ring-flow takes ODR, ODROrder and UDR on any placement dense enough,
+// symmetric or not, single orbit included; FAR takes symmetry where the
+// stabilizer is non-trivial and it is priced below the pair loop, and the
+// pair loop otherwise; and FastPathOff, or an algorithm that is not
+// translation equivariant, runs the pair loop.
 func TestFastPathAutoDispatch(t *testing.T) {
 	for _, c := range []struct {
 		k, d int
@@ -75,14 +99,17 @@ func TestFastPathAutoDispatch(t *testing.T) {
 		mode FastPathMode
 		want string
 	}{
-		{6, 3, placement.Linear{}, routing.UDR{}, FastPathAuto, EngineSymmetry},
+		{6, 3, placement.Linear{}, routing.UDR{}, FastPathAuto, EngineRingFlow},
 		{8, 3, placement.MultipleLinear{T: 2}, routing.UDR{}, FastPathAuto, EngineRingFlow},
 		{16, 3, placement.Linear{}, routing.ODR{}, FastPathAuto, EngineRingFlow},
 		{16, 2, placement.Random{Count: 16, Seed: 1}, routing.ODR{}, FastPathAuto, EngineRingFlow},
+		{8, 3, placement.Linear{}, routing.ODROrder{Order: []int{1, 2, 0}}, FastPathAuto, EngineRingFlow},
 		{16, 2, placement.MultipleLinear{T: 3}, routing.FAR{}, FastPathAuto, EngineSymmetry},
+		{6, 3, placement.Linear{}, routing.FAR{}, FastPathAuto, EngineSymmetry},
 		{4, 2, placement.Random{Count: 5, Seed: 1}, routing.FAR{}, FastPathAuto, EngineGeneric},
-		{4, 2, placement.Linear{}, routing.MeshODR{}, FastPathForce, EngineGeneric},
+		{4, 2, placement.Linear{}, routing.MeshODR{}, FastPathAuto, EngineGeneric},
 		{4, 2, placement.Linear{}, routing.ODR{}, FastPathOff, EngineGeneric},
+		{6, 3, placement.Linear{}, routing.FAR{}, FastPathOff, EngineGeneric},
 		{4, 2, placement.Random{Count: 5, Seed: 1}, routing.ODR{}, FastPathOff, EngineGeneric},
 	} {
 		tr := torus.New(c.k, c.d)
@@ -93,44 +120,21 @@ func TestFastPathAutoDispatch(t *testing.T) {
 	}
 }
 
-// TestFastPathForceTrivialStabilizer checks Force is still exact when the
-// stabilizer is only the identity (every source is its own orbit).
-func TestFastPathForceTrivialStabilizer(t *testing.T) {
-	tr := torus.New(5, 2)
-	p := mustBuild(t, placement.Random{Count: 6, Seed: 7}, tr)
-	fast := Compute(p, routing.UDR{}, Options{FastPath: FastPathForce})
-	if fast.Engine != EngineSymmetry {
-		t.Fatalf("forced fast path used engine %q", fast.Engine)
-	}
-	generic := Compute(p, routing.UDR{}, Options{FastPath: FastPathOff})
-	if div := MaxEngineDivergence(fast, generic); div > 1e-9 {
-		t.Fatalf("trivial-stabilizer fast path diverges by %g", div)
-	}
-}
-
 // TestFastPathCrossCheckMode checks CrossCheck passes on sound inputs (it
-// panics on divergence, so plain completion is the assertion), for FAR and
-// a permuted ODROrder through the symmetry engine the dispatcher picks,
-// ODR-multi through the symmetry engine forced, and the four routings the
-// ring-flow engine serves.
+// panics on divergence, so plain completion is the assertion): FAR through
+// the symmetry engine on one and on several orbits, and the five routings
+// the ring-flow engine serves.
 func TestFastPathCrossCheckMode(t *testing.T) {
-	tr := torus.New(4, 2)
-	p := mustBuild(t, placement.Linear{C: 0}, tr)
-	for _, c := range []struct {
-		alg  routing.Algorithm
-		mode FastPathMode
-	}{
-		{routing.FAR{}, FastPathAuto},
-		{routing.ODROrder{Order: []int{1, 0}}, FastPathAuto},
-		{routing.ODRMulti{}, FastPathForce},
+	for _, p := range []*placement.Placement{
+		mustBuild(t, placement.MultipleLinear{T: 3}, torus.New(6, 2)),
+		mustBuild(t, placement.Linear{}, torus.New(6, 3)),
 	} {
-		res := Compute(p, c.alg, Options{CrossCheck: true, FastPath: c.mode})
-		if res.Engine != EngineSymmetry {
-			t.Fatalf("%s: engine %q, want symmetry", c.alg.Name(), res.Engine)
+		if res := Compute(p, routing.FAR{}, Options{CrossCheck: true}); res.Engine != EngineSymmetry {
+			t.Fatalf("%s/FAR: engine %q, want symmetry", p.Name(), res.Engine)
 		}
 	}
 	random := mustBuild(t, placement.Random{Count: 12, Seed: 2}, torus.New(6, 2))
-	for _, alg := range ringAlgs {
+	for _, alg := range append(ringAlgs[:len(ringAlgs):len(ringAlgs)], routing.ODROrder{Order: []int{1, 0}}) {
 		res := Compute(random, alg, Options{CrossCheck: true})
 		if res.Engine != EngineRingFlow {
 			t.Fatalf("random/%s: engine %q, want ring-flow", alg.Name(), res.Engine)
@@ -144,9 +148,9 @@ func TestFastPathCrossCheckMode(t *testing.T) {
 func TestFastPathDeterministicAcrossWorkerCounts(t *testing.T) {
 	tr := torus.New(6, 3)
 	p := mustBuild(t, placement.Linear{C: 0}, tr)
-	ref := Compute(p, routing.UDRMulti{}, Options{Workers: 1, FastPath: FastPathForce})
+	ref := Compute(p, routing.FAR{}, Options{Workers: 1})
 	for _, workers := range []int{2, 3, 8, 64} {
-		got := Compute(p, routing.UDRMulti{}, Options{Workers: workers, FastPath: FastPathForce})
+		got := Compute(p, routing.FAR{}, Options{Workers: workers})
 		if got.Engine != EngineSymmetry {
 			t.Fatalf("workers=%d: engine %q", workers, got.Engine)
 		}
@@ -163,7 +167,10 @@ func TestFastPathConservation(t *testing.T) {
 	tr := torus.New(6, 2)
 	for _, spec := range []placement.Spec{placement.Linear{C: 2}, placement.MultipleLinear{T: 3}} {
 		p := mustBuild(t, spec, tr)
-		res := Compute(p, routing.ODRMulti{}, Options{FastPath: FastPathForce})
+		res := Compute(p, routing.FAR{}, Options{})
+		if res.Engine != EngineSymmetry {
+			t.Fatalf("%s/FAR: engine %q, want symmetry", spec.Name(), res.Engine)
+		}
 		if want := ExpectedTotal(p); math.Abs(res.Total-want) > 1e-6 {
 			t.Fatalf("%s: total %g, want %g", spec.Name(), res.Total, want)
 		}
@@ -190,9 +197,9 @@ func TestEffectiveWorkersPureFunction(t *testing.T) {
 
 	tr := torus.New(5, 2)
 	p := mustBuild(t, placement.Linear{C: 0}, tr) // |P| = 5
-	for _, mode := range []FastPathMode{FastPathOff, FastPathForce} {
-		capped := Compute(p, routing.UDR{}, Options{Workers: 5, FastPath: mode})
-		over := Compute(p, routing.UDR{}, Options{Workers: 1000, FastPath: mode})
+	for _, mode := range []FastPathMode{FastPathOff, FastPathAuto} {
+		capped := Compute(p, routing.FAR{}, Options{Workers: 5, FastPath: mode})
+		over := Compute(p, routing.FAR{}, Options{Workers: 1000, FastPath: mode})
 		for e := range capped.Loads {
 			if capped.Loads[e] != over.Loads[e] {
 				t.Fatalf("mode %v: workers=5 and workers=1000 differ bitwise at edge %d: %g vs %g",

@@ -8,9 +8,10 @@
 // each with a private per-edge accumulator that is merged once at the end,
 // so there is no shared-write contention and results are deterministic for
 // a fixed worker count. Faster engines answer the common cases without
-// walking pairs: closed forms, translation symmetry, and per-ring
-// marginal sweeps (ringflow.go). An exact big.Rat engine and a Monte-Carlo
-// estimator provide independent cross-checks.
+// walking pairs: closed forms, per-ring marginal sweeps for the
+// dimension-ordered routings (ringflow.go), and translation symmetry for
+// FAR (fastpath.go). A Monte-Carlo estimator provides an independent
+// cross-check, and the tests hold ring-flow to an exact big.Rat oracle.
 package load
 
 import (
@@ -62,8 +63,9 @@ type Result struct {
 const (
 	EngineGeneric  = "generic"
 	EngineSymmetry = "symmetry"
-	// EngineRingFlow labels exact ODR, ODR-multi, UDR and UDR-multi loads
-	// swept ring by ring from per-ring processor marginals (ringflow.go).
+	// EngineRingFlow labels exact ODR, ODR-multi, ODROrder, UDR and
+	// UDR-multi loads swept ring by ring from per-ring processor marginals
+	// (ringflow.go).
 	EngineRingFlow = "ring-flow"
 	// EngineAnalytic labels O(1) closed-form answers from the Theorem 2–5
 	// expressions. Analytic results carry no per-edge Loads vector (only
@@ -79,19 +81,13 @@ type FastPathMode int
 
 const (
 	// FastPathAuto (the zero value) runs whichever computed engine the
-	// cost model predicts cheapest among those it weighs: the ring-flow
-	// engine for ODR, ODR-multi, UDR and UDR-multi, the symmetry engine
-	// for any other translation-equivariant algorithm and for UDR and
-	// UDR-multi on a placement with a non-trivial stabilizer, and the
-	// generic pair loop always (dispatch.go).
+	// cost model predicts cheapest among its candidates (dispatch.go): the
+	// generic pair loop always, the ring-flow engine for ODR, ODR-multi,
+	// ODROrder, UDR and UDR-multi, and the symmetry engine for FAR on a
+	// placement with a non-trivial translation stabilizer.
 	FastPathAuto FastPathMode = iota
 	// FastPathOff always uses the generic pair loop.
 	FastPathOff
-	// FastPathForce uses the symmetry engine whenever it is sound, even for
-	// a trivial (identity-only) stabilizer where it has no speed advantage,
-	// so the ring-flow engine never runs. Unsound combinations still fall
-	// back to the generic engine: soundness is never negotiable.
-	FastPathForce
 )
 
 // String names the mode for diagnostics.
@@ -101,8 +97,6 @@ func (m FastPathMode) String() string {
 		return "auto"
 	case FastPathOff:
 		return "off"
-	case FastPathForce:
-		return "force"
 	default:
 		return fmt.Sprintf("FastPathMode(%d)", int(m))
 	}
@@ -113,9 +107,9 @@ type Options struct {
 	// Workers is the number of goroutines; 0 means GOMAXPROCS.
 	Workers int
 	// FastPath selects the symmetry and ring-flow fast paths; the zero
-	// value auto-detects. Every engine computes the same expectations, so
-	// results agree up to floating-point summation order (~1e-12
-	// relative).
+	// value runs the cheapest engine. Every engine computes the same
+	// expectations, so results agree up to floating-point summation order
+	// (~1e-12 relative).
 	FastPath FastPathMode
 	// CrossCheck recomputes every symmetry or ring-flow result with the
 	// generic engine and panics on divergence beyond floating-point

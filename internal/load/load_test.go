@@ -1,6 +1,7 @@
 package load
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -534,6 +535,40 @@ func TestODROrderPermutesLoadProfile(t *testing.T) {
 	revDims := rev.PerDimensionMax()
 	if fwdDims[2] != revDims[0] || fwdDims[0] != revDims[2] {
 		t.Errorf("per-dim maxima not swapped: %v vs %v", fwdDims, revDims)
+	}
+}
+
+// TestODROrderBadPermutationPanics checks that an ODROrder whose Order is
+// not a permutation of 0…d−1 panics with routing's message through every
+// dispatch, ring-flow and the pair loop alike, and through the cost model.
+func TestODROrderBadPermutationPanics(t *testing.T) {
+	tr := torus.New(4, 3)
+	p := mustBuild(t, placement.Random{Count: 16, Seed: 3}, tr)
+	for _, bad := range []struct {
+		order []int
+		msg   string
+	}{
+		{[]int{0, 0, 1}, "routing: ODROrder is not a permutation"},
+		{[]int{0, 1, 3}, "routing: ODROrder is not a permutation"},
+		{[]int{1, 0}, "routing: ODROrder permutation arity mismatch"},
+	} {
+		alg := routing.ODROrder{Order: bad.order}
+		for name, run := range map[string]func(){
+			"auto":    func() { Compute(p, alg, Options{Workers: 1}) },
+			"off":     func() { Compute(p, alg, Options{Workers: 1, FastPath: FastPathOff}) },
+			"emax":    func() { EMaxCtx(context.Background(), p, alg, Options{Workers: 2}) },
+			"cost":    func() { Cost(alg, tr, p.Size(), FastPathAuto) },
+			"predict": func() { Predict(p, alg) },
+		} {
+			func() {
+				defer func() {
+					if got := recover(); got != bad.msg {
+						t.Errorf("%v %s: panic %v, want %q", bad.order, name, got, bad.msg)
+					}
+				}()
+				run()
+			}()
+		}
 	}
 }
 

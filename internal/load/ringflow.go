@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/bits"
+	"slices"
 
 	"torusnet/internal/obs"
 	"torusnet/internal/placement"
@@ -13,7 +14,7 @@ import (
 
 // The ring-flow engine: exact ODR and UDR loads from per-ring marginals.
 //
-// Fix the dimension-j edge at node v. Under the four dimension-ordered
+// Fix the dimension-j edge at node v. Under the five dimension-ordered
 // routings a pair (s, t) crosses it only if s and t meet per-coordinate
 // conditions against v on the other d−1 dimensions and v_j lies on the
 // pair's arc from s_j to t_j. On the ring through v along j the load is
@@ -21,7 +22,11 @@ import (
 // passes the edge], one per class c of those conditions:
 //
 //   - ODR: one class with w = 1. A(x) counts the processors p with p_j = x
-//     and p_{>j} = v_{>j}; B(y) those with p_j = y and p_{<j} = v_{<j}.
+//     that agree with v on the dimensions corrected after j (p_{>j} =
+//     v_{>j}); B(y) those with p_j = y that agree with v on the dimensions
+//     corrected before j (p_{<j} = v_{<j}). ODROrder is ODR with the
+//     dimensions corrected in its own order, so only "after" and "before"
+//     change.
 //   - UDR: the other dimensions split into S (already corrected: t = v ≠ s),
 //     R (still to correct: s = v ≠ t) and Q (s = t = v), with the order
 //     weight w = |S|!·|R|!/(|S|+|R|+1)! of routing's segment kernel. A_c
@@ -31,23 +36,30 @@ import (
 //
 // Each flow then costs one O(k) sweep per ring and direction: the load on
 // edge z → z+1 is L[z] = L[z−1] + inject[z] − absorb[z], with inject and
-// absorb read off sliding window sums. Weights are kept in integer units
+// absorb read off sliding window sums. UDR's class weight is symmetric in
+// S and R, so a ring's whole UDR flow is its own transpose and one sweep
+// serves both directions. Weights are kept in integer units
 // (d! for UDR, ×2 for the multi variants, whose ties put half on each arc)
 // and divided once per edge at the end, so ODR loads are the integers the
-// pair loop sums and UDR loads are ComputeExact's rationals rounded once.
+// pair loop sums and UDR loads are the exact rational loads rounded once.
 
-// ringFamily says how one of the four dimension-ordered routings splits
+// ringFamily says how one of the five dimension-ordered routings splits
 // into ring flows.
 type ringFamily struct {
-	ordered bool // ODR: one class per ring; UDR: one per (S, R, Q)
-	split   bool // the multi variants: a tie puts half its mass on each arc
+	ordered bool  // ODR: one class per ring; UDR: one per (S, R, Q)
+	split   bool  // the multi variants: a tie puts half its mass on each arc
+	order   []int // ODROrder's correction order; nil corrects in index order
 }
 
-// ringFamilyOf recognises the routings the ring-flow engine serves.
-func ringFamilyOf(alg routing.Algorithm) (ringFamily, bool) {
-	switch alg.(type) {
+// ringFamilyOf recognises the routings the ring-flow engine serves on a
+// d-dimensional torus. An ODROrder whose Order is not a permutation of
+// 0…d−1 panics with routing's message.
+func ringFamilyOf(alg routing.Algorithm, d int) (ringFamily, bool) {
+	switch a := alg.(type) {
 	case routing.ODR:
 		return ringFamily{ordered: true}, true
+	case routing.ODROrder:
+		return ringFamily{ordered: true, order: a.CorrectionOrder(d)}, true
 	case routing.ODRMulti:
 		return ringFamily{ordered: true, split: true}, true
 	case routing.UDR:
@@ -56,6 +68,14 @@ func ringFamilyOf(alg routing.Algorithm) (ringFamily, bool) {
 		return ringFamily{split: true}, true
 	}
 	return ringFamily{}, false
+}
+
+// rank is dimension x's place in the family's correction order.
+func (f ringFamily) rank(x int) int {
+	if f.order == nil {
+		return x
+	}
+	return slices.Index(f.order, x)
 }
 
 // unit is the integer unit of a d-dimensional load: every pair's
@@ -139,8 +159,8 @@ type ringFlow struct {
 	fam   ringFamily
 	masks int   // 2^{d−1}
 	pow   []int // pow[i] = kⁱ
-	// above[j] and below[j] are ODR's A mask (the dimensions above j) and
-	// B mask (those below j) for sweep dimension j.
+	// above[j] and below[j] are ODR's A mask (the dimensions corrected
+	// after j) and B mask (those corrected before j) for sweep dimension j.
 	above, below []int
 	off          []int
 	marg         []int64
@@ -155,13 +175,16 @@ type ringFlow struct {
 
 // ringScratch is one worker's buffers for the ring it is sweeping.
 type ringScratch struct {
-	digits []int // the ring's coordinates on the other dimensions
-	proj   []int // the ring's projection on every mask
-	n      []int64
+	digits []int   // the ring's coordinates on the other dimensions
+	proj   []int   // the ring's projection on every mask
+	n      []int64 // UDR's rows N_E, each doubled for the sweep
 	tot    []int64 // tot[E] is the sum of row E of n
-	b      []int64 // a class's B, summed over its R
-	a2, b2 []int64 // A and B doubled (or reversed and doubled) for the sweep
-	lp, lm []int64 // the ring's loads: + edges, and − edges in reversed order
+	b      []int64 // a class's B, summed over its R, doubled
+	a2, b2 []int64 // ODR's A and B doubled for the sweep
+	// The ring's flows in load units before their arc weights: the short
+	// and the tied arcs' sums over its + edges (sp, tp) and, for ODR, its −
+	// edges one node behind (sm, tm).
+	sp, tp, sm, tm []int64
 }
 
 // ringFlow readies the workspace's ring-flow state for family fam on t
@@ -178,8 +201,13 @@ func (ws *workspace) ringFlow(t *torus.Torus, fam ringFamily, workers int) *ring
 	rf.masks = masks
 	rf.above, rf.below = rf.above[:0], rf.below[:0]
 	for j := 0; j < d; j++ {
-		below := 1<<j - 1
-		rf.above, rf.below = append(rf.above, (masks-1)&^below), append(rf.below, below)
+		above := 0
+		for b := 0; b < d-1; b++ {
+			if fam.rank(dim(b, j)) > fam.rank(j) {
+				above |= 1 << b
+			}
+		}
+		rf.above, rf.below = append(rf.above, above), append(rf.below, (masks-1)&^above)
 	}
 	rf.off = zeroed(rf.off, d*masks)
 	rf.weight = rf.weight[:0]
@@ -204,13 +232,15 @@ func (ws *workspace) ringFlow(t *torus.Torus, fam ringFamily, workers int) *ring
 		sc := &rf.scratch[w]
 		sc.digits = zeroed(sc.digits, d)
 		sc.proj = zeroed(sc.proj, masks)
-		sc.n = zeroed(sc.n, rows*k)
+		sc.n = zeroed(sc.n, rows*2*k)
 		sc.tot = zeroed(sc.tot, rows)
-		sc.b = zeroed(sc.b, k)
+		sc.b = zeroed(sc.b, 2*k)
 		sc.a2 = zeroed(sc.a2, 2*k)
 		sc.b2 = zeroed(sc.b2, 2*k)
-		sc.lp = zeroed(sc.lp, k)
-		sc.lm = zeroed(sc.lm, k)
+		sc.sp = zeroed(sc.sp, k)
+		sc.tp = zeroed(sc.tp, k)
+		sc.sm = zeroed(sc.sm, k)
+		sc.tm = zeroed(sc.tm, k)
 	}
 	return rf
 }
@@ -322,23 +352,36 @@ func (rf *ringFlow) ring(i int, loads []float64, sc *ringScratch) {
 		sc.digits[b] = rest % k
 		base += sc.digits[b] * rf.pow[dim(b, j)]
 	}
-	clear(sc.lp)
-	clear(sc.lm)
+	clear(sc.sp)
+	clear(sc.tp)
+	sm, tm := sc.sm, sc.tm
 	if rf.fam.ordered {
+		clear(sm)
+		clear(tm)
 		above, below := rf.above[j], rf.below[j]
 		a := rf.row(j, above, projectMask(above, sc.digits, rf.pow))
 		b := rf.row(j, below, projectMask(below, sc.digits, rf.pow))
 		rf.flow(a, b, sc)
 	} else {
+		// UDR's classes pair source and destination rows symmetrically,
+		// so the ring's flow Σ A⊗B is its own transpose: its − arcs carry
+		// what its + arcs do, and only the weights of the ties differ.
 		rf.udrClasses(j, sc)
+		sm, tm = sc.sp, sc.tp
 	}
-	// The − edge at node z is at z′ = −z on the reversed ring of sc.lm.
-	td2, slot, rev := 2*d, 2*j, 0
+	// A tie goes wholly to the + arc, or half to each for the multi
+	// variants, whose unit is doubled to keep that half whole. The − edge
+	// at node z is sm[z−1], tm[z−1].
+	wn, wtPlus, wtMinus := int64(1), int64(1), int64(0)
+	if rf.fam.split {
+		wn, wtMinus = 2, 1
+	}
+	td2, slot, prev := 2*d, 2*j, k-1
 	for z := 0; z < k; z++ {
 		e := (base+z*rf.pow[j])*td2 + slot
-		loads[e] = float64(sc.lp[z]) / rf.unit
-		loads[e+1] = float64(sc.lm[rev]) / rf.unit
-		rev = k - z - 1
+		loads[e] = float64(wn*sc.sp[z]+wtPlus*sc.tp[z]) / rf.unit
+		loads[e+1] = float64(wn*sm[prev]+wtMinus*tm[prev]) / rf.unit
+		prev = z
 	}
 }
 
@@ -348,18 +391,22 @@ func (rf *ringFlow) ring(i int, loads []float64, sc *ringScratch) {
 // the inclusion–exclusion N_E = Σ_{Y ⊇ E} (−1)^{|Y∖E|} M_Y, one dimension
 // at a time. Class (S, R, Q) then has A = N_{R∪Q} and B = N_{S∪Q}; the
 // classes sharing S share A, so their weighted B rows are summed into one
-// sweep.
+// sweep. Rows, and the summed B, hold their k entries twice over, as sweep
+// reads them.
 func (rf *ringFlow) udrClasses(j int, sc *ringScratch) {
-	k, full := rf.k, rf.masks-1
+	k, k2, full := rf.k, 2*rf.k, rf.masks-1
 	project(sc.proj, sc.digits, k)
 	n := sc.n
 	for y := 0; y <= full; y++ {
-		copy(n[y*k:(y+1)*k], rf.row(j, y, sc.proj[y]))
+		lo, hi := n[y*k2:][:k], n[y*k2+k:][:k]
+		for x, c := range rf.row(j, y, sc.proj[y])[:k] {
+			lo[x], hi[x] = c, c
+		}
 	}
 	for b := 1; b <= full; b <<= 1 {
 		for e := 0; e <= full; e++ {
 			if e&b == 0 {
-				dst, src := n[e*k:][:k], n[(e|b)*k:][:k]
+				dst, src := n[e*k2:][:k2], n[(e|b)*k2:][:k2]
 				for x := range dst {
 					dst[x] -= src[x]
 				}
@@ -368,7 +415,7 @@ func (rf *ringFlow) udrClasses(j int, sc *ringScratch) {
 	}
 	for e := 0; e <= full; e++ {
 		sum := int64(0)
-		for _, c := range n[e*k : (e+1)*k] {
+		for _, c := range n[e*k2:][:k] {
 			sum += c
 		}
 		sc.tot[e] = sum
@@ -379,13 +426,14 @@ func (rf *ringFlow) udrClasses(j int, sc *ringScratch) {
 			continue
 		}
 		weights := rf.weight[bits.OnesCount(uint(s))*rf.d:]
-		clear(sc.b)
+		b := sc.b[:k]
+		clear(b)
 		summed := false
 		for r := ea; ; r = (r - 1) & ea {
 			if eb := full ^ r; sc.tot[eb] != 0 {
 				w := weights[bits.OnesCount(uint(r))]
-				for x, c := range n[eb*k : (eb+1)*k] {
-					sc.b[x] += w * c
+				for x, c := range n[eb*k2:][:k] {
+					b[x] += w * c
 				}
 				summed = true
 			}
@@ -394,70 +442,70 @@ func (rf *ringFlow) udrClasses(j int, sc *ringScratch) {
 			}
 		}
 		if summed {
-			rf.flow(n[ea*k:(ea+1)*k], sc.b, sc)
+			copy(sc.b[k:], b)
+			sweep(n[ea*k2:][:k2], sc.b, sc.sp, sc.tp)
 		}
 	}
 }
 
-// flow adds the rank-one flow a⊗b to the ring's loads in both directions:
-// the + arcs onto sc.lp, and the − arcs, swept on the reversed ring, onto
-// sc.lm. A tie goes wholly to the + arc, or half to each for the multi
-// variants, whose unit is doubled to keep that half whole.
+// flow adds ODR's rank-one flow a⊗b, one entry per node, to the ring's
+// sums in both directions. A − arc x → y passes the − edge z+1 → z exactly
+// when the + arc y → x passes z → z+1, so the − sums are the + sweep of
+// b⊗a.
 func (rf *ringFlow) flow(a, b []int64, sc *ringScratch) {
 	k := rf.k
-	wn, wtPlus, wtMinus := int64(1), int64(1), int64(0)
-	if rf.fam.split {
-		wn, wtMinus = 2, 1
+	a2, b2 := sc.a2[:2*k], sc.b2[:2*k]
+	for x, v := range a[:k] {
+		a2[x], a2[x+k] = v, v
 	}
-	copy(sc.a2, a)
-	copy(sc.a2[k:], a)
-	copy(sc.b2, b)
-	copy(sc.b2[k:], b)
-	sweep(sc.a2, sc.b2, sc.lp, wn, wtPlus)
-	sc.a2[0], sc.a2[k], sc.b2[0], sc.b2[k] = a[0], a[0], b[0], b[0]
-	for i := 1; i < k; i++ {
-		sc.a2[i], sc.a2[k+i] = a[k-i], a[k-i]
-		sc.b2[i], sc.b2[k+i] = b[k-i], b[k-i]
+	for x, v := range b[:k] {
+		b2[x], b2[x+k] = v, v
 	}
-	sweep(sc.a2, sc.b2, sc.lm, wn, wtMinus)
+	sweep(a2, b2, sc.sp, sc.tp)
+	sweep(b2, a2, sc.sm, sc.tm)
 }
 
-// sweep adds to l[z] the load the flow a⊗b puts on the edge z → z+1 of a
-// ring of k = len(l) nodes: each (x, y) whose + arc x → y passes that edge
-// adds a[x]·b[y]·wn if the arc is shorter than k/2, and a[x]·b[y]·wt if it
-// is exactly k/2 long. a and b hold their k entries twice over, so every
-// index below stays in [0, 2k) without a modulus.
-func sweep(a, b, l []int64, wn, wt int64) {
-	k := len(l)
+// sweep adds the flow a⊗b on the + edge z → z+1 of a ring of k = len(short)
+// nodes to short[z], over the (x, y) whose + arc x → y is shorter than k/2
+// and passes the edge, and to tied[z] over those whose arc is exactly k/2
+// long. a and b hold their k entries twice over, and every index below is
+// z+c for a constant c in [0, k]: each operand is read through a k-long
+// window of a or b starting at c, so the loop carries no bounds checks.
+func sweep(a, b, short, tied []int64) {
+	k := len(short)
 	h := (k - 1) / 2 // arcs of length 1..h are shorter than k/2
-	half := 0        // the tied arc length, when it carries weight
-	if k%2 == 0 && wt != 0 {
+	half := 0        // the tied arc length, when k is even
+	if k%2 == 0 {
 		half = k / 2
 	}
+	aZ, bZ := a[:k], b[:k]
+	bH := b[h:][:k]
+	aP, aPH, aW := a[k-1:][:k], a[k-1-h:][:k], a[k-h:][:k]
+	bT, aTB := b[half:][:k], a[k-half:][:k]
+	tied = tied[:k]
 	// Edge 0 → 1 carries the arcs that start δ ≥ 0 steps before node 0 and
 	// are longer than δ. winB and winA are the window sums of b after and
 	// of a before node 0.
-	var winB, winA, short, tied int64
+	var winB, winA, sum, tie int64
 	for u := 1; u <= h; u++ {
-		winB += b[u]
-		short += a[u-h+k] * winB
-		winA += a[k-u]
+		winB += bZ[u]
+		sum += aW[u] * winB
+		winA += aW[h-u]
 	}
 	for u := 1; u <= half; u++ {
-		tied += a[u-half+k] * b[u]
+		tie += aTB[u] * bZ[u]
 	}
-	load := wn*short + wt*tied
-	l[0] += load
+	short[0] += sum
+	tied[0] += tie
 	for z := 1; z < k; z++ {
-		winB += b[z+h] - b[z]
-		winA += a[z-1] - a[z-1-h+k]
-		inject, absorb := wn*winB, wn*winA
+		winB += bH[z] - bZ[z]
+		winA += aP[z] - aPH[z]
+		sum += aZ[z]*winB - bZ[z]*winA
 		if half > 0 {
-			inject += wt * b[z+half]
-			absorb += wt * a[z-half+k]
+			tie += aZ[z]*bT[z] - bZ[z]*aTB[z]
 		}
-		load += a[z]*inject - b[z]*absorb
-		l[z] += load
+		short[z] += sum
+		tied[z] += tie
 	}
 }
 

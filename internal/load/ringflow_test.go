@@ -3,6 +3,7 @@ package load
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"torusnet/internal/placement"
@@ -16,7 +17,7 @@ var ringAlgs = []routing.Algorithm{routing.ODR{}, routing.ODRMulti{}, routing.UD
 // would pick it.
 func runRingFlow(t *testing.T, p *placement.Placement, alg routing.Algorithm, workers int) *Result {
 	t.Helper()
-	fam, ok := ringFamilyOf(alg)
+	fam, ok := ringFamilyOf(alg, p.Torus().D())
 	if !ok {
 		t.Fatalf("%s: not a ring-flow routing", alg.Name())
 	}
@@ -52,11 +53,13 @@ func fuzzPlacement(tr *torus.Torus, kind uint8, count uint16, seed int64) (*plac
 }
 
 // FuzzRingFlow checks the ring-flow engine on T^d_k for k in 3…9 and d in
-// 1…4 with kᵈ ≤ 4096, every placement kind of fuzzPlacement and all four
-// routings it serves:
+// 1…4 with kᵈ ≤ 4096, every placement kind of fuzzPlacement and all five
+// routings it serves, ODROrder with a random permutation of 0…d−1 drawn
+// from the seed:
 //   - it equals ComputeExact per edge, bit for bit, whenever |P| ≤ 64
 //     (the big.Rat oracle walks every pair);
-//   - the generic pair loop agrees within crossCheckTolerance;
+//   - the generic pair loop agrees within crossCheckTolerance, and under
+//     ODROrder bit for bit, since its loads are integers;
 //   - Σ E(l) is the Lee-distance total;
 //   - for odd k, ODR-multi equals ODR and UDR-multi equals UDR;
 //   - 1, 2 and 3 workers give identical vectors.
@@ -81,7 +84,8 @@ func FuzzRingFlow(f *testing.F) {
 			return
 		}
 		byAlg := map[string]*Result{}
-		for _, alg := range ringAlgs {
+		order := routing.ODROrder{Order: rand.New(rand.NewSource(seed)).Perm(d)}
+		for _, alg := range append(ringAlgs[:len(ringAlgs):len(ringAlgs)], order) {
 			got := runRingFlow(t, p, alg, 1)
 			byAlg[alg.Name()] = got
 			for _, workers := range []int{2, 3} {
@@ -102,6 +106,9 @@ func FuzzRingFlow(f *testing.F) {
 				}
 			}
 			generic := computeGeneric(context.Background(), p, alg, 1, true)
+			if _, ordered := alg.(routing.ODROrder); ordered && !sameBits(got.Loads, generic.Loads) {
+				t.Fatalf("%s/%s on %s: ring-flow differs from the pair loop", p.Name(), alg.Name(), tr)
+			}
 			for e, v := range got.Loads {
 				want := generic.Loads[e]
 				if math.Abs(v-want) > crossCheckTolerance*math.Max(1, math.Abs(want)) {
@@ -169,8 +176,8 @@ func TestRingFlowEvenRings(t *testing.T) {
 
 // TestRingFlowServes checks the cost model on T³₈, on cells at least twice
 // as cheap for the winner as for the loser: ring-flow answers a dense
-// random placement, but not one so sparse that the pair loop is less work,
-// nor a routing it does not model.
+// random placement under every dimension order, but not one so sparse that
+// the pair loop is less work, nor a routing it does not model.
 func TestRingFlowServes(t *testing.T) {
 	tr := torus.New(8, 3)
 	for _, c := range []struct {
@@ -181,7 +188,7 @@ func TestRingFlowServes(t *testing.T) {
 		{64, routing.UDR{}, EngineRingFlow},
 		{64, routing.ODRMulti{}, EngineRingFlow},
 		{64, routing.FAR{}, EngineGeneric},
-		{64, routing.ODROrder{Order: []int{2, 1, 0}}, EngineGeneric},
+		{64, routing.ODROrder{Order: []int{2, 1, 0}}, EngineRingFlow},
 		{64, routing.ODR{}, EngineRingFlow},
 		{4, routing.ODR{}, EngineGeneric},
 		{2, routing.UDR{}, EngineGeneric},

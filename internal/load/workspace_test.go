@@ -82,7 +82,7 @@ func freshWorkspaceRun(c engineCase) *Result {
 func TestWorkspaceReuseAcrossShapes(t *testing.T) {
 	shapes := []struct{ k, d int }{{6, 3}, {3, 2}, {5, 3}, {4, 1}, {4, 3}, {6, 2}, {3, 3}, {5, 2}}
 	algs := []routing.Algorithm{routing.ODR{}, routing.ODRMulti{}, routing.UDR{}, routing.UDRMulti{}, routing.FAR{}}
-	modes := []FastPathMode{FastPathAuto, FastPathOff, FastPathForce}
+	modes := []FastPathMode{FastPathAuto, FastPathOff}
 	rng := rand.New(rand.NewSource(17))
 	var cases []engineCase
 	for i := 0; i < 32; i++ {
@@ -171,12 +171,13 @@ func TestWarmComputeAllocatesOnlyItsAnswer(t *testing.T) {
 		{engineCase{p: mustBuild(t, placement.Linear{}, torus.New(4, 2)), alg: routing.ODR{}}, FastPathAuto, EngineGeneric},
 		{engineCase{p: mustBuild(t, placement.Random{Count: 12, Seed: 1}, torus.New(12, 2)), alg: routing.FAR{}}, FastPathAuto, EngineGeneric},
 		{engineCase{p: mustBuild(t, placement.MultipleLinear{T: 3}, torus.New(16, 2)), alg: routing.FAR{}}, FastPathAuto, EngineSymmetry},
-		{engineCase{p: mustBuild(t, placement.Linear{}, torus.New(12, 3)), alg: routing.ODR{}}, FastPathForce, EngineSymmetry},
-		{engineCase{p: mustBuild(t, placement.MultipleLinear{T: 2}, torus.New(8, 3)), alg: routing.UDR{}}, FastPathForce, EngineSymmetry},
+		{engineCase{p: mustBuild(t, placement.Linear{}, torus.New(6, 3)), alg: routing.FAR{}}, FastPathAuto, EngineSymmetry},
+		{engineCase{p: mustBuild(t, placement.MultipleLinear{T: 3}, torus.New(6, 2)), alg: routing.FAR{}}, FastPathAuto, EngineSymmetry},
 		{engineCase{p: mustBuild(t, placement.Linear{}, torus.New(12, 3)), alg: routing.ODR{}}, FastPathAuto, EngineRingFlow},
 		{engineCase{p: mustBuild(t, placement.MultipleLinear{T: 2}, torus.New(8, 3)), alg: routing.UDR{}}, FastPathAuto, EngineRingFlow},
 		{engineCase{p: mustBuild(t, placement.Random{Count: 64, Seed: 1}, torus.New(8, 3)), alg: routing.UDR{}}, FastPathAuto, EngineRingFlow},
 		{engineCase{p: mustBuild(t, placement.Random{Count: 40, Seed: 1}, torus.New(6, 4)), alg: routing.ODRMulti{}}, FastPathAuto, EngineRingFlow},
+		{engineCase{p: mustBuild(t, placement.Linear{}, torus.New(12, 3)), alg: routing.ODROrder{Order: []int{2, 1, 0}}}, FastPathAuto, EngineRingFlow},
 	} {
 		answer := leastAlloc(func() { answerSink = make([]float64, c.p.Torus().Edges()) })
 		for _, workers := range []int{1, 2, 3} {

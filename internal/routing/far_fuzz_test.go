@@ -19,9 +19,10 @@ const maxEnumerated = 1 << 17
 //   - for the pair (p, q), AccumulatePair's per-edge probability times
 //     PathCount is the number of paths ForEachPath enumerates through that
 //     edge, exactly (both are integers far below 2⁵³);
-//   - over a placement, the symmetry engine, forced, matches the generic
-//     pair loop within the cross-check tolerance (CrossCheck panics
-//     otherwise), on random, linear and multiple-linear placements;
+//   - over a placement, the engine the cost model picks (symmetry on most
+//     linear and multiple-linear placements, the pair loop on random ones)
+//     matches the generic pair loop within the cross-check tolerance
+//     (CrossCheck panics otherwise), and is the engine load.Predict names;
 //   - Σ E(l) is the Lee-distance total.
 func FuzzFARKernel(f *testing.F) {
 	for k := uint8(2); k <= 8; k++ {
@@ -64,7 +65,10 @@ func FuzzFARKernel(f *testing.F) {
 		if err != nil || pl.Size() > 64 {
 			return
 		}
-		res := load.Compute(pl, far, load.Options{Workers: 1, FastPath: load.FastPathForce, CrossCheck: true})
+		res := load.Compute(pl, far, load.Options{Workers: 1, CrossCheck: true})
+		if chosen, _ := load.Predict(pl, far); res.Engine != chosen {
+			t.Fatalf("%s on %s: engine %q, Predict chose %q", pl.Name(), tr, res.Engine, chosen)
+		}
 		if want := load.ExpectedTotal(pl); math.Abs(res.Total-want) > 1e-9*math.Max(1, want) {
 			t.Fatalf("%s on %s: Σ E(l) = %v, Σ Lee = %v", pl.Name(), tr, res.Total, want)
 		}

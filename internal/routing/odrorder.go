@@ -23,7 +23,7 @@ func (o ODROrder) Name() string { return fmt.Sprintf("ODR%v", o.Order) }
 
 // identityOrder backs the default correction order. A torus has at most
 // 28 dimensions (k ≥ 2 and k^d ≤ torus.MaxNodes), well inside its length
-// and inside the uint64 order uses to check a permutation.
+// and inside the uint64 CorrectionOrder uses to check a permutation.
 var identityOrder = func() []int {
 	out := make([]int, 64)
 	for i := range out {
@@ -32,10 +32,11 @@ var identityOrder = func() []int {
 	return out
 }()
 
-// order returns the correction order for a d-dimensional torus, panicking
-// unless Order is nil (the identity) or a permutation of 0..d−1. It
-// allocates nothing, so the pair kernel can call it per pair.
-func (o ODROrder) order(d int) []int {
+// CorrectionOrder returns the correction order for a d-dimensional torus,
+// panicking unless Order is nil (the identity) or a permutation of 0..d−1.
+// It allocates nothing, so the pair kernel can call it per pair; the
+// caller must not modify the result.
+func (o ODROrder) CorrectionOrder(d int) []int {
 	if o.Order == nil {
 		return identityOrder[:d]
 	}
@@ -58,7 +59,7 @@ func (o ODROrder) PathCount(t *torus.Torus, p, q torus.Node) float64 { return 1 
 func (o ODROrder) path(t *torus.Torus, p, q torus.Node) Path {
 	edges := make([]torus.Edge, 0, t.LeeDistance(p, q))
 	cur := p
-	for _, j := range o.order(t.D()) {
+	for _, j := range o.CorrectionOrder(t.D()) {
 		del := torus.CoordDelta(t.Coord(cur, j), t.Coord(q, j), t.K())
 		cur = walkDim(t, cur, j, del.Dir, del.Dist, &edges)
 	}
@@ -73,7 +74,7 @@ func (o ODROrder) ForEachPath(t *torus.Torus, p, q torus.Node, visit func(Path) 
 // AccumulatePair implements Algorithm.
 func (o ODROrder) AccumulatePair(t *torus.Torus, p, q torus.Node, w float64, loads []float64, sc *PairScratch) {
 	cur := p
-	for _, j := range o.order(t.D()) {
+	for _, j := range o.CorrectionOrder(t.D()) {
 		del := torus.CoordDelta(t.Coord(cur, j), t.Coord(q, j), t.K())
 		cur = accumulateDim(t, cur, j, del.Dir, del.Dist, w, loads)
 	}

@@ -59,10 +59,11 @@ type AnalyzeResponse struct {
 	OptimalityRatio  float64    `json:"optimality_ratio"`
 	SweepCut         CutSummary `json:"sweep_cut"`
 	DimensionCut     CutSummary `json:"dimension_cut"`
-	// Engine reports which load engine produced E_max ("symmetry" for the
-	// translation fast path, "ring-flow" for the per-ring marginal sweep
-	// that answers other ODR and UDR placements, "generic" for the pair
-	// loop, "analytic" for closed-form fast-lane answers).
+	// Engine reports which load engine produced E_max ("ring-flow" for the
+	// per-ring marginal sweep that answers the dimension-ordered routings,
+	// "symmetry" for the translation fast path that answers FAR on
+	// symmetric placements, "generic" for the pair loop, "analytic" for
+	// closed-form fast-lane answers).
 	// Engine choice never changes exact results beyond float summation
 	// order, so it is not part of the cache key.
 	Engine string `json:"engine"`

@@ -55,7 +55,8 @@ type Config struct {
 	// MaxBodyBytes caps request bodies; 0 means 1 MiB.
 	MaxBodyBytes int64
 	// DisableFastPath forces the generic pair-loop load engine, disabling
-	// the translation-symmetry and ring-flow fast paths. Engine choice
+	// the ring-flow fast path (the dimension-ordered routings) and the
+	// translation-symmetry one (FAR). Engine choice
 	// never changes results beyond float summation order, so it is not
 	// part of cache keys; the toggle exists for debugging and A/B
 	// measurement.

@@ -32,6 +32,7 @@ func runE33(scale Scale) *Table {
 		PaperRef: "§4, §5",
 		Columns: []string{"d", "k", "|P|", "strategy", "E_max", "§4 lower bound",
 			"gap", "proven optimal", "wall ms"},
+		Timed: 1,
 	}
 	ctx := context.Background()
 	for _, c := range cases {

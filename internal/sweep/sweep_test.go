@@ -74,6 +74,22 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
+// TestTableCSVDropsTimedColumns checks that the wall-clock columns stay in
+// Markdown and JSON but leave the CSV.
+func TestTableCSVDropsTimedColumns(t *testing.T) {
+	tb := &Table{Columns: []string{"x", "wall ms"}, Timed: 1}
+	tb.AddRow(4, 17)
+	if csv := tb.CSV(); csv != "x\n4\n" {
+		t.Errorf("CSV keeps the timed column:\n%s", csv)
+	}
+	if md := tb.Markdown(); !strings.Contains(md, "| 4 | 17 |") {
+		t.Errorf("Markdown lost the timed column:\n%s", md)
+	}
+	if js, err := tb.JSON(); err != nil || !strings.Contains(string(js), `"wall ms"`) {
+		t.Errorf("JSON lost the timed column (%v):\n%s", err, js)
+	}
+}
+
 func TestTableText(t *testing.T) {
 	tb := &Table{ID: "T", Title: "demo", Columns: []string{"col", "value"}}
 	tb.AddRow("row1", 10)
