@@ -3,8 +3,10 @@ package torusnet
 import (
 	"bytes"
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -537,4 +539,55 @@ func BenchmarkServeAnalyzeMiss(b *testing.B) {
 			b.Fatalf("analyze on a fresh key: status %d: %s", rec.Code, rec.Body)
 		}
 	}
+}
+
+// BenchmarkServeAnalyzeRetained fills a 512-entry result cache with UDR
+// answers on T^2_16 random:16:SEED (SEED = 1…512) through torusd's
+// middleware-wrapped handler and reports the heap bytes one cached answer
+// keeps alive: HeapAlloc after two GCs with the cache full, minus the same
+// with the server built and empty, over 512. The figure counts the whole
+// entry (key, index, LRU links, the stored answer and its strings) and is
+// machine-independent for a fixed Go version; bench-smoke holds it to the
+// recorded value with no slack.
+func BenchmarkServeAnalyzeRetained(b *testing.B) {
+	const entries = 512
+	body := make([]byte, 0, 96)
+	serve := func(h http.Handler, seed int) {
+		body = strconv.AppendInt(append(body[:0], `{"k":16,"d":2,"placement":"random:16:`...), int64(seed), 10)
+		body = append(body, `","routing":"udr"}`...)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"cached":false`)) {
+			b.Fatalf("analyze on a fresh key: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	// Serve the keys once on a throwaway server, so whatever the engines
+	// build lazily on first use is in place before anything is counted.
+	warm := service.New(service.Config{Workers: 1, CacheSize: 1})
+	for seed := 1; seed <= entries; seed++ {
+		serve(warm.Handler(), seed)
+	}
+	warm.Close()
+	// The least over the iterations, so a stray allocation elsewhere in
+	// the process during one fill does not count.
+	retained := uint64(math.MaxUint64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := service.New(service.Config{Workers: 1, CacheSize: entries})
+		h := s.Handler()
+		before := heap()
+		for seed := 1; seed <= entries; seed++ {
+			serve(h, seed)
+		}
+		retained = min(retained, heap()-before)
+		s.Close()
+	}
+	b.ReportMetric(float64(retained)/entries, "retained-B/entry")
 }

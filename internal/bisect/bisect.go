@@ -220,3 +220,8 @@ var dimensionMethods = func() (m [29]string) {
 	}
 	return m
 }()
+
+// Methods lists every Method a cut this package builds can carry.
+func Methods() []string {
+	return append([]string{"sweep", "best-sweep", "brute-force"}, dimensionMethods[:]...)
+}

@@ -1,10 +1,14 @@
 package harness
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"expvar"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -269,6 +273,70 @@ func TestCheapMissComputesLocally(t *testing.T) {
 		}
 		if got := intVar(t, vars, "peer_fill_priced_out"); got != want {
 			t.Errorf("node %d peer_fill_priced_out = %d, want %d (owner %d)", n.Index, got, want, owner)
+		}
+	}
+}
+
+// TestFilledBodyMatchesOwner checks that a peer fill caches the owner's
+// answer without loss: once a node that does not own a key has filled it,
+// the body it serves from its cache is byte for byte the body the owner
+// serves from its own, for a dear analysis (FAR on T³₈ random:64) and for
+// /v1/bounds and /v1/bisect, which always fill.
+func TestFilledBodyMatchesOwner(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	nw := startNetwork(t, ctx, Options{Nodes: 3, Service: testConfig()})
+
+	areq, akey := dearFixture(t, 3)
+	breq := service.BoundsRequest{K: 8, D: 3, Placement: "random:64:3"}
+	sreq := service.BisectRequest{K: 8, D: 3, Placement: "random:64:3", Method: "best-sweep"}
+	if err := breq.Canonicalize(service.DefaultMaxNodes); err != nil {
+		t.Fatal(err)
+	}
+	if err := sreq.Canonicalize(service.DefaultMaxNodes); err != nil {
+		t.Fatal(err)
+	}
+	post := func(n *Node, path string, body []byte) []byte {
+		t.Helper()
+		resp, err := http.Post(n.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("node %d %s: %v", n.Index, path, err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("node %d %s: status %d, %v: %s", n.Index, path, resp.StatusCode, err, got)
+		}
+		return got
+	}
+	for _, tc := range []struct {
+		path, key string
+		req       any
+	}{
+		{"/v1/analyze", akey, areq},
+		{"/v1/bounds", breq.CacheKey(), breq},
+		{"/v1/bisect", sreq.CacheKey(), sreq},
+	} {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner, err := nw.Owner(tc.key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		filler := nw.Nodes[(owner+1)%len(nw.Nodes)]
+		before := clusterCounter(filler, "fills")
+		if got := post(filler, tc.path, body); !bytes.Contains(got, []byte(`"cached":false`)) {
+			t.Fatalf("%s: first request to node %d was not a miss: %s", tc.path, filler.Index, got)
+		}
+		if fills := clusterCounter(filler, "fills") - before; fills != 1 {
+			t.Fatalf("%s: node %d made %d peer fills, want 1", tc.path, filler.Index, fills)
+		}
+		filled := post(filler, tc.path, body)
+		owned := post(nw.Nodes[owner], tc.path, body)
+		if !bytes.Contains(filled, []byte(`"cached":true`)) || !bytes.Equal(filled, owned) {
+			t.Errorf("%s: filler node %d serves\n%s\nowner node %d serves\n%s", tc.path, filler.Index, filled, owner, owned)
 		}
 	}
 }

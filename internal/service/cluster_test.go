@@ -108,16 +108,19 @@ func TestClusterDisabledPathAllocFree(t *testing.T) {
 // TestDecodeAnalyzeFill pins the peer-fill decoder across a rolling
 // upgrade: an older peer may still answer a fill with a Monte Carlo
 // estimate ("degraded": true), which must be rejected so the filler
-// computes the exact answer itself; an exact body decodes to the value
-// local compute would cache.
+// computes the exact answer itself; an exact body decodes to the record
+// local compute would cache, an engine name this build does not know
+// included, and a count no record field holds is refused.
 func TestDecodeAnalyzeFill(t *testing.T) {
 	for _, tc := range []struct {
-		name, body string
-		wantErr    string
+		name, body      string
+		engine, wantErr string
 	}{
-		{"exact", `{"k":6,"d":2,"placement":"linear","routing":"ODR","e_max":3.5,"engine":"symmetry","exact":true}`, ""},
-		{"older-peer-estimate", `{"k":6,"d":2,"placement":"linear","routing":"ODR","e_max":3.4,"engine":"montecarlo","degraded":true,"error_bound":0.3}`, "degraded"},
-		{"malformed", `{"k":6,`, "unexpected end"},
+		{"exact", `{"k":6,"d":2,"placement":"linear","routing":"ODR","e_max":3.5,"engine":"symmetry","exact":true}`, "symmetry", ""},
+		{"newer-peer-engine", `{"k":6,"d":2,"placement":"linear","routing":"ODR","e_max":3.5,"engine":"warp","exact":true}`, "warp", ""},
+		{"older-peer-estimate", `{"k":6,"d":2,"placement":"linear","routing":"ODR","e_max":3.4,"engine":"montecarlo","degraded":true,"error_bound":0.3}`, "", "degraded"},
+		{"count-past-int32", `{"k":6,"d":2,"placement":"linear","routing":"ODR","processors":4294967296,"e_max":3.5,"engine":"symmetry","exact":true}`, "", "int32"},
+		{"malformed", `{"k":6,`, "", "unexpected end"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			v, err := decodeAnalyzeFill([]byte(tc.body))
@@ -130,9 +133,9 @@ func TestDecodeAnalyzeFill(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			r, ok := v.(AnalyzeResponse)
-			if !ok || r.EMax != 3.5 || r.Engine != "symmetry" || !r.Exact || r.Degraded {
-				t.Errorf("decoded %#v, want the exact symmetry answer", v)
+			r, ok := v.(*analyzeRecord)
+			if !ok || r.eMax != 3.5 || nameOf(r.engine, r.odd, oddEngine) != tc.engine || !r.exact {
+				t.Errorf("decoded %#v, want the exact %s answer", v, tc.engine)
 			}
 		})
 	}

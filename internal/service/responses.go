@@ -157,10 +157,11 @@ type ErrorResponse struct {
 }
 
 // Peer-fill decoders: each turns a home peer's 200 body into the same
-// immutable value type local computation stores in the result cache, so a
-// filled entry is indistinguishable from a locally computed one. The
-// handler stamps per-caller fields (Cached) after the cache read, exactly
-// as for local values.
+// immutable value local computation stores in the result cache (for the
+// placement endpoints, the record of the wire answer), so a filled entry
+// is indistinguishable from a locally computed one. The handler stamps
+// per-caller fields (Cached) after the cache read, exactly as for local
+// values.
 
 // decodeAnalyzeFill decodes a peer /v1/analyze fill. A degraded body (a
 // Monte Carlo estimate from an older peer, see AnalyzeResponse.Degraded) is
@@ -174,7 +175,7 @@ func decodeAnalyzeFill(data []byte) (any, error) {
 	if r.Degraded {
 		return nil, errors.New("service: peer fill answered degraded; computing exactly instead")
 	}
-	return r, nil
+	return stored(compactAnalyze(&r))
 }
 
 // decodeBoundsFill decodes a peer /v1/bounds fill.
@@ -183,7 +184,7 @@ func decodeBoundsFill(data []byte) (any, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, err
 	}
-	return r, nil
+	return stored(compactBounds(&r))
 }
 
 // decodeBisectFill decodes a peer /v1/bisect fill.
@@ -192,7 +193,7 @@ func decodeBisectFill(data []byte) (any, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, err
 	}
-	return r, nil
+	return stored(compactBisect(&r))
 }
 
 // decodeExperimentFill decodes a peer /v1/experiments/{id} fill.
@@ -247,7 +248,8 @@ func buildPlacement(spec placement.Spec, k, d int) (*placement.Placement, error)
 }
 
 // analyzeWork, boundsWork, bisectWork and experimentWork are the work of
-// a cache miss on each endpoint (see missCall).
+// a cache miss on each endpoint (see missCall). The placement endpoints'
+// work computes the wire answer and returns its record.
 type (
 	analyzeWork struct {
 		req  AnalyzeRequest
@@ -276,7 +278,7 @@ func (w analyzeWork) compute(ctx context.Context, s *Server) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return resp, nil
+	return stored(compactAnalyze(&resp))
 }
 
 func (w boundsWork) compute(ctx context.Context, _ *Server) (any, error) {
@@ -284,7 +286,8 @@ func (w boundsWork) compute(ctx context.Context, _ *Server) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return computeBounds(ctx, w.req, p), nil
+	resp := computeBounds(ctx, w.req, p)
+	return stored(compactBounds(&resp))
 }
 
 func (w bisectWork) compute(ctx context.Context, _ *Server) (any, error) {
@@ -296,7 +299,7 @@ func (w bisectWork) compute(ctx context.Context, _ *Server) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return resp, nil
+	return stored(compactBisect(&resp))
 }
 
 func (w experimentWork) compute(ctx context.Context, _ *Server) (any, error) {

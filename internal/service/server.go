@@ -193,7 +193,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
-		cache:   newLRUCache(cfg.CacheSize, ttl),
+		cache:   newLRUCache(cfg.CacheSize, ttl, time.Now),
 		flight:  newFlightGroup(),
 		pool:    newWorkerPool(cfg.Workers, cfg.QueueDepth, cfg.WedgeTimeout, m.queueWait.ObserveDuration),
 		jobs:    newJobManager(cfg, m),
@@ -720,9 +720,10 @@ func (s *Server) failCompute(w http.ResponseWriter, err error) {
 }
 
 // encodeBuf is a pooled response encoder with its output buffer, and a
-// scratch answer of each cached type: a handler copies its answer into the
-// scratch, stamps the per-caller fields there, and encodes a pointer to
-// it, so no per-caller copy of the answer escapes to the heap.
+// scratch answer of each placement endpoint: a handler expands its cached
+// record (or copies an analytic answer) into the scratch, stamps the
+// per-caller fields there, and encodes a pointer to it, so no per-caller
+// copy of the answer escapes to the heap.
 type encodeBuf struct {
 	buf     bytes.Buffer
 	enc     *json.Encoder
@@ -775,14 +776,6 @@ func (s *Server) send(w http.ResponseWriter, status int, e *encodeBuf, v any) {
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	s.writeJSON(w, status, ErrorResponse{Error: err.Error()})
-}
-
-// sendAnalyze writes one /v1/analyze answer through the encoder's scratch.
-func (s *Server) sendAnalyze(w http.ResponseWriter, resp *AnalyzeResponse, cached bool) {
-	e := encodeBufs.Get().(*encodeBuf)
-	e.analyze = *resp
-	e.analyze.Cached = cached
-	s.send(w, http.StatusOK, e, &e.analyze)
 }
 
 // wantsFill reports whether a miss of r may fill from a peer: in cluster
@@ -850,7 +843,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if resp, ok := s.tryAnalytic(r.Context(), req); ok {
-		s.sendAnalyze(w, &resp, false)
+		e := encodeBufs.Get().(*encodeBuf)
+		e.analyze = resp
+		s.send(w, http.StatusOK, e, &e.analyze)
 		return
 	}
 	spec, err := req.canonicalize(s.cfg.MaxNodes)
@@ -867,8 +862,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.failCompute(w, err)
 		return
 	}
-	resp := v.(AnalyzeResponse)
-	s.sendAnalyze(w, &resp, cached)
+	e := encodeBufs.Get().(*encodeBuf)
+	v.(*analyzeRecord).expand(&req, &e.analyze)
+	e.analyze.Cached = cached
+	s.send(w, http.StatusOK, e, &e.analyze)
 }
 
 func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
@@ -891,7 +888,7 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := encodeBufs.Get().(*encodeBuf)
-	e.bounds = v.(BoundsResponse)
+	v.(*boundsRecord).expand(&req, &e.bounds)
 	e.bounds.Cached = cached
 	s.send(w, http.StatusOK, e, &e.bounds)
 }
@@ -916,7 +913,7 @@ func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := encodeBufs.Get().(*encodeBuf)
-	e.bisect = v.(BisectResponse)
+	v.(*bisectRecord).expand(&req, &e.bisect)
 	e.bisect.Cached = cached
 	s.send(w, http.StatusOK, e, &e.bisect)
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"torusnet/internal/cliutil"
+	"torusnet/internal/load"
 	"torusnet/internal/placement"
 	"torusnet/internal/torus"
 )
@@ -475,8 +476,7 @@ func TestGracefulShutdown(t *testing.T) {
 // injected clock.
 func TestLRUCacheTTLAndEviction(t *testing.T) {
 	now := time.Unix(0, 0)
-	c := newLRUCache(2, time.Minute)
-	c.now = func() time.Time { return now }
+	c := newLRUCache(2, time.Minute, func() time.Time { return now })
 
 	c.put("a", 1)
 	c.put("b", 2)
@@ -508,8 +508,7 @@ func TestLRUCacheTTLAndEviction(t *testing.T) {
 	}
 
 	// ttl <= 0 disables expiry.
-	forever := newLRUCache(1, 0)
-	forever.now = func() time.Time { return now.Add(1000 * time.Hour) }
+	forever := newLRUCache(1, 0, func() time.Time { return now.Add(1000 * time.Hour) })
 	forever.put("x", 9)
 	if _, _, ok := forever.get("x"); !ok {
 		t.Error("entry expired with TTL disabled")
@@ -585,7 +584,7 @@ func TestCacheHitCostIndependentOfTorus(t *testing.T) {
 		}
 		// Warm the key directly: computing T^4_8 random:2048 would take
 		// minutes, and only the hit path is under test.
-		s.cache.put(canon.CacheKey(), AnalyzeResponse{K: canon.K, D: canon.D, Placement: canon.Placement, Routing: canon.Routing})
+		s.cache.put(canon.CacheKey(), &analyzeRecord{})
 		body, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
@@ -801,15 +800,33 @@ func TestWrittenBodyIsMarshal(t *testing.T) {
 		}
 	}
 
-	areq := AnalyzeRequest{K: 8, D: 3, Placement: "random:64:5", Routing: "udr"}
-	analyze, err := computeAnalyze(ctx, areq, build(8, 3, areq.Placement), s.cfg.loadOptions())
-	if err != nil {
-		t.Fatal(err)
+	// The cache keeps a record of each answer and the handler rebuilds the
+	// wire answer from it: one key per engine the records name, and a
+	// second routing echo.
+	for _, tc := range []struct {
+		req    AnalyzeRequest
+		engine string
+	}{
+		{AnalyzeRequest{K: 8, D: 3, Placement: "random:64:5", Routing: "udr"}, load.EngineRingFlow},
+		{AnalyzeRequest{K: 16, D: 2, Placement: "multi:3:5", Routing: "far"}, load.EngineSymmetry},
+		{AnalyzeRequest{K: 8, D: 3, Placement: "random:64:7", Routing: "odr-multi"}, load.EngineRingFlow},
+	} {
+		areq := tc.req
+		analyze, err := computeAnalyze(ctx, areq, build(areq.K, areq.D, areq.Placement), s.cfg.loadOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if analyze.Engine != tc.engine {
+			t.Fatalf("%+v answered by %q, want %q", areq, analyze.Engine, tc.engine)
+		}
+		body, err := json.Marshal(areq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("analyze miss "+areq.Routing, post("/v1/analyze", string(body)), analyze)
+		analyze.Cached = true
+		check("analyze hit "+areq.Routing, post("/v1/analyze", string(body)), analyze)
 	}
-	body := `{"k":8,"d":3,"placement":"random:64:5","routing":"udr"}`
-	check("analyze miss", post("/v1/analyze", body), analyze)
-	analyze.Cached = true
-	check("analyze hit", post("/v1/analyze", body), analyze)
 	lane, ok := s.tryAnalytic(ctx, AnalyzeRequest{K: 8, D: 2, Placement: "linear:3", Routing: "odr"})
 	if !ok {
 		t.Fatal("linear:3 ODR on T^2_8 missed the analytic lane")
@@ -818,7 +835,7 @@ func TestWrittenBodyIsMarshal(t *testing.T) {
 
 	breq := BoundsRequest{K: 8, D: 2, Placement: "random:16:3"}
 	bounds := computeBounds(ctx, breq, build(8, 2, breq.Placement))
-	body = `{"k":8,"d":2,"placement":"random:16:3"}`
+	body := `{"k":8,"d":2,"placement":"random:16:3"}`
 	check("bounds miss", post("/v1/bounds", body), bounds)
 	bounds.Cached = true
 	check("bounds hit", post("/v1/bounds", body), bounds)
