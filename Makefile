@@ -12,7 +12,6 @@ FUZZ_TARGETS := \
 	./internal/routing:FuzzFARKernel \
 	./internal/service:FuzzDecodeAnalyzeRequest \
 	./internal/service:FuzzDecodeStrict \
-	./internal/placement:FuzzRecognizeLinear \
 	./internal/cluster:FuzzHashRing \
 	./internal/lintcheck:FuzzLintIgnoreDirective
 

@@ -21,7 +21,6 @@
 //	torusd -addr :8080
 //	torusd -addr 127.0.0.1:8080 -workers 8 -queue 32 -cache 1024 -ttl 10m
 //	torusd -addr :8080 -debug-addr 127.0.0.1:6060   # pprof + failpoints + /debug/traces sidecar
-//	torusd -addr :8080 -no-fastpath                 # force the generic load engine
 //	torusd -addr :8080 -no-analytic                 # disable the closed-form fast lane
 //	torusd -addr :8080 -slow-threshold 250ms        # warn-log slow requests
 //	torusd -failpoints 'service.cache.get=error'    # boot with chaos faults armed
@@ -91,7 +90,6 @@ func main() {
 		maxJobs    = flag.Int("max-jobs", 0, "concurrent async search jobs; submissions past it answer 429 (0 = 4)")
 		jobTTL     = flag.Duration("job-ttl", 0, "how long finished job records stay pollable (0 = 15m, negative = forever)")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-job search deadline (0 = 5m)")
-		noFastPath = flag.Bool("no-fastpath", false, "disable the translation-symmetry and ring-flow load fast paths (generic engine only)")
 		noAnalytic = flag.Bool("no-analytic", false, "disable the closed-form analytic fast lane for /v1/analyze")
 		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and /debug/failpoints on this separate address (empty = disabled)")
 		wedge      = flag.Duration("wedge-timeout", 0, "watchdog deadline before a wedged pool worker is replaced (0 = 2×timeout, negative = no watchdog)")
@@ -125,7 +123,6 @@ func main() {
 		MaxJobs:         *maxJobs,
 		JobTTL:          *jobTTL,
 		JobTimeout:      *jobTimeout,
-		DisableFastPath: *noFastPath,
 		EnableAnalytic:  !*noAnalytic,
 		WedgeTimeout:    *wedge,
 		AccessLog:       os.Stderr,

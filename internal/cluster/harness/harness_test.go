@@ -703,7 +703,7 @@ func coreTruth(t *testing.T, req service.AnalyzeRequest, resp *service.AnalyzeRe
 	if !same(resp.EMax, rep.Load.Max) || !same(resp.TotalLoad, rep.Load.Total) ||
 		!same(resp.LoadPerProcessor, rep.LoadPerProcessor) || !same(resp.DensityC, rep.DensityC) ||
 		resp.MaxEdge != p.Torus().EdgeString(rep.Load.MaxEdge) || resp.Engine != rep.Load.Engine ||
-		resp.Exact != rep.Load.Exact {
+		!resp.Exact {
 		t.Fatalf("%s answer %+v differs from core.AnalyzeCtx (E_max %v, total %v, edge %s, engine %s)",
 			canon.CacheKey(), resp, rep.Load.Max, rep.Load.Total, p.Torus().EdgeString(rep.Load.MaxEdge), rep.Load.Engine)
 	}

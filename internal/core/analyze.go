@@ -84,23 +84,17 @@ func EvaluateBounds(p *placement.Placement) Bounds {
 	return b
 }
 
-// Analyze runs the full pipeline. Workers configures the load engine; the
-// translation fast path stays on auto-detect.
+// Analyze runs the full pipeline. Workers configures the load engine,
+// which runs the engine its cost model predicts cheapest.
 func Analyze(p *placement.Placement, alg routing.Algorithm, workers int) *Report {
-	return AnalyzeWithLoadOptions(p, alg, load.Options{Workers: workers})
+	return AnalyzeCtx(context.Background(), p, alg, load.Options{Workers: workers})
 }
 
-// AnalyzeWithLoadOptions runs the full pipeline with explicit load-engine
-// options (worker count, fast-path mode, cross-check), for callers like the
-// analysis service that expose engine toggles.
-func AnalyzeWithLoadOptions(p *placement.Placement, alg routing.Algorithm, opts load.Options) *Report {
-	return AnalyzeCtx(context.Background(), p, alg, opts)
-}
-
-// AnalyzeCtx is AnalyzeWithLoadOptions with observability threaded through
-// ctx: the load engine records its engine-stage spans under any active
-// trace, and the bound/bisection evaluation gets its own span. With no
-// active trace the instrumentation is inert.
+// AnalyzeCtx runs the full pipeline with explicit load-engine options
+// (worker count, fast-path mode, cross-check) and observability threaded
+// through ctx: the load engine records its engine-stage spans under any
+// active trace, and the bound/bisection evaluation gets its own span. With
+// no active trace the instrumentation is inert.
 //
 // AnalyzeCtx is an inlinable wrapper around a pipeline that returns the
 // Report by value, so a caller that reads the report and drops it (the

@@ -90,3 +90,73 @@ func UDRUpperBound(k, d int) float64 {
 func MultiUDRUpperBound(k, d, t int) float64 {
 	return float64(t*t) * UDRUpperBound(k, d)
 }
+
+// AnalyticEval is one closed-form answer from the Theorem 2–5 family.
+type AnalyticEval struct {
+	// EMax is the closed-form value: E_max itself when Exact, an upper
+	// bound on it otherwise.
+	EMax float64
+	// Exact distinguishes the Theorem 2 equality cells from the
+	// Theorem 3–5 bound cells.
+	Exact bool
+	// Theorem names the paper result the value comes from
+	// ("theorem2" … "theorem5").
+	Theorem string
+}
+
+// AnalyticEMax maps a placement shape — t consecutive residue classes on
+// T^d_k — and a routing algorithm name (routing.Algorithm.Name spelling)
+// to the paper's closed forms:
+//
+//	t == 1, ODR                    E_max = ODRLinearMax(k, d)    (Theorem 2, exact)
+//	t == 1, ODR-multi, k odd       E_max = ODRLinearMax(k, d)    (Theorem 2, exact: odd
+//	                               rings have unique shortest paths, so ODR-multi ≡ ODR)
+//	ODR / ODR-multi otherwise      E_max ≤ MultiODRUpperBound    (Theorem 3)
+//	UDR / UDR-multi, t == 1        E_max ≤ UDRUpperBound         (Theorem 4)
+//	UDR / UDR-multi, t > 1         E_max ≤ MultiUDRUpperBound    (Theorem 5)
+//
+// exactOnly restricts the map to the equality cells. The second return is
+// false when no theorem applies (d < 2, t < 1, or an unknown algorithm);
+// d ≥ 2 is required because the theorems' edge census needs at least two
+// dimensions (see also the ODRLinearInteriorMax small-d guard).
+func AnalyticEMax(k, d, t int, algName string, exactOnly bool) (AnalyticEval, bool) {
+	if d < 2 || t < 1 || k < 2 {
+		return AnalyticEval{}, false
+	}
+	switch algName {
+	case "ODR":
+		if t == 1 {
+			return AnalyticEval{EMax: ODRLinearMax(k, d), Exact: true, Theorem: "theorem2"}, true
+		}
+	case "ODR-multi":
+		if t == 1 && k%2 == 1 {
+			return AnalyticEval{EMax: ODRLinearMax(k, d), Exact: true, Theorem: "theorem2"}, true
+		}
+	case "UDR", "UDR-multi":
+		if exactOnly {
+			return AnalyticEval{}, false
+		}
+		if t == 1 {
+			return AnalyticEval{EMax: UDRUpperBound(k, d), Exact: false, Theorem: "theorem4"}, true
+		}
+		return AnalyticEval{EMax: MultiUDRUpperBound(k, d, t), Exact: false, Theorem: "theorem5"}, true
+	default:
+		return AnalyticEval{}, false
+	}
+	if exactOnly {
+		return AnalyticEval{}, false
+	}
+	return AnalyticEval{EMax: MultiODRUpperBound(k, d, t), Exact: false, Theorem: "theorem3"}, true
+}
+
+// AnalyticAnswer fires the load.analytic.dispatch failpoint and then
+// consults the theorem map. It is the torusd fast lane's entry: there the
+// canonical placement spec proves the shape (t residue classes, see
+// placement.ResidueClasses), so no placement is built. An injected fault
+// answers not-applicable, sending the request down the computed path.
+func AnalyticAnswer(k, d, t int, algName string, exactOnly bool) (AnalyticEval, bool) {
+	if err := fpAnalyticDispatch.Inject(); err != nil {
+		return AnalyticEval{}, false
+	}
+	return AnalyticEMax(k, d, t, algName, exactOnly)
+}

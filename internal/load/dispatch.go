@@ -217,8 +217,7 @@ type Prediction struct {
 }
 
 // Predict prices every engine compute considers for p under alg with
-// FastPathAuto (see candidates) and names the one it runs when the
-// analytic tier does not answer: the cheapest.
+// FastPathAuto (see candidates) and names the one it runs: the cheapest.
 func Predict(p *placement.Placement, alg routing.Algorithm) (chosen string, preds []Prediction) {
 	cands := candidates(nil, p, alg, FastPathAuto)
 	for _, c := range cands {

@@ -23,8 +23,8 @@ type emaxCase struct {
 }
 
 func (c emaxCase) String() string {
-	return fmt.Sprintf("%s/%s on %s (workers %d, fast path %v, analytic %v, cross-check %v)",
-		c.p.Name(), c.alg.Name(), c.p.Torus(), c.opts.Workers, c.opts.FastPath, c.opts.Analytic, c.opts.CrossCheck)
+	return fmt.Sprintf("%s/%s on %s (workers %d, fast path %v, cross-check %v)",
+		c.p.Name(), c.alg.Name(), c.p.Torus(), c.opts.Workers, c.opts.FastPath, c.opts.CrossCheck)
 }
 
 func (c emaxCase) emax() *Result {
@@ -39,24 +39,21 @@ func sameSummary(t *testing.T, c emaxCase, got, want *Result) {
 		t.Errorf("%v: EMaxCtx returned a %d-edge Loads vector, want nil", c, len(got.Loads))
 	}
 	if math.Float64bits(got.Max) != math.Float64bits(want.Max) || got.MaxEdge != want.MaxEdge ||
-		math.Float64bits(got.Total) != math.Float64bits(want.Total) || got.Engine != want.Engine ||
-		got.Exact != want.Exact || got.Theorem != want.Theorem {
-		t.Errorf("%v: E_max %v at %d, total %v, engine %q, exact %v, theorem %q; ComputeCtx gives %v at %d, %v, %q, %v, %q",
-			c, got.Max, got.MaxEdge, got.Total, got.Engine, got.Exact, got.Theorem,
-			want.Max, want.MaxEdge, want.Total, want.Engine, want.Exact, want.Theorem)
+		math.Float64bits(got.Total) != math.Float64bits(want.Total) || got.Engine != want.Engine {
+		t.Errorf("%v: E_max %v at %d, total %v, engine %q; ComputeCtx gives %v at %d, %v, %q",
+			c, got.Max, got.MaxEdge, got.Total, got.Engine,
+			want.Max, want.MaxEdge, want.Total, want.Engine)
 	}
 }
 
-// emaxCases spans every routing, the generic, cost-model, cross-checked
-// and analytic dispatches and workers 1–3 over random, linear and multiple
-// linear placements on T²₈, T²₁₂, T³₈ and T³₄.
+// emaxCases spans every routing, the generic, cost-model and
+// cross-checked dispatches and workers 1–3 over random, linear and
+// multiple linear placements on T²₈, T²₁₂, T³₈ and T³₄.
 func emaxCases(t *testing.T) []emaxCase {
 	modes := []Options{
 		{FastPath: FastPathOff},
 		{},
 		{CrossCheck: true},
-		{Analytic: AnalyticAuto},
-		{Analytic: AnalyticForce},
 	}
 	var cases []emaxCase
 	for _, sh := range []struct{ k, d int }{{8, 2}, {12, 2}, {8, 3}, {4, 3}} {
@@ -81,8 +78,8 @@ func emaxCases(t *testing.T) []emaxCase {
 }
 
 // TestEMaxMatchesCompute checks that EMaxCtx is ComputeCtx without the
-// vector: the same engine, Max, MaxEdge, Total, Exact and Theorem bit for
-// bit, and nil Loads, through every dispatch.
+// vector: the same engine, Max, MaxEdge and Total bit for bit, and nil
+// Loads, through every dispatch.
 func TestEMaxMatchesCompute(t *testing.T) {
 	for _, c := range emaxCases(t) {
 		want := ComputeCtx(context.Background(), c.p, c.alg, c.opts)
@@ -184,8 +181,7 @@ func TestEMaxConcurrentNoAlias(t *testing.T) {
 }
 
 // TestSummaryWithoutLoads checks that a result without its vector still
-// summarises: Mean is Total / |E|, and String names the busiest edge for a
-// computed engine and the bound relation only for the analytic one.
+// summarises: Mean is Total / |E|, and String names the busiest edge.
 func TestSummaryWithoutLoads(t *testing.T) {
 	tr := torus.New(6, 2)
 	p := mustBuild(t, placement.Random{Count: 9, Seed: 3}, tr)
@@ -196,10 +192,5 @@ func TestSummaryWithoutLoads(t *testing.T) {
 	}
 	if bare.String() != full.String() {
 		t.Errorf("vector-less String %q, want %q", bare.String(), full.String())
-	}
-	lin := mustBuild(t, placement.Linear{}, tr)
-	an := EMaxCtx(context.Background(), lin, routing.ODR{}, Options{Analytic: AnalyticForce})
-	if an.Engine != EngineAnalytic || an.String() != fmt.Sprintf("%s with ODR: E_max = %.4f (analytic)", lin, an.Max) {
-		t.Errorf("analytic String %q", an.String())
 	}
 }

@@ -18,9 +18,9 @@ var (
 	// models a crash after the fan-out completed but before results are
 	// combined.
 	fpComputeMerge = failpoint.New("load.compute.merge")
-	// fpAnalyticDispatch fires before the closed-form tier recognizes a
-	// placement. Unlike the sites above it is soft: an armed error makes
-	// recognition fail, so the request falls through to the computed
-	// engines — the degradation path an analytic-tier bug would take.
+	// fpAnalyticDispatch fires in AnalyticAnswer, before the torusd lane
+	// consults the theorem map. Unlike the sites above it is soft: an
+	// armed error makes the lane decline, so the request falls through to
+	// the computed engines — the degradation path a lane bug would take.
 	fpAnalyticDispatch = failpoint.New("load.analytic.dispatch")
 )

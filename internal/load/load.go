@@ -8,10 +8,13 @@
 // each with a private per-edge accumulator that is merged once at the end,
 // so there is no shared-write contention and results are deterministic for
 // a fixed worker count. Faster engines answer the common cases without
-// walking pairs: closed forms, per-ring marginal sweeps for the
-// dimension-ordered routings (ringflow.go), and translation symmetry for
-// FAR (fastpath.go). A Monte-Carlo estimator provides an independent
-// cross-check, and the tests hold ring-flow to an exact big.Rat oracle.
+// walking pairs: per-ring marginal sweeps for the dimension-ordered
+// routings (ringflow.go) and translation symmetry for FAR (fastpath.go);
+// the tests hold ring-flow to an exact big.Rat oracle. The paper's closed
+// forms (analytic.go) are evaluated on their own, not through Compute:
+// torusd's fast lane answers Theorem 2 from them. The Monte-Carlo
+// estimator (montecarlo.go) samples one path per message instead of
+// averaging over all of them; it serves torusload -mc.
 package load
 
 import (
@@ -35,12 +38,13 @@ type Result struct {
 	Algorithm string
 	// Engine records which engine produced the loads: EngineGeneric for the
 	// pair loop, EngineSymmetry for the translation fast path,
-	// EngineRingFlow for the per-ring marginal sweep, EngineAnalytic for a
-	// closed form. Empty for results wrapped via NewResultFromLoads.
+	// EngineRingFlow for the per-ring marginal sweep. Empty for results
+	// wrapped via NewResultFromLoads. Every engine computes E_max itself,
+	// never a bound on it.
 	Engine string
 	// Loads[e] is the expected number of messages crossing directed edge e.
-	// It is nil for analytic results and for every EMaxCtx result; the
-	// other fields are filled either way.
+	// It is nil for every EMaxCtx result; the other fields are filled
+	// either way.
 	Loads []float64
 	// Max is the maximum load E_max and MaxEdge attains it.
 	Max     float64
@@ -49,14 +53,6 @@ type Result struct {
 	// ordered processor pairs (each message occupies exactly Lee(p,q) edges
 	// in expectation).
 	Total float64
-	// Exact reports whether Max is E_max itself rather than an upper bound
-	// on it. Every computed engine is exact; the analytic engine sets it
-	// false when it answers from the Theorem 3–5 bounds, so bound-only
-	// answers are never cross-checked (or cached) as equalities.
-	Exact bool
-	// Theorem names the closed form an analytic result came from
-	// ("theorem2" … "theorem5"); empty for computed engines.
-	Theorem string
 }
 
 // Engine names recorded in Result.Engine.
@@ -67,10 +63,9 @@ const (
 	// UDR-multi loads swept ring by ring from per-ring processor marginals
 	// (ringflow.go).
 	EngineRingFlow = "ring-flow"
-	// EngineAnalytic labels O(1) closed-form answers from the Theorem 2–5
-	// expressions. Analytic results carry no per-edge Loads vector (only
-	// Max, plus Exact/Theorem); consumers that need edge detail must use a
-	// computed engine.
+	// EngineAnalytic labels the O(1) closed-form answers torusd's fast
+	// lane serves from AnalyticAnswer. No Result carries it: Compute runs
+	// only the engines above.
 	EngineAnalytic = "analytic"
 )
 
@@ -114,12 +109,8 @@ type Options struct {
 	// CrossCheck recomputes every symmetry or ring-flow result with the
 	// generic engine and panics on divergence beyond floating-point
 	// tolerance. Debugging and experiment aid; no-op when the generic
-	// engine was used anyway. For analytic results it gates Max instead:
-	// equality for exact cells, the bound direction for Theorem 3–5 cells.
+	// engine was used anyway.
 	CrossCheck bool
-	// Analytic selects the closed-form O(1) tier, tried ahead of the fast
-	// path. Off by default: see AnalyticMode.
-	Analytic AnalyticMode
 }
 
 // effectiveWorkers resolves a requested worker count against the number of
@@ -157,10 +148,10 @@ func ComputeCtx(ctx context.Context, p *placement.Placement, alg routing.Algorit
 }
 
 // EMaxCtx is ComputeCtx for callers that read only the summary: it runs
-// the same dispatch and engines and returns the same Max, MaxEdge, Total,
-// Engine, Exact and Theorem bit for bit, but its Result has no Loads
-// vector, so a warm computed engine allocates no per-edge vector at all.
-// Per-edge consumers must use ComputeCtx.
+// the same dispatch and engines and returns the same Max, MaxEdge, Total
+// and Engine bit for bit, but its Result has no Loads vector, so a warm
+// engine allocates no per-edge vector at all. Per-edge consumers must use
+// ComputeCtx.
 //
 // EMaxCtx is an inlinable wrapper around a dispatch that returns the
 // Result by value, so a caller that copies the summary into a value of
@@ -170,10 +161,10 @@ func EMaxCtx(ctx context.Context, p *placement.Placement, alg routing.Algorithm,
 	return &res
 }
 
-// compute is the one dispatch behind ComputeCtx and EMaxCtx: the analytic
-// tier when it answers, else the computed engine choose predicts cheapest.
-// keep says whether the Result owns a Loads vector; a cross-checked fast
-// path keeps it for the comparison either way and drops it afterwards.
+// compute is the one dispatch behind ComputeCtx and EMaxCtx: it runs the
+// engine choose predicts cheapest. keep says whether the Result owns a
+// Loads vector; a cross-checked fast path keeps it for the comparison
+// either way and drops it afterwards.
 func compute(ctx context.Context, p *placement.Placement, alg routing.Algorithm, opts Options, keep bool) Result {
 	fpComputeDispatch.InjectHard()
 	workers := effectiveWorkers(opts.Workers, p.Size())
@@ -182,14 +173,6 @@ func compute(ctx context.Context, p *placement.Placement, alg routing.Algorithm,
 	sp.SetAttr("algorithm", alg.Name())
 	sp.SetAttrInt("workers", int64(workers))
 	sp.SetAttrInt("processors", int64(p.Size()))
-	if res, ok := computeAnalytic(ctx, p, alg, opts.Analytic); ok {
-		sp.SetAttr("engine", EngineAnalytic)
-		if opts.CrossCheck {
-			generic := computeGeneric(ctx, p, alg, workers, false)
-			crossCheckAnalytic(&res, &generic)
-		}
-		return res
-	}
 	pl := choose(p, alg, opts.FastPath)
 	sp.SetAttr("engine", pl.engine)
 	sp.SetAttrInt("predicted_us", int64(math.Ceil(pl.ns/1e3)))
@@ -342,7 +325,7 @@ func NewResultFromLoads(t *torus.Torus, p *placement.Placement, algName string, 
 }
 
 func newResult(t *torus.Torus, p *placement.Placement, algName string, loads []float64) Result {
-	res := Result{Torus: t, Placement: p, Algorithm: algName, Loads: loads, Exact: true}
+	res := Result{Torus: t, Placement: p, Algorithm: algName, Loads: loads}
 	for e, v := range loads {
 		res.Total += v
 		if v > res.Max {
@@ -354,8 +337,7 @@ func newResult(t *torus.Torus, p *placement.Placement, algName string, loads []f
 }
 
 // Mean returns the average load over all directed edges, Total / |E|. It
-// needs no per-edge vector; analytic results, which leave Total at 0,
-// report 0.
+// needs no per-edge vector.
 func (r *Result) Mean() float64 {
 	return r.Total / float64(r.Torus.Edges())
 }
@@ -401,18 +383,9 @@ func (r *Result) PerDimensionMax() []float64 {
 	return out
 }
 
-// String summarizes the result. Analytic results have no busiest edge to
-// report and print the bound relation instead; every computed result,
-// with or without its Loads vector, names its busiest edge.
+// String summarizes the result, with or without its Loads vector: E_max,
+// the busiest edge and the mean load.
 func (r *Result) String() string {
-	if r.Engine == EngineAnalytic {
-		rel := "≤"
-		if r.Exact {
-			rel = "="
-		}
-		return fmt.Sprintf("%s with %s: E_max %s %.4f (%s)",
-			r.Placement, r.Algorithm, rel, r.Max, r.Engine)
-	}
 	return fmt.Sprintf("%s with %s: E_max=%.4f at %s, mean=%.4f",
 		r.Placement, r.Algorithm, r.Max, r.Torus.EdgeString(r.MaxEdge), r.Mean())
 }

@@ -24,9 +24,6 @@ type Placement struct {
 	stabOnce sync.Once // guards the lazily computed translation stabilizer
 	stab     [][]int
 
-	linOnce sync.Once // guards the lazily computed linear classification
-	lin     LinearClass
-
 	layerOnce sync.Once // guards the lazily computed layer counts
 	layers    []uint64  // layers[dim·k + v]: processors in subtorus (dim, v)
 }

@@ -126,6 +126,24 @@ func (s ShiftedDiagonal) Build(t *torus.Torus) (*Placement, error) {
 // Size implements Spec: the count of Linear{C: Shift}.
 func (s ShiftedDiagonal) Size(t *torus.Torus) (int, error) { return Linear{C: s.Shift}.Size(t) }
 
+// ResidueClasses reads off the spec alone how many consecutive residue
+// classes Σ p_i ≡ c (mod k) it places — the t the paper's closed forms
+// (Theorems 2–5) are keyed on: 1 for Linear and ShiftedDiagonal, T for
+// MultipleLinear. ok is false for every other spec and for explicit
+// coefficient vectors, which the theorems do not cover. T is returned as
+// given; Fit is what checks 1 ≤ T ≤ k.
+func ResidueClasses(s Spec) (t int, ok bool) {
+	switch v := s.(type) {
+	case Linear:
+		return 1, v.Coeffs == nil
+	case ShiftedDiagonal:
+		return 1, true
+	case MultipleLinear:
+		return v.T, v.Coeffs == nil
+	}
+	return 0, false
+}
+
 // Full populates every node: the classical fully populated torus whose
 // maximum load grows superlinearly (§1 of the paper).
 type Full struct{}

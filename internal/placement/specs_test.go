@@ -112,6 +112,56 @@ func TestResidueSpecsMatchCoordinateSums(t *testing.T) {
 	}
 }
 
+// TestResidueClasses checks the t ResidueClasses reads off a spec against
+// the built placement: exactly t coordinate-sum residues mod k, each class
+// fully populated — the shape Theorems 2–5 are stated for — and no count
+// for the shapes they do not cover.
+func TestResidueClasses(t *testing.T) {
+	for k := 2; k <= 6; k++ {
+		for d := 2; d <= 3; d++ {
+			tr := torus.New(k, d)
+			full := tr.Nodes() / k
+			for _, spec := range []Spec{
+				Linear{C: k - 1}, ShiftedDiagonal{Shift: 1}, MultipleLinear{T: 1, Start: 2},
+				MultipleLinear{T: (k + 1) / 2, Start: k - 1}, MultipleLinear{T: k, Start: 1},
+			} {
+				want, ok := ResidueClasses(spec)
+				if !ok {
+					t.Fatalf("%s: no residue-class count", spec.Name())
+				}
+				counts := make([]int, k)
+				for _, u := range mustBuild(t, spec, tr).Nodes() {
+					sum := 0
+					for _, c := range tr.Coords(u) {
+						sum += c
+					}
+					counts[sum%k]++
+				}
+				got := 0
+				for r, c := range counts {
+					if c != 0 && c != full {
+						t.Fatalf("%s on %s: residue %d holds %d of its %d nodes", spec.Name(), tr, r, c, full)
+					}
+					if c == full {
+						got++
+					}
+				}
+				if got != want {
+					t.Errorf("%s on %s: %d full residue classes, ResidueClasses says %d", spec.Name(), tr, got, want)
+				}
+			}
+		}
+	}
+	for _, spec := range []Spec{
+		Full{}, Random{Count: 4}, LayerCluster{},
+		Linear{Coeffs: []int{1, 2}}, MultipleLinear{T: 2, Coeffs: []int{1, 1}},
+	} {
+		if got, ok := ResidueClasses(spec); ok {
+			t.Errorf("%s: ResidueClasses = %d, want no count", spec.Name(), got)
+		}
+	}
+}
+
 // coeffVector is a coefficient vector of length d with mixed signs and
 // some non-units, varied by salt.
 func coeffVector(d, salt, k int) []int {

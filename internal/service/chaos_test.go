@@ -174,11 +174,10 @@ func TestChaosAllSites(t *testing.T) {
 	leaks := checkGoroutineLeaks(t)
 	defer leaks()
 
-	// DisableFastPath forces the generic engine so load.compute.merge is
-	// on the request path; the watchdog is off so wedge recovery (covered
-	// separately) cannot mask a scenario's assertions.
+	// The watchdog is off so wedge recovery (covered separately) cannot
+	// mask a scenario's assertions.
 	s, c, stop := newTestServer(t, Config{
-		Workers: 2, QueueDepth: 4, DisableFastPath: true,
+		Workers: 2, QueueDepth: 4,
 		WedgeTimeout: -1 * time.Second,
 	})
 	defer stop()
@@ -243,7 +242,9 @@ func TestChaosAllSites(t *testing.T) {
 			}
 		}},
 		"load.compute.merge": {spec: "error", drive: func(t *testing.T, s *Server, c *Client) {
-			st, _, err := analyzeStatus(t, c, AnalyzeRequest{K: 12, D: 2, Placement: "linear", Routing: "ODR"})
+			// FAR on a random placement has no translation symmetry, so
+			// the cost model runs the generic pair loop and its merge.
+			st, _, err := analyzeStatus(t, c, AnalyzeRequest{K: 12, D: 2, Placement: "random:4", Routing: "far"})
 			if st != http.StatusInternalServerError || !strings.Contains(err.Error(), "panicked") {
 				t.Errorf("compute.merge error: status %d err %v, want 500 panicked", st, err)
 			}
@@ -660,7 +661,7 @@ func TestChaosTracesWellFormed(t *testing.T) {
 
 	tracer := obs.NewTracer(64)
 	s, c, stop := newTestServer(t, Config{
-		Workers: 2, QueueDepth: 4, DisableFastPath: true,
+		Workers: 2, QueueDepth: 4,
 		WedgeTimeout: -1 * time.Second,
 		Tracer:       tracer,
 	})
@@ -681,9 +682,11 @@ func TestChaosTracesWellFormed(t *testing.T) {
 			t.Fatalf("arming %s: %v", fp.site, err)
 		}
 		// Distinct K per fault keeps the cache from short-circuiting the
-		// faulted path; outcomes (usually 500s) are the sites' own business —
-		// here only the exported trace shape matters.
-		_, _, _ = analyzeStatus(t, c, AnalyzeRequest{K: k, D: 2, Placement: "linear", Routing: "ODR"})
+		// faulted path; FAR on a random placement runs the generic pair
+		// loop, so the merge fault fires inside it. Outcomes (usually
+		// 500s) are the sites' own business — here only the exported
+		// trace shape matters.
+		_, _, _ = analyzeStatus(t, c, AnalyzeRequest{K: k, D: 2, Placement: "random:4", Routing: "far"})
 		k++
 		if err := failpoint.Disable(fp.site); err != nil {
 			t.Fatalf("disarming %s: %v", fp.site, err)

@@ -6,7 +6,9 @@
 //
 // The serving pipeline is, per request:
 //
-//	decode (strict JSON) → canonicalize (spelling only) → cache key
+//	decode (strict JSON) → canonicalize (spelling only)
+//	  → [/v1/analyze: the closed-form analytic lane (analytic.go) answers
+//	    Theorem 2 cells here] → node ceiling (Config.MaxNodes) → cache key
 //	  → LRU/TTL result cache (a hit is answered from the cache alone)
 //	  → on a miss: check that the placement fits the torus (O(d); a
 //	    failure is a 400 that nothing caches) → per-request deadline
@@ -74,6 +76,18 @@ func (r *AnalyzeRequest) Canonicalize(maxNodes int) error {
 // the miss path builds it without re-parsing the spelling.
 func (r *AnalyzeRequest) canonicalize(maxNodes int) (placement.Spec, error) {
 	if err := checkTorus(r.K, r.D, maxNodes); err != nil {
+		return nil, err
+	}
+	return r.canonicalSpelling()
+}
+
+// canonicalSpelling is canonicalize without the serving ceiling: it checks
+// (K, D) against the package representation limits only (torus.Check)
+// before rewriting the spellings. The handler runs it ahead of the
+// analytic lane, which does no O(k^d) work and so answers tori past
+// Config.MaxNodes, and applies the ceiling only when the lane declines.
+func (r *AnalyzeRequest) canonicalSpelling() (placement.Spec, error) {
+	if err := torus.Check(r.K, r.D); err != nil {
 		return nil, err
 	}
 	p, spec, err := canonicalPlacement(r.Placement, r.K)
@@ -362,6 +376,12 @@ func checkTorus(k, d, maxNodes int) error {
 	if err := torus.Check(k, d); err != nil {
 		return err
 	}
+	return checkNodes(k, d, maxNodes)
+}
+
+// checkNodes checks a torus torus.Check admitted against the serving
+// ceiling maxNodes (<= 0 means DefaultMaxNodes).
+func checkNodes(k, d, maxNodes int) error {
 	n, err := torus.Volume(k, d)
 	if err != nil {
 		return err

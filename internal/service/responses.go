@@ -68,13 +68,13 @@ type AnalyzeResponse struct {
 	// order, so it is not part of the cache key.
 	Engine string `json:"engine"`
 	// Exact reports whether EMax is the exact expectation rather than an
-	// upper bound (analytic Theorem 3–5 cells). Every computed-engine
-	// answer is exact.
+	// upper bound. This server writes true on every answer: the computed
+	// engines and the lane's Theorem 2 equality both give E_max itself.
 	Exact bool `json:"exact"`
 	// Theorem names the paper closed form behind an analytic answer
-	// ("theorem2" … "theorem5"); empty for computed engines. Analytic
-	// answers carry no per-edge fields: MaxEdge, TotalLoad, and the cut
-	// summaries are zero.
+	// ("theorem2" from this server's lane); empty for computed engines.
+	// Analytic answers carry no per-edge fields: MaxEdge, TotalLoad, and
+	// the cut summaries are zero.
 	Theorem string `json:"theorem,omitempty"`
 	Cached  bool   `json:"cached"`
 	// Degraded is never set by this server: every answer comes from an
@@ -340,8 +340,7 @@ func computeAnalyze(ctx context.Context, req AnalyzeRequest, p *placement.Placem
 		SweepCut:         cutSummary(&rep.SweepCut),
 		DimensionCut:     cutSummary(&rep.DimensionCut),
 		Engine:           rep.Load.Engine,
-		Exact:            rep.Load.Exact,
-		Theorem:          rep.Load.Theorem,
+		Exact:            true,
 	}, nil
 }
 

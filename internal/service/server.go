@@ -54,19 +54,12 @@ type Config struct {
 	MaxNodes int
 	// MaxBodyBytes caps request bodies; 0 means 1 MiB.
 	MaxBodyBytes int64
-	// DisableFastPath forces the generic pair-loop load engine, disabling
-	// the ring-flow fast path (the dimension-ordered routings) and the
-	// translation-symmetry one (FAR). Engine choice
-	// never changes results beyond float summation order, so it is not
-	// part of cache keys; the toggle exists for debugging and A/B
-	// measurement.
-	DisableFastPath bool
 	// EnableAnalytic turns on the closed-form fast lane for /v1/analyze:
-	// requests whose spec proves a single linear placement under ODR (or
-	// ODR-multi on odd k) are answered from the Theorem 2 equality in
-	// O(1), ahead of canonicalization, caching, and the worker pool — so
-	// they are never queued or 429'd, and they bypass MaxNodes (only the
-	// package torus limit applies, since the lane does no per-node work).
+	// requests whose canonical spec proves a single linear placement under
+	// ODR (or ODR-multi on odd k) are answered from the Theorem 2 equality
+	// in O(1), ahead of caching and the worker pool — so they are never
+	// queued or 429'd, and they bypass MaxNodes (only the package torus
+	// limit applies, since the lane does no per-node work).
 	// Opt-in rather than default because lane answers have a different
 	// shape: no per-edge fields (MaxEdge, TotalLoad, and the cuts are
 	// zero). cmd/torusd enables the lane by default; -no-analytic disables
@@ -111,13 +104,11 @@ type Config struct {
 	OnCompute func(key string)
 }
 
-// loadOptions returns the load-engine options the server pins per analysis.
+// loadOptions returns the load-engine options the server pins per
+// analysis: its worker count, and the engine the cost model predicts
+// cheapest.
 func (c Config) loadOptions() load.Options {
-	opts := load.Options{Workers: c.AnalysisWorkers}
-	if c.DisableFastPath {
-		opts.FastPath = load.FastPathOff
-	}
-	return opts
+	return load.Options{Workers: c.AnalysisWorkers}
 }
 
 func (c Config) withDefaults() Config {
@@ -816,8 +807,7 @@ func placementMiss[R any](s *Server, r *http.Request, spec placement.Spec, k, d 
 
 // cheaperThanFill reports whether the cost model prices the analysis of
 // spec on T^d_k under routing below one peer fill: load.Cost of its
-// cheapest engine for the processor count spec places, under the engines
-// this server runs.
+// cheapest engine for the processor count spec places.
 func (s *Server) cheaperThanFill(spec placement.Spec, k, d int, routing string) bool {
 	alg, err := cliutil.ParseRouting(routing)
 	if err != nil {
@@ -828,7 +818,7 @@ func (s *Server) cheaperThanFill(spec placement.Spec, k, d int, routing string) 
 	if err != nil {
 		return false
 	}
-	return load.Cost(alg, t, n, s.cfg.loadOptions().FastPath) < nsPerFill
+	return load.Cost(alg, t, n, load.FastPathAuto) < nsPerFill
 }
 
 // fillOf is fillFor on a copy of req, which only a request that fills
@@ -842,14 +832,18 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !s.readRequest(w, r, &req) {
 		return
 	}
-	if resp, ok := s.tryAnalytic(r.Context(), req); ok {
+	spec, err := req.canonicalSpelling()
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if resp, ok := s.tryAnalytic(r.Context(), &req, spec); ok {
 		e := encodeBufs.Get().(*encodeBuf)
 		e.analyze = resp
 		s.send(w, http.StatusOK, e, &e.analyze)
 		return
 	}
-	spec, err := req.canonicalize(s.cfg.MaxNodes)
-	if err != nil {
+	if err := checkNodes(req.K, req.D, s.cfg.MaxNodes); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}

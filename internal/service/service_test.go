@@ -827,7 +827,12 @@ func TestWrittenBodyIsMarshal(t *testing.T) {
 		analyze.Cached = true
 		check("analyze hit "+areq.Routing, post("/v1/analyze", string(body)), analyze)
 	}
-	lane, ok := s.tryAnalytic(ctx, AnalyzeRequest{K: 8, D: 2, Placement: "linear:3", Routing: "odr"})
+	lreq := AnalyzeRequest{K: 8, D: 2, Placement: "linear:3", Routing: "odr"}
+	lspec, err := lreq.canonicalSpelling()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane, ok := s.tryAnalytic(ctx, &lreq, lspec)
 	if !ok {
 		t.Fatal("linear:3 ODR on T^2_8 missed the analytic lane")
 	}

@@ -12,18 +12,19 @@ import (
 func init() {
 	register(Experiment{
 		ID:       "E32",
-		Title:    "Analytic engine tier: closed forms vs computed E_max",
+		Title:    "Closed forms vs computed E_max",
 		PaperRef: "Theorems 2-5 closed forms on linear placements",
 		Run:      runE32,
 	})
 }
 
-// runE32 measures the closed-form analytic tier against the computed
-// engines cell by cell: on the Theorem 2 equality cells (single linear
-// placements under ODR for every k, and under ODR-multi for odd k) the
-// difference must be exactly zero; on the Theorem 3-5 cells the closed
-// form is an upper bound and the row reports its slack factor instead.
-// Workers is pinned to 1 so the computed column is machine-independent.
+// runE32 measures the paper's closed forms against the computed engines
+// cell by cell, with t read off each placement spec: on the Theorem 2
+// equality cells (single linear placements under ODR for every k, and
+// under ODR-multi for odd k) the difference must be exactly zero; on the
+// Theorem 3-5 cells the closed form is an upper bound and the row reports
+// its slack factor instead. Workers is pinned to 1 so the computed column
+// is machine-independent.
 func runE32(scale Scale) *Table {
 	type cse struct {
 		k, d int
@@ -61,29 +62,30 @@ func runE32(scale Scale) *Table {
 	for _, c := range cases {
 		t := torus.New(c.k, c.d)
 		p := mustPlacement(c.spec, t)
-		an := load.Compute(p, c.alg, load.Options{Workers: 1, Analytic: load.AnalyticForce})
-		if an.Engine != load.EngineAnalytic {
-			// Every case is a recognized linear shape; reaching the
-			// computed path here means the recognizer or theorem map broke.
-			panic("E32: case not answered analytically: " + p.Name() + "/" + c.alg.Name())
+		classes, _ := placement.ResidueClasses(c.spec)
+		an, ok := load.AnalyticEMax(c.k, c.d, classes, c.alg.Name(), false)
+		if !ok {
+			// Every case is a residue-class shape under a routing the
+			// theorems cover; no closed form means the theorem map broke.
+			panic("E32: no closed form for " + p.Name() + "/" + c.alg.Name())
 		}
-		computed := load.Compute(p, c.alg, load.Options{Workers: 1, Analytic: load.AnalyticOff})
-		diff := an.Max - computed.Max
+		computed := load.Compute(p, c.alg, load.Options{Workers: 1})
+		diff := an.EMax - computed.Max
 		slack := 0.0
 		if computed.Max > 0 {
-			slack = an.Max / computed.Max
+			slack = an.EMax / computed.Max
 		}
 		agree := "ok"
 		if an.Exact {
 			if diff != 0 {
 				agree = "FAIL"
 			}
-		} else if computed.Max > an.Max+1e-9*math.Max(1, an.Max) {
+		} else if computed.Max > an.EMax+1e-9*math.Max(1, an.EMax) {
 			agree = "FAIL" // an upper bound below the measured value
 		}
 		tb.AddRow(c.d, c.k, p.Name(), c.alg.Name(), an.Theorem, an.Exact,
-			an.Max, computed.Max, diff, slack, agree)
+			an.EMax, computed.Max, diff, slack, agree)
 	}
-	tb.AddNote("Exact rows (Theorem 2: ODR on any k; ODR-multi on odd k, where unique shortest ring paths make it coincide with ODR) must show diff 0 — the closed form k^{d-1}/2 (even k) or (k^{d-1}-k^{d-2})/2 (odd k) is the measured E_max bit for bit. Bound rows (Theorems 3-5) report slack = analytic/computed >= 1; the t^2 and 2^{d-1} factors are loose by design. The torusd fast lane serves only the exact cells; AnalyticForce exists for bound exploration like this table.")
+	tb.AddNote("Exact rows (Theorem 2: ODR on any k; ODR-multi on odd k, where unique shortest ring paths make it coincide with ODR) must show diff 0 — the closed form k^{d-1}/2 (even k) or (k^{d-1}-k^{d-2})/2 (odd k) is the measured E_max bit for bit. Bound rows (Theorems 3-5) report slack = analytic/computed >= 1; the t^2 and 2^{d-1} factors are loose by design. The torusd fast lane serves only the exact cells; this table calls load.AnalyticEMax with t read off each placement spec (linear: 1, multilinear: t) and runs load.Compute for the computed column.")
 	return tb
 }

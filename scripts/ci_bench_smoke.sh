@@ -37,11 +37,11 @@
 #      mean per side read 9.3-18x on one host for identical code, since a
 #      neighbour's burst lands on one side only, while the least of five
 #      rounds is each side's speed with the least interference;
-#   3. the analytic tier: the recognize+evaluate core must stay at
-#      0 allocs/op at every k, its K256/K16 latency ratio must stay below
-#      3x (the closed forms are O(1) in torus size), and the end-to-end
-#      analytic dispatch must stay >=100x faster than the fast-path engine
-#      within this same run;
+#   3. the analytic lane's closed-form path (spec -> t ->
+#      load.AnalyticAnswer): it must stay at 0 allocs/op at every k, its
+#      K256/K16 latency ratio must stay below 3x (the closed forms are O(1)
+#      in torus size), and it must stay >=100x faster than the fast-path
+#      engine within this same run;
 #   4. the cache-hit path: BenchmarkServeAnalyzeCacheHit must make no more
 #      allocs/op than recorded, with no slack. A hit answers from the cache
 #      and nothing else, so its count is exact, while the work a change
@@ -157,7 +157,7 @@ while read -r key fast generic want; do
 done < <(jq -r '.fastpath.ratios | to_entries[] |
     "\(.key) \(.value.fast) \(.value.generic) \(.value.speedup)"' "$BASELINE")
 
-echo "bench-smoke: checking the analytic tier"
+echo "bench-smoke: checking the analytic lane's closed-form path"
 for name in BenchmarkAnalyzeAnalyticK16 BenchmarkAnalyzeAnalyticK64 BenchmarkAnalyzeAnalyticK256; do
     allocs=$(jq -n --argjson m "$measured" --arg n "$name" '$m[$n].allocs // null')
     if [ "$allocs" = "null" ]; then
@@ -191,10 +191,10 @@ if [ "$adv" = "null" ]; then
     echo "bench-smoke: FAIL — analytic/fast-path pair missing from run" >&2
     fail=1
 elif [ "$(jq -n --argjson a "$adv" '$a < 100')" = "true" ]; then
-    echo "bench-smoke: FAIL — analytic dispatch only ${adv}x over fast path, floor 100x" >&2
+    echo "bench-smoke: FAIL — analytic lane path only ${adv}x over fast path, floor 100x" >&2
     fail=1
 else
-    echo "  ok analytic dispatch ${adv}x over fast path (floor 100x)"
+    echo "  ok analytic lane path ${adv}x over fast path (floor 100x)"
 fi
 
 echo "bench-smoke: checking the cache-hit and cache-miss paths (no slack)"
