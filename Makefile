@@ -12,6 +12,7 @@ FUZZ_TARGETS := \
 	./internal/routing:FuzzFARKernel \
 	./internal/service:FuzzDecodeAnalyzeRequest \
 	./internal/service:FuzzDecodeStrict \
+	./internal/service:FuzzAnswerRecord \
 	./internal/cluster:FuzzHashRing \
 	./internal/lintcheck:FuzzLintIgnoreDirective
 

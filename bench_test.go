@@ -471,8 +471,10 @@ func BenchmarkE32Analytic(b *testing.B)    { benchExperiment(b, "E32") }
 // recorder: the cache-hit path, with no network. bench-smoke holds its
 // allocs/op to the recorded count with no slack, so work re-added ahead of
 // the cache lookup — a placement build or a request timer — fails CI.
+// Like torusd and every bench/run.sh workload, it runs with the analytic
+// lane on, so the lane's canonicalization and decline are counted.
 func BenchmarkServeAnalyzeCacheHit(b *testing.B) {
-	s := service.New(service.Config{Workers: 1})
+	s := service.New(service.Config{Workers: 1, EnableAnalytic: true})
 	defer s.Close()
 	h := s.Handler()
 	body := []byte(`{"k":8,"d":3,"placement":"random:64","routing":"udr"}`)
@@ -499,8 +501,9 @@ func BenchmarkServeAnalyzeCacheHit(b *testing.B) {
 // decode, placement build, flight, pool and report assembly, with no
 // network. bench-smoke holds its allocs/op to the recorded count with no
 // slack, so a per-miss allocation added anywhere on that path fails CI.
+// The analytic lane is on, as in torusd.
 func BenchmarkServeAnalyzeMiss(b *testing.B) {
-	s := service.New(service.Config{Workers: 1, CacheSize: 1})
+	s := service.New(service.Config{Workers: 1, CacheSize: 1, EnableAnalytic: true})
 	defer s.Close()
 	h := s.Handler()
 	prefix := []byte(`{"k":8,"d":3,"placement":"random:64:`)
@@ -533,7 +536,7 @@ func BenchmarkServeAnalyzeMiss(b *testing.B) {
 // with the server built and empty, over 512. The figure counts the whole
 // entry (key, index, LRU links, the stored answer and its strings) and is
 // machine-independent for a fixed Go version; bench-smoke holds it to the
-// recorded value with no slack.
+// recorded value with no slack. The analytic lane is on, as in torusd.
 func BenchmarkServeAnalyzeRetained(b *testing.B) {
 	const entries = 512
 	body := make([]byte, 0, 96)
@@ -555,7 +558,7 @@ func BenchmarkServeAnalyzeRetained(b *testing.B) {
 	}
 	// Serve the keys once on a throwaway server, so whatever the engines
 	// build lazily on first use is in place before anything is counted.
-	warm := service.New(service.Config{Workers: 1, CacheSize: 1})
+	warm := service.New(service.Config{Workers: 1, CacheSize: 1, EnableAnalytic: true})
 	for seed := 1; seed <= entries; seed++ {
 		serve(warm.Handler(), seed)
 	}
@@ -565,7 +568,7 @@ func BenchmarkServeAnalyzeRetained(b *testing.B) {
 	retained := uint64(math.MaxUint64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := service.New(service.Config{Workers: 1, CacheSize: entries})
+		s := service.New(service.Config{Workers: 1, CacheSize: entries, EnableAnalytic: true})
 		h := s.Handler()
 		before := heap()
 		for seed := 1; seed <= entries; seed++ {

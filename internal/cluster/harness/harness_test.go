@@ -9,6 +9,8 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -337,6 +339,56 @@ func TestFilledBodyMatchesOwner(t *testing.T) {
 		owned := post(nw.Nodes[owner], tc.path, body)
 		if !bytes.Contains(filled, []byte(`"cached":true`)) || !bytes.Equal(filled, owned) {
 			t.Errorf("%s: filler node %d serves\n%s\nowner node %d serves\n%s", tc.path, filler.Index, filled, owner, owned)
+		}
+	}
+}
+
+// TestKilledNodeKeepsNoAnswers kills a node that holds cached answers, a
+// dear analysis it owns and a /v1/bounds answer, and checks that its
+// stopped server, which the network keeps referenced, answers neither
+// from its cache any more.
+func TestKilledNodeKeepsNoAnswers(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	nw := startNetwork(t, ctx, Options{Nodes: 3, Service: testConfig()})
+	const victim = 1
+	n := nw.Nodes[victim]
+	areq, _ := findKeyOwnedBy(t, nw, victim, nil)
+	// A peer hop answers on the node itself, from its cache or its pool,
+	// and never fills from another node.
+	serve := func(path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		r.Header.Set(service.PeerHopHeader, "1")
+		n.Server.Handler().ServeHTTP(rec, r)
+		return rec
+	}
+	cases := []struct {
+		path string
+		req  any
+		body []byte
+	}{
+		{path: "/v1/analyze", req: areq},
+		{path: "/v1/bounds", req: service.BoundsRequest{K: 8, D: 3, Placement: "random:64:3"}},
+	}
+	for i := range cases {
+		tc := &cases[i]
+		var err error
+		if tc.body, err = json.Marshal(tc.req); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{`"cached":false`, `"cached":true`} {
+			if rec := serve(tc.path, tc.body); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), want) {
+				t.Fatalf("%s on live node %d: status %d, body %s, want %s", tc.path, victim, rec.Code, rec.Body, want)
+			}
+		}
+	}
+	if err := nw.KillAndWait(ctx, victim); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		if rec := serve(tc.path, tc.body); rec.Code == http.StatusOK || strings.Contains(rec.Body.String(), `"cached":true`) {
+			t.Errorf("%s on killed node %d: status %d, body %s, want no cached answer", tc.path, victim, rec.Code, rec.Body)
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"torusnet/internal/obs"
 	"torusnet/internal/placement"
 	"torusnet/internal/routing"
+	"torusnet/internal/torus"
 )
 
 // Report is the complete analysis of one placement + routing algorithm.
@@ -45,18 +46,73 @@ type Report struct {
 // lower bounds on E_max for one placement and the two bisections they
 // come from.
 type Bounds struct {
-	BlaumBound     float64 // Eq. 1: (|P|−1)/2d
-	BisectionBound float64 // Eq. 8 using the sweep cut width, or a balanced dimension cut's
-	ImprovedBound  float64 // §4: c²k^{d−1}/8 (uniform placements only, else 0)
+	ClosedForms
 
 	// Bisection data.
 	SweepCut     bisect.Cut
 	DimensionCut bisect.Cut
 
-	// Density constant c with |P| = c·k^{d−1}.
-	DensityC float64
 	// Uniform reports placement uniformity (premise of Theorem 1 and §4).
 	Uniform bool
+}
+
+// ClosedForms are the paper's closed-form lower bounds on E_max for one
+// placement, and the density constant they use. They are a pure function
+// of the placement's size, its torus, its uniformity and its two cut
+// widths (BoundsOf), so whatever keeps those inputs re-derives them bit
+// for bit.
+type ClosedForms struct {
+	BlaumBound     float64 // Eq. 1: (|P|−1)/2d
+	BisectionBound float64 // Eq. 8 using the sweep cut width, or a balanced dimension cut's
+	ImprovedBound  float64 // §4: c²k^{d−1}/8 (uniform placements only, else 0)
+
+	// Density constant c with |P| = c·k^{d−1}.
+	DensityC float64
+}
+
+// BoundsOf evaluates the closed forms for a placement of sizeP processors
+// on T^d_k: uniform is its uniformity, sweepWidth the width of its sweep
+// cut, and dimWidth and dimBalanced those of its best dimension cut. A
+// zero width makes the Eq. 8 bound +Inf. k and d must describe a torus
+// (torus.Check); like torus.New, BoundsOf panics on a shape whose face
+// k^{d−1} torus.Volume refuses.
+func BoundsOf(sizeP, k, d int, uniform bool, sweepWidth, dimWidth int, dimBalanced bool) ClosedForms {
+	face, err := torus.Volume(k, d-1)
+	if err != nil {
+		panic(err)
+	}
+	c := ClosedForms{
+		BlaumBound:     bounds.Blaum(sizeP, d),
+		BisectionBound: bounds.Bisection(sizeP, sweepWidth),
+		DensityC:       float64(sizeP) / float64(face),
+	}
+	if dimBalanced {
+		if w := bounds.Bisection(sizeP, dimWidth); w > c.BisectionBound {
+			c.BisectionBound = w
+		}
+	}
+	if uniform {
+		c.ImprovedBound = bounds.Improved(c.DensityC, k, d)
+	}
+	return c
+}
+
+// BestLowerBound returns the strongest of the closed-form lower bounds.
+func (c ClosedForms) BestLowerBound() float64 {
+	return max(c.BlaumBound, c.BisectionBound, c.ImprovedBound)
+}
+
+// Ratios returns the optimality ratio of a measured eMax over sizeP
+// processors, eMax divided by the best lower bound (0 unless that bound is
+// positive), and its load per processor, eMax/sizeP (0 for no processors).
+func (c ClosedForms) Ratios(eMax float64, sizeP int) (optimality, perProcessor float64) {
+	if best := c.BestLowerBound(); best > 0 {
+		optimality = eMax / best
+	}
+	if sizeP > 0 {
+		perProcessor = eMax / float64(sizeP)
+	}
+	return optimality, perProcessor
 }
 
 // EvaluateBounds computes every lower bound the paper gives for p. The
@@ -66,21 +122,12 @@ type Bounds struct {
 func EvaluateBounds(p *placement.Placement) Bounds {
 	t := p.Torus()
 	b := Bounds{
-		BlaumBound:   bounds.Blaum(p.Size(), t.D()),
 		Uniform:      p.IsUniform(),
-		DensityC:     float64(p.Size()) / float64(t.Nodes()/t.K()),
 		SweepCut:     *bisect.Sweep(p),
 		DimensionCut: *bisect.BestDimensionCut(p),
 	}
-	b.BisectionBound = bounds.Bisection(p.Size(), b.SweepCut.Width())
-	if b.DimensionCut.Balanced() {
-		if w := bounds.Bisection(p.Size(), b.DimensionCut.Width()); w > b.BisectionBound {
-			b.BisectionBound = w
-		}
-	}
-	if b.Uniform {
-		b.ImprovedBound = bounds.Improved(b.DensityC, t.K(), t.D())
-	}
+	b.ClosedForms = BoundsOf(p.Size(), t.K(), t.D(), b.Uniform,
+		b.SweepCut.Width(), b.DimensionCut.Width(), b.DimensionCut.Balanced())
 	return b
 }
 
@@ -118,26 +165,8 @@ func analyze(ctx context.Context, p *placement.Placement, alg routing.Algorithm,
 	rep.Bounds = EvaluateBounds(p)
 	bsp.End()
 
-	best := rep.BestLowerBound()
-	if best > 0 {
-		rep.OptimalityRatio = rep.Load.Max / best
-	}
-	if p.Size() > 0 {
-		rep.LoadPerProcessor = rep.Load.Max / float64(p.Size())
-	}
+	rep.OptimalityRatio, rep.LoadPerProcessor = rep.Ratios(rep.Load.Max, p.Size())
 	return rep
-}
-
-// BestLowerBound returns the strongest of the evaluated lower bounds.
-func (b Bounds) BestLowerBound() float64 {
-	best := b.BlaumBound
-	if b.BisectionBound > best {
-		best = b.BisectionBound
-	}
-	if b.ImprovedBound > best {
-		best = b.ImprovedBound
-	}
-	return best
 }
 
 // String renders a human-readable report.

@@ -2,10 +2,10 @@ package service
 
 import (
 	"context"
-	"math"
 
 	"torusnet/internal/bounds"
 	"torusnet/internal/cliutil"
+	"torusnet/internal/core"
 	"torusnet/internal/load"
 	"torusnet/internal/obs"
 	"torusnet/internal/placement"
@@ -60,13 +60,14 @@ func (s *Server) tryAnalytic(ctx context.Context, req *AnalyzeRequest, spec plac
 	if err != nil {
 		return AnalyzeResponse{}, false
 	}
-	blaum := bounds.Blaum(procs, d)
-	improved := bounds.Improved(1, k, d)
-	best := math.Max(blaum, improved)
-	ratio := 0.0
-	if best > 0 {
-		ratio = ev.EMax / best
+	// A Theorem 2 placement is uniform with c = 1; the lane builds no cut,
+	// so it gives no Eq. 8 bound.
+	cf := core.ClosedForms{
+		BlaumBound:    bounds.Blaum(procs, d),
+		ImprovedBound: bounds.Improved(1, k, d),
+		DensityC:      1,
 	}
+	ratio, perProc := cf.Ratios(ev.EMax, procs)
 	s.metrics.add(mAnalyticHits, 1)
 	return AnalyzeResponse{
 		K:                k,
@@ -76,12 +77,12 @@ func (s *Server) tryAnalytic(ctx context.Context, req *AnalyzeRequest, spec plac
 		PlacementName:    spec.Name(),
 		Processors:       procs,
 		Uniform:          true,
-		DensityC:         1,
+		DensityC:         cf.DensityC,
 		EMax:             ev.EMax,
-		LoadPerProcessor: ev.EMax / float64(procs),
-		BlaumBound:       jsonSafe(blaum),
-		ImprovedBound:    jsonSafe(improved),
-		BestLowerBound:   jsonSafe(best),
+		LoadPerProcessor: perProc,
+		BlaumBound:       jsonSafe(cf.BlaumBound),
+		ImprovedBound:    jsonSafe(cf.ImprovedBound),
+		BestLowerBound:   jsonSafe(cf.BestLowerBound()),
 		OptimalityRatio:  jsonSafe(ratio),
 		Engine:           load.EngineAnalytic,
 		Exact:            true,

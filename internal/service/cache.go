@@ -19,10 +19,10 @@ type lruCache struct {
 	capacity int
 	ttl      time.Duration // <= 0 means entries never expire
 	slots    []slot
-	index    map[string]int32
-	head     int32 // most recently used slot, -1 when empty
-	tail     int32 // least recently used slot, -1 when empty
-	free     int32 // first free slot, linked through next; -1 when none
+	index    map[string]int32 // nil once released
+	head     int32            // most recently used slot, -1 when empty
+	tail     int32            // least recently used slot, -1 when empty
+	free     int32            // first free slot, linked through next; -1 when none
 	now      func() time.Time
 	epoch    time.Time // now() at creation; slot times count from it
 }
@@ -88,6 +88,9 @@ func (c *lruCache) get(key string) (any, time.Duration, bool) {
 func (c *lruCache) put(key string, val any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.index == nil { // released
+		return
+	}
 	now := c.clock()
 	if i, ok := c.index[key]; ok {
 		s := &c.slots[i]
@@ -121,6 +124,16 @@ func (c *lruCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.index)
+}
+
+// release drops every entry, the slab and the index, and makes later puts
+// no-ops, so a stopped server keeps no answers alive however long it stays
+// referenced.
+func (c *lruCache) release() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.slots, c.index = nil, nil
+	c.head, c.tail, c.free = -1, -1, -1
 }
 
 // unlink takes slot i out of the recency list.

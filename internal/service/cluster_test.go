@@ -8,11 +8,14 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"torusnet/internal/load"
 )
 
 // TestReadyzSingleNode pins the split: /healthz is liveness, /readyz is
@@ -110,20 +113,52 @@ func TestClusterDisabledPathAllocFree(t *testing.T) {
 // estimate ("degraded": true), which must be rejected so the filler
 // computes the exact answer itself; an exact body decodes to the record
 // local compute would cache, an engine name this build does not know
-// included, and a count no record field holds is refused.
+// included; and a count no record field holds, or a body whose record
+// would not expand back into it (an upper bound, a closed-form answer,
+// bounds this server's arithmetic does not give), is refused.
 func TestDecodeAnalyzeFill(t *testing.T) {
+	req := AnalyzeRequest{K: 6, D: 2, Placement: "linear:1", Routing: "ODR"}
+	spec, err := req.canonicalize(DefaultMaxNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := buildPlacement(spec, req.K, req.D)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, err := computeAnalyze(context.Background(), req, p, load.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		name, body      string
+		name            string
+		edit            func(*AnalyzeResponse)
 		engine, wantErr string
 	}{
-		{"exact", `{"k":6,"d":2,"placement":"linear","routing":"ODR","e_max":3.5,"engine":"symmetry","exact":true}`, "symmetry", ""},
-		{"newer-peer-engine", `{"k":6,"d":2,"placement":"linear","routing":"ODR","e_max":3.5,"engine":"warp","exact":true}`, "warp", ""},
-		{"older-peer-estimate", `{"k":6,"d":2,"placement":"linear","routing":"ODR","e_max":3.4,"engine":"montecarlo","degraded":true,"error_bound":0.3}`, "", "degraded"},
-		{"count-past-int32", `{"k":6,"d":2,"placement":"linear","routing":"ODR","processors":4294967296,"e_max":3.5,"engine":"symmetry","exact":true}`, "", "int32"},
-		{"malformed", `{"k":6,`, "", "unexpected end"},
+		{"exact", func(*AnalyzeResponse) {}, owner.Engine, ""},
+		{"cached-at-owner", func(a *AnalyzeResponse) { a.Cached = true }, owner.Engine, ""},
+		{"newer-peer-engine", func(a *AnalyzeResponse) { a.Engine = "warp" }, "warp", ""},
+		{"older-peer-estimate", func(a *AnalyzeResponse) { a.Engine, a.Degraded = "montecarlo", true }, "", "degraded"},
+		{"count-past-int32", func(a *AnalyzeResponse) { a.Processors = 1 << 32 }, "", "int32"},
+		{"upper-bound", func(a *AnalyzeResponse) { a.Exact = false }, "", "differs"},
+		{"closed-form", func(a *AnalyzeResponse) { a.Theorem = "theorem2" }, "", "differs"},
+		{"other-bound", func(a *AnalyzeResponse) { a.BlaumBound += 0.5 }, "", "differs"},
+		{"other-ratio", func(a *AnalyzeResponse) { a.OptimalityRatio *= 2 }, "", "differs"},
+		{"not-a-torus", func(a *AnalyzeResponse) { a.D = 0 }, "", "differs"},
+		{"malformed", nil, "", "unexpected end"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			v, err := decodeAnalyzeFill([]byte(tc.body))
+			body := []byte(`{"k":6,`)
+			if tc.edit != nil {
+				a := owner
+				tc.edit(&a)
+				b, err := json.Marshal(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body = b
+			}
+			v, err := decodeAnalyzeFill(body)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("decode = (%v, %v), want an error containing %q", v, err, tc.wantErr)
@@ -134,7 +169,7 @@ func TestDecodeAnalyzeFill(t *testing.T) {
 				t.Fatalf("decode: %v", err)
 			}
 			r, ok := v.(*analyzeRecord)
-			if !ok || r.eMax != 3.5 || nameOf(r.engine, r.odd, oddEngine) != tc.engine || !r.exact {
+			if !ok || r.eMax != owner.EMax || nameOf(r.engine, r.odd, oddEngine) != tc.engine {
 				t.Errorf("decoded %#v, want the exact %s answer", v, tc.engine)
 			}
 		})

@@ -2,12 +2,14 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 
 	"torusnet/internal/cliutil"
+	"torusnet/internal/load"
 	"torusnet/internal/torus"
 )
 
@@ -146,4 +148,139 @@ func differential[R comparable](t *testing.T, data []byte) {
 	if gotErr == nil && got != want {
 		t.Fatalf("%T from %q: decodeStrict %+v, reference %+v", got, data, got, want)
 	}
+}
+
+// FuzzAnswerRecord checks the result cache's records against the answers
+// they stand for. For a random torus (k ≤ 9, d ≤ 4, at most 512 nodes),
+// placement, routing and bisection method, the answer each placement
+// endpoint computes must come back from its record byte for byte: the
+// record compact keeps of the computed answer, and the record a peer fill
+// decodes from its JSON body. The seeds cover zero-width cuts (|P| ≤ 1,
+// whose +Inf bounds go on the wire as math.MaxFloat64), non-uniform
+// placements and d = 1.
+func FuzzAnswerRecord(f *testing.F) {
+	for _, s := range []struct{ k, d, kind, a, b, routing, method uint8 }{
+		{8, 2, 0, 3, 0, 0, 0},  // linear:3, ODR, sweep
+		{8, 3, 4, 64, 5, 2, 1}, // random:64:5, UDR, best-sweep
+		{6, 2, 2, 3, 1, 4, 2},  // multi:3:1, FAR, dimension
+		{5, 1, 0, 0, 0, 2, 0},  // d = 1: one processor, zero-width sweep cut
+		{4, 2, 4, 1, 1, 1, 0},  // random:1: zero-width sweep cut
+		{4, 1, 4, 0, 1, 3, 2},  // random:0: no processors
+		{4, 3, 3, 0, 0, 4, 1},  // full
+		{7, 2, 1, 2, 0, 1, 2},  // diagonal:2 on odd k
+		{9, 2, 4, 20, 7, 3, 0}, // random:20:7, non-uniform
+	} {
+		f.Add(s.k, s.d, s.kind, s.a, s.b, s.routing, s.method)
+	}
+	routings := []string{"odr", "odr-multi", "udr", "udr-multi", "far"}
+	methods := []string{"sweep", "best-sweep", "dimension"}
+	ctx := context.Background()
+	opts := load.Options{Workers: 1}
+	f.Fuzz(func(t *testing.T, k, d, kind, a, b, routing, method uint8) {
+		// 2…9 and 1…4 keep their values; other bytes wrap into the range.
+		kk, dd := 2+(int(k)+6)%8, 1+(int(d)+3)%4
+		if n, err := torus.Volume(kk, dd); err != nil || n > 512 {
+			return
+		}
+		var spec string
+		switch kind % 5 {
+		case 0:
+			spec = fmt.Sprintf("linear:%d", a)
+		case 1:
+			spec = fmt.Sprintf("diagonal:%d", a)
+		case 2:
+			spec = fmt.Sprintf("multi:%d:%d", 1+(int(a)+kk-1)%kk, b)
+		case 3:
+			spec = "full"
+		default:
+			spec = fmt.Sprintf("random:%d:%d", a, b)
+		}
+		areq := AnalyzeRequest{K: kk, D: dd, Placement: spec, Routing: routings[int(routing)%len(routings)]}
+		ps, err := areq.canonicalize(DefaultMaxNodes)
+		if err != nil {
+			return
+		}
+		if fitPlacement(ps, kk, dd) != nil {
+			return
+		}
+		p, err := buildPlacement(ps, kk, dd)
+		if err != nil {
+			t.Fatalf("%+v: fitted spec does not build: %v", areq, err)
+		}
+		breq := BoundsRequest{K: kk, D: dd, Placement: areq.Placement}
+		sreq := BisectRequest{K: kk, D: dd, Placement: areq.Placement, Method: methods[int(method)%len(methods)]}
+
+		analyze, err := computeAnalyze(ctx, areq, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounds := computeBounds(ctx, breq, p)
+		bisect, err := computeBisect(ctx, sreq, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name     string
+			computed any
+			compact  func() (any, error)
+			decode   func([]byte) (any, error)
+			expand   func(any) any
+		}{
+			{
+				"analyze", analyze,
+				func() (any, error) { return stored(compactAnalyze(&analyze)) },
+				decodeAnalyzeFill,
+				func(v any) any {
+					var out AnalyzeResponse
+					v.(*analyzeRecord).expand(&areq, &out)
+					return out
+				},
+			},
+			{
+				"bounds", bounds,
+				func() (any, error) { return stored(compactBounds(&bounds)) },
+				decodeBoundsFill,
+				func(v any) any {
+					var out BoundsResponse
+					v.(*boundsRecord).expand(&breq, &out)
+					return out
+				},
+			},
+			{
+				"bisect", bisect,
+				func() (any, error) { return stored(compactBisect(&bisect)) },
+				decodeBisectFill,
+				func(v any) any {
+					var out BisectResponse
+					v.(*bisectRecord).expand(&sreq, &out)
+					return out
+				},
+			},
+		} {
+			want, err := json.Marshal(tc.computed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			computed, err := tc.compact()
+			if err != nil {
+				t.Fatalf("%s %s: compact refused the computed answer: %v", tc.name, want, err)
+			}
+			filled, err := tc.decode(want)
+			if err != nil {
+				t.Fatalf("%s %s: a peer fill of the computed answer was refused: %v", tc.name, want, err)
+			}
+			for _, from := range []struct {
+				how string
+				rec any
+			}{{"compact", computed}, {"fill", filled}} {
+				got, err := json.Marshal(tc.expand(from.rec))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s from its %s record:\n%s\nwant\n%s", tc.name, from.how, got, want)
+				}
+			}
+		}
+	})
 }

@@ -5,18 +5,24 @@ import (
 	"math"
 
 	"torusnet/internal/bisect"
+	"torusnet/internal/bounds"
+	"torusnet/internal/core"
 	"torusnet/internal/load"
+	"torusnet/internal/torus"
 )
 
-// The result cache keeps one record per placement answer: what the answer
-// says that its canonical request does not. The handler that serves a
-// record rebuilds the wire answer from it and the request it already holds
-// (expand), so the cache repeats none of the request's strings. Every
-// float64 is kept exactly as computed; counts are int32 (a torus has at
-// most 2^28 nodes); engine, theorem and cut-method names are one-byte
-// codes into names. A local compute and a peer fill both store the
-// compact form of the wire answer, so a filled entry serves the same bytes
-// as a computed one.
+// The result cache keeps one record per placement answer: what was
+// measured for it, and nothing its canonical request or the paper's closed
+// forms give back. The handler that serves a record rebuilds the wire
+// answer from it and the request it already holds (expand): the request
+// echo comes from the request, and every bound, the density and both
+// ratios are re-derived through core.BoundsOf from the processor count,
+// the uniformity and the cut widths the record keeps: the arithmetic that
+// computed them, so no float64 but a measured one is kept. Counts are int32 (a torus has at most 2^28 nodes); engine and
+// cut-method names are one-byte codes into names. A local compute and a
+// peer fill both store the compact form of the wire answer, and compact
+// refuses an answer that its record would not expand back into, so a
+// filled entry serves the same bytes as a computed one.
 
 // nameCode is a name an answer carries, stored as its index in names, or
 // oddName for a name names does not list.
@@ -24,11 +30,9 @@ type nameCode uint8
 
 const oddName nameCode = math.MaxUint8
 
-// names are the engine, theorem and cut-method names the engines and
-// closed forms produce; "" is the theorem of a computed answer.
-var names = append([]string{"",
-	load.EngineGeneric, load.EngineSymmetry, load.EngineRingFlow, load.EngineAnalytic,
-	"theorem2", "theorem3", "theorem4", "theorem5",
+// names are the engine and cut-method names a computed answer carries.
+var names = append([]string{
+	load.EngineGeneric, load.EngineSymmetry, load.EngineRingFlow,
 }, bisect.Methods()...)
 
 var nameCodes = func() map[string]nameCode {
@@ -41,12 +45,11 @@ var nameCodes = func() map[string]nameCode {
 
 // oddNames keeps, by position, the names of one answer that names does not
 // list, as decoded: a newer peer's engine or cut method still round-trips.
-type oddNames [4]string
+type oddNames [3]string
 
 // Positions in oddNames.
 const (
 	oddEngine = iota
-	oddTheorem
 	oddSweepMethod
 	oddDimensionMethod
 )
@@ -71,7 +74,10 @@ func nameOf(c nameCode, odd *oddNames, pos int) string {
 	return names[c]
 }
 
-var errCountRange = errors.New("service: answer count out of the int32 range")
+var (
+	errCountRange = errors.New("service: answer count out of the int32 range")
+	errNotDerived = errors.New("service: answer differs from this server's exact engines and closed forms")
+)
 
 // fitsInt32 reports whether every v fits an int32 record field.
 func fitsInt32(vs ...int) bool {
@@ -119,147 +125,191 @@ func (c *cutRecord) expand(odd *oddNames, pos int) CutSummary {
 	}
 }
 
-// analyzeRecord is the cached form of an AnalyzeResponse: everything but
-// the request echo (K, D, Placement, Routing) and the per-caller fields
-// (Cached, Degraded).
+// analyzeRecord is the cached form of an AnalyzeResponse: what the load
+// engine measured and the inputs of its closed forms. The request echo
+// (K, D, Placement, Routing), the bounds, the density and the two ratios
+// are re-derived by expand; Exact is always true and Theorem empty, since
+// only computed answers are cached; the per-caller fields (Cached,
+// Degraded) are the handler's.
 type analyzeRecord struct {
 	placementName, maxEdge string
-
-	densityC, eMax, loadPerProcessor, totalLoad float64
-	blaumBound, bisectionBound, improvedBound   float64
-	bestLowerBound, optimalityRatio             float64
-	sweepCut, dimensionCut                      cutRecord
-	processors                                  int32
-	engine, theorem                             nameCode
-	uniform, exact                              bool
-	odd                                         *oddNames // nil unless a name is unlisted
+	eMax, totalLoad        float64
+	sweepCut, dimensionCut cutRecord
+	processors             int32
+	engine                 nameCode
+	uniform                bool
+	odd                    *oddNames // nil unless a name is unlisted
 }
 
-// compactAnalyze is a's record; it fails only on a count past int32, which
-// no torus this server accepts produces but a peer's body could carry.
+// compactAnalyze is a's record. It fails on a count past int32, which no
+// torus this server accepts produces but a peer's body could carry, and
+// on a body the record would not expand back into: an upper bound or a
+// closed-form answer rather than an exact computed one, or bounds and
+// ratios other than this server's arithmetic gives.
 func compactAnalyze(a *AnalyzeResponse) (*analyzeRecord, error) {
 	sc, dc := &a.SweepCut, &a.DimensionCut
 	if !fitsInt32(a.Processors, sc.Width, sc.ProcsA, sc.ProcsB, dc.Width, dc.ProcsA, dc.ProcsB) {
 		return nil, errCountRange
 	}
+	if torus.Check(a.K, a.D) != nil {
+		return nil, errNotDerived
+	}
 	r := &analyzeRecord{
-		placementName:    a.PlacementName,
-		maxEdge:          a.MaxEdge,
-		densityC:         a.DensityC,
-		eMax:             a.EMax,
-		loadPerProcessor: a.LoadPerProcessor,
-		totalLoad:        a.TotalLoad,
-		blaumBound:       a.BlaumBound,
-		bisectionBound:   a.BisectionBound,
-		improvedBound:    a.ImprovedBound,
-		bestLowerBound:   a.BestLowerBound,
-		optimalityRatio:  a.OptimalityRatio,
-		processors:       int32(a.Processors),
-		uniform:          a.Uniform,
-		exact:            a.Exact,
+		placementName: a.PlacementName,
+		maxEdge:       a.MaxEdge,
+		eMax:          a.EMax,
+		totalLoad:     a.TotalLoad,
+		processors:    int32(a.Processors),
+		uniform:       a.Uniform,
 	}
 	r.sweepCut = compactCut(sc, &r.odd, oddSweepMethod)
 	r.dimensionCut = compactCut(dc, &r.odd, oddDimensionMethod)
 	r.engine = codeOf(a.Engine, &r.odd, oddEngine)
-	r.theorem = codeOf(a.Theorem, &r.odd, oddTheorem)
+	var back AnalyzeResponse
+	r.expand(&AnalyzeRequest{K: a.K, D: a.D, Placement: a.Placement, Routing: a.Routing}, &back)
+	back.Cached = a.Cached
+	if back != *a {
+		return nil, errNotDerived
+	}
 	return r, nil
 }
 
 // expand writes the wire answer to req that r records into out.
 func (r *analyzeRecord) expand(req *AnalyzeRequest, out *AnalyzeResponse) {
+	procs := int(r.processors)
+	cf := core.BoundsOf(procs, req.K, req.D, r.uniform,
+		int(r.sweepCut.width), int(r.dimensionCut.width), r.dimensionCut.balanced)
+	ratio, perProc := cf.Ratios(r.eMax, procs)
 	*out = AnalyzeResponse{
 		K:                req.K,
 		D:                req.D,
 		Placement:        req.Placement,
 		Routing:          req.Routing,
 		PlacementName:    r.placementName,
-		Processors:       int(r.processors),
+		Processors:       procs,
 		Uniform:          r.uniform,
-		DensityC:         r.densityC,
+		DensityC:         cf.DensityC,
 		EMax:             r.eMax,
 		MaxEdge:          r.maxEdge,
-		LoadPerProcessor: r.loadPerProcessor,
+		LoadPerProcessor: perProc,
 		TotalLoad:        r.totalLoad,
-		BlaumBound:       r.blaumBound,
-		BisectionBound:   r.bisectionBound,
-		ImprovedBound:    r.improvedBound,
-		BestLowerBound:   r.bestLowerBound,
-		OptimalityRatio:  r.optimalityRatio,
+		BlaumBound:       jsonSafe(cf.BlaumBound),
+		BisectionBound:   jsonSafe(cf.BisectionBound),
+		ImprovedBound:    jsonSafe(cf.ImprovedBound),
+		BestLowerBound:   jsonSafe(cf.BestLowerBound()),
+		OptimalityRatio:  jsonSafe(ratio),
 		SweepCut:         r.sweepCut.expand(r.odd, oddSweepMethod),
 		DimensionCut:     r.dimensionCut.expand(r.odd, oddDimensionMethod),
 		Engine:           nameOf(r.engine, r.odd, oddEngine),
-		Exact:            r.exact,
-		Theorem:          nameOf(r.theorem, r.odd, oddTheorem),
+		Exact:            true,
 	}
 }
 
-// boundsRecord is the cached form of a BoundsResponse: everything but the
-// request echo (K, D, Placement) and Cached.
+// boundsRecord is the cached form of a BoundsResponse: the inputs of its
+// closed forms. The wire answer carries no cut, so the record keeps the
+// width of the cut behind the Eq. 8 bound, recovered from that bound
+// (eq8Width). The request echo (K, D, Placement), every bound and the
+// density are re-derived by expand; Cached is the handler's.
 type boundsRecord struct {
-	placementName string
-
-	densityC, blaumBound, bisectionBound, improvedBound float64
-	bestLowerBound, theorem1Width, corollaryCeiling     float64
-	processors                                          int32
-	uniform                                             bool
+	placementName     string
+	processors, width int32
+	uniform           bool
 }
 
+// compactBounds is b's record; like compactAnalyze, it refuses a count
+// past int32 and a body the record would not expand back into.
 func compactBounds(b *BoundsResponse) (*boundsRecord, error) {
 	if !fitsInt32(b.Processors) {
 		return nil, errCountRange
 	}
-	return &boundsRecord{
-		placementName:    b.PlacementName,
-		densityC:         b.DensityC,
-		blaumBound:       b.BlaumBound,
-		bisectionBound:   b.BisectionBound,
-		improvedBound:    b.ImprovedBound,
-		bestLowerBound:   b.BestLowerBound,
-		theorem1Width:    b.Theorem1Width,
-		corollaryCeiling: b.CorollaryCeiling,
-		processors:       int32(b.Processors),
-		uniform:          b.Uniform,
-	}, nil
+	w, ok := eq8Width(b.Processors, b.BisectionBound)
+	if !ok || torus.Check(b.K, b.D) != nil {
+		return nil, errNotDerived
+	}
+	r := &boundsRecord{
+		placementName: b.PlacementName,
+		processors:    int32(b.Processors),
+		width:         w,
+		uniform:       b.Uniform,
+	}
+	var back BoundsResponse
+	r.expand(&BoundsRequest{K: b.K, D: b.D, Placement: b.Placement}, &back)
+	back.Cached = b.Cached
+	if back != *b {
+		return nil, errNotDerived
+	}
+	return r, nil
 }
 
 func (r *boundsRecord) expand(req *BoundsRequest, out *BoundsResponse) {
+	procs := int(r.processors)
+	cf := core.BoundsOf(procs, req.K, req.D, r.uniform, int(r.width), 0, false)
 	*out = BoundsResponse{
 		K:                req.K,
 		D:                req.D,
 		Placement:        req.Placement,
 		PlacementName:    r.placementName,
-		Processors:       int(r.processors),
+		Processors:       procs,
 		Uniform:          r.uniform,
-		DensityC:         r.densityC,
-		BlaumBound:       r.blaumBound,
-		BisectionBound:   r.bisectionBound,
-		ImprovedBound:    r.improvedBound,
-		BestLowerBound:   r.bestLowerBound,
-		Theorem1Width:    r.theorem1Width,
-		CorollaryCeiling: r.corollaryCeiling,
+		DensityC:         cf.DensityC,
+		BlaumBound:       jsonSafe(cf.BlaumBound),
+		BisectionBound:   jsonSafe(cf.BisectionBound),
+		ImprovedBound:    jsonSafe(cf.ImprovedBound),
+		BestLowerBound:   jsonSafe(cf.BestLowerBound()),
+		Theorem1Width:    bounds.Theorem1Width(req.K, req.D),
+		CorollaryCeiling: bounds.CorollaryBisectionCeiling(req.K, req.D),
 	}
 }
 
-// bisectRecord is the cached form of a BisectResponse: everything but the
-// request echo (K, D, Placement, Method) and Cached.
-type bisectRecord struct {
-	placementName  string
-	separatorBound float64
-	cut            cutRecord
-	processors     int32
-	odd            *oddNames // nil unless the cut's method is unlisted
+// eq8Width returns a cut width w whose Eq. 8 bound, bounds.Bisection(sizeP,
+// w), is the wire value bound (math.MaxFloat64 standing for the +Inf of
+// w = 0), or false when no width in the int32 range can be. The division
+// recovers w exactly for any width a torus has; compactBounds checks the
+// round trip all the same.
+func eq8Width(sizeP int, bound float64) (int32, bool) {
+	switch {
+	case bound == math.MaxFloat64:
+		return 0, true
+	case bound == 0: // no processors: every positive width gives 0
+		return 1, true
+	case !(bound > 0):
+		return 0, false
+	}
+	half := float64(sizeP) / 2
+	w := math.Round(2 * half * half / bound)
+	if !(w >= 1 && w <= math.MaxInt32) {
+		return 0, false
+	}
+	return int32(w), true
 }
 
+// bisectRecord is the cached form of a BisectResponse: the cut. The
+// request echo (K, D, Placement, Method) and the Eq. 8 bound are
+// re-derived by expand; Cached is the handler's.
+type bisectRecord struct {
+	placementName string
+	cut           cutRecord
+	processors    int32
+	odd           *oddNames // nil unless the cut's method is unlisted
+}
+
+// compactBisect is b's record; like compactAnalyze, it refuses a count
+// past int32 and a body the record would not expand back into.
 func compactBisect(b *BisectResponse) (*bisectRecord, error) {
 	if !fitsInt32(b.Processors, b.Cut.Width, b.Cut.ProcsA, b.Cut.ProcsB) {
 		return nil, errCountRange
 	}
 	r := &bisectRecord{
-		placementName:  b.PlacementName,
-		separatorBound: b.SeparatorBound,
-		processors:     int32(b.Processors),
+		placementName: b.PlacementName,
+		processors:    int32(b.Processors),
 	}
 	r.cut = compactCut(&b.Cut, &r.odd, oddSweepMethod)
+	var back BisectResponse
+	r.expand(&BisectRequest{K: b.K, D: b.D, Placement: b.Placement, Method: b.Method}, &back)
+	back.Cached = b.Cached
+	if back != *b {
+		return nil, errNotDerived
+	}
 	return r, nil
 }
 
@@ -272,6 +322,6 @@ func (r *bisectRecord) expand(req *BisectRequest, out *BisectResponse) {
 		Processors:     int(r.processors),
 		Method:         req.Method,
 		Cut:            r.cut.expand(r.odd, oddSweepMethod),
-		SeparatorBound: r.separatorBound,
+		SeparatorBound: jsonSafe(bounds.Bisection(int(r.processors), int(r.cut.width))),
 	}
 }

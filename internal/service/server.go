@@ -350,22 +350,25 @@ func (s *Server) Serve(ln net.Listener) error {
 
 // Shutdown gracefully drains in-flight requests (bounded by ctx), closes
 // the idle connections of a cluster node's peer-fill clients, then stops
-// the worker pool and cancels every async search job.
+// the worker pool, cancels every async search job and empties the result
+// cache. A stopped server keeps no answers: a request it is still handed
+// misses, and nothing it computes is cached.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.httpSrv.Shutdown(ctx)
 	if s.cfg.Cluster != nil {
 		s.cfg.Cluster.CloseIdleConnections()
 	}
-	s.pool.close()
-	s.jobs.close()
+	s.Close()
 	return err
 }
 
-// Close releases the worker pool and the job manager without HTTP
-// draining — for tests and embedders that never called Serve.
+// Close releases the worker pool, the job manager and the result cache
+// without HTTP draining — for tests and embedders that never called Serve.
+// Like Shutdown, it leaves the server holding no answers.
 func (s *Server) Close() {
 	s.pool.close()
 	s.jobs.close()
+	s.cache.release()
 }
 
 // traceparentKey is obs.TraceparentHeader in canonical MIME form, so

@@ -472,6 +472,65 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestStoppedServerKeepsNoAnswers checks that Shutdown and Close each
+// empty the result cache: a stopped server that stays referenced pins no
+// answer, a repeat request is not answered from cache, and nothing a
+// stopped server is still handed is cached.
+func TestStoppedServerKeepsNoAnswers(t *testing.T) {
+	bodies := []struct{ path, body string }{
+		{"/v1/analyze", `{"k":8,"d":2,"placement":"random:16:3","routing":"udr"}`},
+		{"/v1/bounds", `{"k":8,"d":2,"placement":"random:16:3"}`},
+		{"/v1/bisect", `{"k":8,"d":2,"placement":"random:16:3","method":"sweep"}`},
+	}
+	for _, stop := range []struct {
+		name string
+		stop func(*Server) error
+	}{
+		{"Shutdown", func(s *Server) error { return s.Shutdown(context.Background()) }},
+		{"Close", func(s *Server) error { s.Close(); return nil }},
+	} {
+		t.Run(stop.name, func(t *testing.T) {
+			s := New(Config{Workers: 1})
+			defer s.Close()
+			h := s.Handler()
+			post := func(path, body string) *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+				return rec
+			}
+			for _, b := range bodies {
+				for _, want := range []string{`"cached":false`, `"cached":true`} {
+					if rec := post(b.path, b.body); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), want) {
+						t.Fatalf("running %s: status %d, body %s, want %s", b.path, rec.Code, rec.Body, want)
+					}
+				}
+			}
+			if n := s.cache.len(); n != len(bodies) {
+				t.Fatalf("running server caches %d answers, want %d", n, len(bodies))
+			}
+			if err := stop.stop(s); err != nil {
+				t.Fatal(err)
+			}
+			if n := s.cache.len(); n != 0 {
+				t.Errorf("stopped server caches %d answers, want 0", n)
+			}
+			hits := s.metrics.get(mCacheHits)
+			for _, b := range bodies {
+				if rec := post(b.path, b.body); rec.Code == http.StatusOK || strings.Contains(rec.Body.String(), `"cached":true`) {
+					t.Errorf("stopped %s answered status %d, body %s, want no cached answer", b.path, rec.Code, rec.Body)
+				}
+			}
+			if got := s.metrics.get(mCacheHits); got != hits {
+				t.Errorf("stopped server counted %d cache hits, want none", got-hits)
+			}
+			s.cache.put("analyze|late", &analyzeRecord{})
+			if n := s.cache.len(); n != 0 {
+				t.Errorf("stopped server cached a late answer: %d entries, want 0", n)
+			}
+		})
+	}
+}
+
 // TestLRUCacheTTLAndEviction unit-tests the cache mechanics with an
 // injected clock.
 func TestLRUCacheTTLAndEviction(t *testing.T) {
