@@ -7,6 +7,7 @@ FUZZ_TARGETS := \
 	./internal/torus:FuzzLeeDistance \
 	./internal/torus:FuzzWrapCoord \
 	./internal/torus:FuzzTranslateEdge \
+	./internal/placement:FuzzStructuredStabilizer \
 	./internal/bisect:FuzzCuts \
 	./internal/load:FuzzRingFlow \
 	./internal/routing:FuzzFARKernel \

@@ -38,11 +38,13 @@ import (
 // one only for the translation-equivariant routings ring-flow does not
 // model, which today is FAR alone, and only on a placement with a
 // non-trivial stabilizer: it walks orbits·|P| pairs against the pair
-// loop's |P|². Its stabilizer is a search of its own (cached with the
-// placement, and not priced here), so it runs only where symmetry may
-// serve. Under UDR a single orbit on a small torus (T²₈, T²₁₂, T⁴₄) would
-// beat ring-flow by up to about 1.25×, a microsecond or two; ring-flow
-// serves it anyway, so that no UDR input pays the search.
+// loop's |P|². A linear-family or full placement's stabilizer is the group
+// its builder recorded, and Cost reads its order off the spec
+// (placement.GroupOrder); any other placement's is a search of its own
+// (cached with the placement, and not priced here), so it runs only where
+// symmetry may serve. Under UDR a single orbit on a small torus (T²₈,
+// T²₁₂, T⁴₄) would beat ring-flow by up to about 1.25×, a microsecond or
+// two; ring-flow serves it anyway, so that no UDR input pays the search.
 const (
 	nsPerODRStep    = 17   // ODR family pair kernel: one hop, or one dimension's setup
 	nsPerUDRStep    = 13   // UDR pair kernel: one hop of a segment, or one coordinate of its start
@@ -73,23 +75,31 @@ type plan struct {
 // it is the one place that knows which engine applies to which input.
 func candidates(dst []plan, p *placement.Placement, alg routing.Algorithm, mode FastPathMode) []plan {
 	t, n := p.Torus(), p.Size()
-	out := priced(dst, alg, t, n, mode)
-	// The symmetry engine serves only the translation-equivariant routings
-	// ring-flow does not model.
-	_, modelled := ringFamilyOf(alg, t.D())
-	if mode != FastPathAuto || n < 2 || modelled || !routing.IsTranslationEquivariant(alg) {
-		return out
+	var stab [][]int
+	if symmetryApplies(alg, t, n, mode) {
+		stab = p.TranslationStabilizer()
 	}
-	if stab := p.TranslationStabilizer(); len(stab) > 1 {
-		out = append(out, plan{engine: EngineSymmetry, ns: symmetryCost(alg, t, n, n/len(stab)), stab: stab})
+	out := priced(dst, alg, t, n, len(stab), mode)
+	if last := &out[len(out)-1]; last.engine == EngineSymmetry {
+		last.stab = stab
 	}
 	return out
 }
 
+// symmetryApplies reports whether the symmetry engine may serve n
+// processors on t under alg in mode, given a non-trivial stabilizer: only
+// for the translation-equivariant routings ring-flow does not model.
+func symmetryApplies(alg routing.Algorithm, t *torus.Torus, n int, mode FastPathMode) bool {
+	_, modelled := ringFamilyOf(alg, t.D())
+	return mode == FastPathAuto && n >= 2 && !modelled && routing.IsTranslationEquivariant(alg)
+}
+
 // priced appends to dst, and returns, the engines whose price needs only
-// (alg, t, n), not the placement itself: the pair loop always, and
-// ring-flow under FastPathAuto wherever its integer sums stay exact.
-func priced(dst []plan, alg routing.Algorithm, t *torus.Torus, n int, mode FastPathMode) []plan {
+// (alg, t, n) and the order of the placement's translation stabilizer: the
+// pair loop always, ring-flow under FastPathAuto wherever its integer sums
+// stay exact, and the symmetry engine where it applies and the order
+// exceeds 1 (pass 0 where the order is not known).
+func priced(dst []plan, alg routing.Algorithm, t *torus.Torus, n, order int, mode FastPathMode) []plan {
 	out := append(dst, plan{engine: EngineGeneric, ns: genericCost(alg, t, n)})
 	if mode != FastPathAuto || n < 2 {
 		return out
@@ -97,17 +107,28 @@ func priced(dst []plan, alg routing.Algorithm, t *torus.Torus, n int, mode FastP
 	if fam, ok := ringFamilyOf(alg, t.D()); ok && fam.exact(t, n) {
 		out = append(out, plan{engine: EngineRingFlow, ns: ringFlowCost(fam, t, n), fam: fam})
 	}
+	if order > 1 && symmetryApplies(alg, t, n, mode) {
+		out = append(out, plan{engine: EngineSymmetry, ns: symmetryCost(alg, t, n, n/order)})
+	}
 	return out
 }
 
 // Cost is the cost model's price, in nanoseconds, of computing the loads
-// of n processors on t under alg in mode, known before any placement is
-// built: the cheaper of the pair loop and ring-flow where it applies.
-// Compute runs the symmetry engine instead only where its price is lower
-// still, so the engine compute runs is priced at most this.
-func Cost(alg routing.Algorithm, t *torus.Torus, n int, mode FastPathMode) float64 {
-	var buf [2]plan
-	return slices.MinFunc(priced(buf[:0], alg, t, n, mode), cheaper).ns
+// of spec's placement on t under alg in mode, known before it is built, or
+// the error spec.Size returns: the cheapest engine compute considers. A
+// spec whose builder records its translation group (placement.GroupOrder:
+// the linear family and Full) prices the symmetry engine exactly as
+// compute does, so Cost is the price of the engine compute runs. For any
+// other spec only a search finds the group, so Cost leaves the symmetry
+// engine out, and compute runs an engine priced at most Cost.
+func Cost(alg routing.Algorithm, t *torus.Torus, spec placement.Spec, mode FastPathMode) (float64, error) {
+	n, err := spec.Size(t)
+	if err != nil {
+		return 0, err
+	}
+	order, _ := placement.GroupOrder(spec, t)
+	var buf [3]plan
+	return slices.MinFunc(priced(buf[:0], alg, t, n, order, mode), cheaper).ns, nil
 }
 
 // choose picks the engine compute runs for p under alg in mode: the

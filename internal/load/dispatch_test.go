@@ -176,9 +176,9 @@ func mustBuildB(b *testing.B, s placement.Spec, tr *torus.Torus) *placement.Plac
 // TestCostBoundsChosenEngine pins Cost as the price of what compute runs,
 // known without the placement: where compute chooses the pair loop or
 // ring-flow, Cost is that engine's price, and where it chooses symmetry
-// (FAR on a non-trivial stabilizer) it is priced lower still. Random
-// placements have no stabilizer; linear and multi-linear ones give
-// symmetry its chances.
+// (FAR on a non-trivial stabilizer) it is priced lower still, or equal
+// for a spec that records its group. Random placements have no
+// stabilizer; linear and multi-linear ones give symmetry its chances.
 func TestCostBoundsChosenEngine(t *testing.T) {
 	cells := dispatchGrid()
 	for _, kd := range [][2]int{{3, 2}, {4, 2}, {8, 2}, {16, 2}, {4, 3}, {8, 3}, {12, 3}, {4, 4}} {
@@ -195,10 +195,45 @@ func TestCostBoundsChosenEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range []FastPathMode{FastPathAuto, FastPathOff} {
-			cost := Cost(c.alg, c.t, p.Size(), mode)
+			cost, err := Cost(c.alg, c.t, c.spec, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
 			chosen := choose(p, c.alg, mode)
-			if chosen.engine != EngineSymmetry && chosen.ns != cost || chosen.ns > cost {
+			_, carried := placement.GroupOrder(c.spec, c.t)
+			if (carried || chosen.engine != EngineSymmetry) && chosen.ns != cost || chosen.ns > cost {
 				t.Errorf("%s %s %s mode %d: compute runs %s at %.0f ns, Cost %.0f ns", c.t, p.Name(), c.alg.Name(), mode, chosen.engine, chosen.ns, cost)
+			}
+		}
+	}
+}
+
+// TestCostPricesSpecGroup pins Cost, for FAR on linear-family specs, at the
+// price of the engine Predict chooses for the built placement: the spec's
+// own group prices the symmetry engine, so no FAR key on such a spec is
+// priced at the pair loop it does not run.
+func TestCostPricesSpecGroup(t *testing.T) {
+	for _, c := range []struct {
+		k, d int
+		spec placement.Spec
+	}{
+		{16, 2, placement.Linear{}},
+		{6, 3, placement.Linear{}},
+		{12, 2, placement.MultipleLinear{T: 3}},
+	} {
+		tr := torus.New(c.k, c.d)
+		p := mustBuild(t, c.spec, tr)
+		chosen, preds := Predict(p, routing.FAR{})
+		cost, err := Cost(routing.FAR{}, tr, c.spec, FastPathAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if chosen != EngineSymmetry {
+			t.Errorf("%s on %s under FAR: Predict chooses %s, want %s", p.Name(), tr, chosen, EngineSymmetry)
+		}
+		for _, pr := range preds {
+			if pr.Engine == chosen && math.Abs(pr.Micros*1e3-cost) > 1e-9*cost {
+				t.Errorf("%s on %s under FAR: Cost %.0f ns, Predict prices %s at %.0f ns", p.Name(), tr, cost, chosen, pr.Micros*1e3)
 			}
 		}
 	}

@@ -557,7 +557,7 @@ func TestODROrderBadPermutationPanics(t *testing.T) {
 			"auto":    func() { Compute(p, alg, Options{Workers: 1}) },
 			"off":     func() { Compute(p, alg, Options{Workers: 1, FastPath: FastPathOff}) },
 			"emax":    func() { EMaxCtx(context.Background(), p, alg, Options{Workers: 2}) },
-			"cost":    func() { Cost(alg, tr, p.Size(), FastPathAuto) },
+			"cost":    func() { Cost(alg, tr, placement.Random{Count: 16, Seed: 3}, FastPathAuto) },
 			"predict": func() { Predict(p, alg) },
 		} {
 			func() {

@@ -21,52 +21,94 @@ type Placement struct {
 	member []uint64     // bit u%64 of word u/64 is set for every processor u
 	name   string
 
+	// classes and coeffs are the translation group a linear-family builder
+	// records: the processors fill classes residue classes of
+	// Σ coeffs_j·p_j mod k (coeffs reduced mod k; unread when classes = k,
+	// the whole torus), so the stabilizer is read off them instead of
+	// searched for. Zero classes: no builder recorded a group.
+	classes int
+	coeffs  []int
+
 	stabOnce sync.Once // guards the lazily computed translation stabilizer
 	stab     [][]int
+	stabInts []int // the backing array of stab's offsets
+	scratch  []int // the stabilizer search's strides and coordinates
 
 	layerOnce sync.Once // guards the lazily computed layer counts
 	layers    []uint64  // layers[dim·k + v]: processors in subtorus (dim, v)
 }
 
+// placements holds released placements for later builds to reuse: the
+// struct, its node list, its membership and layer words, and its
+// stabilizer's offsets and search scratch.
+var placements = sync.Pool{New: func() any { return new(Placement) }}
+
 // New builds a placement from an arbitrary node set. Duplicate nodes are
 // collapsed; node indices must be valid for the torus.
 func New(t *torus.Torus, nodes []torus.Node, name string) *Placement {
-	member := newMembers(t)
+	p := acquire(t)
 	for _, u := range nodes {
 		if !t.InRange(u) {
 			panic(fmt.Sprintf("placement: node %d out of range for %s", u, t))
 		}
-		member[u>>6] |= 1 << (u & 63)
+		p.member[u>>6] |= 1 << (u & 63)
 	}
-	return fromMembers(t, member, name)
+	return p.finish(name)
 }
 
-// newMembers returns an empty membership bitset for t's nodes, with room
-// past its length for the placement's d·k layer counts, so the two share
-// one allocation.
-func newMembers(t *torus.Torus) []uint64 {
+// acquire returns an empty placement on t, drawn from placements: its
+// membership bitset has no bit set and room past its length for the d·k
+// layer counts, zeroed too, so the two share one allocation. Nothing a
+// released placement computed survives, both sync.Onces included; only
+// its buffers' capacity does.
+func acquire(t *torus.Torus) *Placement {
+	p := placements.Get().(*Placement)
 	words := (t.Nodes() + 63) / 64
-	return make([]uint64, words, words+t.D()*t.K())
+	need := words + t.D()*t.K()
+	member := p.member
+	if cap(member) < need {
+		member = make([]uint64, words, need)
+	} else {
+		member = member[:words]
+		clear(member[:need])
+	}
+	*p = Placement{t: t, nodes: p.nodes[:0], member: member, coeffs: p.coeffs[:0], stab: p.stab[:0], stabInts: p.stabInts[:0], scratch: p.scratch[:0]}
+	return p
 }
 
-// fromMembers builds the placement whose processors are the set bits of
-// member, a bitset from newMembers, which it takes over: the processor
-// list is read off the words in increasing node order, so it comes out
-// sorted and unique with no intermediate node list, and the layer counts
-// go in member's spare capacity.
-func fromMembers(t *torus.Torus, member []uint64, name string) *Placement {
+// finish names p and lists its processors, the set bits of its membership
+// words: read off in increasing node order, the list comes out sorted and
+// unique with no intermediate node list. The layer counts go in the
+// words' spare capacity.
+func (p *Placement) finish(name string) *Placement {
 	n := 0
-	for _, w := range member {
+	for _, w := range p.member {
 		n += bits.OnesCount64(w)
 	}
-	nodes := make([]torus.Node, 0, n)
-	for i, w := range member {
+	nodes := p.nodes[:0]
+	if cap(nodes) < n {
+		nodes = make([]torus.Node, 0, n)
+	}
+	for i, w := range p.member {
 		for w != 0 {
 			nodes = append(nodes, torus.Node(i<<6+bits.TrailingZeros64(w)))
 			w &= w - 1
 		}
 	}
-	return &Placement{t: t, nodes: nodes, member: member, name: name, layers: member[len(member):cap(member)]}
+	p.nodes, p.name, p.layers = nodes, name, p.member[len(p.member):cap(p.member)]
+	return p
+}
+
+// Release hands p's buffers back for a later build, on any torus, to
+// reuse. Neither p nor anything read from it (Nodes, TranslationStabilizer)
+// may be used afterwards. A placement that is never released is collected
+// like any other value.
+func (p *Placement) Release() {
+	if p.t == nil {
+		panic("placement: Release of a released placement")
+	}
+	p.t, p.name = nil, "" // acquire clears the rest
+	placements.Put(p)
 }
 
 // Torus returns the torus the placement lives on.
@@ -98,7 +140,7 @@ func (p *Placement) CountInSubtorus(s torus.Subtorus) int {
 
 // layerRow returns the processor counts of the k principal subtori along
 // dim. Every layer count is computed once, in one O(d·|P|) pass over the
-// processors' coordinates, into the room fromMembers left for them.
+// processors' coordinates, into the room acquire left for them.
 func (p *Placement) layerRow(dim int) []uint64 {
 	d, k := p.t.D(), p.t.K()
 	if dim < 0 || dim >= d {

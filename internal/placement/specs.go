@@ -51,7 +51,7 @@ func (s Linear) Build(t *torus.Torus) (*Placement, error) {
 	if err := s.Fit(t); err != nil {
 		return nil, err
 	}
-	return fromMembers(t, selectResidues(t, s.Coeffs, torus.Mod(s.C, t.K()), 1), s.Name()), nil
+	return selectResidues(t, s.Coeffs, torus.Mod(s.C, t.K()), 1).finish(s.Name()), nil
 }
 
 // MultipleLinear is the union P_1 ∪ ... ∪ P_t of t consecutive linear
@@ -95,7 +95,7 @@ func (s MultipleLinear) Build(t *torus.Torus) (*Placement, error) {
 	if err := s.Fit(t); err != nil {
 		return nil, err
 	}
-	return fromMembers(t, selectResidues(t, s.Coeffs, torus.Mod(s.Start, t.K()), s.T), s.Name()), nil
+	return selectResidues(t, s.Coeffs, torus.Mod(s.Start, t.K()), s.T).finish(s.Name()), nil
 }
 
 // ShiftedDiagonal is the special case of a linear placement used by Blaum
@@ -120,7 +120,7 @@ func (s ShiftedDiagonal) Build(t *torus.Torus) (*Placement, error) {
 	if err := s.Fit(t); err != nil {
 		return nil, err
 	}
-	return fromMembers(t, selectResidues(t, nil, torus.Mod(s.Shift, t.K()), 1), s.Name()), nil
+	return selectResidues(t, nil, torus.Mod(s.Shift, t.K()), 1).finish(s.Name()), nil
 }
 
 // Size implements Spec: the count of Linear{C: Shift}.
@@ -154,16 +154,18 @@ func (Full) Name() string { return "full" }
 // Fit implements Spec: every torus can be fully populated.
 func (Full) Fit(*torus.Torus) error { return nil }
 
-// Build implements Spec.
+// Build implements Spec. The full torus is every residue class of any
+// weighted sum, so it records the whole translation group.
 func (Full) Build(t *torus.Torus) (*Placement, error) {
-	member := newMembers(t)
-	for i := range member {
-		member[i] = ^uint64(0)
+	p := acquire(t)
+	for i := range p.member {
+		p.member[i] = ^uint64(0)
 	}
 	if r := t.Nodes() % 64; r != 0 {
-		member[len(member)-1] = ^uint64(0) >> (64 - r)
+		p.member[len(p.member)-1] = ^uint64(0) >> (64 - r)
 	}
-	return fromMembers(t, member, "full"), nil
+	p.classes = t.K()
+	return p.finish("full"), nil
 }
 
 // Size implements Spec.
@@ -221,12 +223,12 @@ func (s Random) Build(t *torus.Torus) (*Placement, error) {
 		perm[i] = perm[j]
 		perm[j] = torus.Node(i)
 	}
-	member := newMembers(t)
+	p := acquire(t)
 	for _, u := range perm[:s.Count] {
-		member[u>>6] |= 1 << (u & 63)
+		p.member[u>>6] |= 1 << (u & 63)
 	}
 	randScratches.Put(sc)
-	return fromMembers(t, member, s.Name()), nil
+	return p.finish(s.Name()), nil
 }
 
 // randScratch is the generator and permutation buffer Random.Build
@@ -315,17 +317,19 @@ func gcd(a, b int) int {
 	return a
 }
 
-// selectResidues returns the membership bitset of the nodes whose
+// selectResidues returns the unfinished placement of the nodes whose
 // weighted coordinate sum Σ c_j·p_j mod k lies in the window start,
 // start+1, …, start+count−1 (mod k), for start in [0, k); nil coeffs
-// means all ones. It walks the nodes in index order with an odometer over
-// their coordinates and keeps the sum mod k as it goes: a step that
-// increments coordinate j adds c_j, and so does one that wraps it from
-// k−1 to 0, since −(k−1)·c_j ≡ c_j (mod k).
-func selectResidues(t *torus.Torus, coeffs []int, start, count int) []uint64 {
+// means all ones. It records the coefficients and count as the
+// placement's translation group, and walks the nodes in index order with
+// an odometer over their coordinates, keeping the sum mod k as it goes: a
+// step that increments coordinate j adds c_j, and so does one that wraps
+// it from k−1 to 0, since −(k−1)·c_j ≡ c_j (mod k).
+func selectResidues(t *torus.Torus, coeffs []int, start, count int) *Placement {
 	k, d := t.K(), t.D()
-	var csBuf, coordBuf [8]int
-	cs, coords := csBuf[:0], coordBuf[:0]
+	p := acquire(t)
+	var coordBuf [8]int
+	cs, coords := p.coeffs[:0], coordBuf[:0]
 	for j := 0; j < d; j++ {
 		c := 1
 		if coeffs != nil {
@@ -334,7 +338,8 @@ func selectResidues(t *torus.Torus, coeffs []int, start, count int) []uint64 {
 		cs = append(cs, c)
 		coords = append(coords, 0)
 	}
-	member := newMembers(t)
+	p.coeffs, p.classes = cs, count
+	member := p.member
 	r := 0
 	for u := 0; u < t.Nodes(); u++ {
 		if off := r - start; off >= 0 && off < count || off < 0 && off+k < count {
@@ -350,5 +355,5 @@ func selectResidues(t *torus.Torus, coeffs []int, start, count int) []uint64 {
 			coords[j] = 0
 		}
 	}
-	return member
+	return p
 }

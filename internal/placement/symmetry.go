@@ -1,5 +1,7 @@
 package placement
 
+import "torusnet/internal/torus"
+
 // TranslationStabilizer returns every translation offset t (as a length-D
 // coordinate vector with entries in [0, k)) for which P ⊕ t = P, including
 // the identity. For a linear placement Σ c_i p_i ≡ c (mod k) these are
@@ -11,10 +13,105 @@ package placement
 // once and cached; callers must not mutate the returned offsets. Offsets
 // are ordered by increasing node index of the first processor's image
 // (identity first) and share one backing array, keeping the allocation
-// count independent of the stabilizer size.
+// count independent of the stabilizer size. The linear family's builders
+// (and Full's) record their group, which is listed in O(|P|·d); every other
+// placement's is searched for in O(|P|²·d). Both give the same offsets in
+// the same order.
 func (p *Placement) TranslationStabilizer() [][]int {
-	p.stabOnce.Do(func() { p.stab = p.computeStabilizer() })
+	p.stabOnce.Do(func() {
+		if p.classes > 0 {
+			p.stab = p.cosetStabilizer()
+		} else {
+			p.stab = p.computeStabilizer()
+		}
+	})
 	return p.stab
+}
+
+// GroupOrder reads off s alone the order of the translation group Build
+// records for s on t, which TranslationStabilizer then lists without a
+// search: k^{d−1} for Linear, ShiftedDiagonal and MultipleLinear with
+// T < k, and k^d for MultipleLinear with T = k and Full, which fill the
+// torus. ok is false for every other spec, whose stabilizer is searched
+// for. s must fit t.
+func GroupOrder(s Spec, t *torus.Torus) (order int, ok bool) {
+	switch v := s.(type) {
+	case Linear, ShiftedDiagonal:
+		return t.Nodes() / t.K(), true
+	case MultipleLinear:
+		if v.T == t.K() {
+			return t.Nodes(), true
+		}
+		return t.Nodes() / t.K(), true
+	case Full:
+		return t.Nodes(), true
+	}
+	return 0, false
+}
+
+// cosetStabilizer lists the group a builder recorded. The processors fill
+// p.classes residue classes of Σ c_j·u_j mod k, so a translation v
+// stabilizes them exactly when Σ c_j·v_j ≡ 0 (mod k): a window of fewer
+// than k consecutive classes moves whenever the sum does, while classes = k
+// is the whole torus, which every translation fixes. Each stabilizing v
+// takes the first processor p₀ to the processor p₀ ⊕ v, so the group is
+// q ⊖ p₀ over the processors q with Σ c_j·(q_j − p₀_j) ≡ 0, in increasing
+// node order: what computeStabilizer finds, in O(|P|·d).
+func (p *Placement) cosetStabilizer() [][]int {
+	d, k, n := p.t.D(), p.t.K(), len(p.nodes)
+	whole := p.classes == k
+	order := n
+	if !whole {
+		order = n / p.classes
+	}
+	out := p.offsets(order, d)
+	var firstBuf [8]int
+	first := append(firstBuf[:0], make([]int, d)...)
+	p.t.CoordsInto(p.nodes[0], first)
+	h := 0
+	for _, q := range p.nodes {
+		if h == order {
+			break
+		}
+		off := out[h]
+		p.t.CoordsInto(q, off)
+		r := 0
+		for j, c := range off {
+			if c -= first[j]; c < 0 {
+				c += k
+			}
+			off[j] = c
+			if !whole {
+				r += p.coeffs[j] * c
+			}
+		}
+		if r%k == 0 {
+			h++
+		}
+	}
+	if h != order {
+		panic("placement: the recorded translation group does not match the processors")
+	}
+	return out
+}
+
+// offsets returns order rows of d ints each, views of one backing array
+// in p.stabInts, reusing p's pooled stabilizer storage.
+func (p *Placement) offsets(order, d int) [][]int {
+	ints := p.stabInts[:0]
+	if cap(ints) < order*d {
+		ints = make([]int, 0, order*d)
+	}
+	ints = ints[:order*d]
+	out := p.stab[:0]
+	if cap(out) < order {
+		out = make([][]int, 0, order)
+	}
+	for h := 0; h < order; h++ {
+		out = append(out, ints[h*d:(h+1)*d:(h+1)*d])
+	}
+	p.stabInts = ints
+	return out
 }
 
 // computeStabilizer tries the difference vectors q ⊖ p₀ for the first
@@ -26,14 +123,22 @@ func (p *Placement) computeStabilizer() [][]int {
 	d, k := p.t.D(), p.t.K()
 	n := len(p.nodes)
 	if n == 0 {
-		return [][]int{make([]int, d)}
+		out := p.offsets(1, d)
+		clear(out[0])
+		return out
 	}
 	// Row-major strides of the torus node encoding; the product was already
 	// validated against torus.MaxNodes when the torus was constructed. The
-	// strides, the candidate offset and the flattened coordinates share one
-	// allocation.
-	ints := make([]int, (n+2)*d)
-	strides, cand, coords := ints[:d], ints[d:2*d], ints[2*d:]
+	// strides, the candidate offset, the flattened coordinates and the
+	// indices of the stabilizing candidates share p's pooled scratch.
+	need := (n+2)*d + n
+	ints := p.scratch[:0]
+	if cap(ints) < need {
+		ints = make([]int, 0, need)
+	}
+	ints = ints[:need]
+	p.scratch = ints
+	strides, cand, coords, hits := ints[:d], ints[d:2*d], ints[2*d:(n+2)*d], ints[(n+2)*d:(n+2)*d]
 	strides[0] = 1
 	for j := 1; j < d; j++ {
 		strides[j] = strides[j-1] * k
@@ -42,19 +147,15 @@ func (p *Placement) computeStabilizer() [][]int {
 		p.t.CoordsInto(u, coords[i*d:(i+1)*d])
 	}
 	// Test every candidate first, then give the stabilizing offsets one
-	// backing array of exactly their size: most placements only have the
-	// identity.
-	var hits []int
+	// backing array of exactly their size.
 	for i := 0; i < n; i++ {
 		diffInto(cand, coords[i*d:(i+1)*d], coords[:d], k)
 		if stabilizedByCoords(p.member, coords, cand, strides, k) {
 			hits = append(hits, i)
 		}
 	}
-	backing := make([]int, len(hits)*d)
-	out := make([][]int, len(hits))
+	out := p.offsets(len(hits), d)
 	for h, i := range hits {
-		out[h] = backing[h*d : (h+1)*d : (h+1)*d]
 		diffInto(out[h], coords[i*d:(i+1)*d], coords[:d], k)
 	}
 	return out

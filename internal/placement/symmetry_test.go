@@ -166,3 +166,98 @@ func TestTranslationStabilizerMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// structuredSpecs are the linear-family specs on T^d_k whose builders
+// record their translation group: linear:C with all-ones and with
+// coefficient vectors holding a unit, diagonal:S, multi:T:S for every
+// T = 1…k, and the full torus.
+func structuredSpecs(k, d int) []Spec {
+	specs := []Spec{Linear{C: k - 1}, ShiftedDiagonal{Shift: 1}, ShiftedDiagonal{Shift: -3}, Full{}}
+	for salt := 0; salt < 4; salt++ {
+		c := coeffVector(d, salt, k)
+		c[salt%d] = 1 + 2*salt*k // a unit mod k, so the spec fits
+		specs = append(specs, Linear{C: salt, Coeffs: c})
+	}
+	for tc := 1; tc <= k; tc++ {
+		specs = append(specs, MultipleLinear{T: tc, Start: tc - 2})
+	}
+	return specs
+}
+
+// checkStructuredStabilizer builds spec on tr and checks the group its
+// builder recorded against computeStabilizer's search over the same
+// processors, element for element and in the same order, and its order
+// against GroupOrder.
+func checkStructuredStabilizer(t *testing.T, spec Spec, tr *torus.Torus) {
+	t.Helper()
+	p, err := spec.Build(tr)
+	if err != nil {
+		t.Fatalf("%s on %s: %v", spec.Name(), tr, err)
+	}
+	if p.classes == 0 {
+		t.Fatalf("%s on %s: the builder recorded no group", spec.Name(), tr)
+	}
+	got := p.TranslationStabilizer()
+	searched := New(tr, p.Nodes(), "searched")
+	want := searched.TranslationStabilizer()
+	if len(got) != len(want) {
+		t.Fatalf("%s on %s: recorded group has %d offsets, search finds %d", spec.Name(), tr, len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("%s on %s: offset %d is %v, search gives %v", spec.Name(), tr, i, got[i], want[i])
+		}
+	}
+	if order, ok := GroupOrder(spec, tr); !ok || order != len(want) {
+		t.Fatalf("%s on %s: GroupOrder = %d, %v; the group has %d offsets", spec.Name(), tr, order, ok, len(want))
+	}
+}
+
+// TestStructuredStabilizerMatchesSearch checks every linear-family builder's
+// recorded group against the search on T²₂…T⁴₅.
+func TestStructuredStabilizerMatchesSearch(t *testing.T) {
+	for k := 2; k <= 5; k++ {
+		for d := 2; d <= 4; d++ {
+			tr := torus.New(k, d)
+			for _, spec := range structuredSpecs(k, d) {
+				checkStructuredStabilizer(t, spec, tr)
+			}
+		}
+	}
+	if _, ok := GroupOrder(Random{Count: 4, Seed: 1}, torus.New(4, 2)); ok {
+		t.Error("GroupOrder claims a group for a random spec")
+	}
+}
+
+// FuzzStructuredStabilizer checks the recorded group against the search
+// on random small tori, k ∈ 2..7 and d ∈ 1..4, over linear specs with a
+// unit among random coefficients, shifted diagonals and multi-linear
+// specs of every T = 1…k.
+func FuzzStructuredStabilizer(f *testing.F) {
+	for k := uint8(0); k < 6; k++ {
+		for d := uint8(0); d < 4; d++ {
+			for kind := uint8(0); kind < 3; kind++ {
+				f.Add(k, d, kind, int16(k)*5-int16(d), uint32(k)*97+uint32(d))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, kRaw, dRaw, kind uint8, shift int16, salt uint32) {
+		k, d := 2+int(kRaw%6), 1+int(dRaw%4)
+		tr := torus.New(k, d)
+		var spec Spec
+		switch kind % 3 {
+		case 0:
+			coeffs := make([]int, d)
+			for j := range coeffs {
+				coeffs[j] = int(int8(salt >> (4 * j)))
+			}
+			coeffs[int(salt)%d] = 1 + k*int(shift%7)
+			spec = Linear{C: int(shift), Coeffs: coeffs}
+		case 1:
+			spec = ShiftedDiagonal{Shift: int(shift)}
+		default:
+			spec = MultipleLinear{T: 1 + int(salt)%k, Start: int(shift)}
+		}
+		checkStructuredStabilizer(t, spec, tr)
+	})
+}

@@ -249,7 +249,11 @@ func buildPlacement(spec placement.Spec, k, d int) (*placement.Placement, error)
 
 // analyzeWork, boundsWork, bisectWork and experimentWork are the work of
 // a cache miss on each endpoint (see missCall). The placement endpoints'
-// work computes the wire answer and returns its record.
+// work computes the wire answer and returns its record. Each releases its
+// placement on the worker as soon as the answer is computed: the answer
+// copies out everything it reads, and the compute owns the placement to
+// its end, so one abandoned by the watchdog or answered with a 504 still
+// holds its buffers until it returns.
 type (
 	analyzeWork struct {
 		req  AnalyzeRequest
@@ -275,6 +279,7 @@ func (w analyzeWork) compute(ctx context.Context, s *Server) (any, error) {
 		return nil, err
 	}
 	resp, err := computeAnalyze(ctx, w.req, p, s.cfg.loadOptions())
+	p.Release()
 	if err != nil {
 		return nil, err
 	}
@@ -287,6 +292,7 @@ func (w boundsWork) compute(ctx context.Context, _ *Server) (any, error) {
 		return nil, err
 	}
 	resp := computeBounds(ctx, w.req, p)
+	p.Release()
 	return stored(compactBounds(&resp))
 }
 
@@ -296,6 +302,7 @@ func (w bisectWork) compute(ctx context.Context, _ *Server) (any, error) {
 		return nil, err
 	}
 	resp, err := computeBisect(ctx, w.req, p)
+	p.Release()
 	if err != nil {
 		return nil, err
 	}

@@ -810,18 +810,15 @@ func placementMiss[R any](s *Server, r *http.Request, spec placement.Spec, k, d 
 
 // cheaperThanFill reports whether the cost model prices the analysis of
 // spec on T^d_k under routing below one peer fill: load.Cost of its
-// cheapest engine for the processor count spec places.
+// cheapest engine, which for FAR on a linear-family spec is the symmetry
+// engine priced from the spec's own translation group.
 func (s *Server) cheaperThanFill(spec placement.Spec, k, d int, routing string) bool {
 	alg, err := cliutil.ParseRouting(routing)
 	if err != nil {
 		return false
 	}
-	t := torus.New(k, d)
-	n, err := spec.Size(t)
-	if err != nil {
-		return false
-	}
-	return load.Cost(alg, t, n, load.FastPathAuto) < nsPerFill
+	ns, err := load.Cost(alg, torus.New(k, d), spec, load.FastPathAuto)
+	return err == nil && ns < nsPerFill
 }
 
 // fillOf is fillFor on a copy of req, which only a request that fills

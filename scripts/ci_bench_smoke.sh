@@ -46,8 +46,9 @@
 #      allocs/op than recorded, with no slack. A hit answers from the cache
 #      and nothing else, so its count is exact, while the work a change
 #      could put back ahead of the lookup is under check 1's 30% slack: a
-#      request timer adds 4 allocs/op, a placement build 4 (a random
-#      one: its bitset, node list, struct and name);
+#      request timer adds 4 allocs/op, a placement build 1 (its name; its
+#      struct, node list and bitset come from a released placement) or,
+#      never released, 4;
 #   5. the cache-miss path: BenchmarkServeAnalyzeMiss must make no more
 #      allocs/op than recorded, with no slack. A miss allocates little
 #      beyond its answer (the placement, the response, one flight/pool
