@@ -110,11 +110,19 @@ profile:
 # peer fill against an overloaded (429) owner fails fast to local compute,
 # a multi-node cluster is churned with kills, partitions, and armed
 # cluster faults, and each test asserts a goroutine-leak-free recovery.
+# The deadline and cancellation tests (a queued job past its deadline, the
+# compute's context, a follower outliving its leader's client, a fill
+# against a stalled owner) run 20 times: a reused timer or a close race
+# shows only on repeated runs.
 chaos:
 	$(GO) test -race -count=1 ./internal/failpoint
 	$(GO) test -race -count=1 \
 		-run 'TestChaos|TestClientDrains|TestPeerFillFailsFast' \
 		./internal/service
+	$(GO) test -race -count=20 \
+		-run 'TestQueuedJobPastDeadlineNeverComputes|TestComputeContextCarriesDeadline|TestFollowerOutlivesCanceledLeader|TestPooledTimerDeliversNoStaleTick' \
+		./internal/service
 	$(GO) test -race -count=1 -run 'TestCluster' ./internal/cluster/harness
+	$(GO) test -race -count=20 -run 'TestPeerFillStalledOwnerHonorsDeadline' ./internal/cluster/harness
 
 ci: build vet fmt-check test race lint chaos bench-module

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -879,5 +881,80 @@ func TestClusterOneOwnerKillLeave(t *testing.T) {
 		for _, req := range append(append([]service.AnalyzeRequest(nil), shared...), lost...) {
 			answer(n, req)
 		}
+	}
+}
+
+// TestPeerFillStalledOwnerHonorsDeadline pins the fill's deadline: the
+// owner of a dear key stops serving and its address is held by a listener
+// that accepts connections and never answers, so a fill toward it stalls
+// on the wire. A miss asked elsewhere must come back within its own
+// RequestTimeout, not wait on the peer client's far longer timeout.
+func TestPeerFillStalledOwnerHonorsDeadline(t *testing.T) {
+	const timeout = 250 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cfg := testConfig()
+	cfg.RequestTimeout = timeout
+	nw := startNetwork(t, ctx, Options{Nodes: 3, Service: cfg})
+
+	req, key := dearFixture(t, 11)
+	owner, err := nw.Owner(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asker := nw.Nodes[(owner+1)%len(nw.Nodes)]
+	addr := nw.Nodes[owner].ln.Addr().String()
+	if err := nw.KillAndWait(ctx, owner); err != nil {
+		t.Fatal(err)
+	}
+	stall, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("holding the owner's address %s: %v", addr, err)
+	}
+	var (
+		mu       sync.Mutex
+		conns    []net.Conn
+		accepted sync.WaitGroup
+	)
+	accepted.Add(1)
+	go func() {
+		defer accepted.Done()
+		for {
+			c, err := stall.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+		}
+	}()
+	defer func() {
+		if err := stall.Close(); err != nil {
+			t.Error(err)
+		}
+		accepted.Wait()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			_ = c.Close() // the peer may already have hung up
+		}
+	}()
+
+	start := time.Now()
+	_, err = asker.Client.Analyze(ctx, req)
+	elapsed := time.Since(start)
+	var apiErr *service.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusGatewayTimeout {
+		t.Errorf("miss behind a stalled owner: err %v, want HTTP 504", err)
+	}
+	if elapsed < timeout || elapsed > timeout+time.Second {
+		t.Errorf("miss behind a stalled owner answered after %v, want within [%v, %v]", elapsed, timeout, timeout+time.Second)
+	}
+	mu.Lock()
+	n := len(conns)
+	mu.Unlock()
+	if n == 0 {
+		t.Error("the fill never reached the stalled owner")
 	}
 }

@@ -7,9 +7,11 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -233,6 +235,26 @@ func TestChaosAllSites(t *testing.T) {
 			st, _, err := analyzeStatus(t, c, AnalyzeRequest{K: 9, D: 2, Placement: "linear", Routing: "ODR"})
 			if st != http.StatusInternalServerError || !strings.Contains(err.Error(), "encoding failed") {
 				t.Errorf("response.encode error: status %d err %v, want 500 encoding failed", st, err)
+			}
+			// The fallback body is JSON, labelled as every other body is.
+			resp, err := http.Post(c.base+"/v1/analyze", "application/json",
+				strings.NewReader(`{"k":9,"d":2,"placement":"linear","routing":"ODR"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			if cerr := resp.Body.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e ErrorResponse
+			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+				t.Errorf("response.encode error: Content-Type %q, want application/json", ct)
+			}
+			if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "encoding failed") {
+				t.Errorf("response.encode error: body %q is not the JSON error (%v)", body, err)
 			}
 		}},
 		"load.compute.dispatch": {spec: "error", drive: func(t *testing.T, s *Server, c *Client) {

@@ -30,10 +30,11 @@ func newFlightGroup() *flightGroup {
 // calls lead, under the group's lock, for the entry followers will wait
 // on; followers allocate nothing. shared reports whether this caller
 // received another caller's result. Followers inherit the leader's error;
-// the leader's per-request deadline therefore bounds every waiter. A panic
-// in fn becomes a *panicError for the leader and every follower, and the
-// key is released either way, so one poisoned call can never wedge later
-// requests for its key.
+// the leader's per-request deadline therefore bounds every waiter (execute
+// sends a follower back in when the error is only the leader's client
+// leaving). A panic in fn becomes a *panicError for the leader and every
+// follower, and the key is released either way, so one poisoned call can
+// never wedge later requests for its key.
 func (g *flightGroup) do(key string, lead func() *flightCall, fn func() (any, error)) (val any, err error, shared bool) {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {

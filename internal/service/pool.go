@@ -80,14 +80,64 @@ type workerPool struct {
 // poolJob is one submitted computation. The caller owns it, usually as
 // part of a larger value (missCall), so a job costs no allocation of its
 // own; its result channel comes from resultChans.
+//
+// A job is also the context.Context its task runs under, so a job needs
+// no derived context either: its values are its parent's, its deadline is
+// the caller's, and it is done once submit stops waiting for it, at the
+// deadline or when the parent is done. Nothing but submit's wait watches
+// the deadline; a worker that takes a job already given up skips it.
 type poolJob struct {
-	ctx      context.Context
+	parent   context.Context // the caller's context; supplies Value
+	deadline time.Time
 	task     task
 	res      chan poolResult // buffered, capacity 1; set by submit
 	enqueued time.Time       // when submit accepted the job
 	// abandoned is set by the watchdog when it replaces the worker running
 	// this job; the wedged worker checks it on completion to retire.
 	abandoned atomic.Bool
+
+	mu     sync.Mutex
+	doneCh chan struct{} // made by the first Done or giveUp, closed by giveUp
+	cause  error         // set once, by giveUp
+}
+
+// Deadline returns the caller's request deadline.
+func (j *poolJob) Deadline() (time.Time, bool) { return j.deadline, true }
+
+// Done returns a channel closed once submit has given the job up. It is
+// made on first use: a task that never asks costs no channel.
+func (j *poolJob) Done() <-chan struct{} {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.doneCh == nil {
+		j.doneCh = make(chan struct{})
+	}
+	return j.doneCh
+}
+
+// Err returns nil until submit gives the job up, then why:
+// context.DeadlineExceeded, or the parent's error (the client's
+// cancellation).
+func (j *poolJob) Err() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.cause
+}
+
+// Value delegates to the parent, which carries the request's trace and
+// profiler labels.
+func (j *poolJob) Value(key any) any { return j.parent.Value(key) }
+
+// giveUp ends the job's context with err, closing Done. submit calls it
+// at most once.
+func (j *poolJob) giveUp(err error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.cause = err
+	if j.doneCh == nil {
+		j.doneCh = make(chan struct{})
+	}
+	close(j.doneCh)
 }
 
 // task is the computation a pool job runs on a worker.
@@ -159,7 +209,7 @@ func (p *workerPool) worker() {
 		if p.onQueueWait != nil && !j.enqueued.IsZero() {
 			p.onQueueWait(time.Since(j.enqueued))
 		}
-		if err := j.ctx.Err(); err != nil {
+		if err := j.Err(); err != nil {
 			// The caller gave up while the job sat in the queue; skip the
 			// work instead of computing for nobody.
 			j.res <- poolResult{err: err}
@@ -209,13 +259,13 @@ func (p *workerPool) runJob(j *poolJob) (outcome jobOutcome) {
 	}()
 	fpPoolDispatch.InjectHard()
 	var res poolResult
-	if obs.FromContext(j.ctx) != nil || obs.CountersEnabled() {
+	if obs.FromContext(j) != nil || obs.CountersEnabled() {
 		// Re-apply the request's pprof labels (endpoint, and transitively
 		// engine/experiment set deeper in the call) on the worker goroutine
 		// for the job's duration, so CPU profiles attribute pooled work to
 		// its request. Skipped when observability is off: pprof.Do
 		// allocates its label set.
-		pprof.Do(j.ctx, pprof.Labels(), func(context.Context) {
+		pprof.Do(j, pprof.Labels(), func(context.Context) {
 			res = runShielded(j.task)
 		})
 	} else {
@@ -283,13 +333,24 @@ func (p *workerPool) recoverWedged() {
 	}
 }
 
-// submit enqueues j, whose ctx and task the caller has set, and waits for
-// its result or j.ctx. It never blocks on a full queue: callers get
-// errQueueFull immediately so the HTTP layer can shed load. A job is
-// submitted at most once.
+// submit enqueues j, whose parent, deadline and task the caller has set,
+// and waits for its result, its deadline or the end of its parent,
+// whichever comes first; on either of the last two it gives j up. It never
+// blocks on a full queue: callers get errQueueFull immediately so the
+// HTTP layer can shed load. A job whose deadline or parent has already
+// ended, as a peer fill can leave it, is given up without queueing. A job
+// is submitted at most once.
 func (p *workerPool) submit(j *poolJob) (any, error) {
-	j.res = resultChans.Get().(chan poolResult)
 	j.enqueued = time.Now()
+	err := j.parent.Err()
+	if err == nil && !j.enqueued.Before(j.deadline) {
+		err = context.DeadlineExceeded
+	}
+	if err != nil {
+		j.giveUp(err)
+		return nil, err
+	}
+	j.res = resultChans.Get().(chan poolResult)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -305,13 +366,49 @@ func (p *workerPool) submit(j *poolJob) (any, error) {
 		resultChans.Put(j.res)
 		return nil, errQueueFull
 	}
+	t := acquireTimer(j.deadline.Sub(j.enqueued))
 	select {
 	case r := <-j.res:
+		releaseTimer(t)
 		resultChans.Put(j.res)
 		return r.val, r.err
-	case <-j.ctx.Done():
-		return nil, j.ctx.Err()
+	case <-t.C:
+		timers.Put(t) // its tick taken, it is stopped and empty
+		j.giveUp(context.DeadlineExceeded)
+		return nil, context.DeadlineExceeded
+	case <-j.parent.Done():
+		releaseTimer(t)
+		err = j.parent.Err()
+		j.giveUp(err)
+		return nil, err
 	}
+}
+
+// timers recycles submit's deadline timers. Under go.mod's go 1.22 a
+// timer keeps the pre-1.23 channel rules, where a fired tick waits in the
+// channel until received: a timer goes back to the pool only stopped and
+// drained, so a reused one never delivers a stale tick.
+var timers sync.Pool
+
+// acquireTimer returns a timer that fires after d.
+func acquireTimer(d time.Duration) *time.Timer {
+	if t, ok := timers.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// releaseTimer stops t, whose tick nobody has received, drains that tick
+// if it fired, and pools it.
+func releaseTimer(t *time.Timer) {
+	if !t.Stop() {
+		// It fired: its tick is in the channel or still being sent, so
+		// only a blocking receive is sure to take it. (Under the go 1.23
+		// rules Stop reports true for any tick nobody received.)
+		<-t.C
+	}
+	timers.Put(t)
 }
 
 // utilization reports pool fullness as (running+queued)/(workers+queue

@@ -531,7 +531,9 @@ type work interface {
 
 // missCall is one cache miss in flight, in the single allocation only the
 // flight leader makes: the singleflight entry followers wait on, the pool
-// job a worker runs, and the work that job computes.
+// job a worker runs, and the work that job computes. Through its poolJob
+// it is also the context the work computes under, carrying the request's
+// deadline and trace.
 type missCall[W work] struct {
 	flightCall
 	poolJob
@@ -543,7 +545,7 @@ type missCall[W work] struct {
 // run is the pool job's body: the pool.run span under the pool.submit
 // span the job carries, the compute hook, then the work.
 func (m *missCall[W]) run() (any, error) {
-	rctx, rsp := obs.Start(m.ctx, "pool.run")
+	rctx, rsp := obs.Start(m, "pool.run")
 	defer rsp.End()
 	if m.s.onCompute != nil {
 		m.s.onCompute(m.key)
@@ -551,23 +553,30 @@ func (m *missCall[W]) run() (any, error) {
 	return m.w.compute(rctx, m.s)
 }
 
-// execute is the shared cache → [miss] → deadline → coalesce → [peer
-// fill] → pool path of every POST endpoint, with one span per pipeline
-// stage (cache.get, flight.do, cluster.peer_fill, pool.submit, pool.run)
+// execute is the shared cache → [miss] → coalesce → [peer fill] → pool
+// path of every POST endpoint, with one span per pipeline stage
+// (cache.get, flight.do, cluster.peer_fill, pool.submit, pool.run)
 // recorded under any active trace. A cache hit does nothing else: no fit
-// check, no timer, no fill payload.
+// check, no clock read, no fill payload.
 //
 // miss runs once the lookup misses, before anything is counted or
 // started. It checks that the request's placement fits its torus (a
 // *specError fails the request right there) and returns the peer-fill plan
 // from fillFor (nil in single-node mode, pricedOut for an analysis cheaper
-// than a fill). Then execute applies the per-request deadline. Placing the
-// fill inside the flight leader threads the singleflight through the
-// cluster, so N nodes asking for one key dearer than a fill still yield
-// one computation cluster-wide. w is copied into the leader's
-// missCall and computed in the pool with the trace-carrying context; it
-// must return an immutable value. cached reports whether this caller was
-// served from the result cache.
+// than a fill). Placing the fill inside the flight leader threads the
+// singleflight through the cluster, so N nodes asking for one key dearer
+// than a fill still yield one computation cluster-wide. w is copied into
+// the leader's missCall and computed in the pool; it must return an
+// immutable value. cached reports whether this caller was served from the
+// result cache.
+//
+// The request deadline, RequestTimeout after the miss, is a time, not a
+// context: the leader's missCall is the context the work runs under, and
+// submit's wait is what ends it at the deadline. Only a peer fill, which
+// hands its context to net/http, derives one.
+// Followers wait on the leader and share its outcome, deadline included,
+// except a leader's context.Canceled: that is its client leaving, so a
+// follower whose own client is still there joins the flight again.
 func execute[W work](s *Server, ctx context.Context, key string, miss func() (*peerFill, error), w W) (val any, cached bool, err error) {
 	_, csp := obs.Start(ctx, "cache.get")
 	v, ok, err := s.cacheGet(key)
@@ -585,8 +594,7 @@ func execute[W work](s *Server, ctx context.Context, key string, miss func() (*p
 		return nil, false, err
 	}
 	s.metrics.add(mCacheMisses, 1)
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
-	defer cancel()
+	deadline := time.Now().Add(s.cfg.RequestTimeout)
 	fctx, fsp := obs.Start(ctx, "flight.do")
 	defer fsp.End()
 	var m *missCall[W]
@@ -595,7 +603,7 @@ func execute[W work](s *Server, ctx context.Context, key string, miss func() (*p
 		m.task = m
 		return &m.flightCall
 	}
-	v, err, shared := s.flight.do(key, lead, func() (any, error) {
+	leader := func() (any, error) {
 		if err := fpFlightLeader.Inject(); err != nil && !failpoint.IsPartial(err) {
 			return nil, err
 		}
@@ -611,19 +619,33 @@ func execute[W work](s *Server, ctx context.Context, key string, miss func() (*p
 		if fill == pricedOut {
 			s.countPricedOut(key)
 		} else if fill != nil {
-			if v, ok := s.runPeerFill(fctx, key, fill); ok {
+			// The fill's context goes to net/http, whose transport
+			// derives a cancellable context from it: derived from a
+			// type the context package does not know, that costs a
+			// goroutine watching its Done, so the fill gets a real one.
+			dctx, cancel := context.WithDeadline(fctx, deadline)
+			v, ok := s.runPeerFill(dctx, key, fill)
+			cancel()
+			if ok {
 				return v, nil
 			}
 		}
 		pctx, psp := obs.Start(fctx, "pool.submit")
 		defer psp.End()
-		m.ctx = pctx
+		m.parent, m.deadline = pctx, deadline
 		v, err := s.pool.submit(&m.poolJob)
 		if err == nil {
 			s.cachePut(key, v)
 		}
 		return v, err
-	})
+	}
+	var shared bool
+	for {
+		v, err, shared = s.flight.do(key, lead, leader)
+		if !shared || !errors.Is(err, context.Canceled) || ctx.Err() != nil {
+			break
+		}
+	}
 	fsp.SetAttrBool("shared", shared)
 	if shared {
 		s.metrics.add(mCoalesced, 1)
@@ -699,10 +721,14 @@ func (s *Server) failCompute(w http.ResponseWriter, err error) {
 		s.metrics.add(mQueueFull, 1)
 		w.Header().Set("Retry-After", "1")
 		s.writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+	case errors.Is(err, context.DeadlineExceeded):
 		s.metrics.add(mTimeouts, 1)
 		s.writeError(w, http.StatusGatewayTimeout,
 			fmt.Errorf("service: analysis exceeded the %s request deadline", s.cfg.RequestTimeout))
+	case errors.Is(err, context.Canceled):
+		// The client left before its answer: no deadline passed, and
+		// nobody reads the status, which only the access log records.
+		s.writeError(w, statusClientClosed, errClientClosed)
 	case errors.As(err, &pe):
 		s.metrics.add(mPanics, 1)
 		s.writeError(w, http.StatusInternalServerError, pe)
@@ -750,14 +776,14 @@ func (s *Server) send(w http.ResponseWriter, status int, e *encodeBuf, v any) {
 	if err == nil {
 		err = fpEncode.Inject()
 	}
+	body := e.buf.Bytes()
 	if err != nil {
-		http.Error(w, `{"error":"service: response encoding failed"}`, http.StatusInternalServerError)
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		if _, err := w.Write(e.buf.Bytes()); err != nil {
-			s.metrics.add(mWriteErrors, 1)
-		}
+		status, body = http.StatusInternalServerError, encodeFailedBody
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if _, err := w.Write(body); err != nil {
+		s.metrics.add(mWriteErrors, 1)
 	}
 	if e.buf.Cap() <= maxPooledEncodeBuf {
 		e.buf.Reset()
@@ -767,6 +793,16 @@ func (s *Server) send(w http.ResponseWriter, status int, e *encodeBuf, v any) {
 		encodeBufs.Put(e)
 	}
 }
+
+// encodeFailedBody is the 500 send writes when encoding fails: the body
+// the encoder would have written for its ErrorResponse.
+var encodeFailedBody = []byte(`{"error":"service: response encoding failed"}` + "\n")
+
+// statusClientClosed is the status failCompute logs for a request whose
+// client left before its answer (nginx's "client closed request").
+const statusClientClosed = 499
+
+var errClientClosed = errors.New("service: client closed the request")
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	s.writeJSON(w, status, ErrorResponse{Error: err.Error()})
