@@ -14,6 +14,7 @@ FUZZ_TARGETS := \
 	./internal/service:FuzzDecodeAnalyzeRequest \
 	./internal/service:FuzzDecodeStrict \
 	./internal/service:FuzzAnswerRecord \
+	./internal/service:FuzzJSONFloat \
 	./internal/cluster:FuzzHashRing \
 	./internal/lintcheck:FuzzLintIgnoreDirective
 

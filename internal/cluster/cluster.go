@@ -300,7 +300,11 @@ func (c *Cluster) Fill(ctx context.Context, key, path string, payload []byte, de
 	}
 	body, err := p.tr.FillPeer(ctx, path, payload)
 	if err != nil {
-		c.fail(p)
+		// A fill whose own caller left (its client disconnected) says
+		// nothing of the owner; a deadline, a dial error or a 5xx does.
+		if !errors.Is(ctx.Err(), context.Canceled) {
+			c.fail(p)
+		}
 		return nil, false, err
 	}
 	c.ok(p)
@@ -344,7 +348,9 @@ func (c *Cluster) admit(ctx context.Context, p *peer) bool {
 	err := p.tr.Ready(pctx)
 	cancel()
 	if err != nil {
-		c.fail(p)
+		if !errors.Is(ctx.Err(), context.Canceled) {
+			c.fail(p)
+		}
 		return false
 	}
 	c.ok(p)

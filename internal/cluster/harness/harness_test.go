@@ -958,3 +958,61 @@ func TestPeerFillStalledOwnerHonorsDeadline(t *testing.T) {
 		t.Error("the fill never reached the stalled owner")
 	}
 }
+
+// TestPeerFillClientLeavingKeepsOwnerHealthy pins whose failure a
+// canceled fill is: a client that leaves while its miss waits on a fill
+// from a healthy but busy owner ends the fill's context, which says
+// nothing of the owner. Three such disconnects on one requester, with the
+// owner's compute blocked, must leave the owner up with no failures
+// counted, and count no peer fill error.
+func TestPeerFillClientLeavingKeepsOwnerHealthy(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	req, key := dearFixture(t, 13)
+	release := make(chan struct{})
+	hook := func(_ int, k string) {
+		if k == key {
+			<-release
+		}
+	}
+	// A long cooldown keeps a wrongly downed owner down until the check.
+	nw := startNetwork(t, ctx, Options{Nodes: 3, Service: testConfig(), OnCompute: hook, DownCooldown: time.Minute})
+	t.Cleanup(func() { close(release) }) // before the network stops
+	owner, err := nw.Owner(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asker := nw.Nodes[(owner+1)%len(nw.Nodes)]
+	for i := 0; i < 3; i++ {
+		cctx, ccancel := context.WithTimeout(ctx, 100*time.Millisecond)
+		_, err := asker.Client.Analyze(cctx, req)
+		ccancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("disconnect %d: err %v, want the client's own deadline", i+1, err)
+		}
+		// Wait for the asker to finish the abandoned request: only the
+		// /debug/vars request reading the gauge is in flight.
+		for {
+			vars, err := asker.Client.Vars(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if intVar(t, vars, "in_flight") <= 1 {
+				break
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	for _, p := range asker.Cluster.Status().Peers {
+		if p.URL == nw.Nodes[owner].URL && (p.Down || p.Failures != 0 || p.FillErrors != 0) {
+			t.Errorf("owner after three client disconnects: %+v, want up with no failures", p)
+		}
+	}
+	vars, err := asker.Client.Vars(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ferr := intVar(t, vars, "peer_fill_errors"); ferr != 0 {
+		t.Errorf("peer_fill_errors = %d after three client disconnects, want 0", ferr)
+	}
+}

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"strconv"
 
 	"torusnet/internal/torus"
 )
@@ -18,7 +19,16 @@ type LayerCluster struct {
 }
 
 // Name implements Spec.
-func (s LayerCluster) Name() string { return fmt.Sprintf("layercluster(dim=%d)", s.Dim) }
+func (s LayerCluster) Name() string {
+	var buf [32]byte
+	return string(s.AppendName(buf[:0]))
+}
+
+// AppendName implements Spec: "layercluster(dim=J)".
+func (s LayerCluster) AppendName(b []byte) []byte {
+	b = strconv.AppendInt(append(b, "layercluster(dim="...), int64(s.Dim), 10)
+	return append(b, ')')
+}
 
 // Fit implements Spec.
 func (s LayerCluster) Fit(t *torus.Torus) error {

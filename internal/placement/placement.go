@@ -217,8 +217,13 @@ type Spec interface {
 	Size(t *torus.Torus) (int, error)
 	// Build instantiates the placement on a concrete torus.
 	Build(t *torus.Torus) (*Placement, error)
-	// Name is a stable identifier such as "linear(c=0)".
+	// Name is a stable identifier such as "linear(c=0)":
+	// string(AppendName(nil)).
 	Name() string
+	// AppendName appends Name's text to b and returns the extended
+	// buffer, so a caller writing the name into a buffer of its own
+	// allocates nothing.
+	AppendName(b []byte) []byte
 }
 
 // UniformityDeviation quantifies how far the placement is from uniform:

@@ -24,12 +24,25 @@ type Linear struct {
 
 // Name implements Spec.
 func (s Linear) Name() string {
-	if s.Coeffs == nil {
-		var buf [32]byte
-		b := strconv.AppendInt(append(buf[:0], "linear(c="...), int64(s.C), 10)
-		return string(append(b, ')'))
+	var buf [48]byte
+	return string(s.AppendName(buf[:0]))
+}
+
+// AppendName implements Spec: "linear(c=C)", or with explicit coefficients
+// "linear(c=C,coeffs=[c1 c2 ..])", the text fmt's %v gives the slice.
+func (s Linear) AppendName(b []byte) []byte {
+	b = strconv.AppendInt(append(b, "linear(c="...), int64(s.C), 10)
+	if s.Coeffs != nil {
+		b = append(b, ",coeffs=["...)
+		for i, c := range s.Coeffs {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendInt(b, int64(c), 10)
+		}
+		b = append(b, ']')
 	}
-	return fmt.Sprintf("linear(c=%d,coeffs=%v)", s.C, s.Coeffs)
+	return append(b, ')')
 }
 
 // Fit implements Spec.
@@ -66,9 +79,14 @@ type MultipleLinear struct {
 // Name implements Spec.
 func (s MultipleLinear) Name() string {
 	var buf [48]byte
-	b := strconv.AppendInt(append(buf[:0], "multilinear(t="...), int64(s.T), 10)
+	return string(s.AppendName(buf[:0]))
+}
+
+// AppendName implements Spec: "multilinear(t=T,start=S)".
+func (s MultipleLinear) AppendName(b []byte) []byte {
+	b = strconv.AppendInt(append(b, "multilinear(t="...), int64(s.T), 10)
 	b = strconv.AppendInt(append(b, ",start="...), int64(s.Start), 10)
-	return string(append(b, ')'))
+	return append(b, ')')
 }
 
 // Fit implements Spec.
@@ -108,8 +126,13 @@ type ShiftedDiagonal struct {
 // Name implements Spec.
 func (s ShiftedDiagonal) Name() string {
 	var buf [40]byte
-	b := strconv.AppendInt(append(buf[:0], "shifted-diagonal("...), int64(s.Shift), 10)
-	return string(append(b, ')'))
+	return string(s.AppendName(buf[:0]))
+}
+
+// AppendName implements Spec: "shifted-diagonal(S)".
+func (s ShiftedDiagonal) AppendName(b []byte) []byte {
+	b = strconv.AppendInt(append(b, "shifted-diagonal("...), int64(s.Shift), 10)
+	return append(b, ')')
 }
 
 // Fit implements Spec: Linear{C: Shift} fits every torus.
@@ -151,6 +174,9 @@ type Full struct{}
 // Name implements Spec.
 func (Full) Name() string { return "full" }
 
+// AppendName implements Spec.
+func (Full) AppendName(b []byte) []byte { return append(b, "full"...) }
+
 // Fit implements Spec: every torus can be fully populated.
 func (Full) Fit(*torus.Torus) error { return nil }
 
@@ -182,9 +208,14 @@ type Random struct {
 // Name implements Spec.
 func (s Random) Name() string {
 	var buf [48]byte
-	b := strconv.AppendInt(append(buf[:0], "random(n="...), int64(s.Count), 10)
+	return string(s.AppendName(buf[:0]))
+}
+
+// AppendName implements Spec: "random(n=N,seed=S)".
+func (s Random) AppendName(b []byte) []byte {
+	b = strconv.AppendInt(append(b, "random(n="...), int64(s.Count), 10)
 	b = strconv.AppendInt(append(b, ",seed="...), s.Seed, 10)
-	return string(append(b, ')'))
+	return append(b, ')')
 }
 
 // Fit implements Spec.
@@ -249,6 +280,9 @@ type Explicit struct {
 
 // Name implements Spec.
 func (s Explicit) Name() string { return s.Label }
+
+// AppendName implements Spec: the label.
+func (s Explicit) AppendName(b []byte) []byte { return append(b, s.Label...) }
 
 // Fit implements Spec.
 func (s Explicit) Fit(t *torus.Torus) error {

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -237,5 +238,43 @@ func TestSpecCount(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAppendNameMatchesName pins the one name formatter: for every spec
+// kind, AppendName onto a non-empty buffer appends exactly Name, and Name
+// is the text the fmt forms gave before the formatter replaced them
+// (explicit coefficients printed as %v prints an []int).
+func TestAppendNameMatchesName(t *testing.T) {
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{Linear{C: 3}, fmt.Sprintf("linear(c=%d)", 3)},
+		{Linear{C: -8}, fmt.Sprintf("linear(c=%d)", -8)},
+		{Linear{C: 2, Coeffs: []int{1, -3, 12}}, fmt.Sprintf("linear(c=%d,coeffs=%v)", 2, []int{1, -3, 12})},
+		{Linear{C: 0, Coeffs: []int{}}, fmt.Sprintf("linear(c=%d,coeffs=%v)", 0, []int{})},
+		{Linear{C: 1, Coeffs: []int{5}}, fmt.Sprintf("linear(c=%d,coeffs=%v)", 1, []int{5})},
+		{MultipleLinear{T: 3, Start: 5}, fmt.Sprintf("multilinear(t=%d,start=%d)", 3, 5)},
+		{MultipleLinear{T: 2, Start: -1, Coeffs: []int{1, 1}}, fmt.Sprintf("multilinear(t=%d,start=%d)", 2, -1)},
+		{ShiftedDiagonal{Shift: 7}, fmt.Sprintf("shifted-diagonal(%d)", 7)},
+		{Full{}, "full"},
+		{Random{Count: 64, Seed: -9}, fmt.Sprintf("random(n=%d,seed=%d)", 64, -9)},
+		{Random{Count: 1 << 20, Seed: 1 << 40}, fmt.Sprintf("random(n=%d,seed=%d)", 1<<20, int64(1)<<40)},
+		{Explicit{Label: "fig1 <a&b>"}, "fig1 <a&b>"},
+		{LayerCluster{Dim: 2}, fmt.Sprintf("layercluster(dim=%d)", 2)},
+		{LayerCluster{Dim: -1}, fmt.Sprintf("layercluster(dim=%d)", -1)},
+	} {
+		if got := tc.spec.Name(); got != tc.want {
+			t.Errorf("%#v: Name %q, want %q", tc.spec, got, tc.want)
+		}
+		if got := string(tc.spec.AppendName([]byte("x|"))); got != "x|"+tc.want {
+			t.Errorf("%#v: AppendName onto %q gave %q, want %q", tc.spec, "x|", got, "x|"+tc.want)
+		}
+	}
+	var buf [64]byte
+	spec := Spec(Random{Count: 64, Seed: 3})
+	if n := testing.AllocsPerRun(100, func() { spec.AppendName(buf[:0]) }); n != 0 {
+		t.Errorf("AppendName into a buffer with room allocates %.0f times, want 0", n)
 	}
 }

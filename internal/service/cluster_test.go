@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"torusnet/internal/load"
+	"torusnet/internal/placement"
 )
 
 // TestReadyzSingleNode pins the split: /healthz is liveness, /readyz is
@@ -95,9 +96,10 @@ func TestClusterDisabledPathAllocFree(t *testing.T) {
 	defer s.Close()
 	req := AnalyzeRequest{K: 6, D: 2, Placement: "linear:0", Routing: "odr"}
 	httpReq := httptest.NewRequest(http.MethodPost, "/v1/analyze", nil)
+	decode := func(data []byte) (any, error) { return decodeAnalyzeFill(data, &req, placement.Linear{}) }
 	planned := false
 	if n := testing.AllocsPerRun(100, func() {
-		if f := s.fillFor(httpReq, "/v1/analyze", &req, decodeAnalyzeFill); f != nil {
+		if f := s.fillFor(httpReq, "/v1/analyze", &req, decode); f != nil {
 			planned = true
 		}
 	}); n != 0 {
@@ -112,10 +114,11 @@ func TestClusterDisabledPathAllocFree(t *testing.T) {
 // upgrade: an older peer may still answer a fill with a Monte Carlo
 // estimate ("degraded": true), which must be rejected so the filler
 // computes the exact answer itself; an exact body decodes to the record
-// local compute would cache, an engine name this build does not know
-// included; and a count no record field holds, or a body whose record
-// would not expand back into it (an upper bound, a closed-form answer,
-// bounds this server's arithmetic does not give), is refused.
+// local compute would cache, whether the owner served it from its cache
+// or not; and a body naming an engine this build does not list, a count
+// no record field holds, or a body whose record would not write it back
+// (an upper bound, a closed-form answer, bounds this server's arithmetic
+// does not give, another torus), is refused, so the filler computes.
 func TestDecodeAnalyzeFill(t *testing.T) {
 	req := AnalyzeRequest{K: 6, D: 2, Placement: "linear:1", Routing: "ODR"}
 	spec, err := req.canonicalize(DefaultMaxNodes)
@@ -137,7 +140,7 @@ func TestDecodeAnalyzeFill(t *testing.T) {
 	}{
 		{"exact", func(*AnalyzeResponse) {}, owner.Engine, ""},
 		{"cached-at-owner", func(a *AnalyzeResponse) { a.Cached = true }, owner.Engine, ""},
-		{"newer-peer-engine", func(a *AnalyzeResponse) { a.Engine = "warp" }, "warp", ""},
+		{"newer-peer-engine", func(a *AnalyzeResponse) { a.Engine = "warp" }, "", "differs"},
 		{"older-peer-estimate", func(a *AnalyzeResponse) { a.Engine, a.Degraded = "montecarlo", true }, "", "degraded"},
 		{"count-past-int32", func(a *AnalyzeResponse) { a.Processors = 1 << 32 }, "", "int32"},
 		{"upper-bound", func(a *AnalyzeResponse) { a.Exact = false }, "", "differs"},
@@ -158,7 +161,7 @@ func TestDecodeAnalyzeFill(t *testing.T) {
 				}
 				body = b
 			}
-			v, err := decodeAnalyzeFill(body)
+			v, err := decodeAnalyzeFill(body, &req, spec)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("decode = (%v, %v), want an error containing %q", v, err, tc.wantErr)
@@ -169,7 +172,7 @@ func TestDecodeAnalyzeFill(t *testing.T) {
 				t.Fatalf("decode: %v", err)
 			}
 			r, ok := v.(*analyzeRecord)
-			if !ok || r.eMax != owner.EMax || nameOf(r.engine, r.odd, oddEngine) != tc.engine {
+			if !ok || r.eMax != owner.EMax || names[r.engine] != tc.engine {
 				t.Errorf("decoded %#v, want the exact %s answer", v, tc.engine)
 			}
 		})
@@ -210,10 +213,11 @@ func BenchmarkFillForDisabled(b *testing.B) {
 	defer s.Close()
 	req := AnalyzeRequest{K: 6, D: 2, Placement: "linear:0", Routing: "odr"}
 	httpReq := httptest.NewRequest(http.MethodPost, "/v1/analyze", nil)
+	decode := func(data []byte) (any, error) { return decodeAnalyzeFill(data, &req, placement.Linear{}) }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if f := s.fillFor(httpReq, "/v1/analyze", &req, decodeAnalyzeFill); f != nil {
+		if f := s.fillFor(httpReq, "/v1/analyze", &req, decode); f != nil {
 			b.Fatal("unexpected fill plan")
 		}
 	}

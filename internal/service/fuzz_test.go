@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"torusnet/internal/cliutil"
+	"torusnet/internal/core"
 	"torusnet/internal/load"
 	"torusnet/internal/torus"
 )
@@ -153,10 +154,12 @@ func differential[R comparable](t *testing.T, data []byte) {
 // FuzzAnswerRecord checks the result cache's records against the answers
 // they stand for. For a random torus (k ≤ 9, d ≤ 4, at most 512 nodes),
 // placement, routing and bisection method, the answer each placement
-// endpoint computes must come back from its record byte for byte: the
-// record compact keeps of the computed answer, and the record a peer fill
-// decodes from its JSON body. The seeds cover zero-width cuts (|P| ≤ 1,
-// whose +Inf bounds go on the wire as math.MaxFloat64), non-uniform
+// endpoint computes must come back from its record's writer byte for
+// byte, as json.Marshal of the computed answer plus the newline a
+// json.Encoder ends it with, under either cached stamp: the record a
+// local compute takes of what it measured, and the record a peer fill
+// decodes from the owner's body. The seeds cover zero-width cuts (|P| ≤
+// 1, whose +Inf bounds go on the wire as math.MaxFloat64), non-uniform
 // placements and d = 1.
 func FuzzAnswerRecord(f *testing.F) {
 	for _, s := range []struct{ k, d, kind, a, b, routing, method uint8 }{
@@ -219,66 +222,69 @@ func FuzzAnswerRecord(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		alg, err := cliutil.ParseRouting(areq.Routing)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, tc := range []struct {
-			name     string
-			computed any
-			compact  func() (any, error)
-			decode   func([]byte) (any, error)
-			expand   func(any) any
+			name    string
+			answer  func(cached bool) any
+			compute func() (any, error)
+			decode  func([]byte) (any, error)
+			write   func(rec any, cached bool) []byte
 		}{
 			{
-				"analyze", analyze,
-				func() (any, error) { return stored(compactAnalyze(&analyze)) },
-				decodeAnalyzeFill,
-				func(v any) any {
-					var out AnalyzeResponse
-					v.(*analyzeRecord).expand(&areq, &out)
-					return out
-				},
+				"analyze",
+				func(cached bool) any { a := analyze; a.Cached = cached; return a },
+				func() (any, error) { return stored(analyzeOf(core.AnalyzeCtx(ctx, p, alg, opts))) },
+				func(body []byte) (any, error) { return decodeAnalyzeFill(body, &areq, ps) },
+				func(rec any, cached bool) []byte { return rec.(*analyzeRecord).appendJSON(nil, &areq, ps, cached) },
 			},
 			{
-				"bounds", bounds,
-				func() (any, error) { return stored(compactBounds(&bounds)) },
-				decodeBoundsFill,
-				func(v any) any {
-					var out BoundsResponse
-					v.(*boundsRecord).expand(&breq, &out)
-					return out
+				"bounds",
+				func(cached bool) any { b := bounds; b.Cached = cached; return b },
+				func() (any, error) {
+					b := evaluateBounds(ctx, p)
+					return stored(boundsOf(&b, p.Size(), kk, dd))
 				},
+				func(body []byte) (any, error) { return decodeBoundsFill(body, &breq, ps) },
+				func(rec any, cached bool) []byte { return rec.(*boundsRecord).appendJSON(nil, &breq, ps, cached) },
 			},
 			{
-				"bisect", bisect,
-				func() (any, error) { return stored(compactBisect(&bisect)) },
-				decodeBisectFill,
-				func(v any) any {
-					var out BisectResponse
-					v.(*bisectRecord).expand(&sreq, &out)
-					return out
+				"bisect",
+				func(cached bool) any { b := bisect; b.Cached = cached; return b },
+				func() (any, error) {
+					cut, err := bisectCut(ctx, sreq.Method, p)
+					if err != nil {
+						return nil, err
+					}
+					return stored(bisectOf(cut, p.Size()))
 				},
+				func(body []byte) (any, error) { return decodeBisectFill(body, &sreq, ps) },
+				func(rec any, cached bool) []byte { return rec.(*bisectRecord).appendJSON(nil, &sreq, ps, cached) },
 			},
 		} {
-			want, err := json.Marshal(tc.computed)
+			computed, err := tc.compute()
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: the computed answer's record was refused: %v", tc.name, err)
 			}
-			computed, err := tc.compact()
-			if err != nil {
-				t.Fatalf("%s %s: compact refused the computed answer: %v", tc.name, want, err)
-			}
-			filled, err := tc.decode(want)
-			if err != nil {
-				t.Fatalf("%s %s: a peer fill of the computed answer was refused: %v", tc.name, want, err)
-			}
-			for _, from := range []struct {
-				how string
-				rec any
-			}{{"compact", computed}, {"fill", filled}} {
-				got, err := json.Marshal(tc.expand(from.rec))
+			for _, cached := range []bool{false, true} {
+				want, err := json.Marshal(tc.answer(cached))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s from its %s record:\n%s\nwant\n%s", tc.name, from.how, got, want)
+				want = append(want, '\n')
+				filled, err := tc.decode(want)
+				if err != nil {
+					t.Fatalf("%s %s: a peer fill of the computed answer was refused: %v", tc.name, want, err)
+				}
+				for _, from := range []struct {
+					how string
+					rec any
+				}{{"compute", computed}, {"fill", filled}} {
+					if got := tc.write(from.rec, cached); !bytes.Equal(got, want) {
+						t.Fatalf("%s from its %s record:\n%s\nwant\n%s", tc.name, from.how, got, want)
+					}
 				}
 			}
 		}

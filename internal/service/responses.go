@@ -3,15 +3,12 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 
 	"torusnet/internal/bisect"
-	"torusnet/internal/bounds"
 	"torusnet/internal/cliutil"
 	"torusnet/internal/core"
-	"torusnet/internal/load"
 	"torusnet/internal/obs"
 	"torusnet/internal/placement"
 	"torusnet/internal/sweep"
@@ -25,16 +22,6 @@ type CutSummary struct {
 	ProcsA   int    `json:"procs_a"`
 	ProcsB   int    `json:"procs_b"`
 	Balanced bool   `json:"balanced"`
-}
-
-func cutSummary(c *bisect.Cut) CutSummary {
-	return CutSummary{
-		Method:   c.Method,
-		Width:    c.Width(),
-		ProcsA:   c.ProcsA,
-		ProcsB:   c.ProcsB,
-		Balanced: c.Balanced(),
-	}
 }
 
 // AnalyzeResponse is the wire form of a core.Report. The echoed request
@@ -158,43 +145,10 @@ type ErrorResponse struct {
 
 // Peer-fill decoders: each turns a home peer's 200 body into the same
 // immutable value local computation stores in the result cache (for the
-// placement endpoints, the record of the wire answer), so a filled entry
-// is indistinguishable from a locally computed one. The handler stamps
-// per-caller fields (Cached) after the cache read, exactly as for local
-// values.
-
-// decodeAnalyzeFill decodes a peer /v1/analyze fill. A degraded body (a
-// Monte Carlo estimate from an older peer, see AnalyzeResponse.Degraded) is
-// rejected so it never becomes a cached exact answer: the filler falls
-// back to computing the exact answer itself.
-func decodeAnalyzeFill(data []byte) (any, error) {
-	var r AnalyzeResponse
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
-	}
-	if r.Degraded {
-		return nil, errors.New("service: peer fill answered degraded; computing exactly instead")
-	}
-	return stored(compactAnalyze(&r))
-}
-
-// decodeBoundsFill decodes a peer /v1/bounds fill.
-func decodeBoundsFill(data []byte) (any, error) {
-	var r BoundsResponse
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
-	}
-	return stored(compactBounds(&r))
-}
-
-// decodeBisectFill decodes a peer /v1/bisect fill.
-func decodeBisectFill(data []byte) (any, error) {
-	var r BisectResponse
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
-	}
-	return stored(compactBisect(&r))
-}
+// placement endpoints, the record of the wire answer, records.go), so a
+// filled entry is indistinguishable from a locally computed one. The
+// handler stamps per-caller fields (Cached) after the cache read, exactly
+// as for local values.
 
 // decodeExperimentFill decodes a peer /v1/experiments/{id} fill.
 func decodeExperimentFill(data []byte) (any, error) {
@@ -249,8 +203,8 @@ func buildPlacement(spec placement.Spec, k, d int) (*placement.Placement, error)
 
 // analyzeWork, boundsWork, bisectWork and experimentWork are the work of
 // a cache miss on each endpoint (see missCall). The placement endpoints'
-// work computes the wire answer and returns its record. Each releases its
-// placement on the worker as soon as the answer is computed: the answer
+// work measures the answer and returns its record. Each releases its
+// placement on the worker as soon as the record is taken: the record
 // copies out everything it reads, and the compute owns the placement to
 // its end, so one abandoned by the watchdog or answered with a 504 still
 // holds its buffers until it returns.
@@ -273,40 +227,50 @@ type (
 	}
 )
 
+// compute runs the full core pipeline for the canonical request on its
+// built placement, recording the core/load span tree under any trace
+// carried by ctx.
 func (w analyzeWork) compute(ctx context.Context, s *Server) (any, error) {
+	alg, err := cliutil.ParseRouting(w.req.Routing)
+	if err != nil {
+		return nil, err
+	}
 	p, err := buildPlacement(w.spec, w.req.K, w.req.D)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := computeAnalyze(ctx, w.req, p, s.cfg.loadOptions())
+	rec, err := analyzeOf(core.AnalyzeCtx(ctx, p, alg, s.cfg.loadOptions()))
 	p.Release()
-	if err != nil {
-		return nil, err
-	}
-	return stored(compactAnalyze(&resp))
+	return stored(rec, err)
 }
 
+// compute evaluates the bound suite on the built placement without the
+// O(|P|²) load run — the cheap half of core.Analyze.
 func (w boundsWork) compute(ctx context.Context, _ *Server) (any, error) {
 	p, err := buildPlacement(w.spec, w.req.K, w.req.D)
 	if err != nil {
 		return nil, err
 	}
-	resp := computeBounds(ctx, w.req, p)
+	b := evaluateBounds(ctx, p)
+	rec, err := boundsOf(&b, p.Size(), w.req.K, w.req.D)
 	p.Release()
-	return stored(compactBounds(&resp))
+	return stored(rec, err)
 }
 
+// compute runs the requested bisection construction on the built
+// placement.
 func (w bisectWork) compute(ctx context.Context, _ *Server) (any, error) {
 	p, err := buildPlacement(w.spec, w.req.K, w.req.D)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := computeBisect(ctx, w.req, p)
-	p.Release()
-	if err != nil {
-		return nil, err
+	var rec *bisectRecord
+	cut, err := bisectCut(ctx, w.req.Method, p)
+	if err == nil {
+		rec, err = bisectOf(cut, p.Size())
 	}
-	return stored(compactBisect(&resp))
+	p.Release()
+	return stored(rec, err)
 }
 
 func (w experimentWork) compute(ctx context.Context, _ *Server) (any, error) {
@@ -317,91 +281,28 @@ func (w experimentWork) compute(ctx context.Context, _ *Server) (any, error) {
 	return resp, nil
 }
 
-// computeAnalyze runs the full core pipeline for a canonical request on
-// its built placement p, recording the core/load span tree under any trace
-// carried by ctx.
-func computeAnalyze(ctx context.Context, req AnalyzeRequest, p *placement.Placement, opts load.Options) (AnalyzeResponse, error) {
-	alg, err := cliutil.ParseRouting(req.Routing)
-	if err != nil {
-		return AnalyzeResponse{}, err
-	}
-	rep := core.AnalyzeCtx(ctx, p, alg, opts)
-	return AnalyzeResponse{
-		K:                req.K,
-		D:                req.D,
-		Placement:        req.Placement,
-		Routing:          req.Routing,
-		PlacementName:    p.Name(),
-		Processors:       p.Size(),
-		Uniform:          rep.Uniform,
-		DensityC:         rep.DensityC,
-		EMax:             rep.Load.Max,
-		MaxEdge:          p.Torus().EdgeString(rep.Load.MaxEdge),
-		LoadPerProcessor: rep.LoadPerProcessor,
-		TotalLoad:        rep.Load.Total,
-		BlaumBound:       jsonSafe(rep.BlaumBound),
-		BisectionBound:   jsonSafe(rep.BisectionBound),
-		ImprovedBound:    jsonSafe(rep.ImprovedBound),
-		BestLowerBound:   jsonSafe(rep.BestLowerBound()),
-		OptimalityRatio:  jsonSafe(rep.OptimalityRatio),
-		SweepCut:         cutSummary(&rep.SweepCut),
-		DimensionCut:     cutSummary(&rep.DimensionCut),
-		Engine:           rep.Load.Engine,
-		Exact:            true,
-	}, nil
-}
-
-// computeBounds evaluates the bound suite on the built placement p without
-// the O(|P|²) load run — the cheap half of core.Analyze.
-func computeBounds(ctx context.Context, req BoundsRequest, p *placement.Placement) BoundsResponse {
+// evaluateBounds is core.EvaluateBounds under the compute.bounds span.
+func evaluateBounds(ctx context.Context, p *placement.Placement) core.Bounds {
 	_, sp := obs.Start(ctx, "compute.bounds")
 	defer sp.End()
-	t := p.Torus()
-	b := core.EvaluateBounds(p)
-	return BoundsResponse{
-		K:                req.K,
-		D:                req.D,
-		Placement:        req.Placement,
-		PlacementName:    p.Name(),
-		Processors:       p.Size(),
-		Uniform:          b.Uniform,
-		DensityC:         b.DensityC,
-		BlaumBound:       jsonSafe(b.BlaumBound),
-		BisectionBound:   jsonSafe(b.BisectionBound),
-		ImprovedBound:    jsonSafe(b.ImprovedBound),
-		BestLowerBound:   jsonSafe(b.BestLowerBound()),
-		Theorem1Width:    bounds.Theorem1Width(t.K(), t.D()),
-		CorollaryCeiling: bounds.CorollaryBisectionCeiling(t.K(), t.D()),
-	}
+	return core.EvaluateBounds(p)
 }
 
-// computeBisect runs the requested bisection construction on the built
-// placement p.
-func computeBisect(ctx context.Context, req BisectRequest, p *placement.Placement) (BisectResponse, error) {
+// bisectCut runs the bisection construction method names on p, under the
+// compute.bisect span.
+func bisectCut(ctx context.Context, method string, p *placement.Placement) (*bisect.Cut, error) {
 	_, sp := obs.Start(ctx, "compute.bisect")
 	defer sp.End()
-	sp.SetAttr("method", req.Method)
-	var cut *bisect.Cut
-	switch req.Method {
+	sp.SetAttr("method", method)
+	switch method {
 	case "sweep":
-		cut = bisect.Sweep(p)
+		return bisect.Sweep(p), nil
 	case "best-sweep":
-		cut = bisect.BestSweep(p)
+		return bisect.BestSweep(p), nil
 	case "dimension":
-		cut = bisect.BestDimensionCut(p)
-	default:
-		return BisectResponse{}, fmt.Errorf("service: unknown bisection method %q", req.Method)
+		return bisect.BestDimensionCut(p), nil
 	}
-	return BisectResponse{
-		K:              req.K,
-		D:              req.D,
-		Placement:      req.Placement,
-		PlacementName:  p.Name(),
-		Processors:     p.Size(),
-		Method:         req.Method,
-		Cut:            cutSummary(cut),
-		SeparatorBound: jsonSafe(bounds.Bisection(p.Size(), cut.Width())),
-	}, nil
+	return nil, fmt.Errorf("service: unknown bisection method %q", method)
 }
 
 // computeExperiment runs one registered experiment at the given scale,

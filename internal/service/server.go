@@ -509,7 +509,10 @@ func (s *Server) runPeerFill(ctx context.Context, key string, f *peerFill) (any,
 	sp.SetAttrBool("served", served)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
-		s.metrics.add(mPeerFillErrors, 1)
+		// A fill canceled with its client is no peer's error.
+		if !errors.Is(ctx.Err(), context.Canceled) {
+			s.metrics.add(mPeerFillErrors, 1)
+		}
 	}
 	if !served {
 		return nil, false
@@ -740,16 +743,14 @@ func (s *Server) failCompute(w http.ResponseWriter, err error) {
 }
 
 // encodeBuf is a pooled response encoder with its output buffer, and a
-// scratch answer of each placement endpoint: a handler expands its cached
-// record (or copies an analytic answer) into the scratch, stamps the
-// per-caller fields there, and encodes a pointer to it, so no per-caller
-// copy of the answer escapes to the heap.
+// scratch analytic answer: the analytic lane copies its answer into the
+// scratch and encodes a pointer to it, so no per-caller copy of the answer
+// escapes to the heap. A cached record's answer is written into the
+// buffer's free space by the record's own writer, not the encoder.
 type encodeBuf struct {
 	buf     bytes.Buffer
 	enc     *json.Encoder
 	analyze AnalyzeResponse
-	bounds  BoundsResponse
-	bisect  BisectResponse
 }
 
 // encodeBufs recycles writeJSON's encoders. Buffers grown past
@@ -772,7 +773,20 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 // send encodes v, usually a pointer to e's scratch answer, with e, writes
 // it with the given status, and returns e to the pool.
 func (s *Server) send(w http.ResponseWriter, status int, e *encodeBuf, v any) {
-	err := e.enc.Encode(v)
+	s.flush(w, status, e, e.enc.Encode(v))
+}
+
+// sendRecord writes body, a record's answer its writer appended to e's
+// free space, with status 200, and returns e to the pool.
+func (s *Server) sendRecord(w http.ResponseWriter, e *encodeBuf, body []byte) {
+	e.buf.Write(body)
+	s.flush(w, http.StatusOK, e, nil)
+}
+
+// flush writes e's buffer with the given status, or the encode-failure
+// 500 when err (or the encode failpoint) says the body is not whole, and
+// returns e to the pool.
+func (s *Server) flush(w http.ResponseWriter, status int, e *encodeBuf, err error) {
 	if err == nil {
 		err = fpEncode.Inject()
 	}
@@ -787,9 +801,8 @@ func (s *Server) send(w http.ResponseWriter, status int, e *encodeBuf, v any) {
 	}
 	if e.buf.Cap() <= maxPooledEncodeBuf {
 		e.buf.Reset()
-		// Drop the scratch answers' strings, which belong to cache
-		// entries the pool must not pin.
-		e.analyze, e.bounds, e.bisect = AnalyzeResponse{}, BoundsResponse{}, BisectResponse{}
+		// Drop the scratch answer's strings, which the pool must not pin.
+		e.analyze = AnalyzeResponse{}
 		encodeBufs.Put(e)
 	}
 }
@@ -831,7 +844,7 @@ const nsPerFill = 75_000
 // (routing names its routing; bounds and bisect pass "") plans a fill only
 // when the cost model prices its compute at least one fill: a cheaper one
 // is computed where it was asked and cached there, the plan pricedOut.
-func placementMiss[R any](s *Server, r *http.Request, spec placement.Spec, k, d int, path string, req R, decode func([]byte) (any, error), routing string) (*peerFill, error) {
+func placementMiss[R any](s *Server, r *http.Request, spec placement.Spec, k, d int, path string, req R, decode func([]byte, *R, placement.Spec) (any, error), routing string) (*peerFill, error) {
 	if err := fitPlacement(spec, k, d); err != nil {
 		return nil, err
 	}
@@ -841,7 +854,7 @@ func placementMiss[R any](s *Server, r *http.Request, spec placement.Spec, k, d 
 	if routing != "" && s.cheaperThanFill(spec, k, d, routing) {
 		return pricedOut, nil
 	}
-	return fillOf(s, r, path, req, decode), nil
+	return fillOf(s, r, path, req, spec, decode), nil
 }
 
 // cheaperThanFill reports whether the cost model prices the analysis of
@@ -858,9 +871,10 @@ func (s *Server) cheaperThanFill(spec placement.Spec, k, d int, routing string) 
 }
 
 // fillOf is fillFor on a copy of req, which only a request that fills
-// from a peer moves to the heap.
-func fillOf[R any](s *Server, r *http.Request, path string, req R, decode func([]byte) (any, error)) *peerFill {
-	return s.fillFor(r, path, &req, decode)
+// from a peer moves to the heap, decoding the owner's body as an answer to
+// that request and its canonical spec.
+func fillOf[R any](s *Server, r *http.Request, path string, req R, spec placement.Spec, decode func([]byte, *R, placement.Spec) (any, error)) *peerFill {
+	return s.fillFor(r, path, &req, func(data []byte) (any, error) { return decode(data, &req, spec) })
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -893,9 +907,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := encodeBufs.Get().(*encodeBuf)
-	v.(*analyzeRecord).expand(&req, &e.analyze)
-	e.analyze.Cached = cached
-	s.send(w, http.StatusOK, e, &e.analyze)
+	s.sendRecord(w, e, v.(*analyzeRecord).appendJSON(e.buf.AvailableBuffer(), &req, spec, cached))
 }
 
 func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
@@ -918,9 +930,7 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := encodeBufs.Get().(*encodeBuf)
-	v.(*boundsRecord).expand(&req, &e.bounds)
-	e.bounds.Cached = cached
-	s.send(w, http.StatusOK, e, &e.bounds)
+	s.sendRecord(w, e, v.(*boundsRecord).appendJSON(e.buf.AvailableBuffer(), &req, spec, cached))
 }
 
 func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
@@ -943,9 +953,7 @@ func (s *Server) handleBisect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := encodeBufs.Get().(*encodeBuf)
-	v.(*bisectRecord).expand(&req, &e.bisect)
-	e.bisect.Cached = cached
-	s.send(w, http.StatusOK, e, &e.bisect)
+	s.sendRecord(w, e, v.(*bisectRecord).appendJSON(e.buf.AvailableBuffer(), &req, spec, cached))
 }
 
 func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {

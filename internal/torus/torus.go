@@ -231,9 +231,71 @@ func (t *Torus) Reverse(e Edge) Edge {
 // allocation: the string.
 func (t *Torus) EdgeString(e Edge) string {
 	var buf [64]byte
-	b := t.appendCoords(buf[:0], t.EdgeSource(e))
+	return string(t.AppendEdge(buf[:0], e))
+}
+
+// AppendEdge appends EdgeString's text for e to b and returns the
+// extended buffer.
+func (t *Torus) AppendEdge(b []byte, e Edge) []byte {
+	b = t.appendCoords(b, t.EdgeSource(e))
 	b = append(b, " -> "...)
-	return string(t.appendCoords(b, t.EdgeTarget(e)))
+	return t.appendCoords(b, t.EdgeTarget(e))
+}
+
+// ParseEdge returns the edge whose AppendEdge text is s. It refuses any
+// other text: a malformed one, a coordinate out of [0, k) or a vector of
+// other than d coordinates, and two nodes that are not neighbors. On
+// k = 2 the + and − edges along a dimension join the same two nodes and
+// print alike; ParseEdge returns the + edge.
+func (t *Torus) ParseEdge(s string) (Edge, error) {
+	u, rest, ok := t.parseCoords(s)
+	if !ok || len(rest) < 4 || rest[:4] != " -> " {
+		return 0, fmt.Errorf("torus: malformed edge %q", s)
+	}
+	v, rest, ok := t.parseCoords(rest[4:])
+	if !ok || rest != "" {
+		return 0, fmt.Errorf("torus: malformed edge %q", s)
+	}
+	for j := 0; j < t.d; j++ {
+		for _, dir := range [2]Direction{Plus, Minus} {
+			if t.Step(u, j, dir) == v {
+				return t.EdgeFrom(u, j, dir), nil
+			}
+		}
+	}
+	return 0, fmt.Errorf("torus: edge %q joins nodes that are not neighbors on %s", s, t)
+}
+
+// parseCoords reads the coordinate vector appendCoords writes at the head
+// of s, returning its node and the rest of s; ok is false unless the head
+// is exactly that text for a node of t (no sign, no leading zero, d
+// coordinates each below k).
+func (t *Torus) parseCoords(s string) (u Node, rest string, ok bool) {
+	if s == "" || s[0] != '[' {
+		return 0, s, false
+	}
+	i, idx := 1, 0
+	for j := 0; j < t.d; j++ {
+		if j > 0 {
+			if i == len(s) || s[i] != ' ' {
+				return 0, s, false
+			}
+			i++
+		}
+		start, c := i, 0
+		for i < len(s) && s[i] >= '0' && s[i] <= '9' && c < t.k {
+			c = c*10 + int(s[i]-'0')
+			i++
+		}
+		if i == start || c >= t.k || s[start] == '0' && i-start > 1 {
+			return 0, s, false
+		}
+		idx += c * t.strides[j]
+	}
+	if i == len(s) || s[i] != ']' {
+		return 0, s, false
+	}
+	return Node(idx), s[i+1:], true
 }
 
 // appendCoords appends u's coordinate vector to b as fmt's %v prints an

@@ -453,11 +453,16 @@ func TestEdgeStringMatchesFmt(t *testing.T) {
 			}
 		}
 	}
+	// The text goes to a package variable: EdgeString inlines, and a
+	// string that does not escape its caller may live on the stack.
 	tr := New(16, 3)
-	if n := testing.AllocsPerRun(100, func() { _ = tr.EdgeString(Edge(tr.Edges() - 1)) }); n != 1 {
+	if n := testing.AllocsPerRun(100, func() { edgeSink = tr.EdgeString(Edge(tr.Edges() - 1)) }); n != 1 {
 		t.Errorf("EdgeString allocates %.0f times, want 1", n)
 	}
 }
+
+// edgeSink keeps TestEdgeStringMatchesFmt's string escaping.
+var edgeSink string
 
 // TestNewSharesShapes checks that New hands every caller of a shape the
 // same immutable Torus, without allocating once the shape is built.
@@ -471,5 +476,49 @@ func TestNewSharesShapes(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = New(7, 3) }); n != 0 {
 		t.Errorf("New of a built shape allocates %.0f times, want 0", n)
+	}
+}
+
+// TestEdgeRoundTrip checks that ParseEdge reads back every edge AppendEdge
+// writes on T¹₂…T⁴₅ (on k = 2, where the + and − edges along a dimension
+// print alike, the + edge, which writes the same text), and that it
+// refuses malformed text, coordinates out of range and non-neighbors.
+func TestEdgeRoundTrip(t *testing.T) {
+	for k := 2; k <= 5; k++ {
+		for d := 1; d <= 4; d++ {
+			tr := New(k, d)
+			for e := Edge(0); int(e) < tr.Edges(); e++ {
+				text := string(tr.AppendEdge([]byte("x"), e))[1:]
+				got, err := tr.ParseEdge(text)
+				if err != nil {
+					t.Fatalf("%s edge %d %q: %v", tr, e, text, err)
+				}
+				want := e
+				if k == 2 {
+					want = tr.EdgeFrom(tr.EdgeSource(e), tr.EdgeDim(e), Plus)
+				}
+				if got != want {
+					t.Fatalf("%s: ParseEdge(%q) = %d, want %d", tr, text, got, want)
+				}
+				if back := tr.EdgeString(got); back != text {
+					t.Fatalf("%s: edge %q parses to one written %q", tr, text, back)
+				}
+			}
+		}
+	}
+	tr := New(5, 2)
+	for _, s := range []string{
+		"", "[0 0]", "[0 0] -> ", "[0 0] -> [1 0] ", " [0 0] -> [1 0]", "[0 0] ->[1 0]",
+		"[0 0]  -> [1 0]", "[0  0] -> [1 0]", "[0 0 ] -> [1 0]", "(0 0) -> (1 0)",
+		"[0] -> [1]", "[0 0 0] -> [1 0 0]", "[0 0] -> [1]", "[00 0] -> [1 0]", "[+0 0] -> [1 0]",
+		"[-1 0] -> [0 0]", "[0 5] -> [0 0]", "[4 0] -> [5 0]", "[99999999999999999999 0] -> [0 0]",
+		"[0 0] -> [0 0]", "[0 0] -> [2 0]", "[0 0] -> [1 1]", "[1 1] -> [3 1]",
+	} {
+		if e, err := tr.ParseEdge(s); err == nil {
+			t.Errorf("%s: ParseEdge(%q) = %d, want an error", tr, s, e)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = tr.ParseEdge("[4 3] -> [0 3]") }); n != 0 {
+		t.Errorf("ParseEdge allocates %.0f times, want 0", n)
 	}
 }

@@ -51,16 +51,17 @@
 #      never released, 4;
 #   5. the cache-miss path: BenchmarkServeAnalyzeMiss must make no more
 #      allocs/op than recorded, with no slack. A miss allocates little
-#      beyond its answer (the placement, the response, one flight/pool
-#      record), so one boxed copy, closure or scratch buffer put back on
-#      the path is a few percent of its count and would hide in check 1's
-#      slack;
+#      beyond its answer (the placement's name, the answer's record, one
+#      flight/pool record), so one boxed copy, closure or scratch buffer
+#      put back on the path is a few percent of its count and would hide
+#      in check 1's slack;
 #   6. the cached answer's size: BenchmarkServeAnalyzeRetained's
 #      retained-B/entry (heap kept per entry of a full 512-entry cache of
 #      T^2_16 random:16 UDR answers) must not exceed the recorded
 #      .fastpath.retained value, with no slack. For a fixed Go version it
-#      is machine-independent, and one string or boxed copy put back into
-#      an entry moves it by 16 B or more.
+#      is machine-independent. An entry is its 64-byte pointer-free record,
+#      its key string, its slab slot and its share of the key index, so a
+#      string or pointer put back into the record moves it by 16 B or more.
 #
 # BenchmarkPeerFill runs a requester and its owner in one process, so its
 # allocs/op and bytes/op under check 1 are both sides of one fill: what a
