@@ -119,6 +119,36 @@ func benchEMaxUDRRandom(b *testing.B, mode load.FastPathMode) {
 	}
 }
 
+// BenchmarkLoadEMaxFARSymmetry is FAR E_max over multi:3 on T³₈, one
+// worker: 192 processors in three orbits of the 64-element translation
+// group, so the symmetry engine routes 3·191 pairs and folds the base
+// vector by cosets. Its workspace is warmed before the timer, so the
+// gated allocs/op and bytes/op are 0.
+func BenchmarkLoadEMaxFARSymmetry(b *testing.B) { benchEMaxFARSymmetry(b, load.FastPathAuto) }
+
+// BenchmarkLoadEMaxFARSymmetryGeneric is BenchmarkLoadEMaxFARSymmetry
+// through the generic pair loop (all 192·191 pairs), the other half of the
+// gate's FARSymmetry ratio.
+func BenchmarkLoadEMaxFARSymmetryGeneric(b *testing.B) { benchEMaxFARSymmetry(b, load.FastPathOff) }
+
+func benchEMaxFARSymmetry(b *testing.B, mode load.FastPathMode) {
+	p, err := (MultipleLinear{T: 3}).Build(NewTorus(8, 3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := LoadOptions{Workers: 1, FastPath: mode}
+	if res := load.EMaxCtx(context.Background(), p, routing.FAR{}, opts); mode == load.FastPathAuto && res.Engine != load.EngineSymmetry {
+		b.Fatalf("engine %q, want %q", res.Engine, load.EngineSymmetry)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := load.EMaxCtx(context.Background(), p, routing.FAR{}, opts); res.Max <= 0 {
+			b.Fatal("bad result")
+		}
+	}
+}
+
 // BenchmarkLoadEMaxFARRandom is FAR E_max over random:16 on T²₁₆, one
 // worker: a trivial stabilizer, so the generic pair loop runs FAR's
 // Pascal-lattice kernel for all 240 pairs. The lattice lives in the pooled

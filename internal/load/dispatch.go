@@ -15,9 +15,9 @@ import (
 // orbit count of the placement's translation stabilizer:
 //
 //   - generic: |P|² pair kernels (pairNs);
-//   - symmetry: orbits·|P| pair kernels and orbits scans of a base vector,
-//     then for each of the |P| sources a kᵈ node-translation table and
-//     the orbit's base nonzeros (nnz) translated through it;
+//   - symmetry: a coset label for each of the kᵈ nodes, orbits·|P| pair
+//     kernels into one base vector, and one fold of that vector by cosets,
+//     read back edge by edge;
 //   - ring-flow: (sweeps+2)·d·kᵈ cells, where a ring of k cells is swept
 //     once per class it carries (one for ODR, up to 3^{d−1} for UDR) plus
 //     its fixed per-ring work, and one marginal-table entry per processor,
@@ -29,7 +29,9 @@ import (
 // of each engine over the grid of BenchmarkDispatchTable (which
 // re-measures it and prints each engine's measured time against its
 // prediction) on a 2-CPU Intel Xeon with go1.24; the two setup terms come
-// from T²₃…T³₄, where they dominate.
+// from T²₃…T³₄, where they dominate. The symmetry engine's labelling,
+// fold and setup constants were refitted the same way, on the same kind
+// of host, when it came to fold by cosets.
 //
 // Each input has one rule: compute runs the candidate with the smallest
 // prediction. The pair loop is always a candidate. Ring-flow is one for
@@ -42,17 +44,17 @@ import (
 // its builder recorded, and Cost reads its order off the spec
 // (placement.GroupOrder); any other placement's is a search of its own
 // (cached with the placement, and not priced here), so it runs only where
-// symmetry may serve. Under UDR a single orbit on a small torus (T²₈,
-// T²₁₂, T⁴₄) would beat ring-flow by up to about 1.25×, a microsecond or
-// two; ring-flow serves it anyway, so that no UDR input pays the search.
+// symmetry may serve. Under ODR and UDR a single orbit (a linear
+// placement) would run on the symmetry engine up to 1.8× faster than on
+// ring-flow on T², and 2.4–3.6× on T⁴₄; ring-flow serves it anyway, so
+// that the symmetry engine stays FAR's alone.
 const (
 	nsPerODRStep    = 17   // ODR family pair kernel: one hop, or one dimension's setup
 	nsPerUDRStep    = 13   // UDR pair kernel: one hop of a segment, or one coordinate of its start
 	nsPerFARState   = 8.5  // FAR pair kernel: one dimension of one lattice state
-	nsPerScan       = 1    // symmetry: one base-vector edge scanned for nonzeros
-	nsPerNonzero    = 0.5  // symmetry: one base nonzero translated to a source
-	nsPerNode       = 1.5  // symmetry: one entry of a node-translation table
-	nsSymmetrySetup = 1100 // symmetry: the orbit partition and the workspace
+	nsPerNode       = 12   // symmetry: one node's coset label
+	nsPerFold       = 3    // symmetry: one edge folded into its coset and read back
+	nsSymmetrySetup = 400  // symmetry: the workspace and its buffers
 	nsRingFlowSetup = 1200 // ring-flow: its tables' layout and the workspace
 	nsPerCell       = 7    // ring-flow: one cell of one ring pass
 	nsPerMarginal   = 8    // ring-flow: one marginal-table entry
@@ -151,12 +153,8 @@ func genericCost(alg routing.Algorithm, t *torus.Torus, n int) float64 {
 // symmetryCost predicts the symmetry engine with the given orbit count.
 func symmetryCost(alg routing.Algorithm, t *torus.Torus, n, orbits int) float64 {
 	edges := float64(t.Edges())
-	bases := float64(orbits) * (float64(n-1)*pairNs(alg, t) + nsPerScan*edges)
-	// A base vector's nonzeros: the edges the paths to n−1 destinations
-	// cover, as if each of their pathEdges landed uniformly at random.
-	nnz := edges * -math.Expm1(-float64(n-1)*pathEdges(alg, t)/edges)
-	scatter := float64(n) * (nsPerNonzero*nnz + nsPerNode*float64(t.Nodes()))
-	return nsSymmetrySetup + bases + scatter + nsPerEdge*edges
+	bases := float64(orbits) * float64(n-1) * pairNs(alg, t)
+	return nsSymmetrySetup + nsPerNode*float64(t.Nodes()) + bases + (nsPerFold+nsPerEdge)*edges
 }
 
 // ringFlowCost predicts the ring-flow engine for family f on n processors.
@@ -214,20 +212,6 @@ func pairNs(alg routing.Algorithm, t *torus.Torus) float64 {
 		return nsPerFARState * 2 * d * math.Pow(m+1, d)
 	}
 	return nsPerODRStep * d * (m + 1)
-}
-
-// pathEdges is the mean number of distinct edges one pair's path set
-// covers: d corrections for the dimension-ordered routings, 2^{d−1}·d
-// segments for UDR, and the lattice's edges for FAR.
-func pathEdges(alg routing.Algorithm, t *torus.Torus) float64 {
-	d, m := float64(t.D()), meanDist(t.K())
-	switch alg.(type) {
-	case routing.UDR, routing.UDRMulti:
-		return math.Exp2(d-1) * d * m
-	case routing.FAR:
-		return d * math.Pow(m+1, d)
-	}
-	return d * m
 }
 
 // Prediction is the cost model's price, in microseconds, of one engine

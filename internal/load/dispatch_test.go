@@ -72,7 +72,7 @@ func applicableEngines(p *placement.Placement, alg routing.Algorithm) []*engineR
 		case EngineRingFlow:
 			e.run = func() { ringFlowResult(ctx, p, alg, c.fam, 1, false) }
 		case EngineSymmetry:
-			e.run = func() { computeSymmetry(ctx, p, alg, c.stab, 1, false) }
+			e.run = func() { computeSymmetry(ctx, p, alg, c.stab, false) }
 		}
 		engines = append(engines, e)
 	}

@@ -15,85 +15,71 @@ import (
 //
 // When the placement is closed under a translation subgroup G and the
 // routing algorithm is translation-equivariant, the per-edge load pattern
-// contributed by source p ⊕ t is exactly the pattern of source p with every
-// edge index translated by t. So instead of walking routes for all
-// |P|·(|P|−1) ordered pairs, the engine
+// contributed by source p ⊕ g is exactly the pattern of source p with every
+// edge translated by g. Summing one representative source per G-orbit into
+// a base vector B, the load of edge (u, slot) is then Σ_{v ∈ u+G} B(v, slot):
+// the answer is G-periodic, and one fold by cosets computes it. Instead of
+// walking routes for all |P|·(|P|−1) ordered pairs, the engine
 //
-//  1. partitions the sources into G-orbits,
-//  2. walks routes for ONE canonical source per orbit against all
-//     destinations (O(|P|/|G| · |P| · d · k) routing work), and
-//  3. replicates each orbit's base pattern to its other members by
-//     translating edge indices through a precomputed node-translation
-//     table (O(|P|·|E|) index arithmetic, no routing).
+//  1. labels every node with its coset u+G (kᵈ translations), which also
+//     picks the orbit representatives: the first processor of each coset;
+//  2. walks routes for those representatives against all destinations
+//     into B (O(|P|/|G| · |P| · d · k) routing work);
+//  3. folds B into one cosets × 2d vector and reads each edge back
+//     through its source's coset label (O(|E|), no routing).
 //
 // For a linear placement |G| = k^{d−1} = |P|, so step 2 collapses to a
-// single source: a ~k^{d−1}× reduction in routing walks. Dispatch weighs
-// it only for the routings ring-flow does not model, which is FAR.
+// single source: a ~k^{d−1}× reduction in routing walks. Every step is
+// serial with a fixed order, so the answer does not depend on the worker
+// count. Dispatch weighs it only for the routings ring-flow does not
+// model, which is FAR.
 
-// nnzEntry is one nonzero of an orbit's base load vector with the edge
-// index pre-split into source node and (dimension, direction) slot, so the
-// scatter loop translates with one table lookup and no division.
-type nnzEntry struct {
-	u    int32 // edge source node
-	slot int32 // edge index mod 2d: dimension and direction
-	w    float64
-}
-
-// scatterJob replicates one orbit's base pattern to one source.
-type scatterJob struct {
-	orbit  int // index of the orbit's representative
-	offset int // index into the stabilizer, with src = rep ⊕ offset
-}
-
-// scatter is what the symmetry engine's scatter workers read: job ji
-// translates its orbit's nonzeros by its stabilizer offset through the
-// worker's table into the worker's accumulator.
-type scatter struct {
-	t        *torus.Torus
-	stab     [][]int
-	jobs     []scatterJob
-	nnz      []nnzEntry
-	starts   []int
-	partials [][]float64
-	tables   [][]torus.Node
-}
-
-// computeSymmetry runs the fast path over the orbits of stab, the
+// computeSymmetry runs the fast path over the cosets of stab, the
 // placement's translation stabilizer, for a translation-equivariant
 // algorithm and at least two processors. Without keep the Result carries
 // no Loads vector.
-func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Algorithm, stab [][]int, workers int, keep bool) Result {
+func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Algorithm, stab [][]int, keep bool) Result {
 	t := p.Torus()
-	procs := p.Nodes()
 	ws := getWorkspace()
 
-	// Orbit partition. Translations act freely on nodes, so each orbit has
-	// exactly |stab| distinct members, all inside P by closure; iterating
-	// processors in index order and stabilizers in their fixed order makes
-	// reps and jobs deterministic.
-	seen := zeroed(ws.seen, t.Nodes())
-	reps, jobs := ws.reps[:0], ws.jobs[:0]
-	for _, src := range procs {
-		if seen[src] {
+	// Coset labels. Translations act freely on nodes, so each coset has
+	// exactly |stab| members; a coset holding a processor holds only
+	// processors, by closure, and its first node in index order is its
+	// orbit's representative. The stabilizer's offsets lie in [0, k), so
+	// an image coordinate wraps with one subtraction.
+	k, d := t.K(), t.D()
+	label := zeroed(ws.label, t.Nodes())
+	for u := range label {
+		label[u] = -1
+	}
+	coords := zeroed(ws.coords, d)
+	reps, cosets := ws.reps[:0], int32(0)
+	for u := range label {
+		if label[u] >= 0 {
 			continue
 		}
-		orbit := len(reps)
-		reps = append(reps, src)
-		for oi, off := range stab {
-			seen[t.Translate(src, off)] = true
-			jobs = append(jobs, scatterJob{orbit: orbit, offset: oi})
+		t.CoordsInto(torus.Node(u), coords)
+		for _, off := range stab {
+			v := 0
+			for j := d - 1; j >= 0; j-- {
+				c := coords[j] + off[j]
+				if c >= k {
+					c -= k
+				}
+				v = v*k + c
+			}
+			label[v] = cosets
+		}
+		cosets++
+		if p.Contains(torus.Node(u)) {
+			reps = append(reps, torus.Node(u))
 		}
 	}
-	ws.seen, ws.reps, ws.jobs = seen, reps, jobs
+	ws.label, ws.coords, ws.reps = label, coords, reps
 
-	// Base vectors: one canonical source per orbit against every
-	// destination, serial with a fixed destination order so the summation
-	// order never depends on the worker count. Every orbit's nonzeros land
-	// in one flat list; extracting them also clears the base buffer for
-	// the next orbit.
-	td2 := 2 * t.D()
-	baseBuf := zeroed(ws.baseBuf, t.Edges())
-	nnz, starts := ws.nnz[:0], append(ws.starts[:0], 0)
+	// Base vector: every representative against every destination, with
+	// a fixed destination order.
+	base := zeroed(ws.base, t.Edges())
 	func() {
 		_, bsp := obs.Start(ctx, "load.bases")
 		defer bsp.End()
@@ -102,47 +88,42 @@ func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Al
 		withEngineLabel(ctx, EngineSymmetry, func() {
 			sc := ws.pairScratch(t, 1)[0]
 			for _, rep := range reps {
-				for _, dst := range procs {
+				for _, dst := range p.Nodes() {
 					if dst != rep {
-						alg.AccumulatePair(t, rep, dst, 1, baseBuf, sc)
+						alg.AccumulatePair(t, rep, dst, 1, base, sc)
 					}
 				}
-				for e, w := range baseBuf {
-					if w != 0 {
-						nnz = append(nnz, nnzEntry{u: int32(e / td2), slot: int32(e % td2), w: w})
-						baseBuf[e] = 0
-					}
-				}
-				starts = append(starts, len(nnz))
 			}
 		})
 	}()
-	ws.baseBuf, ws.nnz, ws.starts = baseBuf, nnz, starts
+	ws.base = base
 
-	// Replication: every job translates its orbit's nonzeros through a
-	// per-worker node-translation table, striped and merged like the pair
-	// engines, so determinism semantics match.
-	workers = effectiveWorkers(workers, len(jobs))
-	partials := ws.accumulators(workers, t.Edges(), keep)
-	tables := ws.translationTables(t, workers)
-	func() {
-		_, ssp := obs.Start(ctx, "load.scatter")
-		defer ssp.End()
-		ssp.SetAttrInt("jobs", int64(len(jobs)))
-		withEngineLabel(ctx, EngineSymmetry, func() {
-			sc := scatter{t, stab, jobs, nnz, starts, partials, tables}
-			stripe(workers, len(jobs), sc, func(s scatter, w, ji int) {
-				job, local, table := s.jobs[ji], s.partials[w], s.tables[w]
-				s.t.TranslationTableInto(s.stab[job.offset], table)
-				td2 := 2 * s.t.D()
-				for _, ent := range s.nnz[s.starts[job.orbit]:s.starts[job.orbit+1]] {
-					local[int(table[ent.u])*td2+int(ent.slot)] += ent.w
-				}
-			})
-		})
-	}()
-
-	res := engineResult(ctx, p, alg, EngineSymmetry, partials, keep)
+	// Fold: sum B over each coset, slot by slot, then give every edge its
+	// source's coset sum. Without keep the answer overwrites B, which the
+	// fold has finished reading.
+	_, msp := obs.Start(ctx, "load.merge")
+	td2 := 2 * d
+	fold := zeroed(ws.fold, int(cosets)*td2)
+	for u, c := range label {
+		sums, row := fold[int(c)*td2:][:td2], base[u*td2:][:td2]
+		for s, w := range row {
+			sums[s] += w
+		}
+	}
+	loads := base
+	if keep {
+		loads = make([]float64, len(base))
+	}
+	for u, c := range label {
+		copy(loads[u*td2:][:td2], fold[int(c)*td2:][:td2])
+	}
+	ws.fold = fold
+	res := newResult(t, p, alg.Name(), loads)
+	msp.End()
+	res.Engine = EngineSymmetry
+	if !keep {
+		res.Loads = nil
+	}
 	ws.release()
 	return res
 }

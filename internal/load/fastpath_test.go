@@ -142,20 +142,27 @@ func TestFastPathCrossCheckMode(t *testing.T) {
 	}
 }
 
-// TestFastPathDeterministicAcrossWorkerCounts mirrors the generic engine's
-// determinism contract for the symmetry engine; run under -race in CI it
-// also proves the scatter phase is data-race-free.
+// TestFastPathDeterministicAcrossWorkerCounts checks that the symmetry
+// engine's answer does not depend on the worker count: its passes are
+// serial, so Loads, Max, MaxEdge and Total agree bit for bit at every
+// count, on one orbit (T³₆ linear) and on several (T²₁₆ and T³₈ multi:3).
 func TestFastPathDeterministicAcrossWorkerCounts(t *testing.T) {
-	tr := torus.New(6, 3)
-	p := mustBuild(t, placement.Linear{C: 0}, tr)
-	ref := Compute(p, routing.FAR{}, Options{Workers: 1})
-	for _, workers := range []int{2, 3, 8, 64} {
-		got := Compute(p, routing.FAR{}, Options{Workers: workers})
-		if got.Engine != EngineSymmetry {
-			t.Fatalf("workers=%d: engine %q", workers, got.Engine)
-		}
-		if div := MaxEngineDivergence(ref, got); div > 1e-9 {
-			t.Fatalf("workers=%d diverges from serial by %g", workers, div)
+	for _, c := range []struct {
+		k, d int
+		spec placement.Spec
+	}{
+		{6, 3, placement.Linear{C: 0}},
+		{16, 2, placement.MultipleLinear{T: 3}},
+		{8, 3, placement.MultipleLinear{T: 3}},
+	} {
+		p := mustBuild(t, c.spec, torus.New(c.k, c.d))
+		ref := Compute(p, routing.FAR{}, Options{Workers: 1})
+		for _, workers := range []int{1, 2, 3, 8} {
+			got := Compute(p, routing.FAR{}, Options{Workers: workers})
+			if got.Engine != EngineSymmetry {
+				t.Fatalf("%s workers=%d: engine %q", p, workers, got.Engine)
+			}
+			sameResult(t, engineCase{p: p, alg: routing.FAR{}, opts: Options{Workers: workers}, kind: "exchange"}, got, ref)
 		}
 	}
 }

@@ -136,9 +136,10 @@ func Compute(p *placement.Placement, alg routing.Algorithm, opts Options) *Resul
 
 // ComputeCtx is Compute with observability threaded through ctx: when the
 // context carries an active trace, the dispatch, engine stages, and merge
-// record spans (load.compute → load.pairs / load.bases / load.scatter →
-// load.merge; the ring-flow engine's marginals and sweeps record as
-// load.pairs and its summary pass as load.merge) and the engine
+// record spans (load.compute → load.pairs / load.bases → load.merge; the
+// ring-flow engine's marginals and sweeps record as load.pairs and its
+// summary pass as load.merge, and the symmetry engine's fold by cosets
+// records under load.merge with its summary pass) and the engine
 // goroutines carry a pprof "engine" label. With no active trace the
 // instrumentation collapses to nil-span no-ops, so the background-context
 // Compute path stays allocation-identical to before.
@@ -180,7 +181,7 @@ func compute(ctx context.Context, p *placement.Placement, alg routing.Algorithm,
 	var res Result
 	switch pl.engine {
 	case EngineSymmetry:
-		res = computeSymmetry(ctx, p, alg, pl.stab, workers, keepLoads)
+		res = computeSymmetry(ctx, p, alg, pl.stab, keepLoads)
 	case EngineRingFlow:
 		res = ringFlowResult(ctx, p, alg, pl.fam, workers, keepLoads)
 	default:

@@ -9,15 +9,16 @@ import (
 
 // workspace is the scratch one engine compute borrows from workspaces and
 // returns after its merge: the generic pair loop, the symmetry engine's
-// bases and scatter, the ring-flow engine's marginals and sweeps,
-// ComputePattern and ComputeValiant all draw from it.
+// coset labels, base vector and fold, the ring-flow engine's marginals and
+// sweeps, ComputePattern and ComputeValiant all draw from it.
 // Every buffer only grows, and every one is resized and cleared when it is
 // handed out, so a workspace last used on a larger torus, another
 // dimension or more workers carries nothing into the next compute. The one
-// vector a compute returns, worker 0's accumulator, is allocated fresh and
-// never enters the workspace; a compute that keeps no vector (EMaxCtx)
-// takes worker 0's accumulator from the workspace too. A compute that
-// panics never returns its workspace at all.
+// vector a compute returns (worker 0's accumulator, or the vector the
+// symmetry engine reads its fold back into) is allocated fresh and never
+// enters the workspace; a compute that keeps no vector (EMaxCtx) takes
+// that vector from the workspace too. A compute that panics never returns its
+// workspace at all.
 type workspace struct {
 	// parts is the accumulator list handed to the stripe: parts[0] is the
 	// compute's fresh answer vector when it keeps one, and every other
@@ -28,14 +29,13 @@ type workspace struct {
 	scratch  []*routing.PairScratch // one per worker, made for scratchD
 	scratchD int
 
-	// The symmetry engine's orbit partition, bases and scatter tables.
-	seen    []bool
-	reps    []torus.Node
-	jobs    []scatterJob
-	baseBuf []float64
-	nnz     []nnzEntry // every orbit's nonzeros, orbit after orbit
-	starts  []int      // orbit o's nonzeros are nnz[starts[o]:starts[o+1]]
-	tables  [][]torus.Node
+	// The symmetry engine's coset labels, representatives, base vector
+	// and fold.
+	label  []int32 // label[u] is the coset of node u
+	coords []int   // one coset's first node's coordinates
+	reps   []torus.Node
+	base   []float64
+	fold   []float64 // fold[c·2d+slot] sums base over coset c
 
 	rf ringFlow // the ring-flow engine's marginals and per-worker sweeps
 }
@@ -79,16 +79,6 @@ func (ws *workspace) pairScratch(t *torus.Torus, workers int) []*routing.PairScr
 		ws.scratch = append(ws.scratch, routing.NewPairScratch(t))
 	}
 	return ws.scratch[:workers]
-}
-
-// translationTables returns one node-translation table per worker, each
-// of length t.Nodes().
-func (ws *workspace) translationTables(t *torus.Torus, workers int) [][]torus.Node {
-	ws.tables = grown(ws.tables, workers)
-	for w := range ws.tables {
-		ws.tables[w] = zeroed(ws.tables[w], t.Nodes())
-	}
-	return ws.tables
 }
 
 // zeroed returns buf resized to n and cleared, reallocating only when its

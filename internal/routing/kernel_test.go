@@ -29,8 +29,9 @@ func TestAccumulatePairAllocFree(t *testing.T) {
 
 // TestTranslationEquivariance verifies the marker claims empirically: for
 // every algorithm declaring equivariance, translating both endpoints
-// translates the per-edge load pattern via the EdgeTranslation table.
-// MeshODR must not declare equivariance (its array metric is absolute).
+// (Torus.Translate) translates the per-edge load pattern edge by edge
+// (Torus.TranslateEdge). MeshODR must not declare equivariance (its array
+// metric is absolute).
 func TestTranslationEquivariance(t *testing.T) {
 	if IsTranslationEquivariant(MeshODR{}) {
 		t.Fatal("MeshODR must not be translation-equivariant")
@@ -43,15 +44,15 @@ func TestTranslationEquivariance(t *testing.T) {
 			t.Fatalf("%s should declare translation equivariance", alg.Name())
 		}
 		for _, off := range offsets {
-			et := tr.NewEdgeTranslation(off)
-			for p := 0; p < tr.Nodes(); p++ {
-				for q := 0; q < tr.Nodes(); q++ {
-					base := pairLoads(alg, tr, torus.Node(p), torus.Node(q), 1)
-					shifted := pairLoads(alg, tr, et.Node(torus.Node(p)), et.Node(torus.Node(q)), 1)
+			for p := torus.Node(0); int(p) < tr.Nodes(); p++ {
+				for q := torus.Node(0); int(q) < tr.Nodes(); q++ {
+					base := pairLoads(alg, tr, p, q, 1)
+					shifted := pairLoads(alg, tr, tr.Translate(p, off), tr.Translate(q, off), 1)
 					for e := range base {
-						if math.Abs(base[e]-shifted[et.Edge(torus.Edge(e))]) > 1e-12 {
+						img := tr.TranslateEdge(torus.Edge(e), off)
+						if math.Abs(base[e]-shifted[img]) > 1e-12 {
 							t.Fatalf("%s offset %v pair (%d,%d): edge %d load %g, translated %g",
-								alg.Name(), off, p, q, e, base[e], shifted[et.Edge(torus.Edge(e))])
+								alg.Name(), off, p, q, e, base[e], shifted[img])
 						}
 					}
 				}

@@ -84,6 +84,6 @@ func runE31(scale Scale) *Table {
 			predicted[load.EngineGeneric], predicted[load.EngineSymmetry], predicted[load.EngineRingFlow],
 			fast.Engine, div, agree)
 	}
-	tb.AddNote("Compute runs the engine the cost model prices lowest (\"-\": not weighed). The ring-flow engine, which sweeps per-ring processor marginals instead of pairs, is weighed for the five dimension-ordered routings (ODR, ODR-multi, ODROrder, UDR and UDR-multi) and takes them unless the placement is so sparse that the pair loop is cheaper. The symmetry engine, which routes one source per orbit and translates its loads to the rest, is weighed only for FAR, which ring-flow does not model, and only when the stabilizer is non-trivial; only then is the stabilizer searched. It takes FAR wherever it is priced below the pair loop (not on T²₄ linear, where its setup outweighs four sources). Under UDR a single orbit on a small torus (T²₅, T³₆ here) would be priced up to 1.4× lower on the symmetry engine; ring-flow serves it without the search. MeshODR is not translation-equivariant (the array metric distinguishes wrap links), so it always walks pairs. Predictions are in microseconds on the 2-CPU Intel Xeon the constants were fitted on. Divergence beyond float summation order is a soundness failure.")
+	tb.AddNote("Compute runs the engine the cost model prices lowest (\"-\": not weighed). The ring-flow engine, which sweeps per-ring processor marginals instead of pairs, is weighed for the five dimension-ordered routings (ODR, ODR-multi, ODROrder, UDR and UDR-multi) and takes them unless the placement is so sparse that the pair loop is cheaper. The symmetry engine, which labels every node with its coset of the stabilizer, routes one source per orbit into one base vector and folds that vector by cosets, is weighed only for FAR, which ring-flow does not model, and only when the stabilizer is non-trivial; only then is the stabilizer searched. It takes FAR wherever it is priced below the pair loop, which here is every FAR input with a non-trivial stabilizer, T²₄ linear's four sources included. Under UDR a single orbit on a small torus (T²₅, T³₆ here) would be priced up to 1.7× lower on the symmetry engine; ring-flow serves it without the search. MeshODR is not translation-equivariant (the array metric distinguishes wrap links), so it always walks pairs. Predictions are in microseconds on the 2-CPU Intel Xeon the constants were fitted on. Divergence beyond float summation order is a soundness failure.")
 	return tb
 }

@@ -143,9 +143,11 @@ func FuzzWrapCoord(f *testing.F) {
 	})
 }
 
-// FuzzTranslateEdge checks that the precomputed EdgeTranslation table is a
-// bijection on edges consistent with Torus.Translate/TranslateEdge, and that
-// composing with the inverse offset is the identity.
+// FuzzTranslateEdge checks TranslateEdge on one edge and then on the
+// whole (small) edge set: the image leaves Translate of the edge's source
+// along the same dimension and direction, the inverse offset undoes it,
+// translating by a and then by the wrapped offset equals translating by
+// their sum, and the images of all edges are a bijection.
 func FuzzTranslateEdge(f *testing.F) {
 	f.Add(4, 2, 1, 0, 3)
 	f.Add(5, 3, -2, 7, 11)
@@ -157,6 +159,8 @@ func FuzzTranslateEdge(f *testing.F) {
 		tr := New(k, d)
 		offset := make([]int, d)
 		inverse := make([]int, d)
+		wrapped := make([]int, d)
+		double := make([]int, d)
 		for j := range offset {
 			if j%2 == 0 {
 				offset[j] = o0 + j
@@ -164,29 +168,32 @@ func FuzzTranslateEdge(f *testing.F) {
 				offset[j] = o1 - j
 			}
 			inverse[j] = -offset[j]
+			wrapped[j] = tr.WrapCoord(offset[j])
+			double[j] = offset[j] + wrapped[j]
 		}
-		et := tr.NewEdgeTranslation(offset)
-		inv := tr.NewEdgeTranslation(inverse)
 
 		e := Edge(abs(eRaw) % tr.Edges())
-		if got, want := et.Edge(e), tr.TranslateEdge(e, offset); got != want {
-			t.Fatalf("table edge image %d, TranslateEdge %d", got, want)
+		img := tr.TranslateEdge(e, offset)
+		if got, want := tr.EdgeSource(img), tr.Translate(tr.EdgeSource(e), offset); got != want {
+			t.Fatalf("edge image leaves node %d, Translate gives %d", got, want)
 		}
-		u := tr.EdgeSource(e)
-		if got, want := et.Node(u), tr.Translate(u, offset); got != want {
-			t.Fatalf("table node image %d, Translate %d", got, want)
-		}
-		if tr.EdgeDim(et.Edge(e)) != tr.EdgeDim(e) || tr.EdgeDir(et.Edge(e)) != tr.EdgeDir(e) {
+		if tr.EdgeDim(img) != tr.EdgeDim(e) || tr.EdgeDir(img) != tr.EdgeDir(e) {
 			t.Fatal("translation changed edge dimension or direction")
 		}
-		if inv.Edge(et.Edge(e)) != e {
+		if tr.TranslateEdge(img, inverse) != e {
 			t.Fatalf("inverse translation does not undo edge %d", e)
+		}
+		if tr.TranslateEdge(e, wrapped) != img {
+			t.Fatalf("offset %v and its wrap %v move edge %d apart", offset, wrapped, e)
+		}
+		if tr.TranslateEdge(img, wrapped) != tr.TranslateEdge(e, double) {
+			t.Fatalf("translating edge %d twice differs from translating by the sum", e)
 		}
 
 		// Bijection over the whole (small) edge set.
 		seen := make([]bool, tr.Edges())
 		for idx := 0; idx < tr.Edges(); idx++ {
-			img := et.Edge(Edge(idx))
+			img := tr.TranslateEdge(Edge(idx), offset)
 			if img < 0 || int(img) >= tr.Edges() {
 				t.Fatalf("edge image %d out of range", img)
 			}

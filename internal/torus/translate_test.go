@@ -2,6 +2,9 @@ package torus
 
 import "testing"
 
+// TestEdgeTranslationMatchesTranslate checks TranslateEdge edge by edge:
+// the image's source is Translate of the edge's source, and its dimension
+// and direction are the edge's own.
 func TestEdgeTranslationMatchesTranslate(t *testing.T) {
 	for _, tc := range []struct {
 		k, d   int
@@ -14,70 +17,28 @@ func TestEdgeTranslationMatchesTranslate(t *testing.T) {
 		{6, 2, []int{-1, 7}}, // unwrapped coordinates are reduced mod k
 	} {
 		tr := New(tc.k, tc.d)
-		et := tr.NewEdgeTranslation(tc.offset)
-		for u := 0; u < tr.Nodes(); u++ {
-			if got, want := et.Node(Node(u)), tr.Translate(Node(u), tc.offset); got != want {
-				t.Fatalf("T^%d_%d offset %v: node %d -> %d, want %d", tc.d, tc.k, tc.offset, u, got, want)
+		for e := Edge(0); int(e) < tr.Edges(); e++ {
+			img := tr.TranslateEdge(e, tc.offset)
+			if got, want := tr.EdgeSource(img), tr.Translate(tr.EdgeSource(e), tc.offset); got != want {
+				t.Fatalf("T^%d_%d offset %v: edge %d leaves node %d, want %d", tc.d, tc.k, tc.offset, e, got, want)
 			}
-		}
-		for e := 0; e < tr.Edges(); e++ {
-			if got, want := et.Edge(Edge(e)), tr.TranslateEdge(Edge(e), tc.offset); got != want {
-				t.Fatalf("T^%d_%d offset %v: edge %d -> %d, want %d", tc.d, tc.k, tc.offset, e, got, want)
+			if tr.EdgeDim(img) != tr.EdgeDim(e) || tr.EdgeDir(img) != tr.EdgeDir(e) {
+				t.Fatalf("T^%d_%d offset %v: edge %d changed dimension or direction", tc.d, tc.k, tc.offset, e)
 			}
 		}
 	}
 }
 
+// TestEdgeTranslationCompose checks that translating an edge by a and then
+// by b is translating it by a+b.
 func TestEdgeTranslationCompose(t *testing.T) {
 	tr := New(5, 3)
 	a := []int{1, 2, 3}
 	b := []int{4, 0, 2}
 	ab := []int{0, 2, 0} // a+b mod 5
-	eta, etb, etab := tr.NewEdgeTranslation(a), tr.NewEdgeTranslation(b), tr.NewEdgeTranslation(ab)
-	for e := 0; e < tr.Edges(); e++ {
-		if etb.Edge(eta.Edge(Edge(e))) != etab.Edge(Edge(e)) {
+	for e := Edge(0); int(e) < tr.Edges(); e++ {
+		if tr.TranslateEdge(tr.TranslateEdge(e, a), b) != tr.TranslateEdge(e, ab) {
 			t.Fatalf("composition mismatch at edge %d", e)
 		}
-	}
-}
-
-func TestEdgeTranslationOffsetWrapped(t *testing.T) {
-	tr := New(4, 2)
-	et := tr.NewEdgeTranslation([]int{-1, 9})
-	got := et.Offset()
-	if got[0] != 3 || got[1] != 1 {
-		t.Fatalf("Offset() = %v, want [3 1]", got)
-	}
-	if et.Torus() != tr {
-		t.Fatal("Torus() does not return the constructing torus")
-	}
-}
-
-func TestTranslationTableIntoPanics(t *testing.T) {
-	tr := New(4, 2)
-	for name, fn := range map[string]func(){
-		"short offset": func() { tr.TranslationTableInto([]int{1}, make([]Node, tr.Nodes())) },
-		"short dst":    func() { tr.TranslationTableInto([]int{1, 2}, make([]Node, 3)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestTranslationTableIntoAllocFree(t *testing.T) {
-	tr := New(8, 3)
-	offset := []int{3, 0, 5}
-	dst := make([]Node, tr.Nodes())
-	allocs := testing.AllocsPerRun(10, func() {
-		tr.TranslationTableInto(offset, dst)
-	})
-	if allocs != 0 {
-		t.Fatalf("TranslationTableInto allocates %v times per call, want 0", allocs)
 	}
 }

@@ -2,7 +2,8 @@
 # ci_bench_smoke.sh — CI gate against load-engine performance regressions.
 #
 # Runs the paired fast/generic BenchmarkLoadCompute* benchmarks, the
-# paired ring-flow/generic BenchmarkLoadEMaxUDRRandom benchmarks,
+# paired ring-flow/generic BenchmarkLoadEMaxUDRRandom benchmarks, the
+# paired symmetry/generic BenchmarkLoadEMaxFARSymmetry benchmarks,
 # BenchmarkLoadComputeFAR, BenchmarkLoadEMaxFARRandom, BenchmarkLoadEMaxODR, BenchmarkComputePattern,
 # BenchmarkComputeValiant, the two optimizer benchmarks
 # (BenchmarkBranchBoundT2_8, BenchmarkAnnealT3_8) and the three bisection
@@ -80,7 +81,7 @@ trap 'rm -f "$RAW" "$RATIO_RAW"' EXIT
 
 echo "bench-smoke: running paired load benchmarks, the optimizer, the bisection benchmarks, the cache-hit and cache-miss paths and a peer fill"
 go test -run '^$' \
-    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkLoadComputeFAR|BenchmarkLoadEMaxFARRandom|BenchmarkLoadEMaxODR|BenchmarkLoadEMaxUDRRandom(Generic)?|BenchmarkComputePattern|BenchmarkComputeValiant|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8|BenchmarkSweepBisection|BenchmarkBestSweepT3_8|BenchmarkAnalyzeRandomT3_8|BenchmarkServeAnalyzeCacheHit|BenchmarkServeAnalyzeMiss|BenchmarkServeAnalyzeRetained)$' \
+    -bench '^(BenchmarkLoadCompute(ODR|ODRMulti|UDR)(Generic)?|BenchmarkLoadComputeFAR|BenchmarkLoadEMaxFARRandom|BenchmarkLoadEMaxODR|BenchmarkLoadEMaxUDRRandom(Generic)?|BenchmarkLoadEMaxFARSymmetry(Generic)?|BenchmarkComputePattern|BenchmarkComputeValiant|BenchmarkAnalyzeAnalytic(K16|K64|K256)?|BenchmarkBranchBoundT2_8|BenchmarkAnnealT3_8|BenchmarkSweepBisection|BenchmarkBestSweepT3_8|BenchmarkAnalyzeRandomT3_8|BenchmarkServeAnalyzeCacheHit|BenchmarkServeAnalyzeMiss|BenchmarkServeAnalyzeRetained)$' \
     -benchmem -benchtime=0.5s -count=1 -cpu 1 . | tee "$RAW"
 go test -run '^$' -bench '^BenchmarkPeerFill$' -benchmem -benchtime=0.5s -count=1 -cpu 1 \
     ./internal/cluster/harness | tee -a "$RAW"
