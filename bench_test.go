@@ -150,7 +150,7 @@ func benchEMaxFARSymmetry(b *testing.B, mode load.FastPathMode) {
 }
 
 // BenchmarkLoadEMaxFARRandom is FAR E_max over random:16 on T²₁₆, one
-// worker: a trivial stabilizer, so the generic pair loop runs FAR's
+// worker: no recorded translation group, so the generic pair loop runs FAR's
 // Pascal-lattice kernel for all 240 pairs. The lattice lives in the pooled
 // pair scratch, so allocs/op and bytes/op (gated by
 // scripts/ci_bench_smoke.sh) stay flat in the pair count.

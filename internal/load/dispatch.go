@@ -12,7 +12,8 @@ import (
 
 // Cost-model dispatch. Every computed engine's work is known before it
 // runs, as a formula in (k, d, |P|) and, for the symmetry engine, the
-// orbit count of the placement's translation stabilizer:
+// orbit count |P|/|G| of the translation group G the placement's builder
+// records:
 //
 //   - generic: |P|² pair kernels (pairNs);
 //   - symmetry: a coset label for each of the kᵈ nodes, orbits·|P| pair
@@ -31,28 +32,30 @@ import (
 // prediction) on a 2-CPU Intel Xeon with go1.24; the two setup terms come
 // from T²₃…T³₄, where they dominate. The symmetry engine's labelling,
 // fold and setup constants were refitted the same way, on the same kind
-// of host, when it came to fold by cosets.
+// of host, when it came to fold by cosets, and its labelling and FAR's
+// state constant again when the labels came to be read off the recorded
+// group.
 //
 // Each input has one rule: compute runs the candidate with the smallest
 // prediction. The pair loop is always a candidate. Ring-flow is one for
 // the five dimension-ordered routings (ODR, ODR-multi, ODROrder, UDR and
 // UDR-multi) wherever its integer sums stay exact. The symmetry engine is
 // one only for the translation-equivariant routings ring-flow does not
-// model, which today is FAR alone, and only on a placement with a
-// non-trivial stabilizer: it walks orbits·|P| pairs against the pair
-// loop's |P|². A linear-family or full placement's stabilizer is the group
-// its builder recorded, and Cost reads its order off the spec
-// (placement.GroupOrder); any other placement's is a search of its own
-// (cached with the placement, and not priced here), so it runs only where
-// symmetry may serve. Under ODR and UDR a single orbit (a linear
-// placement) would run on the symmetry engine up to 1.8× faster than on
-// ring-flow on T², and 2.4–3.6× on T⁴₄; ring-flow serves it anyway, so
-// that the symmetry engine stays FAR's alone.
+// model, which today is FAR alone, and only on a placement whose builder
+// records a non-trivial group (placement.GroupOrder: the linear family,
+// layer clusters and Full): it walks orbits·|P| pairs against the pair
+// loop's |P|². Every other placement (random, explicit, placement.New)
+// runs FAR on the pair loop, whatever translations happen to fix it. The
+// order is read off the spec as off the built placement, so Cost is the
+// price of the engine compute runs. Under ODR and UDR a single orbit (a
+// linear placement) would run on the symmetry engine up to 1.8× faster
+// than on ring-flow on T², and 2.4–3.6× on T⁴₄; ring-flow serves it
+// anyway, so that the symmetry engine stays FAR's alone.
 const (
 	nsPerODRStep    = 17   // ODR family pair kernel: one hop, or one dimension's setup
 	nsPerUDRStep    = 13   // UDR pair kernel: one hop of a segment, or one coordinate of its start
-	nsPerFARState   = 8.5  // FAR pair kernel: one dimension of one lattice state
-	nsPerNode       = 12   // symmetry: one node's coset label
+	nsPerFARState   = 11   // FAR pair kernel: one dimension of one lattice state
+	nsPerNode       = 8    // symmetry: one node's coset label
 	nsPerFold       = 3    // symmetry: one edge folded into its coset and read back
 	nsSymmetrySetup = 400  // symmetry: the workspace and its buffers
 	nsRingFlowSetup = 1200 // ring-flow: its tables' layout and the workspace
@@ -62,54 +65,30 @@ const (
 )
 
 // plan is compute's choice for one input: the engine, its predicted cost
-// in nanoseconds, and what the engine needs (the ring family for
-// ring-flow, the stabilizer for symmetry).
+// in nanoseconds, and the ring family ring-flow needs.
 type plan struct {
 	engine string
 	ns     float64
 	fam    ringFamily
-	stab   [][]int
 }
 
-// candidates appends to dst, and returns, every engine compute may run for
-// p under alg in mode with its price, in the order generic, ring-flow,
-// symmetry. FastPathOff offers only the pair loop. Together with priced
-// it is the one place that knows which engine applies to which input.
-func candidates(dst []plan, p *placement.Placement, alg routing.Algorithm, mode FastPathMode) []plan {
-	t, n := p.Torus(), p.Size()
-	var stab [][]int
-	if symmetryApplies(alg, t, n, mode) {
-		stab = p.TranslationStabilizer()
-	}
-	out := priced(dst, alg, t, n, len(stab), mode)
-	if last := &out[len(out)-1]; last.engine == EngineSymmetry {
-		last.stab = stab
-	}
-	return out
-}
-
-// symmetryApplies reports whether the symmetry engine may serve n
-// processors on t under alg in mode, given a non-trivial stabilizer: only
-// for the translation-equivariant routings ring-flow does not model.
-func symmetryApplies(alg routing.Algorithm, t *torus.Torus, n int, mode FastPathMode) bool {
-	_, modelled := ringFamilyOf(alg, t.D())
-	return mode == FastPathAuto && n >= 2 && !modelled && routing.IsTranslationEquivariant(alg)
-}
-
-// priced appends to dst, and returns, the engines whose price needs only
-// (alg, t, n) and the order of the placement's translation stabilizer: the
-// pair loop always, ring-flow under FastPathAuto wherever its integer sums
-// stay exact, and the symmetry engine where it applies and the order
-// exceeds 1 (pass 0 where the order is not known).
+// priced appends to dst, and returns, every engine compute may run for n
+// processors on t under alg in mode, with its price, in the order
+// generic, ring-flow, symmetry: the pair loop always; under FastPathAuto,
+// ring-flow wherever its integer sums stay exact, and the symmetry engine
+// for the translation-equivariant routings ring-flow does not model where
+// order, that of the placement's recorded translation group, exceeds 1.
+// It is the one place that knows which engine applies to which input.
 func priced(dst []plan, alg routing.Algorithm, t *torus.Torus, n, order int, mode FastPathMode) []plan {
 	out := append(dst, plan{engine: EngineGeneric, ns: genericCost(alg, t, n)})
 	if mode != FastPathAuto || n < 2 {
 		return out
 	}
-	if fam, ok := ringFamilyOf(alg, t.D()); ok && fam.exact(t, n) {
+	fam, modelled := ringFamilyOf(alg, t.D())
+	if modelled && fam.exact(t, n) {
 		out = append(out, plan{engine: EngineRingFlow, ns: ringFlowCost(fam, t, n), fam: fam})
 	}
-	if order > 1 && symmetryApplies(alg, t, n, mode) {
+	if order > 1 && !modelled && routing.IsTranslationEquivariant(alg) {
 		out = append(out, plan{engine: EngineSymmetry, ns: symmetryCost(alg, t, n, n/order)})
 	}
 	return out
@@ -117,20 +96,16 @@ func priced(dst []plan, alg routing.Algorithm, t *torus.Torus, n, order int, mod
 
 // Cost is the cost model's price, in nanoseconds, of computing the loads
 // of spec's placement on t under alg in mode, known before it is built, or
-// the error spec.Size returns: the cheapest engine compute considers. A
-// spec whose builder records its translation group (placement.GroupOrder:
-// the linear family and Full) prices the symmetry engine exactly as
-// compute does, so Cost is the price of the engine compute runs. For any
-// other spec only a search finds the group, so Cost leaves the symmetry
-// engine out, and compute runs an engine priced at most Cost.
+// the error spec.Size returns: the price of the engine compute runs. The
+// spec gives the group order its builder records (placement.GroupOrder),
+// so Cost weighs the engines choose weighs at the same prices.
 func Cost(alg routing.Algorithm, t *torus.Torus, spec placement.Spec, mode FastPathMode) (float64, error) {
 	n, err := spec.Size(t)
 	if err != nil {
 		return 0, err
 	}
-	order, _ := placement.GroupOrder(spec, t)
 	var buf [3]plan
-	return slices.MinFunc(priced(buf[:0], alg, t, n, order, mode), cheaper).ns, nil
+	return slices.MinFunc(priced(buf[:0], alg, t, n, placement.GroupOrder(spec, t), mode), cheaper).ns, nil
 }
 
 // choose picks the engine compute runs for p under alg in mode: the
@@ -138,7 +113,7 @@ func Cost(alg routing.Algorithm, t *torus.Torus, spec placement.Spec, mode FastP
 // choice allocates nothing.
 func choose(p *placement.Placement, alg routing.Algorithm, mode FastPathMode) plan {
 	var buf [3]plan
-	return slices.MinFunc(candidates(buf[:0], p, alg, mode), cheaper)
+	return slices.MinFunc(priced(buf[:0], alg, p.Torus(), p.Size(), p.GroupOrder(), mode), cheaper)
 }
 
 // cheaper orders plans by predicted cost.
@@ -222,9 +197,9 @@ type Prediction struct {
 }
 
 // Predict prices every engine compute considers for p under alg with
-// FastPathAuto (see candidates) and names the one it runs: the cheapest.
+// FastPathAuto (see priced) and names the one it runs: the cheapest.
 func Predict(p *placement.Placement, alg routing.Algorithm) (chosen string, preds []Prediction) {
-	cands := candidates(nil, p, alg, FastPathAuto)
+	cands := priced(nil, alg, p.Torus(), p.Size(), p.GroupOrder(), FastPathAuto)
 	for _, c := range cands {
 		preds = append(preds, Prediction{c.engine, c.ns / 1e3})
 	}

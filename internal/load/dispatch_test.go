@@ -53,15 +53,15 @@ type engineRun struct {
 
 // applicableEngines lists every engine that can answer p under alg: the
 // candidates compute weighs, and the symmetry engine wherever it is sound
-// even though compute no longer weighs it there (ODR and UDR, which
+// even though compute does not weigh it there (ODR and UDR, which
 // ring-flow serves), so the table shows what that gives up. Each runs the
 // way EMaxCtx runs it with one worker.
 func applicableEngines(p *placement.Placement, alg routing.Algorithm) []*engineRun {
 	ctx := context.Background()
-	cands := candidates(nil, p, alg, FastPathAuto)
-	if routing.IsTranslationEquivariant(alg) && !slices.ContainsFunc(cands, func(c plan) bool { return c.engine == EngineSymmetry }) {
-		stab := p.TranslationStabilizer()
-		cands = append(cands, plan{engine: EngineSymmetry, ns: symmetryCost(alg, p.Torus(), p.Size(), p.Size()/len(stab)), stab: stab})
+	t, n, order := p.Torus(), p.Size(), p.GroupOrder()
+	cands := priced(nil, alg, t, n, order, FastPathAuto)
+	if routing.IsTranslationEquivariant(alg) && order > 1 && !slices.ContainsFunc(cands, func(c plan) bool { return c.engine == EngineSymmetry }) {
+		cands = append(cands, plan{engine: EngineSymmetry, ns: symmetryCost(alg, t, n, n/order)})
 	}
 	var engines []*engineRun
 	for _, c := range cands {
@@ -72,7 +72,7 @@ func applicableEngines(p *placement.Placement, alg routing.Algorithm) []*engineR
 		case EngineRingFlow:
 			e.run = func() { ringFlowResult(ctx, p, alg, c.fam, 1, false) }
 		case EngineSymmetry:
-			e.run = func() { computeSymmetry(ctx, p, alg, c.stab, false) }
+			e.run = func() { computeSymmetry(ctx, p, alg, false) }
 		}
 		engines = append(engines, e)
 	}
@@ -83,8 +83,7 @@ func applicableEngines(p *placement.Placement, alg routing.Algorithm) []*engineR
 // cell of dispatchGrid and logs the engine compute chooses next to the
 // fastest one measured, with every engine's measured and predicted time.
 // An engine's time is its best of seven rounds, each the mean of as many
-// calls as fill a millisecond, on a placement whose stabilizer is already
-// known. A round times every cell of the grid in turn, so one cell's
+// calls as fill a millisecond. A round times every cell of the grid in turn, so one cell's
 // rounds are seconds apart and a burst of load from elsewhere on the host
 // spoils at most one of them; an engine over 10× its cell's fastest after
 // the first round is not run again. It reports the worst ratio of the
@@ -174,11 +173,9 @@ func mustBuildB(b *testing.B, s placement.Spec, tr *torus.Torus) *placement.Plac
 }
 
 // TestCostBoundsChosenEngine pins Cost as the price of what compute runs,
-// known without the placement: where compute chooses the pair loop or
-// ring-flow, Cost is that engine's price, and where it chooses symmetry
-// (FAR on a non-trivial stabilizer) it is priced lower still, or equal
-// for a spec that records its group. Random placements have no
-// stabilizer; linear and multi-linear ones give symmetry its chances.
+// known without the placement: for every cell and mode, Cost is the price
+// of the engine compute chooses. Random placements record no group;
+// linear and multi-linear ones give symmetry its chances.
 func TestCostBoundsChosenEngine(t *testing.T) {
 	cells := dispatchGrid()
 	for _, kd := range [][2]int{{3, 2}, {4, 2}, {8, 2}, {16, 2}, {4, 3}, {8, 3}, {12, 3}, {4, 4}} {
@@ -187,6 +184,9 @@ func TestCostBoundsChosenEngine(t *testing.T) {
 			for _, alg := range append([]routing.Algorithm{routing.FAR{}}, ringAlgs...) {
 				cells = append(cells, dispatchCell{tr, placement.Random{Count: n, Seed: int64(n)}, alg})
 			}
+		}
+		for _, spec := range []placement.Spec{placement.LayerCluster{Dim: 0}, placement.Full{}, placement.MultipleLinear{T: kd[0]}} {
+			cells = append(cells, dispatchCell{tr, spec, routing.FAR{}})
 		}
 	}
 	for _, c := range cells {
@@ -199,16 +199,15 @@ func TestCostBoundsChosenEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			chosen := choose(p, c.alg, mode)
-			_, carried := placement.GroupOrder(c.spec, c.t)
-			if (carried || chosen.engine != EngineSymmetry) && chosen.ns != cost || chosen.ns > cost {
+			if chosen := choose(p, c.alg, mode); chosen.ns != cost {
 				t.Errorf("%s %s %s mode %d: compute runs %s at %.0f ns, Cost %.0f ns", c.t, p.Name(), c.alg.Name(), mode, chosen.engine, chosen.ns, cost)
 			}
 		}
 	}
 }
 
-// TestCostPricesSpecGroup pins Cost, for FAR on linear-family specs, at the
+// TestCostPricesSpecGroup pins Cost, for FAR on specs whose builder
+// records a group (the linear family and the layer cluster), at the
 // price of the engine Predict chooses for the built placement: the spec's
 // own group prices the symmetry engine, so no FAR key on such a spec is
 // priced at the pair loop it does not run.
@@ -220,6 +219,7 @@ func TestCostPricesSpecGroup(t *testing.T) {
 		{16, 2, placement.Linear{}},
 		{6, 3, placement.Linear{}},
 		{12, 2, placement.MultipleLinear{T: 3}},
+		{8, 3, placement.LayerCluster{Dim: 2}},
 	} {
 		tr := torus.New(c.k, c.d)
 		p := mustBuild(t, c.spec, tr)

@@ -23,8 +23,8 @@ type emaxCase struct {
 }
 
 func (c emaxCase) String() string {
-	return fmt.Sprintf("%s/%s on %s (workers %d, fast path %v, cross-check %v)",
-		c.p.Name(), c.alg.Name(), c.p.Torus(), c.opts.Workers, c.opts.FastPath, c.opts.CrossCheck)
+	return fmt.Sprintf("%s/%s on %s (workers %d, fast path %v)",
+		c.p.Name(), c.alg.Name(), c.p.Torus(), c.opts.Workers, c.opts.FastPath)
 }
 
 func (c emaxCase) emax() *Result {
@@ -46,14 +46,13 @@ func sameSummary(t *testing.T, c emaxCase, got, want *Result) {
 	}
 }
 
-// emaxCases spans every routing, the generic, cost-model and
-// cross-checked dispatches and workers 1–3 over random, linear and
-// multiple linear placements on T²₈, T²₁₂, T³₈ and T³₄.
+// emaxCases spans every routing, the generic and cost-model dispatches
+// and workers 1–3 over random, linear and multiple linear placements on
+// T²₈, T²₁₂, T³₈ and T³₄.
 func emaxCases(t *testing.T) []emaxCase {
 	modes := []Options{
 		{FastPath: FastPathOff},
 		{},
-		{CrossCheck: true},
 	}
 	var cases []emaxCase
 	for _, sh := range []struct{ k, d int }{{8, 2}, {12, 2}, {8, 3}, {4, 3}} {
@@ -79,11 +78,15 @@ func emaxCases(t *testing.T) []emaxCase {
 
 // TestEMaxMatchesCompute checks that EMaxCtx is ComputeCtx without the
 // vector: the same engine, Max, MaxEdge and Total bit for bit, and nil
-// Loads, through every dispatch.
+// Loads, through every dispatch; and that the cost model's engine agrees
+// with the generic pair loop.
 func TestEMaxMatchesCompute(t *testing.T) {
 	for _, c := range emaxCases(t) {
 		want := ComputeCtx(context.Background(), c.p, c.alg, c.opts)
 		sameSummary(t, c, c.emax(), want)
+		if c.opts.FastPath == FastPathAuto {
+			checkAgainstGeneric(t, want, c.alg)
+		}
 	}
 }
 

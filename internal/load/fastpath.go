@@ -8,21 +8,23 @@ import (
 	"torusnet/internal/obs"
 	"torusnet/internal/placement"
 	"torusnet/internal/routing"
-	"torusnet/internal/torus"
 )
 
 // The translation-symmetry fast path (Theorem 2's mechanism, generalized).
 //
-// When the placement is closed under a translation subgroup G and the
-// routing algorithm is translation-equivariant, the per-edge load pattern
-// contributed by source p ⊕ g is exactly the pattern of source p with every
-// edge translated by g. Summing one representative source per G-orbit into
-// a base vector B, the load of edge (u, slot) is then Σ_{v ∈ u+G} B(v, slot):
-// the answer is G-periodic, and one fold by cosets computes it. Instead of
-// walking routes for all |P|·(|P|−1) ordered pairs, the engine
+// When the placement is a union of cosets of a translation group G and
+// the routing algorithm is translation-equivariant, the per-edge load
+// pattern contributed by source p ⊕ g is exactly the pattern of source p
+// with every edge translated by g. Summing one representative source per
+// G-orbit into a base vector B, the load of edge (u, slot) is then
+// Σ_{v ∈ u+G} B(v, slot): the answer is G-periodic, and one fold by
+// cosets computes it. Instead of walking routes for all |P|·(|P|−1)
+// ordered pairs, the engine
 //
-//  1. labels every node with its coset u+G (kᵈ translations), which also
-//     picks the orbit representatives: the first processor of each coset;
+//  1. reads every node's coset label off the group the placement's
+//     builder recorded (placement.Cosets: the residue Σ c_j·u_j mod k),
+//     and picks the orbit representatives: the first processor of each
+//     coset;
 //  2. walks routes for those representatives against all destinations
 //     into B (O(|P|/|G| · |P| · d · k) routing work);
 //  3. folds B into one cosets × 2d vector and reads each edge back
@@ -32,50 +34,31 @@ import (
 // single source: a ~k^{d−1}× reduction in routing walks. Every step is
 // serial with a fixed order, so the answer does not depend on the worker
 // count. Dispatch weighs it only for the routings ring-flow does not
-// model, which is FAR.
+// model, which is FAR, and only on a placement whose builder recorded a
+// non-trivial group.
 
-// computeSymmetry runs the fast path over the cosets of stab, the
-// placement's translation stabilizer, for a translation-equivariant
-// algorithm and at least two processors. Without keep the Result carries
-// no Loads vector.
-func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Algorithm, stab [][]int, keep bool) Result {
+// computeSymmetry runs the fast path over the cosets of the translation
+// group p's builder recorded, for a translation-equivariant algorithm
+// and at least two processors. Without keep the Result carries no Loads
+// vector.
+func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Algorithm, keep bool) Result {
 	t := p.Torus()
 	ws := getWorkspace()
 
-	// Coset labels. Translations act freely on nodes, so each coset has
-	// exactly |stab| members; a coset holding a processor holds only
-	// processors, by closure, and its first node in index order is its
-	// orbit's representative. The stabilizer's offsets lie in [0, k), so
-	// an image coordinate wraps with one subtraction.
-	k, d := t.K(), t.D()
+	// Coset labels. A coset holding a processor holds only processors, so
+	// its first processor in index order is its first node, and its
+	// orbit's representative.
 	label := zeroed(ws.label, t.Nodes())
-	for u := range label {
-		label[u] = -1
-	}
-	coords := zeroed(ws.coords, d)
-	reps, cosets := ws.reps[:0], int32(0)
-	for u := range label {
-		if label[u] >= 0 {
-			continue
-		}
-		t.CoordsInto(torus.Node(u), coords)
-		for _, off := range stab {
-			v := 0
-			for j := d - 1; j >= 0; j-- {
-				c := coords[j] + off[j]
-				if c >= k {
-					c -= k
-				}
-				v = v*k + c
-			}
-			label[v] = cosets
-		}
-		cosets++
-		if p.Contains(torus.Node(u)) {
-			reps = append(reps, torus.Node(u))
+	cosets := p.Cosets(label)
+	seen := zeroed(ws.seen, cosets)
+	reps := ws.reps[:0]
+	for _, u := range p.Nodes() {
+		if c := label[u]; !seen[c] {
+			seen[c] = true
+			reps = append(reps, u)
 		}
 	}
-	ws.label, ws.coords, ws.reps = label, coords, reps
+	ws.label, ws.seen, ws.reps = label, seen, reps
 
 	// Base vector: every representative against every destination, with
 	// a fixed destination order.
@@ -84,7 +67,7 @@ func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Al
 		_, bsp := obs.Start(ctx, "load.bases")
 		defer bsp.End()
 		bsp.SetAttrInt("orbits", int64(len(reps)))
-		bsp.SetAttrInt("stabilizer", int64(len(stab)))
+		bsp.SetAttrInt("stabilizer", int64(p.GroupOrder()))
 		withEngineLabel(ctx, EngineSymmetry, func() {
 			sc := ws.pairScratch(t, 1)[0]
 			for _, rep := range reps {
@@ -102,8 +85,8 @@ func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Al
 	// source's coset sum. Without keep the answer overwrites B, which the
 	// fold has finished reading.
 	_, msp := obs.Start(ctx, "load.merge")
-	td2 := 2 * d
-	fold := zeroed(ws.fold, int(cosets)*td2)
+	td2 := 2 * t.D()
+	fold := zeroed(ws.fold, cosets*td2)
 	for u, c := range label {
 		sums, row := fold[int(c)*td2:][:td2], base[u*td2:][:td2]
 		for s, w := range row {
@@ -126,26 +109,6 @@ func computeSymmetry(ctx context.Context, p *placement.Placement, alg routing.Al
 	}
 	ws.release()
 	return res
-}
-
-// crossCheckTolerance bounds the relative divergence the two engines may
-// accumulate from their different floating-point summation orders.
-const crossCheckTolerance = 1e-9
-
-// crossCheck panics if a symmetry or ring-flow result diverges from the
-// generic reference beyond summation-order tolerance. A failure means a
-// soundness bug (a placement or algorithm wrongly admitted to a fast
-// path), which must never be papered over.
-func crossCheck(fast, generic *Result) {
-	for e := range fast.Loads {
-		a, b := fast.Loads[e], generic.Loads[e]
-		scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-		if math.Abs(a-b) > crossCheckTolerance*scale {
-			panic(fmt.Sprintf(
-				"load: %s engine diverges from generic engine on %s with %s: edge %d has %g vs %g",
-				fast.Engine, fast.Placement, fast.Algorithm, e, a, b))
-		}
-	}
 }
 
 // MaxEngineDivergence computes the maximum absolute per-edge difference

@@ -9,6 +9,23 @@ import (
 	"torusnet/internal/torus"
 )
 
+// divergenceTolerance bounds the relative divergence two engines may
+// accumulate from their different floating-point summation orders.
+const divergenceTolerance = 1e-9
+
+// checkAgainstGeneric fails t unless res, a result with loads for its
+// placement under alg, agrees with the generic pair loop's within
+// divergenceTolerance of its busiest edge. A larger divergence means an
+// input wrongly admitted to a fast path.
+func checkAgainstGeneric(t *testing.T, res *Result, alg routing.Algorithm) {
+	t.Helper()
+	generic := Compute(res.Placement, alg, Options{Workers: 1, FastPath: FastPathOff})
+	if div := MaxEngineDivergence(res, generic); div > divergenceTolerance*math.Max(1, generic.Max) {
+		t.Errorf("%s with %s: the %s engine diverges from the pair loop by %g (E_max %g)",
+			res.Placement, alg.Name(), res.Engine, div, generic.Max)
+	}
+}
+
 func mustBuild(t *testing.T, s placement.Spec, tr *torus.Torus) *placement.Placement {
 	t.Helper()
 	p, err := s.Build(tr)
@@ -88,8 +105,9 @@ func TestFastPathMatchesGenericAndExact(t *testing.T) {
 // TestFastPathAutoDispatch pins the cost model's choice on named cells:
 // ring-flow takes ODR, ODROrder and UDR on any placement dense enough,
 // symmetric or not, single orbit included; FAR takes symmetry where the
-// stabilizer is non-trivial and it is priced below the pair loop, and the
-// pair loop otherwise; and FastPathOff, or an algorithm that is not
+// placement's builder records a non-trivial translation group and it is
+// priced below the pair loop, and the pair loop otherwise, a symmetric
+// explicit set included; and FastPathOff, or an algorithm that is not
 // translation equivariant, runs the pair loop.
 func TestFastPathAutoDispatch(t *testing.T) {
 	for _, c := range []struct {
@@ -107,6 +125,9 @@ func TestFastPathAutoDispatch(t *testing.T) {
 		{16, 2, placement.MultipleLinear{T: 3}, routing.FAR{}, FastPathAuto, EngineSymmetry},
 		{6, 3, placement.Linear{}, routing.FAR{}, FastPathAuto, EngineSymmetry},
 		{4, 2, placement.Random{Count: 5, Seed: 1}, routing.FAR{}, FastPathAuto, EngineGeneric},
+		// linear:0's nodes, listed: a symmetric set no builder records a
+		// group for.
+		{4, 2, placement.Explicit{Label: "listed", Coords: [][]int{{0, 0}, {1, 3}, {2, 2}, {3, 1}}}, routing.FAR{}, FastPathAuto, EngineGeneric},
 		{4, 2, placement.Linear{}, routing.MeshODR{}, FastPathAuto, EngineGeneric},
 		{4, 2, placement.Linear{}, routing.ODR{}, FastPathOff, EngineGeneric},
 		{6, 3, placement.Linear{}, routing.FAR{}, FastPathOff, EngineGeneric},
@@ -120,25 +141,28 @@ func TestFastPathAutoDispatch(t *testing.T) {
 	}
 }
 
-// TestFastPathCrossCheckMode checks CrossCheck passes on sound inputs (it
-// panics on divergence, so plain completion is the assertion): FAR through
-// the symmetry engine on one and on several orbits, and the five routings
-// the ring-flow engine serves.
+// TestFastPathCrossCheckMode checks the fast paths against the generic
+// pair loop on sound inputs: FAR through the symmetry engine on one and
+// on several orbits, and the five routings the ring-flow engine serves.
 func TestFastPathCrossCheckMode(t *testing.T) {
 	for _, p := range []*placement.Placement{
 		mustBuild(t, placement.MultipleLinear{T: 3}, torus.New(6, 2)),
 		mustBuild(t, placement.Linear{}, torus.New(6, 3)),
+		mustBuild(t, placement.LayerCluster{Dim: 1}, torus.New(6, 3)),
 	} {
-		if res := Compute(p, routing.FAR{}, Options{CrossCheck: true}); res.Engine != EngineSymmetry {
+		res := Compute(p, routing.FAR{}, Options{})
+		if res.Engine != EngineSymmetry {
 			t.Fatalf("%s/FAR: engine %q, want symmetry", p.Name(), res.Engine)
 		}
+		checkAgainstGeneric(t, res, routing.FAR{})
 	}
 	random := mustBuild(t, placement.Random{Count: 12, Seed: 2}, torus.New(6, 2))
 	for _, alg := range append(ringAlgs[:len(ringAlgs):len(ringAlgs)], routing.ODROrder{Order: []int{1, 0}}) {
-		res := Compute(random, alg, Options{CrossCheck: true})
+		res := Compute(random, alg, Options{})
 		if res.Engine != EngineRingFlow {
 			t.Fatalf("random/%s: engine %q, want ring-flow", alg.Name(), res.Engine)
 		}
+		checkAgainstGeneric(t, res, alg)
 	}
 }
 

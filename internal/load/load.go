@@ -79,7 +79,7 @@ const (
 	// cost model predicts cheapest among its candidates (dispatch.go): the
 	// generic pair loop always, the ring-flow engine for ODR, ODR-multi,
 	// ODROrder, UDR and UDR-multi, and the symmetry engine for FAR on a
-	// placement with a non-trivial translation stabilizer.
+	// placement whose builder records a non-trivial translation group.
 	FastPathAuto FastPathMode = iota
 	// FastPathOff always uses the generic pair loop.
 	FastPathOff
@@ -104,13 +104,8 @@ type Options struct {
 	// FastPath selects the symmetry and ring-flow fast paths; the zero
 	// value runs the cheapest engine. Every engine computes the same
 	// expectations, so results agree up to floating-point summation order
-	// (~1e-12 relative).
+	// (~1e-12 relative; MaxEngineDivergence measures it).
 	FastPath FastPathMode
-	// CrossCheck recomputes every symmetry or ring-flow result with the
-	// generic engine and panics on divergence beyond floating-point
-	// tolerance. Debugging and experiment aid; no-op when the generic
-	// engine was used anyway.
-	CrossCheck bool
 }
 
 // effectiveWorkers resolves a requested worker count against the number of
@@ -164,8 +159,7 @@ func EMaxCtx(ctx context.Context, p *placement.Placement, alg routing.Algorithm,
 
 // compute is the one dispatch behind ComputeCtx and EMaxCtx: it runs the
 // engine choose predicts cheapest. keep says whether the Result owns a
-// Loads vector; a cross-checked fast path keeps it for the comparison
-// either way and drops it afterwards.
+// Loads vector.
 func compute(ctx context.Context, p *placement.Placement, alg routing.Algorithm, opts Options, keep bool) Result {
 	fpComputeDispatch.InjectHard()
 	workers := effectiveWorkers(opts.Workers, p.Size())
@@ -177,24 +171,13 @@ func compute(ctx context.Context, p *placement.Placement, alg routing.Algorithm,
 	pl := choose(p, alg, opts.FastPath)
 	sp.SetAttr("engine", pl.engine)
 	sp.SetAttrInt("predicted_us", int64(math.Ceil(pl.ns/1e3)))
-	keepLoads := keep || opts.CrossCheck
-	var res Result
 	switch pl.engine {
 	case EngineSymmetry:
-		res = computeSymmetry(ctx, p, alg, pl.stab, keepLoads)
+		return computeSymmetry(ctx, p, alg, keep)
 	case EngineRingFlow:
-		res = ringFlowResult(ctx, p, alg, pl.fam, workers, keepLoads)
-	default:
-		return computeGeneric(ctx, p, alg, workers, keep)
+		return ringFlowResult(ctx, p, alg, pl.fam, workers, keep)
 	}
-	if opts.CrossCheck {
-		generic := computeGeneric(ctx, p, alg, workers, true)
-		crossCheck(&res, &generic)
-		if !keep {
-			res.Loads = nil
-		}
-	}
-	return res
+	return computeGeneric(ctx, p, alg, workers, keep)
 }
 
 // withEngineLabel runs fn under a pprof "engine" label so CPU profiles

@@ -58,7 +58,7 @@ func fuzzPlacement(tr *torus.Torus, kind uint8, count uint16, seed int64) (*plac
 // from the seed:
 //   - it equals ComputeExact per edge, bit for bit, whenever |P| ≤ 64
 //     (the big.Rat oracle walks every pair);
-//   - the generic pair loop agrees within crossCheckTolerance, and under
+//   - the generic pair loop agrees within divergenceTolerance, and under
 //     ODROrder bit for bit, since its loads are integers;
 //   - Σ E(l) is the Lee-distance total;
 //   - for odd k, ODR-multi equals ODR and UDR-multi equals UDR;
@@ -111,12 +111,12 @@ func FuzzRingFlow(f *testing.F) {
 			}
 			for e, v := range got.Loads {
 				want := generic.Loads[e]
-				if math.Abs(v-want) > crossCheckTolerance*math.Max(1, math.Abs(want)) {
+				if math.Abs(v-want) > divergenceTolerance*math.Max(1, math.Abs(want)) {
 					t.Fatalf("%s/%s on %s: edge %s ring-flow %v, generic %v",
 						p.Name(), alg.Name(), tr, tr.EdgeString(torus.Edge(e)), v, want)
 				}
 			}
-			if want := ExpectedTotal(p); math.Abs(got.Total-want) > crossCheckTolerance*math.Max(1, want) {
+			if want := ExpectedTotal(p); math.Abs(got.Total-want) > divergenceTolerance*math.Max(1, want) {
 				t.Fatalf("%s/%s on %s: total %v, want %v", p.Name(), alg.Name(), tr, got.Total, want)
 			}
 		}

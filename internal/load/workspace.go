@@ -31,11 +31,11 @@ type workspace struct {
 
 	// The symmetry engine's coset labels, representatives, base vector
 	// and fold.
-	label  []int32 // label[u] is the coset of node u
-	coords []int   // one coset's first node's coordinates
-	reps   []torus.Node
-	base   []float64
-	fold   []float64 // fold[c·2d+slot] sums base over coset c
+	label []int32 // label[u] is the coset of node u
+	seen  []bool  // seen[c]: coset c has its representative
+	reps  []torus.Node
+	base  []float64
+	fold  []float64 // fold[c·2d+slot] sums base over coset c
 
 	rf ringFlow // the ring-flow engine's marginals and per-worker sweeps
 }

@@ -7,13 +7,18 @@ import (
 	"torusnet/internal/torus"
 )
 
-// LayerCluster is uniform along exactly one dimension: each of the k
-// principal subtori along Dim receives k^{d-2} processors, but packed into
-// the lexicographically smallest nodes of the layer instead of spread out.
-// It realizes the weakest premise of Theorem 1's generalization remark —
-// "an equal number of processors assigned to each principal subtorus along
-// a single dimension" — while being maximally non-uniform in the remaining
-// dimensions. Size: k^{d-1}, like a linear placement.
+// LayerCluster gives each of the k principal subtori along Dim k^{d−2}
+// processors, but packed into the lexicographically smallest nodes of the
+// layer instead of spread out. It realizes the weakest premise of
+// Theorem 1's generalization remark — "an equal number of processors
+// assigned to each principal subtorus along a single dimension" — while
+// clustering them all in one layer of another dimension. Those smallest
+// nodes, in index order, are the ones whose
+// most significant other coordinate a is 0 (a = d−1, or d−2 when Dim is
+// d−1), so the placement is the hyperplane {u : u_a = 0}: uniform along
+// the d−1 dimensions other than a, Dim among them, and the linear
+// placement with coefficients e_a and residue 0. Size: k^{d−1}, like a
+// linear placement; on a ring, every node.
 type LayerCluster struct {
 	Dim int
 }
@@ -50,26 +55,22 @@ func (s LayerCluster) Size(t *torus.Torus) (int, error) {
 	return t.Nodes() / t.K(), nil
 }
 
-// Build implements Spec.
+// Build implements Spec: the linear placement u_a ≡ 0, which records its
+// translation group, or the whole ring, every residue of u_0, for d = 1.
 func (s LayerCluster) Build(t *torus.Torus) (*Placement, error) {
 	if err := s.Fit(t); err != nil {
 		return nil, err
 	}
-	// k^{d-2} processors per layer, read off the validated node count
-	// (k^d / k^2) rather than re-multiplied without an overflow guard.
-	perLayer := 1
-	if t.D() >= 2 {
-		perLayer = t.Nodes() / (t.K() * t.K())
+	d := t.D()
+	if d == 1 {
+		return selectResidues(t, nil, 0, t.K()).finish(s.Name()), nil
 	}
-	nodes := make([]torus.Node, 0, t.K()*perLayer)
-	for v := 0; v < t.K(); v++ {
-		taken := 0
-		t.ForEachSubtorusNode(torus.Subtorus{Dim: s.Dim, Value: v}, func(u torus.Node) {
-			if taken < perLayer {
-				nodes = append(nodes, u)
-				taken++
-			}
-		})
+	a := d - 1
+	if s.Dim == a {
+		a = d - 2
 	}
-	return New(t, nodes, s.Name()), nil
+	var coeffBuf [8]int
+	coeffs := append(coeffBuf[:0], make([]int, d)...)
+	coeffs[a] = 1
+	return selectResidues(t, coeffs, 0, 1).finish(s.Name()), nil
 }

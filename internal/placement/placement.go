@@ -21,18 +21,12 @@ type Placement struct {
 	member []uint64     // bit u%64 of word u/64 is set for every processor u
 	name   string
 
-	// classes and coeffs are the translation group a linear-family builder
-	// records: the processors fill classes residue classes of
+	// classes and coeffs are the translation group a builder records
+	// (symmetry.go): the processors fill classes residue classes of
 	// Σ coeffs_j·p_j mod k (coeffs reduced mod k; unread when classes = k,
-	// the whole torus), so the stabilizer is read off them instead of
-	// searched for. Zero classes: no builder recorded a group.
+	// the whole torus). Zero classes: no builder recorded a group.
 	classes int
 	coeffs  []int
-
-	stabOnce sync.Once // guards the lazily computed translation stabilizer
-	stab     [][]int
-	stabInts []int // the backing array of stab's offsets
-	scratch  []int // the stabilizer search's strides and coordinates
 
 	layerOnce sync.Once // guards the lazily computed layer counts
 	layers    []uint64  // layers[dim·k + v]: processors in subtorus (dim, v)
@@ -40,7 +34,7 @@ type Placement struct {
 
 // placements holds released placements for later builds to reuse: the
 // struct, its node list, its membership and layer words, and its
-// stabilizer's offsets and search scratch.
+// coefficients.
 var placements = sync.Pool{New: func() any { return new(Placement) }}
 
 // New builds a placement from an arbitrary node set. Duplicate nodes are
@@ -59,8 +53,8 @@ func New(t *torus.Torus, nodes []torus.Node, name string) *Placement {
 // acquire returns an empty placement on t, drawn from placements: its
 // membership bitset has no bit set and room past its length for the d·k
 // layer counts, zeroed too, so the two share one allocation. Nothing a
-// released placement computed survives, both sync.Onces included; only
-// its buffers' capacity does.
+// released placement computed survives, its sync.Once and recorded group
+// included; only its buffers' capacity does.
 func acquire(t *torus.Torus) *Placement {
 	p := placements.Get().(*Placement)
 	words := (t.Nodes() + 63) / 64
@@ -72,7 +66,7 @@ func acquire(t *torus.Torus) *Placement {
 		member = member[:words]
 		clear(member[:need])
 	}
-	*p = Placement{t: t, nodes: p.nodes[:0], member: member, coeffs: p.coeffs[:0], stab: p.stab[:0], stabInts: p.stabInts[:0], scratch: p.scratch[:0]}
+	*p = Placement{t: t, nodes: p.nodes[:0], member: member, coeffs: p.coeffs[:0]}
 	return p
 }
 
@@ -100,9 +94,9 @@ func (p *Placement) finish(name string) *Placement {
 }
 
 // Release hands p's buffers back for a later build, on any torus, to
-// reuse. Neither p nor anything read from it (Nodes, TranslationStabilizer)
-// may be used afterwards. A placement that is never released is collected
-// like any other value.
+// reuse. Neither p nor anything read from it (Nodes) may be used
+// afterwards. A placement that is never released is collected like any
+// other value.
 func (p *Placement) Release() {
 	if p.t == nil {
 		panic("placement: Release of a released placement")

@@ -18,7 +18,7 @@ type poolCase struct {
 
 // poolCases alternate larger and smaller tori, dimensions and spec kinds,
 // so each build reuses buffers a different shape left behind: membership
-// and layer words, node lists and stabilizers, longer and shorter.
+// and layer words, node lists and coefficients, longer and shorter.
 var poolCases = []poolCase{
 	{6, 3, Linear{C: 2}},
 	{3, 2, Random{Count: 4, Seed: 9}},
@@ -39,7 +39,8 @@ type poolView struct {
 	contains []bool
 	layers   []int
 	uniform  bool
-	stab     [][]int
+	order    int
+	cosets   []int32
 	name     string
 }
 
@@ -55,8 +56,9 @@ func viewOf(p *Placement) poolView {
 			v.layers = append(v.layers, p.CountInSubtorus(torus.Subtorus{Dim: dim, Value: x}))
 		}
 	}
-	for _, off := range p.TranslationStabilizer() {
-		v.stab = append(v.stab, slices.Clone(off))
+	if v.order = p.GroupOrder(); p.classes > 0 {
+		v.cosets = make([]int32, tr.Nodes())
+		p.Cosets(v.cosets)
 	}
 	return v
 }
@@ -64,7 +66,7 @@ func viewOf(p *Placement) poolView {
 func (v poolView) equal(w poolView) bool {
 	return slices.Equal(v.nodes, w.nodes) && slices.Equal(v.contains, w.contains) &&
 		slices.Equal(v.layers, w.layers) && v.uniform == w.uniform && v.name == w.name &&
-		slices.EqualFunc(v.stab, w.stab, slices.Equal)
+		v.order == w.order && slices.Equal(v.cosets, w.cosets)
 }
 
 // freshViews builds every case with the pool emptied first (two
@@ -81,10 +83,10 @@ func freshViews(t *testing.T) []poolView {
 }
 
 // TestBuildAfterReleaseMatchesFresh builds every case after releasing a
-// placement of another shape and spec, whose layer counts and stabilizer
+// placement of another shape and spec, whose layer counts and cosets
 // were computed first so that their buffers hold data: the new build must
 // answer exactly as a fresh one in its nodes, membership, layer counts,
-// uniformity and stabilizer. Four goroutines run the sequence at once, in
+// uniformity, group order and cosets. Four goroutines run the sequence at once, in
 // different orders, so the race detector sees the pool handed across
 // goroutines.
 func TestBuildAfterReleaseMatchesFresh(t *testing.T) {
@@ -136,17 +138,18 @@ func TestReleaseTwicePanics(t *testing.T) {
 // TestWarmBuildAllocatesOnlyName is the allocation gate of a build whose
 // buffers come from a released placement: a warm Build+Release of
 // random:N:S, multi:T:S or diagonal:S allocates the name string and
-// nothing else, and listing the stabilizer a linear-family builder
-// recorded, as FAR dispatch does, adds no allocation. The race detector
+// nothing else, and reading the group a linear-family builder recorded,
+// its order and its cosets, as the FAR symmetry engine does, adds no
+// allocation. The race detector
 // drops pooled buffers on purpose, so the counts hold only without it.
 func TestWarmBuildAllocatesOnlyName(t *testing.T) {
 	if raceBuild() {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
 	}
 	for _, c := range []struct {
-		k, d int
-		spec Spec
-		stab bool
+		k, d  int
+		spec  Spec
+		group bool
 	}{
 		{8, 3, Random{Count: 64, Seed: 5}, false},
 		{16, 2, MultipleLinear{T: 3, Start: 2}, false},
@@ -156,19 +159,20 @@ func TestWarmBuildAllocatesOnlyName(t *testing.T) {
 		{12, 2, Linear{C: 4}, true},
 	} {
 		tr := torus.New(c.k, c.d)
+		label := make([]int32, tr.Nodes())
 		run := func() {
 			p, err := c.spec.Build(tr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c.stab && len(p.TranslationStabilizer()) != tr.Nodes()/tr.K() {
-				t.Fatalf("%s on %s: wrong stabilizer", c.spec.Name(), tr)
+			if c.group && (p.GroupOrder() != tr.Nodes()/tr.K() || p.Cosets(label) != tr.K()) {
+				t.Fatalf("%s on %s: wrong recorded group", c.spec.Name(), tr)
 			}
 			p.Release()
 		}
 		run()
 		if got := testing.AllocsPerRun(100, run); got != 1 {
-			t.Errorf("%s on %s (stabilizer %v): warm Build+Release allocates %.1f times, want 1 (the name)", c.spec.Name(), tr, c.stab, got)
+			t.Errorf("%s on %s (group %v): warm Build+Release allocates %.1f times, want 1 (the name)", c.spec.Name(), tr, c.group, got)
 		}
 	}
 }

@@ -354,40 +354,28 @@ func gcd(a, b int) int {
 // selectResidues returns the unfinished placement of the nodes whose
 // weighted coordinate sum Σ c_j·p_j mod k lies in the window start,
 // start+1, …, start+count−1 (mod k), for start in [0, k); nil coeffs
-// means all ones. It records the coefficients and count as the
-// placement's translation group, and walks the nodes in index order with
-// an odometer over their coordinates, keeping the sum mod k as it goes: a
-// step that increments coordinate j adds c_j, and so does one that wraps
-// it from k−1 to 0, since −(k−1)·c_j ≡ c_j (mod k).
+// means all ones. It records the coefficients, reduced mod k, and the
+// count as the placement's translation group.
 func selectResidues(t *torus.Torus, coeffs []int, start, count int) *Placement {
-	k, d := t.K(), t.D()
+	k := t.K()
 	p := acquire(t)
-	var coordBuf [8]int
-	cs, coords := p.coeffs[:0], coordBuf[:0]
-	for j := 0; j < d; j++ {
+	cs := p.coeffs[:0]
+	for j := 0; j < t.D(); j++ {
 		c := 1
 		if coeffs != nil {
 			c = torus.Mod(coeffs[j], k)
 		}
 		cs = append(cs, c)
-		coords = append(coords, 0)
 	}
 	p.coeffs, p.classes = cs, count
 	member := p.member
-	r := 0
+	var coordBuf [8]int
+	o := odometer{k: k, cs: cs, coords: append(coordBuf[:0], make([]int, len(cs))...)}
 	for u := 0; u < t.Nodes(); u++ {
-		if off := r - start; off >= 0 && off < count || off < 0 && off+k < count {
+		if off := o.r - start; off >= 0 && off < count || off < 0 && off+k < count {
 			member[u>>6] |= 1 << (u & 63)
 		}
-		for j := 0; j < d; j++ {
-			if r += cs[j]; r >= k {
-				r -= k
-			}
-			if coords[j]++; coords[j] < k {
-				break
-			}
-			coords[j] = 0
-		}
+		o.next()
 	}
 	return p
 }

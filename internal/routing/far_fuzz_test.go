@@ -21,8 +21,8 @@ const maxEnumerated = 1 << 17
 //     edge, exactly (both are integers far below 2⁵³);
 //   - over a placement, the engine the cost model picks (symmetry on most
 //     linear and multiple-linear placements, the pair loop on random ones)
-//     matches the generic pair loop within the cross-check tolerance
-//     (CrossCheck panics otherwise), and is the engine load.Predict names;
+//     matches the generic pair loop within 1e-9 of the busiest edge
+//     (load.MaxEngineDivergence), and is the engine load.Predict names;
 //   - Σ E(l) is the Lee-distance total.
 func FuzzFARKernel(f *testing.F) {
 	for k := uint8(2); k <= 8; k++ {
@@ -65,9 +65,13 @@ func FuzzFARKernel(f *testing.F) {
 		if err != nil || pl.Size() > 64 {
 			return
 		}
-		res := load.Compute(pl, far, load.Options{Workers: 1, CrossCheck: true})
+		res := load.Compute(pl, far, load.Options{Workers: 1})
 		if chosen, _ := load.Predict(pl, far); res.Engine != chosen {
 			t.Fatalf("%s on %s: engine %q, Predict chose %q", pl.Name(), tr, res.Engine, chosen)
+		}
+		generic := load.Compute(pl, far, load.Options{Workers: 1, FastPath: load.FastPathOff})
+		if div := load.MaxEngineDivergence(res, generic); div > 1e-9*math.Max(1, generic.Max) {
+			t.Fatalf("%s on %s: the %s engine diverges from the pair loop by %g", pl.Name(), tr, res.Engine, div)
 		}
 		if want := load.ExpectedTotal(pl); math.Abs(res.Total-want) > 1e-9*math.Max(1, want) {
 			t.Fatalf("%s on %s: Σ E(l) = %v, Σ Lee = %v", pl.Name(), tr, res.Total, want)

@@ -147,7 +147,7 @@ func runE17(scale Scale) *Table {
 				sweepCut.Width(), res.Max, res.Max/float64(p.Size()))
 		}
 	}
-	tb.AddNote("Uniformity along one dimension already yields the Theorem 1 cut (width 4k^{d-1}, balanced along that dimension); random placements need the sweep for balance. Clustered layers pay for their skew with a higher load constant, quantifying why the paper's constructions spread processors within layers too.")
+	tb.AddNote("Uniformity along one dimension already yields the Theorem 1 cut (width 4k^{d-1}, balanced along that dimension); random placements need the sweep for balance. The layer cluster fills every layer along its dimension equally but packs each layer into its smallest nodes, which makes it the hyperplane u_a = 0 of one other dimension a: uniform along the d−1 dimensions but a (2 on T³), and wholly skewed along a. Clustered layers pay for their skew with a higher load constant, quantifying why the paper's constructions spread processors within layers too.")
 	return tb
 }
 

@@ -19,7 +19,8 @@ func init() {
 }
 
 // runE31 is the load engine's dispatch table across the placement/algorithm
-// matrix: for each input it reports the stabilizer size and orbit count,
+// matrix: for each input it reports the order of the translation group
+// its builder records and the orbit count,
 // the cost model's predicted time of every engine that applies, the
 // engine Compute chose, and the maximum per-edge divergence between that
 // engine and the generic pair loop. Workers is pinned to 1 so the float
@@ -63,11 +64,7 @@ func runE31(scale Scale) *Table {
 	for _, c := range cases {
 		t := torus.New(c.k, c.d)
 		p := mustPlacement(c.spec, t)
-		stab := p.TranslationStabilizer()
-		orbits := 0
-		if len(stab) > 0 {
-			orbits = p.Size() / len(stab)
-		}
+		order := p.GroupOrder()
 		predicted := map[string]string{load.EngineSymmetry: "-", load.EngineRingFlow: "-"}
 		_, preds := load.Predict(p, c.alg)
 		for _, pr := range preds {
@@ -80,10 +77,10 @@ func runE31(scale Scale) *Table {
 		if div > 1e-9 {
 			agree = "FAIL"
 		}
-		tb.AddRow(c.d, c.k, p.Name(), c.alg.Name(), p.Size(), len(stab), orbits,
+		tb.AddRow(c.d, c.k, p.Name(), c.alg.Name(), p.Size(), order, p.Size()/order,
 			predicted[load.EngineGeneric], predicted[load.EngineSymmetry], predicted[load.EngineRingFlow],
 			fast.Engine, div, agree)
 	}
-	tb.AddNote("Compute runs the engine the cost model prices lowest (\"-\": not weighed). The ring-flow engine, which sweeps per-ring processor marginals instead of pairs, is weighed for the five dimension-ordered routings (ODR, ODR-multi, ODROrder, UDR and UDR-multi) and takes them unless the placement is so sparse that the pair loop is cheaper. The symmetry engine, which labels every node with its coset of the stabilizer, routes one source per orbit into one base vector and folds that vector by cosets, is weighed only for FAR, which ring-flow does not model, and only when the stabilizer is non-trivial; only then is the stabilizer searched. It takes FAR wherever it is priced below the pair loop, which here is every FAR input with a non-trivial stabilizer, T²₄ linear's four sources included. Under UDR a single orbit on a small torus (T²₅, T³₆ here) would be priced up to 1.7× lower on the symmetry engine; ring-flow serves it without the search. MeshODR is not translation-equivariant (the array metric distinguishes wrap links), so it always walks pairs. Predictions are in microseconds on the 2-CPU Intel Xeon the constants were fitted on. Divergence beyond float summation order is a soundness failure.")
+	tb.AddNote("Compute runs the engine the cost model prices lowest (\"-\": not weighed). The ring-flow engine, which sweeps per-ring processor marginals instead of pairs, is weighed for the five dimension-ordered routings (ODR, ODR-multi, ODROrder, UDR and UDR-multi) and takes them unless the placement is so sparse that the pair loop is cheaper. The symmetry engine, which labels every node with its coset of the translation group the placement's builder records (|stab|: each node's residue Σ c_j·u_j mod k is its label), routes one source per orbit into one base vector and folds that vector by cosets, is weighed only for FAR, which ring-flow does not model, and only where that group is non-trivial; a random or explicit placement records none (|stab| 1) and runs FAR on the pair loop. It takes FAR wherever it is priced below the pair loop, which here is every FAR input with a recorded group, T²₄ linear's four sources included. Under UDR a single orbit on a small torus (T²₅, T³₆ here) would be priced up to 1.8× lower on the symmetry engine; ring-flow serves it anyway. MeshODR is not translation-equivariant (the array metric distinguishes wrap links), so it always walks pairs. Predictions are in microseconds on the 2-CPU Intel Xeon the constants were fitted on. Divergence beyond float summation order is a soundness failure.")
 	return tb
 }
